@@ -8,6 +8,18 @@
 
 use std::time::{Duration, Instant};
 
+/// What a cooperative stream pump does next (see
+/// [`VelocityGovernor::next_pulse`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pulse {
+    /// Nothing is due yet: poll again after this long.
+    Wait(Duration),
+    /// Emit this many tuples now, then [`note`](VelocityGovernor::note) them.
+    Emit(u64),
+    /// Every tuple is out and the final pacing deficit is served.
+    Drained,
+}
+
 /// Paces tuple emission to a target rate.
 #[derive(Debug, Clone)]
 pub struct VelocityGovernor {
@@ -105,28 +117,52 @@ impl VelocityGovernor {
         }
     }
 
-    /// Total time [`pace`](Self::pace) has slept so far (the throttling
-    /// cost the observability layer reports as governor sleep).  Cooperative
-    /// callers that schedule [`delay_for`](Self::delay_for) waits elsewhere
-    /// account those with [`note_slept`](Self::note_slept).
+    /// Total time this governor has throttled emission: the sleeps
+    /// [`pace`](Self::pace) took plus every wait
+    /// [`next_pulse`](Self::next_pulse) handed out (the throttling cost the
+    /// observability layer reports as governor sleep).
     pub fn slept(&self) -> Duration {
         self.slept
     }
 
-    /// Accounts a wait served outside [`pace`](Self::pace) (e.g. on a
-    /// reactor timer wheel) so [`slept`](Self::slept) stays meaningful for
-    /// cooperative callers.
-    pub fn note_slept(&mut self, wait: Duration) {
-        self.slept += wait;
-    }
-
     /// Records that `n` tuples were emitted **without sleeping** — the
     /// cooperative half of [`pace`](Self::pace) for event-loop callers that
-    /// must not block a worker thread.  Pair with [`delay_for`](Self::delay_for)
-    /// (or [`budget`](Self::budget)) to schedule the wait elsewhere, e.g. on
-    /// a reactor timer wheel.
+    /// must not block a worker thread.  Pair with
+    /// [`next_pulse`](Self::next_pulse), which sizes the emission and
+    /// schedules the wait elsewhere, e.g. on a reactor timer wheel.
     pub fn note(&mut self, n: u64) {
         self.emitted += n;
+    }
+
+    /// The pacing decision of a cooperative stream pump with `remaining`
+    /// tuples left that emits in pulses of at most `cap` tuples.
+    ///
+    /// A throttled stream waits until its *whole* next pulse is due, and a
+    /// finished one waits out its final deficit before reporting
+    /// [`Pulse::Drained`] — [`pace`](Self::pace) sleeps after every tuple,
+    /// the last one included, so elapsed time is never shorter than
+    /// rows/rate on either path.  Every wait handed out is accounted in
+    /// [`slept`](Self::slept); the caller serves it off-thread and asks
+    /// again.
+    pub fn next_pulse(&mut self, remaining: u64, cap: u64) -> Pulse {
+        let goal = cap.min(remaining);
+        let wait = if goal == 0 {
+            match self.delay_for(0) {
+                Some(wait) => wait,
+                None => return Pulse::Drained,
+            }
+        } else {
+            match self.budget() {
+                // The budget floors a fractional tuple count, so the pulse
+                // can be short by less than one tuple's worth of time.
+                Some(budget) if budget < goal => {
+                    self.delay_for(goal).unwrap_or(Duration::from_millis(1))
+                }
+                _ => return Pulse::Emit(goal),
+            }
+        };
+        self.slept += wait;
+        Pulse::Wait(wait)
     }
 
     /// How long emission must pause before `extra` *more* tuples (beyond
@@ -135,7 +171,7 @@ impl VelocityGovernor {
     /// the same 60 s bound as [`pace`](Self::pace)'s sleep, and the schedule
     /// forgives all but the last second of a stall (see
     /// [`MAX_CATCHUP_SECS`](Self::MAX_CATCHUP_SECS)).
-    pub fn delay_for(&mut self, extra: u64) -> Option<Duration> {
+    fn delay_for(&mut self, extra: u64) -> Option<Duration> {
         self.clamp_catchup();
         let rate = self.target_rows_per_sec?;
         let due = (self.emitted + extra) as f64 / rate;
@@ -152,7 +188,7 @@ impl VelocityGovernor {
     /// target rate.  `None` means unthrottled (no budget at all).  After a
     /// stall the budget is capped at roughly one second's worth of tuples
     /// rather than everything "missed" during the stall.
-    pub fn budget(&mut self) -> Option<u64> {
+    fn budget(&mut self) -> Option<u64> {
         self.clamp_catchup();
         let rate = self.target_rows_per_sec?;
         let due = (rate * self.anchor.elapsed().as_secs_f64()).floor() as u64;
@@ -229,6 +265,30 @@ mod tests {
         g.note(1_000_000);
         assert!(g.delay_for(0).is_none());
         assert!(g.budget().is_none());
+    }
+
+    #[test]
+    fn next_pulse_sizes_pulses_and_accounts_every_wait() {
+        let mut g = VelocityGovernor::unthrottled();
+        assert_eq!(g.next_pulse(100, 16), Pulse::Emit(16));
+        assert_eq!(g.next_pulse(5, 16), Pulse::Emit(5));
+        assert_eq!(g.next_pulse(0, 16), Pulse::Drained);
+        assert_eq!(g.slept(), Duration::ZERO);
+
+        // Nothing is due at t=0: wait until the whole 100-tuple pulse is.
+        let mut g = VelocityGovernor::with_rate(1000.0);
+        let Pulse::Wait(wait) = g.next_pulse(500, 100) else {
+            panic!("a throttled stream must wait for its first pulse");
+        };
+        assert!(wait <= Duration::from_millis(100), "got {wait:?}");
+        assert!(wait >= Duration::from_millis(50), "got {wait:?}");
+        assert_eq!(g.slept(), wait);
+        // A finished stream ahead of schedule waits out its final deficit.
+        g.note(100);
+        let Pulse::Wait(tail) = g.next_pulse(0, 100) else {
+            panic!("100 rows at 1000/s are ahead of schedule");
+        };
+        assert_eq!(g.slept(), wait + tail);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod stream;
 pub use dataless::DatalessDatabase;
 pub use exec::{ExecError, ExecMode, ExecResult, QueryEngine};
 pub use generator::{DynamicGenerator, GenerationStats};
-pub use governor::VelocityGovernor;
+pub use governor::{Pulse, VelocityGovernor};
 pub use shard::{ShardOutcome, ShardPlanner, ShardedRun};
 pub use sink::{CollectSink, CountingSink, CsvSink, TupleSink};
 pub use stream::TupleStream;

@@ -156,6 +156,24 @@ impl RowBlock<'_> {
     }
 }
 
+/// Decimal digit count of `v` (as rendered by `i64`/`u64` formatting) — the
+/// width of the pk digit span a wire template patches per tuple.
+pub fn dec_width(v: u64) -> usize {
+    if v == 0 {
+        1
+    } else {
+        v.ilog10() as usize + 1
+    }
+}
+
+/// Overwrites `dst` (exactly the [`dec_width`] of `v`) with `v`'s digits.
+pub fn write_digits(mut v: u64, dst: &mut [u8]) {
+    for slot in dst.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+}
+
 impl<'a> TupleStream<'a> {
     /// Creates a stream over one full relation (rows `[0, total)`).
     pub fn new(table: &'a Table, summary: &'a RelationSummary) -> Self {

@@ -4,11 +4,10 @@
 //! slice and either produce a message plus the number of bytes consumed,
 //! report that more bytes are needed, or reject the prefix as malformed —
 //! and they never panic, whatever the input (the codec proptests feed them
-//! garbage, truncations and hostile length fields). The blocking I/O
-//! wrappers ([`read_startup_packet`], [`read_frontend_message`],
-//! [`read_backend_message`]) layer `std::io::Read` on top of the same
-//! payload parsers, so the server, the test client and the property tests
-//! all exercise one code path.
+//! garbage, truncations and hostile length fields). The client's blocking
+//! reader ([`read_backend_message`]) layers `std::io::Read` on top of the
+//! same payload parsers, so the server, the test client and the property
+//! tests all exercise one code path.
 //!
 //! Framing summary (PostgreSQL protocol 3.0):
 //!
@@ -679,33 +678,6 @@ fn read_body<R: Read>(reader: &mut R, len: i32, what: &str) -> PgResult<Vec<u8>>
         None if body == 0 => Ok(Vec::new()),
         None => Err(PgWireError::UnexpectedEof),
     }
-}
-
-/// Read one startup packet; `Ok(None)` means the peer closed before sending
-/// anything.
-pub fn read_startup_packet<R: Read>(reader: &mut R) -> PgResult<Option<StartupPacket>> {
-    let Some(header) = read_exact_opt(reader, 4)? else {
-        return Ok(None);
-    };
-    let len = i32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-    let payload = read_body(reader, len, "startup packet")?;
-    if payload.len() < 4 {
-        return Err(PgWireError::Protocol(format!(
-            "startup packet length {len} too short for a protocol code"
-        )));
-    }
-    parse_startup_payload(&payload).map(Some)
-}
-
-/// Read one frontend message; `Ok(None)` means the peer closed between
-/// messages (treated as an implicit terminate).
-pub fn read_frontend_message<R: Read>(reader: &mut R) -> PgResult<Option<FrontendMessage>> {
-    let Some(header) = read_exact_opt(reader, 5)? else {
-        return Ok(None);
-    };
-    let len = i32::from_be_bytes([header[1], header[2], header[3], header[4]]);
-    let payload = read_body(reader, len, "frontend message")?;
-    parse_frontend_payload(header[0], &payload).map(Some)
 }
 
 /// Read one backend message; `Ok(None)` means the server closed between

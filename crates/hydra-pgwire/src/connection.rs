@@ -1,16 +1,15 @@
-//! Per-connection state machine: startup → auth-ok → idle ↔ query cycle.
+//! The protocol vocabulary behind the connection state machine in
+//! [`crate::reactor`]: startup-parameter resolution, the fixed handshake
+//! tail, statement splitting and classification, the PostgreSQL error
+//! mapping, and the dispatch of every statement with bounded output.
 //!
-//! Each accepted socket walks the PostgreSQL v3 handshake (refusing SSL and
-//! GSS encryption with the protocol's single-byte `'N'`), binds to one
-//! registry entry named by the `database` startup parameter (with an
-//! optional `@version` pin), and then serves simple-query messages until
-//! `Terminate` or EOF.
+//! Each connection binds to one registry entry named by the `database`
+//! startup parameter (with an optional `@version` pin), then serves
+//! simple-query messages.  Query dispatch mirrors the engine's two execution
+//! strategies:
 //!
-//! Query dispatch mirrors the engine's two execution strategies:
-//!
-//! * `SELECT * FROM <relation>` — a full regenerate-and-scan, streamed
-//!   through [`PgRowSink`] over the same `stream_range_into` path the frame
-//!   protocol's `FrameSink` uses;
+//! * `SELECT * FROM <relation>` — a full regenerate-and-scan, which the
+//!   reactor streams in rate-budgeted pulses (see `ScanState`);
 //! * any aggregate `SELECT` — parsed by `hydra-query` and executed with
 //!   [`ExecMode::Auto`]: summary-direct in O(blocks) when the query is in
 //!   the closed class, transparent regenerate-and-scan fallback otherwise.
@@ -18,12 +17,8 @@
 //! Parse errors carry their byte span onto the wire as the `P` field
 //! (1-based), so psql-style clients print a caret at the offending token.
 
-use crate::codec::{
-    encode_backend, read_frontend_message, read_startup_packet, write_backend, BackendMessage,
-    FieldDescription, FrontendMessage, StartupPacket,
-};
-use crate::error::{PgResult, PgWireError};
-use crate::sink::PgRowSink;
+use crate::codec::{encode_backend, write_backend, BackendMessage, FieldDescription};
+use crate::error::PgWireError;
 use crate::types::{pg_text, pg_type_of, OID_FLOAT8, OID_INT4, OID_INT8, OID_TEXT};
 use hydra_catalog::schema::Schema;
 use hydra_datagen::exec::{ExecError, ExecMode, QueryEngine};
@@ -31,16 +26,14 @@ use hydra_obs::{MetricsRegistry, Span};
 use hydra_query::exec::{AggFunc, AggregateQuery, ExecStrategy};
 use hydra_query::parser::parse_aggregate_query_for_schema;
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
-use hydra_service::StreamRequest;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Name of the virtual table exposing the server's metrics snapshot
 /// (`SELECT * FROM hydra_metrics`): three columns — `name text`,
 /// `label text` (NULL for unlabeled samples), `value float8`.
-pub(crate) const METRICS_TABLE: &str = "hydra_metrics";
+const METRICS_TABLE: &str = "hydra_metrics";
 
 /// Server version advertised in `ParameterStatus`: a PostgreSQL-looking
 /// version string so version-sniffing drivers proceed, suffixed with the
@@ -196,14 +189,24 @@ pub(crate) fn split_statements(sql: &str) -> Vec<(usize, &str)> {
 pub(crate) enum Statement<'a> {
     /// Whitespace only.
     Empty,
+    /// `SELECT * FROM <relation>` over a generated relation — a full
+    /// regenerate-and-scan of unbounded size, streamed by the reactor.
+    Scan(&'a str),
+    /// Everything with bounded output, answered by [`run_statement`].
+    Bounded(Bounded),
+}
+
+/// A statement whose whole answer fits one in-memory buffer.
+pub(crate) enum Bounded {
     /// `BEGIN` / `COMMIT` / `ROLLBACK` / `SET …` — acknowledged with a bare
     /// completion tag so ORM session setup does not fail (there is nothing
     /// transactional or settable in a regenerated database).
     Acknowledge(&'static str),
     /// `SELECT <integer>` — the classic liveness ping.
     Ping(i64),
-    /// `SELECT * FROM <relation>` — full regenerate-and-scan.
-    Scan(&'a str),
+    /// `SELECT * FROM hydra_metrics` — the metrics snapshot as a virtual
+    /// table.
+    Metrics,
     /// Anything else: the aggregate query path.
     Aggregate,
 }
@@ -213,25 +216,24 @@ pub(crate) fn classify(stmt: &str) -> Statement<'_> {
     let Some(first) = tokens.first() else {
         return Statement::Empty;
     };
-    let first_lower = first.to_ascii_lowercase();
-    match first_lower.as_str() {
-        "begin" => return Statement::Acknowledge("BEGIN"),
-        "commit" => return Statement::Acknowledge("COMMIT"),
-        "rollback" => return Statement::Acknowledge("ROLLBACK"),
-        "set" => return Statement::Acknowledge("SET"),
-        _ => {}
-    }
-    if first_lower == "select" {
-        if tokens.len() == 2 {
-            if let Ok(n) = tokens[1].parse::<i64>() {
-                return Statement::Ping(n);
+    let bounded = match first.to_ascii_lowercase().as_str() {
+        "begin" => Bounded::Acknowledge("BEGIN"),
+        "commit" => Bounded::Acknowledge("COMMIT"),
+        "rollback" => Bounded::Acknowledge("ROLLBACK"),
+        "set" => Bounded::Acknowledge("SET"),
+        "select" => match tokens[1..] {
+            [literal] => literal.parse().map_or(Bounded::Aggregate, Bounded::Ping),
+            ["*", from, table] if from.eq_ignore_ascii_case("from") => {
+                if !table.eq_ignore_ascii_case(METRICS_TABLE) {
+                    return Statement::Scan(table);
+                }
+                Bounded::Metrics
             }
-        }
-        if tokens.len() == 4 && tokens[1] == "*" && tokens[2].eq_ignore_ascii_case("from") {
-            return Statement::Scan(tokens[3]);
-        }
-    }
-    Statement::Aggregate
+            _ => Bounded::Aggregate,
+        },
+        _ => Bounded::Aggregate,
+    };
+    Statement::Bounded(bounded)
 }
 
 /// Look up a `table.column` group key's declared type for `RowDescription`.
@@ -297,10 +299,9 @@ fn aggregate_field(
     }
 }
 
-/// The fixed post-auth handshake tail both server variants emit: trust
-/// auth, the parameters drivers sniff, a cancel key (never honored — there
-/// is no cancel machinery), then idle.  Shared so the reactor handler and
-/// the threaded baseline stay byte-identical.
+/// The fixed post-auth handshake tail: trust auth, the parameters drivers
+/// sniff, a cancel key (never honored — there is no cancel machinery), then
+/// idle.
 pub(crate) fn handshake_messages() -> Vec<BackendMessage> {
     let mut messages = vec![BackendMessage::AuthenticationOk];
     for (name, value) in [
@@ -323,171 +324,35 @@ pub(crate) fn handshake_messages() -> Vec<BackendMessage> {
     messages
 }
 
-/// Serve one accepted pg connection to completion. Returns `Ok` both for
-/// clean terminates and for peers that simply vanish; only unexpected
-/// internal failures surface as errors (logged by the accept loop).
-pub(crate) fn handle_connection(stream: TcpStream, registry: &SummaryRegistry) -> PgResult<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    // Startup phase: refuse encryption upgrades until a real startup packet
-    // arrives; cancel requests close without a reply, exactly like a
-    // backend that has nothing to cancel.
-    let params = loop {
-        match read_startup_packet(&mut reader) {
-            Ok(None) | Err(PgWireError::UnexpectedEof) => return Ok(()),
-            Err(PgWireError::Io(e)) => return Err(PgWireError::Io(e)),
-            Err(e) => {
-                let msg = PgError::fatal("08P01", e.to_string()).to_message();
-                write_backend(&mut writer, &msg).ok();
-                writer.flush().ok();
-                return Ok(());
-            }
-            Ok(Some(StartupPacket::SslRequest)) | Ok(Some(StartupPacket::GssEncRequest)) => {
-                writer.write_all(b"N")?;
-                writer.flush()?;
-            }
-            Ok(Some(StartupPacket::Cancel { .. })) => return Ok(()),
-            Ok(Some(StartupPacket::Startup {
-                major,
-                minor,
-                params,
-            })) => {
-                if major != 3 {
-                    let msg = PgError::fatal(
-                        "08P01",
-                        format!("unsupported protocol version {major}.{minor}"),
-                    )
-                    .to_message();
-                    write_backend(&mut writer, &msg).ok();
-                    writer.flush().ok();
-                    return Ok(());
-                }
-                break params;
-            }
-        }
-    };
-
-    let database = params
-        .iter()
-        .find(|(k, _)| k == "database")
-        .map(|(_, v)| v.as_str());
-    let entry = match resolve_database(registry, database) {
-        Ok(entry) => entry,
-        Err(e) => {
-            write_backend(&mut writer, &e.to_message()).ok();
-            writer.flush().ok();
-            return Ok(());
-        }
-    };
-
-    for message in handshake_messages() {
-        write_backend(&mut writer, &message)?;
-    }
-    writer.flush()?;
-
-    // Idle ↔ query cycle.
-    loop {
-        match read_frontend_message(&mut reader) {
-            Ok(None) | Err(PgWireError::UnexpectedEof) => return Ok(()),
-            Ok(Some(FrontendMessage::Terminate)) => return Ok(()),
-            Ok(Some(FrontendMessage::Sync)) => {
-                write_backend(&mut writer, &BackendMessage::ReadyForQuery { status: b'I' })?;
-                writer.flush()?;
-            }
-            Ok(Some(FrontendMessage::Unknown { tag })) => {
-                let msg = PgError::error(
-                    "0A000",
-                    format!(
-                        "message type {:?} is not supported (simple-query protocol only)",
-                        tag as char
-                    ),
-                )
-                .to_message();
-                write_backend(&mut writer, &msg)?;
-                write_backend(&mut writer, &BackendMessage::ReadyForQuery { status: b'I' })?;
-                writer.flush()?;
-            }
-            Ok(Some(FrontendMessage::Query { sql })) => {
-                run_simple_query(&mut writer, registry, &entry, &sql)?;
-            }
-            Err(PgWireError::Io(e)) => return Err(PgWireError::Io(e)),
-            Err(e) => {
-                // Hostile or corrupt framing: best-effort FATAL, then close
-                // — there is no way to resynchronize a byte stream.
-                let msg = PgError::fatal("08P01", e.to_string()).to_message();
-                write_backend(&mut writer, &msg).ok();
-                writer.flush().ok();
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Run one `Query` message: every `;`-separated statement in order, error
-/// aborts the rest, and exactly one closing `ReadyForQuery`.
-fn run_simple_query<W: Write>(
-    writer: &mut W,
-    registry: &SummaryRegistry,
-    entry: &RegistryEntry,
-    sql: &str,
-) -> PgResult<()> {
-    let statements = split_statements(sql);
-    let mut ran_any = false;
-    for (offset, stmt) in statements {
-        match classify(stmt) {
-            Statement::Empty => continue,
-            statement => {
-                ran_any = true;
-                if let Err(e) = run_statement(writer, registry, entry, statement, stmt, offset) {
-                    match e {
-                        StatementFailure::Sql(pg) => {
-                            write_backend(writer, &pg.to_message())?;
-                            break;
-                        }
-                        StatementFailure::Wire(e) => return Err(e),
-                    }
-                }
-            }
-        }
-    }
-    if !ran_any {
-        write_backend(writer, &BackendMessage::EmptyQueryResponse)?;
-    }
-    write_backend(writer, &BackendMessage::ReadyForQuery { status: b'I' })?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// A statement either failed as SQL (report and keep the connection) or the
-/// wire itself broke (close the connection).
+/// A statement either failed as SQL (report and keep the connection) or its
+/// writer broke (close the connection — there is nobody left to tell why).
 pub(crate) enum StatementFailure {
     Sql(PgError),
-    Wire(PgWireError),
+    Wire,
 }
 
 impl From<PgWireError> for StatementFailure {
-    fn from(e: PgWireError) -> Self {
-        StatementFailure::Wire(e)
+    fn from(_: PgWireError) -> Self {
+        StatementFailure::Wire
     }
 }
 
+/// Runs one bounded statement, writing its complete answer to `writer`
+/// under a request span.
 pub(crate) fn run_statement<W: Write>(
     writer: &mut W,
     registry: &SummaryRegistry,
     entry: &RegistryEntry,
-    statement: Statement<'_>,
+    statement: Bounded,
     stmt: &str,
     offset: usize,
 ) -> Result<(), StatementFailure> {
     let metrics = registry.session().metrics();
     let op = match &statement {
-        Statement::Empty => return Ok(()),
-        Statement::Acknowledge(_) => "pg.ack",
-        Statement::Ping(_) => "pg.ping",
-        Statement::Scan(_) => "pg.scan",
-        Statement::Aggregate => "pg.aggregate",
+        Bounded::Acknowledge(_) => "pg.ack",
+        Bounded::Ping(_) => "pg.ping",
+        Bounded::Metrics => "pg.scan",
+        Bounded::Aggregate => "pg.aggregate",
     };
     let mut span = metrics.span(op);
     span.set_kind(stmt.trim());
@@ -514,18 +379,17 @@ fn dispatch_statement<W: Write>(
     registry: &SummaryRegistry,
     entry: &RegistryEntry,
     metrics: &MetricsRegistry,
-    statement: Statement<'_>,
+    statement: Bounded,
     stmt: &str,
     offset: usize,
     span: &mut Span,
 ) -> Result<(), StatementFailure> {
     match statement {
-        Statement::Empty => Ok(()),
-        Statement::Acknowledge(tag) => {
+        Bounded::Acknowledge(tag) => {
             write_backend(writer, &BackendMessage::CommandComplete { tag: tag.into() })?;
             Ok(())
         }
-        Statement::Ping(n) => {
+        Bounded::Ping(n) => {
             let (oid, len) = if i32::try_from(n).is_ok() {
                 (OID_INT4, 4)
             } else {
@@ -555,11 +419,8 @@ fn dispatch_statement<W: Write>(
             )?;
             Ok(())
         }
-        Statement::Scan(table) if table.eq_ignore_ascii_case(METRICS_TABLE) => {
-            run_metrics_table(writer, metrics)
-        }
-        Statement::Scan(table) => run_scan(writer, registry, entry, table),
-        Statement::Aggregate => run_aggregate(writer, registry, entry, stmt, offset, span),
+        Bounded::Metrics => run_metrics_table(writer, metrics),
+        Bounded::Aggregate => run_aggregate(writer, registry, entry, stmt, offset, span),
     }
 }
 
@@ -616,53 +477,6 @@ fn float8_text(value: f64) -> String {
     } else {
         format!("{value}")
     }
-}
-
-/// `SELECT * FROM <relation>`: regenerate the whole relation through the
-/// dynamic generator and stream it as `DataRow`s, paced by the session's
-/// velocity governor exactly like the frame protocol's `Stream` request.
-fn run_scan<W: Write>(
-    writer: &mut W,
-    registry: &SummaryRegistry,
-    entry: &RegistryEntry,
-    table: &str,
-) -> Result<(), StatementFailure> {
-    let generator = entry.generator();
-    let total = generator
-        .summary
-        .relation(table)
-        .ok_or_else(|| {
-            StatementFailure::Sql(PgError::error(
-                "42P01",
-                format!("relation \"{table}\" does not exist"),
-            ))
-        })?
-        .total_rows;
-    let rate = registry.session().velocity();
-    let mut sink = PgRowSink::new(writer, StreamRequest::DEFAULT_BATCH_ROWS as usize);
-    let stats = generator
-        .stream_range_into(table, 0..total, &mut sink, rate)
-        .map_err(|e| StatementFailure::Sql(PgError::error("XX000", e.to_string())))?;
-    // The datagen layer's account (rows, velocity, governor sleep) is real
-    // even when the client dies mid-stream, so record before the sink check.
-    registry.session().record_generation(&stats);
-    let rows = stats.rows;
-    let data_bytes = sink.data_bytes;
-    if let Some(e) = sink.error {
-        return Err(StatementFailure::Wire(PgWireError::Io(e)));
-    }
-    let metrics = registry.session().metrics();
-    metrics
-        .counter("hydra_pg_datarow_bytes_total")
-        .add(data_bytes);
-    metrics.counter("hydra_stream_rows_total").add(rows);
-    write_backend(
-        writer,
-        &BackendMessage::CommandComplete {
-            tag: format!("SELECT {rows}"),
-        },
-    )?;
-    Ok(())
 }
 
 /// The aggregate path: parse against the entry's schema, execute with the
@@ -735,7 +549,7 @@ fn run_aggregate<W: Write>(
         datarow_bytes += scratch.len() as u64;
         writer
             .write_all(&scratch)
-            .map_err(|e| StatementFailure::Wire(PgWireError::Io(e)))?;
+            .map_err(|_| StatementFailure::Wire)?;
     }
     metrics
         .counter("hydra_pg_datarow_bytes_total")
@@ -769,23 +583,33 @@ mod tests {
     #[test]
     fn classification() {
         assert!(matches!(classify("  "), Statement::Empty));
-        assert!(matches!(classify("BEGIN"), Statement::Acknowledge("BEGIN")));
+        assert!(matches!(
+            classify("BEGIN"),
+            Statement::Bounded(Bounded::Acknowledge("BEGIN"))
+        ));
         assert!(matches!(
             classify("set search_path to x"),
-            Statement::Acknowledge("SET")
+            Statement::Bounded(Bounded::Acknowledge("SET"))
         ));
-        assert!(matches!(classify("select 1"), Statement::Ping(1)));
+        assert!(matches!(
+            classify("select 1"),
+            Statement::Bounded(Bounded::Ping(1))
+        ));
         assert!(matches!(
             classify("SELECT * FROM item"),
             Statement::Scan("item")
         ));
         assert!(matches!(
+            classify("select * from HYDRA_METRICS"),
+            Statement::Bounded(Bounded::Metrics)
+        ));
+        assert!(matches!(
             classify("select count(*) from item"),
-            Statement::Aggregate
+            Statement::Bounded(Bounded::Aggregate)
         ));
         assert!(matches!(
             classify("select * from item where x"),
-            Statement::Aggregate
+            Statement::Bounded(Bounded::Aggregate)
         ));
     }
 }

@@ -10,10 +10,10 @@
 //! * in-class aggregate queries are answered **summary-direct** in
 //!   O(blocks), never materializing a tuple;
 //! * `SELECT * FROM <relation>` (and out-of-class aggregates, via the
-//!   engine's automatic fallback) regenerate tuples dynamically and stream
-//!   them through [`sink::PgRowSink`] — the same [`TupleSink`] generation
-//!   path the frame protocol's `FrameSink` uses, re-skinned as `DataRow`
-//!   messages.
+//!   engine's automatic fallback) regenerate tuples dynamically; a scan
+//!   streams them block-wise as `DataRow` messages — the same
+//!   `RowBlock` generation path the frame protocol's `Stream` request
+//!   drives, paced by the same velocity governor.
 //!
 //! Both protocol front-ends serve one [`SummaryRegistry`]; the `database`
 //! startup parameter (`name[@version]`) selects the registry entry. Run
@@ -42,7 +42,6 @@
 //! server.shutdown();
 //! ```
 //!
-//! [`TupleSink`]: hydra_datagen::sink::TupleSink
 //! [`SummaryRegistry`]: hydra_service::registry::SummaryRegistry
 
 #![warn(missing_docs)]
@@ -50,17 +49,14 @@
 pub mod client;
 pub mod codec;
 mod connection;
+mod datarow;
 pub mod error;
 pub mod reactor;
 pub mod server;
-pub mod sink;
 pub mod types;
 
 pub use client::{PgClient, PgRows};
 pub use codec::{BackendMessage, FieldDescription, FrontendMessage, StartupPacket};
 pub use error::{PgResult, PgWireError, ServerError};
 pub use reactor::PgProtocol;
-pub use server::{
-    serve_pg, serve_pg_threaded, serve_pg_with_options, PgServerHandle, ThreadedPgServerHandle,
-};
-pub use sink::PgRowSink;
+pub use server::{serve_pg, serve_pg_with_options, PgServerHandle};

@@ -1,8 +1,7 @@
 //! The pgwire front-end as a reactor state machine.
 //!
-//! The non-blocking twin of the blocking `connection` module: the same
-//! handshake, the same statement dispatch, the same error vocabulary,
-//! byte-identical wire output — restructured for
+//! The connection state machine of the PostgreSQL front-end — handshake,
+//! statement loop, streamed scans — shaped for
 //! [`hydra-reactor`](hydra_reactor)'s division of labour.  The codec's
 //! [`Decoded`] prefix parsers were reactor-shaped from day one, so the
 //! connection handler is a direct composition:
@@ -23,23 +22,20 @@ use crate::codec::{
 };
 use crate::connection::{
     classify, handshake_messages, resolve_database, run_statement, split_statements, PgError,
-    Statement, StatementFailure, METRICS_TABLE,
+    Statement, StatementFailure,
 };
-use crate::sink::DataRowTemplate;
-use crate::types::pg_text;
+use crate::datarow::{row_description, DataRowTemplate};
 use hydra_catalog::types::DataType;
 use hydra_datagen::generator::DynamicGenerator;
-use hydra_datagen::governor::VelocityGovernor;
+use hydra_datagen::governor::{Pulse, VelocityGovernor};
 use hydra_obs::{Counter, MetricsRegistry, Span};
 use hydra_reactor::{ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll};
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
 use hydra_service::StreamRequest;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Rows per `SELECT *` scan pulse: one flush-batch of the blocking
-/// [`crate::sink::PgRowSink`], so the wire sees `DataRow`s land at the
-/// same cadence as the threaded baseline.
+/// Rows per `SELECT *` scan pulse: the frame protocol's default batch, so
+/// both wires see a throttled relation land at the same cadence.
 const SCAN_PULSE_ROWS: u64 = StreamRequest::DEFAULT_BATCH_ROWS;
 
 /// The pgwire listener-level factory: one per pg listener, holding the
@@ -201,8 +197,7 @@ impl PgConnHandler {
 
 /// One simple-query message's worth of work: every `;`-separated statement
 /// in order, error aborts the rest, and exactly one closing
-/// `ReadyForQuery` — the cooperative re-implementation of
-/// `run_simple_query`.
+/// `ReadyForQuery`.
 struct PgQueryTask {
     registry: Arc<SummaryRegistry>,
     entry: Arc<RegistryEntry>,
@@ -246,58 +241,53 @@ impl ConnTask for PgQueryTask {
         // Next statement, one per poll slice (fairness on the fixed pool).
         while self.next < self.statements.len() {
             let (offset, stmt) = &self.statements[self.next];
-            let statement = classify(stmt);
-            if matches!(statement, Statement::Empty) {
-                self.next += 1;
-                continue;
-            }
-            self.ran_any = true;
-            match statement {
-                // `hydra_metrics` is a bounded virtual table, not a
-                // generated relation: it takes the non-streaming path
-                // below, where `run_statement` intercepts it.
-                Statement::Scan(table) if !table.eq_ignore_ascii_case(METRICS_TABLE) => {
-                    match ScanState::open(&self.registry, &self.entry, table, conn) {
+            let statement = match classify(stmt) {
+                Statement::Empty => {
+                    self.next += 1;
+                    continue;
+                }
+                Statement::Scan(table) => {
+                    self.ran_any = true;
+                    return match ScanState::open(&self.registry, &self.entry, table, conn) {
                         Ok(scan) => {
                             self.scan = Some(scan);
-                            return TaskPoll::Yield;
+                            TaskPoll::Yield
                         }
                         Err(e) => {
-                            // The threaded path spans failed scans through
-                            // `run_statement`; account them here too.
+                            // A scan that fails to open never owns a span
+                            // of its own: account the failure here.
                             let metrics = self.registry.session().metrics();
                             metrics.span("pg.scan").set_error();
                             metrics
                                 .counter_labeled("hydra_pg_errors_total", "sqlstate", e.code())
                                 .inc();
-                            return self.fail(conn, e);
+                            self.fail(conn, e)
                         }
-                    }
+                    };
                 }
-                statement => {
-                    // Non-streaming statements produce bounded output: run
-                    // the threaded dispatch against an in-memory writer and
-                    // push the bytes.  (A Vec write cannot fail, so the
-                    // Wire arm is unreachable.)
-                    let mut bytes = Vec::new();
-                    match run_statement(
-                        &mut bytes,
-                        &self.registry,
-                        &self.entry,
-                        statement,
-                        stmt,
-                        *offset,
-                    ) {
-                        Ok(()) => {
-                            conn.push(bytes);
-                            self.next += 1;
-                            return TaskPoll::Yield;
-                        }
-                        Err(StatementFailure::Sql(e)) => return self.fail(conn, e),
-                        Err(StatementFailure::Wire(_)) => return TaskPoll::DoneClose,
-                    }
+                Statement::Bounded(statement) => statement,
+            };
+            self.ran_any = true;
+            // Bounded output: run the dispatch against an in-memory writer
+            // and push the bytes.  (A Vec write cannot fail, so the Wire
+            // arm is unreachable.)
+            let mut bytes = Vec::new();
+            return match run_statement(
+                &mut bytes,
+                &self.registry,
+                &self.entry,
+                statement,
+                stmt,
+                *offset,
+            ) {
+                Ok(()) => {
+                    conn.push(bytes);
+                    self.next += 1;
+                    TaskPoll::Yield
                 }
-            }
+                Err(StatementFailure::Sql(e)) => self.fail(conn, e),
+                Err(StatementFailure::Wire) => TaskPoll::DoneClose,
+            };
         }
         // All statements processed.
         let mut bytes = Vec::new();
@@ -333,8 +323,9 @@ enum ScanPoll {
     Failed(PgError),
 }
 
-/// A `SELECT * FROM <relation>` scan sliced into rate-budgeted pulses —
-/// the cooperative twin of `run_scan` + `PgRowSink`.
+/// A `SELECT * FROM <relation>` scan sliced into rate-budgeted pulses,
+/// paced by the session's velocity governor exactly like the frame
+/// protocol's `Stream` request.
 struct ScanState {
     generator: DynamicGenerator,
     table: String,
@@ -353,7 +344,7 @@ struct ScanState {
 
 impl ScanState {
     /// Resolves the relation, pushes its `RowDescription`, and returns the
-    /// ready scan — same checks and error strings as `run_scan`.
+    /// ready scan.
     fn open(
         registry: &SummaryRegistry,
         entry: &RegistryEntry,
@@ -361,33 +352,21 @@ impl ScanState {
         conn: &ConnHandle,
     ) -> Result<Box<ScanState>, PgError> {
         let generator = entry.generator();
+        let no_relation =
+            || PgError::error("42P01", format!("relation \"{table}\" does not exist"));
         let total = generator
             .summary
             .relation(table)
-            .ok_or_else(|| PgError::error("42P01", format!("relation \"{table}\" does not exist")))?
+            .ok_or_else(no_relation)?
             .total_rows;
-        let schema_table = generator.schema.table(table).ok_or_else(|| {
-            PgError::error("42P01", format!("relation \"{table}\" does not exist"))
-        })?;
+        let schema_table = generator.schema.table(table).ok_or_else(no_relation)?;
         let column_types: Vec<DataType> = schema_table
             .columns()
             .iter()
             .map(|c| c.data_type.clone())
             .collect();
-        let fields = schema_table
-            .columns()
-            .iter()
-            .map(|c| {
-                let (type_oid, type_len) = crate::types::pg_type_of(&c.data_type);
-                crate::codec::FieldDescription {
-                    name: c.name.clone(),
-                    type_oid,
-                    type_len,
-                }
-            })
-            .collect();
         let mut bytes = Vec::new();
-        emit(&mut bytes, &BackendMessage::RowDescription { fields });
+        emit(&mut bytes, &row_description(schema_table));
         conn.push(bytes);
         let governor = match registry.session().velocity() {
             Some(rate) => VelocityGovernor::with_rate(rate),
@@ -415,49 +394,39 @@ impl ScanState {
 
     /// One pulse: generate up to a rate-budgeted chunk of rows and push
     /// them as `DataRow`s, then the `CommandComplete` once the relation is
-    /// exhausted (after waiting out the final pacing deficit, like the
-    /// per-row governor of the blocking path).
+    /// exhausted and its final pacing deficit is served.
     fn pump(&mut self, conn: &ConnHandle) -> ScanPoll {
         if conn.over_high_water() {
             return ScanPoll::Reactor(TaskPoll::AwaitDrain);
         }
         let remaining = self.end - self.cursor;
-        if remaining == 0 {
-            if let Some(wait) = self.governor.delay_for(0) {
-                return ScanPoll::Reactor(TaskPoll::Sleep(wait));
+        let goal = match self.governor.next_pulse(remaining, SCAN_PULSE_ROWS) {
+            Pulse::Wait(wait) => return ScanPoll::Reactor(TaskPoll::Sleep(wait)),
+            Pulse::Emit(goal) => goal,
+            Pulse::Drained => {
+                let mut bytes = Vec::new();
+                emit(
+                    &mut bytes,
+                    &BackendMessage::CommandComplete {
+                        tag: format!("SELECT {}", self.governor.emitted()),
+                    },
+                );
+                conn.push(bytes);
+                self.metrics
+                    .counter_labeled("hydra_datagen_rows_total", "table", &self.table)
+                    .add(self.governor.emitted());
+                self.metrics
+                    .gauge("hydra_datagen_rows_per_sec")
+                    .set(self.governor.achieved_rate() as i64);
+                self.metrics
+                    .counter("hydra_governor_sleep_seconds_total")
+                    .add(u64::try_from(self.governor.slept().as_nanos()).unwrap_or(u64::MAX));
+                // The span closes at the completion tag, so its duration is
+                // the stream's (governor sleeps included).
+                self.span.take();
+                return ScanPoll::Finished;
             }
-            let mut bytes = Vec::new();
-            emit(
-                &mut bytes,
-                &BackendMessage::CommandComplete {
-                    tag: format!("SELECT {}", self.governor.emitted()),
-                },
-            );
-            conn.push(bytes);
-            self.metrics
-                .counter_labeled("hydra_datagen_rows_total", "table", &self.table)
-                .add(self.governor.emitted());
-            self.metrics
-                .gauge("hydra_datagen_rows_per_sec")
-                .set(self.governor.achieved_rate() as i64);
-            self.metrics
-                .counter("hydra_governor_sleep_seconds_total")
-                .add(u64::try_from(self.governor.slept().as_nanos()).unwrap_or(u64::MAX));
-            // The span closes at the completion tag, so its duration is
-            // the stream's (governor sleeps included).
-            self.span.take();
-            return ScanPoll::Finished;
-        }
-        let goal = SCAN_PULSE_ROWS.min(remaining);
-        if let Some(budget) = self.governor.budget() {
-            if budget < goal {
-                let wait = self
-                    .governor
-                    .delay_for(goal)
-                    .unwrap_or(Duration::from_millis(1));
-                return ScanPoll::Reactor(TaskPoll::Sleep(wait));
-            }
-        }
+        };
         let mut tuples = match self
             .generator
             .stream_range(&self.table, self.cursor..self.cursor + goal)
@@ -477,24 +446,8 @@ impl ScanState {
         };
         let mut bytes = Vec::new();
         while let Some(block) = tuples.next_block(u64::MAX) {
-            if DataRowTemplate::block_eligible(&block, &self.column_types) {
-                for pk in block.pk_range() {
-                    bytes.extend_from_slice(self.template.row_bytes(
-                        &block,
-                        pk,
-                        &self.column_types,
-                    ));
-                }
-            } else {
-                for row in block.rows() {
-                    let values = row
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| pg_text(v, self.column_types.get(i)).map(String::into_bytes))
-                        .collect();
-                    emit(&mut bytes, &BackendMessage::DataRow { values });
-                }
-            }
+            self.template
+                .append_block(&block, &self.column_types, &mut bytes);
         }
         self.datarow_bytes.add(bytes.len() as u64);
         self.stream_rows.add(goal);

@@ -1,30 +1,21 @@
 //! The pgwire listener — the PostgreSQL face of a running registry.
 //!
-//! Since the reactor-core refactor this is a thin configuration layer over
-//! [`hydra-reactor`](hydra_reactor), structurally a twin of
-//! `hydra-service`'s frame server: [`serve_pg`] binds a listener on a
-//! shared epoll event loop, v3 messages are decoded incrementally on the
-//! loop by [`crate::reactor::PgProtocol`], and queries execute as
-//! cooperative tasks on a **fixed** worker pool.  Both front-ends are
-//! meant to run under one shared [`ShutdownSignal`], so a `Shutdown` frame
-//! on the service port (or a programmatic shutdown of either handle) stops
-//! this listener too — no orphaned accept loops.
-//!
-//! The pre-reactor thread-per-connection server survives as
-//! [`serve_pg_threaded`]: the comparison baseline for the connection
-//! torture tests.  Both speak byte-identical wire protocol.
+//! A thin configuration layer over [`hydra-reactor`](hydra_reactor),
+//! structurally a twin of `hydra-service`'s frame server: [`serve_pg`]
+//! binds a listener on a shared epoll event loop, v3 messages are decoded
+//! incrementally on the loop by [`crate::reactor::PgProtocol`], and queries
+//! execute as cooperative tasks on a **fixed** worker pool.  Both
+//! front-ends are meant to run under one shared [`ShutdownSignal`], so a
+//! `Shutdown` frame on the service port (or a programmatic shutdown of
+//! either handle) stops this listener too — no orphaned accept loops.
 
-use crate::connection::handle_connection;
 use crate::error::PgResult;
 use crate::reactor::PgProtocol;
-use hydra_reactor::{AcceptGate, ReactorBuilder, ReactorConfig, ReactorHandle, SharedMetrics};
+use hydra_reactor::{ReactorBuilder, ReactorConfig, ReactorHandle, SharedMetrics};
 use hydra_service::registry::SummaryRegistry;
 use hydra_service::ShutdownSignal;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A pgwire server bound to a socket on a shared reactor event loop.
 /// Dropping the handle triggers the shared shutdown signal (stopping every
@@ -118,104 +109,5 @@ impl Drop for PgServerHandle {
         self.signal.trigger();
         // Dropping the reactor handle joins the event loop.
         self.reactor.take();
-    }
-}
-
-/// The pre-reactor thread-per-connection pg server: one blocking accept
-/// loop, one thread per connection.  Kept as the baseline the torture
-/// tests compare the reactor against — byte-identical wire protocol at
-/// thread-count scale.
-#[derive(Debug)]
-pub struct ThreadedPgServerHandle {
-    local_addr: SocketAddr,
-    signal: ShutdownSignal,
-    active: Arc<AtomicUsize>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-/// Starts a thread-per-connection pg server over `registry` on `addr`,
-/// stopping when `signal` triggers.  The accept loop blocks on an
-/// [`AcceptGate`], so a trigger — even one racing the bind — wakes it
-/// race-free.
-pub fn serve_pg_threaded(
-    registry: Arc<SummaryRegistry>,
-    addr: impl ToSocketAddrs,
-    signal: ShutdownSignal,
-) -> PgResult<ThreadedPgServerHandle> {
-    let gate = AcceptGate::bind(addr, signal.clone())?;
-    let local_addr = gate.local_addr();
-    let active = Arc::new(AtomicUsize::new(0));
-
-    let accept_registry = Arc::clone(&registry);
-    let accept_active = Arc::clone(&active);
-    let accept_thread = std::thread::spawn(move || {
-        while let Ok(Some(stream)) = gate.accept() {
-            let registry = Arc::clone(&accept_registry);
-            let active = Arc::clone(&accept_active);
-            active.fetch_add(1, Ordering::SeqCst);
-            std::thread::spawn(move || {
-                // Peer-level failures (dead sockets, hostile bytes) are
-                // resolved inside the connection; nothing to surface here.
-                let _ = handle_connection(stream, &registry);
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-    });
-
-    Ok(ThreadedPgServerHandle {
-        local_addr,
-        signal,
-        active,
-        accept_thread: Some(accept_thread),
-    })
-}
-
-impl ThreadedPgServerHandle {
-    /// The address the pg listener is bound to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The shutdown signal this listener's accept loop runs under.
-    pub fn shutdown_signal(&self) -> ShutdownSignal {
-        self.signal.clone()
-    }
-
-    /// Connections currently being served (each on its own thread).
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the shared signal stops the accept loop, then drains
-    /// in-flight connections for a bounded grace period.
-    pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    /// Triggers the shared signal and blocks until the accept loop exits.
-    pub fn shutdown(mut self) {
-        self.signal.trigger();
-        self.join_inner();
-    }
-
-    fn join_inner(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // Give in-flight query handlers a bounded grace period; idle
-        // keep-alive connections do not block shutdown forever.
-        for _ in 0..200 {
-            if self.active.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-}
-
-impl Drop for ThreadedPgServerHandle {
-    fn drop(&mut self) {
-        self.signal.trigger();
-        self.join_inner();
     }
 }

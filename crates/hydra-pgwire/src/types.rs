@@ -1,10 +1,9 @@
 //! Mapping between the catalog's value model and PostgreSQL's text-format
 //! wire representation.
 //!
-//! Both the server's [`PgRowSink`](crate::sink::PgRowSink) and the
-//! differential tests go through [`pg_text`], so "the pg answer equals the
-//! frame answer" is checked against a single encoder, not two independently
-//! written ones.
+//! Both the server's `DataRow` encoders and the differential tests go
+//! through [`pg_text`], so "the pg answer equals the frame answer" is
+//! checked against a single encoder, not two independently written ones.
 
 use hydra_catalog::types::{DataType, Value};
 

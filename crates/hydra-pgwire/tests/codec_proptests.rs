@@ -5,8 +5,8 @@
 
 use hydra_pgwire::codec::{
     decode_backend, decode_frontend, decode_startup, encode_backend, encode_frontend,
-    encode_startup, read_backend_message, read_frontend_message, read_startup_packet,
-    BackendMessage, Decoded, FieldDescription, FrontendMessage, StartupPacket, MAX_MESSAGE_BYTES,
+    encode_startup, read_backend_message, BackendMessage, Decoded, FieldDescription,
+    FrontendMessage, StartupPacket, MAX_MESSAGE_BYTES,
 };
 use hydra_pgwire::error::PgWireError;
 use proptest::prelude::*;
@@ -78,8 +78,6 @@ proptest! {
         let _ = decode_startup(&bytes);
         let _ = decode_frontend(&bytes);
         let _ = decode_backend(&bytes);
-        let _ = read_startup_packet(&mut bytes.as_slice());
-        let _ = read_frontend_message(&mut bytes.as_slice());
         let _ = read_backend_message(&mut bytes.as_slice());
     }
 
@@ -98,9 +96,10 @@ proptest! {
         prop_assert!(matches!(decode_backend(&wire), Err(PgWireError::Protocol(_))));
         // Startup packets share the cap (their length field is the first 4 bytes).
         prop_assert!(matches!(decode_startup(&wire[1..]), Err(PgWireError::Protocol(_))));
-        // The blocking readers refuse identically instead of allocating.
+        // The client's blocking reader refuses identically instead of
+        // allocating.
         prop_assert!(matches!(
-            read_frontend_message(&mut wire.as_slice()),
+            read_backend_message(&mut wire.as_slice()),
             Err(PgWireError::Protocol(_))
         ));
     }
@@ -116,8 +115,7 @@ proptest! {
     }
 
     /// encode ∘ decode = id for `Query`, and every truncation of the
-    /// encoding asks for more bytes. Mid-message EOF on the blocking reader
-    /// surfaces as a clean `UnexpectedEof`, never a panic.
+    /// encoding asks for more bytes.
     #[test]
     fn query_roundtrip_and_truncation(sql in ascii(64)) {
         let message = FrontendMessage::Query { sql };
@@ -125,13 +123,6 @@ proptest! {
         let mut wire = Vec::new();
         encode_frontend(&message, &mut wire);
         assert_prefixes_incomplete(&wire, decode_frontend);
-        for cut in 1..wire.len() {
-            let result = read_frontend_message(&mut &wire[..cut]);
-            prop_assert!(
-                matches!(result, Err(PgWireError::UnexpectedEof)),
-                "mid-message EOF at {cut} gave {result:?}"
-            );
-        }
     }
 
     /// encode ∘ decode = id for startup packets, including truncations.
@@ -185,6 +176,15 @@ proptest! {
         let mut wire = Vec::new();
         encode_backend(&message, &mut wire);
         assert_prefixes_incomplete(&wire, decode_backend);
+        // Mid-message EOF on the client's blocking reader surfaces as a
+        // clean `UnexpectedEof`, never a panic.
+        for cut in 1..wire.len() {
+            let result = read_backend_message(&mut &wire[..cut]);
+            prop_assert!(
+                matches!(result, Err(PgWireError::UnexpectedEof)),
+                "mid-message EOF at {cut} gave {result:?}"
+            );
+        }
     }
 
     /// encode ∘ decode = id for `ErrorResponse` (nonzero field codes).

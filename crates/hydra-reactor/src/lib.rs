@@ -20,18 +20,13 @@
 //!   every `thread::sleep`), `AwaitDrain` when the connection's bounded
 //!   write queue passes high water — backpressure parks the *task*, never
 //!   a thread.
-//! * [`ShutdownSignal`] wakes the loop through a self-pipe [`Waker`];
-//!   the old wake-by-connect listener hack (and its lost-trigger race) is
-//!   gone.
-//!
-//! The threaded baseline servers keep working through [`AcceptGate`],
-//! which gives a blocking accept loop the same race-free wakeup.
+//! * [`ShutdownSignal`] wakes the loop through a self-pipe [`Waker`], so
+//!   a trigger — even one racing the bind — is never lost.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]
 
 mod conn;
-mod gate;
 mod obs;
 mod pool;
 mod reactor;
@@ -41,7 +36,6 @@ mod timer;
 mod wake;
 
 pub use conn::ConnHandle;
-pub use gate::AcceptGate;
 pub use reactor::{ReactorBuilder, ReactorHandle};
 pub use signal::ShutdownSignal;
 pub use timer::TimerWheel;

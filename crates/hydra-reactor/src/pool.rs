@@ -115,8 +115,7 @@ impl WorkerPool {
     /// Stops the pool: workers finish the queued backlog (tasks observe
     /// dead connections and finish fast), then exit.  Threads that are
     /// still mid-task after `grace` are detached rather than joined — a
-    /// long-running solve may legitimately outlive the server, exactly as
-    /// the blocking server detached its connection threads.
+    /// long-running solve may legitimately outlive the server.
     pub(crate) fn stop(&mut self, grace: Duration) {
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.available.notify_all();

@@ -495,8 +495,8 @@ impl Inner {
             conn.read_buf.resize(old + READ_CHUNK, 0);
             match conn.stream.read(&mut conn.read_buf[old..]) {
                 Ok(0) => {
-                    // Peer closed.  Matches the blocking servers: EOF ends
-                    // the conversation even if a response is in flight.
+                    // Peer closed: EOF ends the conversation even if a
+                    // response is in flight.
                     conn.read_buf.truncate(old);
                     self.kill_conn(token, false);
                     return;

@@ -21,7 +21,7 @@ struct SignalInner {
 }
 
 /// A cloneable one-shot shutdown flag that wakes every registered event
-/// loop (reactor or threaded accept gate) when triggered.
+/// loop when triggered.
 ///
 /// Clones share state: triggering any clone stops every listener
 /// registered on any clone, which is how the frame and pg front-ends are

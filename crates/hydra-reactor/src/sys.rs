@@ -1,6 +1,5 @@
-//! Thin FFI layer over the handful of Linux readiness primitives the
-//! reactor needs: `epoll` for the event loop and `poll` for the
-//! interruptible blocking accept used by the threaded baseline servers.
+//! Thin FFI layer over the one Linux readiness primitive the reactor
+//! needs: `epoll` for the event loop.
 //!
 //! The workspace vendors every dependency, so there is no `libc` crate to
 //! lean on; the declarations below bind the exact symbols the platform C
@@ -42,21 +41,10 @@ struct EpollEvent {
     data: u64,
 }
 
-/// `struct pollfd` for the `poll(2)` fallback used by [`wait_readable`].
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-const POLLIN: i16 = 0x001;
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
 }
 
 fn last_os_error_or_retry(ret: i32) -> Option<io::Error> {
@@ -168,32 +156,22 @@ impl std::fmt::Debug for Poller {
     }
 }
 
-/// Blocks until one of `fds` is readable or `timeout` expires (forever when
-/// `None`).  Returns a readability flag per fd, all-false on timeout.
-///
-/// This is the `poll(2)` companion the threaded baseline servers use to
-/// wait on “listener or wake pipe” without a dedicated epoll instance.
+/// Test helper: blocks until one of `fds` is readable or `timeout` expires
+/// (forever when `None`).  Returns a readability flag per fd, all-false on
+/// timeout.
+#[cfg(test)]
 pub fn wait_readable(fds: &[RawFd], timeout: Option<Duration>) -> io::Result<Vec<bool>> {
-    let mut pollfds: Vec<PollFd> = fds
-        .iter()
-        .map(|&fd| PollFd {
-            fd,
-            events: POLLIN,
-            revents: 0,
-        })
-        .collect();
-    let timeout_ms: i32 = match timeout {
-        Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-        None => -1,
-    };
-    // SAFETY: pollfds is a live array of nfds pollfd structs.
-    let ret = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms) };
-    if let Some(err) = last_os_error_or_retry(ret) {
-        return Err(err);
+    let mut poller = Poller::new(fds.len())?;
+    for (token, &fd) in fds.iter().enumerate() {
+        poller.add(fd, token as u64, EPOLLIN)?;
     }
-    // Any revents bit (POLLIN, POLLERR, POLLHUP, ...) counts as “wake up and
-    // look”: the subsequent non-blocking accept/read sorts out the cause.
-    Ok(pollfds.iter().map(|p| p.revents != 0).collect())
+    let mut events = Vec::new();
+    poller.wait(&mut events, timeout)?;
+    let mut ready = vec![false; fds.len()];
+    for (token, _) in events {
+        ready[token as usize] = true;
+    }
+    Ok(ready)
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! The frame protocol as a reactor state machine.
 //!
-//! This module is the non-blocking twin of the threaded connection loop in
-//! [`crate::server`]: the same requests, the same responses, the same error
-//! strings, byte-identical wire output — but decomposed into the three
-//! pieces the reactor core wants:
+//! The server side of the frame protocol, decomposed into the three pieces
+//! the reactor core wants:
 //!
 //! * [`FrameProtocol`] mints a connection handler per accepted connection;
 //! * the handler incrementally slices complete frames off the receive
@@ -16,27 +14,26 @@
 //!   `Yield` (fairness), `Sleep` (velocity pacing via the timer wheel), or
 //!   `AwaitDrain` (write-queue backpressure) — never blocking a thread.
 //!
-//! ## Wire parity with the threaded server
+//! ## Wire parity with the in-process reference
 //!
-//! The torture suite holds this path to *byte identity* against the
-//! blocking baseline, which pins down three subtleties:
+//! The torture suite holds a stream's header and batches to *byte identity*
+//! against [`crate::wire::FrameSink`] driven in-process, which pins down
+//! three subtleties:
 //!
-//! * **Batch boundaries.** The blocking [`crate::wire::FrameSink`] buffers
-//!   rows and emits a `Batch` frame exactly every `batch_rows` tuples, so
-//!   the task keeps its partial batch across poll slices instead of
-//!   flushing at slice edges.
-//! * **Frame-cap splitting.** An oversized batch splits in half
-//!   recursively, exactly like the sink, down to the same single-tuple
-//!   error message.
-//! * **Pacing.** The blocking driver paces *after every row including the
-//!   last*, so a finished stream still waits out its final deficit before
-//!   `StreamEnd` — the task mirrors that with a trailing `Sleep` so
-//!   elapsed-time stats and rate caps agree.
+//! * **Batch boundaries.** The sink emits a `Batch` frame exactly every
+//!   `batch_rows` tuples, so the task keeps its partial batch across poll
+//!   slices instead of flushing at slice edges.
+//! * **Frame-cap splitting.** Both drive one `BatchEncoder`: an oversized
+//!   batch splits in half recursively, down to the same single-tuple error
+//!   message.
+//! * **Pacing.** `VelocityGovernor::pace` sleeps *after every row including
+//!   the last*, so a finished stream still waits out its final deficit
+//!   before `StreamEnd` — `VelocityGovernor::next_pulse` carries the same
+//!   rule, so elapsed-time stats and rate caps agree.
 //!
-//! One deliberate divergence: a framing-level violation (oversized length
-//! prefix) desynchronizes the byte stream, so the reactor answers with an
-//! `Error` frame and then *closes* the connection, where the threaded
-//! server answered and limped on over garbage.
+//! A framing-level violation (oversized length prefix) desynchronizes the
+//! byte stream, so the handler answers with an `Error` frame and then
+//! *closes* the connection.
 
 use crate::error::ServiceError;
 use crate::protocol::{
@@ -46,11 +43,11 @@ use crate::protocol::{
 use crate::registry::SummaryRegistry;
 use crate::wire::BatchEncoder;
 use hydra_datagen::generator::DynamicGenerator;
-use hydra_datagen::governor::VelocityGovernor;
+use hydra_datagen::governor::{Pulse, VelocityGovernor};
 use hydra_obs::{Counter, MetricsRegistry, Span};
 use hydra_reactor::{ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hydra_reactor::ShutdownSignal;
 
@@ -60,11 +57,10 @@ use hydra_reactor::ShutdownSignal;
 /// noise.
 const STREAM_SLICE_ROWS: u64 = 8192;
 
-/// Serves one request, producing the response frame's message.  The shared
-/// one-shot dispatch behind both the threaded connection loop and the
-/// reactor task — `Stream` and `Shutdown` never reach it (both need
-/// connection-level control flow and are handled by their callers).
-pub(crate) fn respond(registry: &SummaryRegistry, request: Request) -> Response {
+/// Serves one one-shot request, producing the response frame's message.
+/// `Stream` and `Shutdown` never reach it: both need connection-level
+/// control flow and are handled by [`FrameTask::begin`].
+fn respond(registry: &SummaryRegistry, request: Request) -> Response {
     match request {
         Request::Publish { name, package } => match registry.publish(&name, package) {
             Ok(entry) => Response::Published(entry.info()),
@@ -187,9 +183,9 @@ impl FrameObs {
         }
     }
 
-    /// Settles a completed stream's datagen account — the reactor path's
-    /// equivalent of `Hydra::record_generation` (the threaded front-ends
-    /// stream through the session and record there).
+    /// Settles a completed stream's datagen account — the wire's
+    /// equivalent of `Hydra::record_generation`, which in-process streams
+    /// record through the session.
     pub(crate) fn record_stream(&self, table: &str, governor: &VelocityGovernor) {
         self.metrics
             .counter_labeled("hydra_datagen_rows_total", "table", table)
@@ -314,9 +310,9 @@ impl ConnTask for FrameTask {
                     poll
                 }
                 Err(e) => {
-                    // Mirrors the threaded server: a stream that dies after
-                    // its header (frame-cap violation, generation failure)
-                    // reports an Error frame and keeps the connection.
+                    // A stream that dies after its header (frame-cap
+                    // violation, generation failure) reports an Error
+                    // frame and keeps the connection.
                     if let Some(span) = self.span.as_mut() {
                         span.set_error();
                     }
@@ -338,8 +334,7 @@ impl FrameTask {
             Ok(request) => request,
             Err(e) => {
                 // Malformed *payload* in a well-framed message: answered,
-                // not fatal — framing is still in sync (same contract as
-                // the threaded server).
+                // not fatal — framing is still in sync.
                 metrics.span("frame.invalid").set_error();
                 push_error(conn, &self.obs, e.to_string());
                 return TaskPoll::Done;
@@ -423,9 +418,8 @@ impl FrameTask {
                         conn.push(frame);
                         TaskPoll::Done
                     }
-                    // An unframeable response outside Query closed the
-                    // threaded connection too (its write_frame error
-                    // propagated); keep that contract.
+                    // An unframeable response outside Query has no
+                    // smaller form to fall back to: close.
                     Err(_) => {
                         span.set_error();
                         TaskPoll::DoneClose
@@ -451,8 +445,8 @@ fn op_name(request: &Request) -> &'static str {
     }
 }
 
-/// The streaming state machine: a cooperative re-implementation of
-/// `handle_stream` + `FrameSink`, sliced into bounded polls.
+/// The streaming state machine: one `Stream` request sliced into bounded
+/// polls.
 struct StreamState {
     generator: DynamicGenerator,
     table: String,
@@ -460,78 +454,80 @@ struct StreamState {
     cursor: u64,
     /// One past the last row of the (clamped) range.
     end: u64,
-    batch_rows: usize,
+    /// Rows per emission pulse: one batch, bounded by the slice cap.
+    pulse_rows: u64,
     governor: VelocityGovernor,
-    /// Batch assembly shared with the blocking [`crate::wire::FrameSink`]
-    /// (same per-block row templates, same frame boundaries, same split
+    /// Batch assembly shared with [`crate::wire::FrameSink`] (same
+    /// per-block row templates, same frame boundaries, same split
     /// behavior), carrying the partial batch across poll slices so `Batch`
-    /// frames are byte-identical to the threaded path.
+    /// frames are byte-identical to the in-process reference.
     encoder: BatchEncoder,
 }
 
 impl StreamState {
-    /// Resolves and validates a `Stream` request exactly like the threaded
-    /// `handle_stream` (same checks, same order, same error strings),
-    /// returning the encoded `StreamStart` header and the ready state.
+    /// Resolves and validates a `Stream` request — the one place the
+    /// requested range is clamped to the relation and a wire-supplied rate
+    /// is checked — returning the encoded `StreamStart` header and the
+    /// ready state.
     fn open(
         registry: &SummaryRegistry,
         request: &StreamRequest,
     ) -> Result<(Vec<u8>, Box<StreamState>), ServiceError> {
         let entry = registry.resolve(&request.name)?;
         let generator = entry.generator();
+        let no_relation = || {
+            ServiceError::Protocol(format!(
+                "summary `{}` has no relation `{}`",
+                request.name, request.table
+            ))
+        };
         let total = generator
             .summary
             .relation(&request.table)
-            .ok_or_else(|| {
-                ServiceError::Protocol(format!(
-                    "summary `{}` has no relation `{}`",
-                    request.name, request.table
-                ))
-            })?
+            .ok_or_else(no_relation)?
             .total_rows;
+        let table = generator
+            .schema
+            .table(&request.table)
+            .ok_or_else(no_relation)?;
         let start = request.start.unwrap_or(0).min(total);
         let end = request.end.unwrap_or(total).clamp(start, total);
         // A wire-supplied rate is untrusted input: a zero, negative, NaN or
         // absurdly small rate would park this stream's timer essentially
         // forever.
         if let Some(rate) = request.rows_per_sec {
-            if !rate.is_finite() || rate < 1e-3 {
+            if !rate.is_finite() || rate < VelocityGovernor::MIN_RATE {
                 return Err(ServiceError::Protocol(format!(
-                    "rows_per_sec must be a finite rate >= 0.001, got {rate}"
+                    "rows_per_sec must be a finite rate >= {}, got {rate}",
+                    VelocityGovernor::MIN_RATE
                 )));
             }
         }
-        let rate = request.rows_per_sec.or(registry.session().velocity());
-        let batch_rows = request
-            .batch_rows
-            .unwrap_or(StreamRequest::DEFAULT_BATCH_ROWS)
-            .clamp(1, 1 << 16) as usize;
-        let table = generator.schema.table(&request.table).ok_or_else(|| {
-            ServiceError::Protocol(format!(
-                "summary `{}` has no relation `{}`",
-                request.name, request.table
-            ))
-        })?;
+        let governor = match request.rows_per_sec.or(registry.session().velocity()) {
+            Some(rate) => VelocityGovernor::with_rate(rate),
+            None => VelocityGovernor::unthrottled(),
+        };
         let header = encode_frame(&Response::StreamStart(StreamStart {
             table: table.name.clone(),
             columns: table.columns().iter().map(|c| c.name.clone()).collect(),
             start,
             end,
         }))?;
-        let governor = match rate {
-            Some(rate) => VelocityGovernor::with_rate(rate),
-            None => VelocityGovernor::unthrottled(),
-        };
+        let encoder = BatchEncoder::new(
+            request
+                .batch_rows
+                .unwrap_or(StreamRequest::DEFAULT_BATCH_ROWS),
+        );
         Ok((
             header,
             Box::new(StreamState {
-                generator,
                 table: request.table.clone(),
                 cursor: start,
                 end,
-                batch_rows,
+                pulse_rows: encoder.batch_rows().min(STREAM_SLICE_ROWS),
                 governor,
-                encoder: BatchEncoder::new(batch_rows as u64),
+                encoder,
+                generator,
             }),
         ))
     }
@@ -542,41 +538,26 @@ impl StreamState {
         if conn.over_high_water() {
             return Ok(TaskPoll::AwaitDrain);
         }
+        // A throttled stream sleeps until its *whole* pulse is due, which
+        // puts each Batch frame on the wire at the moment per-row pacing
+        // would have completed it.
         let remaining = self.end - self.cursor;
-        if remaining == 0 {
-            // The blocking driver paces after *every* row, the last one
-            // included, so the stream's elapsed time is never shorter than
-            // rows/rate; wait out the final deficit before the trailer.
-            if let Some(wait) = self.governor.delay_for(0) {
-                return Ok(TaskPoll::Sleep(wait));
+        let goal = match self.governor.next_pulse(remaining, self.pulse_rows) {
+            Pulse::Wait(wait) => return Ok(TaskPoll::Sleep(wait)),
+            Pulse::Emit(goal) => goal,
+            Pulse::Drained => {
+                self.encoder.flush(&mut emit_frame(conn, obs))?;
+                let trailer = encode_frame(&Response::StreamEnd(StreamStats {
+                    rows: self.governor.emitted(),
+                    elapsed_micros: self.governor.elapsed().as_micros() as u64,
+                    target_rows_per_sec: self.governor.target_rate(),
+                }))?;
+                obs.frame_bytes.add(trailer.len() as u64);
+                conn.push(trailer);
+                obs.record_stream(&self.table, &self.governor);
+                return Ok(TaskPoll::Done);
             }
-            self.flush_partial(conn, obs)?;
-            let trailer = encode_frame(&Response::StreamEnd(StreamStats {
-                rows: self.governor.emitted(),
-                elapsed_micros: self.governor.elapsed().as_micros() as u64,
-                target_rows_per_sec: self.governor.target_rate(),
-            }))?;
-            obs.frame_bytes.add(trailer.len() as u64);
-            conn.push(trailer);
-            obs.record_stream(&self.table, &self.governor);
-            return Ok(TaskPoll::Done);
-        }
-        // Emit in pulses of up to one batch (bounded by the slice cap): a
-        // throttled stream sleeps until the *whole* pulse is due, which puts
-        // each Batch frame on the wire at the same moment the blocking
-        // per-row pacing would have completed it.
-        let goal = (self.batch_rows as u64)
-            .min(remaining)
-            .min(STREAM_SLICE_ROWS);
-        if let Some(budget) = self.governor.budget() {
-            if budget < goal {
-                let wait = self
-                    .governor
-                    .delay_for(goal)
-                    .unwrap_or(Duration::from_millis(1));
-                return Ok(TaskPoll::Sleep(wait));
-            }
-        }
+        };
         // `stream_range` borrows the generator, so each slice re-seeks via
         // the summary's block index (O(log blocks)); range concatenation is
         // bit-identical to one continuous scan (the shard-determinism suite
@@ -598,11 +579,6 @@ impl StreamState {
         self.governor.note(goal);
         Ok(TaskPoll::Yield)
     }
-
-    /// Pushes the trailing partial batch, if any.
-    fn flush_partial(&mut self, conn: &ConnHandle, obs: &FrameObs) -> Result<(), ServiceError> {
-        self.encoder.flush(&mut emit_frame(conn, obs))
-    }
 }
 
 /// An emit callback pushing finished frames onto the connection, keeping
@@ -620,7 +596,7 @@ fn emit_frame<'e>(
 }
 
 /// Deserializes a frame payload with the same error taxonomy (and thus the
-/// same client-visible messages) as the blocking `read_frame`.
+/// same client-visible messages) as the client-side `read_frame`.
 fn parse_request(payload: &[u8]) -> Result<Request, ServiceError> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| ServiceError::Protocol(format!("frame payload is not UTF-8: {e}")))?;

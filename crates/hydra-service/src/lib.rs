@@ -74,7 +74,7 @@ pub use protocol::{
 };
 pub use registry::{RegistryEntry, SummaryRegistry};
 pub use server::{
-    serve, serve_shared, serve_threaded, serve_with_options, serve_with_signal, ReactorConfig,
-    ServerHandle, ShutdownSignal, ThreadedServerHandle,
+    serve, serve_shared, serve_with_options, serve_with_signal, ReactorConfig, ServerHandle,
+    ShutdownSignal,
 };
 pub use wire::FrameSink;

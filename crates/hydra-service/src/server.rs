@@ -1,34 +1,23 @@
 //! The regeneration server.
 //!
-//! Since the reactor-core refactor this is a thin configuration layer over
-//! [`hydra-reactor`](hydra_reactor): [`serve`] binds a listener on a shared
-//! epoll event loop, frames are decoded incrementally on the loop by
-//! [`crate::frame::FrameProtocol`], and requests execute as cooperative
-//! tasks on a **fixed** worker pool — ten thousand idle or slow clients
-//! cost ten thousand fds, never ten thousand threads.  Tuple streams run
-//! the exact in-process generation path in bounded slices, paced by a
-//! per-connection `VelocityGovernor` through the reactor's timer wheel and
-//! backpressured by each connection's bounded write queue.
-//!
-//! The pre-reactor thread-per-connection server survives as
-//! [`serve_threaded`]: the comparison baseline the connection torture
-//! tests and the `connection_scaling` bench measure the reactor against.
-//! Both speak byte-identical wire protocol.
+//! A thin configuration layer over [`hydra-reactor`](hydra_reactor):
+//! [`serve`] binds a listener on a shared epoll event loop, frames are
+//! decoded incrementally on the loop by [`crate::frame::FrameProtocol`], and
+//! requests execute as cooperative tasks on a **fixed** worker pool — ten
+//! thousand idle or slow clients cost ten thousand fds, never ten thousand
+//! threads.  Tuple streams run the exact in-process generation path in
+//! bounded slices, paced by a per-connection `VelocityGovernor` through the
+//! reactor's timer wheel and backpressured by each connection's bounded
+//! write queue.
 
-use crate::error::{ServiceError, ServiceResult};
-use crate::frame::{respond, FrameProtocol};
-use crate::protocol::{read_frame, write_frame, Request, Response, StreamRequest, StreamStats};
+use crate::error::ServiceResult;
+use crate::frame::FrameProtocol;
 use crate::registry::SummaryRegistry;
-use crate::wire::FrameSink;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 pub use hydra_reactor::{
-    AcceptGate, ReactorBuilder, ReactorConfig, ReactorHandle, SharedMetrics, ShutdownSignal,
+    ReactorBuilder, ReactorConfig, ReactorHandle, SharedMetrics, ShutdownSignal,
 };
 
 /// A regeneration server bound to a socket on a shared reactor event loop.
@@ -150,244 +139,4 @@ impl Drop for ServerHandle {
         // Dropping the reactor handle joins the event loop.
         self.reactor.take();
     }
-}
-
-/// The pre-reactor thread-per-connection server: one blocking accept loop,
-/// one thread per connection.  Kept as the baseline the torture tests and
-/// the `connection_scaling` bench compare the reactor against — it speaks
-/// byte-identical wire protocol but exhausts at thread-count scale.
-#[derive(Debug)]
-pub struct ThreadedServerHandle {
-    local_addr: SocketAddr,
-    signal: ShutdownSignal,
-    active: Arc<AtomicUsize>,
-    accept_thread: Option<JoinHandle<()>>,
-    registry: Arc<SummaryRegistry>,
-}
-
-/// Starts a thread-per-connection server over `registry` on `addr`,
-/// stopping when `signal` triggers.  The accept loop blocks on an
-/// [`AcceptGate`], so a trigger — even one racing the bind — wakes it
-/// race-free.
-pub fn serve_threaded(
-    registry: Arc<SummaryRegistry>,
-    addr: impl ToSocketAddrs,
-    signal: ShutdownSignal,
-) -> ServiceResult<ThreadedServerHandle> {
-    let gate = AcceptGate::bind(addr, signal.clone())?;
-    let local_addr = gate.local_addr();
-    let active = Arc::new(AtomicUsize::new(0));
-
-    let accept_registry = Arc::clone(&registry);
-    let accept_signal = signal.clone();
-    let accept_active = Arc::clone(&active);
-    let accept_thread = std::thread::spawn(move || {
-        while let Ok(Some(stream)) = gate.accept() {
-            let registry = Arc::clone(&accept_registry);
-            let signal = accept_signal.clone();
-            let active = Arc::clone(&accept_active);
-            active.fetch_add(1, Ordering::SeqCst);
-            std::thread::spawn(move || {
-                let peer_shutdown = handle_connection(stream, &registry).unwrap_or(false);
-                if peer_shutdown {
-                    signal.trigger();
-                }
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-    });
-
-    Ok(ThreadedServerHandle {
-        local_addr,
-        signal,
-        active,
-        accept_thread: Some(accept_thread),
-        registry,
-    })
-}
-
-impl ThreadedServerHandle {
-    /// The address the server is listening on.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The registry behind the server.
-    pub fn registry(&self) -> &Arc<SummaryRegistry> {
-        &self.registry
-    }
-
-    /// The shutdown signal shared by this server's accept loop.
-    pub fn shutdown_signal(&self) -> ShutdownSignal {
-        self.signal.clone()
-    }
-
-    /// Connections currently being served (each on its own thread).
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the server stops accepting, then drains in-flight
-    /// connections for a bounded grace period.
-    pub fn join(mut self) {
-        self.join_inner();
-    }
-
-    /// Requests a shutdown and blocks until the accept loop has exited and
-    /// in-flight connections have drained.
-    pub fn shutdown(mut self) {
-        self.signal.trigger();
-        self.join_inner();
-    }
-
-    fn join_inner(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // Give in-flight request handlers a bounded grace period; idle
-        // keep-alive connections do not block shutdown forever.
-        for _ in 0..200 {
-            if self.active.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-}
-
-impl Drop for ThreadedServerHandle {
-    fn drop(&mut self) {
-        self.signal.trigger();
-        self.join_inner();
-    }
-}
-
-/// Serves one connection until EOF or a `Shutdown` request.  Returns
-/// `Ok(true)` iff the peer requested a server shutdown.
-fn handle_connection(stream: TcpStream, registry: &SummaryRegistry) -> ServiceResult<bool> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let request = match read_frame::<_, Request>(&mut reader) {
-            Ok(Some(request)) => request,
-            Ok(None) => return Ok(false),
-            Err(ServiceError::Io(_)) => return Ok(false),
-            Err(e) => {
-                // A malformed frame is answered, not fatal: the framing layer
-                // consumed the bytes, so the connection stays in sync.
-                write_frame(
-                    &mut writer,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                )?;
-                writer.flush()?;
-                continue;
-            }
-        };
-        match request {
-            Request::Stream(request) => {
-                if let Err(e) = handle_stream(&mut writer, registry, &request) {
-                    // Header-stage failures (unknown summary/table) keep the
-                    // connection; write failures mid-stream end it.
-                    match e {
-                        ServiceError::Io(_) => return Ok(false),
-                        other => write_frame(
-                            &mut writer,
-                            &Response::Error {
-                                message: other.to_string(),
-                            },
-                        )?,
-                    }
-                }
-            }
-            Request::Query(request) => {
-                let response = respond(registry, Request::Query(request));
-                // A pathological answer (e.g. an out-of-class GROUP BY on
-                // the fact pk over a huge summary) can exceed the frame
-                // cap.  `write_frame` serializes and checks the cap before
-                // writing any bytes, so the connection is still in sync —
-                // report the failure instead of dropping the peer.
-                if let Err(e) = write_frame(&mut writer, &response) {
-                    match e {
-                        ServiceError::Io(_) => return Ok(false),
-                        other => write_frame(
-                            &mut writer,
-                            &Response::Error {
-                                message: format!(
-                                    "query answer could not be framed: {other}; \
-                                     refine the GROUP BY or stream the relation instead"
-                                ),
-                            },
-                        )?,
-                    }
-                }
-            }
-            Request::Shutdown => {
-                write_frame(&mut writer, &Response::ShuttingDown)?;
-                writer.flush()?;
-                return Ok(true);
-            }
-            other => {
-                let response = respond(registry, other);
-                write_frame(&mut writer, &response)?;
-            }
-        }
-        writer.flush()?;
-    }
-}
-
-/// Serves one `Stream` request: resolves the entry and range, then drives a
-/// [`FrameSink`] through `DynamicGenerator::stream_range_into` (seeking via
-/// the summary's block index, paced by this connection's governor).
-fn handle_stream<W: Write>(
-    writer: &mut W,
-    registry: &SummaryRegistry,
-    request: &StreamRequest,
-) -> ServiceResult<()> {
-    let entry = registry.resolve(&request.name)?;
-    let generator = entry.generator();
-    let total = generator
-        .summary
-        .relation(&request.table)
-        .ok_or_else(|| {
-            ServiceError::Protocol(format!(
-                "summary `{}` has no relation `{}`",
-                request.name, request.table
-            ))
-        })?
-        .total_rows;
-    let start = request.start.unwrap_or(0).min(total);
-    let end = request.end.unwrap_or(total).clamp(start, total);
-    // A wire-supplied rate is untrusted input: a zero, negative, NaN or
-    // absurdly small rate would turn the connection thread into a
-    // near-infinite sleeper.
-    if let Some(rate) = request.rows_per_sec {
-        if !rate.is_finite() || rate < 1e-3 {
-            return Err(ServiceError::Protocol(format!(
-                "rows_per_sec must be a finite rate >= 0.001, got {rate}"
-            )));
-        }
-    }
-    let rate = request.rows_per_sec.or(registry.session().velocity());
-    let batch_rows = request
-        .batch_rows
-        .unwrap_or(StreamRequest::DEFAULT_BATCH_ROWS);
-
-    let mut sink = FrameSink::new(writer, batch_rows, (start, end));
-    let stats = generator
-        .stream_range_into(&request.table, start..end, &mut sink, rate)
-        .map_err(|e| ServiceError::Hydra(hydra_core::error::HydraError::Engine(e)))?;
-    if let Some(e) = sink.into_error() {
-        return Err(e);
-    }
-    write_frame(
-        writer,
-        &Response::StreamEnd(StreamStats {
-            rows: stats.rows,
-            elapsed_micros: stats.elapsed.as_micros() as u64,
-            target_rows_per_sec: stats.target_rows_per_sec,
-        }),
-    )?;
-    Ok(())
 }

@@ -1,14 +1,13 @@
-//! The frame-encoding tuple sink: plugs the generation pipeline straight
-//! into a socket.
+//! The frame encoders: the byte-wise `BatchEncoder` the server's stream
+//! task drives, and [`FrameSink`], the in-process reference encoder.
 //!
 //! [`FrameSink`] implements [`TupleSink`], so the exact code path that feeds
 //! in-process consumers (`DynamicGenerator::stream_into` /
-//! `stream_range_into`, sharded runs, velocity governing) also feeds the
-//! wire: tuples are buffered into batches and each full batch is written as
-//! one `Response::Batch` frame.  Because the sink writes through the
-//! connection's buffered stream, a slow client backpressures the generator
-//! naturally — and a velocity-governed stream is paced tuple by tuple
-//! upstream of the sink.
+//! `stream_range_into`, sharded runs, velocity governing) writes the bytes
+//! a `Stream` request puts on the wire — the `StreamStart` header and every
+//! `Response::Batch` frame, everything but the timing trailer — into any
+//! `Write`.  The end-to-end benchmark, the `generation_velocity` bench and
+//! the byte-identity tests compare the served wire against it.
 //!
 //! Batch encoding exploits the summary's block-constant structure: frames
 //! are assembled byte-wise by a `BatchEncoder` whose per-block
@@ -22,7 +21,7 @@ use crate::error::ServiceError;
 use crate::protocol::{write_frame, Response, StreamStart, MAX_FRAME_BYTES};
 use hydra_catalog::schema::Table;
 use hydra_datagen::sink::TupleSink;
-use hydra_datagen::stream::RowBlock;
+use hydra_datagen::stream::{dec_width, write_digits, RowBlock};
 use hydra_engine::row::Row;
 use std::io::Write;
 
@@ -34,23 +33,6 @@ const BATCH_SUFFIX: &[u8] = b"]}}";
 
 /// Sentinel ordinal for "no template cached yet".
 const NO_BLOCK: usize = usize::MAX;
-
-/// Decimal digit count of `v` (as rendered by `i64`/`u64` formatting).
-fn dec_width(v: u64) -> usize {
-    if v == 0 {
-        1
-    } else {
-        v.ilog10() as usize + 1
-    }
-}
-
-/// Overwrites `dst` (exactly the decimal width of `v`) with `v`'s digits.
-fn write_digits(mut v: u64, dst: &mut [u8]) {
-    for slot in dst.iter_mut().rev() {
-        *slot = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-}
 
 /// Cached JSON encoding of one summary block's row: the constant columns are
 /// serialized once per (block, pk digit width); emitting a tuple is then one
@@ -131,8 +113,9 @@ impl RowTemplate {
 /// batches would (the byte length of a sub-batch is computable from the row
 /// offsets because JSON encodings compose).
 ///
-/// Shared by the threaded [`FrameSink`] and the reactor's stream task, so
-/// both wire paths emit identical bytes at identical frame boundaries.
+/// Shared by the in-process [`FrameSink`] and the server's stream task, so
+/// the wire carries exactly the reference bytes at identical frame
+/// boundaries.
 #[derive(Debug)]
 pub(crate) struct BatchEncoder {
     batch_rows: usize,
@@ -159,6 +142,11 @@ impl BatchEncoder {
         };
         encoder.reset();
         encoder
+    }
+
+    /// The batch-row cut after clamping.
+    pub(crate) fn batch_rows(&self) -> u64 {
+        self.batch_rows as u64
     }
 
     /// Rows buffered in the pending (not yet emitted) batch.

@@ -168,3 +168,63 @@ fn obs_registry_is_shared_with_the_session() {
     let rendered = snapshot.render_prometheus();
     assert!(rendered.contains("hydra_registry_publishes_total 1"));
 }
+
+/// A stream throttled to `rate` rows/s must have spent about `rows / rate`
+/// seconds parked by its governor; the factor is loose because the timer
+/// wheel may wake a stream a few milliseconds either side of its deadline.
+fn assert_sleep_accounted(slept_secs: f64, rows: f64, rate: f64) {
+    let expected = rows / rate;
+    assert!(
+        (0.5 * expected..=2.0 * expected).contains(&slept_secs),
+        "governor sleep {slept_secs:.3} s is not within 2x of {rows}/{rate} = {expected:.3} s"
+    );
+}
+
+/// A `rows_per_sec`-throttled frame stream accounts its timer-wheel waits
+/// in `hydra_governor_sleep_seconds_total`, read back over `Stats`.
+#[test]
+fn throttled_frame_stream_accounts_governor_sleep() {
+    let tester = HydraTester::retail();
+    let mut client = tester.client();
+    let (rows, _) = client
+        .stream_collect(
+            StreamRequest::full("retail", "store_sales")
+                .range(0, 100)
+                .batch_rows(25)
+                .rows_per_sec(500.0),
+        )
+        .expect("throttled stream");
+    assert_eq!(rows.len(), 100);
+    let slept = client
+        .stats()
+        .expect("stats")
+        .into_iter()
+        .find(|s| s.name == "hydra_governor_sleep_seconds_total")
+        .expect("governor sleep sample")
+        .value;
+    assert_sleep_accounted(slept, 100.0, 500.0);
+}
+
+/// A pg scan under a session velocity cap (`hydra-serve --velocity`)
+/// accounts its waits too, read back through `hydra_metrics`.
+#[test]
+fn velocity_capped_pg_scan_accounts_governor_sleep() {
+    let session = Hydra::builder().compare_aqps(false).velocity(600.0).build();
+    let tester = HydraTester::with_session(session);
+    tester.publish_retail("retail");
+    let mut pg = tester.pg(None);
+    let scan = pg.query("select * from web_sales").expect("capped scan");
+    assert_eq!(scan.rows.len(), 120);
+    let metrics = pg
+        .query("select * from hydra_metrics")
+        .expect("metrics table");
+    let slept: f64 = metrics
+        .rows
+        .iter()
+        .find(|row| row[0].as_deref() == Some("hydra_governor_sleep_seconds_total"))
+        .and_then(|row| row[2].as_deref())
+        .expect("governor sleep row")
+        .parse()
+        .expect("float8 text");
+    assert_sleep_accounted(slept, 120.0, 600.0);
+}

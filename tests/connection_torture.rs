@@ -6,7 +6,8 @@
 //!
 //! * **slow clients** dripping requests a byte at a time must not pin a
 //!   thread each, must not stall healthy peers, and must get responses
-//!   byte-identical to the pre-reactor blocking servers;
+//!   byte-identical to an un-dripped session and to the in-process
+//!   reference encoder;
 //! * **connection churn** (drop before, during and after the handshake,
 //!   and mid-stream) must leak no fds, spawn no threads, and abort
 //!   server-side generation for vanished peers;
@@ -22,13 +23,12 @@
 //! serializes itself behind one mutex instead of relying on
 //! `--test-threads=1`.
 
-use hydra::pgwire::serve_pg_threaded;
 use hydra::service::protocol::{
     read_frame, write_frame, QueryRequest, Request, Response, StreamRequest,
 };
 use hydra::service::registry::SummaryRegistry;
-use hydra::service::server::{serve_threaded, serve_with_options, ReactorConfig, ShutdownSignal};
-use hydra::service::HydraClient;
+use hydra::service::server::{serve_with_options, ReactorConfig, ShutdownSignal};
+use hydra::service::{FrameSink, HydraClient};
 use hydra::Hydra;
 use hydra_tester::HydraTester;
 use std::io::{Read, Write};
@@ -111,7 +111,7 @@ fn send(stream: &mut TcpStream, bytes: &[u8], drip: Option<Duration>) {
     }
 }
 
-/// The fixed request script both frame servers must answer identically:
+/// The fixed request script every frame session must answer identically:
 /// registry introspection, a summary-direct aggregate, and a batched
 /// stream slice.
 fn frame_script() -> Vec<(Request, usize)> {
@@ -221,32 +221,53 @@ fn run_pg_script(addr: SocketAddr, drip: Option<Duration>) -> Vec<u8> {
     collected
 }
 
+/// The `Stream` leg of [`frame_script`] through the in-process reference
+/// encoder: the `StreamStart` header and every `Batch` frame (the trailer
+/// carries wall-clock timings and is the server's own), each raw.
+fn reference_stream_frames(registry: &SummaryRegistry) -> Vec<Vec<u8>> {
+    let entry = registry.resolve("retail").expect("retail entry");
+    let mut bytes = Vec::new();
+    let mut sink = FrameSink::new(&mut bytes, 16, (0, 40));
+    entry
+        .generator()
+        .stream_range_into("web_sales", 0..40, &mut sink, None)
+        .expect("in-process stream");
+    assert!(sink.into_error().is_none());
+    let mut frames = Vec::new();
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+        let (frame, tail) = rest.split_at(4 + len);
+        frames.push(frame.to_vec());
+        rest = tail;
+    }
+    frames
+}
+
 /// Satellite 1 — slow clients: byte-dripped requests on both protocols,
 /// interleaved with a healthy peer, must cost no threads, must not stall
-/// the healthy peer, and must produce responses byte-identical to the
-/// blocking thread-per-connection baseline.
+/// the healthy peer, and must produce responses byte-identical to an
+/// un-dripped session — whose stream frames are in turn byte-identical to
+/// `FrameSink` driven in-process.
 #[test]
-fn slow_clients_match_blocking_baseline_without_thread_growth() {
+fn slow_clients_match_reference_transcripts_without_thread_growth() {
     let _guard = counters_lock();
     let tester = HydraTester::retail();
-    let registry = Arc::clone(tester.registry());
-
-    // Baseline bytes from the pre-reactor blocking servers, collected
-    // first so their per-connection threads don't skew the thread counts.
-    let threaded = serve_threaded(Arc::clone(&registry), "127.0.0.1:0", ShutdownSignal::new())
-        .expect("threaded frame baseline");
-    let pg_threaded =
-        serve_pg_threaded(Arc::clone(&registry), "127.0.0.1:0", ShutdownSignal::new())
-            .expect("threaded pg baseline");
-    let baseline_frames = run_frame_script(threaded.local_addr(), None);
-    let baseline_pg = run_pg_script(pg_threaded.local_addr(), None);
-    threaded.shutdown();
-    pg_threaded.shutdown();
-
-    // Slow clients against the reactor: 3 frame + 2 pg drippers, each on a
-    // thread of ours (the only threads this should cost the process).
     let frame_addr = tester.frame_addr();
     let pg_addr = tester.pg_addr();
+
+    // Reference transcripts: the same scripts, un-dripped and alone.
+    let reference_frames = run_frame_script(frame_addr, None);
+    let reference_pg = run_pg_script(pg_addr, None);
+    // Script responses 3..7 are the stream's header and three batches.
+    assert_eq!(
+        reference_frames[3..7],
+        reference_stream_frames(tester.registry())[..],
+        "wire stream frames diverge from the in-process FrameSink"
+    );
+
+    // Slow clients: 3 frame + 2 pg drippers, each on a thread of ours (the
+    // only threads this should cost the process).
     let threads_before = thread_count();
     let drip = Some(Duration::from_millis(1));
     let mut slow = Vec::new();
@@ -278,7 +299,7 @@ fn slow_clients_match_blocking_baseline_without_thread_growth() {
         "healthy client stalled behind slow clients: {healthy_elapsed:?}"
     );
 
-    // Byte-identical responses, dripped or not, reactor or blocking.  The
+    // Byte-identical responses, dripped or not, contended or alone.  The
     // stream's closing stats frame carries wall-clock timings, so it is
     // compared structurally.
     let mut sessions = vec![healthy_frames];
@@ -286,13 +307,13 @@ fn slow_clients_match_blocking_baseline_without_thread_growth() {
         sessions.push(handle.join().expect("slow frame client"));
     }
     for frames in &sessions {
-        assert_eq!(frames.len(), baseline_frames.len());
-        for (got, want) in frames.iter().zip(&baseline_frames).take(frames.len() - 1) {
-            assert_eq!(got, want, "response bytes diverge from blocking baseline");
+        assert_eq!(frames.len(), reference_frames.len());
+        for (got, want) in frames.iter().zip(&reference_frames).take(frames.len() - 1) {
+            assert_eq!(got, want, "response bytes diverge from the reference");
         }
         match (
             parse_frame(frames.last().expect("stream end")),
-            parse_frame(baseline_frames.last().expect("stream end")),
+            parse_frame(reference_frames.last().expect("stream end")),
         ) {
             (Response::StreamEnd(got), Response::StreamEnd(want)) => {
                 assert_eq!(got.rows, want.rows);
@@ -304,8 +325,8 @@ fn slow_clients_match_blocking_baseline_without_thread_growth() {
     for handle in slow_pg {
         let bytes = handle.join().expect("slow pg client");
         assert_eq!(
-            bytes, baseline_pg,
-            "pg response bytes diverge from blocking baseline"
+            bytes, reference_pg,
+            "pg response bytes diverge from the reference"
         );
     }
 }
@@ -555,9 +576,9 @@ fn shutdown_during_accept_storm_leaves_no_stragglers() {
         }
     }
 
-    // The pre-bind trigger race, both server variants: a signal tripped
-    // before the server starts must stop it immediately (the waker
-    // registration observes an already-triggered signal).
+    // The pre-bind trigger race: a signal tripped before the server starts
+    // must stop it immediately (the waker registration observes an
+    // already-triggered signal).
     let signal = ShutdownSignal::new();
     signal.trigger();
     let server = serve_with_options(
@@ -575,19 +596,6 @@ fn shutdown_during_accept_storm_leaves_no_stragglers() {
     done_rx
         .recv_timeout(Duration::from_secs(5))
         .expect("pre-triggered reactor never stopped");
-
-    let signal = ShutdownSignal::new();
-    signal.trigger();
-    let threaded = serve_threaded(Arc::clone(&registry), "127.0.0.1:0", signal)
-        .expect("pre-triggered threaded server");
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        threaded.join();
-        done_tx.send(()).ok();
-    });
-    done_rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("pre-triggered threaded accept loop never stopped");
 }
 
 /// Depth attack: one connection, one reactor, a hundred thousand strictly
