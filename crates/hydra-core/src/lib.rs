@@ -51,7 +51,6 @@
 pub mod client;
 pub mod delta;
 pub mod error;
-pub mod pipeline;
 pub mod report;
 pub mod scenario;
 pub mod session;
@@ -61,7 +60,6 @@ pub mod vendor;
 pub use client::ClientSite;
 pub use delta::{DeltaOutcome, RegenerationState};
 pub use error::{HydraError, HydraResult};
-pub use pipeline::{run_end_to_end, EndToEndResult};
 pub use report::{AqpEdgeComparison, QueryAqpComparison, RegenerationReport};
 pub use scenario::{construct_scenario, Scenario, ScenarioResult};
 pub use session::{Hydra, HydraBuilder};

@@ -101,18 +101,6 @@ impl Default for HydraBuilder {
 }
 
 impl HydraBuilder {
-    /// Seeds the builder from an existing vendor configuration (used by the
-    /// compatibility shims; prefer the individual builder methods).
-    pub fn from_config(config: HydraConfig) -> Self {
-        HydraBuilder {
-            config,
-            summary_cache: true,
-            anonymize: false,
-            velocity: None,
-            metrics: None,
-        }
-    }
-
     /// Shares an observability registry with this session.  Every query,
     /// LP solve and generation stream records into it; the default is a
     /// fresh private registry per session.

@@ -329,14 +329,6 @@ pub const FAMILIES: &[FamilyDesc] = &[
         layer: "registry",
         help: "Summary blocks added/removed/resized by delta merges",
     },
-    FamilyDesc {
-        name: "hydra_registry_persist_errors_total",
-        kind: MetricKind::Counter,
-        unit: Unit::Count,
-        label_key: "",
-        layer: "registry",
-        help: "Registry disk persists that failed (the entry stays servable in memory)",
-    },
     // -- durability (WAL + checkpoints) ----------------------------------
     FamilyDesc {
         name: "hydra_wal_records_total",

@@ -5,13 +5,13 @@
 //! long-lived, concurrent resource — the paper's client/vendor deployment
 //! model made literal.  A client site ships its
 //! transfer package to a running `hydra-serve`; the vendor side solves it
-//! once, registers the summary under a name in a persistent
+//! once, registers the summary under a name in a
 //! [`registry::SummaryRegistry`], and then serves any number of concurrent
 //! consumers:
 //!
 //! * **Publish** — upload a [`hydra_core::transfer::TransferPackage`], solve
-//!   it server-side, register the summary (versioned; persisted to disk when
-//!   the registry has a directory);
+//!   it server-side, register the summary (versioned; logged to a
+//!   write-ahead log when the registry is durable);
 //! * **List / Describe** — registry introspection with per-relation row
 //!   counts and constraint signatures;
 //! * **Stream** — regenerate a row range of one relation as framed tuple

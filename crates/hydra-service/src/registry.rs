@@ -1,4 +1,4 @@
-//! The persistent summary registry: named, versioned, solved summaries.
+//! The summary registry: named, versioned, solved summaries.
 //!
 //! A registry entry is a fully-solved regeneration — the published
 //! [`TransferPackage`] plus the vendor-side [`RegenerationResult`] built from
@@ -13,22 +13,16 @@
 //! a `name@version` spec (time travel).  `get`/`list` keep their historical
 //! meaning — the *latest* version per name.
 //!
-//! Two durability modes:
-//!
-//! * **Package persistence** ([`SummaryRegistry::persistent`]): each name's
-//!   latest package is saved as `<dir>/<name>.json` (written durably:
-//!   tmp file + fsync + rename + directory fsync) and a restarted server
-//!   re-solves the packages it finds on disk.  Cheap and
-//!   forward-compatible, but recovery pays a cold LP solve per name and
-//!   historical versions do not survive a restart.
-//!
-//! * **WAL + snapshots** ([`SummaryRegistry::durable`]): every publish and
-//!   delta append the operation *and the full solved state* to an
-//!   fsync'd write-ahead log **before** the version becomes visible, and
-//!   periodic checkpoints serialize all retained versions into an
-//!   immutable, checksummed snapshot file (truncating the WAL).  Boot is
-//!   snapshot-load + WAL-replay — **zero cold LP solves**, full version
-//!   chains intact, torn WAL tails truncated in place.
+//! A registry is either in-memory ([`SummaryRegistry::in_memory`]) or
+//! durable ([`SummaryRegistry::durable`]); both commit every version
+//! through one path that assigns the version under the commit mutex and
+//! then inserts it into the chain.  A durable registry additionally
+//! appends the operation *and the full solved state* to an fsync'd
+//! write-ahead log **before** the version becomes visible, and periodic
+//! checkpoints serialize all retained versions into an immutable,
+//! checksummed snapshot file (truncating the WAL).  Boot loads the
+//! snapshot and replays the WAL — **zero cold LP solves**, full version
+//! chains intact, torn WAL tails truncated in place.
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::protocol::{
@@ -49,18 +43,6 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// The on-disk envelope of one registry entry (`<dir>/<name>.json`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StoredSummary {
-    /// Registry name.
-    pub name: String,
-    /// Version at save time.
-    pub version: u32,
-    /// The published transfer package (the durable artifact; the summary is
-    /// re-solved from it on load).
-    pub package: TransferPackage,
-}
 
 /// The complete solved state of one version: the package it was solved
 /// from, the build report describing how, and the per-relation baseline
@@ -148,43 +130,10 @@ pub struct RegistryEntry {
 }
 
 impl RegistryEntry {
-    /// Builds an entry by solving `package` with `session`.
-    fn solve(
-        session: &Hydra,
-        name: &str,
-        version: u32,
-        package: TransferPackage,
-    ) -> ServiceResult<Self> {
-        let state = session.regenerate_stateful(&package)?;
-        let detail = describe(name, version, &state.package, &state.regeneration)?;
-        Ok(RegistryEntry {
-            name: name.to_string(),
-            version,
-            state,
-            detail,
-        })
-    }
-
-    /// Wraps an already-evolved state (delta publish) as an entry.
-    fn from_state(name: &str, version: u32, state: RegenerationState) -> ServiceResult<Self> {
-        let detail = describe(name, version, &state.package, &state.regeneration)?;
-        Ok(RegistryEntry {
-            name: name.to_string(),
-            version,
-            state,
-            detail,
-        })
-    }
-
-    /// Rebuilds an entry from a previously solved state — the recovery path.
-    /// No LP runs: the summary is reassembled from the stored baseline.
-    fn restore(
-        session: &Hydra,
-        name: &str,
-        version: u32,
-        solved: SolvedState,
-    ) -> ServiceResult<Self> {
-        let state = session.restore_stateful(&solved.package, solved.report, solved.baseline)?;
+    /// Wraps a solved (published, delta-merged or recovered) state as an
+    /// entry.  A fresh commit passes version 0; [`SummaryRegistry::commit`]
+    /// assigns the real one.
+    fn new(name: &str, version: u32, state: RegenerationState) -> ServiceResult<Self> {
         let detail = describe(name, version, &state.package, &state.regeneration)?;
         Ok(RegistryEntry {
             name: name.to_string(),
@@ -281,9 +230,8 @@ fn constraint_signature(constraints: &[hydra_query::aqp::VolumetricConstraint]) 
     hasher.finish()
 }
 
-/// True iff `name` is a valid registry name (`[A-Za-z0-9_-]+`) — names double
-/// as file names, so anything path-like is rejected (and `@` stays free for
-/// `name@version` specs).
+/// True iff `name` is a valid registry name (`[A-Za-z0-9_-]+`) — anything
+/// path-like is rejected (and `@` stays free for `name@version` specs).
 pub fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name
@@ -338,8 +286,8 @@ fn snapshot_paths(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(snaps)
 }
 
-/// Mutable durable-mode state, held under one mutex that serializes commits
-/// (the WAL append order **is** the commit order).
+/// Mutable durable-mode state, held under the commit mutex (the WAL append
+/// order **is** the commit order).
 #[derive(Debug)]
 struct DurableState {
     dir: PathBuf,
@@ -351,21 +299,42 @@ struct DurableState {
     next_snapshot_seq: u64,
 }
 
-/// A concurrent, optionally disk-backed store of solved summaries.
+/// Where a recovered version was read from at boot.
+#[derive(Clone, Copy)]
+enum Source {
+    Snapshot,
+    Wal,
+}
+
+impl Source {
+    fn label(self) -> &'static str {
+        match self {
+            Source::Snapshot => "snapshot",
+            Source::Wal => "wal",
+        }
+    }
+}
+
+/// What a commit records: a full publish, or a delta merged onto `base`.
+enum Commit<'a> {
+    Publish,
+    Delta {
+        base: &'a Arc<RegistryEntry>,
+        delta: &'a WorkloadDelta,
+    },
+}
+
+/// A concurrent store of solved summaries, in memory or WAL-backed.
 #[derive(Debug)]
 pub struct SummaryRegistry {
     session: Hydra,
     /// Name → full version chain (version → entry).  Readers resolve the
     /// latest version or any retained historical one.
     entries: RwLock<BTreeMap<String, BTreeMap<u32, Arc<RegistryEntry>>>>,
-    dir: Option<PathBuf>,
-    /// Serializes disk writes so racing publishes of one name cannot leave
-    /// an older version's file on disk after a newer version's; held only
-    /// around file I/O, never while `entries` is locked.
-    persist: Mutex<()>,
-    /// WAL + snapshot state (durable mode only).  Lock order: `durable`
-    /// before `entries`; never the reverse.
-    durable: Option<Mutex<DurableState>>,
+    /// Serializes commits.  Holds the WAL + snapshot state of a durable
+    /// registry; `None` means in-memory.  Lock order: `commit` before
+    /// `entries`; never the reverse.
+    commit: Mutex<Option<DurableState>>,
     recovery: RecoveryReport,
 }
 
@@ -376,51 +345,9 @@ impl SummaryRegistry {
         SummaryRegistry {
             session,
             entries: RwLock::new(BTreeMap::new()),
-            dir: None,
-            persist: Mutex::new(()),
-            durable: None,
+            commit: Mutex::new(None),
             recovery: RecoveryReport::default(),
         }
-    }
-
-    /// A disk-backed registry rooted at `dir`: the directory is created if
-    /// missing, stale `*.tmp` staging files from a crash mid-persist are
-    /// swept, every `*.json` package found is re-solved and registered, and
-    /// subsequent publishes are persisted there.
-    ///
-    /// A file that cannot be read, parsed or solved is **skipped** (with a
-    /// diagnostic on stderr) rather than failing the whole load — one
-    /// truncated file from a crash mid-publish must not brick the server's
-    /// healthy summaries.
-    pub fn persistent(session: Hydra, dir: impl Into<PathBuf>) -> ServiceResult<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        sweep_tmp_files(&dir);
-        let registry = SummaryRegistry {
-            session,
-            entries: RwLock::new(BTreeMap::new()),
-            dir: Some(dir.clone()),
-            persist: Mutex::new(()),
-            durable: None,
-            recovery: RecoveryReport::default(),
-        };
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            match Self::load_stored(&registry.session, &path) {
-                Ok(entry) => registry.insert_version(Arc::new(entry)),
-                Err(e) => {
-                    eprintln!(
-                        "hydra-service: skipping registry file {}: {e}",
-                        path.display()
-                    );
-                }
-            }
-        }
-        Ok(registry)
     }
 
     /// A WAL-backed registry rooted at `dir`, checkpointing every
@@ -437,10 +364,7 @@ impl SummaryRegistry {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         sweep_tmp_files(&dir);
-        let metrics = session.metrics();
-        let mut recovery = RecoveryReport::default();
-        let entries: RwLock<BTreeMap<String, BTreeMap<u32, Arc<RegistryEntry>>>> =
-            RwLock::new(BTreeMap::new());
+        let mut registry = Self::in_memory(session);
 
         // 1. Newest valid snapshot (older ones are the fallback chain).
         let mut snaps = snapshot_paths(&dir)?;
@@ -462,36 +386,11 @@ impl SummaryRegistry {
                     break;
                 }
                 Err(e) => {
-                    recovery.snapshots_skipped += 1;
+                    registry.recovery.snapshots_skipped += 1;
                     eprintln!(
                         "hydra-service: skipping corrupt snapshot {}: {e}",
                         path.display()
                     );
-                }
-            }
-        }
-        {
-            let mut map = entries.write().expect("registry lock poisoned");
-            for stored in snapshot.entries {
-                match RegistryEntry::restore(&session, &stored.name, stored.version, stored.solved)
-                {
-                    Ok(entry) => {
-                        map.entry(entry.name.clone())
-                            .or_default()
-                            .insert(entry.version, Arc::new(entry));
-                        recovery.snapshot_versions += 1;
-                        metrics
-                            .counter_labeled(
-                                "hydra_wal_recovered_records_total",
-                                "source",
-                                "snapshot",
-                            )
-                            .inc();
-                    }
-                    Err(e) => eprintln!(
-                        "hydra-service: skipping snapshot entry {}@{}: {e}",
-                        stored.name, stored.version
-                    ),
                 }
             }
         }
@@ -507,65 +406,36 @@ impl SummaryRegistry {
                 wal_path.display()
             );
         }
-        recovery.wal_truncated_bytes = replayed.truncated_bytes;
+        registry.recovery.wal_truncated_bytes = replayed.truncated_bytes;
         let records_in_wal = replayed.records.len();
-        for payload in replayed.records {
-            let record = String::from_utf8(payload)
-                .map_err(|e| ServiceError::Protocol(e.to_string()))
+        let wal_records = replayed.records.into_iter().filter_map(|payload| {
+            String::from_utf8(payload)
+                .map_err(|e| e.to_string())
                 .and_then(|text| {
-                    serde_json::from_str::<WalRecord>(&text)
-                        .map_err(|e| ServiceError::Protocol(format!("corrupt WAL record: {e}")))
-                });
-            let record = match record {
-                Ok(record) => record,
-                Err(e) => {
-                    eprintln!("hydra-service: skipping WAL record: {e}");
-                    continue;
-                }
-            };
-            let already = {
-                let map = entries.read().expect("registry lock poisoned");
-                map.get(&record.name)
-                    .is_some_and(|chain| chain.contains_key(&record.version))
-            };
-            if already {
-                continue; // the snapshot already covers this record
-            }
-            match RegistryEntry::restore(&session, &record.name, record.version, record.solved) {
-                Ok(entry) => {
-                    entries
-                        .write()
-                        .expect("registry lock poisoned")
-                        .entry(entry.name.clone())
-                        .or_default()
-                        .insert(entry.version, Arc::new(entry));
-                    recovery.wal_versions += 1;
-                    metrics
-                        .counter_labeled("hydra_wal_recovered_records_total", "source", "wal")
-                        .inc();
-                }
-                Err(e) => eprintln!(
-                    "hydra-service: skipping WAL record {}@{}: {e}",
-                    record.name, record.version
-                ),
-            }
+                    serde_json::from_str::<WalRecord>(&text).map_err(|e| e.to_string())
+                })
+                .map_err(|e| eprintln!("hydra-service: skipping corrupt WAL record: {e}"))
+                .ok()
+        });
+
+        // 3. One restore loop over both sources, snapshot first.
+        let recovered = snapshot
+            .entries
+            .into_iter()
+            .map(|e| (Source::Snapshot, e.name, e.version, e.solved))
+            .chain(wal_records.map(|r| (Source::Wal, r.name, r.version, r.solved)));
+        for (source, name, version, solved) in recovered {
+            registry.recover(source, &name, version, solved);
         }
 
         let wal = hydra_wal::Wal::open(&wal_path)?;
-        let registry = SummaryRegistry {
-            session,
-            entries,
-            dir: None,
-            persist: Mutex::new(()),
-            durable: Some(Mutex::new(DurableState {
-                dir,
-                wal,
-                records_in_wal,
-                checkpoint_every: checkpoint_every.max(1),
-                next_snapshot_seq,
-            })),
-            recovery,
-        };
+        *registry.commit.get_mut().expect("commit lock poisoned") = Some(DurableState {
+            dir,
+            wal,
+            records_in_wal,
+            checkpoint_every: checkpoint_every.max(1),
+            next_snapshot_seq,
+        });
         // Refresh the version gauges for everything we recovered.
         for entry in registry.list() {
             registry
@@ -577,17 +447,44 @@ impl SummaryRegistry {
         Ok(registry)
     }
 
-    /// What a durable boot recovered (all-zero for other modes).
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.recovery
+    /// Restores one recovered version with zero LP solves and inserts it,
+    /// unless an earlier source already covers `name@version`.  An entry
+    /// that cannot be restored is skipped with a diagnostic.
+    fn recover(&mut self, source: Source, name: &str, version: u32, solved: SolvedState) {
+        if self.get_version(name, version).is_some() {
+            return; // already covered (the snapshot holds this WAL record)
+        }
+        let restored = self
+            .session
+            .restore_stateful(&solved.package, solved.report, solved.baseline)
+            .map_err(ServiceError::Hydra)
+            .and_then(|state| RegistryEntry::new(name, version, state));
+        match restored {
+            Ok(entry) => {
+                self.insert_version(Arc::new(entry));
+                match source {
+                    Source::Snapshot => self.recovery.snapshot_versions += 1,
+                    Source::Wal => self.recovery.wal_versions += 1,
+                }
+                self.session
+                    .metrics()
+                    .counter_labeled(
+                        "hydra_wal_recovered_records_total",
+                        "source",
+                        source.label(),
+                    )
+                    .inc();
+            }
+            Err(e) => eprintln!(
+                "hydra-service: skipping {} entry {name}@{version}: {e}",
+                source.label()
+            ),
+        }
     }
 
-    /// Reads, parses and re-solves one persisted package file.
-    fn load_stored(session: &Hydra, path: &std::path::Path) -> ServiceResult<RegistryEntry> {
-        let text = std::fs::read_to_string(path)?;
-        let stored: StoredSummary = serde_json::from_str(&text)
-            .map_err(|e| ServiceError::Protocol(format!("corrupt registry file: {e}")))?;
-        RegistryEntry::solve(session, &stored.name, stored.version, stored.package)
+    /// What a durable boot recovered (all-zero for an in-memory registry).
+    pub fn recovery_report(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     /// The session entries are solved with.
@@ -605,24 +502,71 @@ impl SummaryRegistry {
             .insert(entry.version, entry);
     }
 
-    /// Re-labels an already-solved entry with a later version (a racing
-    /// publish landed while this one solved).
-    fn reversion(entry: Arc<RegistryEntry>, version: u32) -> Arc<RegistryEntry> {
-        if entry.version == version {
-            return entry;
-        }
-        let mut relabeled = RegistryEntry {
-            name: entry.name.clone(),
-            version,
-            state: entry.state.clone(),
-            detail: entry.detail.clone(),
+    /// The one commit path for every new version, in either mode.  Under
+    /// the commit mutex it (1) assigns the version — the name's latest
+    /// plus one for a publish; for a delta, the base's plus one, provided
+    /// the base is still the latest; (2) in durable mode, appends and
+    /// fsyncs the WAL record; (3) inserts the entry and checkpoints if due;
+    /// (4) updates the registry metrics.
+    ///
+    /// Returns `Ok(None)` when a delta's base moved while it solved (the
+    /// caller re-merges against the new base).  If the WAL append fails,
+    /// nothing is registered.
+    fn commit(
+        &self,
+        mut entry: RegistryEntry,
+        op: Commit<'_>,
+    ) -> ServiceResult<Option<Arc<RegistryEntry>>> {
+        let mut durable = self.commit.lock().expect("commit lock poisoned");
+        let version = match op {
+            Commit::Publish => self.version_of(&entry.name) + 1,
+            Commit::Delta { base, .. } => match self.get(&entry.name) {
+                Some(current) if Arc::ptr_eq(&current, base) => base.version + 1,
+                Some(_) => return Ok(None),
+                None => {
+                    return Err(ServiceError::Protocol(format!(
+                        "summary `{}` disappeared while the delta solved",
+                        entry.name
+                    )))
+                }
+            },
         };
-        relabeled.detail.info.version = version;
-        Arc::new(relabeled)
+        entry.version = version;
+        entry.detail.info.version = version;
+        if let Some(dur) = durable.as_mut() {
+            let op = match op {
+                Commit::Publish => WalOp::Publish,
+                Commit::Delta { delta, .. } => WalOp::Delta {
+                    delta: delta.clone(),
+                },
+            };
+            let record = WalRecord {
+                name: entry.name.clone(),
+                version,
+                op,
+                solved: entry.solved_state(),
+            };
+            self.wal_append(dur, &record)?;
+        }
+        let entry = Arc::new(entry);
+        self.insert_version(Arc::clone(&entry));
+        if let Some(dur) = durable.as_mut() {
+            self.maybe_checkpoint(dur);
+        }
+        let metrics = self.session.metrics();
+        let counter = match op {
+            Commit::Publish => "hydra_registry_publishes_total",
+            Commit::Delta { .. } => "hydra_registry_delta_merges_total",
+        };
+        metrics.counter(counter).inc();
+        metrics
+            .gauge_labeled("hydra_registry_version", "name", &entry.name)
+            .set(i64::from(version));
+        Ok(Some(entry))
     }
 
     /// Appends one commit record to the WAL (fsync'd) — the durability
-    /// point.  Called with the durable mutex held; the version becomes
+    /// point.  Called with the commit mutex held; the version becomes
     /// visible only after this returns `Ok`.
     fn wal_append(&self, dur: &mut DurableState, record: &WalRecord) -> ServiceResult<()> {
         let json =
@@ -691,22 +635,17 @@ impl SummaryRegistry {
 
     /// Forces a checkpoint now (durable mode only; no-op otherwise).
     pub fn checkpoint(&self) -> ServiceResult<()> {
-        let Some(durable) = &self.durable else {
-            return Ok(());
-        };
-        let mut dur = durable.lock().expect("wal lock poisoned");
-        self.checkpoint_locked(&mut dur)
+        match self.commit.lock().expect("commit lock poisoned").as_mut() {
+            Some(dur) => self.checkpoint_locked(dur),
+            None => Ok(()),
+        }
     }
 
     /// Solves `package` and registers it under `name`, appending a new
     /// version to the name's chain.  Solving happens outside the registry
     /// lock and the finished entry is swapped in atomically.  In durable
     /// mode the WAL record is appended and fsync'd **before** the version
-    /// becomes visible; if the append fails, nothing is registered.  In
-    /// package-persistence mode a failed disk write leaves the entry
-    /// registered and servable — the failure is surfaced as a structured
-    /// stderr diagnostic plus the `hydra_registry_persist_errors_total`
-    /// counter, not an error.
+    /// becomes visible; if the append fails, nothing is registered.
     pub fn publish(
         &self,
         name: &str,
@@ -717,101 +656,9 @@ impl SummaryRegistry {
                 "invalid summary name `{name}` (allowed: [A-Za-z0-9_-]+)"
             )));
         }
-        let provisional = self.version_of(name) + 1;
-        let entry = Arc::new(RegistryEntry::solve(
-            &self.session,
-            name,
-            provisional,
-            package,
-        )?);
-        let entry = if let Some(durable) = &self.durable {
-            let mut dur = durable.lock().expect("wal lock poisoned");
-            // The durable mutex serializes commits, so the version we
-            // compute here cannot be raced.
-            let entry = Self::reversion(entry, self.version_of(name) + 1);
-            let record = WalRecord {
-                name: entry.name.clone(),
-                version: entry.version,
-                op: WalOp::Publish,
-                solved: entry.solved_state(),
-            };
-            self.wal_append(&mut dur, &record)?;
-            self.insert_version(Arc::clone(&entry));
-            self.maybe_checkpoint(&mut dur);
-            entry
-        } else {
-            let mut entries = self.entries.write().expect("registry lock poisoned");
-            // A racing publish of the same name may have landed while we
-            // solved; take the next version after whatever is registered now.
-            let current = entries
-                .get(name)
-                .and_then(|chain| chain.keys().next_back().copied())
-                .unwrap_or(0);
-            let entry = Self::reversion(entry, current.max(provisional - 1) + 1);
-            entries
-                .entry(name.to_string())
-                .or_default()
-                .insert(entry.version, Arc::clone(&entry));
-            drop(entries);
-            entry
-        };
-        let metrics = self.session.metrics();
-        metrics.counter("hydra_registry_publishes_total").inc();
-        metrics
-            .gauge_labeled("hydra_registry_version", "name", name)
-            .set(i64::from(entry.version));
-        self.persist_entry_logged(&entry);
-        Ok(entry)
-    }
-
-    /// Persists one entry's package as `<dir>/<name>.json`, durably: the
-    /// bytes are written to a temporary file and fsync'd, the file is
-    /// renamed into place, and the parent directory is fsync'd — so a crash
-    /// can neither leave a truncated file where a healthy one stood nor
-    /// quietly undo the rename.  Writers are serialized and each re-checks
-    /// that its entry is still the current version, so racing publishes
-    /// cannot leave a stale version on disk.
-    fn persist_entry(&self, entry: &RegistryEntry) -> ServiceResult<()> {
-        let Some(dir) = &self.dir else {
-            return Ok(());
-        };
-        let _guard = self.persist.lock().expect("persist lock poisoned");
-        let current = self.version_of(&entry.name);
-        if current != entry.version {
-            // A newer version was registered while we waited; it will (or
-            // already did) write the file.
-            return Ok(());
-        }
-        let stored = StoredSummary {
-            name: entry.name.clone(),
-            version: entry.version,
-            package: entry.package().clone(),
-        };
-        let json =
-            serde_json::to_string(&stored).map_err(|e| ServiceError::Protocol(e.to_string()))?;
-        let tmp = dir.join(format!(".{}.json.tmp", entry.name));
-        let path = dir.join(format!("{}.json", entry.name));
-        hydra_wal::write_file_durable(&tmp, json.as_bytes())?;
-        std::fs::rename(&tmp, &path)?;
-        hydra_wal::fsync_dir(dir)?;
-        Ok(())
-    }
-
-    /// [`Self::persist_entry`], with failures surfaced as a diagnostic and
-    /// a counter instead of an error: the entry is already registered and
-    /// servable, so a sick disk must not fail the publish that produced it.
-    fn persist_entry_logged(&self, entry: &RegistryEntry) {
-        if let Err(e) = self.persist_entry(entry) {
-            self.session
-                .metrics()
-                .counter("hydra_registry_persist_errors_total")
-                .inc();
-            eprintln!(
-                "hydra-service: persist failed name={} version={} error={e} \
-                 (entry remains registered and servable; re-publish to retry durability)",
-                entry.name, entry.version
-            );
-        }
+        let state = self.session.regenerate_stateful(&package)?;
+        let entry = self.commit(RegistryEntry::new(name, 0, state)?, Commit::Publish)?;
+        Ok(entry.expect("a publish commit always lands"))
     }
 
     /// Applies a workload delta to the registered summary `name`
@@ -841,58 +688,10 @@ impl SummaryRegistry {
                 .session
                 .profile_delta(&base.state, delta)
                 .map_err(ServiceError::Hydra)?;
-            let entry = Arc::new(RegistryEntry::from_state(
-                name,
-                base.version + 1,
-                outcome.state,
-            )?);
-            if let Some(durable) = &self.durable {
-                let mut dur = durable.lock().expect("wal lock poisoned");
-                match self.get(name) {
-                    Some(current) if Arc::ptr_eq(&current, &base) => {}
-                    Some(_) => continue, // base moved while we solved; re-merge
-                    None => {
-                        return Err(ServiceError::Protocol(format!(
-                            "summary `{name}` disappeared while the delta solved"
-                        )))
-                    }
-                }
-                let record = WalRecord {
-                    name: entry.name.clone(),
-                    version: entry.version,
-                    op: WalOp::Delta {
-                        delta: delta.clone(),
-                    },
-                    solved: entry.solved_state(),
-                };
-                self.wal_append(&mut dur, &record)?;
-                self.insert_version(Arc::clone(&entry));
-                self.maybe_checkpoint(&mut dur);
-            } else {
-                let mut entries = self.entries.write().expect("registry lock poisoned");
-                let latest = entries
-                    .get(name)
-                    .and_then(|chain| chain.values().next_back().cloned());
-                match latest {
-                    Some(current) if Arc::ptr_eq(&current, &base) => {
-                        entries
-                            .entry(name.to_string())
-                            .or_default()
-                            .insert(entry.version, Arc::clone(&entry));
-                    }
-                    Some(_) => continue, // base moved while we solved; re-merge
-                    None => {
-                        return Err(ServiceError::Protocol(format!(
-                            "summary `{name}` disappeared while the delta solved"
-                        )))
-                    }
-                }
-            }
-            let metrics = self.session.metrics();
-            metrics.counter("hydra_registry_delta_merges_total").inc();
-            metrics
-                .gauge_labeled("hydra_registry_version", "name", name)
-                .set(i64::from(entry.version));
+            let entry = RegistryEntry::new(name, 0, outcome.state)?;
+            let Some(entry) = self.commit(entry, Commit::Delta { base: &base, delta })? else {
+                continue; // base moved while we solved; re-merge
+            };
             let (added, removed, resized) =
                 outcome
                     .diff
@@ -907,12 +706,12 @@ impl SummaryRegistry {
                     });
             for (kind, churn) in [("added", added), ("removed", removed), ("resized", resized)] {
                 if churn > 0 {
-                    metrics
+                    self.session
+                        .metrics()
                         .counter_labeled("hydra_registry_block_churn_total", "kind", kind)
                         .add(churn);
                 }
             }
-            self.persist_entry_logged(&entry);
             return Ok(DeltaPublished {
                 info: entry.info(),
                 diff: outcome.diff,

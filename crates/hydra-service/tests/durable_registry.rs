@@ -1,6 +1,6 @@
 //! The durable registry end to end: WAL-backed commits, checkpointing,
 //! instant recovery with zero cold LP solves, time-travel resolution, and
-//! the fsync/persist-failure discipline of the package-persistence mode.
+//! the fsync discipline of the write path.
 
 use hydra_core::session::Hydra;
 use hydra_engine::database::Database;
@@ -202,81 +202,46 @@ fn checkpoint_truncates_wal_and_recovery_reads_the_snapshot() {
     assert_eq!(lp_solves(&session), 0);
 }
 
-/// The package-persistence write path is durable: publishing issues an
-/// fsync on the staged file **and** an fsync on the registry directory
-/// (the rename itself lives in directory metadata).
+/// The durable write path issues its syncs: a publish fsyncs the WAL file
+/// before it is acknowledged, and a checkpoint fsyncs the registry
+/// directory after renaming its snapshot into place.
 #[test]
-fn persist_write_path_issues_file_and_dir_syncs() {
+fn durable_write_path_issues_file_and_dir_syncs() {
     let dir = temp_dir("syncs");
     let session = session();
-    let registry = SummaryRegistry::persistent(session.clone(), &dir).expect("open");
+    let registry = SummaryRegistry::durable(session.clone(), &dir, 1000).expect("open");
     let (db, queries) = retail_client_fixture(400, 150, 4);
     let package = session.profile(db, &queries).expect("profile");
 
-    let (files_before, dirs_before) = hydra_wal::sync_counts();
+    let (files_before, _) = hydra_wal::sync_counts();
     registry.publish("retail", package).expect("publish");
-    let (files_after, dirs_after) = hydra_wal::sync_counts();
+    let (files_after, dirs_before) = hydra_wal::sync_counts();
     assert!(
         files_after > files_before,
-        "publish must fsync the staged registry file"
+        "publish must fsync the WAL before acknowledging"
     );
+    registry.checkpoint().expect("checkpoint");
+    let (_, dirs_after) = hydra_wal::sync_counts();
     assert!(
         dirs_after > dirs_before,
-        "publish must fsync the registry directory after the rename"
+        "checkpoint must fsync the registry directory after the rename"
     );
-    assert!(dir.join("retail.json").exists());
 }
 
-/// Stale `.{name}.json.tmp` staging files (a crash between write and
+/// Stale `*.tmp` staging files (a crash between a snapshot's write and its
 /// rename) are swept on startup instead of accumulating forever.
 #[test]
 fn stale_tmp_files_are_swept_on_startup() {
     let dir = temp_dir("sweep");
-    std::fs::write(dir.join(".ghost.json.tmp"), b"{\"torn\":").expect("seed stale tmp");
-    let registry = SummaryRegistry::persistent(session(), &dir).expect("open");
+    let stale = dir.join("snapshot-0000000007.tmp");
+    std::fs::write(&stale, b"{\"torn\":").expect("seed stale tmp");
+    let registry = SummaryRegistry::durable(session(), &dir, 1000).expect("open");
     assert!(
-        !dir.join(".ghost.json.tmp").exists(),
+        !stale.exists(),
         "stale staging file must be removed at startup"
     );
     assert!(
         registry.is_empty(),
         "a staging file is not a registry entry"
     );
-}
-
-/// A failed disk persist must not fail the publish: the entry is already
-/// registered and servable.  The failure surfaces as the
-/// `hydra_registry_persist_errors_total` counter (plus a stderr
-/// diagnostic), and the entry is returned.
-#[test]
-fn persist_failure_keeps_the_entry_servable() {
-    let dir = temp_dir("persist-fail");
-    let session = session();
-    let registry = SummaryRegistry::persistent(session.clone(), &dir).expect("open");
-    let (db, queries) = retail_client_fixture(400, 150, 4);
-    let package = session.profile(db.clone(), &queries).expect("profile");
-
-    // Success path first: no error counted, file on disk.
-    registry
-        .publish("retail", package.clone())
-        .expect("publish");
-    let errors = session
-        .metrics()
-        .counter("hydra_registry_persist_errors_total");
-    assert_eq!(errors.value(), 0);
-    assert!(dir.join("retail.json").exists());
-
-    // Break the disk out from under the registry: the registry dir becomes
-    // a plain file, so every staged write fails with ENOTDIR/ENOENT.
-    std::fs::remove_dir_all(&dir).expect("remove dir");
-    std::fs::write(&dir, b"not a directory").expect("replace dir with file");
-
-    let entry = registry
-        .publish("retail", package)
-        .expect("publish must succeed even when the disk write fails");
-    assert_eq!(entry.version, 2);
-    assert_eq!(errors.value(), 1, "the failed persist must be counted");
-    let served = registry.get("retail").expect("still servable");
-    assert_eq!(served.version, 2);
-    let _ = std::fs::remove_file(&dir);
 }

@@ -18,6 +18,7 @@ use hydra_service::registry::SummaryRegistry;
 use hydra_service::server::serve_shared;
 use hydra_workload::retail_client_fixture;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -51,6 +52,41 @@ fn variants() -> Vec<(TransferPackage, Vec<Row>)> {
             (package, expected)
         })
         .collect()
+}
+
+/// The registry modes a racing test runs over: `None` is in-memory,
+/// `Some(dir)` is durable with a checkpoint after every commit, so commits
+/// also race checkpoints.
+fn modes(tag: &str) -> [Option<PathBuf>; 2] {
+    let dir = std::env::temp_dir().join(format!(
+        "hydra-concurrency-{tag}-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    [None, Some(dir)]
+}
+
+fn open_registry(dir: Option<&Path>) -> SummaryRegistry {
+    let session = Hydra::builder().compare_aqps(false).build();
+    match dir {
+        None => SummaryRegistry::in_memory(session),
+        Some(dir) => SummaryRegistry::durable(session, dir, 1).expect("open durable registry"),
+    }
+}
+
+/// Durable mode only: reopens `dir` and requires the recovered version
+/// chain of `name` to be exactly the acknowledged versions.
+fn assert_recovers_acknowledged(dir: Option<&Path>, name: &str, acknowledged: &[u32]) {
+    let Some(dir) = dir else {
+        return;
+    };
+    assert_eq!(
+        open_registry(Some(dir)).versions_of(name),
+        acknowledged,
+        "recovered versions differ from the acknowledged ones"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Checks one observed entry against the ground truth of whichever variant
@@ -281,167 +317,170 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
         })
         .collect();
 
-    let registry = Arc::new(SummaryRegistry::in_memory(
-        Hydra::builder().compare_aqps(false).build(),
-    ));
-    let seed = registry.publish("evolving", package).expect("seed");
-    assert_eq!(seed.version, 1);
-    // Ground truth: the fact table's exact bits — invariant across deltas.
-    let fact_truth: Vec<Row> = seed
-        .generator()
-        .stream("store_sales")
-        .expect("stream")
-        .collect();
-    let server = serve_shared(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
-    let addr = server.local_addr();
+    for dir in modes("delta") {
+        let registry = Arc::new(open_registry(dir.as_deref()));
+        let seed = registry.publish("evolving", package.clone()).expect("seed");
+        assert_eq!(seed.version, 1);
+        // Ground truth: the fact table's exact bits — invariant across deltas.
+        let fact_truth: Vec<Row> = seed
+            .generator()
+            .stream("store_sales")
+            .expect("stream")
+            .collect();
+        let server = serve_shared(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let all_versions: Vec<u32> = std::thread::scope(|scope| {
-        let publishers: Vec<_> = deltas
-            .into_iter()
-            .map(|thread_deltas| {
-                let registry = Arc::clone(&registry);
-                scope.spawn(move || {
-                    let mut versions = Vec::new();
-                    for delta in &thread_deltas {
-                        let published = registry
-                            .delta_publish("evolving", delta)
-                            .expect("delta publish");
-                        // Only web_sales re-solves; everything else reuses.
-                        assert_eq!(
-                            published.report.reused(),
-                            published.report.relations.len() - 1,
-                            "{}",
-                            published.report.to_display_table()
-                        );
-                        versions.push(published.info.version);
-                    }
-                    versions
+        let stop = Arc::new(AtomicBool::new(false));
+        let all_versions: Vec<u32> = std::thread::scope(|scope| {
+            let publishers: Vec<_> = deltas
+                .iter()
+                .map(|thread_deltas| {
+                    let registry = Arc::clone(&registry);
+                    scope.spawn(move || {
+                        let mut versions = Vec::new();
+                        for delta in thread_deltas {
+                            let published = registry
+                                .delta_publish("evolving", delta)
+                                .expect("delta publish");
+                            // Only web_sales re-solves; everything else reuses.
+                            assert_eq!(
+                                published.report.reused(),
+                                published.report.relations.len() - 1,
+                                "{}",
+                                published.report.to_display_table()
+                            );
+                            versions.push(published.info.version);
+                        }
+                        versions
+                    })
                 })
-            })
-            .collect();
+                .collect();
 
-        // In-process reader: self-consistent entries, monotonic versions.
-        let reader = {
-            let registry = Arc::clone(&registry);
-            let stop = Arc::clone(&stop);
-            let fact_truth = &fact_truth;
-            scope.spawn(move || {
-                let mut last_version = 0u32;
-                let mut observed = 0usize;
-                while !stop.load(Ordering::SeqCst) {
-                    let entry = registry.get("evolving").expect("present");
-                    assert!(entry.version >= last_version, "version went backwards");
-                    last_version = entry.version;
-                    let detail = entry.detail();
-                    assert_eq!(detail.info.version, entry.version);
-                    assert_eq!(
-                        detail.info.total_rows,
-                        entry.regeneration().summary.total_rows()
-                    );
-                    // The fact table is untouched by every delta: any
-                    // deviation is a torn or half-rebuilt summary.
-                    let slice: Vec<Row> = entry
-                        .generator()
-                        .stream_range("store_sales", 100..164)
-                        .expect("range stream")
-                        .collect();
-                    assert_eq!(&slice, &fact_truth[100..164], "fact table changed");
-                    observed += 1;
-                }
-                observed
-            })
-        };
+            // In-process reader: self-consistent entries, monotonic versions.
+            let reader = {
+                let registry = Arc::clone(&registry);
+                let stop = Arc::clone(&stop);
+                let fact_truth = &fact_truth;
+                scope.spawn(move || {
+                    let mut last_version = 0u32;
+                    let mut observed = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        let entry = registry.get("evolving").expect("present");
+                        assert!(entry.version >= last_version, "version went backwards");
+                        last_version = entry.version;
+                        let detail = entry.detail();
+                        assert_eq!(detail.info.version, entry.version);
+                        assert_eq!(
+                            detail.info.total_rows,
+                            entry.regeneration().summary.total_rows()
+                        );
+                        // The fact table is untouched by every delta: any
+                        // deviation is a torn or half-rebuilt summary.
+                        let slice: Vec<Row> = entry
+                            .generator()
+                            .stream_range("store_sales", 100..164)
+                            .expect("range stream")
+                            .collect();
+                        assert_eq!(&slice, &fact_truth[100..164], "fact table changed");
+                        observed += 1;
+                    }
+                    observed
+                })
+            };
 
-        // Wire reader: full fact stream + summary-direct query while the
-        // delta storm runs.
-        let wire_reader = {
-            let stop = Arc::clone(&stop);
-            let fact_truth = &fact_truth;
-            scope.spawn(move || {
-                let mut client = HydraClient::connect(addr).expect("connect");
-                let mut observed = 0usize;
-                while !stop.load(Ordering::SeqCst) {
-                    let (rows, _) = client
-                        .stream_collect(StreamRequest::full("evolving", "store_sales"))
-                        .expect("stream");
-                    assert_eq!(&rows, fact_truth, "wire stream tore across versions");
-                    let answer = client
-                        .query_request(
-                            QueryRequest::new("evolving", "select count(*) from web_sales")
-                                .summary_only(),
-                        )
-                        .expect("query");
-                    assert_eq!(
-                        answer.single().expect("one row").aggregates[0].as_i64(),
-                        Some(150),
-                        "web_sales row count must be invariant across deltas"
-                    );
-                    observed += 1;
-                }
-                observed
-            })
-        };
+            // Wire reader: full fact stream + summary-direct query while the
+            // delta storm runs.
+            let wire_reader = {
+                let stop = Arc::clone(&stop);
+                let fact_truth = &fact_truth;
+                scope.spawn(move || {
+                    let mut client = HydraClient::connect(addr).expect("connect");
+                    let mut observed = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        let (rows, _) = client
+                            .stream_collect(StreamRequest::full("evolving", "store_sales"))
+                            .expect("stream");
+                        assert_eq!(&rows, fact_truth, "wire stream tore across versions");
+                        let answer = client
+                            .query_request(
+                                QueryRequest::new("evolving", "select count(*) from web_sales")
+                                    .summary_only(),
+                            )
+                            .expect("query");
+                        assert_eq!(
+                            answer.single().expect("one row").aggregates[0].as_i64(),
+                            Some(150),
+                            "web_sales row count must be invariant across deltas"
+                        );
+                        observed += 1;
+                    }
+                    observed
+                })
+            };
 
-        let mut all_versions: Vec<u32> = publishers
-            .into_iter()
-            .flat_map(|p| p.join().expect("publisher"))
-            .collect();
-        stop.store(true, Ordering::SeqCst);
-        assert!(reader.join().expect("reader") > 0);
-        assert!(wire_reader.join().expect("wire reader") > 0);
-        all_versions.sort_unstable();
-        all_versions
-    });
+            let mut all_versions: Vec<u32> = publishers
+                .into_iter()
+                .flat_map(|p| p.join().expect("publisher"))
+                .collect();
+            stop.store(true, Ordering::SeqCst);
+            assert!(reader.join().expect("reader") > 0);
+            assert!(wire_reader.join().expect("wire reader") > 0);
+            all_versions.sort_unstable();
+            all_versions
+        });
 
-    // Strictly monotonic: every delta got its own version, no duplicates,
-    // ending exactly at 1 + THREADS*ROUNDS.
-    let expected: Vec<u32> = (2..=(1 + (THREADS * ROUNDS) as u32)).collect();
-    assert_eq!(all_versions, expected, "duplicate or skipped versions");
-    let final_entry = registry.get("evolving").expect("final");
-    assert_eq!(final_entry.version, 1 + (THREADS * ROUNDS) as u32);
-    // Terminal workload: the 4 originals plus each thread's last query.
-    assert_eq!(
-        final_entry.package().query_count(),
-        4 + THREADS,
-        "each thread's retire+add chain must net one extra query"
-    );
-    server.shutdown();
+        // Strictly monotonic: every delta got its own version, no duplicates,
+        // ending exactly at 1 + THREADS*ROUNDS.
+        let expected: Vec<u32> = (2..=(1 + (THREADS * ROUNDS) as u32)).collect();
+        assert_eq!(all_versions, expected, "duplicate or skipped versions");
+        let final_entry = registry.get("evolving").expect("final");
+        assert_eq!(final_entry.version, 1 + (THREADS * ROUNDS) as u32);
+        // Terminal workload: the 4 originals plus each thread's last query.
+        assert_eq!(
+            final_entry.package().query_count(),
+            4 + THREADS,
+            "each thread's retire+add chain must net one extra query"
+        );
+        server.shutdown();
+        let acknowledged: Vec<u32> = std::iter::once(1).chain(all_versions).collect();
+        assert_recovers_acknowledged(dir.as_deref(), "evolving", &acknowledged);
+    }
 }
 
 #[test]
 fn racing_publishes_of_the_same_name_keep_versions_distinct() {
     let packages = variant_packages();
-    let registry = Arc::new(SummaryRegistry::in_memory(
-        Hydra::builder().compare_aqps(false).build(),
-    ));
-    // All publishers start before any has registered: every one solves
-    // against version 0 and the write-lock reconciliation must still hand
-    // out distinct, increasing versions.
-    let versions: Vec<u32> = std::thread::scope(|scope| {
-        let handles: Vec<_> = packages
-            .iter()
-            .map(|package| {
-                let registry = Arc::clone(&registry);
-                let package = package.clone();
-                scope.spawn(move || registry.publish("race", package).expect("publish").version)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("publisher"))
-            .collect()
-    });
-    let mut sorted = versions.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(
-        sorted.len(),
-        packages.len(),
-        "duplicate versions handed out: {versions:?}"
-    );
-    assert_eq!(
-        registry.get("race").expect("entry").version,
-        *sorted.last().unwrap()
-    );
+    for dir in modes("publish") {
+        let registry = Arc::new(open_registry(dir.as_deref()));
+        // All publishers start before any has registered: every one solves
+        // against version 0 and the write-lock reconciliation must still hand
+        // out distinct, increasing versions.
+        let versions: Vec<u32> = std::thread::scope(|scope| {
+            let handles: Vec<_> = packages
+                .iter()
+                .map(|package| {
+                    let registry = Arc::clone(&registry);
+                    let package = package.clone();
+                    scope.spawn(move || registry.publish("race", package).expect("publish").version)
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("publisher"))
+                .collect()
+        });
+        let mut sorted = versions.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(
+            sorted.len(),
+            packages.len(),
+            "duplicate versions handed out: {versions:?}"
+        );
+        assert_eq!(
+            registry.get("race").expect("entry").version,
+            *sorted.last().unwrap()
+        );
+        assert_recovers_acknowledged(dir.as_deref(), "race", &sorted);
+    }
 }

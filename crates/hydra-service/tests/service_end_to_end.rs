@@ -171,7 +171,7 @@ fn persistent_registry_survives_a_server_restart() {
     // First server generation: publish twice (version bump), then stop.
     {
         let registry =
-            SummaryRegistry::persistent(Hydra::builder().compare_aqps(false).build(), &dir)
+            SummaryRegistry::durable(Hydra::builder().compare_aqps(false).build(), &dir, 64)
                 .expect("open registry");
         let server = serve(registry, "127.0.0.1:0").expect("bind");
         let mut client = HydraClient::connect(server.local_addr()).expect("connect");
@@ -193,14 +193,10 @@ fn persistent_registry_survives_a_server_restart() {
         server.shutdown();
     }
 
-    // A truncated file from a hypothetical crash mid-publish must not brick
-    // the healthy summaries on reload — it is skipped with a diagnostic.
-    std::fs::write(dir.join("corrupt.json"), "{\"name\": \"corr").expect("plant corrupt file");
-
-    // Second generation: the package is re-loaded from disk and re-solved —
-    // no client ever publishes — and streams the same bits.
-    let registry = SummaryRegistry::persistent(Hydra::builder().compare_aqps(false).build(), &dir)
-        .expect("reopen registry despite the corrupt file");
+    // Second generation: the solved state is recovered from the WAL — no
+    // client ever publishes, no LP runs — and streams the same bits.
+    let rebooted = Hydra::builder().compare_aqps(false).build();
+    let registry = SummaryRegistry::durable(rebooted.clone(), &dir, 64).expect("reopen registry");
     assert_eq!(registry.len(), 1);
     let server = serve(registry, "127.0.0.1:0").expect("rebind");
     let mut client = HydraClient::connect(server.local_addr()).expect("reconnect");
@@ -217,6 +213,16 @@ fn persistent_registry_survives_a_server_restart() {
         rows, expected,
         "reloaded summary must regenerate the same bits"
     );
+    let lp_solves: u64 = ["cold", "warm_hit", "warm_fellback", "reused"]
+        .iter()
+        .map(|outcome| {
+            rebooted
+                .metrics()
+                .counter_labeled("hydra_lp_solves_total", "outcome", outcome)
+                .value()
+        })
+        .sum();
+    assert_eq!(lp_solves, 0, "recovery and serving must not run the LP");
 
     client.shutdown().expect("shutdown");
     server.join();

@@ -32,15 +32,16 @@
 //! ## fsync discipline
 //!
 //! [`fsync_file`], [`fsync_dir`] and [`write_file_durable`] are the shared
-//! helpers every durable write in the workspace goes through (the WAL, the
-//! checkpoints, and the legacy registry's `<name>.json` path).  Each call
-//! bumps a process-wide counter ([`sync_counts`]) so tests can assert the
-//! write path really issued its syncs instead of trusting the comment.
+//! helpers every durable write in the workspace goes through (the WAL
+//! appends and the checkpoints).  Each call bumps a process-wide counter
+//! ([`sync_counts`]) so tests can assert the write path really issued its
+//! syncs instead of trusting the comment.
 
 #![warn(missing_docs)]
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -145,7 +146,7 @@ pub fn write_file_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Current end offset (frames written so far end here).
+    /// End of the last acknowledged frame; the next append writes here.
     end: u64,
 }
 
@@ -153,14 +154,19 @@ impl Wal {
     /// Opens (or creates) the log at `path` for appending.  Callers that may
     /// be reopening after a crash should [`replay`] first — replay truncates
     /// any torn tail, and `open` then continues from the intact boundary.
+    ///
+    /// The file is deliberately opened without `O_APPEND`: appends are
+    /// positional writes at the acknowledged end, and Linux `pwrite`
+    /// ignores the offset on an `O_APPEND` descriptor.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Wal> {
         let path = path.into();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
-            .append(true)
+            .truncate(false)
             .read(true)
+            .write(true)
             .open(&path)?;
-        let end = file.seek(SeekFrom::End(0))?;
+        let end = file.metadata()?.len();
         Ok(Wal { file, path, end })
     }
 
@@ -176,8 +182,9 @@ impl Wal {
 
     /// Appends one record and `fsync`s the log.  Returns the number of bytes
     /// the frame occupies on disk.  When this returns `Ok`, the record is
-    /// durable; when it returns `Err`, the next [`replay`] discards whatever
-    /// partial frame may have landed (it is past the last intact boundary).
+    /// durable.  When it returns `Err`, whatever part of the frame landed
+    /// lies past the acknowledged end: the next append overwrites it from
+    /// that end, and [`replay`] truncates any remainder as a torn tail.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<u64> {
         let len = u32::try_from(payload.len()).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "WAL record too large")
@@ -192,7 +199,7 @@ impl Wal {
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.file.write_all_at(&frame, self.end)?;
         fsync_file(&self.file)?;
         self.end += frame.len() as u64;
         Ok(frame.len() as u64)
@@ -412,6 +419,46 @@ mod tests {
             let mut wal = Wal::open(&path).expect("reopen");
             wal.append(b"record three").expect("append after tear");
             assert_eq!(replay(&path).expect("final").records.len(), 3, "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A failed append (ENOSPC mid-write, EIO on fsync) can leave bytes past
+    /// the last acknowledged record.  The next append must land at the
+    /// acknowledged end, so replay returns exactly the acknowledged records:
+    /// a partial leftover must not hide the record behind it, and a complete
+    /// but unacknowledged leftover must not be replayed.
+    #[test]
+    fn append_after_failed_append_leftovers_replays_only_acknowledged_records() {
+        let frame = |payload: &[u8]| {
+            let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            bytes
+        };
+        let unacknowledged = frame(b"a record whose fsync failed");
+        let leftovers = [
+            ("partial-frame", unacknowledged[..20].to_vec()),
+            ("complete-frame", unacknowledged.clone()),
+        ];
+        for (tag, leftover) in leftovers {
+            let dir = temp_dir(tag);
+            let path = dir.join("wal.log");
+            let mut wal = Wal::open(&path).expect("open");
+            wal.append(b"one").expect("append one");
+            OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .and_then(|mut f| f.write_all(&leftover))
+                .expect("plant leftover");
+            wal.append(b"two").expect("append two");
+            drop(wal);
+            let replayed = replay(&path).expect("replay");
+            assert_eq!(
+                replayed.records,
+                vec![b"one".to_vec(), b"two".to_vec()],
+                "{tag}: exactly the acknowledged records"
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

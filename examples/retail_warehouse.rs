@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run --release --example retail_warehouse [scale_factor]`
 
-use hydra::core::pipeline::run_end_to_end;
-use hydra::core::vendor::HydraConfig;
+use hydra::core::session::Hydra;
 use hydra::workload::{
     generate_client_database, retail_row_targets, retail_schema, retail_workload_131, DataGenConfig,
 };
+use std::time::Instant;
 
 fn main() {
     let scale_factor: f64 = std::env::args()
@@ -32,43 +32,48 @@ fn main() {
     let queries = retail_workload_131(&schema);
 
     println!("running client profiling + workload execution + vendor regeneration ...\n");
-    let result =
-        run_end_to_end(db, &queries, HydraConfig::default(), false).expect("end-to-end pipeline");
+    let session = Hydra::builder().build();
+    let client_start = Instant::now();
+    let package = session.profile(db, &queries).expect("client profiling");
+    let client_time = client_start.elapsed();
+    let vendor_start = Instant::now();
+    let regeneration = session.regenerate(&package).expect("vendor regeneration");
+    let vendor_time = vendor_start.elapsed();
 
     println!(
         "client-side time (profiling + AQP harvesting): {:.2} s",
-        result.client_time.as_secs_f64()
+        client_time.as_secs_f64()
     );
     println!(
         "vendor-side time (summary construction + verification): {:.2} s",
-        result.vendor_time.as_secs_f64()
+        vendor_time.as_secs_f64()
     );
     println!(
         "transfer package: {} queries, {} annotated edges, {} bytes of JSON\n",
-        result.package.query_count(),
-        result.package.annotated_edges(),
-        result.package.transfer_size_bytes().unwrap_or(0)
+        package.query_count(),
+        package.annotated_edges(),
+        package.transfer_size_bytes().unwrap_or(0)
     );
 
-    let report = result.regeneration.report();
+    let report = regeneration.report();
     println!("{}", report.to_display_text());
 
     // The headline claims of the paper, restated on this run:
     println!("--- headline checks ---");
     println!(
         "summary construction time: {:.2} s (paper: < 2 minutes for 131 queries)",
-        result.regeneration.build_report.total_time.as_secs_f64()
+        regeneration.build_report.total_time.as_secs_f64()
     );
     println!(
         "summary size: {:.1} KB (paper: a few KB)",
-        result.regeneration.summary.size_bytes() as f64 / 1024.0
+        regeneration.summary.size_bytes() as f64 / 1024.0
     );
     println!(
         "constraints with virtually no error: {:.1}% (paper: > 90%)",
-        100.0 * result.regeneration.accuracy.fraction_within(0.001)
+        100.0 * regeneration.accuracy.fraction_within(0.001)
     );
     println!(
         "constraints within 10% relative error: {:.1}% (paper: 100%)",
-        100.0 * result.regeneration.accuracy.fraction_within(0.10)
+        100.0 * regeneration.accuracy.fraction_within(0.10)
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hydra-serve [--addr HOST:PORT] [--pg-addr HOST:PORT] [--metrics-addr HOST:PORT]
-//!             [--registry-dir DIR | --wal-dir DIR] [--checkpoint-every N]
+//!             [--wal-dir DIR [--checkpoint-every N]]
 //!             [--seed-retail ROWS] [--velocity ROWS_PER_SEC]
 //!             [--parallelism N] [--workers N] [--max-connections N]
 //!             [--slow-query-ms MS]
@@ -15,17 +15,15 @@
 //!   protocol on this address, over the **same** registry (the `database`
 //!   startup parameter selects the summary, `name@version` pins a version).
 //!   Printed as `hydra-serve pg listening on HOST:PORT`.
-//! * `--registry-dir DIR`: persist published packages to `DIR/<name>.json`
-//!   and re-solve whatever is found there on startup.  Without it (and
-//!   without `--wal-dir`) the registry is in-memory.
 //! * `--wal-dir DIR`: full durability — every publish and delta is appended
 //!   (and fsync'd) to `DIR/wal.log` before it is acknowledged, and periodic
 //!   checkpoints snapshot the complete solved state.  Restart recovers all
 //!   names **and all retained versions** with zero cold LP solves
-//!   (snapshot-load + WAL-replay).  Mutually exclusive with
-//!   `--registry-dir`.
-//! * `--checkpoint-every N` (default 64): with `--wal-dir`, write a
-//!   snapshot and truncate the WAL after every `N` appended records.
+//!   (snapshot-load + WAL-replay).  Without it the registry is in-memory.
+//! * `--checkpoint-every N` (default 64, `N >= 1`): write a snapshot and
+//!   truncate the WAL after every `N` appended records.  Only valid with
+//!   `--wal-dir`; given without it, or with `N = 0`, the server refuses to
+//!   start.
 //! * `--seed-retail ROWS`: before serving, publish the synthetic retail
 //!   fixture (fact table of `ROWS` rows) as summary `retail`, so clients can
 //!   stream immediately without publishing anything.
@@ -65,9 +63,8 @@ struct Options {
     addr: String,
     pg_addr: Option<String>,
     metrics_addr: Option<String>,
-    registry_dir: Option<String>,
     wal_dir: Option<String>,
-    checkpoint_every: usize,
+    checkpoint_every: Option<usize>,
     seed_retail: Option<u64>,
     velocity: Option<f64>,
     parallelism: usize,
@@ -81,9 +78,8 @@ fn parse_args() -> Result<Options, String> {
         addr: "127.0.0.1:7871".to_string(),
         pg_addr: None,
         metrics_addr: None,
-        registry_dir: None,
         wal_dir: None,
-        checkpoint_every: 64,
+        checkpoint_every: None,
         seed_retail: None,
         velocity: None,
         parallelism: 1,
@@ -98,12 +94,13 @@ fn parse_args() -> Result<Options, String> {
             "--addr" => options.addr = value("--addr")?,
             "--pg-addr" => options.pg_addr = Some(value("--pg-addr")?),
             "--metrics-addr" => options.metrics_addr = Some(value("--metrics-addr")?),
-            "--registry-dir" => options.registry_dir = Some(value("--registry-dir")?),
             "--wal-dir" => options.wal_dir = Some(value("--wal-dir")?),
             "--checkpoint-every" => {
-                options.checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
+                options.checkpoint_every = Some(
+                    value("--checkpoint-every")?
+                        .parse()
+                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
+                )
             }
             "--seed-retail" => {
                 options.seed_retail = Some(
@@ -144,8 +141,7 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: hydra-serve [--addr HOST:PORT] [--pg-addr HOST:PORT] \
-                     [--metrics-addr HOST:PORT] [--registry-dir DIR | --wal-dir DIR] \
-                     [--checkpoint-every N] \
+                     [--metrics-addr HOST:PORT] [--wal-dir DIR [--checkpoint-every N]] \
                      [--seed-retail ROWS] [--velocity ROWS_PER_SEC] \
                      [--parallelism N] [--workers N] [--max-connections N] \
                      [--slow-query-ms MS]"
@@ -155,7 +151,13 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown flag `{other}` (try --help)")),
         }
     }
-    Ok(options)
+    match options.checkpoint_every {
+        Some(_) if options.wal_dir.is_none() => {
+            Err("--checkpoint-every requires --wal-dir".to_string())
+        }
+        Some(0) => Err("--checkpoint-every must be at least 1".to_string()),
+        _ => Ok(options),
+    }
 }
 
 fn main() -> ExitCode {
@@ -178,20 +180,10 @@ fn main() -> ExitCode {
             .set_slow_log(Some(SlowLog::stderr(Duration::from_millis(ms))));
     }
 
-    if options.registry_dir.is_some() && options.wal_dir.is_some() {
-        eprintln!("hydra-serve: --registry-dir and --wal-dir are mutually exclusive");
-        return ExitCode::FAILURE;
-    }
-    let registry = match (&options.registry_dir, &options.wal_dir) {
-        (Some(dir), None) => match SummaryRegistry::persistent(session.clone(), dir) {
-            Ok(registry) => registry,
-            Err(e) => {
-                eprintln!("hydra-serve: cannot open registry dir {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(dir)) => {
-            match SummaryRegistry::durable(session.clone(), dir, options.checkpoint_every) {
+    let registry = match &options.wal_dir {
+        Some(dir) => {
+            let checkpoint_every = options.checkpoint_every.unwrap_or(64);
+            match SummaryRegistry::durable(session.clone(), dir, checkpoint_every) {
                 Ok(registry) => {
                     let recovery = registry.recovery_report();
                     println!(
@@ -209,7 +201,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        _ => SummaryRegistry::in_memory(session.clone()),
+        None => SummaryRegistry::in_memory(session.clone()),
     };
     for entry in registry.list() {
         println!(

@@ -2,8 +2,7 @@
 //! 131-query workload, checked against the paper's headline claims at a
 //! laptop-friendly scale.
 
-use hydra::core::pipeline::run_end_to_end;
-use hydra::core::vendor::HydraConfig;
+use hydra::core::session::Hydra;
 use hydra::lp::solver::SolveStatus;
 use hydra::workload::{
     generate_client_database, retail_row_targets, retail_schema, retail_workload_131,
@@ -24,8 +23,9 @@ fn retail_131_query_workload_meets_headline_claims() {
     let queries = retail_workload_131(&schema);
     assert_eq!(queries.len(), 131);
 
-    let result = run_end_to_end(db, &queries, HydraConfig::default(), false).unwrap();
-    let regen = &result.regeneration;
+    let session = Hydra::builder().build();
+    let package = session.profile(db, &queries).unwrap();
+    let regen = session.regenerate(&package).unwrap();
 
     // E1: summary construction finishes in far less than the paper's
     // two-minute budget and the summary is a few KB.
@@ -113,23 +113,22 @@ fn anonymized_package_regenerates_with_identical_volumetrics() {
     )
     .generate();
 
-    let plain = run_end_to_end(
-        db.clone(),
-        &queries,
-        HydraConfig::without_aqp_comparison(),
-        false,
-    )
-    .unwrap();
-    let anon = run_end_to_end(db, &queries, HydraConfig::without_aqp_comparison(), true).unwrap();
+    let run = |db, anonymize| {
+        let session = Hydra::builder()
+            .compare_aqps(false)
+            .anonymize(anonymize)
+            .build();
+        let package = session.profile(db, &queries).unwrap();
+        session.regenerate(&package).unwrap()
+    };
+    let plain = run(db.clone(), false);
+    let anon = run(db, true);
 
-    assert_eq!(
-        plain.regeneration.accuracy.len(),
-        anon.regeneration.accuracy.len()
-    );
+    assert_eq!(plain.accuracy.len(), anon.accuracy.len());
     // Accuracy achieved under anonymization matches the plain run closely
     // (value names differ, volumetric structure does not).
-    let plain_exact = plain.regeneration.accuracy.fraction_exact();
-    let anon_exact = anon.regeneration.accuracy.fraction_exact();
+    let plain_exact = plain.accuracy.fraction_exact();
+    let anon_exact = anon.accuracy.fraction_exact();
     assert!(
         (plain_exact - anon_exact).abs() < 0.05,
         "plain {plain_exact} vs anonymized {anon_exact}"
