@@ -2,8 +2,9 @@
 //!
 //! A [`RegenerationState`] is a regeneration that *remembers how it was
 //! solved*: the published package, the extracted constraint set with
-//! per-query provenance, and the per-relation solve baseline (partition +
-//! solved region counts + constraint signatures).  Against that state, a
+//! per-query provenance, and the per-relation solve baseline (constraint
+//! signatures plus each relation's LP support: the regions that hold tuples
+//! and their counts).  Against that state, a
 //! [`hydra_query::delta::WorkloadDelta`] — queries added, retired, or
 //! re-annotated after a fresh client run — is applied **incrementally**:
 //!
@@ -11,8 +12,8 @@
 //!    re-extracting untouched annotated plans;
 //! 2. relations whose constraint signature is unchanged reuse their previous
 //!    summary bit-identically (no partitioning, no LP);
-//! 3. changed relations re-solve with their previous partition refined in
-//!    place and the previous LP support warm-starting the simplex;
+//! 3. changed relations re-solve with the previous LP support carried into
+//!    the new partition and warm-starting the simplex;
 //! 4. the structural outcome is reported as a
 //!    [`hydra_summary::delta::SummaryDiff`] (blocks added / removed /
 //!    resized per relation).
@@ -42,19 +43,38 @@ pub struct RegenerationState {
     /// The extracted constraint set, with per-query provenance retained for
     /// incremental merging.
     pub constraints: ConstraintSet,
-    /// Per-relation solve artifacts (signatures, partitions, region counts).
+    /// Per-relation solve artifacts (signatures, support-only partitions,
+    /// region counts).
     baseline: SolveBaseline,
 }
 
 impl RegenerationState {
+    /// The one constructor: the baseline is retained support-only, so a
+    /// state holds each relation's LP support rather than its whole region
+    /// partition — in memory, and in whatever a durable registry logs.
+    fn new(
+        package: TransferPackage,
+        regeneration: RegenerationResult,
+        constraints: ConstraintSet,
+        baseline: SolveBaseline,
+    ) -> Self {
+        RegenerationState {
+            package,
+            regeneration,
+            constraints,
+            baseline: baseline.support_only(),
+        }
+    }
+
     /// Number of relations with retained solve artifacts.
     pub fn baseline_relations(&self) -> usize {
         self.baseline.len()
     }
 
-    /// The per-relation solve artifacts backing this state.  Exposed so a
-    /// durable registry can serialize the full solved state and later
-    /// rebuild it via [`VendorSite::restore_stateful`] without re-solving.
+    /// The per-relation solve artifacts backing this state (support-only).
+    /// Exposed so a durable registry can serialize the solved state and
+    /// later rebuild it via [`VendorSite::restore_stateful`] without
+    /// re-solving.
     pub fn baseline(&self) -> &SolveBaseline {
         &self.baseline
     }
@@ -126,9 +146,9 @@ impl VendorSite {
         } else {
             Vec::new()
         };
-        Ok(RegenerationState {
-            package: package.clone(),
-            regeneration: RegenerationResult {
+        Ok(RegenerationState::new(
+            package.clone(),
+            RegenerationResult {
                 summary,
                 build_report,
                 accuracy,
@@ -137,7 +157,7 @@ impl VendorSite {
             },
             constraints,
             baseline,
-        })
+        ))
     }
 
     /// Rebuilds a [`RegenerationState`] from a previously solved baseline —
@@ -146,7 +166,8 @@ impl VendorSite {
     /// relations, the stored build report is reattached verbatim (so
     /// descriptions stay bit-identical across a restart), and only the
     /// cheap artifacts (constraint extraction, verification, optional AQP
-    /// comparisons) are recomputed.
+    /// comparisons) are recomputed.  A full baseline (as older registries
+    /// logged it) is accepted and reduced to its support.
     pub fn restore_stateful(
         &self,
         package: &TransferPackage,
@@ -174,9 +195,9 @@ impl VendorSite {
         } else {
             Vec::new()
         };
-        Ok(RegenerationState {
-            package: package.clone(),
-            regeneration: RegenerationResult {
+        Ok(RegenerationState::new(
+            package.clone(),
+            RegenerationResult {
                 summary,
                 build_report,
                 accuracy,
@@ -185,7 +206,7 @@ impl VendorSite {
             },
             constraints,
             baseline,
-        })
+        ))
     }
 
     /// Applies a workload delta to a previous stateful regeneration: the
@@ -242,9 +263,9 @@ impl VendorSite {
         };
 
         Ok(DeltaOutcome {
-            state: RegenerationState {
+            state: RegenerationState::new(
                 package,
-                regeneration: RegenerationResult {
+                RegenerationResult {
                     summary: built.summary,
                     build_report: built.report,
                     accuracy,
@@ -252,8 +273,8 @@ impl VendorSite {
                     schema,
                 },
                 constraints,
-                baseline: built.baseline,
-            },
+                built.baseline,
+            ),
             diff: built.diff,
             report: built.delta_report,
         })
@@ -300,6 +321,16 @@ mod tests {
         assert_eq!(stateless.summary, stateful.regeneration.summary);
         assert_eq!(stateless.accuracy, stateful.regeneration.accuracy);
         assert!(stateful.baseline_relations() > 0);
+        // The state retains only each relation's LP support.
+        for relation in stateful.baseline().relations.values() {
+            let solved = &relation.solved;
+            assert!(solved.region_counts.iter().all(|&c| c > 0));
+            assert_eq!(solved.region_counts.len(), solved.partition.num_variables());
+        }
+        assert!(
+            stateful.baseline().retained_regions()
+                < stateful.regeneration.build_report.total_lp_variables()
+        );
     }
 
     #[test]

@@ -329,6 +329,14 @@ pub const FAMILIES: &[FamilyDesc] = &[
         layer: "registry",
         help: "Summary blocks added/removed/resized by delta merges",
     },
+    FamilyDesc {
+        name: "hydra_registry_retained_regions",
+        kind: MetricKind::Gauge,
+        unit: Unit::Count,
+        label_key: "",
+        layer: "registry",
+        help: "Partition regions (LP supports) retained across every version",
+    },
     // -- durability (WAL + checkpoints) ----------------------------------
     FamilyDesc {
         name: "hydra_wal_records_total",

@@ -2,20 +2,21 @@
 //!
 //! When a workload evolves, most relations' constraint boxes are unchanged —
 //! and even on a changed relation, most of the attribute space keeps exactly
-//! the predicate boundaries it had.  [`RegionPartitioner::refine`] exploits
-//! both levels:
+//! the predicate boundaries it had.  [`RegionPartitioner::refine`] sweeps the
+//! new constraint set once (bit-identical to a from-scratch partition) and
+//! maps the previous solution's *support* — the regions that actually held
+//! tuples; a basic LP solution has at most one per constraint, so this set is
+//! small regardless of how many regions the partition has — forward into
+//! the new partition, so a downstream LP warm start can inherit it instead
+//! of starting from nothing.  It also reports which axes gained or lost
+//! predicate boundaries, and whether the boxes were identical outright (a
+//! pure cardinality re-annotation).
 //!
-//! * **identical boxes** (a pure cardinality re-annotation): the previous
-//!   partition is reused outright — no axis sweep, no regridding, and every
-//!   region carries over one-to-one;
-//! * **changed boxes**: only the axes whose elementary cut sets actually
-//!   moved contribute new boundaries; the sweep runs once over the new
-//!   constraint set and the previous solution's *support* (the regions that
-//!   actually held tuples — a basic LP solution has at most one per
-//!   constraint, so this set is small regardless of how many regions the
-//!   partition has) is mapped forward into the new partition, so a
-//!   downstream LP warm start can inherit it instead of starting from
-//!   nothing.
+//! Each supported region is located by its representative point alone, so
+//! the previous partition may be *support-only* (see
+//! [`RegionPartition::restrict_to`]): a retained solve keeps kilobytes of
+//! regions instead of the whole partition, and refines exactly as the full
+//! partition would.
 //!
 //! The carry-over map is advisory (it feeds warm-start *hints*, never
 //! correctness): a supported previous region maps to the new region
@@ -43,8 +44,9 @@ pub struct PartitionRefinement {
     /// Axes whose elementary cut set changed between the previous and the
     /// new constraint boxes (empty on a pure re-annotation delta).
     pub changed_axes: Vec<usize>,
-    /// True when the previous partition was reused outright (identical
-    /// space and constraint boxes — no sweep ran at all).
+    /// True when the space and constraint boxes are identical to the
+    /// previous ones (a pure re-annotation delta): the sweep reproduces the
+    /// previous partition and every supported region carries over intact.
     pub full_reuse: bool,
 }
 
@@ -99,8 +101,8 @@ fn axis_cuts(
 
 impl RegionPartitioner {
     /// Partitions the added constraints *incrementally* against a previous
-    /// partition of the same relation (see the module docs for what is
-    /// reused at each level).  `prev_support` lists the previous regions
+    /// partition of the same relation, which may be full or support-only
+    /// (see the module docs).  `prev_support` lists the previous regions
     /// worth carrying forward — typically the indices whose solved tuple
     /// count is nonzero.  The resulting partition is bit-identical to what
     /// [`RegionPartitioner::partition`] would produce from scratch.
@@ -111,27 +113,12 @@ impl RegionPartitioner {
     ) -> PartitionResult<PartitionRefinement> {
         let (space, constraints, max_regions) = self.parts();
 
-        // Level 1: identical space and boxes — a pure re-annotation delta.
-        // The previous partition *is* the new partition (signatures are per
-        // constraint index, and the indices line up because the boxes do).
-        if space == *prev.space() && constraints == prev.constraint_unions() {
-            let carried: Vec<(usize, usize)> = prev_support
-                .iter()
-                .filter(|&&r| r < prev.num_variables())
-                .map(|&r| (r, r))
-                .collect();
-            let reused_regions = carried.len();
-            return Ok(PartitionRefinement {
-                partition: prev.clone(),
-                carried,
-                reused_regions,
-                changed_axes: Vec::new(),
-                full_reuse: true,
-            });
-        }
-
-        // Which axes actually gained or lost predicate boundaries?
-        let changed_axes: Vec<usize> = if space == *prev.space() {
+        // Identical space and boxes — a pure re-annotation delta — moves no
+        // boundary; otherwise, which axes gained or lost one?
+        let full_reuse = space == *prev.space() && constraints == prev.constraint_unions();
+        let changed_axes: Vec<usize> = if full_reuse {
+            Vec::new()
+        } else if space == *prev.space() {
             (0..space.dims())
                 .filter(|&axis| {
                     axis_cuts(&space, &constraints, axis)
@@ -142,10 +129,10 @@ impl RegionPartitioner {
             (0..space.dims()).collect()
         };
 
-        // Level 2: sweep the new constraint set once, then carry the
-        // previous *support* forward — each supported old region's
-        // representative point is located in the new partition (linear in
-        // the support size, not in the region count).
+        // Sweep the new constraint set once, then carry the previous
+        // *support* forward — each supported old region's representative
+        // point is located in the new partition (linear in the support size,
+        // not in the region count).
         let mut partitioner = RegionPartitioner::new(space).with_max_regions(max_regions);
         for boxes in constraints {
             partitioner = partitioner.add_constraint_union(boxes);
@@ -170,7 +157,7 @@ impl RegionPartitioner {
             carried,
             reused_regions,
             changed_axes,
-            full_reuse: false,
+            full_reuse,
         })
     }
 }
@@ -206,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_boxes_reuse_the_partition_outright() {
+    fn identical_boxes_resweep_to_the_same_partition_and_carry_every_region() {
         let prev = RegionPartitioner::new(space_1d())
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
@@ -226,6 +213,53 @@ mod tests {
         let counts: Vec<u64> = (0..prev.num_variables() as u64).collect();
         assert_eq!(refinement.carry_values(&counts), counts);
         assert_eq!(refinement.warm_columns(), support);
+    }
+
+    #[test]
+    fn support_only_previous_refines_like_the_full_partition() {
+        let c_a = |lo, hi| space_2d().box_from_intervals(vec![("a", Interval::new(lo, hi))]);
+        let c_b = |lo, hi| space_2d().box_from_intervals(vec![("b", Interval::new(lo, hi))]);
+        let full = RegionPartitioner::new(space_2d())
+            .add_constraint_box(c_a(20, 60))
+            .add_constraint_box(c_b(10, 30))
+            .add_constraint_box(c_a(40, 90))
+            .partition()
+            .unwrap();
+        // A sparse support, as a basic LP solution leaves it.
+        let support: Vec<usize> = (0..full.num_variables()).step_by(2).collect();
+        let restricted = full.clone().restrict_to(&support);
+        let restricted_support: Vec<usize> = (0..restricted.num_variables()).collect();
+
+        let identical = || {
+            RegionPartitioner::new(space_2d())
+                .add_constraint_box(c_a(20, 60))
+                .add_constraint_box(c_b(10, 30))
+                .add_constraint_box(c_a(40, 90))
+        };
+        let moved = || {
+            RegionPartitioner::new(space_2d())
+                .add_constraint_box(c_a(20, 60))
+                .add_constraint_box(c_b(15, 30))
+                .add_constraint_box(c_a(40, 90))
+                .add_constraint_box(c_b(50, 70))
+        };
+        for (name, new) in [("identical", identical()), ("moved", moved())] {
+            let from_full = new.clone().refine(&full, &support).unwrap();
+            let from_support = new.refine(&restricted, &restricted_support).unwrap();
+            assert_eq!(from_full.partition, from_support.partition, "{name}");
+            assert_eq!(
+                from_full.warm_columns(),
+                from_support.warm_columns(),
+                "{name}"
+            );
+            assert_eq!(
+                from_full.reused_regions, from_support.reused_regions,
+                "{name}"
+            );
+            assert_eq!(from_full.changed_axes, from_support.changed_axes, "{name}");
+            assert_eq!(from_full.full_reuse, from_support.full_reuse, "{name}");
+            assert_eq!(from_full.full_reuse, name == "identical");
+        }
     }
 
     #[test]

@@ -189,6 +189,28 @@ impl RegionPartition {
             .fold(0u128, |acc, r| acc.saturating_add(r.volume))
     }
 
+    /// Restricts the partition to the regions at the given indices (strictly
+    /// ascending; indices past the end are ignored), keeping the space and
+    /// the constraint unions.  The kept regions are moved, not cloned.
+    ///
+    /// The result no longer covers the whole space: it is the retained form
+    /// of a solved partition — typically its LP *support* — which is all
+    /// incremental refinement needs (see [`RegionPartitioner::refine`]).
+    pub fn restrict_to(self, keep: &[usize]) -> RegionPartition {
+        let mut keep = keep.iter().copied().peekable();
+        let regions = self
+            .regions
+            .into_iter()
+            .enumerate()
+            .filter_map(|(index, region)| keep.next_if_eq(&index).map(|_| region))
+            .collect();
+        RegionPartition {
+            space: self.space,
+            regions,
+            constraints: self.constraints,
+        }
+    }
+
     /// Builds a partition whose "regions" are the given *elementary* cells —
     /// cells that never straddle a constraint boundary, such as the cells of a
     /// [`crate::grid::GridPartition`].  This is how the DataSynth-style grid
@@ -386,7 +408,10 @@ impl RegionPartitioner {
                             if entry.cells.len() >= CELLS_PER_REGION {
                                 break;
                             }
-                            let mut cell = prefix.clone();
+                            // One exact-size allocation: cells are the bulk
+                            // of a partition's allocations.
+                            let mut cell = Vec::with_capacity(prefix.len() + 1);
+                            cell.extend_from_slice(prefix);
                             cell.push(*e);
                             entry.cells.push(cell);
                         }
@@ -405,7 +430,7 @@ impl RegionPartitioner {
             .into_iter()
             .map(|(signature, partial)| {
                 let mut pieces: Vec<NBox> = partial.cells.into_iter().map(NBox::new).collect();
-                pieces.sort_by_key(|p| p.lower_corner());
+                pieces.sort_by_cached_key(NBox::lower_corner);
                 Region {
                     signature,
                     pieces,
@@ -591,6 +616,20 @@ mod tests {
         assert!(p.regions()[outside].signature.is_empty());
         assert!(p.region_containing(&[1000]).is_none());
         assert!(p.region_containing(&[1, 2]).is_none());
+    }
+
+    #[test]
+    fn restriction_keeps_the_chosen_regions_in_order() {
+        let p = RegionPartitioner::new(space_1d())
+            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
+            .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
+            .partition()
+            .unwrap();
+        let kept = [p.regions()[1].clone(), p.regions()[3].clone()];
+        let restricted = p.clone().restrict_to(&[1, 3, 99]);
+        assert_eq!(restricted.regions(), &kept[..]);
+        assert_eq!(restricted.space(), p.space());
+        assert_eq!(restricted.constraint_unions(), p.constraint_unions());
     }
 
     #[test]

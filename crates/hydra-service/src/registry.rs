@@ -17,12 +17,15 @@
 //! durable ([`SummaryRegistry::durable`]); both commit every version
 //! through one path that assigns the version under the commit mutex and
 //! then inserts it into the chain.  A durable registry additionally
-//! appends the operation *and the full solved state* to an fsync'd
-//! write-ahead log **before** the version becomes visible, and periodic
-//! checkpoints serialize all retained versions into an immutable,
-//! checksummed snapshot file (truncating the WAL).  Boot loads the
-//! snapshot and replays the WAL — **zero cold LP solves**, full version
-//! chains intact, torn WAL tails truncated in place.
+//! appends the operation *and the solved state* (package, build report and
+//! the support-only solve baseline) to an fsync'd write-ahead log **before**
+//! the version becomes visible, and periodic checkpoints serialize all
+//! retained versions into an immutable, checksummed snapshot file
+//! (truncating the WAL).  Boot loads the snapshot and replays the WAL —
+//! **zero cold LP solves**, full version chains intact, torn WAL tails
+//! truncated in place.  A record or snapshot that passed its checksum but
+//! does not decode or restore fails the boot: serving a chain with a hole
+//! would let the next publish re-issue an acknowledged version number.
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::protocol::{
@@ -46,9 +49,10 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// The complete solved state of one version: the package it was solved
 /// from, the build report describing how, and the per-relation baseline
-/// (partitions, region counts, LP supports).  This is what the WAL and
-/// snapshot files carry — enough to rebuild a servable entry with **zero**
-/// LP solves via [`Hydra::restore_stateful`].
+/// (signatures, summaries, LP supports).  This is what the WAL and snapshot
+/// files carry — enough to rebuild a servable entry with **zero** LP solves
+/// via [`Hydra::restore_stateful`].  The baseline is written support-only;
+/// a full one (as older registries wrote it) restores the same way.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolvedState {
     /// The (merged) transfer package.
@@ -116,8 +120,8 @@ pub struct RecoveryReport {
 /// One published, solved summary.
 ///
 /// Entries are solved *statefully*: alongside the summary they retain the
-/// per-relation solve artifacts (constraint signatures, partitions, LP
-/// supports) that make [`SummaryRegistry::delta_publish`] incremental.
+/// per-relation solve artifacts (constraint signatures, LP supports) that
+/// make [`SummaryRegistry::delta_publish`] incremental.
 #[derive(Debug)]
 pub struct RegistryEntry {
     /// Registry name.
@@ -286,6 +290,25 @@ fn snapshot_paths(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(snaps)
 }
 
+/// Decodes a checksummed WAL or snapshot payload.
+fn decode<T: Deserialize>(payload: Vec<u8>) -> Result<T, String> {
+    let text = String::from_utf8(payload).map_err(|e| e.to_string())?;
+    serde_json::from_str(&text).map_err(|e| e.to_string())
+}
+
+/// The boot error for something in `path` that passed its checksum yet
+/// cannot be decoded or restored: skipping it would silently drop an
+/// acknowledged version.
+fn unrecoverable(path: &Path, what: &str, e: impl std::fmt::Display) -> ServiceError {
+    ServiceError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!(
+            "{}: {what} passed its checksum but cannot be recovered: {e}",
+            path.display()
+        ),
+    ))
+}
+
 /// Mutable durable-mode state, held under the commit mutex (the WAL append
 /// order **is** the commit order).
 #[derive(Debug)]
@@ -356,6 +379,11 @@ impl SummaryRegistry {
     /// LP solves** — truncating any torn WAL tail in place.  Every publish
     /// and delta is appended (and fsync'd) to the WAL *before* its version
     /// becomes visible, so an acknowledged version survives any crash.
+    ///
+    /// A WAL record, or the newest snapshot, that passes its checksum but
+    /// does not decode or restore is an error naming the file (and the
+    /// `name@version` when known); only checksum failures — a torn WAL tail,
+    /// a corrupt snapshot footer — are recovered from.
     pub fn durable(
         session: Hydra,
         dir: impl Into<PathBuf>,
@@ -366,23 +394,18 @@ impl SummaryRegistry {
         sweep_tmp_files(&dir);
         let mut registry = Self::in_memory(session);
 
-        // 1. Newest valid snapshot (older ones are the fallback chain).
+        // 1. Newest checksum-valid snapshot (older ones are the fallback
+        //    chain for a corrupt footer).
         let mut snaps = snapshot_paths(&dir)?;
         let next_snapshot_seq = snaps.last().map_or(0, |(seq, _)| seq + 1);
         snaps.reverse();
         let mut snapshot: SnapshotFile = SnapshotFile::default();
+        let mut snapshot_path = PathBuf::new();
         for (_, path) in &snaps {
-            let loaded = hydra_wal::read_snapshot(path).and_then(|payload| {
-                let text = String::from_utf8(payload).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                serde_json::from_str::<SnapshotFile>(&text).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })
-            });
-            match loaded {
-                Ok(file) => {
-                    snapshot = file;
+            match hydra_wal::read_snapshot(path) {
+                Ok(payload) => {
+                    snapshot = decode(payload).map_err(|e| unrecoverable(path, "snapshot", e))?;
+                    snapshot_path = path.clone();
                     break;
                 }
                 Err(e) => {
@@ -408,24 +431,31 @@ impl SummaryRegistry {
         }
         registry.recovery.wal_truncated_bytes = replayed.truncated_bytes;
         let records_in_wal = replayed.records.len();
-        let wal_records = replayed.records.into_iter().filter_map(|payload| {
-            String::from_utf8(payload)
-                .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    serde_json::from_str::<WalRecord>(&text).map_err(|e| e.to_string())
-                })
-                .map_err(|e| eprintln!("hydra-service: skipping corrupt WAL record: {e}"))
-                .ok()
-        });
+        let wal_records = replayed
+            .records
+            .into_iter()
+            .enumerate()
+            .map(|(index, payload)| {
+                decode::<WalRecord>(payload)
+                    .map(|r| (Source::Wal, r.name, r.version, r.solved))
+                    .map_err(|e| unrecoverable(&wal_path, &format!("record {}", index + 1), e))
+            });
 
         // 3. One restore loop over both sources, snapshot first.
         let recovered = snapshot
             .entries
             .into_iter()
-            .map(|e| (Source::Snapshot, e.name, e.version, e.solved))
-            .chain(wal_records.map(|r| (Source::Wal, r.name, r.version, r.solved)));
-        for (source, name, version, solved) in recovered {
-            registry.recover(source, &name, version, solved);
+            .map(|e| Ok((Source::Snapshot, e.name, e.version, e.solved)))
+            .chain(wal_records);
+        for item in recovered {
+            let (source, name, version, solved) = item?;
+            let path = match source {
+                Source::Snapshot => &snapshot_path,
+                Source::Wal => &wal_path,
+            };
+            registry
+                .recover(source, &name, version, solved)
+                .map_err(|e| unrecoverable(path, &format!("entry {name}@{version}"), e))?;
         }
 
         let wal = hydra_wal::Wal::open(&wal_path)?;
@@ -448,38 +478,34 @@ impl SummaryRegistry {
     }
 
     /// Restores one recovered version with zero LP solves and inserts it,
-    /// unless an earlier source already covers `name@version`.  An entry
-    /// that cannot be restored is skipped with a diagnostic.
-    fn recover(&mut self, source: Source, name: &str, version: u32, solved: SolvedState) {
+    /// unless an earlier source already covers `name@version`.
+    fn recover(
+        &mut self,
+        source: Source,
+        name: &str,
+        version: u32,
+        solved: SolvedState,
+    ) -> ServiceResult<()> {
         if self.get_version(name, version).is_some() {
-            return; // already covered (the snapshot holds this WAL record)
+            return Ok(()); // already covered (the snapshot holds this WAL record)
         }
-        let restored = self
-            .session
-            .restore_stateful(&solved.package, solved.report, solved.baseline)
-            .map_err(ServiceError::Hydra)
-            .and_then(|state| RegistryEntry::new(name, version, state));
-        match restored {
-            Ok(entry) => {
-                self.insert_version(Arc::new(entry));
-                match source {
-                    Source::Snapshot => self.recovery.snapshot_versions += 1,
-                    Source::Wal => self.recovery.wal_versions += 1,
-                }
-                self.session
-                    .metrics()
-                    .counter_labeled(
-                        "hydra_wal_recovered_records_total",
-                        "source",
-                        source.label(),
-                    )
-                    .inc();
-            }
-            Err(e) => eprintln!(
-                "hydra-service: skipping {} entry {name}@{version}: {e}",
-                source.label()
-            ),
+        let state =
+            self.session
+                .restore_stateful(&solved.package, solved.report, solved.baseline)?;
+        self.insert_version(Arc::new(RegistryEntry::new(name, version, state)?));
+        match source {
+            Source::Snapshot => self.recovery.snapshot_versions += 1,
+            Source::Wal => self.recovery.wal_versions += 1,
         }
+        self.session
+            .metrics()
+            .counter_labeled(
+                "hydra_wal_recovered_records_total",
+                "source",
+                source.label(),
+            )
+            .inc();
+        Ok(())
     }
 
     /// What a durable boot recovered (all-zero for an in-memory registry).
@@ -492,8 +518,14 @@ impl SummaryRegistry {
         &self.session
     }
 
-    /// Appends `entry` to its name's version chain.
+    /// Appends `entry` to its name's version chain (the one place a commit
+    /// or a recovery adds a version) and counts the partition regions it
+    /// retains into `hydra_registry_retained_regions`.
     fn insert_version(&self, entry: Arc<RegistryEntry>) {
+        self.session
+            .metrics()
+            .gauge("hydra_registry_retained_regions")
+            .add(entry.state.baseline().retained_regions() as i64);
         self.entries
             .write()
             .expect("registry lock poisoned")

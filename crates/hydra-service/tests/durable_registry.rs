@@ -3,12 +3,15 @@
 //! the fsync discipline of the write path.
 
 use hydra_core::session::Hydra;
+use hydra_core::transfer::TransferPackage;
 use hydra_engine::database::Database;
-use hydra_query::delta::WorkloadDelta;
+use hydra_query::delta::{ConstraintSet, WorkloadDelta};
 use hydra_query::predicate::{ColumnPredicate, CompareOp, TablePredicate};
 use hydra_query::query::SpjQuery;
-use hydra_service::registry::SummaryRegistry;
+use hydra_service::registry::{SolvedState, SummaryRegistry, WalOp, WalRecord};
+use hydra_summary::builder::SummaryBuilder;
 use hydra_workload::{harvest_workload, retail_client_fixture};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn session() -> Hydra {
@@ -226,6 +229,138 @@ fn durable_write_path_issues_file_and_dir_syncs() {
         dirs_after > dirs_before,
         "checkpoint must fsync the registry directory after the rename"
     );
+}
+
+/// A WAL record or newest snapshot that passed its checksum but does not
+/// decode fails the boot with an error naming the file — it is never
+/// skipped, because a chain with a hole would let the next publish re-issue
+/// an acknowledged version number.
+#[test]
+fn checksummed_but_undecodable_records_fail_the_boot() {
+    let dir = temp_dir("undecodable");
+    {
+        let session = session();
+        let registry = SummaryRegistry::durable(session.clone(), &dir, 1000).expect("open");
+        let (db, queries) = retail_client_fixture(400, 150, 4);
+        let package = session.profile(db, &queries).expect("profile");
+        registry.publish("retail", package).expect("publish v1");
+    }
+    let mut wal = hydra_wal::Wal::open(dir.join("wal.log")).expect("open wal");
+    wal.append(b"not a wal record").expect("append");
+    drop(wal);
+    let err = SummaryRegistry::durable(session(), &dir, 1000)
+        .expect_err("an undecodable acknowledged record must fail the boot");
+    let message = err.to_string();
+    assert!(
+        message.contains("wal.log") && message.contains("record 2"),
+        "{message}"
+    );
+
+    let dir = temp_dir("undecodable-snapshot");
+    hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), b"{\"entries\":")
+        .expect("write snapshot");
+    let err = SummaryRegistry::durable(session(), &dir, 1000)
+        .expect_err("an undecodable newest snapshot must fail the boot");
+    assert!(
+        err.to_string().contains("snapshot-0000000000.snap"),
+        "{err}"
+    );
+}
+
+/// Builds `package` from scratch with the session's builder, returning the
+/// report and the *full* baseline (the form older registries logged).
+fn full_build(
+    session: &Hydra,
+    package: &TransferPackage,
+) -> (
+    hydra_summary::builder::SummaryBuildReport,
+    hydra_summary::delta::SolveBaseline,
+) {
+    let metadata = &package.metadata;
+    let row_targets: BTreeMap<String, u64> = metadata
+        .schema
+        .table_names()
+        .iter()
+        .map(|t| (t.clone(), metadata.row_count(t)))
+        .collect();
+    let constraints = ConstraintSet::from_workload(&package.workload).expect("constraints");
+    let (_, report, baseline) = SummaryBuilder::new(session.config().builder.clone())
+        .build_retaining(
+            &metadata.schema,
+            &row_targets,
+            constraints.by_table(),
+            Some(metadata),
+        )
+        .expect("full build");
+    (report, baseline)
+}
+
+/// Upgrade path: a WAL record carrying the *full* baseline recovers with
+/// zero LP solves, describes bit-identically to a live publish, is retained
+/// support-only, and evolves exactly like the live entry.
+#[test]
+fn full_baseline_wal_records_recover_support_only() {
+    let dir = temp_dir("upgrade");
+    let (db, queries) = retail_client_fixture(400, 150, 4);
+    let package = session().profile(db.clone(), &queries).expect("profile");
+    let (report, full) = full_build(&session(), &package);
+    let support: usize = full
+        .relations
+        .values()
+        .map(|r| r.solved.support().len())
+        .sum();
+    assert!(
+        support < full.retained_regions(),
+        "the fixture has empty regions"
+    );
+    let record = WalRecord {
+        name: "retail".to_string(),
+        version: 1,
+        op: WalOp::Publish,
+        solved: SolvedState {
+            package: package.clone(),
+            report,
+            baseline: full,
+        },
+    };
+    let mut wal = hydra_wal::Wal::open(dir.join("wal.log")).expect("open wal");
+    wal.append(serde_json::to_string(&record).expect("encode").as_bytes())
+        .expect("append");
+    drop(wal);
+
+    let booted = session();
+    let registry = SummaryRegistry::durable(booted.clone(), &dir, 1000).expect("boot");
+    assert_eq!(registry.versions_of("retail"), vec![1]);
+    assert_eq!(lp_solves(&booted), 0, "recovery must not run the LP solver");
+    let live = SummaryRegistry::in_memory(session());
+    live.publish("retail", package).expect("live publish");
+    let describe = |registry: &SummaryRegistry| {
+        serde_json::to_string(&registry.get_version("retail", 1).expect("v1").detail())
+            .expect("encode")
+    };
+    assert_eq!(describe(&registry), describe(&live));
+    // Support-only: the entry retains exactly the nonzero-count regions.
+    assert_eq!(
+        booted
+            .metrics()
+            .gauge("hydra_registry_retained_regions")
+            .value(),
+        support as i64
+    );
+    // ... and a delta on it decides as on the live entry.
+    let delta = narrow_delta(&db, "drift", 40);
+    let upgraded = registry.delta_publish("retail", &delta).expect("delta");
+    let fresh = live.delta_publish("retail", &delta).expect("delta");
+    assert_eq!(upgraded.diff, fresh.diff);
+    let actions = |published: &hydra_service::protocol::DeltaPublished| {
+        published
+            .report
+            .relations
+            .iter()
+            .map(|r| (r.table.clone(), r.action))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(actions(&upgraded), actions(&fresh));
 }
 
 /// Stale `*.tmp` staging files (a crash between a snapshot's write and its

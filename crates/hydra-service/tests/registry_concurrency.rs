@@ -332,6 +332,86 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
 
         let stop = Arc::new(AtomicBool::new(false));
         let all_versions: Vec<u32> = std::thread::scope(|scope| {
+            // Each reader reports its first observation; the deltas start
+            // only after both have, so a storm of fast deltas cannot finish
+            // before a reader has looked at all.
+            let (ready, first_observations) = std::sync::mpsc::channel();
+
+            // In-process reader: self-consistent entries, monotonic versions.
+            let reader = {
+                let registry = Arc::clone(&registry);
+                let stop = Arc::clone(&stop);
+                let fact_truth = &fact_truth;
+                let ready = ready.clone();
+                scope.spawn(move || {
+                    let mut last_version = 0u32;
+                    let mut observed = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        let entry = registry.get("evolving").expect("present");
+                        assert!(entry.version >= last_version, "version went backwards");
+                        last_version = entry.version;
+                        let detail = entry.detail();
+                        assert_eq!(detail.info.version, entry.version);
+                        assert_eq!(
+                            detail.info.total_rows,
+                            entry.regeneration().summary.total_rows()
+                        );
+                        // The fact table is untouched by every delta: any
+                        // deviation is a torn or half-rebuilt summary.
+                        let slice: Vec<Row> = entry
+                            .generator()
+                            .stream_range("store_sales", 100..164)
+                            .expect("range stream")
+                            .collect();
+                        assert_eq!(&slice, &fact_truth[100..164], "fact table changed");
+                        observed += 1;
+                        if observed == 1 {
+                            let _ = ready.send(());
+                        }
+                    }
+                    observed
+                })
+            };
+
+            // Wire reader: full fact stream + summary-direct query while the
+            // delta storm runs.
+            let wire_reader = {
+                let stop = Arc::clone(&stop);
+                let fact_truth = &fact_truth;
+                let ready = ready.clone();
+                scope.spawn(move || {
+                    let mut client = HydraClient::connect(addr).expect("connect");
+                    let mut observed = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        let (rows, _) = client
+                            .stream_collect(StreamRequest::full("evolving", "store_sales"))
+                            .expect("stream");
+                        assert_eq!(&rows, fact_truth, "wire stream tore across versions");
+                        let answer = client
+                            .query_request(
+                                QueryRequest::new("evolving", "select count(*) from web_sales")
+                                    .summary_only(),
+                            )
+                            .expect("query");
+                        assert_eq!(
+                            answer.single().expect("one row").aggregates[0].as_i64(),
+                            Some(150),
+                            "web_sales row count must be invariant across deltas"
+                        );
+                        observed += 1;
+                        if observed == 1 {
+                            let _ = ready.send(());
+                        }
+                    }
+                    observed
+                })
+            };
+
+            // A reader that panicked never reports; its join below fails
+            // the test, so the wait is bounded rather than unconditional.
+            for _ in 0..2 {
+                let _ = first_observations.recv_timeout(std::time::Duration::from_secs(60));
+            }
             let publishers: Vec<_> = deltas
                 .iter()
                 .map(|thread_deltas| {
@@ -355,68 +435,6 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
                     })
                 })
                 .collect();
-
-            // In-process reader: self-consistent entries, monotonic versions.
-            let reader = {
-                let registry = Arc::clone(&registry);
-                let stop = Arc::clone(&stop);
-                let fact_truth = &fact_truth;
-                scope.spawn(move || {
-                    let mut last_version = 0u32;
-                    let mut observed = 0usize;
-                    while !stop.load(Ordering::SeqCst) {
-                        let entry = registry.get("evolving").expect("present");
-                        assert!(entry.version >= last_version, "version went backwards");
-                        last_version = entry.version;
-                        let detail = entry.detail();
-                        assert_eq!(detail.info.version, entry.version);
-                        assert_eq!(
-                            detail.info.total_rows,
-                            entry.regeneration().summary.total_rows()
-                        );
-                        // The fact table is untouched by every delta: any
-                        // deviation is a torn or half-rebuilt summary.
-                        let slice: Vec<Row> = entry
-                            .generator()
-                            .stream_range("store_sales", 100..164)
-                            .expect("range stream")
-                            .collect();
-                        assert_eq!(&slice, &fact_truth[100..164], "fact table changed");
-                        observed += 1;
-                    }
-                    observed
-                })
-            };
-
-            // Wire reader: full fact stream + summary-direct query while the
-            // delta storm runs.
-            let wire_reader = {
-                let stop = Arc::clone(&stop);
-                let fact_truth = &fact_truth;
-                scope.spawn(move || {
-                    let mut client = HydraClient::connect(addr).expect("connect");
-                    let mut observed = 0usize;
-                    while !stop.load(Ordering::SeqCst) {
-                        let (rows, _) = client
-                            .stream_collect(StreamRequest::full("evolving", "store_sales"))
-                            .expect("stream");
-                        assert_eq!(&rows, fact_truth, "wire stream tore across versions");
-                        let answer = client
-                            .query_request(
-                                QueryRequest::new("evolving", "select count(*) from web_sales")
-                                    .summary_only(),
-                            )
-                            .expect("query");
-                        assert_eq!(
-                            answer.single().expect("one row").aggregates[0].as_i64(),
-                            Some(150),
-                            "web_sales row count must be invariant across deltas"
-                        );
-                        observed += 1;
-                    }
-                    observed
-                })
-            };
 
             let mut all_versions: Vec<u32> = publishers
                 .into_iter()
@@ -445,6 +463,52 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
         let acknowledged: Vec<u32> = std::iter::once(1).chain(all_versions).collect();
         assert_recovers_acknowledged(dir.as_deref(), "evolving", &acknowledged);
     }
+}
+
+/// `hydra_registry_retained_regions` reads the LP supports every retained
+/// version holds: after a publish, the full build's count of nonzero-count
+/// regions — far below its LP variable count — and it grows per version.
+#[test]
+fn retained_regions_gauge_counts_lp_supports() {
+    use hydra_query::delta::ConstraintSet;
+    use hydra_summary::builder::SummaryBuilder;
+
+    let package = variant_packages().remove(0);
+    let session = Hydra::builder().compare_aqps(false).build();
+    let registry = SummaryRegistry::in_memory(session.clone());
+    let gauge = session.metrics().gauge("hydra_registry_retained_regions");
+    assert_eq!(gauge.value(), 0);
+    registry
+        .publish("retail", package.clone())
+        .expect("publish");
+
+    // Independent count: the full from-scratch build's nonzero regions.
+    let metadata = &package.metadata;
+    let row_targets: BTreeMap<String, u64> = metadata
+        .schema
+        .table_names()
+        .iter()
+        .map(|t| (t.clone(), metadata.row_count(t)))
+        .collect();
+    let constraints = ConstraintSet::from_workload(&package.workload).expect("constraints");
+    let (_, report, full) = SummaryBuilder::new(session.config().builder.clone())
+        .build_retaining(
+            &metadata.schema,
+            &row_targets,
+            constraints.by_table(),
+            Some(metadata),
+        )
+        .expect("full build");
+    let support: usize = full
+        .relations
+        .values()
+        .map(|r| r.solved.support().len())
+        .sum();
+    assert_eq!(gauge.value(), support as i64);
+    assert!(support < report.total_lp_variables(), "{support}");
+
+    registry.publish("retail", package).expect("publish v2");
+    assert_eq!(gauge.value(), 2 * support as i64);
 }
 
 #[test]

@@ -80,15 +80,13 @@ pub fn build_relation_summary(
     // signature order: range predicates then select *contiguous* runs of
     // primary-key blocks, so downstream foreign-key projections produce few
     // intervals and the referencing relation's region partition stays small.
-    let mut order: Vec<usize> = (0..solved.partition.regions().len()).collect();
-    order.sort_by_key(|&i| solved.partition.regions()[i].representative_point());
+    // Only the LP support emits rows, so only it is ordered.
+    let mut order = solved.support();
+    order.sort_by_cached_key(|&i| solved.partition.regions()[i].representative_point());
 
     for &index in &order {
         let region = &solved.partition.regions()[index];
         let count = solved.region_counts[index];
-        if count == 0 {
-            continue;
-        }
         let point = match &mut rng {
             Some(rng) if region.volume > 0 => {
                 let idx = rng.gen_range(0..region.volume.min(u64::MAX as u128) as u64);

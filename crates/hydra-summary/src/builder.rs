@@ -538,8 +538,9 @@ impl SummaryBuilder {
     /// Rebuilds the summary *incrementally* against a previous baseline:
     /// relations whose constraint signature is unchanged are reused outright
     /// (bit-identical, no partitioning, no LP), and changed relations
-    /// re-solve with the previous partition refined in place and the
-    /// previous solution's support warm-starting the simplex.
+    /// re-solve with the previous solution's support carried into the new
+    /// partition and warm-starting the simplex.  `prev` may be full or
+    /// [`SolveBaseline::support_only`]; the decisions are the same.
     ///
     /// The result satisfies the new constraint set exactly as a from-scratch
     /// [`SummaryBuilder::build`] over it does (the `delta_differential`
@@ -1083,8 +1084,8 @@ mod tests {
         assert_eq!(built.report.cached_relations, 3);
 
         // A cardinality re-annotation on S only (same boxes, new demand):
-        // S re-solves (warm — the previous partition is reused outright and
-        // the old support closes phase 1), T is untouched, and R re-solves
+        // S re-solves (warm — the re-swept partition equals the previous one
+        // and the old support closes phase 1), T is untouched, and R re-solves
         // because its FK projection reads the changed S summary.
         let mut revised = constraints.clone();
         revised.get_mut("S").unwrap()[0].cardinality = 50;

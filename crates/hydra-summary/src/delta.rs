@@ -9,10 +9,14 @@
 //! * **unchanged signature** → the previous summary is reused outright (no
 //!   partitioning, no LP, bit-identical output);
 //! * **changed signature** → the relation re-solves, but the previous
-//!   partition seeds an incremental refinement and the previous solution's
-//!   support warm-starts the simplex ([`DeltaAction::WarmSolved`] when the
-//!   warm basis closed phase 1, [`DeltaAction::ColdSolved`] when the hint
-//!   was stale and the solver fell back).
+//!   solution's support is carried into the re-swept partition and
+//!   warm-starts the simplex ([`DeltaAction::WarmSolved`] when the warm
+//!   basis closed phase 1, [`DeltaAction::ColdSolved`] when the hint was
+//!   stale and the solver fell back).
+//!
+//! The support is all a later build reads of a solve, so a retained
+//! baseline keeps only that ([`SolveBaseline::support_only`]): the regions
+//! holding tuples, a few per constraint, instead of the whole partition.
 //!
 //! The structural outcome is summarized as a [`SummaryDiff`]: per relation,
 //! which primary-key blocks were added, removed or resized relative to the
@@ -32,7 +36,8 @@ pub struct RelationBaseline {
     /// row target, FK domains, dimension summaries, backend, strategy).
     pub signature: u64,
     /// The solved placement (partition + region counts) — the warm-start
-    /// seed for a changed re-solve.
+    /// seed for a changed re-solve.  Full as a build returns it;
+    /// support-only once retained ([`SolveBaseline::support_only`]).
     pub solved: SolvedRelation,
     /// The summary generated from the solve.
     pub summary: RelationSummary,
@@ -56,6 +61,32 @@ impl SolveBaseline {
     /// True when nothing was retained.
     pub fn is_empty(&self) -> bool {
         self.relations.is_empty()
+    }
+
+    /// The retained form of the baseline: every relation's solve restricted
+    /// to its LP support ([`SolvedRelation::support_only`]).  A later
+    /// [`crate::builder::SummaryBuilder::build_delta`] against it decides
+    /// exactly as against the full baseline.
+    pub fn support_only(self) -> SolveBaseline {
+        SolveBaseline {
+            relations: self
+                .relations
+                .into_iter()
+                .map(|(name, mut relation)| {
+                    relation.solved = relation.solved.support_only();
+                    (name, relation)
+                })
+                .collect(),
+        }
+    }
+
+    /// Partition regions retained across every relation (the support size
+    /// of a [`SolveBaseline::support_only`] baseline).
+    pub fn retained_regions(&self) -> usize {
+        self.relations
+            .values()
+            .map(|r| r.solved.partition.num_variables())
+            .sum()
     }
 
     /// Reassembles the database summary this baseline was retained from.

@@ -66,6 +66,32 @@ pub struct SolvedRelation {
     pub stats: LpStats,
 }
 
+impl SolvedRelation {
+    /// Indices of the regions holding tuples — the LP solution's support.
+    pub fn support(&self) -> Vec<usize> {
+        self.region_counts
+            .iter()
+            .enumerate()
+            .filter(|(_, count)| **count > 0)
+            .map(|(region, _)| region)
+            .collect()
+    }
+
+    /// The retained form of the solve: the partition restricted to its
+    /// support, with the matching counts.  The space and constraint unions
+    /// stay, so a later delta re-solve refines and warm-starts exactly as it
+    /// would from the full partition; the empty regions — nearly all of a
+    /// large partition — are dropped.  `stats` still describes the full LP.
+    pub fn support_only(self) -> SolvedRelation {
+        let support = self.support();
+        SolvedRelation {
+            partition: self.partition.restrict_to(&support),
+            region_counts: self.region_counts.into_iter().filter(|&c| c > 0).collect(),
+            stats: self.stats,
+        }
+    }
+}
+
 /// A constraint translated to its boxes over the relation's attribute space,
 /// after dedup, conflict merging, and dropping of empty/total-row
 /// constraints.
@@ -335,12 +361,11 @@ pub fn formulate_and_solve_with(
 }
 
 /// [`formulate_and_solve_with`] for delta re-profiling: when the relation
-/// was solved before, its previous partition and region counts seed both the
-/// partitioning (the previous partition is reused outright if the constraint
-/// boxes are unchanged; otherwise only the moved boundaries re-cut the
-/// space) and the LP (the previous solution's support warm-starts the
-/// simplex).  A stale or dimensionally incompatible previous solve is
-/// silently ignored — the build degrades to a cold partition + solve.
+/// was solved before, its previous solution's support (full or
+/// [`SolvedRelation::support_only`]) is carried into the re-swept partition
+/// by representative point and warm-starts the simplex.  A stale or
+/// dimensionally incompatible previous solve is silently ignored — the
+/// build degrades to a cold partition + solve.
 #[allow(clippy::too_many_arguments)]
 pub fn formulate_and_solve_delta(
     table: &Table,
@@ -369,14 +394,7 @@ pub fn formulate_and_solve_delta(
             // The previous solution's support (nonzero regions) is all the
             // warm start needs; a basic solution keeps it small no matter
             // how many regions the partition has.
-            let support: Vec<usize> = prev
-                .region_counts
-                .iter()
-                .enumerate()
-                .filter(|(_, count)| **count > 0)
-                .map(|(region, _)| region)
-                .collect();
-            let refinement = partitioner.refine(&prev.partition, &support)?;
+            let refinement = partitioner.refine(&prev.partition, &prev.support())?;
             let hint = WarmStart::new(refinement.warm_columns());
             (refinement.partition, Some(hint))
         }
@@ -510,6 +528,43 @@ mod tests {
         assert!(solved.stats.variables <= 4);
         let total: u64 = solved.region_counts.iter().sum();
         assert_eq!(total, 1000);
+    }
+
+    #[test]
+    fn support_only_keeps_exactly_the_nonzero_regions() {
+        let cs = vec![
+            constraint("q1#1", "A", 20, 60, 400),
+            constraint("q2#1", "B", 40, 80, 300),
+            constraint("q3#1", "A", 50, 90, 0),
+        ];
+        let solved = solve(&cs, 1000);
+        let support = solved.support();
+        assert!(support.len() < solved.partition.num_variables());
+        let kept: Vec<_> = support
+            .iter()
+            .map(|&r| {
+                (
+                    solved.partition.regions()[r].clone(),
+                    solved.region_counts[r],
+                )
+            })
+            .collect();
+        let retained = solved.clone().support_only();
+        assert_eq!(retained.partition.num_variables(), support.len());
+        assert!(retained.region_counts.iter().all(|&c| c > 0));
+        let retained_pairs: Vec<_> = retained
+            .partition
+            .regions()
+            .iter()
+            .cloned()
+            .zip(retained.region_counts.iter().copied())
+            .collect();
+        assert_eq!(retained_pairs, kept);
+        assert_eq!(retained.stats, solved.stats);
+        assert_eq!(
+            retained.partition.constraint_unions(),
+            solved.partition.constraint_unions()
+        );
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!   satisfaction quality must still track within tight bounds and query
 //!   answers within integral rounding slack.
 //!
+//! The same case also pins retention: a delta built against the full base
+//! baseline and against the support-only baseline a state retains must make
+//! identical decisions (summary, diff, per-relation action and warm start).
+//!
 //! Cases are generated from a single seed (deterministic: the same seed
 //! always replays the same base workload, client data and delta), and the
 //! seeds in `tests/proptest-regressions/delta_differential.txt` are replayed
@@ -30,13 +34,17 @@
 //! regression files do.
 
 use hydra::core::vendor::RegenerationResult;
+use hydra::lp::simplex::WarmOutcome;
 use hydra::lp::solver::SolveStatus;
 use hydra::query::delta::WorkloadDelta;
 use hydra::query::query::SpjQuery;
+use hydra::summary::builder::SummaryBuilder;
+use hydra::summary::delta::{DeltaAction, DeltaBuild, SolveBaseline};
 use hydra::workload::{
     generate_client_database, harvest_workload, retail_row_targets, retail_schema, DataGenConfig,
     WorkloadGenConfig, WorkloadGenerator,
 };
+use hydra::TransferPackage;
 use hydra::{ExecMode, Hydra, QueryEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -334,6 +342,66 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     assert_eq!(
         outcome.report.reused() + outcome.report.warm_solved() + outcome.report.cold_solved(),
         outcome.report.relations.len()
+    );
+
+    // Retention changes nothing the solver decides: the same delta built
+    // against the full baseline of the base solve and against the
+    // support-only baseline the state retains gives the same summary, diff,
+    // per-relation actions and warm-start outcomes.
+    let row_targets = |package: &TransferPackage| -> BTreeMap<String, u64> {
+        let metadata = &package.metadata;
+        metadata
+            .schema
+            .table_names()
+            .iter()
+            .map(|t| (t.clone(), metadata.row_count(t)))
+            .collect()
+    };
+    let builder = SummaryBuilder::new(session.config().builder.clone());
+    let (_, _, full_baseline) = builder
+        .build_retaining(
+            &package.metadata.schema,
+            &row_targets(&package),
+            state.constraints.by_table(),
+            Some(&package.metadata),
+        )
+        .expect("full base build");
+    assert!(full_baseline.retained_regions() >= state.baseline().retained_regions());
+    let merged = &outcome.state.package;
+    let delta_against = |prev: &SolveBaseline| {
+        builder
+            .build_delta(
+                &merged.metadata.schema,
+                &row_targets(merged),
+                outcome.state.constraints.by_table(),
+                Some(&merged.metadata),
+                prev,
+            )
+            .expect("delta build")
+    };
+    let from_full = delta_against(&full_baseline);
+    let from_retained = delta_against(state.baseline());
+    assert_eq!(
+        from_full.summary, from_retained.summary,
+        "summary depends on retention (seed {case_seed})"
+    );
+    assert_eq!(
+        from_full.diff, from_retained.diff,
+        "diff depends on retention (seed {case_seed})"
+    );
+    let decisions = |built: &DeltaBuild| -> Vec<(String, DeltaAction, WarmOutcome)> {
+        built
+            .delta_report
+            .relations
+            .iter()
+            .zip(&built.report.relations)
+            .map(|(delta, stats)| (delta.table.clone(), delta.action, stats.lp.warm))
+            .collect()
+    };
+    assert_eq!(
+        decisions(&from_full),
+        decisions(&from_retained),
+        "solver decisions depend on retention (seed {case_seed})"
     );
 
     CaseOutcome {
