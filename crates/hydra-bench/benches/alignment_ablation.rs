@@ -16,7 +16,6 @@ fn session_with(alignment: AlignmentStrategy) -> Hydra {
     Hydra::builder()
         .alignment(alignment)
         .compare_aqps(false)
-        .summary_cache(false)
         .build()
 }
 

@@ -27,10 +27,7 @@ fn best_of(mut run: impl FnMut() -> Duration, tries: usize) -> Duration {
 
 fn bench_delta_reprofile(c: &mut Criterion) {
     let (package, extras) = retail_delta_fixture(20);
-    let session = Hydra::builder()
-        .compare_aqps(false)
-        .summary_cache(false)
-        .build();
+    let session = Hydra::builder().compare_aqps(false).build();
 
     let start = Instant::now();
     let state = session.regenerate_stateful(&package).expect("base solve");

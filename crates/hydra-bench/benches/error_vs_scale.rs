@@ -10,19 +10,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hydra_bench::retail_package;
-use hydra_core::scenario::{construct_scenario, Scenario};
-use hydra_core::vendor::HydraConfig;
+use hydra_core::scenario::Scenario;
+use hydra_core::vendor::{HydraConfig, VendorSite};
 use std::time::Duration;
 
 fn bench_error_vs_scale(c: &mut Criterion) {
     let package = retail_package(64, 10_000);
-    let config = HydraConfig::without_aqp_comparison();
+    let vendor = VendorSite::new(HydraConfig::without_aqp_comparison());
+    let base = vendor.regenerate_stateful(&package).unwrap();
 
     println!("[E7] scale | mean rel err | max rel err | constraints within 1%");
     let mut previous_mean = f64::INFINITY;
     for &scale in &[1.0f64, 10.0, 100.0, 1000.0] {
         let scenario = Scenario::scaled(format!("x{scale}"), scale);
-        let result = construct_scenario(&scenario, &package, config.clone()).unwrap();
+        let result = vendor.scenario(&scenario, &base).unwrap();
         let acc = &result.regeneration.accuracy;
         println!(
             "[E7] {:>5} | {:>12.5} | {:>11.5} | {:>6.1}%",
@@ -46,7 +47,8 @@ fn bench_error_vs_scale(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(scale), &scale, |b, &scale| {
             let scenario = Scenario::scaled("bench", scale);
             b.iter(|| {
-                construct_scenario(&scenario, &package, config.clone())
+                vendor
+                    .scenario(&scenario, &base)
                     .unwrap()
                     .regeneration
                     .accuracy

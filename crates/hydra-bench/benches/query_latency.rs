@@ -66,10 +66,12 @@ fn scan_rows_per_sec(generator: &DynamicGenerator, sql: &str, rows: u64) -> f64 
 fn bench_query_latency(c: &mut Criterion) {
     let package = retail_package(16, 20_000);
     let session = Hydra::builder().compare_aqps(false).build();
-    session.regenerate(&package).expect("baseline solve");
+    let base = session
+        .regenerate_stateful(&package)
+        .expect("baseline solve");
 
     // Scale the fact table to the target logical row counts via scenario
-    // row overrides (the session cache keeps untouched dimensions).
+    // row overrides (untouched dimensions are reused from the base).
     let scales: [(u64, &str); 3] = [
         (1_000_000, "1e6"),
         (100_000_000, "1e8"),
@@ -79,9 +81,7 @@ fn bench_query_latency(c: &mut Criterion) {
     for (rows, label) in scales {
         let scenario =
             Scenario::scaled(format!("rows-{label}"), 1.0).with_row_override("store_sales", rows);
-        let result = session
-            .scenario(&scenario, &package)
-            .expect("scenario solve");
+        let result = session.scenario(&scenario, &base).expect("scenario solve");
         let generator = result.regeneration.generator();
         assert_eq!(
             generator

@@ -16,7 +16,6 @@ use std::time::Duration;
 fn session(workers: usize) -> Hydra {
     Hydra::builder()
         .parallelism(workers)
-        .summary_cache(false)
         .compare_aqps(false)
         .build()
 }

@@ -8,18 +8,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hydra_bench::retail_package;
-use hydra_core::scenario::{construct_scenario, Scenario};
-use hydra_core::vendor::HydraConfig;
+use hydra_core::scenario::Scenario;
+use hydra_core::vendor::{HydraConfig, VendorSite};
 use std::time::Duration;
 
 fn bench_scenario_construction(c: &mut Criterion) {
     let package = retail_package(32, hydra_bench::BENCH_FACT_ROWS);
-    let config = HydraConfig::without_aqp_comparison();
+    let vendor = VendorSite::new(HydraConfig::without_aqp_comparison());
+    let base = vendor.regenerate_stateful(&package).unwrap();
 
     println!("[E6] scale factor | simulated rows | summary KB | feasible");
     for &scale in &[1.0f64, 1e3, 1e6, 1e9] {
         let scenario = Scenario::scaled(format!("x{scale:e}"), scale);
-        let result = construct_scenario(&scenario, &package, config.clone()).unwrap();
+        let result = vendor.scenario(&scenario, &base).unwrap();
         println!(
             "[E6] {:>12.0e} | {:>14} | {:>10.2} | {}",
             scale,
@@ -36,11 +37,7 @@ fn bench_scenario_construction(c: &mut Criterion) {
     for &scale in &[1.0f64, 1e9] {
         group.bench_with_input(BenchmarkId::from_parameter(scale), &scale, |b, &scale| {
             let scenario = Scenario::scaled("bench", scale);
-            b.iter(|| {
-                construct_scenario(&scenario, &package, config.clone())
-                    .unwrap()
-                    .feasible
-            });
+            b.iter(|| vendor.scenario(&scenario, &base).unwrap().feasible);
         });
     }
     group.finish();

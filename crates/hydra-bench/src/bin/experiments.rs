@@ -5,8 +5,8 @@
 //!
 //! The experiment identifiers (E1…E10) match DESIGN.md §5 and EXPERIMENTS.md.
 
-use hydra_bench::{regenerate, retail_package, retail_package_131};
-use hydra_core::scenario::{construct_scenario, Scenario};
+use hydra_bench::{regenerate, retail_package, retail_package_131, row_targets};
+use hydra_core::scenario::Scenario;
 use hydra_core::vendor::{HydraConfig, VendorSite};
 use hydra_partition::grid::GridPartition;
 use hydra_partition::region::RegionPartitioner;
@@ -182,7 +182,8 @@ fn e5_table1_sample() {
 fn e6_scenario_construction() {
     println!("--- E6: scenario construction (what-if extrapolation) ---");
     let package = retail_package(32, 20_000);
-    let config = HydraConfig::without_aqp_comparison();
+    let vendor = VendorSite::new(HydraConfig::without_aqp_comparison());
+    let base = vendor.regenerate_stateful(&package).unwrap();
     println!(
         "{:>12} | {:>18} | {:>17} | {:>11} | {:>8}",
         "scale", "simulated rows", "construction (ms)", "summary (KB)", "feasible"
@@ -190,7 +191,7 @@ fn e6_scenario_construction() {
     for scale in [1.0, 1e3, 1e6, 1e9] {
         let scenario = Scenario::scaled(format!("x{scale:e}"), scale);
         let start = Instant::now();
-        let result = construct_scenario(&scenario, &package, config.clone()).unwrap();
+        let result = vendor.scenario(&scenario, &base).unwrap();
         println!(
             "{:>12.0e} | {:>18} | {:>17.1} | {:>11.2} | {:>8}",
             scale,
@@ -205,7 +206,7 @@ fn e6_scenario_construction() {
     let bad = Scenario::scaled("impossible", 1.0)
         .with_cardinality_override(query, 0, u64::MAX / 4)
         .strict();
-    match construct_scenario(&bad, &package, config) {
+    match vendor.scenario(&bad, &base) {
         Err(e) => println!("infeasible injection correctly rejected: {e}\n"),
         Ok(_) => println!("WARNING: infeasible injection was not rejected\n"),
     }
@@ -215,14 +216,15 @@ fn e6_scenario_construction() {
 fn e7_error_vs_scale() {
     println!("--- E7: relative error vs database size ---");
     let package = retail_package(64, 10_000);
-    let config = HydraConfig::without_aqp_comparison();
+    let vendor = VendorSite::new(HydraConfig::without_aqp_comparison());
+    let base = vendor.regenerate_stateful(&package).unwrap();
     println!(
         "{:>8} | {:>13} | {:>12}",
         "scale", "mean rel err", "max rel err"
     );
     for scale in [1.0, 10.0, 100.0, 1000.0] {
         let scenario = Scenario::scaled(format!("x{scale}"), scale);
-        let result = construct_scenario(&scenario, &package, config.clone()).unwrap();
+        let result = vendor.scenario(&scenario, &base).unwrap();
         let acc = &result.regeneration.accuracy;
         println!(
             "{:>8} | {:>13.6} | {:>12.6}",
@@ -242,26 +244,16 @@ fn e8_scale_free_construction() {
         "{:>12} | {:>18} | {:>17}",
         "multiplier", "regenerable rows", "construction (ms)"
     );
+    let vendor = VendorSite::new(HydraConfig::without_aqp_comparison());
     for multiplier in [1u64, 1_000, 1_000_000] {
-        let targets: std::collections::BTreeMap<String, u64> = package
-            .metadata
-            .schema
-            .table_names()
-            .iter()
-            .map(|t| {
-                (
-                    t.clone(),
-                    package.metadata.row_count(t).saturating_mul(multiplier),
-                )
-            })
-            .collect();
-        let config = HydraConfig {
-            row_target_override: Some(targets),
-            compare_aqps: false,
-            ..Default::default()
-        };
+        // Only the row counts grow; the workload annotations stay put.
+        let scenario = row_targets(&package).into_iter().fold(
+            Scenario::scaled(format!("x{multiplier}"), 1.0),
+            |scenario, (t, r)| scenario.with_row_override(t, r.saturating_mul(multiplier)),
+        );
+        let scaled = scenario.apply(&package);
         let start = Instant::now();
-        let result = VendorSite::new(config).regenerate(&package).unwrap();
+        let result = vendor.regenerate(&scaled).unwrap();
         println!(
             "{:>12} | {:>18} | {:>17.1}",
             multiplier,
@@ -280,7 +272,6 @@ fn e10_alignment_ablation() {
         let config = HydraConfig {
             builder: SummaryBuilderConfig::default().with_alignment(alignment),
             compare_aqps: false,
-            ..Default::default()
         };
         let start = Instant::now();
         let result = VendorSite::new(config).regenerate(&package).unwrap();

@@ -25,11 +25,12 @@
 use crate::error::HydraResult;
 use crate::report::build_aqp_comparisons;
 use crate::transfer::TransferPackage;
-use crate::vendor::{HydraConfig, RegenerationResult, VendorSite};
+use crate::vendor::{RegenerationResult, VendorSite};
 use hydra_datagen::dataless::DatalessDatabase;
 use hydra_query::delta::{ConstraintSet, WorkloadDelta};
-use hydra_summary::builder::SummaryBuilder;
+use hydra_summary::builder::{SummaryBuildReport, SummaryBuilder};
 use hydra_summary::delta::{DeltaBuildReport, SolveBaseline, SummaryDiff};
+use hydra_summary::summary::DatabaseSummary;
 use hydra_summary::verify::verify_summary;
 use std::collections::BTreeMap;
 
@@ -93,71 +94,37 @@ pub struct DeltaOutcome {
     pub report: DeltaBuildReport,
 }
 
-/// Row targets implied by a package's metadata, honoring the configured
-/// override (the same resolution [`VendorSite::regenerate`] applies).
-fn resolve_row_targets(config: &HydraConfig, package: &TransferPackage) -> BTreeMap<String, u64> {
-    match &config.row_target_override {
-        Some(overrides) => overrides.clone(),
-        None => package
-            .metadata
-            .schema
-            .table_names()
-            .iter()
-            .map(|t| (t.clone(), package.metadata.row_count(t)))
-            .collect(),
-    }
+/// Per-relation row targets: the package metadata's row counts.
+fn row_targets(package: &TransferPackage) -> BTreeMap<String, u64> {
+    let metadata = &package.metadata;
+    metadata
+        .schema
+        .table_names()
+        .iter()
+        .map(|t| (t.clone(), metadata.row_count(t)))
+        .collect()
 }
 
 impl VendorSite {
     /// [`VendorSite::regenerate`] retaining the per-relation solve artifacts
-    /// needed for incremental evolution.  The attached summary cache (if
-    /// any) is not consulted — the baseline subsumes it for delta flows —
-    /// but it *is* seeded with the solved relations, so scenario sweeps
-    /// over the same package stay as warm as after a plain regeneration.
+    /// needed for incremental evolution (and for what-if scenarios against
+    /// this state, [`VendorSite::scenario`]).
     pub fn regenerate_stateful(&self, package: &TransferPackage) -> HydraResult<RegenerationState> {
-        let schema = package.metadata.schema.clone();
         let constraints = ConstraintSet::from_workload(&package.workload)?;
-        let row_targets = resolve_row_targets(&self.config, package);
         let builder = SummaryBuilder::new(self.config.builder.clone());
         let (summary, build_report, baseline) = builder.build_retaining(
-            &schema,
-            &row_targets,
+            &package.metadata.schema,
+            &row_targets(package),
             constraints.by_table(),
             Some(&package.metadata),
         )?;
-        // The baseline subsumes the summary cache for delta flows, but
-        // scenario sweeps over the same package still read the session
-        // cache — seed it so a stateful solve warms them exactly like a
-        // plain `regenerate` would (the baseline signatures *are* the cache
-        // keys).
-        if let Some(cache) = &self.cache {
-            for relation in baseline.relations.values() {
-                cache.put(
-                    relation.signature,
-                    relation.summary.clone(),
-                    relation.stats.clone(),
-                );
-            }
-        }
-        let accuracy = verify_summary(&summary, constraints.by_table())?;
-        let aqp_comparisons = if self.config.compare_aqps {
-            let dataless = DatalessDatabase::new(schema.clone(), summary.clone());
-            build_aqp_comparisons(&dataless, &package.workload)?
-        } else {
-            Vec::new()
-        };
-        Ok(RegenerationState::new(
+        self.finish(
             package.clone(),
-            RegenerationResult {
-                summary,
-                build_report,
-                accuracy,
-                aqp_comparisons,
-                schema,
-            },
             constraints,
+            summary,
+            build_report,
             baseline,
-        ))
+        )
     }
 
     /// Rebuilds a [`RegenerationState`] from a previously solved baseline —
@@ -171,42 +138,18 @@ impl VendorSite {
     pub fn restore_stateful(
         &self,
         package: &TransferPackage,
-        build_report: hydra_summary::builder::SummaryBuildReport,
+        build_report: SummaryBuildReport,
         baseline: SolveBaseline,
     ) -> HydraResult<RegenerationState> {
-        let schema = package.metadata.schema.clone();
         let constraints = ConstraintSet::from_workload(&package.workload)?;
         let summary = baseline.to_summary();
-        // Seed the session cache exactly as a live solve would have, so
-        // post-recovery scenario sweeps stay warm.
-        if let Some(cache) = &self.cache {
-            for relation in baseline.relations.values() {
-                cache.put(
-                    relation.signature,
-                    relation.summary.clone(),
-                    relation.stats.clone(),
-                );
-            }
-        }
-        let accuracy = verify_summary(&summary, constraints.by_table())?;
-        let aqp_comparisons = if self.config.compare_aqps {
-            let dataless = DatalessDatabase::new(schema.clone(), summary.clone());
-            build_aqp_comparisons(&dataless, &package.workload)?
-        } else {
-            Vec::new()
-        };
-        Ok(RegenerationState::new(
+        self.finish(
             package.clone(),
-            RegenerationResult {
-                summary,
-                build_report,
-                accuracy,
-                aqp_comparisons,
-                schema,
-            },
             constraints,
+            summary,
+            build_report,
             baseline,
-        ))
+        )
     }
 
     /// Applies a workload delta to a previous stateful regeneration: the
@@ -238,46 +181,75 @@ impl VendorSite {
                 );
             }
         }
-        let package = TransferPackage::new(metadata, merged_workload);
-        let schema = package.metadata.schema.clone();
 
         // 3. Incremental rebuild against the previous baseline.
-        let row_targets = resolve_row_targets(&self.config, &package);
+        let package = TransferPackage::new(metadata, merged_workload);
+        self.rebuild(package, constraints, &prev.baseline)
+    }
+
+    /// Builds `package` as a delta against `prev`: relations whose
+    /// signature is unchanged are reused, the rest re-solve warm-started
+    /// from their previous support.  Shared by [`VendorSite::apply_delta`]
+    /// and [`VendorSite::scenario`].
+    pub(crate) fn rebuild(
+        &self,
+        package: TransferPackage,
+        constraints: ConstraintSet,
+        prev: &SolveBaseline,
+    ) -> HydraResult<DeltaOutcome> {
         let builder = SummaryBuilder::new(self.config.builder.clone());
         let built = builder.build_delta(
-            &schema,
-            &row_targets,
+            &package.metadata.schema,
+            &row_targets(&package),
             constraints.by_table(),
             Some(&package.metadata),
-            &prev.baseline,
+            prev,
         )?;
+        Ok(DeltaOutcome {
+            state: self.finish(
+                package,
+                constraints,
+                built.summary,
+                built.report,
+                built.baseline,
+            )?,
+            diff: built.diff,
+            report: built.delta_report,
+        })
+    }
 
-        // 4. Verify against the *merged* constraint set, exactly as a
-        //    from-scratch regeneration would.
-        let accuracy = verify_summary(&built.summary, constraints.by_table())?;
+    /// The tail every build shares: verify the summary against the
+    /// constraint set, optionally compare the regenerated AQPs, and wrap
+    /// the result as a state.
+    fn finish(
+        &self,
+        package: TransferPackage,
+        constraints: ConstraintSet,
+        summary: DatabaseSummary,
+        build_report: SummaryBuildReport,
+        baseline: SolveBaseline,
+    ) -> HydraResult<RegenerationState> {
+        let schema = package.metadata.schema.clone();
+        let accuracy = verify_summary(&summary, constraints.by_table())?;
         let aqp_comparisons = if self.config.compare_aqps {
-            let dataless = DatalessDatabase::new(schema.clone(), built.summary.clone());
+            let dataless = DatalessDatabase::new(schema.clone(), summary.clone());
             build_aqp_comparisons(&dataless, &package.workload)?
         } else {
             Vec::new()
         };
-
-        Ok(DeltaOutcome {
-            state: RegenerationState::new(
-                package,
-                RegenerationResult {
-                    summary: built.summary,
-                    build_report: built.report,
-                    accuracy,
-                    aqp_comparisons,
-                    schema,
-                },
-                constraints,
-                built.baseline,
-            ),
-            diff: built.diff,
-            report: built.delta_report,
-        })
+        let regeneration = RegenerationResult {
+            summary,
+            build_report,
+            accuracy,
+            aqp_comparisons,
+            schema,
+        };
+        Ok(RegenerationState::new(
+            package,
+            regeneration,
+            constraints,
+            baseline,
+        ))
     }
 }
 
@@ -285,6 +257,7 @@ impl VendorSite {
 mod tests {
     use super::*;
     use crate::client::ClientSite;
+    use crate::vendor::HydraConfig;
     use hydra_engine::database::Database;
     use hydra_engine::exec::Executor;
     use hydra_query::query::SpjQuery;

@@ -15,13 +15,14 @@
 //!   the dataless database for dynamic regeneration during query execution.
 //! * [`scenario`] — "what-if" scenario construction: inject or scale
 //!   cardinality annotations, check feasibility, and build summaries for
-//!   extrapolated (up to exabyte-row-count) environments.
+//!   extrapolated (up to exabyte-row-count) environments as deltas against
+//!   a solved base state.
 //! * [`report`] — human-readable regeneration-quality reports (the vendor
 //!   screens of the original demo).
 //!
 //! All of it is fronted by [`session::Hydra`] — a configured session built
-//! from a typed builder, with pluggable LP backends, parallel per-relation
-//! solving, and a summary cache for scenario sweeps.
+//! from a typed builder, with pluggable LP backends and parallel
+//! per-relation solving.
 //!
 //! ## Quickstart
 //!
@@ -61,7 +62,7 @@ pub use client::ClientSite;
 pub use delta::{DeltaOutcome, RegenerationState};
 pub use error::{HydraError, HydraResult};
 pub use report::{AqpEdgeComparison, QueryAqpComparison, RegenerationReport};
-pub use scenario::{construct_scenario, Scenario, ScenarioResult};
+pub use scenario::{Scenario, ScenarioResult};
 pub use session::{Hydra, HydraBuilder};
 pub use transfer::TransferPackage;
 pub use vendor::{HydraConfig, RegenerationResult, VendorSite};

@@ -7,11 +7,18 @@
 //! assignments are feasible (the per-relation LPs admit a solution) and, if
 //! so, builds the regeneration summary.  Because summary construction is
 //! data-scale-free, this costs the same regardless of the simulated volume.
+//!
+//! A scenario is a delta against a solved base state
+//! ([`VendorSite::scenario`]): the distorted package is built against the
+//! base's solve baseline, so relations the scenario leaves untouched are
+//! reused and the rest re-solve cold.
 
+use crate::delta::RegenerationState;
 use crate::error::{HydraError, HydraResult};
 use crate::transfer::TransferPackage;
-use crate::vendor::{HydraConfig, RegenerationResult, VendorSite};
+use crate::vendor::{RegenerationResult, VendorSite};
 use hydra_lp::solver::SolveStatus;
+use hydra_query::delta::ConstraintSet;
 use hydra_summary::backend::SimplexBackend;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -121,92 +128,91 @@ pub struct ScenarioResult {
     pub regeneration: RegenerationResult,
 }
 
-/// Constructs a what-if scenario: applies the distortion, verifies
-/// feasibility, and builds the summary.
-pub fn construct_scenario(
-    scenario: &Scenario,
-    package: &TransferPackage,
-    config: HydraConfig,
-) -> HydraResult<ScenarioResult> {
-    construct_scenario_with_cache(scenario, package, config, None)
-}
+impl VendorSite {
+    /// Constructs a what-if scenario over a solved base state: applies the
+    /// distortion to the base package, verifies feasibility, and builds the
+    /// summary as a delta against the base — relations whose signature the
+    /// scenario leaves unchanged are reused
+    /// ([`hydra_summary::builder::SummaryBuildReport::cached_relations`]).
+    ///
+    /// Changed relations solve cold
+    /// ([`hydra_summary::delta::SolveBaseline::reuse_only`]): a distortion
+    /// moves every demand the base support was solved for, and a warm start
+    /// lands on a different LP vertex whose integral rounding can differ
+    /// from a from-scratch build's, so each re-solved relation is the one a
+    /// from-scratch regeneration of the distorted package produces.
+    pub fn scenario(
+        &self,
+        scenario: &Scenario,
+        base: &RegenerationState,
+    ) -> HydraResult<ScenarioResult> {
+        let distorted = scenario.apply(&base.package);
 
-/// [`construct_scenario`] reusing a summary cache: across a scenario sweep,
-/// only relations whose constraint signature the scenario actually changed
-/// are re-solved (see [`hydra_summary::builder::SummaryCache`]).
-pub fn construct_scenario_with_cache(
-    scenario: &Scenario,
-    package: &TransferPackage,
-    config: HydraConfig,
-    cache: Option<Arc<dyn hydra_summary::builder::SummaryCache>>,
-) -> HydraResult<ScenarioResult> {
-    let distorted = scenario.apply(package);
-
-    // Feasibility verification: probe with a strict (non-recovering) simplex
-    // first when requested, regardless of the session's configured backend.
-    if scenario.strict {
-        let mut strict_config = config.clone();
-        strict_config.builder.lp_backend = Arc::new(SimplexBackend::strict());
-        strict_config.compare_aqps = false;
-        let vendor = VendorSite::new(strict_config);
-        if let Err(e) = vendor.regenerate(&distorted) {
-            return Err(HydraError::InfeasibleScenario(format!(
-                "scenario `{}` is infeasible: {e}",
-                scenario.name
-            )));
+        // Feasibility verification: probe with a strict (non-recovering)
+        // simplex first when requested, regardless of the configured backend.
+        if scenario.strict {
+            let mut strict_config = self.config.clone();
+            strict_config.builder.lp_backend = Arc::new(SimplexBackend::strict());
+            strict_config.compare_aqps = false;
+            let vendor = VendorSite::new(strict_config);
+            if let Err(e) = vendor.regenerate(&distorted) {
+                return Err(HydraError::InfeasibleScenario(format!(
+                    "scenario `{}` is infeasible: {e}",
+                    scenario.name
+                )));
+            }
         }
-    }
 
-    // Build with the configured (recovering) backend.
-    let mut vendor = VendorSite::new(config);
-    if let Some(cache) = cache {
-        vendor = vendor.with_cache(cache);
+        // Build with the configured (recovering) backend.
+        let constraints = ConstraintSet::from_workload(&distorted.workload)?;
+        let regeneration = self
+            .rebuild(distorted, constraints, &base.baseline().reuse_only())?
+            .state
+            .regeneration;
+        let feasible = regeneration
+            .build_report
+            .relations
+            .iter()
+            .all(|r| r.lp.status == SolveStatus::Feasible);
+        let total_violation = regeneration
+            .build_report
+            .relations
+            .iter()
+            .map(|r| r.lp.total_violation)
+            .sum();
+        Ok(ScenarioResult {
+            scenario_name: scenario.name.clone(),
+            feasible,
+            total_violation,
+            regeneration,
+        })
     }
-    let regeneration = vendor.regenerate(&distorted)?;
-    let feasible = regeneration
-        .build_report
-        .relations
-        .iter()
-        .all(|r| r.lp.status == SolveStatus::Feasible);
-    let total_violation = regeneration
-        .build_report
-        .relations
-        .iter()
-        .map(|r| r.lp.total_violation)
-        .sum();
-    Ok(ScenarioResult {
-        scenario_name: scenario.name.clone(),
-        feasible,
-        total_violation,
-        regeneration,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::ClientSite;
+    use crate::vendor::HydraConfig;
     use hydra_workload::retail_client_fixture;
 
-    fn package() -> TransferPackage {
-        let (db, queries) = retail_client_fixture(1_500, 400, 6);
-        ClientSite::new(db)
-            .prepare_package(&queries, false)
-            .unwrap()
+    fn vendor() -> VendorSite {
+        VendorSite::new(HydraConfig::without_aqp_comparison())
     }
 
-    fn config() -> HydraConfig {
-        HydraConfig {
-            compare_aqps: false,
-            ..Default::default()
-        }
+    fn base() -> RegenerationState {
+        let (db, queries) = retail_client_fixture(1_500, 400, 6);
+        let package = ClientSite::new(db)
+            .prepare_package(&queries, false)
+            .unwrap();
+        vendor().regenerate_stateful(&package).unwrap()
     }
 
     #[test]
     fn scaled_scenario_preserves_feasibility() {
-        let package = package();
+        let base = base();
         let scenario = Scenario::scaled("x100", 100.0);
-        let result = construct_scenario(&scenario, &package, config()).unwrap();
+        let result = vendor().scenario(&scenario, &base).unwrap();
         assert!(result.feasible, "uniform scaling must stay feasible");
         assert_eq!(
             result
@@ -225,9 +231,9 @@ mod tests {
     #[test]
     fn extreme_extrapolation_is_cheap() {
         // An "exabyte era" extrapolation: a billion times the observed volume.
-        let package = package();
+        let base = base();
         let scenario = Scenario::scaled("exabyte", 1e9);
-        let result = construct_scenario(&scenario, &package, config()).unwrap();
+        let result = vendor().scenario(&scenario, &base).unwrap();
         let ss = result.regeneration.summary.relation("store_sales").unwrap();
         assert_eq!(ss.total_rows, 1_500_000_000_000);
         assert!(result.regeneration.summary.size_bytes() < 64 * 1024);
@@ -235,31 +241,31 @@ mod tests {
 
     #[test]
     fn contradictory_injection_is_detected() {
-        let package = package();
+        let base = base();
         // Make one query's root claim more rows than the fact table has.
-        let query_name = package.workload.entries[0].query.name.clone();
+        let query_name = base.package.workload.entries[0].query.name.clone();
         let scenario = Scenario::scaled("broken", 1.0)
             .with_cardinality_override(query_name, 0, 10_000_000)
             .strict();
-        let err = construct_scenario(&scenario, &package, config()).unwrap_err();
+        let err = vendor().scenario(&scenario, &base).unwrap_err();
         assert!(matches!(err, HydraError::InfeasibleScenario(_)));
 
         // Without strict mode the scenario builds with a recorded violation.
         let scenario = Scenario::scaled("broken", 1.0).with_cardinality_override(
-            package.workload.entries[0].query.name.clone(),
+            base.package.workload.entries[0].query.name.clone(),
             0,
             10_000_000,
         );
-        let result = construct_scenario(&scenario, &package, config()).unwrap();
+        let result = vendor().scenario(&scenario, &base).unwrap();
         assert!(!result.feasible);
         assert!(result.total_violation > 0.0);
     }
 
     #[test]
     fn row_override_changes_one_relation() {
-        let package = package();
+        let base = base();
         let scenario = Scenario::scaled("stress-item", 1.0).with_row_override("item", 500_000);
-        let result = construct_scenario(&scenario, &package, config()).unwrap();
+        let result = vendor().scenario(&scenario, &base).unwrap();
         assert_eq!(
             result
                 .regeneration

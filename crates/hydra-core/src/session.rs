@@ -1,17 +1,20 @@
 //! The `Hydra` session façade — the one front door to the reproduction.
 //!
 //! A session owns a fully-resolved pipeline configuration (LP backend,
-//! alignment strategy, parallelism, caching, AQP comparison) plus a summary
-//! cache that persists across calls, and exposes the paper's workflow as four
-//! entry points:
+//! alignment strategy, parallelism, AQP comparison) and an observability
+//! registry, and exposes the paper's workflow as these entry points:
 //!
 //! * [`Hydra::profile`] — the client site: profile a warehouse, execute the
 //!   workload, package the synopsis (optionally anonymized);
-//! * [`Hydra::regenerate`] — the vendor site: preprocess → solve → summarize
-//!   → verify, with independent relations solved in parallel;
-//! * [`Hydra::scenario`] — what-if construction over a package; repeated
-//!   scenario sweeps reuse the session cache, so only relations whose
-//!   constraint signature changed are re-solved;
+//! * [`Hydra::regenerate`] / [`Hydra::regenerate_stateful`] — the vendor
+//!   site: preprocess → solve → summarize → verify, with independent
+//!   relations solved in parallel; the stateful form retains what later
+//!   deltas and scenarios build against;
+//! * [`Hydra::profile_delta`] — incremental workload evolution against a
+//!   solved state;
+//! * [`Hydra::scenario`] — what-if construction as a delta against a solved
+//!   state, so only relations whose constraint signature the scenario
+//!   changes are re-solved;
 //! * [`Hydra::query`] — analytical aggregates answered *summary-direct*
 //!   (from block cardinalities alone, no tuples materialized), falling back
 //!   to a sharded regenerate-and-scan plan for out-of-class queries;
@@ -43,7 +46,7 @@
 use crate::client::ClientSite;
 use crate::delta::{DeltaOutcome, RegenerationState};
 use crate::error::HydraResult;
-use crate::scenario::{construct_scenario_with_cache, Scenario, ScenarioResult};
+use crate::scenario::{Scenario, ScenarioResult};
 use crate::transfer::TransferPackage;
 use crate::vendor::{HydraConfig, RegenerationResult, VendorSite};
 use hydra_datagen::exec::{ExecMode, QueryEngine};
@@ -58,9 +61,7 @@ use hydra_query::exec::{ExecStrategy, QueryAnswer};
 use hydra_query::query::SpjQuery;
 use hydra_summary::align::AlignmentStrategy;
 use hydra_summary::backend::LpBackend;
-use hydra_summary::builder::{InMemorySummaryCache, SummaryCache};
 use hydra_summary::strategy::SummaryStrategy;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -73,31 +74,16 @@ use std::sync::Arc;
 /// let session = Hydra::builder()
 ///     .parallelism(4)                                  // per-relation solve workers
 ///     .alignment(AlignmentStrategy::Deterministic)     // the paper's alignment
-///     .summary_cache(true)                             // reuse solves across sweeps
 ///     .compare_aqps(false)                             // skip workload re-execution
 ///     .build();
-/// assert_eq!(session.cached_relations(), 0);
+/// assert_eq!(session.config().builder.parallelism, 4);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HydraBuilder {
     config: HydraConfig,
-    summary_cache: bool,
     anonymize: bool,
     velocity: Option<f64>,
     metrics: Option<Arc<MetricsRegistry>>,
-}
-
-impl Default for HydraBuilder {
-    fn default() -> Self {
-        HydraBuilder {
-            config: HydraConfig::default(),
-            // Matches the documented builder default (and `Hydra::builder()`).
-            summary_cache: true,
-            anonymize: false,
-            velocity: None,
-            metrics: None,
-        }
-    }
 }
 
 impl HydraBuilder {
@@ -135,14 +121,6 @@ impl HydraBuilder {
     /// is identical either way.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.config.builder = self.config.builder.with_parallelism(workers);
-        self
-    }
-
-    /// Enables or disables the session summary cache (default: enabled).
-    /// With the cache on, repeated regenerations and scenario sweeps only
-    /// re-solve relations whose constraint signature changed.
-    pub fn summary_cache(mut self, enabled: bool) -> Self {
-        self.summary_cache = enabled;
         self
     }
 
@@ -198,21 +176,10 @@ impl HydraBuilder {
         self
     }
 
-    /// Overrides per-relation row targets (scenario construction uses this
-    /// internally; exposed for direct extrapolation experiments).
-    pub fn row_target_override(mut self, overrides: BTreeMap<String, u64>) -> Self {
-        self.config.row_target_override = Some(overrides);
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> Hydra {
-        let cache = self
-            .summary_cache
-            .then(|| Arc::new(InMemorySummaryCache::new()));
         Hydra {
             config: self.config,
-            cache,
             anonymize: self.anonymize,
             velocity: self.velocity,
             metrics: self.metrics.unwrap_or_default(),
@@ -223,12 +190,10 @@ impl HydraBuilder {
 /// A configured HYDRA session: client profiling, vendor regeneration,
 /// scenario construction and dynamic generation behind one handle.
 ///
-/// Sessions are cheap to build and thread-safe (`&self` everywhere); the
-/// summary cache is shared across calls and threads.
+/// Sessions are cheap to build and thread-safe (`&self` everywhere).
 #[derive(Debug, Clone)]
 pub struct Hydra {
     config: HydraConfig,
-    cache: Option<Arc<InMemorySummaryCache>>,
     anonymize: bool,
     velocity: Option<f64>,
     metrics: Arc<MetricsRegistry>,
@@ -258,7 +223,8 @@ impl Hydra {
         Arc::clone(&self.metrics)
     }
 
-    /// Records one build report's per-relation LP outcomes.
+    /// Records one build report's per-relation LP outcomes — the one
+    /// recorder for every build (regeneration, delta, scenario).
     fn record_build_report(&self, report: &hydra_summary::builder::SummaryBuildReport) {
         use hydra_lp::simplex::WarmOutcome;
         for relation in &report.relations {
@@ -282,26 +248,6 @@ impl Hydra {
         }
     }
 
-    /// Records one delta build report's per-relation reuse/warm/cold account.
-    fn record_delta_report(&self, report: &hydra_summary::delta::DeltaBuildReport) {
-        use hydra_summary::delta::DeltaAction;
-        for relation in &report.relations {
-            let outcome = match relation.action {
-                DeltaAction::Reused => "reused",
-                DeltaAction::WarmSolved => "warm_hit",
-                DeltaAction::ColdSolved => "cold",
-            };
-            self.metrics
-                .counter_labeled("hydra_lp_solves_total", "outcome", outcome)
-                .inc();
-            if relation.action != DeltaAction::Reused {
-                self.metrics
-                    .histogram_labeled("hydra_lp_solve_seconds", "relation", &relation.table)
-                    .record_duration(std::time::Duration::from_micros(relation.solve_micros));
-            }
-        }
-    }
-
     /// Client site: profiles the warehouse, executes the workload to obtain
     /// annotated query plans, and packages the synopsis for transfer
     /// (anonymized when the session was built with `.anonymize(true)`).
@@ -315,8 +261,7 @@ impl Hydra {
 
     /// Vendor site: runs the full regeneration pipeline on a transfer
     /// package. Independent relations are solved in parallel under the
-    /// session's `parallelism`, and solved relations are reused from the
-    /// session cache when their constraint signature is unchanged.
+    /// session's `parallelism`.
     pub fn regenerate(&self, package: &TransferPackage) -> HydraResult<RegenerationResult> {
         let result = self.vendor().regenerate(package)?;
         self.record_build_report(&result.build_report);
@@ -366,20 +311,21 @@ impl Hydra {
         delta: &hydra_query::delta::WorkloadDelta,
     ) -> HydraResult<DeltaOutcome> {
         let outcome = self.vendor().apply_delta(prev, delta)?;
-        self.record_delta_report(&outcome.report);
+        self.record_build_report(&outcome.state.regeneration.build_report);
         Ok(outcome)
     }
 
-    /// Constructs a what-if scenario over a package. Across a sweep of
-    /// scenarios the session cache keeps every relation whose constraints the
-    /// scenario did not touch, so only changed relations are re-solved.
+    /// Constructs a what-if scenario as a delta against a solved base
+    /// state (from [`Hydra::regenerate_stateful`], [`Hydra::profile_delta`]
+    /// or a registry version): the scenario distorts the base package,
+    /// every relation whose constraint signature it leaves unchanged is
+    /// reused from the base, and the rest re-solve cold.
     pub fn scenario(
         &self,
         scenario: &Scenario,
-        package: &TransferPackage,
+        base: &RegenerationState,
     ) -> HydraResult<ScenarioResult> {
-        let cache = self.cache.clone().map(|c| c as Arc<dyn SummaryCache>);
-        let result = construct_scenario_with_cache(scenario, package, self.config.clone(), cache)?;
+        let result = self.vendor().scenario(scenario, base)?;
         self.record_build_report(&result.regeneration.build_report);
         Ok(result)
     }
@@ -555,23 +501,8 @@ impl Hydra {
             .materialize_sharded(table, shards)?)
     }
 
-    /// Number of solved relations currently cached by the session.
-    pub fn cached_relations(&self) -> usize {
-        self.cache.as_ref().map(|c| c.len()).unwrap_or(0)
-    }
-
-    /// The session's summary cache, if caching is enabled (hit/miss
-    /// statistics live there).
-    pub fn summary_cache(&self) -> Option<&InMemorySummaryCache> {
-        self.cache.as_deref()
-    }
-
     fn vendor(&self) -> VendorSite {
-        let mut vendor = VendorSite::new(self.config.clone());
-        if let Some(cache) = &self.cache {
-            vendor = vendor.with_cache(Arc::clone(cache) as Arc<dyn SummaryCache>);
-        }
-        vendor
+        VendorSite::new(self.config.clone())
     }
 }
 
@@ -594,30 +525,14 @@ mod tests {
         assert_eq!(package.query_count(), 8);
         let result = session.regenerate(&package).unwrap();
         assert!(result.accuracy.fraction_within(0.10) > 0.9);
-        assert!(session.cached_relations() > 0);
-
-        // Second regeneration of the same package: everything cached.
-        let again = session.regenerate(&package).unwrap();
-        assert_eq!(
-            again.build_report.cached_relations,
-            again.build_report.relations.len()
-        );
-        assert_eq!(result.summary, again.summary);
+        assert_eq!(result.build_report.cached_relations, 0);
     }
 
     #[test]
     fn parallel_session_matches_sequential_accuracy() {
         let (db, queries) = client_fixture();
-        let sequential = Hydra::builder()
-            .parallelism(1)
-            .summary_cache(false)
-            .compare_aqps(false)
-            .build();
-        let parallel = Hydra::builder()
-            .parallelism(4)
-            .summary_cache(false)
-            .compare_aqps(false)
-            .build();
+        let sequential = Hydra::builder().parallelism(1).compare_aqps(false).build();
+        let parallel = Hydra::builder().parallelism(4).compare_aqps(false).build();
         let package = sequential.profile(db, &queries).unwrap();
         let a = sequential.regenerate(&package).unwrap();
         let b = parallel.regenerate(&package).unwrap();
@@ -631,14 +546,12 @@ mod tests {
         let (db, queries) = client_fixture();
         let session = Hydra::builder().compare_aqps(false).build();
         let package = session.profile(db, &queries).unwrap();
-        session.regenerate(&package).unwrap();
-        let baseline_entries = session.cached_relations();
-        assert!(baseline_entries > 0);
+        let base = session.regenerate_stateful(&package).unwrap();
 
         // A row override on one fact relation: every dimension it does not
-        // touch is reused from the session cache.
+        // touch is reused from the base state.
         let scenario = Scenario::scaled("stress", 1.0).with_row_override("store_sales", 100_000);
-        let result = session.scenario(&scenario, &package).unwrap();
+        let result = session.scenario(&scenario, &base).unwrap();
         assert_eq!(
             result
                 .regeneration
@@ -652,7 +565,7 @@ mod tests {
         let total = result.regeneration.build_report.relations.len();
         assert!(
             cached >= total - 2,
-            "only {cached}/{total} relations reused from the session cache"
+            "only {cached}/{total} relations reused from the base state"
         );
     }
 

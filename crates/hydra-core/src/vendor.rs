@@ -5,26 +5,19 @@
 //! and (on demand) dynamic tuple generation through the dataless database.
 
 use crate::error::HydraResult;
-use crate::report::{build_aqp_comparisons, QueryAqpComparison, RegenerationReport};
+use crate::report::{QueryAqpComparison, RegenerationReport};
 use crate::transfer::TransferPackage;
 use hydra_datagen::dataless::DatalessDatabase;
 use hydra_datagen::generator::DynamicGenerator;
-use hydra_summary::builder::{
-    SummaryBuildReport, SummaryBuilder, SummaryBuilderConfig, SummaryCache,
-};
+use hydra_summary::builder::{SummaryBuildReport, SummaryBuilderConfig};
 use hydra_summary::summary::DatabaseSummary;
-use hydra_summary::verify::{verify_summary, VolumetricAccuracyReport};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use hydra_summary::verify::VolumetricAccuracyReport;
 
 /// Configuration of the vendor-side regeneration.
 #[derive(Debug, Clone)]
 pub struct HydraConfig {
     /// Summary-builder configuration (LP solver, alignment strategy, …).
     pub builder: SummaryBuilderConfig,
-    /// Optional override of per-relation row targets (used by scenario
-    /// construction; `None` = use the client's row counts).
-    pub row_target_override: Option<BTreeMap<String, u64>>,
     /// Whether to execute the workload against the regenerated (dataless)
     /// database and produce per-query AQP comparisons.  Costs one execution
     /// of the workload; enabled by default.
@@ -35,7 +28,6 @@ impl Default for HydraConfig {
     fn default() -> Self {
         HydraConfig {
             builder: SummaryBuilderConfig::default(),
-            row_target_override: None,
             compare_aqps: true,
         }
     }
@@ -96,72 +88,20 @@ impl RegenerationResult {
 pub struct VendorSite {
     /// Configuration.
     pub config: HydraConfig,
-    /// Optional cache of solved per-relation summaries (scenario sweeps).
-    pub(crate) cache: Option<Arc<dyn SummaryCache>>,
 }
 
 impl VendorSite {
     /// Creates a vendor site with the given configuration.
     pub fn new(config: HydraConfig) -> Self {
-        VendorSite {
-            config,
-            cache: None,
-        }
+        VendorSite { config }
     }
 
-    /// Attaches a summary cache; subsequent [`VendorSite::regenerate`] calls
-    /// reuse solved relations whose constraint signature is unchanged.
-    pub fn with_cache(mut self, cache: Arc<dyn SummaryCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Runs the full regeneration pipeline on a transfer package.
+    /// Runs the full regeneration pipeline on a transfer package:
+    /// preprocess → solve → summarize → verify (and, when configured,
+    /// re-execute the workload on the dataless database).  This is
+    /// [`VendorSite::regenerate_stateful`] without the retained state.
     pub fn regenerate(&self, package: &TransferPackage) -> HydraResult<RegenerationResult> {
-        let schema = package.metadata.schema.clone();
-
-        // Preprocessor: AQPs → per-relation volumetric constraints.
-        let constraints_by_table = package.workload.constraints_by_table()?;
-
-        // Row targets: the client's row counts unless a scenario overrides them.
-        let row_targets: BTreeMap<String, u64> = match &self.config.row_target_override {
-            Some(overrides) => overrides.clone(),
-            None => schema
-                .table_names()
-                .iter()
-                .map(|t| (t.clone(), package.metadata.row_count(t)))
-                .collect(),
-        };
-
-        // LP formulation, solving, deterministic alignment, post-processing.
-        let builder = SummaryBuilder::new(self.config.builder.clone());
-        let (summary, build_report) = builder.build_with_cache(
-            &schema,
-            &row_targets,
-            &constraints_by_table,
-            Some(&package.metadata),
-            self.cache.as_deref(),
-        )?;
-
-        // Verification against every volumetric constraint.
-        let accuracy = verify_summary(&summary, &constraints_by_table)?;
-
-        // Optional: execute the workload on the dataless database and compare
-        // the regenerated AQPs with the originals (Figure 4, bottom right).
-        let aqp_comparisons = if self.config.compare_aqps {
-            let dataless = DatalessDatabase::new(schema.clone(), summary.clone());
-            build_aqp_comparisons(&dataless, &package.workload)?
-        } else {
-            Vec::new()
-        };
-
-        Ok(RegenerationResult {
-            summary,
-            build_report,
-            accuracy,
-            aqp_comparisons,
-            schema,
-        })
+        Ok(self.regenerate_stateful(package)?.regeneration)
     }
 }
 
@@ -228,28 +168,5 @@ mod tests {
         let result = vendor.regenerate(&package).unwrap();
         assert!(result.aqp_comparisons.is_empty());
         assert!(!result.accuracy.is_empty());
-    }
-
-    #[test]
-    fn row_target_override_scales_the_summary() {
-        let package = small_package();
-        let mut overrides: BTreeMap<String, u64> = package
-            .metadata
-            .schema
-            .table_names()
-            .iter()
-            .map(|t| (t.clone(), package.metadata.row_count(t)))
-            .collect();
-        overrides.insert("store_sales".to_string(), 100_000);
-        let vendor = VendorSite::new(HydraConfig {
-            row_target_override: Some(overrides),
-            compare_aqps: false,
-            ..Default::default()
-        });
-        let result = vendor.regenerate(&package).unwrap();
-        assert_eq!(
-            result.summary.relation("store_sales").unwrap().total_rows,
-            100_000
-        );
     }
 }

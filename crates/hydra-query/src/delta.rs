@@ -275,7 +275,7 @@ impl ConstraintSet {
     }
 
     /// Fingerprint of one relation's constraint list (canonical-JSON hash,
-    /// the same trick the summary cache uses).  Two constraint sets with
+    /// the same trick the summary builder's relation signatures use).  Two constraint sets with
     /// equal signatures for a relation put identical volumetric demands on
     /// it.
     pub fn table_signature(&self, table: &str) -> u64 {

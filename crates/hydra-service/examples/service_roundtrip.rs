@@ -10,7 +10,8 @@
 //! disjoint shards of the fact table (verifying they concatenate to the
 //! full prefix), runs a what-if scenario, evolves the workload with an
 //! incremental `DeltaPublish` (verifying the version bump and the
-//! structural diff), and asks the server to shut down.
+//! structural diff), checks that an identity scenario against the new
+//! version reuses every relation, and asks the server to shut down.
 
 use hydra_core::session::Hydra;
 use hydra_query::delta::WorkloadDelta;
@@ -116,6 +117,20 @@ fn main() {
         published.report.warm_solved(),
         published.report.cold_solved(),
         published.diff.changed_relations()
+    );
+
+    // A scenario is a delta against the latest version: an identity
+    // scenario on the delta-published v2 reuses every relation.
+    let identity = client
+        .scenario("smoke", &ScenarioSpec::scaled("x1", 1.0))
+        .expect("identity scenario");
+    assert_eq!(
+        identity.cached_relations, published.info.relations,
+        "an identity scenario must reuse every relation of v2"
+    );
+    println!(
+        "scenario `{}` against v2: {} of {} relations reused",
+        identity.scenario, identity.cached_relations, published.info.relations
     );
 
     client.shutdown().expect("shutdown");

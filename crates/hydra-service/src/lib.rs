@@ -18,8 +18,8 @@
 //!   batches, seeking through the summary's block index so concurrent
 //!   clients can pull disjoint shards of the same relation, each paced by
 //!   its own velocity governor;
-//! * **Scenario** — server-side what-if re-solve reusing the session's
-//!   summary cache.
+//! * **Scenario** — server-side what-if, built as a delta against the
+//!   latest registered version (unchanged relations are reused).
 //!
 //! The wire format is length-prefixed JSON frames ([`protocol`]) over the
 //! same serde path the in-process transfer package uses.  Concatenating

@@ -467,8 +467,8 @@ pub struct ScenarioReport {
     pub feasible: bool,
     /// Total LP violation across relations (0 when feasible).
     pub total_violation: f64,
-    /// Relations served from the server's summary cache instead of being
-    /// re-solved.
+    /// Relations reused from the registered version the scenario was built
+    /// against instead of being re-solved.
     pub cached_relations: usize,
     /// Regenerated row count per relation under the scenario.
     pub relation_rows: BTreeMap<String, u64>,

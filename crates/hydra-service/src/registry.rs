@@ -225,7 +225,8 @@ fn describe(
 }
 
 /// Fingerprint of one relation's constraint set: a hash of its canonical
-/// JSON encoding (the same trick the summary cache uses for its keys).
+/// JSON encoding (the same trick the summary builder's relation signatures
+/// use).
 fn constraint_signature(constraints: &[hydra_query::aqp::VolumetricConstraint]) -> u64 {
     let mut hasher = DefaultHasher::new();
     serde_json::to_string(&constraints.to_vec())
@@ -824,17 +825,16 @@ impl SummaryRegistry {
         self.len() == 0
     }
 
-    /// Re-solves a registered summary's package under a what-if scenario,
-    /// reusing the session's summary cache for unchanged relations.  Holds
-    /// no registry lock while solving, so concurrent streams are never
-    /// blocked by a scenario.
+    /// Builds a what-if scenario as a delta against the latest version of
+    /// a registered summary (published or delta-merged): relations the
+    /// scenario leaves unchanged are reused from that version.  Holds no
+    /// registry lock while solving, so concurrent streams are never blocked
+    /// by a scenario.
     pub fn scenario(&self, name: &str, spec: &ScenarioSpec) -> ServiceResult<ScenarioReport> {
         let entry = self
             .get(name)
             .ok_or_else(|| ServiceError::Protocol(format!("unknown summary `{name}`")))?;
-        let result = self
-            .session
-            .scenario(&spec.to_scenario(), entry.package())?;
+        let result = self.session.scenario(&spec.to_scenario(), &entry.state)?;
         let relation_rows: BTreeMap<String, u64> = result
             .regeneration
             .summary

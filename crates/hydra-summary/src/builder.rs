@@ -14,11 +14,13 @@
 //! merged back in deterministic relation order, so parallel construction is
 //! bit-identical to sequential.
 //!
-//! Solved relations can also be reused across builds through a
-//! [`SummaryCache`]: entries are keyed by a fingerprint of everything that
-//! determines the result (constraints, row target, FK domain widths, backend,
-//! strategy, statistics), which is what makes what-if scenario sweeps cheap —
-//! only relations whose constraint signature changed are re-solved.
+//! Every build runs through one driver.  A build against a previous
+//! [`SolveBaseline`] reuses each relation whose *signature* — a fingerprint
+//! of everything that determines its solve (constraints, row target, FK
+//! domain widths, backend, strategy, statistics) — is unchanged, and
+//! warm-starts the rest; a from-scratch build is the same driver with no
+//! baseline.  Workload deltas and what-if scenarios are both such builds
+//! against a registered version, so only relations they touch re-solve.
 
 use crate::axes::RelationAxes;
 use crate::backend::{LpBackend, SimplexBackend, SolveRequest};
@@ -36,7 +38,7 @@ use hydra_lp::simplex::WarmOutcome;
 use hydra_query::aqp::VolumetricConstraint;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -101,70 +103,6 @@ impl SummaryBuilderConfig {
     }
 }
 
-/// A reusable store of solved per-relation summaries, keyed by constraint
-/// signature (see [`SummaryBuilder::build_with_cache`]).
-pub trait SummaryCache: std::fmt::Debug + Send + Sync {
-    /// Looks up a solved relation.
-    fn get(&self, key: u64) -> Option<(RelationSummary, RelationBuildStats)>;
-    /// Stores a solved relation.
-    fn put(&self, key: u64, summary: RelationSummary, stats: RelationBuildStats);
-}
-
-/// The default in-memory, thread-safe summary cache.
-#[derive(Debug, Default)]
-pub struct InMemorySummaryCache {
-    entries: Mutex<HashMap<u64, (RelationSummary, RelationBuildStats)>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl InMemorySummaryCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of cache misses so far.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
-    }
-}
-
-impl SummaryCache for InMemorySummaryCache {
-    fn get(&self, key: u64) -> Option<(RelationSummary, RelationBuildStats)> {
-        let found = self.entries.lock().unwrap().get(&key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn put(&self, key: u64, summary: RelationSummary, stats: RelationBuildStats) {
-        self.entries.lock().unwrap().insert(key, (summary, stats));
-    }
-}
-
 /// Per-relation construction statistics (vendor-screen LP table; experiments
 /// E1/E3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -181,7 +119,8 @@ pub struct RelationBuildStats {
     pub summary_rows: usize,
     /// Number of tuples the summary regenerates.
     pub total_rows: u64,
-    /// Whether this relation was served from a [`SummaryCache`].
+    /// Whether this relation was reused from the previous baseline without
+    /// re-solving.
     pub from_cache: bool,
 }
 
@@ -194,7 +133,7 @@ pub struct SummaryBuildReport {
     pub total_time: Duration,
     /// Final summary size in bytes.
     pub summary_bytes: usize,
-    /// How many relations were served from the summary cache.
+    /// How many relations were reused from the previous baseline.
     pub cached_relations: usize,
 }
 
@@ -264,6 +203,8 @@ impl SummaryBuilder {
     /// * `constraints_by_table` — the preprocessed volumetric constraints;
     /// * `metadata` — optional client statistics used to fill columns the
     ///   workload never references.
+    ///
+    /// This is [`SummaryBuilder::build_retaining`] with the baseline dropped.
     pub fn build(
         &self,
         schema: &Schema,
@@ -271,89 +212,13 @@ impl SummaryBuilder {
         constraints_by_table: &BTreeMap<String, Vec<VolumetricConstraint>>,
         metadata: Option<&DatabaseMetadata>,
     ) -> SummaryResult<(DatabaseSummary, SummaryBuildReport)> {
-        self.build_with_cache(schema, row_targets, constraints_by_table, metadata, None)
-    }
-
-    /// [`SummaryBuilder::build`] with a summary cache: relations whose
-    /// constraint signature (constraints, row target, FK domain widths,
-    /// backend, strategy, statistics) matches a cached entry are reused
-    /// instead of re-solved.
-    pub fn build_with_cache(
-        &self,
-        schema: &Schema,
-        row_targets: &BTreeMap<String, u64>,
-        constraints_by_table: &BTreeMap<String, Vec<VolumetricConstraint>>,
-        metadata: Option<&DatabaseMetadata>,
-        cache: Option<&dyn SummaryCache>,
-    ) -> SummaryResult<(DatabaseSummary, SummaryBuildReport)> {
-        let start = Instant::now();
-        let order = schema
-            .topological_order()
-            .map_err(|e| SummaryError::Catalog(e.to_string()))?;
-        let referenced = referenced_set(&order);
-        let strata = referential_strata(&order);
-
-        let mut summaries: BTreeMap<String, RelationSummary> = BTreeMap::new();
-        let mut report = SummaryBuildReport::default();
-
-        for stratum in &strata {
-            let built = self.build_stratum(
-                stratum,
-                &summaries,
-                row_targets,
-                constraints_by_table,
-                metadata,
-                cache,
-                &referenced,
-            )?;
-            for (summary, stats) in built {
-                if stats.from_cache {
-                    report.cached_relations += 1;
-                }
-                report.relations.push(stats);
-                summaries.insert(summary.table.clone(), summary);
-            }
-        }
-
-        let mut db = DatabaseSummary::new();
-        for (_, s) in summaries {
-            db.insert(s);
-        }
-        report.total_time = start.elapsed();
-        report.summary_bytes = db.size_bytes();
-        Ok((db, report))
-    }
-
-    /// Builds every relation of one referential stratum, in parallel when
-    /// configured.  Results come back in stratum order regardless of thread
-    /// scheduling.
-    #[allow(clippy::too_many_arguments)]
-    fn build_stratum(
-        &self,
-        stratum: &[&Table],
-        summaries: &BTreeMap<String, RelationSummary>,
-        row_targets: &BTreeMap<String, u64>,
-        constraints_by_table: &BTreeMap<String, Vec<VolumetricConstraint>>,
-        metadata: Option<&DatabaseMetadata>,
-        cache: Option<&dyn SummaryCache>,
-        referenced: &std::collections::BTreeSet<&str>,
-    ) -> SummaryResult<Vec<(RelationSummary, RelationBuildStats)>> {
-        self.run_stratum(stratum.len(), |index| {
-            self.build_relation(
-                stratum[index],
-                summaries,
-                row_targets,
-                constraints_by_table,
-                metadata,
-                cache,
-                referenced.contains(stratum[index].name.as_str()),
-            )
-        })
+        let (summary, report, _) =
+            self.build_retaining(schema, row_targets, constraints_by_table, metadata)?;
+        Ok((summary, report))
     }
 
     /// Runs `f(0..count)` across the configured worker threads, returning
-    /// results in index order regardless of thread scheduling (the shared
-    /// fan-out under both the cache-based and the delta build flows).
+    /// results in index order regardless of thread scheduling.
     fn run_stratum<T: Send>(
         &self,
         count: usize,
@@ -386,94 +251,10 @@ impl SummaryBuilder {
             .collect()
     }
 
-    /// Solves and summarizes one relation (through the cache when provided).
-    #[allow(clippy::too_many_arguments)]
-    fn build_relation(
-        &self,
-        table: &Table,
-        summaries: &BTreeMap<String, RelationSummary>,
-        row_targets: &BTreeMap<String, u64>,
-        constraints_by_table: &BTreeMap<String, Vec<VolumetricConstraint>>,
-        metadata: Option<&DatabaseMetadata>,
-        cache: Option<&dyn SummaryCache>,
-        is_referenced: bool,
-    ) -> SummaryResult<(RelationSummary, RelationBuildStats)> {
-        let empty: Vec<VolumetricConstraint> = Vec::new();
-        let row_target = row_targets.get(&table.name).copied().unwrap_or(0);
-        let constraints = constraints_by_table.get(&table.name).unwrap_or(&empty);
-
-        // Foreign-key axis widths come from the already-built dimension
-        // summaries (falling back to the row target when a dimension has
-        // no constraints of its own but a known size).
-        let mut fk_domains: BTreeMap<String, u64> = BTreeMap::new();
-        for fk in table.foreign_keys() {
-            let width = summaries
-                .get(&fk.referenced_table)
-                .map(|s| s.total_rows)
-                .or_else(|| row_targets.get(&fk.referenced_table).copied())
-                .unwrap_or(0);
-            fk_domains.insert(fk.referenced_table.clone(), width.max(1));
-        }
-
-        let stats_source = if self.config.use_statistics_fillers {
-            metadata.and_then(|m| m.tables.get(&table.name))
-        } else {
-            None
-        };
-
-        let cache_key = cache.map(|_| {
-            self.cache_key(
-                table,
-                row_target,
-                &fk_domains,
-                constraints,
-                stats_source,
-                summaries,
-                is_referenced,
-            )
-        });
-        if let (Some(cache), Some(key)) = (cache, cache_key) {
-            if let Some((summary, mut stats)) = cache.get(key) {
-                stats.from_cache = true;
-                return Ok((summary, stats));
-            }
-        }
-
-        let axes = RelationAxes::build(table, constraints, &fk_domains)?;
-        let solved = self.config.lp_backend.solve_relation(&SolveRequest {
-            table,
-            axes: &axes,
-            constraints,
-            row_target,
-            summaries,
-            max_regions: self.config.max_regions,
-            referenced: is_referenced,
-            warm: None,
-        })?;
-        let summary = self
-            .config
-            .strategy
-            .summarize(table, &axes, &solved, stats_source);
-
-        let stats = RelationBuildStats {
-            table: table.name.clone(),
-            referenced_columns: axes.columns.len(),
-            workload_constraints: constraints.len(),
-            lp: solved.stats.clone(),
-            summary_rows: summary.row_count(),
-            total_rows: summary.total_rows,
-            from_cache: false,
-        };
-        if let (Some(cache), Some(key)) = (cache, cache_key) {
-            cache.put(key, summary.clone(), stats.clone());
-        }
-        Ok((summary, stats))
-    }
-
-    /// The cache key of one relation: a fingerprint of every input that
+    /// The signature of one relation: a fingerprint of every input that
     /// determines its solved summary.
     #[allow(clippy::too_many_arguments)]
-    fn cache_key(
+    fn signature(
         &self,
         table: &Table,
         row_target: u64,
@@ -531,7 +312,7 @@ impl SummaryBuilder {
         metadata: Option<&DatabaseMetadata>,
     ) -> SummaryResult<(DatabaseSummary, SummaryBuildReport, SolveBaseline)> {
         let built =
-            self.build_evolving(schema, row_targets, constraints_by_table, metadata, None)?;
+            self.build_against(schema, row_targets, constraints_by_table, metadata, None)?;
         Ok((built.summary, built.report, built.baseline))
     }
 
@@ -553,7 +334,7 @@ impl SummaryBuilder {
         metadata: Option<&DatabaseMetadata>,
         prev: &SolveBaseline,
     ) -> SummaryResult<DeltaBuild> {
-        self.build_evolving(
+        self.build_against(
             schema,
             row_targets,
             constraints_by_table,
@@ -562,9 +343,9 @@ impl SummaryBuilder {
         )
     }
 
-    /// The shared driver behind [`SummaryBuilder::build_retaining`]
-    /// (`prev = None`) and [`SummaryBuilder::build_delta`].
-    fn build_evolving(
+    /// The one build driver: [`SummaryBuilder::build_retaining`] is
+    /// `prev = None`, [`SummaryBuilder::build_delta`] passes the baseline.
+    fn build_against(
         &self,
         schema: &Schema,
         row_targets: &BTreeMap<String, u64>,
@@ -587,7 +368,7 @@ impl SummaryBuilder {
         for stratum in &strata {
             let built = self.run_stratum(stratum.len(), |index| {
                 let table = stratum[index];
-                self.build_relation_evolving(
+                self.solve_or_reuse(
                     table,
                     &summaries,
                     row_targets,
@@ -642,10 +423,10 @@ impl SummaryBuilder {
         })
     }
 
-    /// Solves or reuses one relation under the delta flow (see
-    /// [`SummaryBuilder::build_delta`] for the decision rules).
+    /// Solves or reuses one relation (see [`SummaryBuilder::build_delta`]
+    /// for the decision rules).
     #[allow(clippy::too_many_arguments)]
-    fn build_relation_evolving(
+    fn solve_or_reuse(
         &self,
         table: &Table,
         summaries: &BTreeMap<String, RelationSummary>,
@@ -681,7 +462,7 @@ impl SummaryBuilder {
             None
         };
 
-        let signature = self.cache_key(
+        let signature = self.signature(
             table,
             row_target,
             &fk_domains,
@@ -1168,37 +949,5 @@ mod tests {
             a.summary, b.summary,
             "delta builds must be parallelism-invariant"
         );
-    }
-
-    #[test]
-    fn summary_cache_reuses_solved_relations() {
-        let schema = toy_schema();
-        let constraints = figure1_constraints();
-        let cache = InMemorySummaryCache::new();
-        let builder = SummaryBuilder::default();
-
-        let (first, report1) = builder
-            .build_with_cache(&schema, &row_targets(), &constraints, None, Some(&cache))
-            .unwrap();
-        assert_eq!(report1.cached_relations, 0);
-        assert_eq!(cache.len(), 3);
-
-        // Identical build: everything comes from the cache.
-        let (second, report2) = builder
-            .build_with_cache(&schema, &row_targets(), &constraints, None, Some(&cache))
-            .unwrap();
-        assert_eq!(report2.cached_relations, 3);
-        assert_eq!(first, second);
-
-        // Changing one relation's row target only re-solves the affected
-        // relations (R changes; S and T are reused).
-        let mut targets = row_targets();
-        targets.insert("R".to_string(), 2000);
-        let (third, report3) = builder
-            .build_with_cache(&schema, &targets, &constraints, None, Some(&cache))
-            .unwrap();
-        assert_eq!(report3.cached_relations, 2);
-        assert_eq!(third.relation("R").unwrap().total_rows, 2000);
-        assert_eq!(third.relation("S").unwrap(), first.relation("S").unwrap());
     }
 }

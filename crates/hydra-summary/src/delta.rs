@@ -80,6 +80,34 @@ impl SolveBaseline {
         }
     }
 
+    /// The baseline without its warm-start seeds: every relation keeps its
+    /// signature, summary and stats but none of its LP support, so a
+    /// [`crate::builder::SummaryBuilder::build_delta`] against it reuses
+    /// every unchanged relation and solves every changed one cold — exactly
+    /// as a from-scratch build would.
+    pub fn reuse_only(&self) -> SolveBaseline {
+        SolveBaseline {
+            relations: self
+                .relations
+                .iter()
+                .map(|(name, relation)| {
+                    let solved = SolvedRelation {
+                        partition: relation.solved.partition.clone().restrict_to(&[]),
+                        region_counts: Vec::new(),
+                        stats: relation.solved.stats.clone(),
+                    };
+                    let relation = RelationBaseline {
+                        signature: relation.signature,
+                        solved,
+                        summary: relation.summary.clone(),
+                        stats: relation.stats.clone(),
+                    };
+                    (name.clone(), relation)
+                })
+                .collect(),
+        }
+    }
+
     /// Partition regions retained across every relation (the support size
     /// of a [`SolveBaseline::support_only`] baseline).
     pub fn retained_regions(&self) -> usize {

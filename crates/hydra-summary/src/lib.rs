@@ -33,8 +33,9 @@
 //! [`backend::LpBackend`] swaps the partitioning/solver combination (HYDRA's
 //! region+simplex vs. the DataSynth grid baseline), and
 //! [`strategy::SummaryStrategy`] swaps the summary generator. The builder
-//! solves independent relations of the referential DAG in parallel and can
-//! reuse per-relation results through a [`builder::SummaryCache`].
+//! solves independent relations of the referential DAG in parallel and,
+//! against a previous [`delta::SolveBaseline`], reuses every relation whose
+//! constraint signature is unchanged.
 
 //!
 //! Because alignment is deterministic, each summary row's tuples occupy one
@@ -60,10 +61,7 @@ pub mod verify;
 
 pub use align::AlignmentStrategy;
 pub use backend::{GridBackend, LpBackend, SimplexBackend, SolveRequest};
-pub use builder::{
-    InMemorySummaryCache, RelationBuildStats, SummaryBuildReport, SummaryBuilder,
-    SummaryBuilderConfig, SummaryCache,
-};
+pub use builder::{RelationBuildStats, SummaryBuildReport, SummaryBuilder, SummaryBuilderConfig};
 pub use delta::{
     DeltaAction, DeltaBuild, DeltaBuildReport, RelationDiff, SolveBaseline, SummaryDiff,
 };

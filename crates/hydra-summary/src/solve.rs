@@ -363,9 +363,9 @@ pub fn formulate_and_solve_with(
 /// [`formulate_and_solve_with`] for delta re-profiling: when the relation
 /// was solved before, its previous solution's support (full or
 /// [`SolvedRelation::support_only`]) is carried into the re-swept partition
-/// by representative point and warm-starts the simplex.  A stale or
-/// dimensionally incompatible previous solve is silently ignored — the
-/// build degrades to a cold partition + solve.
+/// by representative point and warm-starts the simplex.  A stale,
+/// dimensionally incompatible or support-less previous solve is silently
+/// ignored — the build degrades to a cold partition + solve.
 #[allow(clippy::too_many_arguments)]
 pub fn formulate_and_solve_delta(
     table: &Table,
@@ -387,8 +387,12 @@ pub fn formulate_and_solve_delta(
     for (_, boxes) in &pre.boxed {
         partitioner = partitioner.add_constraint_union(boxes.clone());
     }
-    let usable_previous =
-        previous.filter(|prev| check_refinable(&prev.partition, axes.space.dims()).is_ok());
+    // A previous solve with no support carries nothing to warm-start from
+    // (and an empty hint is not the same as none: the least-violation
+    // solve would still seed its elastic columns), so it solves cold.
+    let usable_previous = previous.filter(|prev| {
+        !prev.support().is_empty() && check_refinable(&prev.partition, axes.space.dims()).is_ok()
+    });
     let (partition, warm_hint) = match usable_previous {
         Some(prev) => {
             // The previous solution's support (nonzero regions) is all the

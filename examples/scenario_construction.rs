@@ -32,10 +32,11 @@ fn main() {
         },
     )
     .generate();
-    // One session for the whole sweep: its summary cache re-solves only the
-    // relations each scenario actually changes.
+    // Every scenario is a delta against one solved base state: only the
+    // relations a scenario actually changes are re-solved.
     let session = Hydra::builder().compare_aqps(false).build();
     let package = session.profile(db, &queries).expect("package");
+    let base = session.regenerate_stateful(&package).expect("base solve");
 
     // --- 1. scale-free extrapolation -----------------------------------------
     println!("uniform extrapolation (construction cost must stay flat):");
@@ -46,7 +47,7 @@ fn main() {
     for scale in [1.0, 1e3, 1e6, 1e9] {
         let scenario = Scenario::scaled(format!("x{scale:e}"), scale);
         let start = Instant::now();
-        let result = session.scenario(&scenario, &package).expect("scenario");
+        let result = session.scenario(&scenario, &base).expect("scenario");
         let elapsed = start.elapsed();
         println!(
             "{:>14.0e} | {:>18} | {:>16.1} | {:>12.2} | {:>8}",
@@ -62,7 +63,7 @@ fn main() {
     println!("\nstress scenario: store_sales forced to 10 billion rows");
     let scenario = Scenario::scaled("stress-store-sales", 1.0)
         .with_row_override("store_sales", 10_000_000_000);
-    let result = session.scenario(&scenario, &package).expect("scenario");
+    let result = session.scenario(&scenario, &base).expect("scenario");
     let ss = result.regeneration.summary.relation("store_sales").unwrap();
     // Stressing one relation a million-fold past its observed size while the
     // workload's cardinality annotations stay put is contradictory wherever a
@@ -88,7 +89,7 @@ fn main() {
     let bad = Scenario::scaled("impossible", 1.0)
         .with_cardinality_override(query_name.clone(), 0, u64::MAX / 4)
         .strict();
-    match session.scenario(&bad, &package) {
+    match session.scenario(&bad, &base) {
         Err(e) => println!("  rejected as expected: {e}"),
         Ok(r) => println!(
             "  built with least violation {:.1} (feasible = {})",

@@ -27,8 +27,7 @@
 //! Everything is driven through a [`Hydra`] session built from a typed
 //! builder: pick an LP backend ([`summary::SimplexBackend`] is the paper's
 //! pipeline, [`summary::GridBackend`] the DataSynth baseline), an alignment
-//! strategy, a worker count for the per-relation solves, and whether solved
-//! relations are cached across regenerations and scenario sweeps.
+//! strategy and a worker count for the per-relation solves.
 //!
 //! ```
 //! use hydra::Hydra;
@@ -43,26 +42,23 @@
 //! let queries = WorkloadGenerator::new(schema,
 //!     WorkloadGenConfig { num_queries: 5, ..Default::default() }).generate();
 //!
-//! let session = Hydra::builder()
-//!     .parallelism(2)
-//!     .summary_cache(true)
-//!     .compare_aqps(false)
-//!     .build();
+//! let session = Hydra::builder().parallelism(2).compare_aqps(false).build();
 //! let package = session.profile(db, &queries).unwrap();
-//! let result = session.regenerate(&package).unwrap();
+//! let state = session.regenerate_stateful(&package).unwrap();
+//! let result = &state.regeneration;
 //! assert!(result.accuracy.fraction_within(0.10) > 0.9);
 //!
-//! // What-if scenario over the same package: the session cache re-solves
-//! // only the relations the scenario touches.
+//! // What-if scenario as a delta against the solved state: only the
+//! // relations the scenario touches re-solve.
 //! use hydra::core::scenario::Scenario;
-//! let what_if = session.scenario(&Scenario::scaled("x1000", 1000.0), &package).unwrap();
+//! let what_if = session.scenario(&Scenario::scaled("x1000", 1000.0), &state).unwrap();
 //! assert!(what_if.feasible);
 //!
 //! // Analytical aggregates are answered summary-direct — from block
 //! // cardinalities alone, without materializing a tuple.
 //! use hydra::ExecStrategy;
 //! let answer = session
-//!     .query(&result, "select count(*), avg(item.i_current_price) \
+//!     .query(result, "select count(*), avg(item.i_current_price) \
 //!                      from store_sales, item \
 //!                      where store_sales.ss_item_fk = item.i_item_sk \
 //!                      group by item.i_category")

@@ -26,6 +26,17 @@
 //! The same case also pins retention: a delta built against the full base
 //! baseline and against the support-only baseline a state retains must make
 //! identical decisions (summary, diff, per-relation action and warm start).
+//! It pins observability too: the session's `hydra_lp_solves_total` counters
+//! move by exactly the reuse / cold / warm-hit / warm-fell-back tally of the
+//! delta's build report.
+//!
+//! Finally each case draws a what-if [`Scenario`] (a row override or a
+//! uniform scale) and builds it as a delta against the evolved state: it must
+//! match a from-scratch regeneration of the distorted package — same
+//! per-relation row totals, same feasibility, and in the strict regime the
+//! same achieved cardinality for every constraint — every relation it
+//! reused must be bit-identical to the evolved state's, and every relation
+//! it re-solved must have solved cold.
 //!
 //! Cases are generated from a single seed (deterministic: the same seed
 //! always replays the same base workload, client data and delta), and the
@@ -33,6 +44,7 @@
 //! first — pinned regressions survive the repo the same way real proptest's
 //! regression files do.
 
+use hydra::core::scenario::Scenario;
 use hydra::core::vendor::RegenerationResult;
 use hydra::lp::simplex::WarmOutcome;
 use hydra::lp::solver::SolveStatus;
@@ -61,6 +73,8 @@ struct CaseOutcome {
     retired: usize,
     reannotated: usize,
     queries_compared: usize,
+    /// Relations of the delta whose warm start fell back to a cold solve.
+    warm_fellback: u64,
 }
 
 /// Rewrites an SPJ query as a COUNT(*) aggregate over the same body.
@@ -74,6 +88,57 @@ fn fully_feasible(result: &RegenerationResult) -> bool {
         .relations
         .iter()
         .all(|r| r.lp.status == SolveStatus::Feasible)
+}
+
+/// The bit-sharp regime: both paths solved every relation feasibly and
+/// rounded every constraint exactly.
+fn strict_regime(a: &RegenerationResult, b: &RegenerationResult) -> bool {
+    fully_feasible(a)
+        && fully_feasible(b)
+        && a.accuracy.fraction_within(0.0) == 1.0
+        && b.accuracy.fraction_within(0.0) == 1.0
+}
+
+/// Identical relation sets with identical regenerated row counts.
+fn assert_same_row_totals(a: &RegenerationResult, b: &RegenerationResult, what: &str) {
+    assert_eq!(
+        a.summary.relations.len(),
+        b.summary.relations.len(),
+        "{what}"
+    );
+    for (name, relation) in &b.summary.relations {
+        assert_eq!(
+            relation.total_rows,
+            a.summary
+                .relation(name)
+                .unwrap_or_else(|| panic!("{what}: lost `{name}`"))
+                .total_rows,
+            "{what}: row count of `{name}` diverged"
+        );
+    }
+}
+
+/// Every constraint achieved the same cardinality on both paths.
+fn assert_same_achieved(a: &RegenerationResult, b: &RegenerationResult, what: &str) {
+    for (a, b) in a.accuracy.checks.iter().zip(&b.accuracy.checks) {
+        assert_eq!(
+            a.achieved, b.achieved,
+            "{what}: achieved cardinality of `{}` diverged",
+            a.label
+        );
+    }
+}
+
+/// The `hydra_lp_solves_total` counter of every outcome label.
+fn solve_counters(session: &Hydra) -> BTreeMap<&'static str, u64> {
+    let metrics = session.metrics();
+    ["cold", "warm_hit", "warm_fellback", "reused"]
+        .into_iter()
+        .map(|outcome| {
+            let counter = metrics.counter_labeled("hydra_lp_solves_total", "outcome", outcome);
+            (outcome, counter.value())
+        })
+        .collect()
 }
 
 /// Runs one end-to-end differential case derived deterministically from
@@ -172,32 +237,35 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     }
 
     // --- Incremental vs from-scratch ------------------------------------
+    let counters_before = solve_counters(&session);
     let outcome = session.profile_delta(&state, &delta).expect("delta");
     let incremental = &outcome.state.regeneration;
-    let scratch_session = Hydra::builder()
-        .compare_aqps(false)
-        .summary_cache(false)
-        .build();
+    let scratch_session = Hydra::builder().compare_aqps(false).build();
     let scratch = scratch_session
         .regenerate(&outcome.state.package)
         .expect("from-scratch");
 
-    // Identical relation sets with identical regenerated row counts.
-    assert_eq!(
-        incremental.summary.relations.len(),
-        scratch.summary.relations.len()
-    );
-    for (name, relation) in &scratch.summary.relations {
+    // The solve counters moved by exactly the build report's tally.
+    let mut tally: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for relation in &incremental.build_report.relations {
+        let outcome = match (relation.from_cache, relation.lp.warm) {
+            (true, _) => "reused",
+            (false, WarmOutcome::NotAttempted) => "cold",
+            (false, WarmOutcome::Hit) => "warm_hit",
+            (false, WarmOutcome::FellBack) => "warm_fellback",
+        };
+        *tally.entry(outcome).or_default() += 1;
+    }
+    for (outcome, after) in solve_counters(&session) {
         assert_eq!(
-            relation.total_rows,
-            incremental
-                .summary
-                .relation(name)
-                .unwrap_or_else(|| panic!("incremental summary lost `{name}`"))
-                .total_rows,
-            "row count of `{name}` diverged (seed {case_seed})"
+            after - counters_before[outcome],
+            tally.get(outcome).copied().unwrap_or(0),
+            "hydra_lp_solves_total{{outcome=\"{outcome}\"}} disagrees with the report \
+             (seed {case_seed})"
         );
     }
+
+    assert_same_row_totals(incremental, &scratch, &format!("delta (seed {case_seed})"));
 
     // The constraint-satisfaction reports cover the identical constraint
     // multiset, in the same order.
@@ -268,23 +336,9 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     // satisfied exactly — the common case for consistent harvested
     // workloads), the reports and all query answers must be identical.
     // The pinned regression seeds guarantee this path stays covered.
-    let strict = fully_feasible(incremental)
-        && fully_feasible(&scratch)
-        && incremental.accuracy.fraction_within(0.0) == 1.0
-        && scratch.accuracy.fraction_within(0.0) == 1.0;
+    let strict = strict_regime(incremental, &scratch);
     if strict {
-        for (a, b) in incremental
-            .accuracy
-            .checks
-            .iter()
-            .zip(&scratch.accuracy.checks)
-        {
-            assert_eq!(
-                a.achieved, b.achieved,
-                "achieved cardinality of `{}` diverged (seed {case_seed})",
-                a.label
-            );
-        }
+        assert_same_achieved(incremental, &scratch, &format!("delta (seed {case_seed})"));
     }
 
     // Every workload query re-asked as COUNT(*) through the PR 4 query
@@ -404,12 +458,62 @@ fn run_case(case_seed: u64) -> CaseOutcome {
         "solver decisions depend on retention (seed {case_seed})"
     );
 
+    // --- A what-if scenario as a delta against the evolved state --------
+    let evolved = &outcome.state;
+    let scenario = if rng.gen_bool(0.5) {
+        let tables = schema.table_names();
+        let table = tables[rng.gen_range(0usize..tables.len())].clone();
+        let rows = evolved.package.metadata.row_count(&table).max(1) * rng.gen_range(2u64..=4);
+        Scenario::scaled("override", 1.0).with_row_override(table, rows)
+    } else {
+        Scenario::scaled("scale", rng.gen_range(2u64..=5) as f64)
+    };
+    let what = format!("scenario {scenario:?} (seed {case_seed})");
+    let what_if = session.scenario(&scenario, evolved).expect("scenario");
+    let scratch_what_if = scratch_session
+        .regenerate(&scenario.apply(&evolved.package))
+        .expect("from-scratch scenario");
+    let built = &what_if.regeneration;
+    assert_same_row_totals(built, &scratch_what_if, &what);
+    assert_eq!(
+        what_if.feasible,
+        fully_feasible(&scratch_what_if),
+        "{what}: feasibility diverged"
+    );
+    if strict_regime(built, &scratch_what_if) {
+        assert_same_achieved(built, &scratch_what_if, &what);
+    }
+    for relation in &built.build_report.relations {
+        if relation.from_cache {
+            assert_eq!(
+                built.summary.relation(&relation.table),
+                evolved.regeneration.summary.relation(&relation.table),
+                "{what}: reused `{}` is not the evolved state's",
+                relation.table
+            );
+        } else {
+            assert_eq!(
+                relation.lp.warm,
+                WarmOutcome::NotAttempted,
+                "{what}: re-solved `{}` was warm-started",
+                relation.table
+            );
+        }
+    }
+    if scenario.scale_factor == 1.0 {
+        assert!(
+            built.build_report.cached_relations > 0,
+            "{what}: a one-relation override re-solved everything"
+        );
+    }
+
     CaseOutcome {
         fully_feasible: strict,
         added: delta.added.len(),
         retired: delta.retired.len(),
         reannotated,
         queries_compared,
+        warm_fellback: tally.get("warm_fellback").copied().unwrap_or(0),
     }
 }
 
@@ -454,6 +558,10 @@ fn pinned_regression_seeds_replay() {
     assert!(
         outcomes.iter().any(|(_, o)| o.reannotated > 0),
         "no pinned seed re-annotates (data drift)"
+    );
+    assert!(
+        outcomes.iter().any(|(_, o)| o.warm_fellback > 0),
+        "no pinned seed falls back from a warm start: {outcomes:?}"
     );
 }
 

@@ -2,7 +2,7 @@
 //! behaviour of relative errors as the database grows.
 
 use hydra::core::scenario::Scenario;
-use hydra::core::transfer::TransferPackage;
+use hydra::core::RegenerationState;
 use hydra::workload::{
     generate_client_database, retail_row_targets, retail_schema, DataGenConfig, WorkloadGenConfig,
     WorkloadGenerator,
@@ -10,7 +10,8 @@ use hydra::workload::{
 use hydra::Hydra;
 use std::time::Instant;
 
-fn package() -> TransferPackage {
+/// The solved base state every scenario is built against.
+fn base(session: &Hydra) -> RegenerationState {
     let schema = retail_schema();
     let mut targets = retail_row_targets(0.005);
     targets.insert("store_sales".to_string(), 2_500);
@@ -24,7 +25,8 @@ fn package() -> TransferPackage {
         },
     )
     .generate();
-    Hydra::builder().build().profile(db, &queries).unwrap()
+    let package = session.profile(db, &queries).unwrap();
+    session.regenerate_stateful(&package).unwrap()
 }
 
 fn session() -> Hydra {
@@ -35,15 +37,15 @@ fn session() -> Hydra {
 fn scenario_construction_is_scale_free() {
     // E6/E8: cost and summary size of scenario construction do not grow with
     // the simulated data volume.
-    let package = package();
     let session = session();
+    let base = base(&session);
 
     let mut times = Vec::new();
     let mut sizes = Vec::new();
     for scale in [1.0, 1e4, 1e8] {
         let scenario = Scenario::scaled(format!("x{scale}"), scale);
         let start = Instant::now();
-        let result = session.scenario(&scenario, &package).unwrap();
+        let result = session.scenario(&scenario, &base).unwrap();
         times.push(start.elapsed());
         sizes.push(result.regeneration.summary.size_bytes());
         assert!(
@@ -68,13 +70,13 @@ fn scenario_construction_is_scale_free() {
 fn relative_errors_shrink_as_database_grows() {
     // E7: HYDRA's residual discrepancy is additive, so the *relative* error of
     // the volumetric constraints decreases as the database is scaled up.
-    let package = package();
     let session = session();
+    let base = base(&session);
 
     let mut mean_errors = Vec::new();
     for scale in [1.0, 100.0] {
         let scenario = Scenario::scaled(format!("x{scale}"), scale);
-        let result = session.scenario(&scenario, &package).unwrap();
+        let result = session.scenario(&scenario, &base).unwrap();
         mean_errors.push(result.regeneration.accuracy.mean_relative_error());
     }
     assert!(
@@ -86,13 +88,13 @@ fn relative_errors_shrink_as_database_grows() {
 
 #[test]
 fn infeasible_injection_is_reported_not_hidden() {
-    let package = package();
     let session = session();
-    let query = package.workload.entries[0].query.name.clone();
+    let base = base(&session);
+    let query = base.package.workload.entries[0].query.name.clone();
     // Claim the root join produces 100x more rows than the fact table has.
     let scenario =
         Scenario::scaled("overload", 1.0).with_cardinality_override(query, 0, 250_000_000);
-    let result = session.scenario(&scenario, &package).unwrap();
+    let result = session.scenario(&scenario, &base).unwrap();
     assert!(!result.feasible);
     assert!(result.total_violation > 0.0);
     // The accuracy report exposes the violated constraint rather than
