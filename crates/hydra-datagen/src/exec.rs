@@ -136,7 +136,10 @@ pub type ExecResult<T> = Result<T, ExecError>;
 pub struct QueryEngine<'a> {
     schema: &'a Schema,
     summary: &'a DatabaseSummary,
-    scan_shards: usize,
+    /// Shards of a tuple-scan fallback; `None` sizes them to the available
+    /// cores when a scan actually runs, so a summary-direct answer never
+    /// pays for the (procfs-reading) core-count lookup.
+    scan_shards: Option<usize>,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -149,20 +152,17 @@ impl<'a> QueryEngine<'a> {
     /// per-query cost really is independent of the summary size (callers
     /// holding a `RegenerationResult` or registry entry query in place).
     pub fn over(schema: &'a Schema, summary: &'a DatabaseSummary) -> Self {
-        let shards = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         QueryEngine {
             schema,
             summary,
-            scan_shards: shards.max(1),
+            scan_shards: None,
         }
     }
 
     /// Overrides the shard count used by tuple-scan fallbacks (answers are
     /// bit-identical for every shard count).
     pub fn with_scan_shards(mut self, shards: usize) -> Self {
-        self.scan_shards = shards.max(1);
+        self.scan_shards = Some(shards.max(1));
         self
     }
 
@@ -232,12 +232,16 @@ impl<'a> QueryEngine<'a> {
                 .map(|p| p.conjuncts().to_vec())
                 .unwrap_or_default(),
         };
-        let run =
-            crate::shard::run_sharded(table, root_summary, self.scan_shards, |_, _| ScanSink {
-                ctx: &ctx,
-                agg: Aggregator::for_query(query),
-                scanned: 0,
-            });
+        let shards = self.scan_shards.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        let run = crate::shard::run_sharded(table, root_summary, shards, |_, _| ScanSink {
+            ctx: &ctx,
+            agg: Aggregator::for_query(query),
+            scanned: 0,
+        });
         let mut merged = Aggregator::for_query(query);
         let mut scanned = 0u64;
         for sink in run.into_sinks() {

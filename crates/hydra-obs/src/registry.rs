@@ -133,6 +133,14 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "Tasks parked on write-queue backpressure (AwaitDrain)",
     },
     FamilyDesc {
+        name: "hydra_reactor_pool_submits_total",
+        kind: MetricKind::Counter,
+        unit: Unit::Count,
+        label_key: "",
+        layer: "reactor",
+        help: "Requests handed to the worker pool (the rest were answered on the event loop)",
+    },
+    FamilyDesc {
         name: "hydra_reactor_timer_cascades_total",
         kind: MetricKind::Counter,
         unit: Unit::Count,

@@ -10,9 +10,13 @@
 //!
 //! * `SELECT * FROM <relation>` — a full regenerate-and-scan, which the
 //!   reactor streams in rate-budgeted pulses (see `ScanState`);
-//! * any aggregate `SELECT` — parsed by `hydra-query` and executed with
-//!   [`ExecMode::Auto`]: summary-direct in O(blocks) when the query is in
-//!   the closed class, transparent regenerate-and-scan fallback otherwise.
+//! * any aggregate `SELECT` — parsed by `hydra-query` and answered
+//!   summary-direct in O(blocks) when the query is in the closed class,
+//!   with a transparent regenerate-and-scan fallback otherwise.  The
+//!   aggregate runs [`ExecMode::SummaryOnly`]; an out-of-class query comes
+//!   back, parsed and classified, as a [`DeferredAggregate`] whose
+//!   [`ExecMode::ScanOnly`] scan runs on the worker pool — the answer
+//!   [`ExecMode::Auto`] gives, with the query classified once.
 //!
 //! Parse errors carry their byte span onto the wire as the `P` field
 //! (1-based), so psql-style clients print a caret at the offending token.
@@ -23,7 +27,7 @@ use crate::types::{pg_text, pg_type_of, OID_FLOAT8, OID_INT4, OID_INT8, OID_TEXT
 use hydra_catalog::schema::Schema;
 use hydra_datagen::exec::{ExecError, ExecMode, QueryEngine};
 use hydra_obs::{MetricsRegistry, Span};
-use hydra_query::exec::{AggFunc, AggregateQuery, ExecStrategy};
+use hydra_query::exec::{AggFunc, AggregateQuery, ExecStrategy, QueryAnswer};
 use hydra_query::parser::parse_aggregate_query_for_schema;
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
 use std::io::Write;
@@ -337,8 +341,18 @@ impl From<PgWireError> for StatementFailure {
     }
 }
 
+/// An out-of-class aggregate, parsed and classified, left for the worker
+/// pool's tuple scan, carrying its statement span so the statement is
+/// logged once, end to end.
+pub(crate) struct DeferredAggregate {
+    query: AggregateQuery,
+    span: Span,
+}
+
 /// Runs one bounded statement, writing its complete answer to `writer`
-/// under a request span.
+/// under a statement span.  An aggregate is answered from the summary
+/// only; an out-of-class one comes back as a [`DeferredAggregate`] for
+/// [`run_deferred`] on the pool instead of scanning here.
 pub(crate) fn run_statement<W: Write>(
     writer: &mut W,
     registry: &SummaryRegistry,
@@ -346,7 +360,7 @@ pub(crate) fn run_statement<W: Write>(
     statement: Bounded,
     stmt: &str,
     offset: usize,
-) -> Result<(), StatementFailure> {
+) -> Result<Option<Box<DeferredAggregate>>, StatementFailure> {
     let metrics = registry.session().metrics();
     let op = match &statement {
         Bounded::Acknowledge(_) => "pg.ack",
@@ -359,7 +373,38 @@ pub(crate) fn run_statement<W: Write>(
     let result = dispatch_statement(
         writer, registry, entry, &metrics, statement, stmt, offset, &mut span,
     );
-    if let Err(failure) = &result {
+    settle(&metrics, &mut span, &result);
+    result.map(|deferred| deferred.map(|query| Box::new(DeferredAggregate { query, span })))
+}
+
+/// The pool half of a [`DeferredAggregate`]: the tuple scan, answered
+/// exactly as [`ExecMode::Auto`] would have.  `hydra_query_seconds` times
+/// the scan alone, not the wait for a worker.
+pub(crate) fn run_deferred<W: Write>(
+    writer: &mut W,
+    registry: &SummaryRegistry,
+    entry: &RegistryEntry,
+    deferred: DeferredAggregate,
+    offset: usize,
+) -> Result<(), StatementFailure> {
+    let DeferredAggregate { query, mut span } = deferred;
+    let regeneration = entry.regeneration();
+    let started = Instant::now();
+    let result = QueryEngine::over(&regeneration.schema, &regeneration.summary)
+        .execute_mode(&query, ExecMode::ScanOnly)
+        .map_err(|e| StatementFailure::Sql(pg_error_of_exec(&e, offset)))
+        .and_then(|answer| {
+            write_answer(writer, registry, entry, &query, answer, started, &mut span)
+        });
+    let metrics = registry.session().metrics();
+    settle(&metrics, &mut span, &result);
+    result
+}
+
+/// Accounts a finished statement on its span: a failure marks the span and
+/// counts its SQLSTATE.
+fn settle<T>(metrics: &MetricsRegistry, span: &mut Span, result: &Result<T, StatementFailure>) {
+    if let Err(failure) = result {
         span.set_error();
         if let StatementFailure::Sql(pg) = failure {
             metrics
@@ -367,12 +412,11 @@ pub(crate) fn run_statement<W: Write>(
                 .inc();
         }
     }
-    result
 }
 
 /// The statement dispatch behind [`run_statement`], factored out so the
 /// span wrapper sees every arm's result (the `?`s in here must not skip
-/// the error accounting).
+/// the error accounting).  `Some` is an aggregate deferred to the pool.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_statement<W: Write>(
     writer: &mut W,
@@ -383,11 +427,10 @@ fn dispatch_statement<W: Write>(
     stmt: &str,
     offset: usize,
     span: &mut Span,
-) -> Result<(), StatementFailure> {
+) -> Result<Option<AggregateQuery>, StatementFailure> {
     match statement {
         Bounded::Acknowledge(tag) => {
             write_backend(writer, &BackendMessage::CommandComplete { tag: tag.into() })?;
-            Ok(())
         }
         Bounded::Ping(n) => {
             let (oid, len) = if i32::try_from(n).is_ok() {
@@ -417,11 +460,11 @@ fn dispatch_statement<W: Write>(
                     tag: "SELECT 1".to_string(),
                 },
             )?;
-            Ok(())
         }
-        Bounded::Metrics => run_metrics_table(writer, metrics),
-        Bounded::Aggregate => run_aggregate(writer, registry, entry, stmt, offset, span),
+        Bounded::Metrics => run_metrics_table(writer, metrics)?,
+        Bounded::Aggregate => return run_aggregate(writer, registry, entry, stmt, offset, span),
     }
+    Ok(None)
 }
 
 /// `SELECT * FROM hydra_metrics`: the server's metrics snapshot as a
@@ -479,9 +522,9 @@ fn float8_text(value: f64) -> String {
     }
 }
 
-/// The aggregate path: parse against the entry's schema, execute with the
-/// automatic summary-direct / scan-fallback strategy, and stream the
-/// grouped answer.
+/// The aggregate path: parse against the entry's schema, answer from the
+/// summary, and write the grouped answer.  An out-of-class query is
+/// returned, parsed, for the pool's tuple scan instead.
 fn run_aggregate<W: Write>(
     writer: &mut W,
     registry: &SummaryRegistry,
@@ -489,16 +532,33 @@ fn run_aggregate<W: Write>(
     stmt: &str,
     offset: usize,
     span: &mut Span,
-) -> Result<(), StatementFailure> {
+) -> Result<Option<AggregateQuery>, StatementFailure> {
     let regeneration = entry.regeneration();
     let schema = &regeneration.schema;
     let query = parse_aggregate_query_for_schema("pgwire", stmt, schema)
         .map_err(|e| StatementFailure::Sql(pg_error_of_exec(&ExecError::Query(e), offset)))?;
     let engine = QueryEngine::over(schema, &regeneration.summary);
     let started = Instant::now();
-    let answer = engine
-        .execute_mode(&query, ExecMode::Auto)
-        .map_err(|e| StatementFailure::Sql(pg_error_of_exec(&e, offset)))?;
+    let answer = match engine.execute_mode(&query, ExecMode::SummaryOnly) {
+        Err(ExecError::OutOfClass(_)) => return Ok(Some(query)),
+        result => result.map_err(|e| StatementFailure::Sql(pg_error_of_exec(&e, offset)))?,
+    };
+    write_answer(writer, registry, entry, &query, answer, started, span)?;
+    Ok(None)
+}
+
+/// Records an aggregate's answer and writes it as `RowDescription`,
+/// `DataRow`s and `CommandComplete`.
+fn write_answer<W: Write>(
+    writer: &mut W,
+    registry: &SummaryRegistry,
+    entry: &RegistryEntry,
+    query: &AggregateQuery,
+    answer: QueryAnswer,
+    started: Instant,
+    span: &mut Span,
+) -> Result<(), StatementFailure> {
+    let schema = &entry.regeneration().schema;
     let metrics = registry.session().metrics();
     let strategy = match answer.strategy {
         ExecStrategy::SummaryDirect => "summary_direct",
@@ -528,7 +588,7 @@ fn run_aggregate<W: Write>(
         fields.push(field);
     }
     for (i, name) in answer.aggregate_columns.iter().enumerate() {
-        fields.push(aggregate_field(schema, &query, i, name));
+        fields.push(aggregate_field(schema, query, i, name));
     }
     write_backend(writer, &BackendMessage::RowDescription { fields })?;
 

@@ -10,26 +10,36 @@
 //! * the handler walks startup → auth-ok → idle on the event loop, feeding
 //!   [`decode_startup`] / [`decode_frontend`] and answering handshake
 //!   traffic (SSL refusals, parameter status, `ReadyForQuery`) inline;
-//! * each `Query` message becomes a query task on the worker pool:
-//!   one `;`-separated statement per poll slice, with `SELECT * FROM`
-//!   scans further sliced into rate-budgeted chunks that `Yield` between
-//!   pulses, `Sleep` on the timer wheel for velocity pacing, and
-//!   `AwaitDrain` when the connection's write queue passes high water.
+//! * each `Query` message becomes one query task, a statement loop that
+//!   starts on the event loop: it answers empty statements, `BEGIN` /
+//!   `SET`-style acknowledgements, `SELECT <n>` pings and in-class
+//!   aggregates (summary-direct, O(blocks)) inline, straight into the
+//!   reactor's output buffer;
+//! * at the first statement that is not provably bounded — a `SELECT *
+//!   FROM` scan, the `hydra_metrics` table, or an out-of-class aggregate
+//!   (already parsed and classified) — the *same* task moves to the
+//!   worker pool and resumes at that statement: one statement per poll
+//!   slice, with scans further sliced into rate-budgeted chunks that
+//!   `Yield` between pulses, `Sleep` on the timer wheel for velocity
+//!   pacing, and `AwaitDrain` when the connection's write queue passes
+//!   high water.
 
 use crate::codec::{
     decode_frontend, decode_startup, encode_backend, BackendMessage, Decoded, FrontendMessage,
     StartupPacket,
 };
 use crate::connection::{
-    classify, handshake_messages, resolve_database, run_statement, split_statements, PgError,
-    Statement, StatementFailure,
+    classify, handshake_messages, resolve_database, run_deferred, run_statement, split_statements,
+    Bounded, DeferredAggregate, PgError, Statement, StatementFailure,
 };
 use crate::datarow::{row_description, DataRowTemplate};
 use hydra_catalog::types::DataType;
 use hydra_datagen::generator::DynamicGenerator;
 use hydra_datagen::governor::{Pulse, VelocityGovernor};
 use hydra_obs::{Counter, MetricsRegistry, Span};
-use hydra_reactor::{ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll};
+use hydra_reactor::{
+    ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll, INLINE_BYTES_MAX,
+};
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
 use hydra_service::StreamRequest;
 use std::sync::Arc;
@@ -71,7 +81,7 @@ enum Phase {
 }
 
 /// Per-connection incremental decoder walking the v3 handshake and then
-/// slicing frontend messages into worker-pool tasks.
+/// serving frontend messages, inline or through worker-pool tasks.
 struct PgConnHandler {
     registry: Arc<SummaryRegistry>,
     phase: Phase,
@@ -177,19 +187,16 @@ impl PgConnHandler {
                     emit(out, &BackendMessage::ReadyForQuery { status: b'I' });
                     (consumed, HandlerOutcome::Continue)
                 }
-                FrontendMessage::Query { sql } => (
-                    consumed,
-                    HandlerOutcome::Task(Box::new(PgQueryTask {
-                        registry: Arc::clone(&self.registry),
-                        entry,
-                        sql,
-                        started: false,
-                        statements: Vec::new(),
-                        next: 0,
-                        ran_any: false,
-                        scan: None,
-                    })),
-                ),
+                FrontendMessage::Query { sql } => {
+                    let on_loop = sql.len() <= INLINE_BYTES_MAX;
+                    let mut task = PgQueryTask::new(Arc::clone(&self.registry), entry, sql);
+                    let outcome = match on_loop.then(|| task.advance(out, true)).flatten() {
+                        Some(TaskPoll::DoneClose) => HandlerOutcome::Close,
+                        Some(_) => HandlerOutcome::Continue,
+                        None => HandlerOutcome::Task(Box::new(task)),
+                    };
+                    (consumed, outcome)
+                }
             },
         }
     }
@@ -201,14 +208,19 @@ impl PgConnHandler {
 struct PgQueryTask {
     registry: Arc<SummaryRegistry>,
     entry: Arc<RegistryEntry>,
-    sql: String,
-    started: bool,
-    /// `(byte offset, statement text)` pairs, split on first poll.
+    /// The message text until the first [`advance`](Self::advance) splits
+    /// it into `statements` — on the event loop only for a message of at
+    /// most [`INLINE_BYTES_MAX`], on the pool otherwise.
+    sql: Option<String>,
+    /// `(byte offset, statement text)` pairs of the message.
     statements: Vec<(usize, String)>,
     next: usize,
     ran_any: bool,
     /// A `SELECT * FROM` scan in flight within the current statement.
     scan: Option<Box<ScanState>>,
+    /// The current statement: an out-of-class aggregate awaiting the
+    /// pool's tuple scan.
+    deferred: Option<Box<DeferredAggregate>>,
 }
 
 impl ConnTask for PgQueryTask {
@@ -217,15 +229,9 @@ impl ConnTask for PgQueryTask {
         if conn.is_dead() {
             return TaskPoll::Done;
         }
-        if !self.started {
-            self.started = true;
-            self.statements = split_statements(&self.sql)
-                .into_iter()
-                .map(|(offset, stmt)| (offset, stmt.to_string()))
-                .collect();
-        }
-        if let Some(scan) = &mut self.scan {
-            return match scan.pump(conn) {
+        let mut out = Vec::new();
+        let poll = match &mut self.scan {
+            Some(scan) => match scan.pump(conn) {
                 ScanPoll::Reactor(poll) => poll,
                 ScanPoll::Finished => {
                     self.scan = None;
@@ -234,11 +240,66 @@ impl ConnTask for PgQueryTask {
                 }
                 ScanPoll::Failed(e) => {
                     self.scan = None;
-                    self.fail(conn, e)
+                    fail(&mut out, e)
                 }
-            };
+            },
+            // Bounded statements still respect backpressure between them.
+            None if conn.over_high_water() => TaskPoll::AwaitDrain,
+            None => self
+                .advance(&mut out, false)
+                .expect("the pool runs every kind of statement"),
+        };
+        conn.push(out);
+        poll
+    }
+}
+
+impl PgQueryTask {
+    fn new(registry: Arc<SummaryRegistry>, entry: Arc<RegistryEntry>, sql: String) -> PgQueryTask {
+        PgQueryTask {
+            registry,
+            entry,
+            sql: Some(sql),
+            statements: Vec::new(),
+            next: 0,
+            ran_any: false,
+            scan: None,
+            deferred: None,
         }
-        // Next statement, one per poll slice (fairness on the fixed pool).
+    }
+
+    /// The statement loop, writing each statement's output into `out`.
+    ///
+    /// The first call splits the message into statements.  On the event
+    /// loop (`on_loop`) it runs every statement it can prove bounded and
+    /// returns `None` at the first that needs the pool — a scan, the
+    /// metrics table, or an out-of-class aggregate — with `next` still
+    /// pointing at it, so the pool resumes right there.  It also leaves
+    /// for the pool once `out` holds [`INLINE_BYTES_MAX`].  On the pool
+    /// it runs one statement per call (`Yield` between them for fairness),
+    /// an out-of-class aggregate's scan taking a call of its own.  Once the
+    /// statements are exhausted it writes the closing `ReadyForQuery` and
+    /// returns `Done`.
+    fn advance(&mut self, out: &mut Vec<u8>, on_loop: bool) -> Option<TaskPoll> {
+        if let Some(sql) = self.sql.take() {
+            self.statements = split_statements(&sql)
+                .into_iter()
+                .map(|(offset, stmt)| (offset, stmt.to_string()))
+                .collect();
+        }
+        if let Some(deferred) = self.deferred.take() {
+            let offset = self.statements[self.next].0;
+            return Some(
+                match run_deferred(out, &self.registry, &self.entry, *deferred, offset) {
+                    Ok(()) => {
+                        self.next += 1;
+                        TaskPoll::Yield
+                    }
+                    Err(StatementFailure::Sql(e)) => fail(out, e),
+                    Err(StatementFailure::Wire) => TaskPoll::DoneClose,
+                },
+            );
+        }
         while self.next < self.statements.len() {
             let (offset, stmt) = &self.statements[self.next];
             let statement = match classify(stmt) {
@@ -246,71 +307,68 @@ impl ConnTask for PgQueryTask {
                     self.next += 1;
                     continue;
                 }
+                Statement::Scan(_) | Statement::Bounded(Bounded::Metrics) if on_loop => {
+                    return None;
+                }
                 Statement::Scan(table) => {
                     self.ran_any = true;
-                    return match ScanState::open(&self.registry, &self.entry, table, conn) {
-                        Ok(scan) => {
-                            self.scan = Some(scan);
-                            TaskPoll::Yield
-                        }
-                        Err(e) => {
-                            // A scan that fails to open never owns a span
-                            // of its own: account the failure here.
-                            let metrics = self.registry.session().metrics();
-                            metrics.span("pg.scan").set_error();
-                            metrics
-                                .counter_labeled("hydra_pg_errors_total", "sqlstate", e.code())
-                                .inc();
-                            self.fail(conn, e)
-                        }
-                    };
+                    return Some(
+                        match ScanState::open(&self.registry, &self.entry, table, out) {
+                            Ok(scan) => {
+                                self.scan = Some(scan);
+                                TaskPoll::Yield
+                            }
+                            Err(e) => {
+                                // A scan that fails to open never owns a
+                                // span of its own: account the failure here.
+                                let metrics = self.registry.session().metrics();
+                                metrics.span("pg.scan").set_error();
+                                metrics
+                                    .counter_labeled("hydra_pg_errors_total", "sqlstate", e.code())
+                                    .inc();
+                                fail(out, e)
+                            }
+                        },
+                    );
                 }
                 Statement::Bounded(statement) => statement,
             };
             self.ran_any = true;
-            // Bounded output: run the dispatch against an in-memory writer
-            // and push the bytes.  (A Vec write cannot fail, so the Wire
-            // arm is unreachable.)
-            let mut bytes = Vec::new();
-            return match run_statement(
-                &mut bytes,
-                &self.registry,
-                &self.entry,
-                statement,
-                stmt,
-                *offset,
-            ) {
-                Ok(()) => {
-                    conn.push(bytes);
+            // Bounded output: the dispatch writes straight into `out` (a
+            // Vec write cannot fail, so the Wire arm is unreachable).
+            match run_statement(out, &self.registry, &self.entry, statement, stmt, *offset) {
+                Ok(None) => {
                     self.next += 1;
-                    TaskPoll::Yield
+                    if !on_loop {
+                        return Some(TaskPoll::Yield);
+                    }
+                    if out.len() >= INLINE_BYTES_MAX && self.next < self.statements.len() {
+                        return None;
+                    }
                 }
-                Err(StatementFailure::Sql(e)) => self.fail(conn, e),
-                Err(StatementFailure::Wire) => TaskPoll::DoneClose,
-            };
+                Ok(Some(deferred)) => {
+                    self.deferred = Some(deferred);
+                    return (!on_loop).then_some(TaskPoll::Yield);
+                }
+                Err(StatementFailure::Sql(e)) => return Some(fail(out, e)),
+                Err(StatementFailure::Wire) => return Some(TaskPoll::DoneClose),
+            }
         }
         // All statements processed.
-        let mut bytes = Vec::new();
         if !self.ran_any {
-            emit(&mut bytes, &BackendMessage::EmptyQueryResponse);
+            emit(out, &BackendMessage::EmptyQueryResponse);
         }
-        emit(&mut bytes, &BackendMessage::ReadyForQuery { status: b'I' });
-        conn.push(bytes);
-        TaskPoll::Done
+        emit(out, &BackendMessage::ReadyForQuery { status: b'I' });
+        Some(TaskPoll::Done)
     }
 }
 
-impl PgQueryTask {
-    /// A statement failed as SQL: report it, abort the remaining
-    /// statements, close the cycle with `ReadyForQuery` — the connection
-    /// stays usable.
-    fn fail(&mut self, conn: &ConnHandle, e: PgError) -> TaskPoll {
-        let mut bytes = Vec::new();
-        emit(&mut bytes, &e.to_message());
-        emit(&mut bytes, &BackendMessage::ReadyForQuery { status: b'I' });
-        conn.push(bytes);
-        TaskPoll::Done
-    }
+/// A statement failed as SQL: report it, abort the remaining statements,
+/// close the cycle with `ReadyForQuery` — the connection stays usable.
+fn fail(out: &mut Vec<u8>, e: PgError) -> TaskPoll {
+    emit(out, &e.to_message());
+    emit(out, &BackendMessage::ReadyForQuery { status: b'I' });
+    TaskPoll::Done
 }
 
 /// What one scan pump slice decided.
@@ -343,13 +401,13 @@ struct ScanState {
 }
 
 impl ScanState {
-    /// Resolves the relation, pushes its `RowDescription`, and returns the
-    /// ready scan.
+    /// Resolves the relation, writes its `RowDescription` into `out`, and
+    /// returns the ready scan.
     fn open(
         registry: &SummaryRegistry,
         entry: &RegistryEntry,
         table: &str,
-        conn: &ConnHandle,
+        out: &mut Vec<u8>,
     ) -> Result<Box<ScanState>, PgError> {
         let generator = entry.generator();
         let no_relation =
@@ -365,9 +423,7 @@ impl ScanState {
             .iter()
             .map(|c| c.data_type.clone())
             .collect();
-        let mut bytes = Vec::new();
-        emit(&mut bytes, &row_description(schema_table));
-        conn.push(bytes);
+        emit(out, &row_description(schema_table));
         let governor = match registry.session().velocity() {
             Some(rate) => VelocityGovernor::with_rate(rate),
             None => VelocityGovernor::unthrottled(),
@@ -404,14 +460,10 @@ impl ScanState {
             Pulse::Wait(wait) => return ScanPoll::Reactor(TaskPoll::Sleep(wait)),
             Pulse::Emit(goal) => goal,
             Pulse::Drained => {
-                let mut bytes = Vec::new();
-                emit(
-                    &mut bytes,
-                    &BackendMessage::CommandComplete {
-                        tag: format!("SELECT {}", self.governor.emitted()),
-                    },
-                );
-                conn.push(bytes);
+                // Settle the datagen account and close the span *before*
+                // the completion tag is queued: a client that reads
+                // `CommandComplete` and then scrapes must find the scan
+                // fully counted.
                 self.metrics
                     .counter_labeled("hydra_datagen_rows_total", "table", &self.table)
                     .add(self.governor.emitted());
@@ -421,9 +473,17 @@ impl ScanState {
                 self.metrics
                     .counter("hydra_governor_sleep_seconds_total")
                     .add(u64::try_from(self.governor.slept().as_nanos()).unwrap_or(u64::MAX));
-                // The span closes at the completion tag, so its duration is
-                // the stream's (governor sleeps included).
+                // The span's duration is the stream's (governor sleeps
+                // included).
                 self.span.take();
+                let mut bytes = Vec::new();
+                emit(
+                    &mut bytes,
+                    &BackendMessage::CommandComplete {
+                        tag: format!("SELECT {}", self.governor.emitted()),
+                    },
+                );
+                conn.push(bytes);
                 return ScanPoll::Finished;
             }
         };

@@ -3,7 +3,8 @@
 //! A thin configuration layer over [`hydra-reactor`](hydra_reactor),
 //! structurally a twin of `hydra-service`'s frame server: [`serve_pg`]
 //! binds a listener on a shared epoll event loop, v3 messages are decoded
-//! incrementally on the loop by [`crate::reactor::PgProtocol`], and queries
+//! incrementally on the loop by [`crate::reactor::PgProtocol`], bounded
+//! statements are answered right there, and scans and scan fallbacks
 //! execute as cooperative tasks on a **fixed** worker pool.  Both
 //! front-ends are meant to run under one shared [`ShutdownSignal`], so a
 //! `Shutdown` frame on the service port (or a programmatic shutdown of

@@ -10,9 +10,10 @@
 //! The division of labour:
 //!
 //! * A [`Protocol`] mints one [`ConnHandler`] per accepted connection.
-//! * The handler is a pure incremental parser: fed the receive buffer, it
-//!   consumes complete messages, writes immediate replies (handshakes)
-//!   into an output buffer, and hands heavier requests back as boxed
+//! * The handler is an incremental parser: fed the receive buffer, it
+//!   consumes complete messages, answers bounded requests (handshakes,
+//!   summary-direct queries, registry introspection) straight into an
+//!   output buffer, and hands everything else back as boxed
 //!   [`ConnTask`]s.
 //! * Tasks run on the worker pool, pushing response bytes through a
 //!   [`ConnHandle`] and cooperating via [`TaskPoll`]: `Yield` between
@@ -45,10 +46,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Largest request a [`ConnHandler`] parses on the event loop, and the most
+/// reply bytes one inline message may accumulate there.  Parsing is
+/// O(request), so a request is bounded only if it is small as well as
+/// cheap to answer; anything larger goes to the worker pool whatever it
+/// asks for.
+pub const INLINE_BYTES_MAX: usize = 64 << 10;
+
 /// What a [`ConnHandler`] wants the reactor to do after a parse step.
 pub enum HandlerOutcome {
     /// Keep parsing: more input is needed (or the consumed message was
-    /// answered inline through the output buffer).
+    /// answered inline through the output buffer, which the reactor
+    /// enqueues and flushes in the same tick).
     Continue,
     /// A complete request was parsed; run this task on the worker pool.
     /// The handler will not be fed again until the task completes, so
@@ -60,9 +69,17 @@ pub enum HandlerOutcome {
 
 /// An incremental, non-blocking protocol decoder for one connection.
 ///
-/// Runs on the reactor thread: implementations must only parse and
-/// serialize — no I/O, no blocking, no heavy compute (that belongs in a
-/// [`ConnTask`]).
+/// Runs on the reactor thread, so one rule decides where a request runs:
+/// work that is O(summary) — bounded by what the server already holds in
+/// memory, independent of row counts — may be answered inline, provided
+/// the request is no larger than [`INLINE_BYTES_MAX`]; work that is
+/// O(rows), O(package) or touches disk may not, and becomes a
+/// [`ConnTask`] on the worker pool.  No I/O and no blocking either way.
+///
+/// Inline replies obey the connection's write-queue bound: once the queue
+/// reaches [`ReactorConfig::write_queue_cap`] the reactor stops feeding the
+/// handler and resumes below half of it, the same rule that parks a task
+/// on [`TaskPoll::AwaitDrain`].
 pub trait ConnHandler: Send {
     /// Feeds the current receive buffer.  Returns how many bytes were
     /// consumed and what to do next.  Immediate replies (greetings,
@@ -123,7 +140,8 @@ pub struct ReactorConfig {
     /// pauses and new connections wait in the kernel backlog.
     pub max_connections: usize,
     /// Per-connection write-queue high-water mark in bytes.  Tasks park
-    /// (`AwaitDrain`) above it and resume below half of it.
+    /// (`AwaitDrain`) above it and resume below half of it; parsing of
+    /// pipelined requests stops and resumes at the same marks.
     pub write_queue_cap: usize,
     /// A connection whose queue is non-empty and makes no write progress
     /// for this long is forcibly disconnected (the stalled-reader
@@ -200,7 +218,8 @@ impl ReactorMetrics {
         self.active_connections.load(Ordering::SeqCst)
     }
 
-    /// Total tasks handed to the worker pool.
+    /// Total tasks handed to the worker pool (requests answered inline on
+    /// the event loop are not tasks).
     pub fn tasks_started(&self) -> u64 {
         self.tasks_started.load(Ordering::SeqCst)
     }

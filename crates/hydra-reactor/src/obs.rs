@@ -21,6 +21,9 @@ pub(crate) struct ReactorObs {
     pub closes: Arc<Counter>,
     pub evictions: Arc<Counter>,
     pub parks: Arc<Counter>,
+    /// New tasks handed to the worker pool; requests answered inline on
+    /// the loop are `hydra_requests_total` minus this.
+    pub pool_submits: Arc<Counter>,
     pub timer_cascades: Arc<Counter>,
     pub bytes_in: Arc<Counter>,
     pub bytes_out: Arc<Counter>,
@@ -38,6 +41,7 @@ impl ReactorObs {
             closes: registry.counter("hydra_reactor_closes_total"),
             evictions: registry.counter("hydra_reactor_evictions_total"),
             parks: registry.counter("hydra_reactor_parks_total"),
+            pool_submits: registry.counter("hydra_reactor_pool_submits_total"),
             timer_cascades: registry.counter("hydra_reactor_timer_cascades_total"),
             bytes_in: registry.counter("hydra_reactor_bytes_in_total"),
             bytes_out: registry.counter("hydra_reactor_bytes_out_total"),

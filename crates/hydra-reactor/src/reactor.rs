@@ -5,18 +5,19 @@
 //!
 //! ```text
 //!   accept ──► Idle ──parse──► Running ──► Done ──► Idle (next request)
-//!                │                │  ▲
-//!                │                │  └── resume (timer / drain / yield)
-//!                │                ▼
-//!                │          Sleeping / Parked
-//!                │
-//!                └── EOF / RDHUP / write error / stall ──► closed
+//!              │ ▲ │              │  ▲
+//!              └─┘ │              │  └── resume (timer / drain / yield)
+//!    answered      │              ▼
+//!    inline        │        Sleeping / Parked
+//!                  │
+//!                  └── EOF / RDHUP / write error / stall ──► closed
 //! ```
 //!
 //! The loop owns all sockets and all parser state; worker threads only
-//! ever touch a [`ConnHandle`].  Everything that could block — request
-//! compute, velocity sleeps, slow-client writes — is exported off the
-//! loop (pool, timer wheel, write queues), which is what keeps one
+//! ever touch a [`ConnHandle`].  Bounded requests are answered inside
+//! `on_bytes` (see [`ConnHandler`]); everything that could block — scans,
+//! streams, solves, velocity sleeps, slow-client writes — is exported off
+//! the loop (pool, timer wheel, write queues), which is what keeps one
 //! stalled peer from costing anyone else a microsecond.
 
 use crate::conn::{ConnObs, ConnShared, FlushStatus};
@@ -280,6 +281,10 @@ struct Conn {
     interest: u32,
     close_after_flush: bool,
     read_paused: bool,
+    /// Parsing stopped because the write queue reached `write_queue_cap`
+    /// (inline replies obey the same bound as task output); it resumes
+    /// once the queue drains below low water.
+    input_held: bool,
     /// Last instant the write queue made progress (or was empty).
     last_drain: Instant,
 }
@@ -434,6 +439,7 @@ impl Inner {
                 interest,
                 close_after_flush: false,
                 read_paused: false,
+                input_held: false,
                 last_drain: Instant::now(),
             },
         );
@@ -527,26 +533,54 @@ impl Inner {
     }
 
     /// Feeds buffered bytes to the protocol handler while the connection
-    /// is idle, then settles interest and flushes handler output.
+    /// is idle, flushing what the handler answered inline.  Inline replies
+    /// count against the write queue exactly like task output: parsing
+    /// stops once the queue reaches `write_queue_cap` and resumes below
+    /// low water (the `AwaitDrain` rule), so a client that pipelines
+    /// requests and never reads cannot grow the queue without bound.
     fn drive_handler(&mut self, token: u64) {
         let mut out: Vec<u8> = Vec::new();
         loop {
+            self.feed_handler(token, &mut out);
+            self.update_interest(token);
+            self.write_conn(token);
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
+            if !conn.input_held || conn.shared.queued_bytes() >= self.low_water {
+                return;
+            }
+            conn.input_held = false;
+        }
+    }
+
+    /// One parse pass: hands complete messages to the handler until input
+    /// runs out, a task takes the connection, the handler closes it, or
+    /// the write queue reaches its cap.
+    fn feed_handler(&mut self, token: u64, out: &mut Vec<u8>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        // Consumed bytes are drained once per pass, not per message: a
+        // deep pipeline answered inline would otherwise memmove the whole
+        // receive buffer once per request.
+        let mut parsed = 0;
+        loop {
             if conn.close_after_flush
-                || conn.read_buf.is_empty()
+                || parsed == conn.read_buf.len()
                 || !matches!(conn.state, ConnState::Idle)
             {
                 break;
             }
-            out.clear();
-            let (consumed, outcome) = conn.handler.on_bytes(&conn.read_buf, &mut out);
-            if consumed > 0 {
-                conn.read_buf.drain(..consumed);
+            if conn.shared.queued_bytes() >= self.config.write_queue_cap {
+                conn.input_held = true;
+                break;
             }
+            out.clear();
+            let (consumed, outcome) = conn.handler.on_bytes(&conn.read_buf[parsed..], out);
+            parsed += consumed;
             if !out.is_empty() {
-                conn.shared.enqueue(std::mem::take(&mut out), false);
+                conn.shared.enqueue(std::mem::take(out), false);
             }
             match outcome {
                 HandlerOutcome::Continue => {
@@ -560,6 +594,7 @@ impl Inner {
                         shared: Arc::clone(&conn.shared),
                     };
                     self.metrics.note_task_started();
+                    self.obs.pool_submits.inc();
                     self.pool.submit(token, task, handle);
                     break;
                 }
@@ -570,22 +605,26 @@ impl Inner {
                 }
             }
         }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            // Parsing may have freed receive-buffer headroom.
-            if conn.read_paused
-                && !conn.close_after_flush
-                && conn.read_buf.len() < self.config.read_buffer_cap
-            {
-                conn.read_paused = false;
-            }
+        conn.read_buf.drain(..parsed);
+        // Parsing may have freed receive-buffer headroom.
+        if conn.read_paused
+            && !conn.close_after_flush
+            && conn.read_buf.len() < self.config.read_buffer_cap
+        {
+            conn.read_paused = false;
         }
-        self.update_interest(token);
-        self.flush_conn(token);
     }
 
     // ---- write path ------------------------------------------------------
 
+    /// Writes what the queue holds, then resumes whatever was waiting for
+    /// it to drain: a parked task or held input.
     fn flush_conn(&mut self, token: u64) {
+        self.write_conn(token);
+        self.maybe_resume(token);
+    }
+
+    fn write_conn(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -597,7 +636,6 @@ impl Inner {
                 return;
             }
             self.update_interest(token);
-            self.maybe_resume_parked(token);
             return;
         }
         match conn.shared.flush(&mut conn.stream) {
@@ -608,7 +646,6 @@ impl Inner {
                     return;
                 }
                 self.update_interest(token);
-                self.maybe_resume_parked(token);
             }
             FlushStatus::Pending { wrote_any } => {
                 if wrote_any {
@@ -616,7 +653,6 @@ impl Inner {
                 }
                 self.update_interest(token);
                 self.arm_stall_tick();
-                self.maybe_resume_parked(token);
             }
             FlushStatus::Closed => {
                 self.kill_conn(token, false);
@@ -624,13 +660,19 @@ impl Inner {
         }
     }
 
-    fn maybe_resume_parked(&mut self, token: u64) {
+    fn maybe_resume(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if !matches!(conn.state, ConnState::Parked(_))
-            || conn.shared.queued_bytes() >= self.low_water
-        {
+        if conn.shared.queued_bytes() >= self.low_water {
+            return;
+        }
+        if conn.input_held {
+            conn.input_held = false;
+            self.drive_handler(token);
+            return;
+        }
+        if !matches!(conn.state, ConnState::Parked(_)) {
             return;
         }
         let ConnState::Parked(task) = std::mem::replace(&mut conn.state, ConnState::Running) else {
@@ -1047,6 +1089,39 @@ mod tests {
             "peak queue {} exceeded cap+slice",
             metrics.peak_queued_bytes()
         );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn pipelined_inline_replies_stop_parsing_at_the_queue_cap() {
+        use std::io::BufRead;
+        const CAP: usize = 16 * 1024;
+        const LINES: usize = 200_000;
+        let handle = start_test_reactor(|b| b.write_queue_cap(CAP));
+        let addr = handle.local_addrs()[0];
+        let metrics = handle.metrics();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // 20 MB of inline replies: far more than the kernel buffers hold.
+        let line = format!("echo {}\n", "y".repeat(99));
+        stream
+            .write_all(line.repeat(LINES).as_bytes())
+            .expect("pipeline");
+        std::thread::sleep(Duration::from_millis(200));
+        let peak = metrics.peak_queued_bytes();
+        assert!(
+            (CAP as u64..=(CAP + 100) as u64).contains(&peak),
+            "queue peak {peak} outside [cap, cap + one reply]"
+        );
+        // Reading drains the queue; parsing resumes below low water until
+        // every reply has arrived, in order.
+        let mut reader = std::io::BufReader::new(stream);
+        let mut reply = String::new();
+        for i in 0..LINES {
+            reply.clear();
+            reader.read_line(&mut reply).expect("reply");
+            assert_eq!(reply.len(), 100, "reply {i}");
+        }
+        assert_eq!(metrics.tasks_started(), 0, "inline replies became tasks");
         handle.shutdown();
     }
 

@@ -1,18 +1,31 @@
 //! The frame protocol as a reactor state machine.
 //!
-//! The server side of the frame protocol, decomposed into the three pieces
-//! the reactor core wants:
+//! The server side of the frame protocol, decomposed into the pieces the
+//! reactor core wants:
 //!
 //! * [`FrameProtocol`] mints a connection handler per accepted connection;
-//! * the handler incrementally slices complete frames off the receive
-//!   buffer ([`decode_frame`]) on the event loop — parsing only, no I/O,
-//!   no JSON deserialization;
-//! * each complete frame becomes a task on the worker pool, which
-//!   deserializes the request, answers one-shot requests in a single poll,
-//!   and serves `Stream` requests as a cooperative chunked state machine:
-//!   generate a bounded slice of rows, push the encoded batches, then
-//!   `Yield` (fairness), `Sleep` (velocity pacing via the timer wheel), or
-//!   `AwaitDrain` (write-queue backpressure) — never blocking a thread.
+//! * the handler slices complete frames off the receive buffer
+//!   ([`decode_frame`]) on the event loop and routes each one by what it
+//!   asks for ([`request_tag`]), without deserializing anything first;
+//! * `Query`, `Describe` and `List` are bounded by the summary, so they are
+//!   deserialized and answered right there: the reply goes into the
+//!   reactor's output buffer and is flushed in the same tick.  A `Query`
+//!   runs summary-direct (`ExecMode::SummaryOnly`); an out-of-class query
+//!   that may fall back is handed, already parsed and classified, to the
+//!   pool for its tuple scan (`ExecMode::ScanOnly`) — together exactly
+//!   `ExecMode::Auto`, with classification run once;
+//! * everything else — publishes, deltas, scenarios, `Stats`, `Stream`,
+//!   `Shutdown`, unknown or malformed payloads — becomes a task on the
+//!   worker pool, which deserializes the request, answers one-shot
+//!   requests in a single poll, and serves `Stream` requests as a
+//!   cooperative chunked state machine: generate a bounded slice of rows,
+//!   push the encoded batches, then `Yield` (fairness), `Sleep` (velocity
+//!   pacing via the timer wheel), or `AwaitDrain` (write-queue
+//!   backpressure) — never blocking a thread.
+//!
+//! Every request keeps its span, and the span closes before the reply is
+//! queued, so a client that reads a reply and then scrapes the metrics
+//! always finds the request counted.
 //!
 //! ## Wire parity with the in-process reference
 //!
@@ -37,15 +50,20 @@
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    decode_frame, encode_frame, FrameDecoded, MetricSample, Request, Response, StreamRequest,
-    StreamStart, StreamStats,
+    decode_frame, encode_frame, request_tag, FrameDecoded, MetricSample, QueryRequest, Request,
+    Response, StreamRequest, StreamStart, StreamStats,
 };
-use crate::registry::SummaryRegistry;
+use crate::registry::{RegistryEntry, SummaryRegistry};
 use crate::wire::BatchEncoder;
+use hydra_datagen::exec::{ExecError, ExecMode, ExecResult, QueryEngine};
 use hydra_datagen::generator::DynamicGenerator;
 use hydra_datagen::governor::{Pulse, VelocityGovernor};
 use hydra_obs::{Counter, MetricsRegistry, Span};
-use hydra_reactor::{ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll};
+use hydra_query::exec::{AggregateQuery, QueryAnswer};
+use hydra_query::parser::parse_aggregate_query_for_schema;
+use hydra_reactor::{
+    ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll, INLINE_BYTES_MAX,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,9 +75,10 @@ use hydra_reactor::ShutdownSignal;
 /// noise.
 const STREAM_SLICE_ROWS: u64 = 8192;
 
-/// Serves one one-shot request, producing the response frame's message.
-/// `Stream` and `Shutdown` never reach it: both need connection-level
-/// control flow and are handled by [`FrameTask::begin`].
+/// Serves one registry request, producing the response frame's message.
+/// `Query`, `Stream` and `Shutdown` never reach it: they need more than
+/// one response or connection-level control flow, and
+/// [`FrameCtx::serve`] handles them.
 fn respond(registry: &SummaryRegistry, request: Request) -> Response {
     match request {
         Request::Publish { name, package } => match registry.publish(&name, package) {
@@ -84,43 +103,6 @@ fn respond(registry: &SummaryRegistry, request: Request) -> Response {
                 message: e.to_string(),
             },
         },
-        Request::Query(request) => {
-            use hydra_datagen::exec::{ExecMode, QueryEngine};
-            let entry = match registry.resolve(&request.name) {
-                Ok(entry) => entry,
-                Err(e) => {
-                    return Response::Error {
-                        message: e.to_string(),
-                    }
-                }
-            };
-            let mode = if request.summary_only {
-                ExecMode::SummaryOnly
-            } else {
-                ExecMode::Auto
-            };
-            // Query the registered entry in place — no summary clone per
-            // request.
-            let regeneration = entry.regeneration();
-            let engine = QueryEngine::over(&regeneration.schema, &regeneration.summary);
-            let started = Instant::now();
-            match engine.query_mode(&request.sql, mode) {
-                Ok(answer) => {
-                    let metrics = registry.session().metrics();
-                    let strategy = strategy_label(answer.strategy);
-                    metrics
-                        .counter_labeled("hydra_query_total", "strategy", strategy)
-                        .inc();
-                    metrics
-                        .histogram_labeled("hydra_query_seconds", "strategy", strategy)
-                        .record_duration(started.elapsed());
-                    Response::QueryResult(answer)
-                }
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            }
-        }
         Request::Stats => {
             let samples = registry
                 .session()
@@ -146,7 +128,7 @@ fn respond(registry: &SummaryRegistry, request: Request) -> Response {
                 message: e.to_string(),
             },
         },
-        Request::Stream(_) | Request::Shutdown => Response::Error {
+        Request::Query(_) | Request::Stream(_) | Request::Shutdown => Response::Error {
             message: "request requires connection-level handling".to_string(),
         },
     }
@@ -199,13 +181,20 @@ impl FrameObs {
     }
 }
 
-/// The frame protocol's listener-level factory: one per frame listener,
-/// holding the shared registry and the server's shutdown signal (a
-/// `Shutdown` frame trips it for every front-end on the reactor).
-pub struct FrameProtocol {
+/// What a frame listener serves from: the shared registry, the server's
+/// shutdown signal (a `Shutdown` frame trips it for every front-end on the
+/// reactor) and the resolved metric handles.  Cloned into every connection
+/// handler and every pool task.
+#[derive(Clone)]
+struct FrameCtx {
     registry: Arc<SummaryRegistry>,
     signal: ShutdownSignal,
     obs: FrameObs,
+}
+
+/// The frame protocol's listener-level factory: one per frame listener.
+pub struct FrameProtocol {
+    ctx: FrameCtx,
 }
 
 impl FrameProtocol {
@@ -214,9 +203,11 @@ impl FrameProtocol {
     pub fn new(registry: Arc<SummaryRegistry>, signal: ShutdownSignal) -> FrameProtocol {
         let obs = FrameObs::resolve(&registry.session().metrics());
         FrameProtocol {
-            registry,
-            signal,
-            obs,
+            ctx: FrameCtx {
+                registry,
+                signal,
+                obs,
+            },
         }
     }
 }
@@ -224,57 +215,73 @@ impl FrameProtocol {
 impl Protocol for FrameProtocol {
     fn connect(&self) -> Box<dyn ConnHandler> {
         Box::new(FrameHandler {
-            registry: Arc::clone(&self.registry),
-            signal: self.signal.clone(),
-            obs: self.obs.clone(),
+            ctx: self.ctx.clone(),
         })
     }
 }
 
 /// Per-connection incremental decoder: slices complete frames off the
-/// receive buffer and hands each one to the worker pool as a [`FrameTask`].
+/// receive buffer, answers bounded requests inline and hands the rest to
+/// the worker pool as [`FrameTask`]s.
 struct FrameHandler {
-    registry: Arc<SummaryRegistry>,
-    signal: ShutdownSignal,
-    obs: FrameObs,
+    ctx: FrameCtx,
+}
+
+/// True when a frame is provably bounded work: a small `Query`,
+/// `Describe` or `List`, whose cost is O(summary), never O(rows).
+fn answered_inline(payload: &[u8]) -> bool {
+    payload.len() <= INLINE_BYTES_MAX
+        && matches!(request_tag(payload), Some("Query" | "Describe" | "List"))
 }
 
 impl ConnHandler for FrameHandler {
     fn on_bytes(&mut self, buf: &[u8], out: &mut Vec<u8>) -> (usize, HandlerOutcome) {
         match decode_frame(buf) {
             Ok(FrameDecoded::Incomplete) => (0, HandlerOutcome::Continue),
-            Ok(FrameDecoded::Complete { payload, consumed }) => (
-                consumed,
-                HandlerOutcome::Task(Box::new(FrameTask {
-                    registry: Arc::clone(&self.registry),
-                    signal: self.signal.clone(),
-                    obs: self.obs.clone(),
-                    span: None,
-                    state: TaskState::Init { payload },
-                })),
-            ),
+            Ok(FrameDecoded::Complete { payload, consumed }) => {
+                let outcome = if answered_inline(&payload) {
+                    match self.ctx.serve_payload(&payload, out) {
+                        Served::Done => HandlerOutcome::Continue,
+                        Served::Close => HandlerOutcome::Close,
+                        Served::Pool(state) => HandlerOutcome::Task(self.task(state)),
+                    }
+                } else {
+                    HandlerOutcome::Task(self.task(TaskState::Init { payload }))
+                };
+                (consumed, outcome)
+            }
             Err(e) => {
                 // The byte stream is desynchronized; answer, then close.
-                if let Ok(frame) = encode_frame(&Response::Error {
-                    message: e.to_string(),
-                }) {
-                    self.obs.frame_bytes.add(frame.len() as u64);
-                    out.extend_from_slice(&frame);
-                }
+                self.ctx.error_frame(out, e.to_string());
                 (buf.len(), HandlerOutcome::Close)
             }
         }
     }
 }
 
+impl FrameHandler {
+    fn task(&self, state: TaskState) -> Box<dyn ConnTask> {
+        Box::new(FrameTask {
+            ctx: self.ctx.clone(),
+            state,
+        })
+    }
+}
+
+/// What serving a request left to do once its immediate output is in the
+/// output buffer.
+enum Served {
+    /// The reply is complete.
+    Done,
+    /// Flush the reply, then close the connection.
+    Close,
+    /// The request continues on the worker pool in this state.
+    Pool(TaskState),
+}
+
 /// One request's worth of work on the worker pool.
 struct FrameTask {
-    registry: Arc<SummaryRegistry>,
-    signal: ShutdownSignal,
-    obs: FrameObs,
-    /// The request's tracing span, held for the lifetime of a stream (a
-    /// one-shot request's span lives and dies inside [`FrameTask::begin`]).
-    span: Option<Span>,
+    ctx: FrameCtx,
     state: TaskState,
 }
 
@@ -284,8 +291,19 @@ enum TaskState {
         /// JSON bytes of the request.
         payload: Vec<u8>,
     },
+    /// An out-of-class query awaiting its tuple scan.
+    Scan(Box<ScanFallback>),
     /// A `Stream` request in flight.
     Stream(Box<StreamState>),
+}
+
+/// A query parsed and classified out of the summary-direct class, carried
+/// to the pool with its span so the request is logged once, end to end.
+struct ScanFallback {
+    /// The registry version the query was classified against.
+    entry: Arc<RegistryEntry>,
+    query: AggregateQuery,
+    span: Span,
 }
 
 impl ConnTask for FrameTask {
@@ -295,49 +313,58 @@ impl ConnTask for FrameTask {
         if conn.is_dead() {
             return TaskPoll::Done;
         }
-        match &mut self.state {
-            TaskState::Init { payload } => {
-                let payload = std::mem::take(payload);
-                self.begin(payload, conn)
-            }
-            TaskState::Stream(stream) => match stream.pump(conn, &self.obs) {
-                Ok(poll) => {
-                    if matches!(poll, TaskPoll::Done | TaskPoll::DoneClose) {
-                        // Close the stream's span at the trailer, not at
-                        // task drop, so its duration is the stream's.
-                        self.span.take();
-                    }
-                    poll
-                }
+        if let TaskState::Stream(stream) = &mut self.state {
+            return match stream.pump(conn, &self.ctx.obs) {
+                Ok(poll) => poll,
                 Err(e) => {
                     // A stream that dies after its header (frame-cap
                     // violation, generation failure) reports an Error
                     // frame and keeps the connection.
-                    if let Some(span) = self.span.as_mut() {
-                        span.set_error();
-                    }
-                    self.span.take();
-                    push_error(conn, &self.obs, e.to_string());
+                    stream.fail();
+                    let mut out = Vec::new();
+                    self.ctx.error_frame(&mut out, e.to_string());
+                    conn.push(out);
                     TaskPoll::Done
                 }
+            };
+        }
+        let mut out = Vec::new();
+        let state = std::mem::replace(
+            &mut self.state,
+            TaskState::Init {
+                payload: Vec::new(),
             },
+        );
+        let served = match state {
+            TaskState::Init { payload } => self.ctx.serve_payload(&payload, &mut out),
+            TaskState::Scan(fallback) => self.ctx.finish_scan(*fallback, &mut out),
+            TaskState::Stream(_) => unreachable!("streams are pumped above"),
+        };
+        conn.push(out);
+        match served {
+            Served::Done => TaskPoll::Done,
+            Served::Close => TaskPoll::DoneClose,
+            Served::Pool(state) => {
+                self.state = state;
+                TaskPoll::Yield
+            }
         }
     }
 }
 
-impl FrameTask {
-    /// First poll: deserialize the request and either answer it in one
-    /// shot or set up the streaming state machine.
-    fn begin(&mut self, payload: Vec<u8>, conn: &ConnHandle) -> TaskPoll {
+impl FrameCtx {
+    /// Deserializes a frame payload and serves the request, writing its
+    /// immediate output into `out`.
+    fn serve_payload(&self, payload: &[u8], out: &mut Vec<u8>) -> Served {
         let metrics = self.registry.session().metrics();
-        let request = match parse_request(&payload) {
+        let request = match parse_request(payload) {
             Ok(request) => request,
             Err(e) => {
                 // Malformed *payload* in a well-framed message: answered,
                 // not fatal — framing is still in sync.
                 metrics.span("frame.invalid").set_error();
-                push_error(conn, &self.obs, e.to_string());
-                return TaskPoll::Done;
+                self.error_frame(out, e.to_string());
+                return Served::Done;
             }
         };
         let mut span = metrics.span(op_name(&request));
@@ -350,6 +377,13 @@ impl FrameTask {
             Request::Stream(s) => span.set_kind(format!("{}.{}", s.name, s.table)),
             Request::List | Request::Stats | Request::Shutdown => {}
         }
+        self.serve(request, span, out)
+    }
+
+    /// Serves one parsed request under its span.  Every arm closes the
+    /// span before writing the reply, so the request is counted by the
+    /// time the client can read the answer.
+    fn serve(&self, request: Request, mut span: Span, out: &mut Vec<u8>) -> Served {
         match request {
             Request::Shutdown => {
                 // Trigger *before* queueing the reply: the reactor thread
@@ -357,56 +391,29 @@ impl FrameTask {
                 // the signal tripped the moment it reads `ShuttingDown`.
                 // The shutdown grace period lets this reply drain.
                 self.signal.trigger();
-                push(conn, &self.obs, &Response::ShuttingDown);
-                TaskPoll::DoneClose
+                drop(span);
+                self.frame(out, &Response::ShuttingDown);
+                Served::Close
             }
             Request::Stream(request) => match StreamState::open(&self.registry, &request) {
-                Ok((header, stream)) => {
+                Ok((header, mut stream)) => {
                     self.obs.frame_bytes.add(header.len() as u64);
-                    conn.push(header);
+                    out.extend_from_slice(&header);
                     // The span now spans the whole stream: it closes (and
                     // records) at the trailer or on a mid-stream error.
-                    self.span = Some(span);
-                    self.state = TaskState::Stream(stream);
-                    TaskPoll::Yield
+                    stream.span = Some(span);
+                    Served::Pool(TaskState::Stream(stream))
                 }
                 Err(e) => {
                     // Header-stage failure (unknown summary/table, bad
                     // rate): the connection stays usable.
                     span.set_error();
-                    push_error(conn, &self.obs, e.to_string());
-                    TaskPoll::Done
+                    drop(span);
+                    self.error_frame(out, e.to_string());
+                    Served::Done
                 }
             },
-            Request::Query(request) => {
-                let response = respond(&self.registry, Request::Query(request));
-                match &response {
-                    Response::QueryResult(answer) => {
-                        span.set_detail(strategy_label(answer.strategy));
-                    }
-                    _ => span.set_error(),
-                }
-                match encode_frame(&response) {
-                    Ok(frame) => {
-                        self.obs.frame_bytes.add(frame.len() as u64);
-                        conn.push(frame);
-                    }
-                    Err(e) => {
-                        // A pathological answer can exceed the frame cap;
-                        // nothing was pushed, so the connection is in sync.
-                        span.set_error();
-                        push_error(
-                            conn,
-                            &self.obs,
-                            format!(
-                                "query answer could not be framed: {e}; \
-                                 refine the GROUP BY or stream the relation instead"
-                            ),
-                        );
-                    }
-                }
-                TaskPoll::Done
-            }
+            Request::Query(request) => self.query(request, span, out),
             other => {
                 let response = respond(&self.registry, other);
                 if matches!(response, Response::Error { .. }) {
@@ -414,19 +421,133 @@ impl FrameTask {
                 }
                 match encode_frame(&response) {
                     Ok(frame) => {
+                        drop(span);
                         self.obs.frame_bytes.add(frame.len() as u64);
-                        conn.push(frame);
-                        TaskPoll::Done
+                        out.extend_from_slice(&frame);
+                        Served::Done
                     }
                     // An unframeable response outside Query has no
                     // smaller form to fall back to: close.
                     Err(_) => {
                         span.set_error();
-                        TaskPoll::DoneClose
+                        Served::Close
                     }
                 }
             }
         }
+    }
+
+    /// Answers a query from the summary (`ExecMode::SummaryOnly`).  An
+    /// out-of-class query that may fall back leaves for the pool, parsed
+    /// and classified, to run its tuple scan there.
+    fn query(&self, request: QueryRequest, mut span: Span, out: &mut Vec<u8>) -> Served {
+        let entry = match self.registry.resolve(&request.name) {
+            Ok(entry) => entry,
+            Err(e) => {
+                span.set_error();
+                drop(span);
+                self.error_frame(out, e.to_string());
+                return Served::Done;
+            }
+        };
+        // Query the registered entry in place — no summary clone per
+        // request.
+        let regeneration = entry.regeneration();
+        let started = Instant::now();
+        let query =
+            match parse_aggregate_query_for_schema("query", &request.sql, &regeneration.schema) {
+                Ok(query) => query,
+                Err(e) => return self.answer(Err(e.into()), span, started, out),
+            };
+        let engine = QueryEngine::over(&regeneration.schema, &regeneration.summary);
+        match engine.execute_mode(&query, ExecMode::SummaryOnly) {
+            Err(ExecError::OutOfClass(_)) if !request.summary_only => {
+                Served::Pool(TaskState::Scan(Box::new(ScanFallback {
+                    entry: Arc::clone(&entry),
+                    query,
+                    span,
+                })))
+            }
+            result => self.answer(result, span, started, out),
+        }
+    }
+
+    /// The pool half of an out-of-class query: the tuple scan.
+    /// `hydra_query_seconds` times the scan alone, not the wait for a
+    /// worker.
+    fn finish_scan(&self, fallback: ScanFallback, out: &mut Vec<u8>) -> Served {
+        let ScanFallback { entry, query, span } = fallback;
+        let regeneration = entry.regeneration();
+        let started = Instant::now();
+        let result = QueryEngine::over(&regeneration.schema, &regeneration.summary)
+            .execute_mode(&query, ExecMode::ScanOnly);
+        self.answer(result, span, started, out)
+    }
+
+    /// Records a query's outcome and frames it into `out`.
+    fn answer(
+        &self,
+        result: ExecResult<QueryAnswer>,
+        mut span: Span,
+        started: Instant,
+        out: &mut Vec<u8>,
+    ) -> Served {
+        let response = match result {
+            Ok(answer) => {
+                let metrics = self.registry.session().metrics();
+                let strategy = strategy_label(answer.strategy);
+                metrics
+                    .counter_labeled("hydra_query_total", "strategy", strategy)
+                    .inc();
+                metrics
+                    .histogram_labeled("hydra_query_seconds", "strategy", strategy)
+                    .record_duration(started.elapsed());
+                span.set_detail(strategy);
+                Response::QueryResult(answer)
+            }
+            Err(e) => {
+                span.set_error();
+                Response::Error {
+                    message: e.to_string(),
+                }
+            }
+        };
+        match encode_frame(&response) {
+            Ok(frame) => {
+                drop(span);
+                self.obs.frame_bytes.add(frame.len() as u64);
+                out.extend_from_slice(&frame);
+            }
+            Err(e) => {
+                // A pathological answer can exceed the frame cap; nothing
+                // was written, so the connection is in sync.
+                span.set_error();
+                drop(span);
+                self.error_frame(
+                    out,
+                    format!(
+                        "query answer could not be framed: {e}; \
+                         refine the GROUP BY or stream the relation instead"
+                    ),
+                );
+            }
+        }
+        Served::Done
+    }
+
+    /// Encodes a response into `out`; encode failures for these small
+    /// control frames cannot happen (and are dropped if they somehow do —
+    /// the peer will see the connection close instead).
+    fn frame(&self, out: &mut Vec<u8>, response: &Response) {
+        if let Ok(frame) = encode_frame(response) {
+            self.obs.frame_bytes.add(frame.len() as u64);
+            out.extend_from_slice(&frame);
+        }
+    }
+
+    /// Encodes an `Error` response into `out`.
+    fn error_frame(&self, out: &mut Vec<u8>, message: String) {
+        self.frame(out, &Response::Error { message });
     }
 }
 
@@ -462,6 +583,8 @@ struct StreamState {
     /// behavior), carrying the partial batch across poll slices so `Batch`
     /// frames are byte-identical to the in-process reference.
     encoder: BatchEncoder,
+    /// The request's span, open for the life of the stream.
+    span: Option<Span>,
 }
 
 impl StreamState {
@@ -528,6 +651,7 @@ impl StreamState {
                 governor,
                 encoder,
                 generator,
+                span: None,
             }),
         ))
     }
@@ -552,9 +676,13 @@ impl StreamState {
                     elapsed_micros: self.governor.elapsed().as_micros() as u64,
                     target_rows_per_sec: self.governor.target_rate(),
                 }))?;
+                // Settle the datagen account and close the span *before*
+                // the trailer is queued: a client that reads `StreamEnd`
+                // and then scrapes must find the stream fully counted.
+                obs.record_stream(&self.table, &self.governor);
+                self.span.take();
                 obs.frame_bytes.add(trailer.len() as u64);
                 conn.push(trailer);
-                obs.record_stream(&self.table, &self.governor);
                 return Ok(TaskPoll::Done);
             }
         };
@@ -579,6 +707,13 @@ impl StreamState {
         self.governor.note(goal);
         Ok(TaskPoll::Yield)
     }
+
+    /// Closes the stream's span as failed (a mid-stream error).
+    fn fail(&mut self) {
+        if let Some(mut span) = self.span.take() {
+            span.set_error();
+        }
+    }
 }
 
 /// An emit callback pushing finished frames onto the connection, keeping
@@ -601,19 +736,4 @@ fn parse_request(payload: &[u8]) -> Result<Request, ServiceError> {
     let text = std::str::from_utf8(payload)
         .map_err(|e| ServiceError::Protocol(format!("frame payload is not UTF-8: {e}")))?;
     Ok(serde_json::from_str(text)?)
-}
-
-/// Encodes and pushes a response; encode failures for these small control
-/// frames cannot happen (and are dropped if they somehow do — the peer
-/// will see the connection close instead).
-fn push(conn: &ConnHandle, obs: &FrameObs, response: &Response) {
-    if let Ok(frame) = encode_frame(response) {
-        obs.frame_bytes.add(frame.len() as u64);
-        conn.push(frame);
-    }
-}
-
-/// Pushes an `Error` response frame.
-fn push_error(conn: &ConnHandle, obs: &FrameObs, message: String) {
-    push(conn, obs, &Response::Error { message });
 }

@@ -125,6 +125,22 @@ pub fn decode_frame(buf: &[u8]) -> ServiceResult<FrameDecoded> {
     })
 }
 
+/// The variant name of an externally tagged request payload — `Query` for
+/// `{"Query":…}`, `List` for `"List"` — read after leading whitespace
+/// without deserializing anything, so the event loop can route a frame by
+/// what it asks for before deciding whether to parse it there.  `None`
+/// when the payload does not start like a tagged request.
+pub fn request_tag(payload: &[u8]) -> Option<&str> {
+    let rest = payload.trim_ascii_start();
+    let rest = match rest.split_first() {
+        Some((b'{', inner)) => inner.trim_ascii_start(),
+        _ => rest,
+    };
+    let name = rest.strip_prefix(b"\"")?;
+    let end = name.iter().position(|&b| b == b'"')?;
+    std::str::from_utf8(&name[..end]).ok()
+}
+
 /// Encodes one message as a standalone frame (length prefix + JSON payload)
 /// into a fresh buffer — what reactor tasks push onto a connection's write
 /// queue.  Fails (without producing bytes) when the encoding exceeds the
@@ -619,6 +635,38 @@ mod tests {
         let mut bad = Vec::new();
         bad.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_be_bytes());
         assert!(matches!(decode_frame(&bad), Err(ServiceError::Protocol(_))));
+    }
+
+    #[test]
+    fn request_tag_names_every_variant_without_parsing() {
+        let requests = [
+            (Request::List, "List"),
+            (Request::Stats, "Stats"),
+            (Request::Shutdown, "Shutdown"),
+            (
+                Request::Describe {
+                    name: "retail".to_string(),
+                },
+                "Describe",
+            ),
+            (
+                Request::Query(QueryRequest::new("retail", "select count(*) from t")),
+                "Query",
+            ),
+            (
+                Request::Stream(StreamRequest::full("retail", "t")),
+                "Stream",
+            ),
+        ];
+        for (request, tag) in requests {
+            let frame = encode_frame(&request).unwrap();
+            assert_eq!(request_tag(&frame[4..]), Some(tag), "{request:?}");
+        }
+        assert_eq!(request_tag(b" \n{ \"Query\" : {}}"), Some("Query"));
+        assert_eq!(request_tag(b"  \"List\""), Some("List"));
+        assert_eq!(request_tag(b"{oops"), None);
+        assert_eq!(request_tag(b"{\"unterminated"), None);
+        assert_eq!(request_tag(b""), None);
     }
 
     #[test]

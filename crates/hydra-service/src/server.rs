@@ -2,10 +2,11 @@
 //!
 //! A thin configuration layer over [`hydra-reactor`](hydra_reactor):
 //! [`serve`] binds a listener on a shared epoll event loop, frames are
-//! decoded incrementally on the loop by [`crate::frame::FrameProtocol`], and
-//! requests execute as cooperative tasks on a **fixed** worker pool — ten
-//! thousand idle or slow clients cost ten thousand fds, never ten thousand
-//! threads.  Tuple streams run the exact in-process generation path in
+//! decoded incrementally on the loop by [`crate::frame::FrameProtocol`],
+//! bounded requests (summary-direct queries, `Describe`, `List`) are
+//! answered right there, and the rest execute as cooperative tasks on a
+//! **fixed** worker pool — ten thousand idle or slow clients cost ten
+//! thousand fds, never ten thousand threads.  Tuple streams run the exact in-process generation path in
 //! bounded slices, paced by a per-connection `VelocityGovernor` through the
 //! reactor's timer wheel and backpressured by each connection's bounded
 //! write queue.

@@ -152,6 +152,29 @@ fn slow_request_log_fires_only_over_threshold() {
     );
 }
 
+/// A pg scan settles its datagen account before `CommandComplete` is
+/// queued, so the counter is exact the moment the client has the tag.
+#[test]
+fn pg_scan_settles_datagen_rows_before_command_complete() {
+    let tester = HydraTester::retail();
+    let mut pg = tester.pg(None);
+    for round in 1..=20u32 {
+        let scan = pg.query("select * from web_sales").expect("scan");
+        assert_eq!(scan.tag, "SELECT 120");
+        let snapshot = tester.obs().snapshot();
+        assert_eq!(
+            snapshot.value("hydra_datagen_rows_total", Some(("table", "web_sales"))),
+            Some(120.0 * f64::from(round)),
+            "pg scan settled after its CommandComplete (round {round})"
+        );
+        assert_eq!(
+            snapshot.value("hydra_requests_total", Some(("op", "pg.scan"))),
+            Some(f64::from(round)),
+            "pg scan span closed after its CommandComplete (round {round})"
+        );
+    }
+}
+
 /// The tester's obs registry is the session's: counters recorded anywhere
 /// in the stack are visible without any wire round-trip.
 #[test]

@@ -13,7 +13,8 @@
 //!   server-side generation for vanished peers;
 //! * a **stalled reader** must cap the server's write-queue memory at the
 //!   configured bound and be evicted by the stall deadline while
-//!   neighbors stream on;
+//!   neighbors stream on — whether its replies come from pool tasks or are
+//!   answered inline on the event loop;
 //! * the reactor must hold **hundreds of concurrent connections on one
 //!   worker** (the CI smoke for the `connection_scaling` bench);
 //! * a **shutdown racing an accept storm** must never strand a listener
@@ -599,25 +600,37 @@ fn shutdown_during_accept_storm_leaves_no_stragglers() {
 }
 
 /// Depth attack: one connection, one reactor, a hundred thousand strictly
-/// alternating request/response round trips.  Every iteration crosses the
-/// whole reactor machinery — readable event, incremental frame decode,
-/// worker-pool submit, response enqueue from the worker thread,
-/// dirty-list wake, flush — so a lost wake or completion anywhere in that
-/// handshake eventually surfaces here as a stalled read.  This is exactly
-/// the access pattern of the `connection_scaling` latency probe.
+/// alternating request/response round trips.  `List` is bounded work, so
+/// every iteration is answered on the event loop — readable event,
+/// incremental frame decode, inline reply, flush in the same tick — and the
+/// worker pool must never see one of them.  (The pool hand-off keeps its
+/// own lost-wake regression net in `hydra-reactor/tests/roundtrip_storm.rs`,
+/// which routes every line through the pool.)
 #[test]
 fn single_connection_roundtrip_storm() {
+    use hydra::service::server::ReactorBuilder;
+    use hydra::service::FrameProtocol;
+
     let _guard = counters_lock();
     let session = Hydra::builder().compare_aqps(false).build();
+    let obs = session.metrics();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
-    let server = serve_with_options(
-        registry,
-        "127.0.0.1:0",
-        ShutdownSignal::new(),
-        ReactorConfig::default(),
-    )
-    .expect("storm server");
-    let metrics = server.metrics();
+    let signal = ShutdownSignal::new();
+    let mut builder = ReactorBuilder::new().observe(Arc::clone(&obs));
+    let addr = builder
+        .listen(
+            "127.0.0.1:0",
+            Arc::new(FrameProtocol::new(registry, signal.clone())),
+        )
+        .expect("bind storm listener");
+    let reactor = builder.start(signal.clone()).expect("start storm reactor");
+    let metrics = reactor.metrics();
+    let pool_submits = || {
+        obs.snapshot()
+            .value("hydra_reactor_pool_submits_total", None)
+            .expect("pool submit counter registered")
+    };
+    let submits_before = pool_submits();
 
     let iterations: usize = std::env::var("HYDRA_STORM_ITERS")
         .ok()
@@ -628,7 +641,7 @@ fn single_connection_roundtrip_storm() {
             100_000
         });
     let list = frame_bytes(&Request::List);
-    let mut probe = TcpStream::connect(server.local_addr()).expect("probe");
+    let mut probe = TcpStream::connect(addr).expect("probe");
     probe.set_nodelay(true).expect("nodelay");
     probe
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -639,10 +652,8 @@ fn single_connection_roundtrip_storm() {
         if let Err(e) = probe.read_exact(&mut header) {
             panic!(
                 "round trip stalled at iteration {i}: {e} \
-                 (tasks started {} completed {}, inflight {}, queued peak {})",
-                metrics.tasks_started(),
-                metrics.tasks_completed(),
-                metrics.tasks_inflight(),
+                 (pool submits {}, queued peak {})",
+                pool_submits() - submits_before,
                 metrics.peak_queued_bytes(),
             );
         }
@@ -657,12 +668,209 @@ fn single_connection_roundtrip_storm() {
             "unexpected response at iteration {i}"
         );
     }
-    assert_eq!(metrics.tasks_started(), iterations as u64);
-    // The client unblocks on the flushed response, which can beat the
-    // reactor's processing of the final completion by one loop iteration.
-    eventually(Duration::from_secs(5), "final completion", || {
-        metrics.tasks_completed() == iterations as u64
-    });
+    assert_eq!(
+        pool_submits(),
+        submits_before,
+        "a bounded List round trip crossed the worker pool"
+    );
+    assert_eq!(metrics.tasks_started(), 0);
+    assert_eq!(
+        obs.snapshot()
+            .value("hydra_requests_total", Some(("op", "frame.list"))),
+        Some(iterations as f64),
+        "every inline List keeps its span"
+    );
+    signal.trigger();
+    reactor.join();
+}
+
+/// Inline answers obey the write-queue bound: a client that pipelines fifty
+/// thousand summary-direct queries and never reads stops being parsed once
+/// its queue reaches the cap (it grows by at most one reply past it), is
+/// evicted at the stall deadline, and never costs the worker pool a task —
+/// while a neighbor's round trips keep succeeding.
+#[test]
+fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
+    let _guard = counters_lock();
+    let tester = HydraTester::retail();
+    let registry = Arc::clone(tester.registry());
+
+    const CAP: usize = 64 << 10;
+    let server = serve_with_options(
+        registry,
+        "127.0.0.1:0",
+        ShutdownSignal::new(),
+        ReactorConfig {
+            workers: 2,
+            write_queue_cap: CAP,
+            stall_timeout: Duration::from_millis(700),
+            ..ReactorConfig::default()
+        },
+    )
+    .expect("custom-config server");
+    let metrics = server.metrics();
+    let sql = "select count(*) from store_sales";
+    let one = frame_bytes(&Request::Query(QueryRequest::new("retail", sql)));
+
+    // One round trip measures the reply: the bound is the cap plus one.
+    let mut sizer = TcpStream::connect(server.local_addr()).expect("connect sizer");
+    sizer.write_all(&one).expect("send query");
+    let reply = read_frame_raw(&mut sizer);
+    assert!(matches!(parse_frame(&reply), Response::QueryResult(_)));
+    drop(sizer);
+
+    const PIPELINED: usize = 50_000;
+    let demand: Vec<u8> = one
+        .iter()
+        .copied()
+        .cycle()
+        .take(one.len() * PIPELINED)
+        .collect();
+    let mut stalled = TcpStream::connect(server.local_addr()).expect("connect stalled");
+    stalled.write_all(&demand).expect("pipeline demand");
+
+    // The neighbor's round trips succeed while the stall builds and trips.
+    let mut client = HydraClient::connect(server.local_addr()).expect("connect client");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut round_trips = 0;
+    while metrics.stalled_disconnects() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "stalled pipeline was never evicted"
+        );
+        let answer = client.query("retail", sql).expect("neighbor query");
+        assert_eq!(answer.scanned_tuples, 0);
+        round_trips += 1;
+    }
+    assert!(round_trips > 0);
+    let answer = client
+        .query("retail", sql)
+        .expect("neighbor query after eviction");
+    assert!(!answer.rows.is_empty());
+
+    let peak = metrics.peak_queued_bytes() as usize;
+    assert!(
+        peak <= CAP + reply.len(),
+        "write queue exceeded cap + one reply: peak {peak} bytes, reply {}",
+        reply.len()
+    );
+    assert!(
+        PIPELINED * reply.len() > 4 * CAP,
+        "demand must dwarf the cap to prove the bound"
+    );
+    assert_eq!(
+        metrics.tasks_started(),
+        0,
+        "summary-direct queries crossed the worker pool"
+    );
+
+    // The stalled socket really is dead: draining it hits EOF or a reset.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut sink = [0u8; 64 << 10];
+    loop {
+        match stalled.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
+}
+
+/// One pg message whose statements start on the event loop and finish on
+/// the pool — a ping and an in-class aggregate inline, then a scan that
+/// hands the same task to the pool, then an aggregate after it — answers
+/// with exactly the bytes recorded before statements ran on the loop.
+#[test]
+fn pg_message_crossing_loop_and_pool_matches_the_pinned_transcript() {
+    let _guard = counters_lock();
+    let tester = HydraTester::retail();
+    let mut stream = TcpStream::connect(tester.pg_addr()).expect("connect pg");
+    stream.set_nodelay(true).ok();
+    send(&mut stream, &pg_startup_bytes("retail"), None);
+    pg_read_until_ready(&mut stream);
+    send(
+        &mut stream,
+        &pg_query_bytes(
+            "select 1; select count(*) from store_sales; select * from web_sales; \
+             select count(*) from store_sales",
+        ),
+        None,
+    );
+    let transcript = pg_read_until_ready(&mut stream);
+    let pinned: &[u8] = include_bytes!("fixtures/pg_mixed_statements.bin");
+    assert_eq!(transcript.len(), pinned.len(), "transcript length moved");
+    assert!(transcript == pinned, "transcript bytes moved");
+}
+
+/// The 64 KiB inline byte budget on both protocols.  A pg message of two
+/// thousand pings is small, but its output passes the budget, so the loop
+/// hands the rest of it to the pool mid-message; a ping padded past 64 KiB
+/// is split and run on the pool from the start; a frame `Query` padded
+/// past 64 KiB skips the loop.  Each costs exactly one pool submit and
+/// answers byte for byte as the all-inline requests do.
+#[test]
+fn requests_past_the_inline_byte_budget_finish_on_the_pool_unchanged() {
+    let _guard = counters_lock();
+    let tester = HydraTester::retail();
+    let obs = tester.obs();
+    let pool_submits = || {
+        obs.snapshot()
+            .value("hydra_reactor_pool_submits_total", None)
+            .expect("pool submit counter registered")
+    };
+    const PAD: usize = 70 << 10;
+
+    let mut pg = TcpStream::connect(tester.pg_addr()).expect("connect pg");
+    send(&mut pg, &pg_startup_bytes("retail"), None);
+    pg_read_until_ready(&mut pg);
+    let mut roundtrip = |sql: &str| {
+        let before = pool_submits();
+        send(&mut pg, &pg_query_bytes(sql), None);
+        let transcript = pg_read_until_ready(&mut pg);
+        (transcript, pool_submits() - before)
+    };
+    let (one, submits) = roundtrip("select 1");
+    assert_eq!(submits, 0.0, "a ping crossed the worker pool");
+    // Every ping answers RowDescription, DataRow, CommandComplete; the
+    // message closes with one ReadyForQuery (6 bytes).
+    let (ping, ready) = one.split_at(one.len() - 6);
+    const PINGS: usize = 2_000;
+    let mut expected = ping.repeat(PINGS);
+    expected.extend_from_slice(ready);
+    assert!(expected.len() > 64 << 10, "output must pass the budget");
+
+    let pings = "select 1;".repeat(PINGS);
+    assert!(pings.len() < 64 << 10, "the message itself must be inline");
+    let (split, submits) = roundtrip(&pings);
+    assert_eq!(submits, 1.0, "mid-message hand-off");
+    assert!(split == expected, "mid-message hand-off changed the bytes");
+    let (pooled, submits) = roundtrip(&format!("select 1;{}", " ".repeat(PAD)));
+    assert_eq!(submits, 1.0, "an oversized message stayed on the loop");
+    assert!(pooled == one, "the pool answered differently");
+
+    let query = Request::Query(QueryRequest::new(
+        "retail",
+        "select count(*) from store_sales",
+    ));
+    let small = frame_bytes(&query);
+    let mut large = small.clone();
+    large.extend(std::iter::repeat_n(b' ', PAD));
+    let payload_len = (large.len() - 4) as u32;
+    large[..4].copy_from_slice(&payload_len.to_be_bytes());
+    let mut frame = TcpStream::connect(tester.frame_addr()).expect("connect frame");
+    let mut answer = |request: &[u8]| {
+        let before = pool_submits();
+        send(&mut frame, request, None);
+        let reply = read_frame_raw(&mut frame);
+        (reply, pool_submits() - before)
+    };
+    let (inline, submits) = answer(&small);
+    assert_eq!(submits, 0.0, "an in-class query crossed the worker pool");
+    assert!(matches!(parse_frame(&inline), Response::QueryResult(_)));
+    let (pooled, submits) = answer(&large);
+    assert_eq!(submits, 1.0, "an oversized frame stayed on the loop");
+    assert!(pooled == inline, "the pool answered differently");
 }
 
 /// Observability invariants under load: one reactor hosts the frame
@@ -675,7 +883,10 @@ fn single_connection_roundtrip_storm() {
 ///   and scraper alike) actually received;
 /// * the request latency histogram counted every request the storm sent;
 /// * no scrape ever blocked behind the storm (bounded scrape latency —
-///   rendering happens on the worker pool, not the event loop).
+///   rendering happens on the worker pool, not the event loop);
+/// * `List` is answered on the event loop, so the only pool submits are
+///   the scrapes, and the loop's dispatch p99 stays under 2 ms in release
+///   builds — the guard on "bounded work only" for inline answers.
 #[test]
 fn metrics_invariants_hold_under_connection_storm() {
     use hydra::service::server::ReactorBuilder;
@@ -810,6 +1021,26 @@ fn metrics_invariants_hold_under_connection_storm() {
     assert_eq!(
         value("hydra_requests_total", Some(("op", "http.metrics"))),
         scrapes as f64
+    );
+
+    // Invariant 4: inline requests never cross the pool, and answering
+    // them on the loop keeps each tick short.
+    assert_eq!(
+        value("hydra_reactor_pool_submits_total", None),
+        scrapes as f64,
+        "a List crossed the worker pool"
+    );
+    // A tick answers up to one `List` per storm client.  Unoptimized
+    // builds run that path about ten times slower, so only a gross breach
+    // (a scan on the loop takes seconds) is caught there; the release
+    // bound is the guard.
+    let bound = if cfg!(debug_assertions) { 0.1 } else { 0.002 };
+    let dispatch_p99 = value("hydra_reactor_dispatch_seconds_p99", None);
+    assert!(
+        dispatch_p99 < bound,
+        "event-loop dispatch p99 {:.0} us exceeds {:.0} us",
+        dispatch_p99 * 1e6,
+        bound * 1e6
     );
 
     signal.trigger();

@@ -11,8 +11,9 @@
 //! representation, not a lossy numeric comparison.
 
 use hydra::catalog::schema::Schema;
+use hydra::datagen::exec::{ExecMode, QueryEngine};
 use hydra::pgwire::types::pg_text;
-use hydra::query::exec::QueryAnswer;
+use hydra::query::exec::{ExecStrategy, QueryAnswer};
 use hydra_tester::HydraTester;
 
 /// Render a frame-protocol `QueryAnswer` exactly as the pg front-end must:
@@ -96,6 +97,42 @@ fn frame_and_pg_answers_are_identical() {
             "tag for {sql}"
         );
     }
+}
+
+/// The loop/pool split of an out-of-class query equals `ExecMode::Auto`:
+/// a primary key compared with a string is out of the summary-direct
+/// class, so both protocols classify it on the event loop, hand it to the
+/// pool, and answer it by tuple scan — identically.
+#[test]
+fn out_of_class_fallback_scans_identically_on_both_protocols() {
+    let tester = HydraTester::retail();
+    let mut frame = tester.client();
+    let mut pg = tester.pg(Some("retail"));
+    let entry = tester.registry().get("retail").expect("published");
+    let schema = entry.regeneration().schema.clone();
+    let tuple_scans = || {
+        tester
+            .obs()
+            .snapshot()
+            .value("hydra_query_total", Some(("strategy", "tuple_scan")))
+            .unwrap_or(0.0)
+    };
+    let sql = "select count(*), sum(store_sales.ss_quantity) from store_sales \
+               where store_sales.ss_sk < 'zzz'";
+
+    let frame_answer = frame.query("retail", sql).expect(sql);
+    assert_eq!(frame_answer.strategy, ExecStrategy::TupleScan);
+    assert!(frame_answer.scanned_tuples > 0);
+    assert_eq!(tuple_scans(), 1.0);
+    let auto = QueryEngine::over(&schema, &entry.regeneration().summary)
+        .query_mode(sql, ExecMode::Auto)
+        .expect("in-process Auto");
+    assert_eq!(frame_answer, auto, "loop/pool split diverges from Auto");
+
+    let pg_answer = pg.query(sql).expect(sql);
+    assert_eq!(tuple_scans(), 2.0, "pg did not answer by tuple scan");
+    assert_eq!(pg_answer.rows, answer_as_pg_grid(&schema, &frame_answer));
+    assert_eq!(pg_answer.tag, format!("SELECT {}", frame_answer.rows.len()));
 }
 
 /// `SELECT * FROM t` over the pg wire is the *same stream* as
