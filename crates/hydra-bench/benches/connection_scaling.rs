@@ -262,11 +262,13 @@ fn bench_connection_scaling(c: &mut Criterion) {
          {completed}/{FANOUT_STREAMS} streams in {wall:.2?} at {peak} threads \
          (baseline {base_threads})"
     );
-    let reactor_metrics = reactor.metrics();
+    let metrics = registry.session().metrics();
     println!(
         "[E12]   reactor : accepted {} total, peak write-queue {} bytes",
-        reactor_metrics.connections_accepted(),
-        reactor_metrics.peak_queued_bytes()
+        metrics.counter("hydra_reactor_accepts_total").value(),
+        metrics
+            .gauge("hydra_reactor_write_queue_peak_bytes")
+            .value()
     );
     assert_eq!(
         ceiling, CEILING_ATTEMPTS,

@@ -254,14 +254,7 @@ fn drive_stream(
         }
     }
     sink.finish();
-    GenerationStats {
-        table,
-        rows: produced,
-        elapsed: governor.elapsed(),
-        achieved_rows_per_sec: governor.achieved_rate(),
-        target_rows_per_sec: governor.target_rate(),
-        governor_sleep: governor.slept(),
-    }
+    governor.stats(&table)
 }
 
 #[cfg(test)]

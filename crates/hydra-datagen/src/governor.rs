@@ -6,6 +6,7 @@
 //! released, the governor compares how many tuples *should* have been emitted
 //! by now against how many actually were, and sleeps for the difference.
 
+use crate::generator::GenerationStats;
 use std::time::{Duration, Instant};
 
 /// What a cooperative stream pump does next (see
@@ -212,6 +213,20 @@ impl VelocityGovernor {
             return 0.0;
         }
         self.emitted as f64 / secs
+    }
+
+    /// The run statistics of generating `table` through this governor so
+    /// far — the one place a run's [`GenerationStats`] is built, for
+    /// in-process runs, shards and wire streams alike.
+    pub fn stats(&self, table: &str) -> GenerationStats {
+        GenerationStats {
+            table: table.to_string(),
+            rows: self.emitted,
+            elapsed: self.elapsed(),
+            achieved_rows_per_sec: self.achieved_rate(),
+            target_rows_per_sec: self.target_rows_per_sec,
+            governor_sleep: self.slept,
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 //! asserted by the `shard_determinism` property tests.
 
 use crate::generator::GenerationStats;
+use crate::governor::VelocityGovernor;
 use crate::sink::TupleSink;
 use crate::stream::TupleStream;
 use hydra_catalog::schema::Table;
@@ -140,7 +141,7 @@ impl<S> ShardedRun<S> {
             elapsed: self.elapsed,
             achieved_rows_per_sec: self.achieved_rows_per_sec(),
             target_rows_per_sec: None,
-            governor_sleep: std::time::Duration::ZERO,
+            governor_sleep: Duration::ZERO,
         }
     }
 }
@@ -171,7 +172,7 @@ where
             .enumerate()
             .map(|(shard_index, range)| {
                 scope.spawn(move || {
-                    let shard_started = Instant::now();
+                    let mut governor = VelocityGovernor::unthrottled();
                     let mut sink = sink_factory(shard_index, range.clone());
                     let mut stream =
                         TupleStream::with_range_using(table, summary, index, range.clone());
@@ -180,33 +181,19 @@ where
                     // blocks: sinks that exploit the block-constant structure
                     // do O(1) work per block, everything else expands through
                     // the bit-identical `write_block` default.
-                    let mut rows = 0u64;
                     while let Some(block) = stream.next_block(u64::MAX) {
                         let n = sink.write_block(&block);
-                        rows += n;
+                        governor.note(n);
                         if n < block.len() {
                             break;
                         }
                     }
                     sink.finish();
-                    let elapsed = shard_started.elapsed();
-                    let secs = elapsed.as_secs_f64();
                     ShardOutcome {
                         index: shard_index,
                         range,
                         sink,
-                        stats: GenerationStats {
-                            table: table.name.clone(),
-                            rows,
-                            elapsed,
-                            achieved_rows_per_sec: if secs > 0.0 {
-                                rows as f64 / secs
-                            } else {
-                                0.0
-                            },
-                            target_rows_per_sec: None,
-                            governor_sleep: Duration::ZERO,
-                        },
+                        stats: governor.stats(&table.name),
                     }
                 })
             })

@@ -141,6 +141,14 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "Requests handed to the worker pool (the rest were answered on the event loop)",
     },
     FamilyDesc {
+        name: "hydra_reactor_tasks_inflight",
+        kind: MetricKind::Gauge,
+        unit: Unit::Count,
+        label_key: "",
+        layer: "reactor",
+        help: "Pool tasks running, parked or sleeping (zero once clients finish or leave)",
+    },
+    FamilyDesc {
         name: "hydra_reactor_timer_cascades_total",
         kind: MetricKind::Counter,
         unit: Unit::Count,

@@ -34,9 +34,10 @@ use crate::connection::{
 };
 use crate::datarow::{row_description, DataRowTemplate};
 use hydra_catalog::types::DataType;
+use hydra_core::session::Hydra;
 use hydra_datagen::generator::DynamicGenerator;
 use hydra_datagen::governor::{Pulse, VelocityGovernor};
-use hydra_obs::{Counter, MetricsRegistry, Span};
+use hydra_obs::{Counter, Span};
 use hydra_reactor::{
     ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll, INLINE_BYTES_MAX,
 };
@@ -231,7 +232,7 @@ impl ConnTask for PgQueryTask {
         }
         let mut out = Vec::new();
         let poll = match &mut self.scan {
-            Some(scan) => match scan.pump(conn) {
+            Some(scan) => match scan.pump(conn, self.registry.session()) {
                 ScanPoll::Reactor(poll) => poll,
                 ScanPoll::Finished => {
                     self.scan = None;
@@ -395,7 +396,6 @@ struct ScanState {
     template: DataRowTemplate,
     /// The scan's tracing span, open for the life of the stream.
     span: Option<Span>,
-    metrics: Arc<MetricsRegistry>,
     datarow_bytes: Arc<Counter>,
     stream_rows: Arc<Counter>,
 }
@@ -442,7 +442,6 @@ impl ScanState {
             column_types,
             template: DataRowTemplate::new(),
             span: Some(span),
-            metrics,
             datarow_bytes,
             stream_rows,
         }))
@@ -451,7 +450,7 @@ impl ScanState {
     /// One pulse: generate up to a rate-budgeted chunk of rows and push
     /// them as `DataRow`s, then the `CommandComplete` once the relation is
     /// exhausted and its final pacing deficit is served.
-    fn pump(&mut self, conn: &ConnHandle) -> ScanPoll {
+    fn pump(&mut self, conn: &ConnHandle, session: &Hydra) -> ScanPoll {
         if conn.over_high_water() {
             return ScanPoll::Reactor(TaskPoll::AwaitDrain);
         }
@@ -464,15 +463,7 @@ impl ScanState {
                 // the completion tag is queued: a client that reads
                 // `CommandComplete` and then scrapes must find the scan
                 // fully counted.
-                self.metrics
-                    .counter_labeled("hydra_datagen_rows_total", "table", &self.table)
-                    .add(self.governor.emitted());
-                self.metrics
-                    .gauge("hydra_datagen_rows_per_sec")
-                    .set(self.governor.achieved_rate() as i64);
-                self.metrics
-                    .counter("hydra_governor_sleep_seconds_total")
-                    .add(u64::try_from(self.governor.slept().as_nanos()).unwrap_or(u64::MAX));
+                session.record_generation(&self.governor.stats(&self.table));
                 // The span's duration is the stream's (governor sleeps
                 // included).
                 self.span.take();
@@ -498,7 +489,8 @@ impl ScanState {
                     span.set_error();
                 }
                 self.span.take();
-                self.metrics
+                session
+                    .metrics()
                     .counter_labeled("hydra_pg_errors_total", "sqlstate", failure.code())
                     .inc();
                 return ScanPoll::Failed(failure);

@@ -12,7 +12,7 @@
 
 use crate::error::PgResult;
 use crate::reactor::PgProtocol;
-use hydra_reactor::{ReactorBuilder, ReactorConfig, ReactorHandle, SharedMetrics};
+use hydra_reactor::{ReactorBuilder, ReactorConfig, ReactorHandle};
 use hydra_service::registry::SummaryRegistry;
 use hydra_service::ShutdownSignal;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -43,14 +43,15 @@ pub fn serve_pg(
 }
 
 /// [`serve_pg`] with explicit reactor tuning (worker count, connection
-/// ceiling, write-queue cap, stall deadline).
+/// ceiling, write-queue cap, stall deadline).  The reactor records into the
+/// registry's session metrics, next to the statement counters.
 pub fn serve_pg_with_options(
     registry: Arc<SummaryRegistry>,
     addr: impl ToSocketAddrs,
     signal: ShutdownSignal,
     config: ReactorConfig,
 ) -> PgResult<PgServerHandle> {
-    let mut builder = ReactorBuilder::new().config(config);
+    let mut builder = ReactorBuilder::new(registry.session().metrics()).config(config);
     let protocol = Arc::new(PgProtocol::new(registry));
     let local_addr = builder.listen(addr, protocol)?;
     let reactor = builder.start(signal.clone())?;
@@ -75,16 +76,6 @@ impl PgServerHandle {
     /// True once a shutdown was requested anywhere on the shared signal.
     pub fn is_shutting_down(&self) -> bool {
         self.signal.is_triggered()
-    }
-
-    /// Live reactor counters (connections, in-flight tasks, peak queued
-    /// bytes) — what the torture tests assert fd hygiene and
-    /// abort-on-disconnect against.
-    pub fn metrics(&self) -> SharedMetrics {
-        self.reactor
-            .as_ref()
-            .expect("reactor runs for the handle's lifetime")
-            .metrics()
     }
 
     /// Blocks until the shared signal stops the event loop, then drains

@@ -10,7 +10,6 @@
 //! cooperative parking is the whole backpressure story.
 
 use crate::wake::Waker;
-use crate::ReactorMetrics;
 use hydra_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -60,7 +59,6 @@ pub(crate) struct ConnShared {
     high_water: usize,
     dirty_list: Arc<Mutex<Vec<u64>>>,
     waker: Waker,
-    metrics: Arc<ReactorMetrics>,
     obs: ConnObs,
 }
 
@@ -70,7 +68,6 @@ impl ConnShared {
         high_water: usize,
         dirty_list: Arc<Mutex<Vec<u64>>>,
         waker: Waker,
-        metrics: Arc<ReactorMetrics>,
         obs: ConnObs,
     ) -> Arc<ConnShared> {
         Arc::new(ConnShared {
@@ -82,7 +79,6 @@ impl ConnShared {
             high_water,
             dirty_list,
             waker,
-            metrics,
             obs,
         })
     }
@@ -117,7 +113,6 @@ impl ConnShared {
             self.queued.store(total, Ordering::SeqCst);
             total
         };
-        self.metrics.note_queued_bytes(total);
         self.obs.queue_peak.record_max(total as i64);
         if notify && !self.dirty.swap(true, Ordering::SeqCst) {
             self.dirty_list

@@ -42,8 +42,6 @@ pub use signal::ShutdownSignal;
 pub use timer::TimerWheel;
 pub use wake::{WakePipe, Waker};
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Largest request a [`ConnHandler`] parses on the event loop, and the most
@@ -137,11 +135,13 @@ pub struct ReactorConfig {
     /// `max(2, available_parallelism)`.
     pub workers: usize,
     /// Maximum simultaneously open connections; beyond this, accepting
-    /// pauses and new connections wait in the kernel backlog.
+    /// pauses and new connections wait in the kernel backlog.  `0` is
+    /// raised to `1` at start.
     pub max_connections: usize,
     /// Per-connection write-queue high-water mark in bytes.  Tasks park
     /// (`AwaitDrain`) above it and resume below half of it; parsing of
-    /// pipelined requests stops and resumes at the same marks.
+    /// pipelined requests stops and resumes at the same marks.  `0` is
+    /// raised to `1` at start.
     pub write_queue_cap: usize,
     /// A connection whose queue is non-empty and makes no write progress
     /// for this long is forcibly disconnected (the stalled-reader
@@ -183,99 +183,3 @@ impl ReactorConfig {
         }
     }
 }
-
-/// Live counters exported by a running reactor; the observability the
-/// torture tests assert against (fd hygiene, task aborts, queue bounds).
-///
-/// All counters are monotonically consistent but individually relaxed:
-/// read them after quiescing (e.g. once clients disconnected) for exact
-/// assertions.
-#[derive(Debug, Default)]
-pub struct ReactorMetrics {
-    connections_accepted: AtomicU64,
-    connections_closed: AtomicU64,
-    active_connections: AtomicU64,
-    tasks_started: AtomicU64,
-    tasks_completed: AtomicU64,
-    tasks_inflight: AtomicU64,
-    peak_queued_bytes: AtomicU64,
-    stalled_disconnects: AtomicU64,
-}
-
-impl ReactorMetrics {
-    /// Total connections ever accepted.
-    pub fn connections_accepted(&self) -> u64 {
-        self.connections_accepted.load(Ordering::SeqCst)
-    }
-
-    /// Total connections closed (gracefully or not).
-    pub fn connections_closed(&self) -> u64 {
-        self.connections_closed.load(Ordering::SeqCst)
-    }
-
-    /// Currently open connections.
-    pub fn active_connections(&self) -> u64 {
-        self.active_connections.load(Ordering::SeqCst)
-    }
-
-    /// Total tasks handed to the worker pool (requests answered inline on
-    /// the event loop are not tasks).
-    pub fn tasks_started(&self) -> u64 {
-        self.tasks_started.load(Ordering::SeqCst)
-    }
-
-    /// Total tasks that finished (or were dropped with their connection).
-    pub fn tasks_completed(&self) -> u64 {
-        self.tasks_completed.load(Ordering::SeqCst)
-    }
-
-    /// Tasks currently running, parked, or sleeping.  Returns to zero
-    /// when streams complete *or their client disconnects* — the
-    /// abort-on-disconnect observable.
-    pub fn tasks_inflight(&self) -> u64 {
-        self.tasks_inflight.load(Ordering::SeqCst)
-    }
-
-    /// High-water mark of any single connection's write queue, in bytes.
-    /// Bounded by `write_queue_cap` plus one task slice.
-    pub fn peak_queued_bytes(&self) -> u64 {
-        self.peak_queued_bytes.load(Ordering::SeqCst)
-    }
-
-    /// Connections forcibly closed by the stall deadline.
-    pub fn stalled_disconnects(&self) -> u64 {
-        self.stalled_disconnects.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn note_accept(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::SeqCst);
-        self.active_connections.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn note_close(&self) {
-        self.connections_closed.fetch_add(1, Ordering::SeqCst);
-        self.active_connections.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn note_task_started(&self) {
-        self.tasks_started.fetch_add(1, Ordering::SeqCst);
-        self.tasks_inflight.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn note_task_finished(&self) {
-        self.tasks_completed.fetch_add(1, Ordering::SeqCst);
-        self.tasks_inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn note_queued_bytes(&self, total: usize) {
-        self.peak_queued_bytes
-            .fetch_max(total as u64, Ordering::SeqCst);
-    }
-
-    pub(crate) fn note_stall(&self) {
-        self.stalled_disconnects.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// Convenience alias used throughout the server crates.
-pub type SharedMetrics = Arc<ReactorMetrics>;

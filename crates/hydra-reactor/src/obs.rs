@@ -24,6 +24,9 @@ pub(crate) struct ReactorObs {
     /// New tasks handed to the worker pool; requests answered inline on
     /// the loop are `hydra_requests_total` minus this.
     pub pool_submits: Arc<Counter>,
+    /// Tasks running, parked or sleeping: up on submit, down when a task
+    /// completes or dies with its connection (abort-on-disconnect).
+    pub tasks_inflight: Arc<Gauge>,
     pub timer_cascades: Arc<Counter>,
     pub bytes_in: Arc<Counter>,
     pub bytes_out: Arc<Counter>,
@@ -42,6 +45,7 @@ impl ReactorObs {
             evictions: registry.counter("hydra_reactor_evictions_total"),
             parks: registry.counter("hydra_reactor_parks_total"),
             pool_submits: registry.counter("hydra_reactor_pool_submits_total"),
+            tasks_inflight: registry.gauge("hydra_reactor_tasks_inflight"),
             timer_cascades: registry.counter("hydra_reactor_timer_cascades_total"),
             bytes_in: registry.counter("hydra_reactor_bytes_in_total"),
             bytes_out: registry.counter("hydra_reactor_bytes_out_total"),

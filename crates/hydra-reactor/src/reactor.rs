@@ -27,9 +27,8 @@ use crate::signal::ShutdownSignal;
 use crate::sys::{Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::timer::TimerWheel;
 use crate::wake::WakePipe;
-use crate::{
-    ConnHandle, ConnHandler, HandlerOutcome, Protocol, ReactorConfig, ReactorMetrics, SharedMetrics,
-};
+use crate::{ConnHandle, ConnHandler, HandlerOutcome, Protocol, ReactorConfig};
+use hydra_obs::MetricsRegistry;
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,68 +51,27 @@ pub struct ReactorBuilder {
     config: ReactorConfig,
     listeners: Vec<(TcpListener, Arc<dyn Protocol>)>,
     addrs: Vec<SocketAddr>,
-    observe: Option<Arc<hydra_obs::MetricsRegistry>>,
-}
-
-impl Default for ReactorBuilder {
-    fn default() -> ReactorBuilder {
-        ReactorBuilder::new()
-    }
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl ReactorBuilder {
-    /// A builder with default [`ReactorConfig`] and no listeners.
-    pub fn new() -> ReactorBuilder {
+    /// A builder with default [`ReactorConfig`] and no listeners, recording
+    /// reactor-layer metrics (poll-wait and dispatch latency, ready-batch
+    /// sizes, accepts/closes/evictions, pool tasks, byte counters, write
+    /// queue peaks) into `metrics` — normally the session's registry, so
+    /// `/metrics`, frame `Stats` and pg `hydra_metrics` all see them.
+    pub fn new(metrics: Arc<MetricsRegistry>) -> ReactorBuilder {
         ReactorBuilder {
             config: ReactorConfig::default(),
             listeners: Vec::new(),
             addrs: Vec::new(),
-            observe: None,
+            metrics,
         }
-    }
-
-    /// Records reactor-layer metrics (poll-wait and dispatch latency,
-    /// ready-batch sizes, accepts/closes/evictions, byte counters, write
-    /// queue peaks) into `registry`.  Without this the reactor records
-    /// into a private registry nobody scrapes.
-    pub fn observe(mut self, registry: Arc<hydra_obs::MetricsRegistry>) -> ReactorBuilder {
-        self.observe = Some(registry);
-        self
     }
 
     /// Replaces the whole configuration.
     pub fn config(mut self, config: ReactorConfig) -> ReactorBuilder {
         self.config = config;
-        self
-    }
-
-    /// Sets the worker-thread count (`0` = automatic).
-    pub fn workers(mut self, workers: usize) -> ReactorBuilder {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Sets the simultaneous-connection ceiling.
-    pub fn max_connections(mut self, max: usize) -> ReactorBuilder {
-        self.config.max_connections = max.max(1);
-        self
-    }
-
-    /// Sets the per-connection write-queue high-water mark in bytes.
-    pub fn write_queue_cap(mut self, cap: usize) -> ReactorBuilder {
-        self.config.write_queue_cap = cap.max(1);
-        self
-    }
-
-    /// Sets the stalled-connection disconnect deadline.
-    pub fn stall_timeout(mut self, timeout: Duration) -> ReactorBuilder {
-        self.config.stall_timeout = timeout;
-        self
-    }
-
-    /// Sets the shutdown grace period for in-flight requests.
-    pub fn shutdown_grace(mut self, grace: Duration) -> ReactorBuilder {
-        self.config.shutdown_grace = grace;
         self
     }
 
@@ -134,8 +92,13 @@ impl ReactorBuilder {
     }
 
     /// Starts the event loop and worker pool on background threads,
-    /// stopping when `signal` triggers.
-    pub fn start(self, signal: ShutdownSignal) -> io::Result<ReactorHandle> {
+    /// stopping when `signal` triggers.  A zero `max_connections` or
+    /// `write_queue_cap` is raised to one here: zero connections would
+    /// pause accepting forever, and a zero cap would hold input at `0 >= 0`
+    /// and release it at `0 < 1` in a busy loop.
+    pub fn start(mut self, signal: ShutdownSignal) -> io::Result<ReactorHandle> {
+        self.config.max_connections = self.config.max_connections.max(1);
+        self.config.write_queue_cap = self.config.write_queue_cap.max(1);
         let wake = WakePipe::new()?;
         signal.register_waker(wake.waker());
         let poller = Poller::new(1024)?;
@@ -148,9 +111,7 @@ impl ReactorBuilder {
                 protocol,
             });
         }
-        let metrics: SharedMetrics = Arc::new(ReactorMetrics::default());
-        let obs_registry = self.observe.unwrap_or_default();
-        let obs = ReactorObs::resolve(&obs_registry);
+        let obs = ReactorObs::resolve(&self.metrics);
         let pool = WorkerPool::new(self.config.effective_workers(), wake.waker());
         let low_water = (self.config.write_queue_cap / 2).max(1);
         let shutdown_grace = self.config.shutdown_grace;
@@ -165,7 +126,6 @@ impl ReactorBuilder {
             dirty: Arc::new(Mutex::new(Vec::new())),
             config: self.config,
             low_water,
-            metrics: Arc::clone(&metrics),
             obs,
             signal: signal.clone(),
             next_token: FIRST_CONN_TOKEN,
@@ -184,7 +144,6 @@ impl ReactorBuilder {
         Ok(ReactorHandle {
             addrs: self.addrs,
             signal,
-            metrics,
             thread: Some(thread),
         })
     }
@@ -195,7 +154,6 @@ impl ReactorBuilder {
 pub struct ReactorHandle {
     addrs: Vec<SocketAddr>,
     signal: ShutdownSignal,
-    metrics: SharedMetrics,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -203,11 +161,6 @@ impl ReactorHandle {
     /// Bound addresses, in [`listen`](ReactorBuilder::listen) order.
     pub fn local_addrs(&self) -> &[SocketAddr] {
         &self.addrs
-    }
-
-    /// Live counters for this reactor.
-    pub fn metrics(&self) -> SharedMetrics {
-        Arc::clone(&self.metrics)
     }
 
     /// The signal this reactor stops on.
@@ -300,7 +253,6 @@ struct Inner {
     dirty: Arc<Mutex<Vec<u64>>>,
     config: ReactorConfig,
     low_water: usize,
-    metrics: SharedMetrics,
     obs: ReactorObs,
     signal: ShutdownSignal,
     next_token: u64,
@@ -410,7 +362,6 @@ impl Inner {
             self.config.write_queue_cap,
             Arc::clone(&self.dirty),
             self.wake.waker(),
-            Arc::clone(&self.metrics),
             ConnObs {
                 bytes_out: Arc::clone(&self.obs.bytes_out),
                 queue_peak: Arc::clone(&self.obs.queue_peak),
@@ -425,7 +376,6 @@ impl Inner {
             return;
         }
         let handler = self.listeners[idx].protocol.connect();
-        self.metrics.note_accept();
         self.obs.accepts.inc();
         self.obs.active.inc();
         self.conns.insert(
@@ -593,8 +543,8 @@ impl Inner {
                     let handle = ConnHandle {
                         shared: Arc::clone(&conn.shared),
                     };
-                    self.metrics.note_task_started();
                     self.obs.pool_submits.inc();
+                    self.obs.tasks_inflight.inc();
                     self.pool.submit(token, task, handle);
                     break;
                 }
@@ -714,17 +664,15 @@ impl Inner {
         conn.shared.mark_dead();
         self.poller.delete(conn.stream.as_raw_fd());
         if stalled {
-            self.metrics.note_stall();
             self.obs.evictions.inc();
         }
         match conn.state {
             // A parked or sleeping task dies with its connection.
-            ConnState::Parked(_) | ConnState::Sleeping(_) => self.metrics.note_task_finished(),
+            ConnState::Parked(_) | ConnState::Sleeping(_) => self.obs.tasks_inflight.dec(),
             // A running task notices `is_dead` and completes on its own;
             // its completion settles the books.
             ConnState::Running | ConnState::Idle => {}
         }
-        self.metrics.note_close();
         self.obs.closes.inc();
         self.obs.active.dec();
         drop(conn); // closes the fd
@@ -737,12 +685,12 @@ impl Inner {
         let token = completion.token;
         if !self.conns.contains_key(&token) {
             // Connection died while the task ran; drop the task here.
-            self.metrics.note_task_finished();
+            self.obs.tasks_inflight.dec();
             return;
         }
         match completion.result {
             TaskResult::Done => {
-                self.metrics.note_task_finished();
+                self.obs.tasks_inflight.dec();
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Idle;
                     if self.shutting_down {
@@ -758,7 +706,7 @@ impl Inner {
                 }
             }
             TaskResult::DoneClose => {
-                self.metrics.note_task_finished();
+                self.obs.tasks_inflight.dec();
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.state = ConnState::Idle;
                     conn.close_after_flush = true;
@@ -998,12 +946,23 @@ mod tests {
         }
     }
 
-    fn start_test_reactor(config: impl FnOnce(ReactorBuilder) -> ReactorBuilder) -> ReactorHandle {
-        let mut builder = config(ReactorBuilder::new().workers(2));
+    /// A two-worker reactor over a fresh registry, `tune` adjusting the
+    /// rest of its configuration.
+    fn start_test_reactor(
+        tune: impl FnOnce(&mut ReactorConfig),
+    ) -> (ReactorHandle, Arc<MetricsRegistry>) {
+        let mut config = ReactorConfig {
+            workers: 2,
+            ..ReactorConfig::default()
+        };
+        tune(&mut config);
+        let metrics = MetricsRegistry::new();
+        let mut builder = ReactorBuilder::new(Arc::clone(&metrics)).config(config);
         builder
             .listen("127.0.0.1:0", Arc::new(TestProtocol))
             .expect("bind");
-        builder.start(ShutdownSignal::new()).expect("start")
+        let handle = builder.start(ShutdownSignal::new()).expect("start");
+        (handle, metrics)
     }
 
     fn read_line(stream: &mut TcpStream) -> String {
@@ -1022,7 +981,7 @@ mod tests {
 
     #[test]
     fn inline_task_sleep_and_close_paths() {
-        let handle = start_test_reactor(|b| b);
+        let (handle, _) = start_test_reactor(|_| {});
         let addr = handle.local_addrs()[0];
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(b"echo hi\n").expect("write");
@@ -1046,7 +1005,7 @@ mod tests {
 
     #[test]
     fn byte_dripped_input_parses_and_pipelines() {
-        let handle = start_test_reactor(|b| b);
+        let (handle, _) = start_test_reactor(|_| {});
         let addr = handle.local_addrs()[0];
         let mut stream = TcpStream::connect(addr).expect("connect");
         // Two pipelined requests, dripped one byte at a time.
@@ -1061,9 +1020,9 @@ mod tests {
 
     #[test]
     fn backpressure_parks_task_and_slow_reader_catches_up() {
-        let handle = start_test_reactor(|b| b.write_queue_cap(64 * 1024));
+        let (handle, metrics) = start_test_reactor(|c| c.write_queue_cap = 64 * 1024);
         let addr = handle.local_addrs()[0];
-        let metrics = handle.metrics();
+        let peak = metrics.gauge("hydra_reactor_write_queue_peak_bytes");
         let mut stream = TcpStream::connect(addr).expect("connect");
         let total: usize = 2 << 20; // far beyond the 64 KiB cap
         stream
@@ -1085,9 +1044,9 @@ mod tests {
         assert_eq!(got, total + "blob-done\n".len());
         // Queue never held much more than the cap plus one 16 KiB slice.
         assert!(
-            metrics.peak_queued_bytes() <= (64 * 1024 + 17 * 1024) as u64,
+            peak.value() <= 64 * 1024 + 17 * 1024,
             "peak queue {} exceeded cap+slice",
-            metrics.peak_queued_bytes()
+            peak.value()
         );
         handle.shutdown();
     }
@@ -1097,9 +1056,8 @@ mod tests {
         use std::io::BufRead;
         const CAP: usize = 16 * 1024;
         const LINES: usize = 200_000;
-        let handle = start_test_reactor(|b| b.write_queue_cap(CAP));
+        let (handle, metrics) = start_test_reactor(|c| c.write_queue_cap = CAP);
         let addr = handle.local_addrs()[0];
-        let metrics = handle.metrics();
         let mut stream = TcpStream::connect(addr).expect("connect");
         // 20 MB of inline replies: far more than the kernel buffers hold.
         let line = format!("echo {}\n", "y".repeat(99));
@@ -1107,9 +1065,11 @@ mod tests {
             .write_all(line.repeat(LINES).as_bytes())
             .expect("pipeline");
         std::thread::sleep(Duration::from_millis(200));
-        let peak = metrics.peak_queued_bytes();
+        let peak = metrics
+            .gauge("hydra_reactor_write_queue_peak_bytes")
+            .value();
         assert!(
-            (CAP as u64..=(CAP + 100) as u64).contains(&peak),
+            (CAP as i64..=(CAP + 100) as i64).contains(&peak),
             "queue peak {peak} outside [cap, cap + one reply]"
         );
         // Reading drains the queue; parsing resumes below low water until
@@ -1121,18 +1081,23 @@ mod tests {
             reader.read_line(&mut reply).expect("reply");
             assert_eq!(reply.len(), 100, "reply {i}");
         }
-        assert_eq!(metrics.tasks_started(), 0, "inline replies became tasks");
+        assert_eq!(
+            metrics.counter("hydra_reactor_pool_submits_total").value(),
+            0,
+            "inline replies became tasks"
+        );
         handle.shutdown();
     }
 
     #[test]
     fn stalled_reader_is_disconnected_without_hurting_peers() {
-        let handle = start_test_reactor(|b| {
-            b.write_queue_cap(32 * 1024)
-                .stall_timeout(Duration::from_millis(200))
+        let (handle, metrics) = start_test_reactor(|c| {
+            c.write_queue_cap = 32 * 1024;
+            c.stall_timeout = Duration::from_millis(200);
         });
         let addr = handle.local_addrs()[0];
-        let metrics = handle.metrics();
+        let evictions = metrics.counter("hydra_reactor_evictions_total");
+        let inflight = metrics.gauge("hydra_reactor_tasks_inflight");
 
         // The stalled client asks for a big blob and never reads.
         let mut stalled = TcpStream::connect(addr).expect("connect");
@@ -1141,16 +1106,16 @@ mod tests {
         // A healthy peer keeps getting service the whole time.
         let mut healthy = TcpStream::connect(addr).expect("connect");
         let deadline = Instant::now() + Duration::from_secs(10);
-        while metrics.stalled_disconnects() == 0 {
+        while evictions.value() == 0 {
             assert!(Instant::now() < deadline, "stall deadline never fired");
             healthy.write_all(b"echo ping\n").expect("write");
             assert_eq!(read_line(&mut healthy), "ping");
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(metrics.stalled_disconnects(), 1);
+        assert_eq!(evictions.value(), 1);
         // The stalled client's task must unwind (abort-on-disconnect).
         let deadline = Instant::now() + Duration::from_secs(10);
-        while metrics.tasks_inflight() > 0 {
+        while inflight.value() > 0 {
             assert!(Instant::now() < deadline, "task leaked after stall kill");
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -1159,22 +1124,22 @@ mod tests {
 
     #[test]
     fn max_connections_defers_excess_clients() {
-        let handle = start_test_reactor(|b| b.max_connections(2));
+        let (handle, metrics) = start_test_reactor(|c| c.max_connections = 2);
         let addr = handle.local_addrs()[0];
-        let metrics = handle.metrics();
+        let active = metrics.gauge("hydra_connections_active");
         let mut a = TcpStream::connect(addr).expect("connect");
         let mut b = TcpStream::connect(addr).expect("connect");
         a.write_all(b"echo a\n").expect("write");
         b.write_all(b"echo b\n").expect("write");
         assert_eq!(read_line(&mut a), "a");
         assert_eq!(read_line(&mut b), "b");
-        assert_eq!(metrics.active_connections(), 2);
+        assert_eq!(active.value(), 2);
 
         // A third client sits in the kernel backlog until a slot frees.
         let mut c = TcpStream::connect(addr).expect("connect");
         c.write_all(b"echo c\n").expect("write");
         std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(metrics.active_connections(), 2, "cap exceeded");
+        assert_eq!(active.value(), 2, "cap exceeded");
         drop(a);
         assert_eq!(read_line(&mut c), "c");
         handle.shutdown();
@@ -1182,7 +1147,7 @@ mod tests {
 
     #[test]
     fn shutdown_closes_idle_connections_and_join_returns() {
-        let handle = start_test_reactor(|b| b);
+        let (handle, _) = start_test_reactor(|_| {});
         let addr = handle.local_addrs()[0];
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(b"echo up\n").expect("write");

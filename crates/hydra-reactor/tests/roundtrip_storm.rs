@@ -10,6 +10,7 @@
 //! this test exercises depth on a single connection, which is exactly the
 //! access pattern of a latency benchmark probe.
 
+use hydra_obs::MetricsRegistry;
 use hydra_reactor::{
     ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, ReactorBuilder, ReactorConfig,
     ShutdownSignal, TaskPoll,
@@ -83,7 +84,8 @@ fn single_connection_roundtrip_storm() {
         });
 
     let signal = ShutdownSignal::new();
-    let mut builder = ReactorBuilder::new().config(ReactorConfig {
+    let metrics = MetricsRegistry::new();
+    let mut builder = ReactorBuilder::new(Arc::clone(&metrics)).config(ReactorConfig {
         workers: 2,
         ..ReactorConfig::default()
     });
@@ -107,16 +109,19 @@ fn single_connection_roundtrip_storm() {
     }
     drop(stream);
 
-    let metrics = reactor.metrics();
-    assert_eq!(metrics.tasks_started(), iterations as u64);
+    assert_eq!(
+        metrics.counter("hydra_reactor_pool_submits_total").value(),
+        iterations as u64
+    );
     // The client unblocks on the flushed response, which can beat the
     // reactor's processing of the final completion by one loop iteration.
+    let inflight = metrics.gauge("hydra_reactor_tasks_inflight");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while metrics.tasks_completed() < iterations as u64 {
+    while inflight.value() > 0 {
         assert!(
             std::time::Instant::now() < deadline,
-            "final completion never settled: {} of {iterations}",
-            metrics.tasks_completed()
+            "final completion never settled: {} tasks in flight",
+            inflight.value()
         );
         std::thread::sleep(Duration::from_millis(2));
     }

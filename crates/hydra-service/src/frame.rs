@@ -151,33 +151,14 @@ pub(crate) struct FrameObs {
     frame_bytes: Arc<Counter>,
     /// Tuples pushed as stream batches (`hydra_stream_rows_total`).
     stream_rows: Arc<Counter>,
-    /// The registry itself, for the per-table datagen families a stream
-    /// settles once, at completion (cold lookups are fine off the hot path).
-    metrics: Arc<MetricsRegistry>,
 }
 
 impl FrameObs {
-    pub(crate) fn resolve(metrics: &Arc<MetricsRegistry>) -> FrameObs {
+    pub(crate) fn resolve(metrics: &MetricsRegistry) -> FrameObs {
         FrameObs {
             frame_bytes: metrics.counter("hydra_frame_bytes_total"),
             stream_rows: metrics.counter("hydra_stream_rows_total"),
-            metrics: Arc::clone(metrics),
         }
-    }
-
-    /// Settles a completed stream's datagen account — the wire's
-    /// equivalent of `Hydra::record_generation`, which in-process streams
-    /// record through the session.
-    pub(crate) fn record_stream(&self, table: &str, governor: &VelocityGovernor) {
-        self.metrics
-            .counter_labeled("hydra_datagen_rows_total", "table", table)
-            .add(governor.emitted());
-        self.metrics
-            .gauge("hydra_datagen_rows_per_sec")
-            .set(governor.achieved_rate() as i64);
-        self.metrics
-            .counter("hydra_governor_sleep_seconds_total")
-            .add(u64::try_from(governor.slept().as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
@@ -314,7 +295,7 @@ impl ConnTask for FrameTask {
             return TaskPoll::Done;
         }
         if let TaskState::Stream(stream) = &mut self.state {
-            return match stream.pump(conn, &self.ctx.obs) {
+            return match stream.pump(conn, &self.ctx) {
                 Ok(poll) => poll,
                 Err(e) => {
                     // A stream that dies after its header (frame-cap
@@ -658,7 +639,8 @@ impl StreamState {
 
     /// One poll slice: generate up to a bounded, rate-budgeted chunk of
     /// rows, pushing full batches as they complete.
-    fn pump(&mut self, conn: &ConnHandle, obs: &FrameObs) -> Result<TaskPoll, ServiceError> {
+    fn pump(&mut self, conn: &ConnHandle, ctx: &FrameCtx) -> Result<TaskPoll, ServiceError> {
+        let obs = &ctx.obs;
         if conn.over_high_water() {
             return Ok(TaskPoll::AwaitDrain);
         }
@@ -679,7 +661,9 @@ impl StreamState {
                 // Settle the datagen account and close the span *before*
                 // the trailer is queued: a client that reads `StreamEnd`
                 // and then scrapes must find the stream fully counted.
-                obs.record_stream(&self.table, &self.governor);
+                ctx.registry
+                    .session()
+                    .record_generation(&self.governor.stats(&self.table));
                 self.span.take();
                 obs.frame_bytes.add(trailer.len() as u64);
                 conn.push(trailer);

@@ -233,9 +233,7 @@ mod tests {
     fn serves_prometheus_exposition_over_http() {
         let metrics = MetricsRegistry::new();
         metrics.counter("hydra_reactor_accepts_total").add(3);
-        let mut builder = ReactorBuilder::new()
-            .workers(2)
-            .observe(Arc::clone(&metrics));
+        let mut builder = ReactorBuilder::new(Arc::clone(&metrics));
         let addr = builder
             .listen(
                 "127.0.0.1:0",

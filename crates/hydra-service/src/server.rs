@@ -17,9 +17,7 @@ use crate::registry::SummaryRegistry;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-pub use hydra_reactor::{
-    ReactorBuilder, ReactorConfig, ReactorHandle, SharedMetrics, ShutdownSignal,
-};
+pub use hydra_reactor::{ReactorBuilder, ReactorConfig, ReactorHandle, ShutdownSignal};
 
 /// A regeneration server bound to a socket on a shared reactor event loop.
 /// Dropping the handle shuts the server down.
@@ -59,14 +57,16 @@ pub fn serve_with_signal(
 }
 
 /// [`serve_with_signal`] with explicit reactor tuning (worker count,
-/// connection ceiling, write-queue cap, stall deadline).
+/// connection ceiling, write-queue cap, stall deadline).  The reactor
+/// records into the registry's session metrics, next to the request
+/// counters.
 pub fn serve_with_options(
     registry: Arc<SummaryRegistry>,
     addr: impl ToSocketAddrs,
     signal: ShutdownSignal,
     config: ReactorConfig,
 ) -> ServiceResult<ServerHandle> {
-    let mut builder = ReactorBuilder::new().config(config);
+    let mut builder = ReactorBuilder::new(registry.session().metrics()).config(config);
     let protocol = Arc::new(FrameProtocol::new(Arc::clone(&registry), signal.clone()));
     let local_addr = builder.listen(addr, protocol)?;
     let reactor = builder.start(signal.clone())?;
@@ -102,16 +102,6 @@ impl ServerHandle {
     /// `Shutdown` frame).
     pub fn is_shutting_down(&self) -> bool {
         self.signal.is_triggered()
-    }
-
-    /// Live reactor counters (connections, in-flight tasks, peak queued
-    /// bytes) — what the torture tests assert fd hygiene and
-    /// abort-on-disconnect against.
-    pub fn metrics(&self) -> SharedMetrics {
-        self.reactor
-            .as_ref()
-            .expect("reactor runs for the handle's lifetime")
-            .metrics()
     }
 
     /// Blocks until the server stops (a client sent `Shutdown`, or

@@ -10,12 +10,15 @@ use hydra_core::session::Hydra;
 use hydra_engine::row::Row;
 use hydra_query::exec::ExecStrategy;
 use hydra_service::client::HydraClient;
+use hydra_service::protocol::{read_frame, write_frame, Request, Response};
 use hydra_service::protocol::{QueryRequest, ScenarioSpec, StreamRequest};
 use hydra_service::registry::SummaryRegistry;
-use hydra_service::server::serve;
+use hydra_service::server::{serve, serve_with_options, ReactorConfig, ShutdownSignal};
 use hydra_workload::retail_client_fixture;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn retail_package(
     session: &Hydra,
@@ -457,4 +460,53 @@ fn error_paths_keep_the_connection_usable() {
 
     client.shutdown().expect("shutdown");
     server.join();
+}
+
+/// A library `serve` records its reactor into the session registry, so the
+/// `Stats` frame counts the very connection that asks.
+#[test]
+fn library_server_stats_report_reactor_accepts() {
+    let session = Hydra::builder().compare_aqps(false).build();
+    let server = serve(SummaryRegistry::in_memory(session), "127.0.0.1:0").expect("bind");
+    let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+    client.list().expect("list");
+    let accepts = client
+        .stats()
+        .expect("stats")
+        .into_iter()
+        .find(|s| s.name == "hydra_reactor_accepts_total")
+        .expect("accepts sample")
+        .value;
+    assert!(
+        accepts >= 1.0,
+        "the reactor's accepts never reached the session registry: {accepts}"
+    );
+}
+
+/// `max_connections: 0` and `write_queue_cap: 0` are raised to one when the
+/// reactor starts, so the server answers instead of pausing its accepts
+/// forever or spinning its event loop on a zero-byte queue bound.
+#[test]
+fn zero_valued_reactor_config_still_answers() {
+    let session = Hydra::builder().compare_aqps(false).build();
+    let server = serve_with_options(
+        Arc::new(SummaryRegistry::in_memory(session)),
+        "127.0.0.1:0",
+        ShutdownSignal::new(),
+        ReactorConfig {
+            max_connections: 0,
+            write_queue_cap: 0,
+            ..ReactorConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    write_frame(&mut stream, &Request::List).expect("send list");
+    let response: Response = read_frame(&mut stream)
+        .expect("List answered within the deadline")
+        .expect("a response frame");
+    assert!(matches!(response, Response::SummaryList(_)), "{response:?}");
 }

@@ -14,7 +14,7 @@
 //! * a PostgreSQL wire-protocol listener ([`PgClient`] side);
 //! * one reactor event loop hosting both listeners under one
 //!   [`ShutdownSignal`], so dropping the tester tears the whole double
-//!   down (and [`HydraTester::metrics`] sees both protocols' traffic).
+//!   down (and [`HydraTester::obs`] sees both protocols' traffic).
 //!
 //! ```
 //! use hydra_tester::HydraTester;
@@ -34,7 +34,7 @@ use hydra_obs::MetricsRegistry;
 use hydra_pgwire::{PgClient, PgProtocol};
 use hydra_service::protocol::SummaryInfo;
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
-use hydra_service::server::{ReactorBuilder, ReactorHandle, SharedMetrics};
+use hydra_service::server::{ReactorBuilder, ReactorHandle};
 use hydra_service::{FrameProtocol, HydraClient, ShutdownSignal};
 use hydra_workload::{retail_client_fixture, supplier_client_fixture};
 use std::net::SocketAddr;
@@ -96,7 +96,7 @@ impl HydraTester {
     fn with_registry(registry: SummaryRegistry, session: Hydra) -> Self {
         let registry = Arc::new(registry);
         let signal = ShutdownSignal::new();
-        let mut builder = ReactorBuilder::new().observe(session.metrics());
+        let mut builder = ReactorBuilder::new(session.metrics());
         let frame_addr = builder
             .listen(
                 "127.0.0.1:0",
@@ -175,15 +175,6 @@ impl HydraTester {
     /// The PostgreSQL listener's address.
     pub fn pg_addr(&self) -> SocketAddr {
         self.pg_addr
-    }
-
-    /// Live reactor counters for the shared event loop serving both
-    /// listeners — connection totals, in-flight tasks, peak queued bytes.
-    pub fn metrics(&self) -> SharedMetrics {
-        self.reactor
-            .as_ref()
-            .expect("reactor runs for the tester's lifetime")
-            .metrics()
     }
 
     /// The session's observability registry, shared by the reactor and both

@@ -34,7 +34,9 @@
 //!   streams (default: available parallelism).  Connection count is
 //!   independent of this — ten thousand clients still run on `N` threads.
 //! * `--max-connections N`: connection ceiling across all listeners
-//!   (default 8192); excess accepts are closed immediately.
+//!   (default 8192, `0` counts as `1`); at the ceiling the server stops
+//!   accepting, and new connections wait in the kernel backlog until a
+//!   slot frees.
 //! * `--metrics-addr HOST:PORT`: additionally serve `GET /metrics` in
 //!   Prometheus text exposition format on this address (HTTP/1.0, one
 //!   request per connection).  Printed as
@@ -234,13 +236,11 @@ fn main() -> ExitCode {
     // One reactor hosts every protocol listener: one epoll set, one fixed
     // worker pool, one shutdown signal — a frame `Shutdown` stops the pg
     // listener too, and vice versa.
-    let mut builder = ReactorBuilder::new()
-        .config(ReactorConfig {
-            workers: options.workers,
-            max_connections: options.max_connections,
-            ..ReactorConfig::default()
-        })
-        .observe(session.metrics());
+    let mut builder = ReactorBuilder::new(session.metrics()).config(ReactorConfig {
+        workers: options.workers,
+        max_connections: options.max_connections,
+        ..ReactorConfig::default()
+    });
     let frame_addr = match builder.listen(
         options.addr.as_str(),
         Arc::new(FrameProtocol::new(Arc::clone(&registry), signal.clone())),

@@ -341,7 +341,11 @@ fn connection_churn_leaks_no_fds_and_aborts_generation() {
     let tester = HydraTester::retail();
     let frame_addr = tester.frame_addr();
     let pg_addr = tester.pg_addr();
-    let metrics = tester.metrics();
+    let obs = tester.obs();
+    let inflight = obs.gauge("hydra_reactor_tasks_inflight");
+    let active = obs.gauge("hydra_connections_active");
+    let accepts = obs.counter("hydra_reactor_accepts_total");
+    let accepts_before = accepts.value();
 
     // Let the freshly booted servers settle, then snapshot the baselines.
     std::thread::sleep(Duration::from_millis(50));
@@ -395,21 +399,21 @@ fn connection_churn_leaks_no_fds_and_aborts_generation() {
     // Abort-on-disconnect: the mid-stream drops above left tasks whose
     // peers are gone; they must notice and stop generating.
     eventually(Duration::from_secs(10), "in-flight tasks to abort", || {
-        metrics.tasks_inflight() == 0
+        inflight.value() == 0
     });
     // Fd hygiene: every churned connection's fd is returned.
     eventually(Duration::from_secs(10), "connections to close", || {
-        metrics.active_connections() == 0
+        active.value() == 0
     });
     eventually(
         Duration::from_secs(10),
         "fd count to return to baseline",
         || fd_count() <= fd_base,
     );
+    let accepted = accepts.value() - accepts_before;
     assert!(
-        metrics.connections_accepted() >= 1_000,
-        "churned connections were not accepted: {}",
-        metrics.connections_accepted()
+        accepted >= 1_000,
+        "churned connections were not accepted: {accepted}"
     );
 }
 
@@ -422,6 +426,10 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
     let _guard = counters_lock();
     let tester = HydraTester::retail();
     let registry = Arc::clone(tester.registry());
+    // The custom server records into the tester's session registry.
+    let obs = tester.obs();
+    let evictions = obs.counter("hydra_reactor_evictions_total");
+    let evictions_before = evictions.value();
 
     const CAP: usize = 256 << 10;
     let server = serve_with_options(
@@ -436,7 +444,6 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
         },
     )
     .expect("custom-config server");
-    let metrics = server.metrics();
 
     // The stalled reader pipelines hundreds of full-table streams —
     // megabytes of demand — and never reads a byte.
@@ -463,11 +470,13 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
 
     // The stalled connection is evicted by the stall deadline...
     eventually(Duration::from_secs(10), "stalled reader eviction", || {
-        metrics.stalled_disconnects() >= 1
+        evictions.value() > evictions_before
     });
     // ...with the write queue never growing past the bound (+ one
-    // generation slice of overshoot), despite megabytes of demand.
-    let peak = metrics.peak_queued_bytes();
+    // generation slice of overshoot), despite megabytes of demand.  The
+    // tester's own reactor carries no traffic here, so the shared peak is
+    // this server's.
+    let peak = obs.gauge("hydra_reactor_write_queue_peak_bytes").value() as u64;
     assert!(
         peak <= (CAP + (512 << 10)) as u64,
         "write queue exceeded its bound: peak {peak} bytes"
@@ -496,6 +505,7 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
 fn reactor_accepts_256_concurrent_connections_on_one_worker() {
     let _guard = counters_lock();
     let session = Hydra::builder().compare_aqps(false).build();
+    let obs = session.metrics();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
     let server = serve_with_options(
         registry,
@@ -521,9 +531,8 @@ fn reactor_accepts_256_concurrent_connections_on_one_worker() {
         let frame = read_frame_raw(stream);
         assert!(matches!(parse_frame(&frame), Response::SummaryList(_)));
     }
-    let metrics = server.metrics();
-    assert_eq!(metrics.active_connections(), 256);
-    assert_eq!(metrics.connections_accepted(), 256);
+    assert_eq!(obs.gauge("hydra_connections_active").value(), 256);
+    assert_eq!(obs.counter("hydra_reactor_accepts_total").value(), 256);
 }
 
 /// Satellite 5 — the `ShutdownSignal` race: a trigger landing during an
@@ -616,7 +625,7 @@ fn single_connection_roundtrip_storm() {
     let obs = session.metrics();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
     let signal = ShutdownSignal::new();
-    let mut builder = ReactorBuilder::new().observe(Arc::clone(&obs));
+    let mut builder = ReactorBuilder::new(Arc::clone(&obs));
     let addr = builder
         .listen(
             "127.0.0.1:0",
@@ -624,7 +633,6 @@ fn single_connection_roundtrip_storm() {
         )
         .expect("bind storm listener");
     let reactor = builder.start(signal.clone()).expect("start storm reactor");
-    let metrics = reactor.metrics();
     let pool_submits = || {
         obs.snapshot()
             .value("hydra_reactor_pool_submits_total", None)
@@ -654,7 +662,7 @@ fn single_connection_roundtrip_storm() {
                 "round trip stalled at iteration {i}: {e} \
                  (pool submits {}, queued peak {})",
                 pool_submits() - submits_before,
-                metrics.peak_queued_bytes(),
+                obs.gauge("hydra_reactor_write_queue_peak_bytes").value(),
             );
         }
         let len = u32::from_be_bytes(header) as usize;
@@ -673,7 +681,6 @@ fn single_connection_roundtrip_storm() {
         submits_before,
         "a bounded List round trip crossed the worker pool"
     );
-    assert_eq!(metrics.tasks_started(), 0);
     assert_eq!(
         obs.snapshot()
             .value("hydra_requests_total", Some(("op", "frame.list"))),
@@ -694,6 +701,11 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
     let _guard = counters_lock();
     let tester = HydraTester::retail();
     let registry = Arc::clone(tester.registry());
+    // The custom server records into the tester's session registry.
+    let obs = tester.obs();
+    let evictions = obs.counter("hydra_reactor_evictions_total");
+    let pool_submits = obs.counter("hydra_reactor_pool_submits_total");
+    let (evictions_before, submits_before) = (evictions.value(), pool_submits.value());
 
     const CAP: usize = 64 << 10;
     let server = serve_with_options(
@@ -708,7 +720,6 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
         },
     )
     .expect("custom-config server");
-    let metrics = server.metrics();
     let sql = "select count(*) from store_sales";
     let one = frame_bytes(&Request::Query(QueryRequest::new("retail", sql)));
 
@@ -733,7 +744,7 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
     let mut client = HydraClient::connect(server.local_addr()).expect("connect client");
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut round_trips = 0;
-    while metrics.stalled_disconnects() == 0 {
+    while evictions.value() == evictions_before {
         assert!(
             Instant::now() < deadline,
             "stalled pipeline was never evicted"
@@ -748,7 +759,9 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
         .expect("neighbor query after eviction");
     assert!(!answer.rows.is_empty());
 
-    let peak = metrics.peak_queued_bytes() as usize;
+    // The tester's own reactor carries no traffic here, so the shared peak
+    // is this server's.
+    let peak = obs.gauge("hydra_reactor_write_queue_peak_bytes").value() as usize;
     assert!(
         peak <= CAP + reply.len(),
         "write queue exceeded cap + one reply: peak {peak} bytes, reply {}",
@@ -759,8 +772,8 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
         "demand must dwarf the cap to prove the bound"
     );
     assert_eq!(
-        metrics.tasks_started(),
-        0,
+        pool_submits.value(),
+        submits_before,
         "summary-direct queries crossed the worker pool"
     );
 
@@ -901,7 +914,10 @@ fn metrics_invariants_hold_under_connection_storm() {
     registry.publish("retail", package).expect("publish retail");
 
     let signal = ShutdownSignal::new();
-    let mut builder = ReactorBuilder::new().workers(2).observe(Arc::clone(&obs));
+    let mut builder = ReactorBuilder::new(Arc::clone(&obs)).config(ReactorConfig {
+        workers: 2,
+        ..ReactorConfig::default()
+    });
     let frame_addr = builder
         .listen(
             "127.0.0.1:0",

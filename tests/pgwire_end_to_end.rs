@@ -341,3 +341,38 @@ fn hostile_length_field_gets_error_response_then_close() {
         other => panic!("expected clean close after FATAL, got {other:?}"),
     }
 }
+
+/// A library `serve_pg` records its reactor into the session registry, so
+/// `hydra_metrics` counts the very connection that asks.
+#[test]
+fn library_pg_server_reports_reactor_accepts() {
+    use hydra::pgwire::serve_pg;
+    use hydra::ShutdownSignal;
+    use std::sync::Arc;
+
+    let tester = HydraTester::retail();
+    // The tester's own reactor shares the session registry: count from here.
+    let accepts_before = tester.obs().counter("hydra_reactor_accepts_total").value() as f64;
+    let server = serve_pg(
+        Arc::clone(tester.registry()),
+        "127.0.0.1:0",
+        ShutdownSignal::new(),
+    )
+    .expect("pg listener");
+    let mut pg = PgClient::connect(server.local_addr(), Some("retail")).expect("connect pg");
+    let metrics = pg
+        .query("select * from hydra_metrics")
+        .expect("metrics table");
+    let accepts: f64 = metrics
+        .rows
+        .iter()
+        .find(|row| row[0].as_deref() == Some("hydra_reactor_accepts_total"))
+        .and_then(|row| row[2].as_deref())
+        .expect("accepts row")
+        .parse()
+        .expect("float8 text");
+    assert!(
+        accepts >= accepts_before + 1.0,
+        "the reactor's accepts never reached the session registry: {accepts}"
+    );
+}
