@@ -81,7 +81,7 @@ impl DynamicGenerator {
     }
 
     /// Resolves a table name to its schema and summary entries.
-    fn relation(
+    pub fn relation(
         &self,
         table: &str,
     ) -> EngineResult<(

@@ -7,10 +7,9 @@
 //! façade's `stream_table`) can drive any of these — including
 //! velocity-regulated streaming — through one code path.
 
-use crate::stream::RowBlock;
+use crate::stream::{BlockTemplate, RowBlock};
 use hydra_catalog::schema::Table;
 use hydra_engine::row::Row;
-use std::fmt::Write as _;
 use std::io::Write;
 
 /// A consumer of regenerated tuples.
@@ -205,38 +204,25 @@ impl<W: Write> TupleSink for CsvSink<W> {
         if self.error.is_some() {
             return consumed;
         }
-        // Encode the constant fields once per block; each line is then the
-        // cached segments with the pk digits spliced in between.  An
-        // auto-numbered pk renders as bare digits, which csv_field never
-        // quotes, so the splice is byte-identical to the accept path.
-        let template = block.template();
-        let auto = block.auto_columns();
-        let mut segments: Vec<String> = vec![String::new()];
-        for (i, value) in template.iter().enumerate() {
-            if i > 0 {
-                segments
-                    .last_mut()
-                    .expect("segments is never empty")
-                    .push(',');
-            }
-            if auto.contains(&i) {
-                segments.push(String::new());
-            } else {
-                segments
-                    .last_mut()
-                    .expect("segments is never empty")
-                    .push_str(&csv_field(value));
-            }
-        }
-        let mut line = String::new();
+        // Render the line once per block and patch the pk digits per tuple.
+        // An auto-numbered pk renders as bare digits, which csv_field never
+        // quotes, so the template is byte-identical to the accept path.
+        let mut template = BlockTemplate::default();
         for pk in block.pk_range() {
-            line.clear();
-            line.push_str(&segments[0]);
-            for segment in &segments[1..] {
-                let _ = write!(line, "{}", pk as i64);
-                line.push_str(segment);
-            }
-            if let Err(e) = writeln!(self.writer, "{line}") {
+            let line = template.row(block, pk, |row| {
+                for (i, value) in block.template().iter().enumerate() {
+                    if i > 0 {
+                        row.bytes.push(b',');
+                    }
+                    if block.auto_columns().contains(&i) {
+                        row.pk();
+                    } else {
+                        row.bytes.extend_from_slice(csv_field(value).as_bytes());
+                    }
+                }
+                row.bytes.push(b'\n');
+            });
+            if let Err(e) = self.writer.write_all(line) {
                 self.error = Some(e);
                 break;
             }

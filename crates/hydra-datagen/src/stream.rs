@@ -158,7 +158,8 @@ impl RowBlock<'_> {
 
 /// Decimal digit count of `v` (as rendered by `i64`/`u64` formatting) — the
 /// width of the pk digit span a wire template patches per tuple.
-pub fn dec_width(v: u64) -> usize {
+#[inline]
+fn dec_width(v: u64) -> usize {
     if v == 0 {
         1
     } else {
@@ -167,10 +168,112 @@ pub fn dec_width(v: u64) -> usize {
 }
 
 /// Overwrites `dst` (exactly the [`dec_width`] of `v`) with `v`'s digits.
-pub fn write_digits(mut v: u64, dst: &mut [u8]) {
+#[inline]
+fn write_digits(mut v: u64, dst: &mut [u8]) {
     for slot in dst.iter_mut().rev() {
         *slot = b'0' + (v % 10) as u8;
         v /= 10;
+    }
+}
+
+/// A block's encoded tuple, cached: the constant columns are rendered once
+/// per (block, pk digit width), and each further tuple of the block is the
+/// cached bytes with only the pk digit spans overwritten.
+///
+/// The wire encoders (frame `Batch` JSON, pg `DataRow`, CSV lines) are
+/// renderers over this one cache: [`row`](Self::row) decides when to
+/// re-render and hands the renderer a [`TemplateRow`] to fill.
+///
+/// ```
+/// use hydra_catalog::schema::{ColumnBuilder, SchemaBuilder};
+/// use hydra_catalog::types::DataType;
+/// use hydra_datagen::stream::{BlockTemplate, TemplateRow, TupleStream};
+/// use hydra_summary::summary::RelationSummary;
+/// use std::collections::BTreeMap;
+///
+/// let schema = SchemaBuilder::new("db")
+///     .table("item", |t| {
+///         t.column(ColumnBuilder::new("i_item_sk", DataType::BigInt).primary_key())
+///     })
+///     .build()
+///     .unwrap();
+/// let mut summary = RelationSummary::new("item", Some("i_item_sk".to_string()));
+/// summary.push_row(12, BTreeMap::new());
+/// let mut stream = TupleStream::new(schema.table("item").unwrap(), &summary);
+/// let block = stream.next_block(u64::MAX).unwrap();
+///
+/// let render = |row: &mut TemplateRow<'_>| {
+///     row.bytes.extend_from_slice(b"pk=");
+///     row.pk();
+/// };
+/// let mut template = BlockTemplate::default();
+/// assert_eq!(template.row(&block, 7, render), b"pk=7"); // rendered
+/// assert_eq!(template.row(&block, 8, render), b"pk=8"); // patched
+/// ```
+#[derive(Debug, Default)]
+pub struct BlockTemplate {
+    /// The block ordinal `scratch` encodes (`None` before the first row).
+    ordinal: Option<usize>,
+    /// One encoded tuple, the current pk's digits in the spans.
+    scratch: Vec<u8>,
+    /// Offsets in `scratch` where each pk digit span starts.
+    spans: Vec<usize>,
+    /// Digit width of the pk currently in the spans.
+    width: usize,
+}
+
+/// What a [`BlockTemplate`] renderer writes: the tuple's bytes, with each
+/// pk occurrence written through [`pk`](Self::pk) so it can be patched.
+#[derive(Debug)]
+pub struct TemplateRow<'t> {
+    /// The encoded tuple so far.
+    pub bytes: &'t mut Vec<u8>,
+    spans: &'t mut Vec<usize>,
+    /// The pk's decimal text, as `i64` formatting renders it.
+    pub digits: &'t str,
+}
+
+impl TemplateRow<'_> {
+    /// Appends the pk's digits and marks them as a patched span.
+    pub fn pk(&mut self) {
+        self.spans.push(self.bytes.len());
+        self.bytes.extend_from_slice(self.digits.as_bytes());
+    }
+}
+
+impl BlockTemplate {
+    /// The encoding of `block`'s tuple at `pk`.  `render` runs only when
+    /// the cache cannot be patched: a new block ordinal, a new pk digit
+    /// width, or a pk above `i64::MAX` (which renders with a sign through
+    /// the `as i64` cast, so is never digit-patched).
+    pub fn row(
+        &mut self,
+        block: &RowBlock<'_>,
+        pk: u64,
+        render: impl FnOnce(&mut TemplateRow<'_>),
+    ) -> &[u8] {
+        let width = dec_width(pk);
+        if self.ordinal != Some(block.ordinal()) || width != self.width || pk > i64::MAX as u64 {
+            self.rebuild(block.ordinal(), pk, render);
+        } else {
+            for &span in &self.spans {
+                write_digits(pk, &mut self.scratch[span..span + width]);
+            }
+        }
+        &self.scratch
+    }
+
+    fn rebuild(&mut self, ordinal: usize, pk: u64, render: impl FnOnce(&mut TemplateRow<'_>)) {
+        self.scratch.clear();
+        self.spans.clear();
+        let digits = (pk as i64).to_string();
+        self.width = digits.len();
+        render(&mut TemplateRow {
+            bytes: &mut self.scratch,
+            spans: &mut self.spans,
+            digits: &digits,
+        });
+        self.ordinal = Some(ordinal);
     }
 }
 
@@ -593,6 +696,66 @@ mod tests {
         }
         assert_eq!(rows, full[910..930]);
         assert_eq!(stream.remaining(), 0);
+    }
+
+    /// Drives every tuple of `stream`, in blocks of at most `max`, through
+    /// one [`BlockTemplate`] with a trivial two-span renderer, checking each
+    /// tuple's bytes against `i64` formatting.  Returns the tuple count, the
+    /// pks at which the template re-rendered, and the `(first pk, ordinal)`
+    /// of every block.
+    fn drive_template(mut stream: TupleStream<'_>, max: u64) -> (u64, Vec<u64>, Vec<(u64, usize)>) {
+        let mut template = BlockTemplate::default();
+        let (mut rows, mut rendered, mut blocks) = (0, Vec::new(), Vec::new());
+        while let Some(block) = stream.next_block(max) {
+            blocks.push((block.pk_range().start, block.ordinal()));
+            for pk in block.pk_range() {
+                let bytes = template.row(&block, pk, |row| {
+                    rendered.push(pk);
+                    row.bytes.push(b'<');
+                    row.pk();
+                    row.bytes.push(b',');
+                    row.pk();
+                    row.bytes.push(b'>');
+                });
+                assert_eq!(bytes, format!("<{0},{0}>", pk as i64).as_bytes());
+                rows += 1;
+            }
+        }
+        (rows, rendered, blocks)
+    }
+
+    #[test]
+    fn block_template_rerenders_only_on_its_rebuild_rule() {
+        let table = table();
+        let mut s = RelationSummary::new("item", Some("i_item_sk".to_string()));
+        s.push_row(5, BTreeMap::new());
+        s.push_row(100, BTreeMap::new());
+        s.push_row(15, BTreeMap::new());
+        let (rows, rendered, blocks) = drive_template(TupleStream::new(&table, &s), 50);
+        assert_eq!(rows, 120);
+        // Summary row 1 arrives as two consecutive blocks of one ordinal.
+        assert_eq!(blocks, vec![(0, 0), (5, 1), (55, 1), (105, 2)]);
+        // New ordinals at 0, 5 and 105; widths 1→2 at 10 and 2→3 at 100.
+        // The split at 55 keeps ordinal and width, so it is only patched.
+        assert_eq!(rendered, vec![0, 5, 10, 100, 105]);
+    }
+
+    #[test]
+    fn block_template_never_patches_pks_above_i64_max() {
+        let table = table();
+        let head = i64::MAX as u64 - 2;
+        let mut s = RelationSummary::new("item", Some("i_item_sk".to_string()));
+        s.push_row(head, BTreeMap::new());
+        s.push_row(6, BTreeMap::new());
+        let stream = TupleStream::with_range(&table, &s, head - 2..head + 6);
+        let (rows, rendered, _) = drive_template(stream, u64::MAX);
+        assert_eq!(rows, 8);
+        let max = i64::MAX as u64;
+        assert_eq!(
+            rendered,
+            vec![max - 4, max - 2, max + 1, max + 2, max + 3],
+            "every pk past i64::MAX must re-render"
+        );
     }
 
     #[test]

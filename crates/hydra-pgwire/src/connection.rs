@@ -9,7 +9,7 @@
 //! strategies:
 //!
 //! * `SELECT * FROM <relation>` — a full regenerate-and-scan, which the
-//!   reactor streams in rate-budgeted pulses (see `ScanState`);
+//!   reactor streams through the wire pump (`hydra_service::pump`);
 //! * any aggregate `SELECT` — parsed by `hydra-query` and answered
 //!   summary-direct in O(blocks) when the query is in the closed class,
 //!   with a transparent regenerate-and-scan fallback otherwise.  The

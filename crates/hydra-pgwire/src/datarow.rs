@@ -7,10 +7,7 @@ use crate::codec::{encode_backend, BackendMessage, FieldDescription};
 use crate::types::{pg_text, pg_type_of};
 use hydra_catalog::schema::Table;
 use hydra_catalog::types::DataType;
-use hydra_datagen::stream::{dec_width, write_digits, RowBlock};
-
-/// Sentinel ordinal for "no template cached yet".
-const NO_BLOCK: usize = usize::MAX;
+use hydra_datagen::stream::{BlockTemplate, RowBlock, TemplateRow};
 
 /// The `RowDescription` of a `SELECT *` over `table`: every column under
 /// its declared name and wire type.
@@ -35,23 +32,13 @@ pub(crate) fn row_description(table: &Table) -> BackendMessage {
 /// tuple is one memcpy of the cache plus patching the pk digit spans.
 #[derive(Debug)]
 pub(crate) struct DataRowTemplate {
-    /// Which block ordinal `scratch` encodes (`NO_BLOCK` = none yet).
-    ordinal: usize,
-    /// One complete `DataRow` message, current pk's digits in the spans.
-    scratch: Vec<u8>,
-    /// Offsets in `scratch` where each auto column's digit span starts.
-    spans: Vec<usize>,
-    /// Digit width of the pk currently encoded in the spans.
-    width: usize,
+    template: BlockTemplate,
 }
 
 impl DataRowTemplate {
     pub(crate) fn new() -> Self {
         DataRowTemplate {
-            ordinal: NO_BLOCK,
-            scratch: Vec::new(),
-            spans: Vec::new(),
-            width: 0,
+            template: BlockTemplate::default(),
         }
     }
 
@@ -63,9 +50,16 @@ impl DataRowTemplate {
         column_types: &[DataType],
         out: &mut Vec<u8>,
     ) {
-        if Self::block_eligible(block, column_types) {
+        // Every auto column must render as the pk's plain decimal digits; a
+        // `Date`-typed one renders an ISO date, so its block takes the
+        // row-at-a-time path.
+        let plain_digits = |&i: &usize| !matches!(column_types.get(i), Some(DataType::Date));
+        if block.auto_columns().iter().all(plain_digits) {
             for pk in block.pk_range() {
-                out.extend_from_slice(self.row_bytes(block, pk, column_types));
+                let row = self
+                    .template
+                    .row(block, pk, |row| render_datarow(block, column_types, row));
+                out.extend_from_slice(row);
             }
         } else {
             for row in block.rows() {
@@ -78,65 +72,32 @@ impl DataRowTemplate {
             }
         }
     }
+}
 
-    /// Whether `block` may go through the template at all: every auto column
-    /// must render as the pk's plain decimal digits.  A `Date`-typed auto
-    /// column renders as an ISO date instead, so those blocks take the
-    /// row-at-a-time path.
-    fn block_eligible(block: &RowBlock<'_>, column_types: &[DataType]) -> bool {
-        block
-            .auto_columns()
-            .iter()
-            .all(|&i| !matches!(column_types.get(i), Some(DataType::Date)))
-    }
-
-    /// The complete `DataRow` message for the block's tuple at `pk`.
-    fn row_bytes(&mut self, block: &RowBlock<'_>, pk: u64, column_types: &[DataType]) -> &[u8] {
-        let width = dec_width(pk);
-        // A pk above i64::MAX renders with a sign through the `as i64` cast;
-        // don't digit-patch those (they cannot occur for real relations).
-        if self.ordinal != block.ordinal() || width != self.width || pk > i64::MAX as u64 {
-            self.rebuild(block, pk, column_types);
+/// Renders `block`'s tuple as one complete `DataRow` message.
+fn render_datarow(block: &RowBlock<'_>, column_types: &[DataType], row: &mut TemplateRow<'_>) {
+    row.bytes.push(b'D');
+    row.bytes.extend_from_slice(&[0u8; 4]); // length, patched below
+    let ncols = block.template().len() as i16;
+    row.bytes.extend_from_slice(&ncols.to_be_bytes());
+    for (i, value) in block.template().iter().enumerate() {
+        if block.auto_columns().contains(&i) {
+            row.bytes
+                .extend_from_slice(&(row.digits.len() as i32).to_be_bytes());
+            row.pk();
         } else {
-            for &span in &self.spans {
-                write_digits(pk, &mut self.scratch[span..span + width]);
-            }
-        }
-        &self.scratch
-    }
-
-    /// Re-encodes the message for `block` at `pk`'s digit width.
-    fn rebuild(&mut self, block: &RowBlock<'_>, pk: u64, column_types: &[DataType]) {
-        self.scratch.clear();
-        self.spans.clear();
-        let digits = (pk as i64).to_string();
-        self.width = digits.len();
-        let auto = block.auto_columns();
-        self.scratch.push(b'D');
-        self.scratch.extend_from_slice(&[0u8; 4]); // length, patched below
-        let ncols = block.template().len() as i16;
-        self.scratch.extend_from_slice(&ncols.to_be_bytes());
-        for (i, value) in block.template().iter().enumerate() {
-            if auto.contains(&i) {
-                self.scratch
-                    .extend_from_slice(&(digits.len() as i32).to_be_bytes());
-                self.spans.push(self.scratch.len());
-                self.scratch.extend_from_slice(digits.as_bytes());
-            } else {
-                match pg_text(value, column_types.get(i)) {
-                    None => self.scratch.extend_from_slice(&(-1i32).to_be_bytes()),
-                    Some(text) => {
-                        self.scratch
-                            .extend_from_slice(&(text.len() as i32).to_be_bytes());
-                        self.scratch.extend_from_slice(text.as_bytes());
-                    }
+            match pg_text(value, column_types.get(i)) {
+                None => row.bytes.extend_from_slice(&(-1i32).to_be_bytes()),
+                Some(text) => {
+                    row.bytes
+                        .extend_from_slice(&(text.len() as i32).to_be_bytes());
+                    row.bytes.extend_from_slice(text.as_bytes());
                 }
             }
         }
-        let len = (self.scratch.len() - 1) as i32;
-        self.scratch[1..5].copy_from_slice(&len.to_be_bytes());
-        self.ordinal = block.ordinal();
     }
+    let len = (row.bytes.len() - 1) as i32;
+    row.bytes[1..5].copy_from_slice(&len.to_be_bytes());
 }
 
 #[cfg(test)]

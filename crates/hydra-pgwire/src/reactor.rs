@@ -18,11 +18,11 @@
 //! * at the first statement that is not provably bounded — a `SELECT *
 //!   FROM` scan, the `hydra_metrics` table, or an out-of-class aggregate
 //!   (already parsed and classified) — the *same* task moves to the
-//!   worker pool and resumes at that statement: one statement per poll
-//!   slice, with scans further sliced into rate-budgeted chunks that
-//!   `Yield` between pulses, `Sleep` on the timer wheel for velocity
-//!   pacing, and `AwaitDrain` when the connection's write queue passes
-//!   high water.
+//!   worker pool and resumes at that statement, one statement per poll
+//!   slice.  A scan writes its `RowDescription` and hands the relation to
+//!   the wire pump ([`hydra_service::pump`]) with the `DataRow` encoder,
+//!   which paces it and closes it with `CommandComplete "SELECT n"`; a
+//!   mid-stream failure becomes `XX000` plus `ReadyForQuery`.
 
 use crate::codec::{
     decode_frontend, decode_startup, encode_backend, BackendMessage, Decoded, FrontendMessage,
@@ -34,20 +34,16 @@ use crate::connection::{
 };
 use crate::datarow::{row_description, DataRowTemplate};
 use hydra_catalog::types::DataType;
-use hydra_core::session::Hydra;
-use hydra_datagen::generator::DynamicGenerator;
-use hydra_datagen::governor::{Pulse, VelocityGovernor};
-use hydra_obs::{Counter, Span};
+use hydra_datagen::generator::GenerationStats;
+use hydra_datagen::stream::RowBlock;
+use hydra_obs::Counter;
 use hydra_reactor::{
     ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll, INLINE_BYTES_MAX,
 };
+use hydra_service::pump::{BlockEncoder, EngineError, Pump};
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
 use hydra_service::StreamRequest;
 use std::sync::Arc;
-
-/// Rows per `SELECT *` scan pulse: the frame protocol's default batch, so
-/// both wires see a throttled relation land at the same cadence.
-const SCAN_PULSE_ROWS: u64 = StreamRequest::DEFAULT_BATCH_ROWS;
 
 /// The pgwire listener-level factory: one per pg listener, holding the
 /// shared registry (the `database` startup parameter selects an entry per
@@ -218,7 +214,7 @@ struct PgQueryTask {
     next: usize,
     ran_any: bool,
     /// A `SELECT * FROM` scan in flight within the current statement.
-    scan: Option<Box<ScanState>>,
+    scan: Option<Box<Pump<DataRowEncoder>>>,
     /// The current statement: an out-of-class aggregate awaiting the
     /// pool's tuple scan.
     deferred: Option<Box<DeferredAggregate>>,
@@ -232,16 +228,25 @@ impl ConnTask for PgQueryTask {
         }
         let mut out = Vec::new();
         let poll = match &mut self.scan {
-            Some(scan) => match scan.pump(conn, self.registry.session()) {
-                ScanPoll::Reactor(poll) => poll,
-                ScanPoll::Finished => {
+            Some(scan) => match scan.poll(conn) {
+                // The scan's `CommandComplete` is pushed; on to the next
+                // statement.
+                Ok(TaskPoll::Done) => {
                     self.scan = None;
                     self.next += 1;
                     TaskPoll::Yield
                 }
-                ScanPoll::Failed(e) => {
+                Ok(poll) => poll,
+                Err(e) => {
+                    // The scan died mid-stream; the query cycle aborts.
                     self.scan = None;
-                    fail(&mut out, e)
+                    let failure = PgError::error("XX000", e.to_string());
+                    self.registry
+                        .session()
+                        .metrics()
+                        .counter_labeled("hydra_pg_errors_total", "sqlstate", failure.code())
+                        .inc();
+                    fail(&mut out, failure)
                 }
             },
             // Bounded statements still respect backpressure between them.
@@ -313,24 +318,22 @@ impl PgQueryTask {
                 }
                 Statement::Scan(table) => {
                     self.ran_any = true;
-                    return Some(
-                        match ScanState::open(&self.registry, &self.entry, table, out) {
-                            Ok(scan) => {
-                                self.scan = Some(scan);
-                                TaskPoll::Yield
-                            }
-                            Err(e) => {
-                                // A scan that fails to open never owns a
-                                // span of its own: account the failure here.
-                                let metrics = self.registry.session().metrics();
-                                metrics.span("pg.scan").set_error();
-                                metrics
-                                    .counter_labeled("hydra_pg_errors_total", "sqlstate", e.code())
-                                    .inc();
-                                fail(out, e)
-                            }
-                        },
-                    );
+                    return Some(match open_scan(&self.registry, &self.entry, table, out) {
+                        Ok(scan) => {
+                            self.scan = Some(scan);
+                            TaskPoll::Yield
+                        }
+                        Err(e) => {
+                            // A scan that fails to open never owns a
+                            // span of its own: account the failure here.
+                            let metrics = self.registry.session().metrics();
+                            metrics.span("pg.scan").set_error();
+                            metrics
+                                .counter_labeled("hydra_pg_errors_total", "sqlstate", e.code())
+                                .inc();
+                            fail(out, e)
+                        }
+                    });
                 }
                 Statement::Bounded(statement) => statement,
             };
@@ -372,140 +375,75 @@ fn fail(out: &mut Vec<u8>, e: PgError) -> TaskPoll {
     TaskPoll::Done
 }
 
-/// What one scan pump slice decided.
-enum ScanPoll {
-    /// Hand this poll result to the reactor (`Yield`/`Sleep`/`AwaitDrain`).
-    Reactor(TaskPoll),
-    /// The scan completed (its `CommandComplete` is pushed).
-    Finished,
-    /// The scan failed mid-stream; the query cycle aborts.
-    Failed(PgError),
-}
-
-/// A `SELECT * FROM <relation>` scan sliced into rate-budgeted pulses,
-/// paced by the session's velocity governor exactly like the frame
-/// protocol's `Stream` request.
-struct ScanState {
-    generator: DynamicGenerator,
-    table: String,
-    cursor: u64,
-    end: u64,
-    governor: VelocityGovernor,
+/// The pg [`BlockEncoder`]: each tuple a `DataRow` through the cached
+/// [`DataRowTemplate`], and a `CommandComplete "SELECT n"` trailer.
+struct DataRowEncoder {
     column_types: Vec<DataType>,
-    /// Cached `DataRow` encoding for the block under the cursor.
     template: DataRowTemplate,
-    /// The scan's tracing span, open for the life of the stream.
-    span: Option<Span>,
     datarow_bytes: Arc<Counter>,
-    stream_rows: Arc<Counter>,
 }
 
-impl ScanState {
-    /// Resolves the relation, writes its `RowDescription` into `out`, and
-    /// returns the ready scan.
-    fn open(
-        registry: &SummaryRegistry,
-        entry: &RegistryEntry,
-        table: &str,
-        out: &mut Vec<u8>,
-    ) -> Result<Box<ScanState>, PgError> {
-        let generator = entry.generator();
-        let no_relation =
-            || PgError::error("42P01", format!("relation \"{table}\" does not exist"));
-        let total = generator
-            .summary
-            .relation(table)
-            .ok_or_else(no_relation)?
-            .total_rows;
-        let schema_table = generator.schema.table(table).ok_or_else(no_relation)?;
-        let column_types: Vec<DataType> = schema_table
-            .columns()
-            .iter()
-            .map(|c| c.data_type.clone())
-            .collect();
-        emit(out, &row_description(schema_table));
-        let governor = match registry.session().velocity() {
-            Some(rate) => VelocityGovernor::with_rate(rate),
-            None => VelocityGovernor::unthrottled(),
-        };
-        let metrics = registry.session().metrics();
-        let mut span = metrics.span("pg.scan");
-        span.set_kind(format!("select * from {table}"));
-        let datarow_bytes = metrics.counter("hydra_pg_datarow_bytes_total");
-        let stream_rows = metrics.counter("hydra_stream_rows_total");
-        Ok(Box::new(ScanState {
-            generator,
-            table: table.to_string(),
-            cursor: 0,
-            end: total,
-            governor,
-            column_types,
-            template: DataRowTemplate::new(),
-            span: Some(span),
-            datarow_bytes,
-            stream_rows,
-        }))
+impl BlockEncoder for DataRowEncoder {
+    type Error = EngineError;
+
+    fn batch_rows(&self) -> u64 {
+        StreamRequest::DEFAULT_BATCH_ROWS
     }
 
-    /// One pulse: generate up to a rate-budgeted chunk of rows and push
-    /// them as `DataRow`s, then the `CommandComplete` once the relation is
-    /// exhausted and its final pacing deficit is served.
-    fn pump(&mut self, conn: &ConnHandle, session: &Hydra) -> ScanPoll {
-        if conn.over_high_water() {
-            return ScanPoll::Reactor(TaskPoll::AwaitDrain);
-        }
-        let remaining = self.end - self.cursor;
-        let goal = match self.governor.next_pulse(remaining, SCAN_PULSE_ROWS) {
-            Pulse::Wait(wait) => return ScanPoll::Reactor(TaskPoll::Sleep(wait)),
-            Pulse::Emit(goal) => goal,
-            Pulse::Drained => {
-                // Settle the datagen account and close the span *before*
-                // the completion tag is queued: a client that reads
-                // `CommandComplete` and then scrapes must find the scan
-                // fully counted.
-                session.record_generation(&self.governor.stats(&self.table));
-                // The span's duration is the stream's (governor sleeps
-                // included).
-                self.span.take();
-                let mut bytes = Vec::new();
-                emit(
-                    &mut bytes,
-                    &BackendMessage::CommandComplete {
-                        tag: format!("SELECT {}", self.governor.emitted()),
-                    },
-                );
-                conn.push(bytes);
-                return ScanPoll::Finished;
-            }
-        };
-        let mut tuples = match self
-            .generator
-            .stream_range(&self.table, self.cursor..self.cursor + goal)
-        {
-            Ok(tuples) => tuples,
-            Err(e) => {
-                let failure = PgError::error("XX000", e.to_string());
-                if let Some(span) = self.span.as_mut() {
-                    span.set_error();
-                }
-                self.span.take();
-                session
-                    .metrics()
-                    .counter_labeled("hydra_pg_errors_total", "sqlstate", failure.code())
-                    .inc();
-                return ScanPoll::Failed(failure);
-            }
-        };
-        let mut bytes = Vec::new();
-        while let Some(block) = tuples.next_block(u64::MAX) {
-            self.template
-                .append_block(&block, &self.column_types, &mut bytes);
-        }
-        self.datarow_bytes.add(bytes.len() as u64);
-        self.stream_rows.add(goal);
-        conn.push(bytes);
-        self.cursor += goal;
-        self.governor.note(goal);
-        ScanPoll::Reactor(TaskPoll::Yield)
+    fn encode(&mut self, block: &RowBlock<'_>, out: &mut Vec<u8>) -> Result<(), EngineError> {
+        let before = out.len();
+        self.template.append_block(block, &self.column_types, out);
+        self.datarow_bytes.add((out.len() - before) as u64);
+        Ok(())
     }
+
+    fn finish(
+        &mut self,
+        run: &GenerationStats,
+        _out: &mut Vec<u8>,
+    ) -> Result<Vec<u8>, EngineError> {
+        let mut trailer = Vec::new();
+        let tag = format!("SELECT {}", run.rows);
+        emit(&mut trailer, &BackendMessage::CommandComplete { tag });
+        Ok(trailer)
+    }
+}
+
+/// Resolves a `SELECT * FROM <relation>` scan, writes its
+/// `RowDescription` into `out`, and returns the pump that streams it at
+/// the session's velocity, exactly like a frame `Stream` request.
+fn open_scan(
+    registry: &SummaryRegistry,
+    entry: &RegistryEntry,
+    table: &str,
+    out: &mut Vec<u8>,
+) -> Result<Box<Pump<DataRowEncoder>>, PgError> {
+    let generator = entry.generator();
+    let no_relation = || PgError::error("42P01", format!("relation \"{table}\" does not exist"));
+    let (schema_table, summary) = generator.relation(table).map_err(|_| no_relation())?;
+    let total = summary.total_rows;
+    let column_types = schema_table
+        .columns()
+        .iter()
+        .map(|c| c.data_type.clone())
+        .collect();
+    emit(out, &row_description(schema_table));
+    let session = registry.session();
+    let metrics = session.metrics();
+    let mut span = metrics.span("pg.scan");
+    span.set_kind(format!("select * from {table}"));
+    let encoder = DataRowEncoder {
+        column_types,
+        template: DataRowTemplate::new(),
+        datarow_bytes: metrics.counter("hydra_pg_datarow_bytes_total"),
+    };
+    Ok(Box::new(Pump::new(
+        session,
+        generator,
+        table,
+        0..total,
+        None,
+        encoder,
+        span,
+    )))
 }

@@ -158,10 +158,18 @@ fn worker_loop(inner: &PoolInner) {
         } = job;
         match task.poll(&conn) {
             TaskPoll::Yield => inner.push_job(Job { token, task, conn }),
-            TaskPoll::Done => inner.complete(token, TaskResult::Done),
-            TaskPoll::DoneClose => inner.complete(token, TaskResult::DoneClose),
             TaskPoll::Sleep(d) => inner.complete(token, TaskResult::Sleep(d, task)),
             TaskPoll::AwaitDrain => inner.complete(token, TaskResult::AwaitDrain(task)),
+            // A finished task is dropped before its completion is queued,
+            // so nothing it records on drop races the reactor's books.
+            done => {
+                drop(task);
+                let result = match done {
+                    TaskPoll::DoneClose => TaskResult::DoneClose,
+                    _ => TaskResult::Done,
+                };
+                inner.complete(token, result)
+            }
         }
     }
 }

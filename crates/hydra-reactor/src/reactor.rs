@@ -666,16 +666,19 @@ impl Inner {
         if stalled {
             self.obs.evictions.inc();
         }
-        match conn.state {
-            // A parked or sleeping task dies with its connection.
-            ConnState::Parked(_) | ConnState::Sleeping(_) => self.obs.tasks_inflight.dec(),
-            // A running task notices `is_dead` and completes on its own;
-            // its completion settles the books.
-            ConnState::Running | ConnState::Idle => {}
-        }
+        // A parked or sleeping task dies with its connection; a running
+        // task notices `is_dead` and completes on its own, and its
+        // completion settles the books.
+        let parked = matches!(conn.state, ConnState::Parked(_) | ConnState::Sleeping(_));
         self.obs.closes.inc();
         self.obs.active.dec();
-        drop(conn); // closes the fd
+        // Closes the fd and drops a parked task, before the gauge moves: so
+        // whatever the task records on drop is in place once
+        // `hydra_reactor_tasks_inflight` reads zero.
+        drop(conn);
+        if parked {
+            self.obs.tasks_inflight.dec();
+        }
         if self.accept_paused && self.conns.len() < self.config.max_connections {
             self.resume_accepting();
         }
@@ -685,6 +688,7 @@ impl Inner {
         let token = completion.token;
         if !self.conns.contains_key(&token) {
             // Connection died while the task ran; drop the task here.
+            drop(completion);
             self.obs.tasks_inflight.dec();
             return;
         }

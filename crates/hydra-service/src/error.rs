@@ -1,6 +1,7 @@
 //! Error type for the service layer (server, client and registry).
 
 use hydra_core::error::HydraError;
+use hydra_engine::error::EngineError;
 use std::fmt;
 use std::io;
 
@@ -40,6 +41,12 @@ impl From<io::Error> for ServiceError {
 impl From<HydraError> for ServiceError {
     fn from(e: HydraError) -> Self {
         ServiceError::Hydra(e)
+    }
+}
+
+impl From<EngineError> for ServiceError {
+    fn from(e: EngineError) -> Self {
+        ServiceError::Hydra(HydraError::Engine(e))
     }
 }
 

@@ -16,12 +16,11 @@
 //!   `ExecMode::Auto`, with classification run once;
 //! * everything else — publishes, deltas, scenarios, `Stats`, `Stream`,
 //!   `Shutdown`, unknown or malformed payloads — becomes a task on the
-//!   worker pool, which deserializes the request, answers one-shot
-//!   requests in a single poll, and serves `Stream` requests as a
-//!   cooperative chunked state machine: generate a bounded slice of rows,
-//!   push the encoded batches, then `Yield` (fairness), `Sleep` (velocity
-//!   pacing via the timer wheel), or `AwaitDrain` (write-queue
-//!   backpressure) — never blocking a thread.
+//!   worker pool, which deserializes the request and answers one-shot
+//!   requests in a single poll.  A `Stream` request is validated here and
+//!   then handed to the wire pump ([`crate::pump`]) with the frame
+//!   encoder: `Batch` frames, a `StreamEnd` trailer, and on a mid-stream
+//!   failure an `Error` frame on a connection that stays usable.
 //!
 //! Every request keeps its span, and the span closes before the reply is
 //! queued, so a client that reads a reply and then scrapes the metrics
@@ -34,8 +33,8 @@
 //! three subtleties:
 //!
 //! * **Batch boundaries.** The sink emits a `Batch` frame exactly every
-//!   `batch_rows` tuples, so the task keeps its partial batch across poll
-//!   slices instead of flushing at slice edges.
+//!   `batch_rows` tuples, so the encoder keeps its partial batch across
+//!   pulses instead of flushing at pulse edges.
 //! * **Frame-cap splitting.** Both drive one `BatchEncoder`: an oversized
 //!   batch splits in half recursively, down to the same single-tuple error
 //!   message.
@@ -53,27 +52,24 @@ use crate::protocol::{
     decode_frame, encode_frame, request_tag, FrameDecoded, MetricSample, QueryRequest, Request,
     Response, StreamRequest, StreamStart, StreamStats,
 };
+use crate::pump::{BlockEncoder, Pump};
 use crate::registry::{RegistryEntry, SummaryRegistry};
 use crate::wire::BatchEncoder;
 use hydra_datagen::exec::{ExecError, ExecMode, ExecResult, QueryEngine};
-use hydra_datagen::generator::DynamicGenerator;
-use hydra_datagen::governor::{Pulse, VelocityGovernor};
-use hydra_obs::{Counter, MetricsRegistry, Span};
+use hydra_datagen::generator::{DynamicGenerator, GenerationStats};
+use hydra_datagen::governor::VelocityGovernor;
+use hydra_datagen::stream::RowBlock;
+use hydra_obs::{Counter, Span};
 use hydra_query::exec::{AggregateQuery, QueryAnswer};
 use hydra_query::parser::parse_aggregate_query_for_schema;
 use hydra_reactor::{
     ConnHandle, ConnHandler, ConnTask, HandlerOutcome, Protocol, TaskPoll, INLINE_BYTES_MAX,
 };
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use hydra_reactor::ShutdownSignal;
-
-/// Rows generated per worker-pool poll slice of a streaming task.  Small
-/// enough that thousands of concurrent streams interleave fairly on a
-/// fixed pool; large enough that per-slice seek and scheduling overhead is
-/// noise.
-const STREAM_SLICE_ROWS: u64 = 8192;
 
 /// Serves one registry request, producing the response frame's message.
 /// `Query`, `Stream` and `Shutdown` never reach it: they need more than
@@ -142,35 +138,16 @@ pub(crate) fn strategy_label(strategy: hydra_query::exec::ExecStrategy) -> &'sta
     }
 }
 
-/// Pre-resolved service-layer metric handles (one lookup at listener
-/// construction, relaxed atomics on the hot path), cloned per connection
-/// and per task.
-#[derive(Clone)]
-pub(crate) struct FrameObs {
-    /// Response-frame bytes queued for the wire (`hydra_frame_bytes_total`).
-    frame_bytes: Arc<Counter>,
-    /// Tuples pushed as stream batches (`hydra_stream_rows_total`).
-    stream_rows: Arc<Counter>,
-}
-
-impl FrameObs {
-    pub(crate) fn resolve(metrics: &MetricsRegistry) -> FrameObs {
-        FrameObs {
-            frame_bytes: metrics.counter("hydra_frame_bytes_total"),
-            stream_rows: metrics.counter("hydra_stream_rows_total"),
-        }
-    }
-}
-
 /// What a frame listener serves from: the shared registry, the server's
 /// shutdown signal (a `Shutdown` frame trips it for every front-end on the
-/// reactor) and the resolved metric handles.  Cloned into every connection
-/// handler and every pool task.
+/// reactor) and the response-frame byte counter
+/// (`hydra_frame_bytes_total`).  Cloned into every connection handler and
+/// every pool task.
 #[derive(Clone)]
 struct FrameCtx {
     registry: Arc<SummaryRegistry>,
     signal: ShutdownSignal,
-    obs: FrameObs,
+    frame_bytes: Arc<Counter>,
 }
 
 /// The frame protocol's listener-level factory: one per frame listener.
@@ -182,12 +159,15 @@ impl FrameProtocol {
     /// A protocol serving `registry`, tripping `signal` on a client
     /// `Shutdown` request.
     pub fn new(registry: Arc<SummaryRegistry>, signal: ShutdownSignal) -> FrameProtocol {
-        let obs = FrameObs::resolve(&registry.session().metrics());
+        let frame_bytes = registry
+            .session()
+            .metrics()
+            .counter("hydra_frame_bytes_total");
         FrameProtocol {
             ctx: FrameCtx {
                 registry,
                 signal,
-                obs,
+                frame_bytes,
             },
         }
     }
@@ -275,7 +255,7 @@ enum TaskState {
     /// An out-of-class query awaiting its tuple scan.
     Scan(Box<ScanFallback>),
     /// A `Stream` request in flight.
-    Stream(Box<StreamState>),
+    Stream(Box<Pump<FrameEncoder>>),
 }
 
 /// A query parsed and classified out of the summary-direct class, carried
@@ -295,13 +275,12 @@ impl ConnTask for FrameTask {
             return TaskPoll::Done;
         }
         if let TaskState::Stream(stream) = &mut self.state {
-            return match stream.pump(conn, &self.ctx) {
+            return match stream.poll(conn) {
                 Ok(poll) => poll,
                 Err(e) => {
                     // A stream that dies after its header (frame-cap
                     // violation, generation failure) reports an Error
                     // frame and keeps the connection.
-                    stream.fail();
                     let mut out = Vec::new();
                     self.ctx.error_frame(&mut out, e.to_string());
                     conn.push(out);
@@ -376,14 +355,29 @@ impl FrameCtx {
                 self.frame(out, &Response::ShuttingDown);
                 Served::Close
             }
-            Request::Stream(request) => match StreamState::open(&self.registry, &request) {
-                Ok((header, mut stream)) => {
-                    self.obs.frame_bytes.add(header.len() as u64);
+            Request::Stream(request) => match open_stream(&self.registry, &request) {
+                Ok((header, generator, rows)) => {
+                    self.frame_bytes.add(header.len() as u64);
                     out.extend_from_slice(&header);
-                    // The span now spans the whole stream: it closes (and
-                    // records) at the trailer or on a mid-stream error.
-                    stream.span = Some(span);
-                    Served::Pool(TaskState::Stream(stream))
+                    let encoder = FrameEncoder {
+                        batch: BatchEncoder::new(
+                            request
+                                .batch_rows
+                                .unwrap_or(StreamRequest::DEFAULT_BATCH_ROWS),
+                        ),
+                        frame_bytes: Arc::clone(&self.frame_bytes),
+                    };
+                    // The span now spans the whole stream: the pump closes
+                    // it at the trailer or when the stream stops early.
+                    Served::Pool(TaskState::Stream(Box::new(Pump::new(
+                        self.registry.session(),
+                        generator,
+                        &request.table,
+                        rows,
+                        request.rows_per_sec,
+                        encoder,
+                        span,
+                    ))))
                 }
                 Err(e) => {
                     // Header-stage failure (unknown summary/table, bad
@@ -403,7 +397,7 @@ impl FrameCtx {
                 match encode_frame(&response) {
                     Ok(frame) => {
                         drop(span);
-                        self.obs.frame_bytes.add(frame.len() as u64);
+                        self.frame_bytes.add(frame.len() as u64);
                         out.extend_from_slice(&frame);
                         Served::Done
                     }
@@ -496,7 +490,7 @@ impl FrameCtx {
         match encode_frame(&response) {
             Ok(frame) => {
                 drop(span);
-                self.obs.frame_bytes.add(frame.len() as u64);
+                self.frame_bytes.add(frame.len() as u64);
                 out.extend_from_slice(&frame);
             }
             Err(e) => {
@@ -521,7 +515,7 @@ impl FrameCtx {
     /// the peer will see the connection close instead).
     fn frame(&self, out: &mut Vec<u8>, response: &Response) {
         if let Ok(frame) = encode_frame(response) {
-            self.obs.frame_bytes.add(frame.len() as u64);
+            self.frame_bytes.add(frame.len() as u64);
             out.extend_from_slice(&frame);
         }
     }
@@ -547,170 +541,100 @@ fn op_name(request: &Request) -> &'static str {
     }
 }
 
-/// The streaming state machine: one `Stream` request sliced into bounded
-/// polls.
-struct StreamState {
-    generator: DynamicGenerator,
-    table: String,
-    /// Next row to generate.
-    cursor: u64,
-    /// One past the last row of the (clamped) range.
-    end: u64,
-    /// Rows per emission pulse: one batch, bounded by the slice cap.
-    pulse_rows: u64,
-    governor: VelocityGovernor,
-    /// Batch assembly shared with [`crate::wire::FrameSink`] (same
-    /// per-block row templates, same frame boundaries, same split
-    /// behavior), carrying the partial batch across poll slices so `Batch`
-    /// frames are byte-identical to the in-process reference.
-    encoder: BatchEncoder,
-    /// The request's span, open for the life of the stream.
-    span: Option<Span>,
-}
-
-impl StreamState {
-    /// Resolves and validates a `Stream` request — the one place the
-    /// requested range is clamped to the relation and a wire-supplied rate
-    /// is checked — returning the encoded `StreamStart` header and the
-    /// ready state.
-    fn open(
-        registry: &SummaryRegistry,
-        request: &StreamRequest,
-    ) -> Result<(Vec<u8>, Box<StreamState>), ServiceError> {
-        let entry = registry.resolve(&request.name)?;
-        let generator = entry.generator();
-        let no_relation = || {
-            ServiceError::Protocol(format!(
-                "summary `{}` has no relation `{}`",
-                request.name, request.table
-            ))
-        };
-        let total = generator
-            .summary
-            .relation(&request.table)
-            .ok_or_else(no_relation)?
-            .total_rows;
-        let table = generator
-            .schema
-            .table(&request.table)
-            .ok_or_else(no_relation)?;
-        let start = request.start.unwrap_or(0).min(total);
-        let end = request.end.unwrap_or(total).clamp(start, total);
-        // A wire-supplied rate is untrusted input: a zero, negative, NaN or
-        // absurdly small rate would park this stream's timer essentially
-        // forever.
-        if let Some(rate) = request.rows_per_sec {
-            if !rate.is_finite() || rate < VelocityGovernor::MIN_RATE {
-                return Err(ServiceError::Protocol(format!(
-                    "rows_per_sec must be a finite rate >= {}, got {rate}",
-                    VelocityGovernor::MIN_RATE
-                )));
-            }
-        }
-        let governor = match request.rows_per_sec.or(registry.session().velocity()) {
-            Some(rate) => VelocityGovernor::with_rate(rate),
-            None => VelocityGovernor::unthrottled(),
-        };
-        let header = encode_frame(&Response::StreamStart(StreamStart {
-            table: table.name.clone(),
-            columns: table.columns().iter().map(|c| c.name.clone()).collect(),
-            start,
-            end,
-        }))?;
-        let encoder = BatchEncoder::new(
-            request
-                .batch_rows
-                .unwrap_or(StreamRequest::DEFAULT_BATCH_ROWS),
-        );
-        Ok((
-            header,
-            Box::new(StreamState {
-                table: request.table.clone(),
-                cursor: start,
-                end,
-                pulse_rows: encoder.batch_rows().min(STREAM_SLICE_ROWS),
-                governor,
-                encoder,
-                generator,
-                span: None,
-            }),
+/// Resolves and validates a `Stream` request — the one place the requested
+/// range is clamped to the relation and a wire-supplied rate is checked —
+/// returning the encoded `StreamStart` header, the generator and the
+/// clamped range.
+fn open_stream(
+    registry: &SummaryRegistry,
+    request: &StreamRequest,
+) -> Result<(Vec<u8>, DynamicGenerator, Range<u64>), ServiceError> {
+    let entry = registry.resolve(&request.name)?;
+    let generator = entry.generator();
+    let no_relation = || {
+        ServiceError::Protocol(format!(
+            "summary `{}` has no relation `{}`",
+            request.name, request.table
         ))
+    };
+    let (table, summary) = generator
+        .relation(&request.table)
+        .map_err(|_| no_relation())?;
+    let total = summary.total_rows;
+    let start = request.start.unwrap_or(0).min(total);
+    let end = request.end.unwrap_or(total).clamp(start, total);
+    // A wire-supplied rate is untrusted input: a zero, negative, NaN or
+    // absurdly small rate would park this stream's timer essentially
+    // forever.
+    if let Some(rate) = request.rows_per_sec {
+        if !rate.is_finite() || rate < VelocityGovernor::MIN_RATE {
+            return Err(ServiceError::Protocol(format!(
+                "rows_per_sec must be a finite rate >= {}, got {rate}",
+                VelocityGovernor::MIN_RATE
+            )));
+        }
+    }
+    let header = encode_frame(&Response::StreamStart(StreamStart {
+        table: table.name.clone(),
+        columns: table.columns().iter().map(|c| c.name.clone()).collect(),
+        start,
+        end,
+    }))?;
+    Ok((header, generator, start..end))
+}
+
+/// The frame protocol's [`BlockEncoder`]: `Batch` frames through the
+/// [`BatchEncoder`] shared with [`crate::wire::FrameSink`] (same per-block
+/// row templates, same frame boundaries, same split behavior), carrying
+/// the partial batch across pulses so the frames are byte-identical to the
+/// in-process reference; a `StreamEnd` trailer closes the stream.
+struct FrameEncoder {
+    batch: BatchEncoder,
+    frame_bytes: Arc<Counter>,
+}
+
+impl BlockEncoder for FrameEncoder {
+    type Error = ServiceError;
+
+    fn batch_rows(&self) -> u64 {
+        self.batch.batch_rows()
     }
 
-    /// One poll slice: generate up to a bounded, rate-budgeted chunk of
-    /// rows, pushing full batches as they complete.
-    fn pump(&mut self, conn: &ConnHandle, ctx: &FrameCtx) -> Result<TaskPoll, ServiceError> {
-        let obs = &ctx.obs;
-        if conn.over_high_water() {
-            return Ok(TaskPoll::AwaitDrain);
-        }
-        // A throttled stream sleeps until its *whole* pulse is due, which
-        // puts each Batch frame on the wire at the moment per-row pacing
-        // would have completed it.
-        let remaining = self.end - self.cursor;
-        let goal = match self.governor.next_pulse(remaining, self.pulse_rows) {
-            Pulse::Wait(wait) => return Ok(TaskPoll::Sleep(wait)),
-            Pulse::Emit(goal) => goal,
-            Pulse::Drained => {
-                self.encoder.flush(&mut emit_frame(conn, obs))?;
-                let trailer = encode_frame(&Response::StreamEnd(StreamStats {
-                    rows: self.governor.emitted(),
-                    elapsed_micros: self.governor.elapsed().as_micros() as u64,
-                    target_rows_per_sec: self.governor.target_rate(),
-                }))?;
-                // Settle the datagen account and close the span *before*
-                // the trailer is queued: a client that reads `StreamEnd`
-                // and then scrapes must find the stream fully counted.
-                ctx.registry
-                    .session()
-                    .record_generation(&self.governor.stats(&self.table));
-                self.span.take();
-                obs.frame_bytes.add(trailer.len() as u64);
-                conn.push(trailer);
-                return Ok(TaskPoll::Done);
-            }
-        };
-        // `stream_range` borrows the generator, so each slice re-seeks via
-        // the summary's block index (O(log blocks)); range concatenation is
-        // bit-identical to one continuous scan (the shard-determinism suite
-        // proves it).  Rows flow block-wise through the shared encoder's
-        // cached templates, so each tuple is a memcpy plus a pk digit patch.
-        let mut tuples = self
-            .generator
-            .stream_range(&self.table, self.cursor..self.cursor + goal)
-            .map_err(|e| ServiceError::Hydra(hydra_core::error::HydraError::Engine(e)))?;
-        while let Some(block) = tuples.next_block(u64::MAX) {
-            for pk in block.pk_range() {
-                self.encoder.append_template_row(&block, pk);
-                if self.encoder.is_full() {
-                    self.encoder.flush(&mut emit_frame(conn, obs))?;
-                }
+    fn encode(&mut self, block: &RowBlock<'_>, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        for pk in block.pk_range() {
+            self.batch.append_template_row(block, pk);
+            if self.batch.is_full() {
+                self.flush(out)?;
             }
         }
-        self.cursor += goal;
-        self.governor.note(goal);
-        Ok(TaskPoll::Yield)
+        Ok(())
     }
 
-    /// Closes the stream's span as failed (a mid-stream error).
-    fn fail(&mut self) {
-        if let Some(mut span) = self.span.take() {
-            span.set_error();
-        }
+    fn finish(
+        &mut self,
+        run: &GenerationStats,
+        out: &mut Vec<u8>,
+    ) -> Result<Vec<u8>, ServiceError> {
+        self.flush(out)?;
+        let trailer = encode_frame(&Response::StreamEnd(StreamStats {
+            rows: run.rows,
+            elapsed_micros: run.elapsed.as_micros() as u64,
+            target_rows_per_sec: run.target_rows_per_sec,
+        }))?;
+        self.frame_bytes.add(trailer.len() as u64);
+        Ok(trailer)
     }
 }
 
-/// An emit callback pushing finished frames onto the connection, keeping
-/// the frame/row counters the reactor's metrics report.
-fn emit_frame<'e>(
-    conn: &'e ConnHandle,
-    obs: &'e FrameObs,
-) -> impl FnMut(&[u8], u64) -> Result<(), ServiceError> + 'e {
-    move |frame: &[u8], rows: u64| {
-        obs.frame_bytes.add(frame.len() as u64);
-        obs.stream_rows.add(rows);
-        conn.push(frame.to_vec());
-        Ok(())
+impl FrameEncoder {
+    /// Appends the pending batch's frames to `out`.
+    fn flush(&mut self, out: &mut Vec<u8>) -> Result<(), ServiceError> {
+        let frame_bytes = &self.frame_bytes;
+        self.batch.flush(&mut |frame: &[u8], _rows: u64| {
+            frame_bytes.add(frame.len() as u64);
+            out.extend_from_slice(frame);
+            Ok(())
+        })
     }
 }
 

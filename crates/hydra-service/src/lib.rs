@@ -61,6 +61,7 @@ pub mod error;
 pub mod frame;
 pub mod metrics_http;
 pub mod protocol;
+pub mod pump;
 pub mod registry;
 pub mod server;
 pub mod wire;

@@ -11,7 +11,7 @@
 //!
 //! Batch encoding exploits the summary's block-constant structure: frames
 //! are assembled byte-wise by a `BatchEncoder` whose per-block
-//! `RowTemplate` serializes the constant columns **once**, after which
+//! `BlockTemplate` serializes the constant columns **once**, after which
 //! each tuple is a memcpy of the cached JSON with only the pk digit span
 //! patched.  The assembled bytes are identical to serializing
 //! `Response::Batch { rows }` through serde, which the unit tests assert
@@ -21,7 +21,7 @@ use crate::error::ServiceError;
 use crate::protocol::{write_frame, Response, StreamStart, MAX_FRAME_BYTES};
 use hydra_catalog::schema::Table;
 use hydra_datagen::sink::TupleSink;
-use hydra_datagen::stream::{dec_width, write_digits, RowBlock};
+use hydra_datagen::stream::{BlockTemplate, RowBlock, TemplateRow};
 use hydra_engine::row::Row;
 use std::io::Write;
 
@@ -31,76 +31,25 @@ const BATCH_PREFIX: &[u8] = b"{\"Batch\":{\"rows\":[";
 /// JSON payload suffix closing [`BATCH_PREFIX`].
 const BATCH_SUFFIX: &[u8] = b"]}}";
 
-/// Sentinel ordinal for "no template cached yet".
-const NO_BLOCK: usize = usize::MAX;
-
-/// Cached JSON encoding of one summary block's row: the constant columns are
-/// serialized once per (block, pk digit width); emitting a tuple is then one
-/// memcpy of the cache plus patching the pk digit spans in place.
-#[derive(Debug)]
-struct RowTemplate {
-    /// Which block ordinal `scratch` encodes (`NO_BLOCK` = none yet).
-    ordinal: usize,
-    /// Full JSON of one row, with the current pk's digits in the spans.
-    scratch: Vec<u8>,
-    /// Offsets in `scratch` where each auto column's digit span starts.
-    spans: Vec<usize>,
-    /// Digit width of the pk currently encoded in the spans.
-    width: usize,
-}
-
-impl RowTemplate {
-    fn new() -> Self {
-        RowTemplate {
-            ordinal: NO_BLOCK,
-            scratch: Vec::new(),
-            spans: Vec::new(),
-            width: 0,
+/// Renders `block`'s tuple as row JSON into a [`BlockTemplate`],
+/// byte-identical to `serde_json::to_string(&row)` of the materialized row.
+fn render_json(block: &RowBlock<'_>, row: &mut TemplateRow<'_>) {
+    row.bytes.push(b'[');
+    for (i, value) in block.template().iter().enumerate() {
+        if i > 0 {
+            row.bytes.push(b',');
         }
-    }
-
-    /// Appends the JSON of the block's tuple at `pk` to `out`, byte-identical
-    /// to `serde_json::to_string(&row)` of the materialized row.
-    fn encode(&mut self, block: &RowBlock<'_>, pk: u64, out: &mut Vec<u8>) {
-        let width = dec_width(pk);
-        // A pk above i64::MAX renders with a sign through the `as i64` cast;
-        // don't digit-patch those (they cannot occur for real relations).
-        if self.ordinal != block.ordinal() || width != self.width || pk > i64::MAX as u64 {
-            self.rebuild(block, pk);
+        if block.auto_columns().contains(&i) {
+            row.bytes.extend_from_slice(b"{\"Integer\":");
+            row.pk();
+            row.bytes.push(b'}');
         } else {
-            for &span in &self.spans {
-                write_digits(pk, &mut self.scratch[span..span + width]);
-            }
+            let json = serde_json::to_string(value)
+                .expect("JSON encoding of an in-memory value is infallible");
+            row.bytes.extend_from_slice(json.as_bytes());
         }
-        out.extend_from_slice(&self.scratch);
     }
-
-    /// Re-serializes the template for `block` at `pk`'s digit width.
-    fn rebuild(&mut self, block: &RowBlock<'_>, pk: u64) {
-        self.scratch.clear();
-        self.spans.clear();
-        let digits = (pk as i64).to_string();
-        self.width = digits.len();
-        self.scratch.push(b'[');
-        let auto = block.auto_columns();
-        for (i, value) in block.template().iter().enumerate() {
-            if i > 0 {
-                self.scratch.push(b',');
-            }
-            if auto.contains(&i) {
-                self.scratch.extend_from_slice(b"{\"Integer\":");
-                self.spans.push(self.scratch.len());
-                self.scratch.extend_from_slice(digits.as_bytes());
-                self.scratch.push(b'}');
-            } else {
-                let json = serde_json::to_string(value)
-                    .expect("JSON encoding of an in-memory value is infallible");
-                self.scratch.extend_from_slice(json.as_bytes());
-            }
-        }
-        self.scratch.push(b']');
-        self.ordinal = block.ordinal();
-    }
+    row.bytes.push(b']');
 }
 
 /// Assembles `Response::Batch` frames byte-wise from encoded rows.
@@ -123,7 +72,7 @@ pub(crate) struct BatchEncoder {
     buf: Vec<u8>,
     /// Offset in `buf` where each pending row's JSON starts.
     starts: Vec<usize>,
-    template: RowTemplate,
+    template: BlockTemplate,
 }
 
 /// Receives one complete frame (length header + payload) and its row count.
@@ -138,7 +87,7 @@ impl BatchEncoder {
             batch_rows,
             buf: Vec::new(),
             starts: Vec::with_capacity(batch_rows),
-            template: RowTemplate::new(),
+            template: BlockTemplate::default(),
         };
         encoder.reset();
         encoder
@@ -147,11 +96,6 @@ impl BatchEncoder {
     /// The batch-row cut after clamping.
     pub(crate) fn batch_rows(&self) -> u64 {
         self.batch_rows as u64
-    }
-
-    /// Rows buffered in the pending (not yet emitted) batch.
-    pub(crate) fn buffered_rows(&self) -> usize {
-        self.starts.len()
     }
 
     /// True once the pending batch has reached the batch-row cut.
@@ -185,11 +129,9 @@ impl BatchEncoder {
     /// (the columnar path) — byte-identical to
     /// [`append_json_row`](Self::append_json_row) of the materialized row.
     pub(crate) fn append_template_row(&mut self, block: &RowBlock<'_>, pk: u64) {
-        if !self.starts.is_empty() {
-            self.buf.push(b',');
-        }
-        self.starts.push(self.buf.len());
-        self.template.encode(block, pk, &mut self.buf);
+        self.begin_row();
+        let row = self.template.row(block, pk, |row| render_json(block, row));
+        self.buf.extend_from_slice(row);
     }
 
     /// Emits the pending batch as one or more frames through `emit` and
@@ -283,8 +225,9 @@ impl<'a, W: Write> FrameSink<'a, W> {
         self.error
     }
 
+    /// Writes the pending batch, if any, and flushes the writer.
     fn flush_batch(&mut self) {
-        if self.error.is_some() || self.encoder.buffered_rows() == 0 {
+        if self.error.is_some() {
             return;
         }
         let writer = &mut *self.writer;
@@ -332,19 +275,18 @@ impl<W: Write> TupleSink for FrameSink<'_, W> {
     }
 
     fn write_block(&mut self, block: &RowBlock<'_>) -> u64 {
-        let mut consumed = 0;
+        let before = self.rows;
         for pk in block.pk_range() {
             if self.error.is_some() {
                 break;
             }
             self.encoder.append_template_row(block, pk);
             self.rows += 1;
-            consumed += 1;
             if self.encoder.is_full() {
                 self.flush_batch();
             }
         }
-        consumed
+        self.rows - before
     }
 
     /// Once a write has failed the peer is unreachable; the stream driver
@@ -353,16 +295,11 @@ impl<W: Write> TupleSink for FrameSink<'_, W> {
         self.error.is_some()
     }
 
+    /// Flushes the writer even with no batch pending: a zero-row stream's
+    /// `StreamStart` header must not sit in the connection's buffered
+    /// writer after the stream is over.
     fn finish(&mut self) {
         self.flush_batch();
-        // Flush unconditionally: a zero-row stream never enters
-        // `flush_batch`, but its `StreamStart` header must not sit in the
-        // connection's buffered writer after the stream is over.
-        if self.error.is_none() {
-            if let Err(e) = self.writer.flush() {
-                self.error = Some(ServiceError::Io(e));
-            }
-        }
     }
 }
 

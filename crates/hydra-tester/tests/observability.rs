@@ -5,9 +5,14 @@
 
 use hydra_core::session::Hydra;
 use hydra_obs::SlowLog;
-use hydra_service::protocol::StreamRequest;
+use hydra_pgwire::codec::{encode_startup, read_backend_message, write_frontend};
+use hydra_pgwire::{BackendMessage, FrontendMessage, StartupPacket};
+use hydra_service::protocol::{read_frame, write_frame, Request, Response, StreamRequest};
 use hydra_tester::HydraTester;
-use std::time::Duration;
+use hydra_workload::retail_client_fixture;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Frame `Stats` returns the same registry a `/metrics` scrape renders,
 /// and the op counters reflect the requests this very client sent.
@@ -250,4 +255,126 @@ fn velocity_capped_pg_scan_accounts_governor_sleep() {
         .parse()
         .expect("float8 text");
     assert_sleep_accounted(slept, 120.0, 600.0);
+}
+
+/// The counters a stream's account lives in: rows generated for `table`,
+/// rows put on the wire, and failed requests of operation `op`.
+#[derive(Debug, Clone, Copy)]
+struct StreamAccount {
+    generated: f64,
+    streamed: f64,
+    errors: f64,
+}
+
+fn stream_account(tester: &HydraTester, table: &str, op: &str) -> StreamAccount {
+    let snapshot = tester.obs().snapshot();
+    let value = |name, label| snapshot.value(name, label).unwrap_or(0.0);
+    StreamAccount {
+        generated: value("hydra_datagen_rows_total", Some(("table", table))),
+        streamed: value("hydra_stream_rows_total", None),
+        errors: value("hydra_request_errors_total", Some(("op", op))),
+    }
+}
+
+/// Once the task of a stream whose peer vanished is gone, every row it
+/// put on the wire is settled as generated, and the stream is logged as
+/// one failed request.
+fn assert_aborted_stream_settled(
+    tester: &HydraTester,
+    table: &str,
+    op: &str,
+    before: StreamAccount,
+) {
+    let inflight = tester.obs().gauge("hydra_reactor_tasks_inflight");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while inflight.value() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the aborted stream's task never finished"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let after = stream_account(tester, table, op);
+    let streamed = after.streamed - before.streamed;
+    assert!(streamed > 0.0, "no rows streamed before the disconnect");
+    assert_eq!(
+        after.generated - before.generated,
+        streamed,
+        "the aborted stream left generated rows unsettled"
+    );
+    assert_eq!(
+        after.errors - before.errors,
+        1.0,
+        "the aborted stream was not logged as a failed {op}"
+    );
+}
+
+/// A throttled frame stream whose client leaves after the first batch
+/// settles its rows and counts as a failed `frame.stream`.
+#[test]
+fn disconnected_frame_stream_settles_its_rows_as_a_failure() {
+    let tester = HydraTester::retail();
+    let before = stream_account(&tester, "store_sales", "frame.stream");
+    let mut socket = TcpStream::connect(tester.frame_addr()).expect("connect");
+    // 400 rows at 100 rows/s: four seconds of stream, a batch every 0.1 s.
+    let request = StreamRequest::full("retail", "store_sales")
+        .batch_rows(10)
+        .rows_per_sec(100.0);
+    write_frame(&mut socket, &Request::Stream(request)).expect("send stream");
+    let header = read_frame::<_, Response>(&mut socket).expect("header");
+    assert!(
+        matches!(header, Some(Response::StreamStart(_))),
+        "{header:?}"
+    );
+    let batch = read_frame::<_, Response>(&mut socket).expect("first batch");
+    assert!(matches!(batch, Some(Response::Batch { .. })), "{batch:?}");
+    drop(socket);
+    assert_aborted_stream_settled(&tester, "store_sales", "frame.stream", before);
+}
+
+/// A velocity-capped pg scan whose client leaves after the first `DataRow`
+/// settles its rows and counts as a failed `pg.scan`.
+#[test]
+fn disconnected_pg_scan_settles_its_rows_as_a_failure() {
+    // 3000 rows at 2000 rows/s: three 1024-row pulses half a second apart.
+    let session = Hydra::builder()
+        .compare_aqps(false)
+        .velocity(2000.0)
+        .build();
+    let tester = HydraTester::with_session(session);
+    let (db, queries) = retail_client_fixture(3000, 120, 4);
+    let package = tester.session().profile(db, &queries).expect("profile");
+    tester.publish("retail", package);
+    let before = stream_account(&tester, "store_sales", "pg.scan");
+
+    let mut socket = TcpStream::connect(tester.pg_addr()).expect("connect pg");
+    let mut startup = Vec::new();
+    let params = [("user", "observability"), ("database", "retail")];
+    encode_startup(
+        &StartupPacket::Startup {
+            major: 3,
+            minor: 0,
+            params: params.map(|(k, v)| (k.to_string(), v.to_string())).to_vec(),
+        },
+        &mut startup,
+    );
+    socket.write_all(&startup).expect("startup");
+    while !matches!(
+        read_backend_message(&mut socket).expect("handshake"),
+        Some(BackendMessage::ReadyForQuery { .. })
+    ) {}
+    let sql = "select * from store_sales".to_string();
+    write_frontend(&mut socket, &FrontendMessage::Query { sql }).expect("query");
+    let description = read_backend_message(&mut socket).expect("description");
+    assert!(
+        matches!(description, Some(BackendMessage::RowDescription { .. })),
+        "{description:?}"
+    );
+    let row = read_backend_message(&mut socket).expect("first row");
+    assert!(
+        matches!(row, Some(BackendMessage::DataRow { .. })),
+        "{row:?}"
+    );
+    drop(socket);
+    assert_aborted_stream_settled(&tester, "store_sales", "pg.scan", before);
 }
