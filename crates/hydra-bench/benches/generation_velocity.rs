@@ -13,7 +13,7 @@
 //! visible rather than hiding).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hydra_bench::{regenerate, retail_package, BenchReport};
+use hydra_bench::{regenerate, retail_package};
 use hydra_datagen::sink::{CountingSink, TupleSink};
 use hydra_engine::database::Database;
 use hydra_engine::exec::Executor;
@@ -47,16 +47,11 @@ fn bench_generation_velocity(c: &mut Criterion) {
     let rows = result.summary.relation("store_sales").unwrap().total_rows;
 
     // Velocity-tracking table (not a timing bench: the run time is the target).
-    let mut report = BenchReport::new("generation_velocity");
     println!("[E4] velocity regulation on store_sales ({rows} rows):");
     for target in [10_000.0, 100_000.0, 1_000_000.0] {
         let stats = generator
             .generate_with_velocity("store_sales", Some(target), Some(20_000))
             .unwrap();
-        report.metric(
-            &format!("achieved_rows_per_sec_at_{:.0}", target),
-            stats.achieved_rows_per_sec,
-        );
         println!(
             "[E4]   target {:>9.0} rows/s  ->  achieved {:>9.0} rows/s ({} rows)",
             target, stats.achieved_rows_per_sec, stats.rows
@@ -65,10 +60,6 @@ fn bench_generation_velocity(c: &mut Criterion) {
     let unthrottled = generator
         .generate_with_velocity("store_sales", None, None)
         .unwrap();
-    report.metric(
-        "unthrottled_rows_per_sec",
-        unthrottled.achieved_rows_per_sec,
-    );
     println!(
         "[E4]   unthrottled          ->  achieved {:>9.0} rows/s ({} rows)",
         unthrottled.achieved_rows_per_sec, unthrottled.rows
@@ -88,7 +79,7 @@ fn bench_generation_velocity(c: &mut Criterion) {
     println!("[E4]   sequential  ->  {sequential_best:>12.0} rows/s   (baseline)");
     for shards in [1usize, 2, 4, 8] {
         // A couple of timed runs outside criterion so the series is printed
-        // as an at-a-glance table (BENCH data for the README).
+        // as an at-a-glance table.
         let mut best = 0.0f64;
         for _ in 0..3 {
             let run = generator
@@ -97,7 +88,6 @@ fn bench_generation_velocity(c: &mut Criterion) {
             assert_eq!(run.total_rows(), rows);
             best = best.max(run.achieved_rows_per_sec());
         }
-        report.metric(&format!("sharded_{shards}_rows_per_sec"), best);
         println!(
             "[E4]   {shards} shard(s)  ->  {best:>12.0} rows/s   ({:.2}x vs sequential)",
             if sequential_best > 0.0 {
@@ -107,7 +97,6 @@ fn bench_generation_velocity(c: &mut Criterion) {
             }
         );
     }
-    report.metric("sequential_rows_per_sec", sequential_best);
 
     // Memcpy-relative series: block-constant structure means streaming a
     // relation is *supposed* to cost about as much as copying its wire bytes.
@@ -152,11 +141,6 @@ fn bench_generation_velocity(c: &mut Criterion) {
     let wire_ratio = wire_time.as_secs_f64() / memcpy_time.as_secs_f64();
     let generation_time = Duration::from_secs_f64(rows as f64 / sequential_best.max(1.0));
     let generation_ratio = generation_time.as_secs_f64() / memcpy_time.as_secs_f64();
-    report.metric("memcpy_bytes_per_sec", memcpy_bps);
-    report.metric("wire_bytes_per_sec", wire_bps);
-    report.metric("wire_rows_per_sec", rows as f64 / wire_time.as_secs_f64());
-    report.metric("wire_vs_memcpy_ratio", wire_ratio);
-    report.metric("generation_vs_memcpy_ratio", generation_ratio);
     println!(
         "[E4] memcpy floor ({} MiB in {}-byte rows)  ->  {:>8.0} MiB/s",
         total_bytes >> 20,
@@ -226,7 +210,6 @@ fn bench_generation_velocity(c: &mut Criterion) {
         b.iter(|| Executor::new(&materialized).run(&plan).unwrap().rows.len());
     });
     group.finish();
-    report.write();
 }
 
 criterion_group!(benches, bench_generation_velocity);

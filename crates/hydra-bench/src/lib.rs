@@ -1,22 +1,16 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Every bench and the `experiments` binary build their inputs through these
-//! helpers so that the workloads, scale factors and seeds are consistent
-//! across experiments (and with the integration tests).
-
-pub mod report;
-pub use report::BenchReport;
+//! Every bench builds its inputs through these helpers so that the
+//! workloads, scale factors and seeds are consistent across experiments
+//! (and with the integration tests).
 
 use hydra_core::client::ClientSite;
 use hydra_core::transfer::TransferPackage;
 use hydra_core::vendor::{HydraConfig, RegenerationResult, VendorSite};
 use hydra_query::aqp::VolumetricConstraint;
-use hydra_query::delta::WorkloadDelta;
-use hydra_query::predicate::{ColumnPredicate, CompareOp, TablePredicate};
-use hydra_query::query::SpjQuery;
 use hydra_workload::{
-    generate_client_database, harvest_workload, retail_row_targets, retail_schema, DataGenConfig,
-    WorkloadGenConfig, WorkloadGenerator,
+    generate_client_database, retail_row_targets, retail_schema, DataGenConfig, WorkloadGenConfig,
+    WorkloadGenerator,
 };
 use std::collections::BTreeMap;
 
@@ -49,67 +43,6 @@ pub fn retail_package(num_queries: usize, fact_rows: u64) -> TransferPackage {
 /// The canonical 131-query package (experiments E1, E2, E7, E8, E10).
 pub fn retail_package_131() -> TransferPackage {
     retail_package(131, BENCH_FACT_ROWS)
-}
-
-/// The retail-131 package plus `extra` additional annotated queries for
-/// delta re-profiling experiments, harvested against the same client data.
-///
-/// The first extra query is deliberately *narrow* — a local predicate on
-/// `web_sales`, touching no other relation — so a 1-query delta exercises
-/// the "re-solve only the affected relation" path; the rest are ordinary
-/// generator queries (dropped from the tail of a longer generated workload,
-/// so their names never collide with the base 131).
-pub fn retail_delta_fixture(
-    extra: usize,
-) -> (TransferPackage, Vec<hydra_query::workload::WorkloadEntry>) {
-    let schema = retail_schema();
-    let mut targets = retail_row_targets(0.02);
-    targets.insert("store_sales".to_string(), BENCH_FACT_ROWS);
-    targets.insert("web_sales".to_string(), BENCH_FACT_ROWS / 3);
-    let db = generate_client_database(&schema, &targets, &DataGenConfig::default());
-    let all = WorkloadGenerator::new(
-        schema,
-        WorkloadGenConfig {
-            num_queries: 131 + extra.saturating_sub(1),
-            seed: 131,
-            ..Default::default()
-        },
-    )
-    .generate();
-    let package = ClientSite::new(db.clone())
-        .prepare_package(&all[..131], false)
-        .expect("client package");
-
-    let mut extras: Vec<SpjQuery> = Vec::with_capacity(extra);
-    if extra > 0 {
-        let mut narrow = SpjQuery::new("delta-narrow");
-        narrow.add_table("web_sales");
-        narrow.set_predicate(
-            "web_sales",
-            TablePredicate::always_true().with(ColumnPredicate::new(
-                "ws_quantity",
-                CompareOp::Lt,
-                40,
-            )),
-        );
-        extras.push(narrow);
-        extras.extend(all[131..].iter().cloned());
-    }
-    let harvested = harvest_workload(&db, &extras).expect("harvest extras");
-    (package, harvested.entries)
-}
-
-/// Builds the delta that adds the first `n` extra queries of
-/// [`retail_delta_fixture`].
-pub fn delta_of(entries: &[hydra_query::workload::WorkloadEntry], n: usize) -> WorkloadDelta {
-    let mut delta = WorkloadDelta::new();
-    for entry in &entries[..n] {
-        delta = delta.add_annotated(
-            entry.query.clone(),
-            entry.aqp.clone().expect("harvested entries are annotated"),
-        );
-    }
-    delta
 }
 
 /// Regenerates a package with the default configuration (no AQP re-execution,

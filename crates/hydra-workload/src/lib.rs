@@ -7,7 +7,8 @@
 //! The paper evaluates HYDRA on a TPC-DS warehouse with a 131-query SPJ
 //! workload.  The proprietary TPC-DS data and the authors' exact query set are
 //! not available here, so this crate provides the closest synthetic
-//! equivalents (see DESIGN.md §2):
+//! equivalents (`PAPER.md` has the paper's abstract, and
+//! `docs/ARCHITECTURE.md` places this crate in the pipeline):
 //!
 //! * [`retail`] — a TPC-DS-like retail star schema (two fact tables,
 //!   five dimensions) with scale-factor-controlled row counts;

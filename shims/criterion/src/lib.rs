@@ -6,8 +6,7 @@
 //! measurement loop: warm-up for `warm_up_time`, then timed iterations until
 //! `measurement_time` elapses (at least `sample_size` iterations when they
 //! fit), reporting mean/min per iteration. No statistics engine, no HTML
-//! reports; results print to stdout, which is what CI and the experiment
-//! harness consume.
+//! reports; results print to stdout next to each bench's own `[E*]` table.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -236,22 +235,6 @@ impl Criterion {
             config: GroupConfig::default(),
             _criterion: self,
         }
-    }
-
-    /// Benchmarks a closure outside a group.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let config = GroupConfig::default();
-        let mut bencher = Bencher {
-            config: &config,
-            samples: Vec::new(),
-        };
-        f(&mut bencher);
-        report("bench", &id.label, &bencher.samples, None);
-        self
     }
 }
 

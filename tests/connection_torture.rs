@@ -16,7 +16,8 @@
 //!   neighbors stream on — whether its replies come from pool tasks or are
 //!   answered inline on the event loop;
 //! * the reactor must hold **hundreds of concurrent connections on one
-//!   worker** (the CI smoke for the `connection_scaling` bench);
+//!   worker**, and serve as many concurrent throttled streams on it
+//!   without growing a thread;
 //! * a **shutdown racing an accept storm** must never strand a listener
 //!   (the self-pipe waker regression).
 //!
@@ -30,6 +31,7 @@ use hydra::service::protocol::{
 use hydra::service::registry::SummaryRegistry;
 use hydra::service::server::{serve_with_options, ReactorConfig, ShutdownSignal};
 use hydra::service::{FrameSink, HydraClient};
+use hydra::workload::retail_client_fixture;
 use hydra::Hydra;
 use hydra_tester::HydraTester;
 use std::io::{Read, Write};
@@ -499,14 +501,20 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
     }
 }
 
-/// Satellite 4 (CI smoke for the `connection_scaling` bench) — one worker
-/// thread holds hundreds of concurrent connections, all answered.
+/// Connection scaling: one worker thread holds hundreds of concurrent
+/// connections, all answered, and then serves a throttled stream on every
+/// one of them at once on the same fixed pool (no thread per connection or
+/// per stream).
 #[test]
 fn reactor_accepts_256_concurrent_connections_on_one_worker() {
     let _guard = counters_lock();
     let session = Hydra::builder().compare_aqps(false).build();
     let obs = session.metrics();
+    let (db, queries) = retail_client_fixture(400, 120, 4);
+    let package = session.profile(db, &queries).expect("profile retail");
     let registry = Arc::new(SummaryRegistry::in_memory(session));
+    registry.publish("retail", package).expect("publish retail");
+    let threads_base = thread_count();
     let server = serve_with_options(
         registry,
         "127.0.0.1:0",
@@ -518,6 +526,13 @@ fn reactor_accepts_256_concurrent_connections_on_one_worker() {
     )
     .expect("one-worker server");
     let addr = server.local_addr();
+    // The fixed pool: the event loop plus the one worker.
+    let threads_served = thread_count();
+    assert!(
+        threads_served <= threads_base + 2,
+        "a one-worker reactor started {} threads",
+        threads_served - threads_base
+    );
 
     let list = frame_bytes(&Request::List);
     let mut connections: Vec<TcpStream> = (0..256)
@@ -533,6 +548,34 @@ fn reactor_accepts_256_concurrent_connections_on_one_worker() {
     }
     assert_eq!(obs.gauge("hydra_connections_active").value(), 256);
     assert_eq!(obs.counter("hydra_reactor_accepts_total").value(), 256);
+
+    // Every connection now streams 100 paced rows at once: 256 concurrent
+    // streams cost no thread beyond the pool, and each delivers every row.
+    let stream = frame_bytes(&Request::Stream(
+        StreamRequest::full("retail", "web_sales")
+            .range(0, 100)
+            .batch_rows(25)
+            .rows_per_sec(200.0),
+    ));
+    for conn in &mut connections {
+        conn.write_all(&stream).expect("send stream");
+    }
+    for conn in &mut connections {
+        let mut rows = 0;
+        loop {
+            match parse_frame(&read_frame_raw(conn)) {
+                Response::Batch { rows: batch } => rows += batch.len(),
+                Response::StreamEnd(_) => break,
+                Response::StreamStart(_) => {}
+                other => panic!("unexpected stream response {other:?}"),
+            }
+            assert!(
+                thread_count() <= threads_served,
+                "256 concurrent streams grew the process past its fixed pool"
+            );
+        }
+        assert_eq!(rows, 100, "a concurrent stream lost rows");
+    }
 }
 
 /// Satellite 5 — the `ShutdownSignal` race: a trigger landing during an

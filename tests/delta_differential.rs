@@ -49,6 +49,7 @@ use hydra::core::vendor::RegenerationResult;
 use hydra::lp::simplex::WarmOutcome;
 use hydra::lp::solver::SolveStatus;
 use hydra::query::delta::WorkloadDelta;
+use hydra::query::predicate::{ColumnPredicate, CompareOp, TablePredicate};
 use hydra::query::query::SpjQuery;
 use hydra::summary::builder::SummaryBuilder;
 use hydra::summary::delta::{DeltaAction, DeltaBuild, SolveBaseline};
@@ -517,13 +518,85 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     }
 }
 
+/// The narrowest delta on the retail-131 fixture (10 000 `store_sales`
+/// rows): one new query whose only predicate is local to `web_sales`, a
+/// relation no other relation references.  It must re-solve exactly
+/// `web_sales`, reuse every other relation, and still regenerate the row
+/// totals of a from-scratch solve of the merged package.  Here the warm
+/// start hits.  The same delta over a small base (1 000 / 330 rows, six
+/// default-seed queries) falls back from its warm start and regenerates
+/// 331 `web_sales` rows against the from-scratch 330: the open
+/// integral-rounding gap, not covered here.
+fn run_narrow_web_sales_case() {
+    let schema = retail_schema();
+    let mut targets = retail_row_targets(0.02);
+    targets.insert("store_sales".to_string(), 10_000);
+    targets.insert("web_sales".to_string(), 3_333);
+    let db = generate_client_database(&schema, &targets, &DataGenConfig::default());
+    let base_queries = WorkloadGenerator::new(
+        schema,
+        WorkloadGenConfig {
+            num_queries: 131,
+            seed: 131,
+            ..Default::default()
+        },
+    )
+    .generate();
+    let session = Hydra::builder().compare_aqps(false).build();
+    let package = session
+        .profile(db.clone(), &base_queries)
+        .expect("base profile");
+    let state = session.regenerate_stateful(&package).expect("base solve");
+
+    let mut narrow = SpjQuery::new("delta-narrow");
+    narrow.add_table("web_sales");
+    narrow.set_predicate(
+        "web_sales",
+        TablePredicate::always_true().with(ColumnPredicate::new("ws_quantity", CompareOp::Lt, 40)),
+    );
+    let entry = harvest_workload(&db, &[narrow])
+        .expect("harvest narrow query")
+        .entries
+        .remove(0);
+    let delta =
+        WorkloadDelta::new().add_annotated(entry.query, entry.aqp.expect("harvested annotation"));
+    let outcome = session.profile_delta(&state, &delta).expect("narrow delta");
+
+    let report = &outcome.report;
+    assert_eq!(
+        report.reused(),
+        report.relations.len() - 1,
+        "a one-query web_sales delta re-solved untouched relations:\n{}",
+        report.to_display_table()
+    );
+    let resolved: Vec<&str> = report
+        .relations
+        .iter()
+        .filter(|r| r.action != DeltaAction::Reused)
+        .map(|r| r.table.as_str())
+        .collect();
+    assert_eq!(resolved, ["web_sales"]);
+
+    let scratch = Hydra::builder()
+        .compare_aqps(false)
+        .build()
+        .regenerate(&outcome.state.package)
+        .expect("from-scratch");
+    assert_same_row_totals(
+        &outcome.state.regeneration,
+        &scratch,
+        "narrow web_sales delta",
+    );
+}
+
 /// Replays the committed regression seeds first — the delta analogue of a
 /// `proptest-regressions` file.  The pinned set is chosen to cover every
 /// delta shape (pure add, retire-only, data drift with wholesale
 /// re-annotation, mixed) and must keep the strict fully-feasible path
-/// exercised.
+/// exercised.  The hand-built narrow `web_sales` delta is pinned alongside.
 #[test]
 fn pinned_regression_seeds_replay() {
+    run_narrow_web_sales_case();
     let pinned = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/proptest-regressions/delta_differential.txt"

@@ -1,13 +1,15 @@
-//! Experiments E6 / E7 (integration level): scenario construction and the
+//! Experiments E6 / E7 (integration level): scenario construction, in-class
+//! aggregates answered from the summary alone at any scale, and the
 //! behaviour of relative errors as the database grows.
 
+use hydra::catalog::types::Value;
 use hydra::core::scenario::Scenario;
 use hydra::core::RegenerationState;
 use hydra::workload::{
     generate_client_database, retail_row_targets, retail_schema, DataGenConfig, WorkloadGenConfig,
     WorkloadGenerator,
 };
-use hydra::Hydra;
+use hydra::{ExecMode, Hydra, QueryEngine};
 use std::time::Instant;
 
 /// The solved base state every scenario is built against.
@@ -63,6 +65,41 @@ fn scenario_construction_is_scale_free() {
         "summary size grew from {} to {}",
         sizes[0],
         sizes[2]
+    );
+
+    // The fact table alone forced to 1e6 / 1e8 / 1e10 logical rows: its
+    // summary keeps the same number of blocks, and in-class aggregates are
+    // answered from those blocks without regenerating a single tuple.
+    let queries = [
+        "select count(*), sum(store_sales.ss_quantity) from store_sales",
+        "select count(*), avg(item.i_current_price) from store_sales, item \
+         where store_sales.ss_item_fk = item.i_item_sk group by item.i_category",
+        "select count(*), sum(store_sales.ss_sk) from store_sales \
+         where store_sales.ss_sk >= 1000 and store_sales.ss_sk < 500000",
+    ];
+    let mut blocks = Vec::new();
+    for rows in [1_000_000u64, 100_000_000, 10_000_000_000] {
+        let scenario =
+            Scenario::scaled(format!("rows-{rows}"), 1.0).with_row_override("store_sales", rows);
+        let result = session.scenario(&scenario, &base).unwrap();
+        let generator = result.regeneration.generator();
+        let fact = generator.summary.relation("store_sales").unwrap();
+        assert_eq!(fact.total_rows, rows);
+        blocks.push(fact.row_count());
+
+        let engine = QueryEngine::new(&generator);
+        let answers = queries.map(|sql| engine.query_mode(sql, ExecMode::SummaryOnly).unwrap());
+        for (sql, answer) in queries.iter().zip(&answers) {
+            assert_eq!(answer.scanned_tuples, 0, "{sql} scanned at {rows} rows");
+        }
+        assert_eq!(
+            answers[0].single().expect("one global row").aggregates[0],
+            Value::Integer(rows as i64)
+        );
+    }
+    assert!(
+        blocks.iter().all(|&b| b == blocks[0]),
+        "store_sales block count moved with its row count: {blocks:?}"
     );
 }
 
