@@ -223,7 +223,8 @@ impl Hydra {
         Arc::clone(&self.metrics)
     }
 
-    /// Records one build report's per-relation LP outcomes — the one
+    /// Records one build report — each solved relation's LP outcome, LP
+    /// time and partitioning time, and the build's total time — the one
     /// recorder for every build (regeneration, delta, scenario).
     fn record_build_report(&self, report: &hydra_summary::builder::SummaryBuildReport) {
         use hydra_lp::simplex::WarmOutcome;
@@ -244,8 +245,14 @@ impl Hydra {
                 self.metrics
                     .histogram_labeled("hydra_lp_solve_seconds", "relation", &relation.table)
                     .record_duration(relation.lp.solve_time);
+                self.metrics
+                    .histogram_labeled("hydra_partition_seconds", "relation", &relation.table)
+                    .record_duration(relation.lp.partition_time);
             }
         }
+        self.metrics
+            .histogram("hydra_summary_build_seconds")
+            .record_duration(report.total_time);
     }
 
     /// Client site: profiles the warehouse, executes the workload to obtain

@@ -9,7 +9,9 @@
 //! * [`problem::LpProblem`] — a sparse LP model (variables, linear
 //!   constraints, optional linear objective, non-negativity bounds);
 //! * [`simplex::Simplex`] — a dense two-phase primal simplex solver with
-//!   Bland's-rule anti-cycling;
+//!   Bland's-rule anti-cycling over a flat row-major tableau, which sees a
+//!   fact relation's LP only as column-generation working sets of a few
+//!   hundred to about 1 400 columns;
 //! * [`solver::LpSolver`] — the high-level entry point used by
 //!   `hydra-summary`: feasibility solving, least-violation ("soft") solving
 //!   when the constraint system is over-determined, and optional objective

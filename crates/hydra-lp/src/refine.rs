@@ -19,7 +19,11 @@
 //! preserves the relation total but lets individual constraint groups drift by
 //! a few units. A greedy integral local search moves single units between
 //! regions while the total absolute constraint violation strictly decreases,
-//! typically restoring every feasible constraint group to exactness.
+//! typically restoring every feasible constraint group to exactness.  The
+//! search keeps constraint membership in one column-major index and caches
+//! each region's gain for a unit up and a unit down; a move recomputes only
+//! the gains of constraints whose violation changed sign class, so a move
+//! costs a scan of the cached gains rather than of every nonzero.
 
 use crate::problem::{ConstraintOp, LpProblem};
 
@@ -122,112 +126,221 @@ pub fn repair_rounded_counts(problem: &LpProblem, counts: &mut [u64], max_moves:
     if !hydra_shaped {
         return;
     }
+    let mut repair = Repair::new(problem, counts);
+    for _ in 0..max_moves {
+        if let Some((var, dir)) = repair.best_single_move(counts) {
+            repair.apply(var, dir, counts);
+            continue;
+        }
+        match repair.best_paired_move(counts) {
+            Some((r, s)) => {
+                repair.apply(r, 1, counts);
+                repair.apply(s, -1, counts);
+            }
+            None => break,
+        }
+    }
+}
 
-    // Membership lists: which constraints contain each variable.
-    let mut member: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, c) in problem.constraints.iter().enumerate() {
-        for (i, _) in &c.terms {
-            member[*i].push(k);
+/// How many top-ranked increment and decrement candidates a paired move
+/// combines.
+const PAIR_CANDIDATES: usize = 24;
+
+/// A constraint's contribution to the gain of bumping one of its variables
+/// up: +1 when the move shrinks its `|delta|`, -1 when it grows it.
+fn inc_term(delta: i64) -> i64 {
+    if delta < 0 {
+        1
+    } else {
+        -1
+    }
+}
+
+/// [`inc_term`] for bumping a variable down.
+fn dec_term(delta: i64) -> i64 {
+    if delta > 0 {
+        1
+    } else {
+        -1
+    }
+}
+
+/// The constraint matrix by column, in compressed sparse form: for each
+/// variable, the indices of the constraints whose terms name it, ascending,
+/// one entry per term (a term repeated in one constraint repeats that
+/// constraint).  Built in one pass over the terms.
+struct ColumnIndex {
+    /// `rows[start[j]..start[j + 1]]` are variable `j`'s constraints.
+    start: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ColumnIndex {
+    /// Indexes `problem`'s constraints by variable.  Panics, as indexing a
+    /// variable-sized vector by it would, if a term names a variable
+    /// outside `0..problem.num_vars`.
+    fn new(problem: &LpProblem) -> ColumnIndex {
+        let n = problem.num_vars;
+        let mut start = vec![0usize; n + 1];
+        for c in &problem.constraints {
+            for (j, _) in &c.terms {
+                start[*j + 1] += 1;
+            }
+        }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut rows = vec![0usize; start[n]];
+        for (k, c) in problem.constraints.iter().enumerate() {
+            for (j, _) in &c.terms {
+                rows[fill[*j]] = k;
+                fill[*j] += 1;
+            }
+        }
+        ColumnIndex { start, rows }
+    }
+
+    /// The constraints naming variable `j`, one entry per term.
+    fn rows(&self, j: usize) -> &[usize] {
+        &self.rows[self.start[j]..self.start[j + 1]]
+    }
+}
+
+/// The state of [`repair_rounded_counts`]: each constraint's signed delta
+/// (achieved minus target) and each variable's cached single-move gains.
+///
+/// A gain is the number of the variable's constraints whose `|delta|` the
+/// move shrinks minus the number it grows.  It depends on a constraint's
+/// delta only through its sign class (negative, zero, positive), so a move
+/// touches a constraint's variables only when it moves that constraint's
+/// delta across a class boundary.
+struct Repair<'a> {
+    problem: &'a LpProblem,
+    member: ColumnIndex,
+    delta: Vec<i64>,
+    gain_inc: Vec<i64>,
+    gain_dec: Vec<i64>,
+}
+
+impl<'a> Repair<'a> {
+    fn new(problem: &'a LpProblem, counts: &[u64]) -> Repair<'a> {
+        let member = ColumnIndex::new(problem);
+        let delta: Vec<i64> = problem
+            .constraints
+            .iter()
+            .map(|c| {
+                let achieved: i64 = c.terms.iter().map(|(i, _)| counts[*i] as i64).sum();
+                achieved - c.rhs.round() as i64
+            })
+            .collect();
+        let mut gain_inc = vec![0i64; problem.num_vars];
+        let mut gain_dec = vec![0i64; problem.num_vars];
+        for (c, &d) in problem.constraints.iter().zip(&delta) {
+            for (v, _) in &c.terms {
+                gain_inc[*v] += inc_term(d);
+                gain_dec[*v] += dec_term(d);
+            }
+        }
+        Repair {
+            problem,
+            member,
+            delta,
+            gain_inc,
+            gain_dec,
         }
     }
 
-    // Signed deltas: achieved - target.
-    let mut delta: Vec<i64> = problem
-        .constraints
-        .iter()
-        .map(|c| {
-            let achieved: i64 = c.terms.iter().map(|(i, _)| counts[*i] as i64).sum();
-            achieved - c.rhs.round() as i64
-        })
-        .collect();
-
-    // Gain of bumping a variable up/down by one unit: number of constraints
-    // whose |delta| shrinks minus number whose |delta| grows.
-    let gain_inc = |var: usize, delta: &[i64]| -> i64 {
-        member[var]
-            .iter()
-            .map(|&k| if delta[k] < 0 { 1 } else { -1 })
-            .sum()
-    };
-    let gain_dec = |var: usize, delta: &[i64]| -> i64 {
-        member[var]
-            .iter()
-            .map(|&k| if delta[k] > 0 { 1 } else { -1 })
-            .sum()
-    };
-
-    let apply = |var: usize, dir: i64, counts: &mut [u64], delta: &mut [i64]| {
-        if dir > 0 {
-            counts[var] += 1;
-        } else {
-            counts[var] -= 1;
-        }
-        for &k in &member[var] {
-            delta[k] += dir;
-        }
-    };
-
-    for _ in 0..max_moves {
-        // Best single move.
+    /// The first single move of the largest positive gain, scanning
+    /// variables in order and, per variable, the increment before the
+    /// decrement.
+    fn best_single_move(&self, counts: &[u64]) -> Option<(usize, i64)> {
         let mut best: Option<(usize, i64, i64)> = None; // (var, dir, gain)
         for (var, &count) in counts.iter().enumerate() {
-            let up = gain_inc(var, &delta);
+            let up = self.gain_inc[var];
             if best.map(|(_, _, g)| up > g).unwrap_or(up > 0) {
                 best = Some((var, 1, up));
             }
             if count > 0 {
-                let down = gain_dec(var, &delta);
+                let down = self.gain_dec[var];
                 if best.map(|(_, _, g)| down > g).unwrap_or(down > 0) {
                     best = Some((var, -1, down));
                 }
             }
         }
-        if let Some((var, dir, _)) = best {
-            apply(var, dir, counts, &mut delta);
-            continue;
-        }
+        best.map(|(var, dir, _)| (var, dir))
+    }
 
-        // Paired move: +1 on `r`, -1 on `s`. Rank candidates separately by
-        // their single-move gains, evaluate the top combinations exactly
-        // (the union of their memberships), apply the first improvement.
-        let mut inc_rank: Vec<(i64, usize)> = (0..n).map(|v| (gain_inc(v, &delta), v)).collect();
-        let mut dec_rank: Vec<(i64, usize)> = (0..n)
-            .filter(|&v| counts[v] > 0)
-            .map(|v| (gain_dec(v, &delta), v))
-            .collect();
-        inc_rank.sort_unstable_by(|a, b| b.cmp(a));
-        dec_rank.sort_unstable_by(|a, b| b.cmp(a));
-        let mut applied = false;
-        'pairs: for &(_, r) in inc_rank.iter().take(24) {
-            for &(_, s) in dec_rank.iter().take(24) {
+    /// Paired move: +1 on `r`, -1 on `s`. Ranks candidates separately by
+    /// their single-move gains, evaluates the top combinations exactly (the
+    /// union of their memberships) and returns the first improvement.
+    fn best_paired_move(&self, counts: &[u64]) -> Option<(usize, usize)> {
+        let inc_rank = top_ranked((0..counts.len()).map(|v| (self.gain_inc[v], v)).collect());
+        let dec_rank = top_ranked(
+            (0..counts.len())
+                .filter(|&v| counts[v] > 0)
+                .map(|v| (self.gain_dec[v], v))
+                .collect(),
+        );
+        for &(_, r) in &inc_rank {
+            for &(_, s) in &dec_rank {
                 if r == s {
                     continue;
                 }
+                let (member_r, member_s) = (self.member.rows(r), self.member.rows(s));
                 let mut change = 0i64;
-                for &k in &member[r] {
-                    let shared = member[s].contains(&k);
-                    if !shared {
-                        change += (delta[k] + 1).abs() - delta[k].abs();
+                for &k in member_r {
+                    if !member_s.contains(&k) {
+                        change += (self.delta[k] + 1).abs() - self.delta[k].abs();
                     }
                 }
-                for &k in &member[s] {
-                    let shared = member[r].contains(&k);
-                    if !shared {
-                        change += (delta[k] - 1).abs() - delta[k].abs();
+                for &k in member_s {
+                    if !member_r.contains(&k) {
+                        change += (self.delta[k] - 1).abs() - self.delta[k].abs();
                     }
                 }
                 if change < 0 {
-                    apply(r, 1, counts, &mut delta);
-                    apply(s, -1, counts, &mut delta);
-                    applied = true;
-                    break 'pairs;
+                    return Some((r, s));
                 }
             }
         }
-        if !applied {
-            break;
+        None
+    }
+
+    /// Moves one unit into (`dir = 1`) or out of (`dir = -1`) `var`,
+    /// updating the deltas and, for each constraint whose delta changes
+    /// sign class, the gains of that constraint's variables.
+    fn apply(&mut self, var: usize, dir: i64, counts: &mut [u64]) {
+        if dir > 0 {
+            counts[var] += 1;
+        } else {
+            counts[var] -= 1;
+        }
+        for &k in self.member.rows(var) {
+            let old = self.delta[k];
+            let new = old + dir;
+            self.delta[k] = new;
+            let inc = inc_term(new) - inc_term(old);
+            let dec = dec_term(new) - dec_term(old);
+            if inc != 0 || dec != 0 {
+                for (v, _) in &self.problem.constraints[k].terms {
+                    self.gain_inc[*v] += inc;
+                    self.gain_dec[*v] += dec;
+                }
+            }
         }
     }
+}
+
+/// The [`PAIR_CANDIDATES`] largest `(gain, variable)` pairs, largest first
+/// — the head of the full descending sort, found by selection.
+fn top_ranked(mut rank: Vec<(i64, usize)>) -> Vec<(i64, usize)> {
+    if rank.len() > PAIR_CANDIDATES {
+        rank.select_nth_unstable_by(PAIR_CANDIDATES - 1, |a, b| b.cmp(a));
+        rank.truncate(PAIR_CANDIDATES);
+    }
+    rank.sort_unstable_by(|a, b| b.cmp(a));
+    rank
 }
 
 #[cfg(test)]
@@ -235,6 +348,7 @@ mod tests {
     use super::*;
     use crate::problem::LpProblem;
     use crate::solver::LpSolver;
+    use proptest::prelude::*;
 
     /// x0 + x1 = 10, x0 + x2 = 10, total = 20. Vertex solutions put all mass
     /// in x0; the volume-proportional attractor spreads it.
@@ -295,6 +409,170 @@ mod tests {
         let before = violation(&counts);
         repair_rounded_counts(&lp, &mut counts, 100);
         assert!(violation(&counts) <= before);
+    }
+
+    /// The greedy repair as it was first written: every gain recomputed
+    /// from the membership lists on every move.  Kept as the reference the
+    /// incremental repair must reproduce move for move.
+    fn repair_reference(problem: &LpProblem, counts: &mut [u64], max_moves: usize) {
+        let n = problem.num_vars;
+        if counts.len() != n || n == 0 {
+            return;
+        }
+        let hydra_shaped = problem
+            .constraints
+            .iter()
+            .all(|c| c.op == ConstraintOp::Eq && c.terms.iter().all(|(_, coef)| *coef == 1.0));
+        if !hydra_shaped {
+            return;
+        }
+        let mut member: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (k, c) in problem.constraints.iter().enumerate() {
+            for (i, _) in &c.terms {
+                member[*i].push(k);
+            }
+        }
+        let mut delta: Vec<i64> = problem
+            .constraints
+            .iter()
+            .map(|c| {
+                let achieved: i64 = c.terms.iter().map(|(i, _)| counts[*i] as i64).sum();
+                achieved - c.rhs.round() as i64
+            })
+            .collect();
+        let gain_inc = |var: usize, delta: &[i64]| -> i64 {
+            member[var]
+                .iter()
+                .map(|&k| if delta[k] < 0 { 1 } else { -1 })
+                .sum()
+        };
+        let gain_dec = |var: usize, delta: &[i64]| -> i64 {
+            member[var]
+                .iter()
+                .map(|&k| if delta[k] > 0 { 1 } else { -1 })
+                .sum()
+        };
+        let apply = |var: usize, dir: i64, counts: &mut [u64], delta: &mut [i64]| {
+            if dir > 0 {
+                counts[var] += 1;
+            } else {
+                counts[var] -= 1;
+            }
+            for &k in &member[var] {
+                delta[k] += dir;
+            }
+        };
+        for _ in 0..max_moves {
+            let mut best: Option<(usize, i64, i64)> = None;
+            for (var, &count) in counts.iter().enumerate() {
+                let up = gain_inc(var, &delta);
+                if best.map(|(_, _, g)| up > g).unwrap_or(up > 0) {
+                    best = Some((var, 1, up));
+                }
+                if count > 0 {
+                    let down = gain_dec(var, &delta);
+                    if best.map(|(_, _, g)| down > g).unwrap_or(down > 0) {
+                        best = Some((var, -1, down));
+                    }
+                }
+            }
+            if let Some((var, dir, _)) = best {
+                apply(var, dir, counts, &mut delta);
+                continue;
+            }
+            let mut inc_rank: Vec<(i64, usize)> =
+                (0..n).map(|v| (gain_inc(v, &delta), v)).collect();
+            let mut dec_rank: Vec<(i64, usize)> = (0..n)
+                .filter(|&v| counts[v] > 0)
+                .map(|v| (gain_dec(v, &delta), v))
+                .collect();
+            inc_rank.sort_unstable_by(|a, b| b.cmp(a));
+            dec_rank.sort_unstable_by(|a, b| b.cmp(a));
+            let mut applied = false;
+            'pairs: for &(_, r) in inc_rank.iter().take(24) {
+                for &(_, s) in dec_rank.iter().take(24) {
+                    if r == s {
+                        continue;
+                    }
+                    let mut change = 0i64;
+                    for &k in &member[r] {
+                        if !member[s].contains(&k) {
+                            change += (delta[k] + 1).abs() - delta[k].abs();
+                        }
+                    }
+                    for &k in &member[s] {
+                        if !member[r].contains(&k) {
+                            change += (delta[k] - 1).abs() - delta[k].abs();
+                        }
+                    }
+                    if change < 0 {
+                        apply(r, 1, counts, &mut delta);
+                        apply(s, -1, counts, &mut delta);
+                        applied = true;
+                        break 'pairs;
+                    }
+                }
+            }
+            if !applied {
+                break;
+            }
+        }
+    }
+
+    /// A random 0/1 equality system with rounded counts to repair: `n`
+    /// variables, constraints of random width whose terms may repeat a
+    /// variable, targets near the counts' sums, and a move budget that
+    /// sometimes runs out.
+    fn rounded_system() -> impl Strategy<Value = (LpProblem, Vec<u64>, usize)> {
+        (1usize..60, 1usize..10).prop_flat_map(|(n, m)| {
+            let row = (proptest::collection::vec(0..n, 0..40), 0i64..9);
+            let rows = proptest::collection::vec(row, m);
+            let counts = proptest::collection::vec(0u64..6, n);
+            (rows, counts, 0usize..300).prop_map(move |(rows, counts, max_moves)| {
+                let mut lp = LpProblem::new(n);
+                for (terms, drift) in rows {
+                    let achieved: u64 = terms.iter().map(|&j| counts[j]).sum();
+                    let rhs = (achieved as i64 + drift - 4).max(0) as f64;
+                    lp.add_constraint(
+                        terms.into_iter().map(|j| (j, 1.0)).collect(),
+                        ConstraintOp::Eq,
+                        rhs,
+                    );
+                }
+                lp.add_constraint(
+                    (0..n).map(|j| (j, 1.0)).collect(),
+                    ConstraintOp::Eq,
+                    counts.iter().sum::<u64>() as f64,
+                );
+                (lp, counts, max_moves)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The incremental repair makes exactly the reference's moves.
+        #[test]
+        fn repair_matches_the_reference((lp, counts, max_moves) in rounded_system()) {
+            let mut repaired = counts.clone();
+            repair_rounded_counts(&lp, &mut repaired, max_moves);
+            let mut reference = counts.clone();
+            repair_reference(&lp, &mut reference, max_moves);
+            prop_assert_eq!(repaired, reference, "from {:?}", counts);
+        }
+    }
+
+    #[test]
+    fn column_index_lists_every_term_by_variable() {
+        let mut lp = LpProblem::new(4);
+        lp.add_constraint(vec![(2, 1.0), (0, 1.0), (2, 1.0)], ConstraintOp::Eq, 1.0);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 1.0);
+        let index = ColumnIndex::new(&lp);
+        assert_eq!(index.rows(0), &[0, 1]);
+        assert_eq!(index.rows(1), &[1]);
+        assert_eq!(index.rows(2), &[0, 0]);
+        assert!(index.rows(3).is_empty());
     }
 
     #[test]

@@ -1,9 +1,18 @@
 //! Dense two-phase primal simplex.
 //!
-//! The tableau is dense: HYDRA's per-relation LPs have at most a few thousand
-//! region variables and a few hundred constraints (that smallness is precisely
-//! the contribution of region partitioning), so a dense tableau is simple,
-//! cache-friendly and fast enough.
+//! The tableau is dense.  HYDRA's per-relation LPs have a few dozen rows
+//! (one per deduplicated volumetric constraint), but a fact relation's
+//! region partition can have tens of thousands of columns.  Those LPs reach
+//! the tableau only as the working sets of [`crate::solver::LpSolver`]'s
+//! delayed column generation, about 300–1 400 columns each; the dimension
+//! LPs are a handful of columns.  At that size a dense tableau is simple and
+//! fast enough.
+//!
+//! The tableau is one row-major `Vec<f64>` with stride `cols + 1` (each
+//! row's right-hand side is its last entry).  A pivot splits the pivot row
+//! off with `split_at_mut` and updates every other row, and the cost row,
+//! as a zipped loop over two contiguous slices, which the compiler
+//! vectorises.
 //!
 //! The implementation is a textbook two-phase method:
 //!
@@ -110,8 +119,9 @@ impl Default for Simplex {
 }
 
 struct Tableau {
-    /// rows x cols coefficient matrix (last column is RHS).
-    a: Vec<Vec<f64>>,
+    /// rows x (cols + 1) coefficient matrix, row-major with stride
+    /// `cols + 1` (the last entry of each row is its RHS).
+    a: Vec<f64>,
     /// Objective row (length cols), minimized.
     cost: Vec<f64>,
     /// Current basis: basis[r] = column index basic in row r.
@@ -121,8 +131,23 @@ struct Tableau {
 }
 
 impl Tableau {
+    /// Row `r`, RHS included.
+    fn row(&self, r: usize) -> &[f64] {
+        let stride = self.cols + 1;
+        &self.a[r * stride..(r + 1) * stride]
+    }
+
     fn rhs(&self, r: usize) -> f64 {
-        self.a[r][self.cols]
+        self.row(r)[self.cols]
+    }
+
+    /// Subtracts `factor` times row `r` from the cost row.
+    fn eliminate_from_cost(&mut self, r: usize, factor: f64) {
+        let stride = self.cols + 1;
+        let row = &self.a[r * stride..(r + 1) * stride];
+        for (c, p) in self.cost.iter_mut().zip(row) {
+            *c -= factor * p;
+        }
     }
 
     /// Reduced cost of column j given the current basis (costs are kept
@@ -134,31 +159,39 @@ impl Tableau {
 
     /// Performs a pivot on (row, col): row is scaled so the pivot becomes 1,
     /// and the pivot column is eliminated from all other rows and the cost row.
+    ///
+    /// Every row update is a zipped loop over two contiguous slices, so it
+    /// vectorises; each entry still sees the same operations in the same
+    /// order as an element-by-element update.
     fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_val = self.a[row][col];
+        let stride = self.cols + 1;
+        let (above, rest) = self.a.split_at_mut(row * stride);
+        let (pivot_row, below) = rest.split_at_mut(stride);
+        let pivot_val = pivot_row[col];
         debug_assert!(pivot_val.abs() > EPS);
         let inv = 1.0 / pivot_val;
-        for v in self.a[row].iter_mut() {
+        for v in pivot_row.iter_mut() {
             *v *= inv;
         }
         // Defensive exactness: the pivot element should be exactly 1.
-        self.a[row][col] = 1.0;
-        for r in 0..self.rows {
-            if r == row {
-                continue;
-            }
-            let factor = self.a[r][col];
+        pivot_row[col] = 1.0;
+        let pivot_row = &*pivot_row;
+        for other in above
+            .chunks_exact_mut(stride)
+            .chain(below.chunks_exact_mut(stride))
+        {
+            let factor = other[col];
             if factor.abs() > EPS {
-                for c in 0..=self.cols {
-                    self.a[r][c] -= factor * self.a[row][c];
+                for (v, p) in other.iter_mut().zip(pivot_row) {
+                    *v -= factor * p;
                 }
-                self.a[r][col] = 0.0;
+                other[col] = 0.0;
             }
         }
         let factor = self.cost[col];
         if factor.abs() > EPS {
-            for c in 0..=self.cols {
-                self.cost[c] -= factor * self.a[row][c];
+            for (v, p) in self.cost.iter_mut().zip(pivot_row) {
+                *v -= factor * p;
             }
             self.cost[col] = 0.0;
         }
@@ -203,7 +236,7 @@ impl Tableau {
             // Ratio test for leaving row.
             let mut leaving: Option<(usize, f64)> = None;
             for r in 0..self.rows {
-                let coef = self.a[r][col];
+                let coef = self.a[r * (self.cols + 1) + col];
                 if coef > EPS {
                     let ratio = self.rhs(r) / coef;
                     match leaving {
@@ -354,18 +387,21 @@ impl Simplex {
         }
 
         let cols = n + num_slack + num_artificial;
-        let mut a = vec![vec![0.0; cols + 1]; m];
+        let stride = cols + 1;
+        let mut a = vec![0.0; m * stride];
         let mut basis = vec![usize::MAX; m];
-        let mut artificial_cols: Vec<usize> = Vec::with_capacity(num_artificial);
         // Per row: the column that starts in the basis for it (used to read
         // duals off the final cost row), and whether any row was negated
         // (which breaks that bookkeeping).
         let mut init_col = vec![usize::MAX; m];
         let mut negated_any = false;
 
+        // Columns are laid out structural, slack, artificial: every column
+        // from `artificial_start` on is artificial.
+        let artificial_start = n + num_slack;
         let mut next_slack = n;
-        let mut next_artificial = n + num_slack;
-        for (r, row) in rows.iter().enumerate() {
+        let mut next_artificial = artificial_start;
+        for (r, (row, a)) in rows.iter().zip(a.chunks_exact_mut(stride)).enumerate() {
             let mut sign = 1.0;
             let mut rhs = row.rhs;
             let mut op = row.op;
@@ -381,31 +417,29 @@ impl Simplex {
             }
             for (j, c) in &row.coefs {
                 if *j < n {
-                    a[r][*j] += sign * c;
+                    a[*j] += sign * c;
                 }
             }
-            a[r][cols] = rhs;
+            a[cols] = rhs;
             match op {
                 ConstraintOp::Le => {
-                    a[r][next_slack] = 1.0;
+                    a[next_slack] = 1.0;
                     basis[r] = next_slack;
                     init_col[r] = next_slack;
                     next_slack += 1;
                 }
                 ConstraintOp::Ge => {
-                    a[r][next_slack] = -1.0;
+                    a[next_slack] = -1.0;
                     next_slack += 1;
-                    a[r][next_artificial] = 1.0;
+                    a[next_artificial] = 1.0;
                     basis[r] = next_artificial;
                     init_col[r] = next_artificial;
-                    artificial_cols.push(next_artificial);
                     next_artificial += 1;
                 }
                 ConstraintOp::Eq => {
-                    a[r][next_artificial] = 1.0;
+                    a[next_artificial] = 1.0;
                     basis[r] = next_artificial;
                     init_col[r] = next_artificial;
-                    artificial_cols.push(next_artificial);
                     next_artificial += 1;
                 }
             }
@@ -442,19 +476,17 @@ impl Simplex {
         let rhs_scale = rows.iter().map(|r| r.rhs.abs()).fold(0.0f64, f64::max);
         let phase1_cutoff = (1e-10 * rhs_scale).max(1e-6);
 
-        if !artificial_cols.is_empty() {
-            for &j in &artificial_cols {
-                tableau.cost[j] = 1.0;
+        if num_artificial > 0 {
+            for slot in &mut tableau.cost[artificial_start..cols] {
+                *slot = 1.0;
             }
             // Canonicalize: eliminate basic artificial columns from cost row.
             for r in 0..m {
                 let b = tableau.basis[r];
-                if artificial_cols.contains(&b) {
+                if b >= artificial_start {
                     let factor = tableau.cost[b];
                     if factor.abs() > EPS {
-                        for c in 0..=cols {
-                            tableau.cost[c] -= factor * tableau.a[r][c];
-                        }
+                        tableau.eliminate_from_cost(r, factor);
                     }
                 }
             }
@@ -484,8 +516,7 @@ impl Simplex {
                 }
             }
             if !closed_by_warm {
-                let allowed: Vec<bool> = (0..cols).map(|_| true).collect();
-                match tableau.optimize(&allowed, max_pivots) {
+                match tableau.optimize(&vec![true; cols], max_pivots) {
                     SimplexResult::Optimal => {}
                     SimplexResult::Unbounded => {
                         // Phase-1 objective is bounded below by zero; treat as limit.
@@ -524,7 +555,6 @@ impl Simplex {
             // target sits in the same system.
             if phase1 > phase1_cutoff {
                 // Phase-1 duals: slacks cost 0, artificials cost 1.
-                let artificial_start = n + num_slack;
                 let duals = duals_from(&tableau, &|col| {
                     if col >= artificial_start {
                         1.0
@@ -545,16 +575,11 @@ impl Simplex {
             // Drive any artificial variables still in the basis out of it
             // (degenerate rows); if impossible the row is redundant.
             for r in 0..m {
-                let b = tableau.basis[r];
-                if artificial_cols.contains(&b) {
+                if tableau.basis[r] >= artificial_start {
                     // Find a non-artificial column with a non-zero entry.
-                    let mut found = None;
-                    for j in 0..(n + num_slack) {
-                        if tableau.a[r][j].abs() > EPS {
-                            found = Some(j);
-                            break;
-                        }
-                    }
+                    let found = tableau.row(r)[..artificial_start]
+                        .iter()
+                        .position(|v| v.abs() > EPS);
                     if let Some(j) = found {
                         tableau.pivot(r, j);
                     }
@@ -575,13 +600,11 @@ impl Simplex {
             let b = tableau.basis[r];
             let factor = tableau.cost[b];
             if factor.abs() > EPS {
-                for c in 0..=cols {
-                    tableau.cost[c] -= factor * tableau.a[r][c];
-                }
+                tableau.eliminate_from_cost(r, factor);
             }
         }
         // Artificial columns may not re-enter the basis.
-        let allowed: Vec<bool> = (0..cols).map(|j| !artificial_cols.contains(&j)).collect();
+        let allowed: Vec<bool> = (0..cols).map(|j| j < artificial_start).collect();
         match tableau.optimize(&allowed, max_pivots) {
             SimplexResult::Optimal => {}
             SimplexResult::Unbounded => {

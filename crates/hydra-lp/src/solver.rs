@@ -121,8 +121,19 @@ enum ColumnGeneration {
     GaveUp,
 }
 
+/// Columns each constraint contributes to the seed working set from either
+/// end of its `(degree, column)` order.
+const SEED_PER_END: usize = 13;
+
 /// Seeds the working set: per constraint, a spread of its lowest-degree
-/// columns (private freedom) and highest-degree columns (shared mass).
+/// columns (private freedom) and highest-degree columns (shared mass) —
+/// the first and last [`SEED_PER_END`] of its terms in `(degree, column)`
+/// order, where a column's degree counts its terms across all constraints.
+///
+/// One sort of all columns ranks them in that order; each constraint then
+/// selects its lowest and highest ranks in place (repeated terms count
+/// toward its length, as in a sort of its terms), so the cost is linear in
+/// the nonzeros plus the one sort.
 fn initial_working_set(problem: &LpProblem) -> std::collections::BTreeSet<usize> {
     let n = problem.num_vars;
     let mut degree = vec![0u32; n];
@@ -131,18 +142,32 @@ fn initial_working_set(problem: &LpProblem) -> std::collections::BTreeSet<usize>
             degree[*j] += 1;
         }
     }
-    let mut selected = std::collections::BTreeSet::new();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by_key(|&j| (degree[j], j));
+    let mut rank = vec![0usize; n];
+    for (r, &j) in order.iter().enumerate() {
+        rank[j] = r;
+    }
+    let mut selected = vec![false; n];
+    let mut ranks = Vec::new();
     for c in &problem.constraints {
-        let mut cols: Vec<usize> = c.terms.iter().map(|(j, _)| *j).collect();
-        cols.sort_unstable_by_key(|&j| (degree[j], j));
-        for &j in cols.iter().take(13) {
-            selected.insert(j);
-        }
-        for &j in cols.iter().rev().take(13) {
-            selected.insert(j);
+        ranks.clear();
+        ranks.extend(c.terms.iter().map(|(j, _)| rank[*j]));
+        let len = ranks.len();
+        let ends = if len > 2 * SEED_PER_END {
+            // The SEED_PER_END lowest ranks to the front, then the
+            // SEED_PER_END highest of the rest to the back.
+            ranks.select_nth_unstable(SEED_PER_END - 1);
+            ranks[SEED_PER_END..].select_nth_unstable(len - 2 * SEED_PER_END);
+            [&ranks[..SEED_PER_END], &ranks[len - SEED_PER_END..]]
+        } else {
+            [&ranks[..], &[][..]]
+        };
+        for &r in ends.into_iter().flatten() {
+            selected[order[r]] = true;
         }
     }
-    selected
+    (0..n).filter(|&j| selected[j]).collect()
 }
 
 /// Projects the problem onto a column subset (excluded columns are fixed at
@@ -563,6 +588,7 @@ impl LpSolver {
 mod tests {
     use super::*;
     use crate::problem::ConstraintOp;
+    use proptest::prelude::*;
 
     #[test]
     fn feasible_solve_reports_feasible() {
@@ -773,6 +799,76 @@ mod tests {
         assert_eq!(cold.status, SolveStatus::LeastViolation);
         assert_eq!(warm.status, SolveStatus::LeastViolation);
         assert!((cold.total_violation - warm.total_violation).abs() < 1e-5);
+    }
+
+    /// The working-set seed as it was first written: each constraint's
+    /// columns sorted on their own.  Kept as the reference the linear seed
+    /// must reproduce exactly.
+    fn initial_working_set_reference(problem: &LpProblem) -> std::collections::BTreeSet<usize> {
+        let n = problem.num_vars;
+        let mut degree = vec![0u32; n];
+        for c in &problem.constraints {
+            for (j, _) in &c.terms {
+                degree[*j] += 1;
+            }
+        }
+        let mut selected = std::collections::BTreeSet::new();
+        for c in &problem.constraints {
+            let mut cols: Vec<usize> = c.terms.iter().map(|(j, _)| *j).collect();
+            cols.sort_unstable_by_key(|&j| (degree[j], j));
+            for &j in cols.iter().take(13) {
+                selected.insert(j);
+            }
+            for &j in cols.iter().rev().take(13) {
+                selected.insert(j);
+            }
+        }
+        selected
+    }
+
+    /// A random 0/1 equality system: `n` columns, constraints of random
+    /// width whose terms may repeat a column.
+    fn zero_one_system() -> impl Strategy<Value = LpProblem> {
+        (1usize..160, 1usize..12).prop_flat_map(|(n, m)| {
+            let row = proptest::collection::vec(0..n, 0..80);
+            proptest::collection::vec(row, m).prop_map(move |rows| {
+                let mut lp = LpProblem::new(n);
+                for row in rows {
+                    let rhs = row.len() as f64;
+                    lp.add_constraint(
+                        row.into_iter().map(|j| (j, 1.0)).collect(),
+                        ConstraintOp::Eq,
+                        rhs,
+                    );
+                }
+                lp
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The linear seed selects exactly the columns the per-constraint
+        /// sorts select, repeated terms included.
+        #[test]
+        fn working_set_seed_matches_the_reference(lp in zero_one_system()) {
+            prop_assert_eq!(initial_working_set(&lp), initial_working_set_reference(&lp));
+        }
+    }
+
+    #[test]
+    fn working_set_seed_takes_both_ends_of_long_constraints() {
+        // One 40-column constraint plus the total row: 26 of the 40 are
+        // seeded, and repeated terms count toward a constraint's length.
+        let mut lp = LpProblem::new(40);
+        lp.add_constraint((0..40).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1.0);
+        lp.add_constraint((0..40).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1.0);
+        let seed = initial_working_set(&lp);
+        assert_eq!(seed.len(), 26);
+        assert_eq!(seed, initial_working_set_reference(&lp));
+        lp.add_constraint(vec![(5, 1.0), (5, 1.0), (6, 1.0)], ConstraintOp::Eq, 1.0);
+        assert_eq!(initial_working_set(&lp), initial_working_set_reference(&lp));
     }
 
     #[test]

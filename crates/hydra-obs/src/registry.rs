@@ -71,9 +71,9 @@ pub struct FamilyDesc {
     pub help: &'static str,
 }
 
-/// Every family the stack records, pre-registered on construction.  Seven
-/// layers: reactor, service (frame), pgwire, query, lp, datagen/registry,
-/// and wal (durability).
+/// Every family the stack records, pre-registered on construction.  The
+/// layers: reactor, service (frame), pgwire, query, lp, summary (the build
+/// around the LPs), datagen/registry, and wal (durability).
 pub const FAMILIES: &[FamilyDesc] = &[
     // -- reactor ---------------------------------------------------------
     FamilyDesc {
@@ -286,6 +286,23 @@ pub const FAMILIES: &[FamilyDesc] = &[
         label_key: "relation",
         layer: "lp",
         help: "LP solve time, by relation",
+    },
+    // -- summary ---------------------------------------------------------
+    FamilyDesc {
+        name: "hydra_partition_seconds",
+        kind: MetricKind::Histogram,
+        unit: Unit::Nanos,
+        label_key: "relation",
+        layer: "summary",
+        help: "Constraint boxing and region partitioning time of each solved relation",
+    },
+    FamilyDesc {
+        name: "hydra_summary_build_seconds",
+        kind: MetricKind::Histogram,
+        unit: Unit::Nanos,
+        label_key: "",
+        layer: "summary",
+        help: "Summary build time of each publish, delta or scenario",
     },
     // -- datagen ---------------------------------------------------------
     FamilyDesc {
@@ -814,7 +831,7 @@ mod tests {
             );
         }
         for layer in [
-            "reactor", "service", "pgwire", "query", "lp", "datagen", "registry", "wal",
+            "reactor", "service", "pgwire", "query", "lp", "summary", "datagen", "registry", "wal",
         ] {
             assert!(
                 FAMILIES.iter().any(|d| d.layer == layer),

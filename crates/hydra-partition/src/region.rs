@@ -20,9 +20,18 @@
 //!    signatures are accumulated one axis at a time, merging equal partial
 //!    signatures as we go, so the working-set size is bounded by the number of
 //!    distinct signatures — the region count — rather than by the grid size.
+//!    The merge is an ordered map whose keys carry a signature's first two
+//!    bitset words inline, so comparisons rarely chase the bitset's pointer.
 //! 3. Each region keeps its total point count (volume) and a bounded sample of
 //!    representative cells, which is all that deterministic alignment needs to
-//!    place concrete attribute values inside the region.
+//!    place concrete attribute values inside the region.  During the sweep a
+//!    cell is an id into an arena of `(parent, interval)` prefix nodes, so
+//!    extending it by an axis is one push; cells become boxes once, at the
+//!    end.
+//!
+//! The region budget is checked every time a partial signature is added,
+//! so a hostile constraint set fails as soon as it exceeds the budget, not
+//! after an axis has multiplied the working set.
 //!
 //! Constraint unions are interpreted as the product of their per-axis
 //! projections (which is exactly how the summary layer constructs them: a
@@ -158,6 +167,23 @@ impl RegionPartition {
             .collect()
     }
 
+    /// The regions covered by each constraint, for every constraint at once:
+    /// entry `ci` equals [`RegionPartition::regions_in_constraint`]`(ci)`.
+    /// One pass over the regions' signatures, so the cost is linear in the
+    /// number of (region, constraint) memberships — the LP's nonzeros —
+    /// instead of regions × constraints.
+    pub fn constraint_columns(&self) -> Vec<Vec<usize>> {
+        let mut columns = vec![Vec::new(); self.constraints.len()];
+        for (i, region) in self.regions.iter().enumerate() {
+            for ci in region.signature.iter() {
+                if let Some(column) = columns.get_mut(ci) {
+                    column.push(i);
+                }
+            }
+        }
+        columns
+    }
+
     /// Index of the region containing a point (exact: the point's signature is
     /// computed against the stored constraints).  `None` if the point lies
     /// outside the attribute space.
@@ -270,6 +296,58 @@ impl RegionPartition {
     }
 }
 
+/// Cell prefixes of the axis sweep, stored once each: a node is an
+/// interval on the next axis appended to its parent prefix.  Extending a
+/// cell by one axis is one push instead of a copy of its whole prefix.
+#[derive(Default)]
+struct PrefixArena {
+    nodes: Vec<(usize, Interval)>,
+}
+
+impl PrefixArena {
+    /// The empty prefix (a cell before the first axis).
+    const EMPTY: usize = usize::MAX;
+
+    /// The prefix `prefix` followed by `interval`.
+    fn extend(&mut self, prefix: usize, interval: Interval) -> usize {
+        self.nodes.push((prefix, interval));
+        self.nodes.len() - 1
+    }
+
+    /// The intervals of a prefix of `len` axes, first axis first.
+    fn intervals(&self, mut prefix: usize, len: usize) -> Vec<Interval> {
+        let mut intervals = Vec::with_capacity(len);
+        while prefix != Self::EMPTY {
+            let (parent, interval) = self.nodes[prefix];
+            intervals.push(interval);
+            prefix = parent;
+        }
+        intervals.reverse();
+        intervals
+    }
+}
+
+/// A partial signature as the sweep's ordered map keys it: its first two
+/// bitset words inline, ahead of the signature itself, so comparing two
+/// keys rarely follows the signature's heap pointer.  Signatures keep no
+/// trailing zero words, so comparing zero-padded words orders them exactly
+/// as [`Signature`]'s own `Ord` does, and the map iterates in signature
+/// order.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct SweepKey {
+    head: [u64; 2],
+    signature: Signature,
+}
+
+impl SweepKey {
+    fn new(signature: Signature) -> SweepKey {
+        SweepKey {
+            head: signature.head(),
+            signature,
+        }
+    }
+}
+
 /// Builder/driver for region partitioning.
 #[derive(Debug, Clone)]
 pub struct RegionPartitioner {
@@ -336,22 +414,23 @@ impl RegionPartitioner {
         }
         let k = self.constraints.len();
 
-        /// Partial state of the axis sweep: the signature so far, the total
-        /// point count, and a bounded sample of cells (interval prefixes).
+        /// Partial state of the axis sweep: the total point count and a
+        /// bounded sample of cells, each an interval prefix in `arena`.
         struct Partial {
             volume: u128,
-            cells: Vec<Vec<Interval>>,
+            cells: Vec<usize>,
         }
 
         // The initial partial covers the whole space with "all constraints
-        // still possible".
+        // still possible"; its one cell is the empty prefix.
+        let mut arena = PrefixArena::default();
         let all = Signature::from_indices(&(0..k).collect::<Vec<_>>());
-        let mut partials: BTreeMap<Signature, Partial> = BTreeMap::new();
+        let mut partials: BTreeMap<SweepKey, Partial> = BTreeMap::new();
         partials.insert(
-            all,
+            SweepKey::new(all),
             Partial {
                 volume: 1,
-                cells: vec![Vec::new()],
+                cells: vec![PrefixArena::EMPTY],
             },
         );
 
@@ -393,44 +472,52 @@ impl RegionPartitioner {
                 })
                 .collect();
 
-            let mut next: BTreeMap<Signature, Partial> = BTreeMap::new();
+            let mut next: BTreeMap<SweepKey, Partial> = BTreeMap::new();
             for (mask, partial) in &partials {
                 for (e, e_mask) in &elementary {
-                    let key = mask.intersect(e_mask);
-                    let added_volume = partial.volume.saturating_mul(e.len() as u128);
+                    let key = SweepKey::new(mask.signature.intersect(e_mask));
                     let entry = next.entry(key).or_insert_with(|| Partial {
                         volume: 0,
                         cells: Vec::new(),
                     });
+                    let added_volume = partial.volume.saturating_mul(e.len() as u128);
                     entry.volume = entry.volume.saturating_add(added_volume);
-                    if entry.cells.len() < CELLS_PER_REGION {
-                        for prefix in &partial.cells {
-                            if entry.cells.len() >= CELLS_PER_REGION {
-                                break;
-                            }
-                            // One exact-size allocation: cells are the bulk
-                            // of a partition's allocations.
-                            let mut cell = Vec::with_capacity(prefix.len() + 1);
-                            cell.extend_from_slice(prefix);
-                            cell.push(*e);
-                            entry.cells.push(cell);
+                    for &prefix in &partial.cells {
+                        if entry.cells.len() >= CELLS_PER_REGION {
+                            break;
                         }
+                        entry.cells.push(arena.extend(prefix, *e));
+                    }
+                    // Fail as soon as the budget is exceeded: `next` (and
+                    // the arena with it) would otherwise grow to partials ×
+                    // elementary intervals before the axis ends.
+                    if next.len() > self.max_regions {
+                        return Err(PartitionError::TooManyRegions {
+                            limit: self.max_regions,
+                        });
                     }
                 }
-            }
-            if next.len() > self.max_regions {
-                return Err(PartitionError::TooManyRegions {
-                    limit: self.max_regions,
-                });
             }
             partials = next;
         }
 
         let regions: Vec<Region> = partials
             .into_iter()
-            .map(|(signature, partial)| {
-                let mut pieces: Vec<NBox> = partial.cells.into_iter().map(NBox::new).collect();
-                pieces.sort_by_cached_key(NBox::lower_corner);
+            .map(|(SweepKey { signature, .. }, partial)| {
+                let mut pieces: Vec<NBox> = partial
+                    .cells
+                    .into_iter()
+                    .map(|cell| NBox::new(arena.intervals(cell, dims)))
+                    .collect();
+                // By lower corner: cells are never empty, so that is the
+                // order of their intervals' lower bounds.
+                pieces.sort_by(|a, b| {
+                    let lo = |iv: &Interval| iv.lo;
+                    a.intervals()
+                        .iter()
+                        .map(lo)
+                        .cmp(b.intervals().iter().map(lo))
+                });
                 Region {
                     signature,
                     pieces,
@@ -633,6 +720,35 @@ mod tests {
     }
 
     #[test]
+    fn sweep_keys_order_as_their_signatures() {
+        // Signatures of one to four words, including equal heads with
+        // different tails and prefixes of one another.
+        let signatures: Vec<Signature> = [
+            vec![],
+            vec![0],
+            vec![63],
+            vec![64],
+            vec![0, 64],
+            vec![0, 64, 130],
+            vec![0, 64, 200],
+            vec![0, 130],
+            vec![3, 70, 140, 250],
+            vec![3, 70, 140],
+            vec![128],
+            vec![1, 128],
+        ]
+        .iter()
+        .map(|indices| Signature::from_indices(indices))
+        .collect();
+        for a in &signatures {
+            for b in &signatures {
+                let keys = (SweepKey::new(a.clone()), SweepKey::new(b.clone()));
+                assert_eq!(keys.0.cmp(&keys.1), a.cmp(b), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
     fn dimension_mismatch_rejected() {
         let err = RegionPartitioner::new(space_1d())
             .add_constraint_box(NBox::new(vec![Interval::new(0, 1), Interval::new(0, 1)]))
@@ -652,6 +768,33 @@ mod tests {
             partitioner.partition(),
             Err(PartitionError::TooManyRegions { .. })
         ));
+
+        // A last axis that would multiply the partials far past the cap:
+        // 60 distinct signatures after the first axis, 4 000 elementary
+        // intervals on the second, 120 060 signatures in all against a cap
+        // of 64 — an 1 800x overshoot had the budget been checked only once
+        // the axis ends.
+        let space = AttributeSpace::new(vec![
+            ("a".to_string(), Interval::new(0, 60)),
+            ("b".to_string(), Interval::new(0, 8_000)),
+        ]);
+        let mut partitioner = RegionPartitioner::new(space).with_max_regions(64);
+        for i in 0..60 {
+            partitioner = partitioner.add_constraint_box(NBox::new(vec![
+                Interval::new(i, i + 1),
+                Interval::new(0, 8_000),
+            ]));
+        }
+        for i in 0..2_000 {
+            partitioner = partitioner.add_constraint_box(NBox::new(vec![
+                Interval::new(0, 60),
+                Interval::new(4 * i, 4 * i + 2),
+            ]));
+        }
+        assert_eq!(
+            partitioner.partition(),
+            Err(PartitionError::TooManyRegions { limit: 64 })
+        );
     }
 
     #[test]

@@ -77,18 +77,35 @@ impl Signature {
         s
     }
 
+    /// The first two bitset words, zero-padded.  Signatures are
+    /// normalized, so comparing heads orders signatures as `Ord` does
+    /// whenever the heads differ.
+    pub(crate) fn head(&self) -> [u64; 2] {
+        [
+            self.words.first().copied().unwrap_or(0),
+            self.words.get(1).copied().unwrap_or(0),
+        ]
+    }
+
     /// The contained constraint indices, ascending.
     pub fn indices(&self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.count());
-        for (wi, w) in self.words.iter().enumerate() {
-            let mut bits = *w;
-            while bits != 0 {
+        self.iter().collect()
+    }
+
+    /// Iterates the contained constraint indices, ascending, without
+    /// allocating.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
                 let b = bits.trailing_zeros() as usize;
-                out.push(wi * 64 + b);
                 bits &= bits - 1;
-            }
-        }
-        out
+                Some(wi * 64 + b)
+            })
+        })
     }
 
     /// Drops trailing zero words so equal sets compare equal regardless of
@@ -132,6 +149,7 @@ mod tests {
         assert!(!s.contains(1000));
         assert_eq!(s.count(), 2);
         assert_eq!(s.indices(), vec![3, 70]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70]);
         assert!(!s.is_empty());
         assert_eq!(s.to_string(), "{3,70}");
     }

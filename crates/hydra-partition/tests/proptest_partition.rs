@@ -2,9 +2,11 @@
 
 use hydra_partition::interval::Interval;
 use hydra_partition::nbox::NBox;
-use hydra_partition::region::RegionPartitioner;
+use hydra_partition::region::{Region, RegionPartitioner};
+use hydra_partition::signature::Signature;
 use hydra_partition::space::AttributeSpace;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy: a small attribute space (1–3 axes) plus 1–6 constraint boxes.
 fn space_and_constraints() -> impl Strategy<Value = (AttributeSpace, Vec<NBox>)> {
@@ -33,8 +35,143 @@ fn space_and_constraints() -> impl Strategy<Value = (AttributeSpace, Vec<NBox>)>
     })
 }
 
+/// Strategy: a small attribute space (1–3 axes) plus 1–6 constraints, each
+/// a union of 1–3 boxes (the shape foreign-key projections produce).
+fn space_and_unions() -> impl Strategy<Value = (AttributeSpace, Vec<Vec<NBox>>)> {
+    (1usize..=3).prop_flat_map(|dims| {
+        let axis = (10i64..60).prop_map(|hi| Interval::new(0, hi));
+        proptest::collection::vec(axis, dims).prop_flat_map(move |axes| {
+            let space = AttributeSpace::new(
+                axes.iter()
+                    .enumerate()
+                    .map(|(i, iv)| (format!("x{i}"), *iv))
+                    .collect(),
+            );
+            let full = space.full_box();
+            let one_box =
+                proptest::collection::vec((0i64..50, 1i64..30), dims).prop_map(move |ranges| {
+                    NBox::new(
+                        ranges
+                            .iter()
+                            .zip(full.intervals())
+                            .map(|((lo, len), domain)| {
+                                Interval::new(*lo, lo + len).intersect(domain)
+                            })
+                            .collect(),
+                    )
+                });
+            let union = proptest::collection::vec(one_box, 1..4);
+            (Just(space), proptest::collection::vec(union, 1..6))
+        })
+    })
+}
+
+/// The axis sweep as it was first written — every cell a cloned interval
+/// prefix, masks found by testing every box against every elementary
+/// interval — kept as the reference the partitioner must reproduce.
+fn reference_regions(space: &AttributeSpace, constraints: &[Vec<NBox>]) -> Vec<Region> {
+    struct Partial {
+        volume: u128,
+        cells: Vec<Vec<Interval>>,
+    }
+    let k = constraints.len();
+    let mut partials: BTreeMap<Signature, Partial> = BTreeMap::new();
+    partials.insert(
+        Signature::from_indices(&(0..k).collect::<Vec<_>>()),
+        Partial {
+            volume: 1,
+            cells: vec![Vec::new()],
+        },
+    );
+    for axis in 0..space.dims() {
+        let domain = space.domain(axis);
+        let mut cuts = vec![domain.lo, domain.hi];
+        for b in constraints.iter().flatten() {
+            let iv = b.interval(axis).intersect(&domain);
+            if iv.is_empty() {
+                continue;
+            }
+            if iv.lo > domain.lo && iv.lo < domain.hi {
+                cuts.push(iv.lo);
+            }
+            if iv.hi > domain.lo && iv.hi < domain.hi {
+                cuts.push(iv.hi);
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        let elementary: Vec<(Interval, Signature)> = cuts
+            .windows(2)
+            .map(|w| {
+                let e = Interval::new(w[0], w[1]);
+                let mut mask = Signature::empty();
+                for (ci, boxes) in constraints.iter().enumerate() {
+                    if boxes
+                        .iter()
+                        .any(|b| b.interval(axis).intersect(&domain).contains_interval(&e))
+                    {
+                        mask.insert(ci);
+                    }
+                }
+                (e, mask)
+            })
+            .collect();
+        let mut next: BTreeMap<Signature, Partial> = BTreeMap::new();
+        for (mask, partial) in &partials {
+            for (e, e_mask) in &elementary {
+                let entry = next.entry(mask.intersect(e_mask)).or_insert(Partial {
+                    volume: 0,
+                    cells: Vec::new(),
+                });
+                entry.volume = entry
+                    .volume
+                    .saturating_add(partial.volume.saturating_mul(e.len() as u128));
+                for prefix in &partial.cells {
+                    if entry.cells.len() >= 8 {
+                        break;
+                    }
+                    let mut cell = prefix.clone();
+                    cell.push(*e);
+                    entry.cells.push(cell);
+                }
+            }
+        }
+        partials = next;
+    }
+    partials
+        .into_iter()
+        .map(|(signature, partial)| {
+            let mut pieces: Vec<NBox> = partial.cells.into_iter().map(NBox::new).collect();
+            pieces.sort_by_cached_key(NBox::lower_corner);
+            Region {
+                signature,
+                pieces,
+                volume: partial.volume,
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The partitioner reproduces the reference sweep exactly: the same
+    /// regions in the same order, with the same volumes and pieces; and
+    /// the one-pass constraint columns equal the per-constraint scans.
+    #[test]
+    fn partition_matches_the_reference_sweep((space, unions) in space_and_unions()) {
+        let mut partitioner = RegionPartitioner::new(space.clone());
+        for union in &unions {
+            partitioner = partitioner.add_constraint_union(union.clone());
+        }
+        let p = partitioner.partition().unwrap();
+        prop_assert_eq!(p.regions(), &reference_regions(&space, &unions)[..]);
+        let columns = p.constraint_columns();
+        prop_assert_eq!(columns.len(), unions.len());
+        for (ci, column) in columns.iter().enumerate() {
+            prop_assert_eq!(column, &p.regions_in_constraint(ci), "constraint {}", ci);
+        }
+    }
 
     /// Regions cover the whole space exactly once (volumes add up) and are
     /// pairwise disjoint in signature.

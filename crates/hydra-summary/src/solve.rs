@@ -184,12 +184,8 @@ pub(crate) fn formulate_lp(
 ) -> LpProblem {
     let num_regions = partition.num_variables();
     let mut lp = LpProblem::new(num_regions);
-    for (ci, (c, _)) in boxed.iter().enumerate() {
-        let terms: Vec<(usize, f64)> = partition
-            .regions_in_constraint(ci)
-            .into_iter()
-            .map(|r| (r, 1.0))
-            .collect();
+    for ((c, _), columns) in boxed.iter().zip(partition.constraint_columns()) {
+        let terms: Vec<(usize, f64)> = columns.into_iter().map(|r| (r, 1.0)).collect();
         lp.add_labeled_constraint(
             terms,
             ConstraintOp::Eq,

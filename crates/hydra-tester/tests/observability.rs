@@ -197,6 +197,43 @@ fn obs_registry_is_shared_with_the_session() {
     assert!(rendered.contains("hydra_registry_publishes_total 1"));
 }
 
+/// One publish records its build: the summary build time once, and the
+/// partitioning and LP time of every relation it solved.
+#[test]
+fn publish_records_partition_and_summary_build_time() {
+    let tester = HydraTester::new();
+    let count = |family: &str, relation: Option<&str>| {
+        tester
+            .obs()
+            .snapshot()
+            .value(
+                &format!("{family}_count"),
+                relation.map(|r| ("relation", r)),
+            )
+            .unwrap_or_default()
+    };
+    assert_eq!(count("hydra_summary_build_seconds", None), 0.0);
+    let entry = tester.publish_retail("retail");
+    assert_eq!(count("hydra_summary_build_seconds", None), 1.0);
+    let relations = &entry.regeneration().build_report.relations;
+    assert!(!relations.is_empty());
+    for relation in relations {
+        let table = Some(relation.table.as_str());
+        assert_eq!(
+            count("hydra_partition_seconds", table),
+            1.0,
+            "{}",
+            relation.table
+        );
+        assert_eq!(
+            count("hydra_lp_solve_seconds", table),
+            1.0,
+            "{}",
+            relation.table
+        );
+    }
+}
+
 /// A stream throttled to `rate` rows/s must have spent about `rows / rate`
 /// seconds parked by its governor; the factor is loose because the timer
 /// wheel may wake a stream a few milliseconds either side of its deadline.
