@@ -333,7 +333,7 @@ impl PrefixArena {
 /// trailing zero words, so comparing zero-padded words orders them exactly
 /// as [`Signature`]'s own `Ord` does, and the map iterates in signature
 /// order.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct SweepKey {
     head: [u64; 2],
     signature: Signature,
@@ -345,6 +345,12 @@ impl SweepKey {
             head: signature.head(),
             signature,
         }
+    }
+
+    /// Becomes the key of `a ∩ b`, reusing this key's allocation.
+    fn set_intersection(&mut self, a: &Signature, b: &Signature) {
+        a.intersect_into(b, &mut self.signature);
+        self.head = self.signature.head();
     }
 }
 
@@ -415,10 +421,13 @@ impl RegionPartitioner {
         let k = self.constraints.len();
 
         /// Partial state of the axis sweep: the total point count and a
-        /// bounded sample of cells, each an interval prefix in `arena`.
+        /// bounded sample of cells, held inline, each an interval prefix
+        /// in `arena`.
+        #[derive(Default)]
         struct Partial {
             volume: u128,
-            cells: Vec<usize>,
+            cells: [usize; CELLS_PER_REGION],
+            len: usize,
         }
 
         // The initial partial covers the whole space with "all constraints
@@ -430,7 +439,8 @@ impl RegionPartitioner {
             SweepKey::new(all),
             Partial {
                 volume: 1,
-                cells: vec![PrefixArena::EMPTY],
+                cells: [PrefixArena::EMPTY; CELLS_PER_REGION],
+                len: 1,
             },
         );
 
@@ -473,28 +483,38 @@ impl RegionPartitioner {
                 .collect();
 
             let mut next: BTreeMap<SweepKey, Partial> = BTreeMap::new();
+            let mut key = SweepKey::new(Signature::empty());
             for (mask, partial) in &partials {
                 for (e, e_mask) in &elementary {
-                    let key = SweepKey::new(mask.signature.intersect(e_mask));
-                    let entry = next.entry(key).or_insert_with(|| Partial {
-                        volume: 0,
-                        cells: Vec::new(),
-                    });
-                    let added_volume = partial.volume.saturating_mul(e.len() as u128);
-                    entry.volume = entry.volume.saturating_add(added_volume);
-                    for &prefix in &partial.cells {
-                        if entry.cells.len() >= CELLS_PER_REGION {
-                            break;
+                    key.set_intersection(&mask.signature, e_mask);
+                    let mut absorb = |entry: &mut Partial| {
+                        let added_volume = partial.volume.saturating_mul(e.len() as u128);
+                        entry.volume = entry.volume.saturating_add(added_volume);
+                        for &prefix in &partial.cells[..partial.len] {
+                            if entry.len >= CELLS_PER_REGION {
+                                break;
+                            }
+                            entry.cells[entry.len] = arena.extend(prefix, *e);
+                            entry.len += 1;
                         }
-                        entry.cells.push(arena.extend(prefix, *e));
-                    }
-                    // Fail as soon as the budget is exceeded: `next` (and
-                    // the arena with it) would otherwise grow to partials ×
-                    // elementary intervals before the axis ends.
-                    if next.len() > self.max_regions {
-                        return Err(PartitionError::TooManyRegions {
-                            limit: self.max_regions,
-                        });
+                    };
+                    // The key is built in place; only a new one is copied.
+                    match next.get_mut(&key) {
+                        Some(entry) => absorb(entry),
+                        None => {
+                            let mut entry = Partial::default();
+                            absorb(&mut entry);
+                            next.insert(key.clone(), entry);
+                            // Fail as soon as the budget is exceeded: `next`
+                            // (and the arena with it) would otherwise grow to
+                            // partials × elementary intervals before the axis
+                            // ends.
+                            if next.len() > self.max_regions {
+                                return Err(PartitionError::TooManyRegions {
+                                    limit: self.max_regions,
+                                });
+                            }
+                        }
                     }
                 }
             }
@@ -504,10 +524,9 @@ impl RegionPartitioner {
         let regions: Vec<Region> = partials
             .into_iter()
             .map(|(SweepKey { signature, .. }, partial)| {
-                let mut pieces: Vec<NBox> = partial
-                    .cells
-                    .into_iter()
-                    .map(|cell| NBox::new(arena.intervals(cell, dims)))
+                let mut pieces: Vec<NBox> = partial.cells[..partial.len]
+                    .iter()
+                    .map(|&cell| NBox::new(arena.intervals(cell, dims)))
                     .collect();
                 // By lower corner: cells are never empty, so that is the
                 // order of their intervals' lower bounds.

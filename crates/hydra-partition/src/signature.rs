@@ -77,6 +77,14 @@ impl Signature {
         s
     }
 
+    /// [`Signature::intersect`] written into `out`, reusing its allocation.
+    pub(crate) fn intersect_into(&self, other: &Signature, out: &mut Signature) {
+        out.words.clear();
+        out.words
+            .extend(self.words.iter().zip(&other.words).map(|(a, b)| a & b));
+        out.normalize();
+    }
+
     /// The first two bitset words, zero-padded.  Signatures are
     /// normalized, so comparing heads orders signatures as `Ord` does
     /// whenever the heads differ.
@@ -199,5 +207,10 @@ mod tests {
         let c = Signature::from_indices(&[200]);
         assert_eq!(a.intersect(&c), Signature::empty());
         assert!(a.intersect(&c).is_empty());
+        let mut out = Signature::from_indices(&[5, 300]);
+        a.intersect_into(&b, &mut out);
+        assert_eq!(out, a.intersect(&b));
+        a.intersect_into(&c, &mut out);
+        assert_eq!(out, Signature::empty());
     }
 }
