@@ -333,7 +333,7 @@ impl PrefixArena {
 /// trailing zero words, so comparing zero-padded words orders them exactly
 /// as [`Signature`]'s own `Ord` does, and the map iterates in signature
 /// order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct SweepKey {
     head: [u64; 2],
     signature: Signature,
