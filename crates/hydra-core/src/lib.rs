@@ -21,7 +21,7 @@
 //!   screens of the original demo).
 //!
 //! All of it is fronted by [`session::Hydra`] — a configured session built
-//! from a typed builder, with pluggable LP backends and parallel
+//! from a typed builder, with a selectable alignment strategy and parallel
 //! per-relation solving.
 //!
 //! ## Quickstart

@@ -3,10 +3,11 @@
 //! The vendor can pro-actively simulate anticipated client environments by
 //! injecting cardinality annotations into the original AQPs — e.g. scaling
 //! everything by 10⁶ to model an exabyte-era warehouse, or stressing one
-//! relation far beyond its observed size.  HYDRA verifies that the synthetic
-//! assignments are feasible (the per-relation LPs admit a solution) and, if
-//! so, builds the regeneration summary.  Because summary construction is
-//! data-scale-free, this costs the same regardless of the simulated volume.
+//! relation far beyond its observed size.  HYDRA builds the regeneration
+//! summary and reports whether the synthetic assignments are feasible (every
+//! per-relation LP is met exactly); a strict scenario turns infeasibility
+//! into an error.  Because summary construction is data-scale-free, this
+//! costs the same regardless of the simulated volume.
 //!
 //! A scenario is a delta against a solved base state
 //! ([`VendorSite::scenario`]): the distorted package is built against the
@@ -19,9 +20,7 @@ use crate::transfer::TransferPackage;
 use crate::vendor::{RegenerationResult, VendorSite};
 use hydra_lp::solver::SolveStatus;
 use hydra_query::delta::ConstraintSet;
-use hydra_summary::backend::SimplexBackend;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A what-if scenario: how to distort the observed workload.
 #[derive(Debug, Clone)]
@@ -37,8 +36,9 @@ pub struct Scenario {
     /// Per-edge cardinality overrides applied after scaling, keyed by
     /// `(query name, pre-order edge index)`.
     pub cardinality_overrides: BTreeMap<(String, usize), u64>,
-    /// When `true`, an infeasible scenario is an error; when `false`, the
-    /// least-violation summary is built and the violation is reported.
+    /// When `true`, an infeasible scenario is an error naming every relation
+    /// that is not exactly feasible; when `false`, the least-violation
+    /// summary is returned and the violation is reported.
     pub strict: bool,
 }
 
@@ -130,10 +130,13 @@ pub struct ScenarioResult {
 
 impl VendorSite {
     /// Constructs a what-if scenario over a solved base state: applies the
-    /// distortion to the base package, verifies feasibility, and builds the
-    /// summary as a delta against the base — relations whose signature the
-    /// scenario leaves unchanged are reused
+    /// distortion to the base package and builds the summary as a delta
+    /// against the base — relations whose signature the scenario leaves
+    /// unchanged are reused
     /// ([`hydra_summary::builder::SummaryBuildReport::cached_relations`]).
+    /// A strict scenario whose build leaves any relation short of
+    /// [`SolveStatus::Feasible`] is [`HydraError::InfeasibleScenario`], so a
+    /// strict `Ok` is always feasible.
     ///
     /// Changed relations solve cold
     /// ([`hydra_summary::delta::SolveBaseline::reuse_only`]): a distortion
@@ -147,39 +150,26 @@ impl VendorSite {
         base: &RegenerationState,
     ) -> HydraResult<ScenarioResult> {
         let distorted = scenario.apply(&base.package);
-
-        // Feasibility verification: probe with a strict (non-recovering)
-        // simplex first when requested, regardless of the configured backend.
-        if scenario.strict {
-            let mut strict_config = self.config.clone();
-            strict_config.builder.lp_backend = Arc::new(SimplexBackend::strict());
-            strict_config.compare_aqps = false;
-            let vendor = VendorSite::new(strict_config);
-            if let Err(e) = vendor.regenerate(&distorted) {
-                return Err(HydraError::InfeasibleScenario(format!(
-                    "scenario `{}` is infeasible: {e}",
-                    scenario.name
-                )));
-            }
-        }
-
-        // Build with the configured (recovering) backend.
         let constraints = ConstraintSet::from_workload(&distorted.workload)?;
         let regeneration = self
             .rebuild(distorted, constraints, &base.baseline().reuse_only())?
             .state
             .regeneration;
-        let feasible = regeneration
-            .build_report
-            .relations
+        let relations = &regeneration.build_report.relations;
+        let infeasible: Vec<String> = relations
             .iter()
-            .all(|r| r.lp.status == SolveStatus::Feasible);
-        let total_violation = regeneration
-            .build_report
-            .relations
-            .iter()
-            .map(|r| r.lp.total_violation)
-            .sum();
+            .filter(|r| r.lp.status != SolveStatus::Feasible)
+            .map(|r| format!("{} (violation {})", r.table, r.lp.total_violation))
+            .collect();
+        if scenario.strict && !infeasible.is_empty() {
+            return Err(HydraError::InfeasibleScenario(format!(
+                "scenario `{}` is infeasible: no exact solution for {}",
+                scenario.name,
+                infeasible.join(", ")
+            )));
+        }
+        let feasible = infeasible.is_empty();
+        let total_violation = relations.iter().map(|r| r.lp.total_violation).sum();
         Ok(ScenarioResult {
             scenario_name: scenario.name.clone(),
             feasible,
@@ -248,17 +238,36 @@ mod tests {
             .with_cardinality_override(query_name, 0, 10_000_000)
             .strict();
         let err = vendor().scenario(&scenario, &base).unwrap_err();
-        assert!(matches!(err, HydraError::InfeasibleScenario(_)));
+        let HydraError::InfeasibleScenario(message) = err else {
+            panic!("expected InfeasibleScenario, got {err:?}");
+        };
 
-        // Without strict mode the scenario builds with a recorded violation.
-        let scenario = Scenario::scaled("broken", 1.0).with_cardinality_override(
-            base.package.workload.entries[0].query.name.clone(),
-            0,
-            10_000_000,
-        );
+        // Without strict mode the scenario builds with a recorded violation,
+        // and the strict error names exactly the relations it left short.
+        let scenario = Scenario {
+            strict: false,
+            ..scenario
+        };
         let result = vendor().scenario(&scenario, &base).unwrap();
         assert!(!result.feasible);
         assert!(result.total_violation > 0.0);
+        let short: Vec<&str> = result
+            .regeneration
+            .build_report
+            .relations
+            .iter()
+            .filter(|r| r.lp.status != SolveStatus::Feasible)
+            .map(|r| r.table.as_str())
+            .collect();
+        assert!(!short.is_empty());
+        for relation in &result.regeneration.build_report.relations {
+            assert_eq!(
+                message.contains(&format!("{} (violation", relation.table)),
+                short.contains(&relation.table.as_str()),
+                "{message}: {}",
+                relation.table
+            );
+        }
     }
 
     #[test]

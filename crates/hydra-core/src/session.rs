@@ -1,7 +1,7 @@
 //! The `Hydra` session façade — the one front door to the reproduction.
 //!
-//! A session owns a fully-resolved pipeline configuration (LP backend,
-//! alignment strategy, parallelism, AQP comparison) and an observability
+//! A session owns a fully-resolved pipeline configuration (alignment
+//! strategy, parallelism, AQP comparison) and an observability
 //! registry, and exposes the paper's workflow as these entry points:
 //!
 //! * [`Hydra::profile`] — the client site: profile a warehouse, execute the
@@ -60,8 +60,6 @@ use hydra_obs::MetricsRegistry;
 use hydra_query::exec::{ExecStrategy, QueryAnswer};
 use hydra_query::query::SpjQuery;
 use hydra_summary::align::AlignmentStrategy;
-use hydra_summary::backend::LpBackend;
-use hydra_summary::strategy::SummaryStrategy;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -95,24 +93,10 @@ impl HydraBuilder {
         self
     }
 
-    /// Selects the LP solve backend (default:
-    /// [`hydra_summary::backend::SimplexBackend`]; the DataSynth baseline is
-    /// [`hydra_summary::backend::GridBackend`]).
-    pub fn lp_backend(mut self, backend: impl LpBackend + 'static) -> Self {
-        self.config.builder.lp_backend = Arc::new(backend);
-        self
-    }
-
     /// Selects the alignment flavour (deterministic by default; sampled for
     /// the E10 ablation).
     pub fn alignment(mut self, alignment: AlignmentStrategy) -> Self {
-        self.config.builder = self.config.builder.with_alignment(alignment);
-        self
-    }
-
-    /// Replaces the whole summary-generation strategy.
-    pub fn summary_strategy(mut self, strategy: impl SummaryStrategy + 'static) -> Self {
-        self.config.builder.strategy = Arc::new(strategy);
+        self.config.builder.alignment = alignment;
         self
     }
 
@@ -160,19 +144,6 @@ impl HydraBuilder {
             );
         }
         self.velocity = rate;
-        self
-    }
-
-    /// Partitioning piece budget (LP variables per relation).
-    pub fn max_regions(mut self, max_regions: usize) -> Self {
-        self.config.builder = self.config.builder.with_max_regions(max_regions);
-        self
-    }
-
-    /// Whether unreferenced columns are filled from client statistics
-    /// (default: true).
-    pub fn statistics_fillers(mut self, enabled: bool) -> Self {
-        self.config.builder.use_statistics_fillers = enabled;
         self
     }
 
@@ -517,7 +488,6 @@ impl Hydra {
 mod tests {
     use super::*;
     use hydra_datagen::sink::{CollectSink, CountingSink};
-    use hydra_summary::backend::GridBackend;
     use hydra_workload::retail_client_fixture;
 
     fn client_fixture() -> (Database, Vec<SpjQuery>) {
@@ -574,24 +544,6 @@ mod tests {
             cached >= total - 2,
             "only {cached}/{total} relations reused from the base state"
         );
-    }
-
-    #[test]
-    fn grid_backend_is_selectable_at_runtime() {
-        let (db, queries) = client_fixture();
-        let session = Hydra::builder()
-            .lp_backend(GridBackend::default())
-            .compare_aqps(false)
-            .build();
-        let package = session.profile(db, &queries).unwrap();
-        let result = session.regenerate(&package).unwrap();
-        // The baseline still hits the row counts and reasonable accuracy on
-        // this small workload; its LPs are at least as large as region ones.
-        assert_eq!(
-            result.summary.relation("store_sales").unwrap().total_rows,
-            package.metadata.row_count("store_sales")
-        );
-        assert!(result.accuracy.fraction_within(0.10) > 0.8);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use hydra_summary::verify::VolumetricAccuracyReport;
 /// Configuration of the vendor-side regeneration.
 #[derive(Debug, Clone)]
 pub struct HydraConfig {
-    /// Summary-builder configuration (LP solver, alignment strategy, …).
+    /// Summary-builder configuration (alignment strategy and per-stratum
+    /// parallelism).
     pub builder: SummaryBuilderConfig,
     /// Whether to execute the workload against the regenerated (dataless)
     /// database and produce per-query AQP comparisons.  Costs one execution

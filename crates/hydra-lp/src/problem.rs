@@ -73,8 +73,6 @@ pub struct LpProblem {
     pub objective: Vec<(usize, f64)>,
     /// Optional per-variable upper bounds (`None` = unbounded above).
     pub upper_bounds: Vec<Option<f64>>,
-    /// Optional variable names for diagnostics.
-    pub var_names: Vec<String>,
 }
 
 impl LpProblem {
@@ -86,7 +84,6 @@ impl LpProblem {
             constraints: Vec::new(),
             objective: Vec::new(),
             upper_bounds: vec![None; num_vars],
-            var_names: (0..num_vars).map(|i| format!("x{i}")).collect(),
         }
     }
 
@@ -132,13 +129,6 @@ impl LpProblem {
     pub fn set_upper_bound(&mut self, var: usize, bound: f64) {
         if var < self.num_vars {
             self.upper_bounds[var] = Some(bound);
-        }
-    }
-
-    /// Renames a variable (diagnostics only).
-    pub fn set_var_name(&mut self, var: usize, name: impl Into<String>) {
-        if var < self.num_vars {
-            self.var_names[var] = name.into();
         }
     }
 
@@ -231,13 +221,5 @@ mod tests {
         assert_eq!(ConstraintOp::Eq.to_string(), "=");
         assert_eq!(ConstraintOp::Le.to_string(), "<=");
         assert_eq!(ConstraintOp::Ge.to_string(), ">=");
-    }
-
-    #[test]
-    fn var_names() {
-        let mut lp = LpProblem::new(2);
-        assert_eq!(lp.var_names[1], "x1");
-        lp.set_var_name(1, "region_7");
-        assert_eq!(lp.var_names[1], "region_7");
     }
 }

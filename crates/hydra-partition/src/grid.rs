@@ -9,7 +9,6 @@
 //! orders-of-magnitude gap between the two.
 
 use crate::error::{PartitionError, PartitionResult};
-use crate::interval::Interval;
 use crate::nbox::NBox;
 use crate::space::AttributeSpace;
 use serde::{Deserialize, Serialize};
@@ -94,38 +93,6 @@ impl GridPartition {
         self.num_cells()
     }
 
-    /// Enumerates the grid cells as boxes, up to `limit` cells.  Returns
-    /// `None` when the grid is larger than the limit (the usual case for the
-    /// baseline at scale — precisely the point of experiment E3).
-    pub fn cells(&self, limit: usize) -> Option<Vec<NBox>> {
-        if self.num_cells() > limit as u128 {
-            return None;
-        }
-        let per_axis: Vec<Vec<Interval>> = self
-            .boundaries
-            .iter()
-            .map(|bounds| {
-                bounds
-                    .windows(2)
-                    .map(|w| Interval::new(w[0], w[1]))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut cells = vec![Vec::<Interval>::new()];
-        for axis_intervals in &per_axis {
-            let mut next = Vec::with_capacity(cells.len() * axis_intervals.len());
-            for prefix in &cells {
-                for iv in axis_intervals {
-                    let mut cell = prefix.clone();
-                    cell.push(*iv);
-                    next.push(cell);
-                }
-            }
-            cells = next;
-        }
-        Some(cells.into_iter().map(NBox::new).collect())
-    }
-
     /// The partitioned space.
     pub fn space(&self) -> &AttributeSpace {
         &self.space
@@ -135,6 +102,7 @@ impl GridPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Interval;
 
     fn space_2d() -> AttributeSpace {
         AttributeSpace::new(vec![
@@ -148,9 +116,6 @@ mod tests {
         let g = GridPartition::build(space_2d(), &[]).unwrap();
         assert_eq!(g.num_cells(), 1);
         assert_eq!(g.intervals_per_axis(), vec![1, 1]);
-        let cells = g.cells(10).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].volume(), 1000);
     }
 
     #[test]
@@ -162,10 +127,6 @@ mod tests {
         // Axis a: cuts at 20, 60 → 3 intervals.  Axis b: cut at 5 → 2 intervals.
         assert_eq!(g.intervals_per_axis(), vec![3, 2]);
         assert_eq!(g.num_cells(), 6);
-        let cells = g.cells(100).unwrap();
-        assert_eq!(cells.len(), 6);
-        let total: u128 = cells.iter().map(NBox::volume).sum();
-        assert_eq!(total, 1000);
     }
 
     #[test]
@@ -205,20 +166,6 @@ mod tests {
             regions.num_variables(),
             grid.num_cells()
         );
-    }
-
-    #[test]
-    fn cells_refuses_to_enumerate_large_grids() {
-        let space = space_2d();
-        let mut constraints = Vec::new();
-        for i in 0..40 {
-            constraints.push(vec![
-                space.box_from_intervals(vec![("a", Interval::new(i, i + 1))])
-            ]);
-        }
-        let g = GridPartition::build(space, &constraints).unwrap();
-        assert!(g.num_cells() > 10);
-        assert!(g.cells(10).is_none());
     }
 
     #[test]

@@ -236,64 +236,6 @@ impl RegionPartition {
             constraints: self.constraints,
         }
     }
-
-    /// Builds a partition whose "regions" are the given *elementary* cells —
-    /// cells that never straddle a constraint boundary, such as the cells of a
-    /// [`crate::grid::GridPartition`].  This is how the DataSynth-style grid
-    /// baseline plugs into the same LP/alignment machinery as HYDRA's region
-    /// partitioning: one LP variable per cell instead of one per signature
-    /// class.
-    ///
-    /// Each cell's signature is computed with the same
-    /// product-of-per-axis-projections interpretation of constraint unions
-    /// that [`RegionPartitioner`] uses, evaluated at the cell's lower corner
-    /// (any point of an elementary cell gives the same answer).
-    pub fn from_elementary_cells(
-        space: AttributeSpace,
-        constraints: Vec<Vec<NBox>>,
-        cells: Vec<NBox>,
-    ) -> PartitionResult<RegionPartition> {
-        space.validate()?;
-        let dims = space.dims();
-        for b in cells.iter().chain(constraints.iter().flatten()) {
-            if b.dims() != dims {
-                return Err(PartitionError::DimensionMismatch {
-                    expected: dims,
-                    got: b.dims(),
-                });
-            }
-        }
-        let regions = cells
-            .into_iter()
-            .map(|cell| {
-                let corner = cell.lower_corner().unwrap_or_default();
-                let mut signature = Signature::empty();
-                for (ci, boxes) in constraints.iter().enumerate() {
-                    if boxes.is_empty() {
-                        continue;
-                    }
-                    let covered = (0..dims).all(|axis| {
-                        boxes
-                            .iter()
-                            .any(|b| b.interval(axis).contains(corner[axis]))
-                    });
-                    if covered {
-                        signature.insert(ci);
-                    }
-                }
-                Region {
-                    signature,
-                    volume: cell.volume(),
-                    pieces: vec![cell],
-                }
-            })
-            .collect();
-        Ok(RegionPartition {
-            space,
-            regions,
-            constraints,
-        })
-    }
 }
 
 /// Cell prefixes of the axis sweep, stored once each: a node is an

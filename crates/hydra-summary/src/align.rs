@@ -149,11 +149,10 @@ fn filler_value(
 mod tests {
     use super::*;
     use crate::axes::RelationAxes;
-    use crate::solve::formulate_and_solve;
+    use crate::solve::solve_relation;
     use hydra_catalog::domain::Domain;
     use hydra_catalog::schema::{ColumnBuilder, Schema, SchemaBuilder};
     use hydra_catalog::stats::ColumnStatistics;
-    use hydra_lp::solver::LpSolver;
     use hydra_query::aqp::VolumetricConstraint;
     use hydra_query::predicate::{ColumnPredicate, CompareOp, TablePredicate};
 
@@ -198,16 +197,8 @@ mod tests {
             constraint(25, 75, 300, "q2#1"),
         ];
         let axes = RelationAxes::build(table, &cs, &BTreeMap::new()).unwrap();
-        let solved = formulate_and_solve(
-            table,
-            &axes,
-            &cs,
-            1000,
-            &BTreeMap::new(),
-            &LpSolver::default(),
-            1_000_000,
-        )
-        .unwrap();
+        let solved =
+            solve_relation(table, &axes, &cs, 1000, &BTreeMap::new(), false, None).unwrap();
         let mut stats = TableStatistics::with_row_count(1000);
         stats.add_column(
             "i_category",

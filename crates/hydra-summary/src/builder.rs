@@ -17,49 +17,40 @@
 //! Every build runs through one driver.  A build against a previous
 //! [`SolveBaseline`] reuses each relation whose *signature* — a fingerprint
 //! of everything that determines its solve (constraints, row target, FK
-//! domain widths, backend, strategy, statistics) — is unchanged, and
+//! domain widths, alignment, statistics) — is unchanged, and
 //! warm-starts the rest; a from-scratch build is the same driver with no
 //! baseline.  Workload deltas and what-if scenarios are both such builds
 //! against a registered version, so only relations they touch re-solve.
 
+use crate::align::{build_relation_summary, AlignmentStrategy};
 use crate::axes::RelationAxes;
-use crate::backend::{LpBackend, SimplexBackend, SolveRequest};
 use crate::delta::{
     DeltaAction, DeltaBuild, DeltaBuildReport, RelationBaseline, RelationDeltaStats, SolveBaseline,
     SummaryDiff,
 };
 use crate::error::{SummaryError, SummaryResult};
-use crate::solve::LpStats;
-use crate::strategy::{AlignedSummary, SummaryStrategy};
+use crate::solve::{solve_relation, LpStats};
 use crate::summary::{DatabaseSummary, RelationSummary};
 use hydra_catalog::metadata::DatabaseMetadata;
 use hydra_catalog::schema::{Schema, Table};
 use hydra_lp::simplex::WarmOutcome;
+use hydra_lp::solver::LpSolver;
+use hydra_partition::region::DEFAULT_MAX_REGIONS;
 use hydra_query::aqp::VolumetricConstraint;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::align::AlignmentStrategy;
-use hydra_partition::region::DEFAULT_MAX_REGIONS;
 
 /// Configuration of the summary builder.
 #[derive(Debug, Clone)]
 pub struct SummaryBuilderConfig {
-    /// The LP solve backend (HYDRA's region+simplex by default; the grid
-    /// baseline and custom backends plug in here).
-    pub lp_backend: Arc<dyn LpBackend>,
-    /// The summary-generation strategy (deterministic alignment by default;
+    /// How summary rows pick their value vectors (deterministic by default;
     /// sampled for the E10 ablation).
-    pub strategy: Arc<dyn SummaryStrategy>,
-    /// Piece budget for partitioning (regions or grid cells).
-    pub max_regions: usize,
-    /// Whether to fill unreferenced columns from client statistics.
-    pub use_statistics_fillers: bool,
+    pub alignment: AlignmentStrategy,
     /// Worker threads for per-relation solving within a referential stratum
     /// (1 = sequential; results are identical either way).
     pub parallelism: usize,
@@ -68,37 +59,16 @@ pub struct SummaryBuilderConfig {
 impl Default for SummaryBuilderConfig {
     fn default() -> Self {
         SummaryBuilderConfig {
-            lp_backend: Arc::new(SimplexBackend::default()),
-            strategy: Arc::new(AlignedSummary::default()),
-            max_regions: DEFAULT_MAX_REGIONS,
-            use_statistics_fillers: true,
+            alignment: AlignmentStrategy::Deterministic,
             parallelism: 1,
         }
     }
 }
 
 impl SummaryBuilderConfig {
-    /// Replaces the LP backend.
-    pub fn with_backend(mut self, backend: Arc<dyn LpBackend>) -> Self {
-        self.lp_backend = backend;
-        self
-    }
-
-    /// Replaces the summary strategy with alignment of the given flavour.
-    pub fn with_alignment(mut self, alignment: AlignmentStrategy) -> Self {
-        self.strategy = Arc::new(AlignedSummary::new(alignment));
-        self
-    }
-
     /// Sets the per-stratum worker thread count.
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Sets the partitioning piece budget.
-    pub fn with_max_regions(mut self, max_regions: usize) -> Self {
-        self.max_regions = max_regions;
         self
     }
 }
@@ -287,12 +257,7 @@ impl SummaryBuilder {
                     .hash(&mut hasher);
             }
         }
-        self.config.lp_backend.name().hash(&mut hasher);
-        self.config.lp_backend.fingerprint().hash(&mut hasher);
-        self.config.strategy.name().hash(&mut hasher);
-        self.config.strategy.fingerprint().hash(&mut hasher);
-        self.config.max_regions.hash(&mut hasher);
-        self.config.use_statistics_fillers.hash(&mut hasher);
+        hash_pipeline(self.config.alignment, &mut hasher);
         // Whether this relation is referenced toggles interior refinement,
         // which changes the solved summary; two packages can disagree on it
         // for the same table name.
@@ -456,11 +421,7 @@ impl SummaryBuilder {
                 .unwrap_or(0);
             fk_domains.insert(fk.referenced_table.clone(), width.max(1));
         }
-        let stats_source = if self.config.use_statistics_fillers {
-            metadata.and_then(|m| m.tables.get(&table.name))
-        } else {
-            None
-        };
+        let stats_source = metadata.and_then(|m| m.tables.get(&table.name));
 
         let signature = self.signature(
             table,
@@ -491,20 +452,17 @@ impl SummaryBuilder {
         }
 
         let axes = RelationAxes::build(table, constraints, &fk_domains)?;
-        let solved = self.config.lp_backend.solve_relation(&SolveRequest {
+        let solved = solve_relation(
             table,
-            axes: &axes,
+            &axes,
             constraints,
             row_target,
             summaries,
-            max_regions: self.config.max_regions,
-            referenced: is_referenced,
-            warm: prev.map(|p| &p.solved),
-        })?;
-        let summary = self
-            .config
-            .strategy
-            .summarize(table, &axes, &solved, stats_source);
+            is_referenced,
+            prev.map(|p| &p.solved),
+        )?;
+        let summary =
+            build_relation_summary(table, &axes, &solved, stats_source, self.config.alignment);
         let stats = RelationBuildStats {
             table: table.name.clone(),
             referenced_columns: axes.columns.len(),
@@ -528,8 +486,37 @@ impl SummaryBuilder {
     }
 }
 
+/// Hashes the fixed solve pipeline into a relation signature.
+///
+/// Signatures used to be computed over pluggable LP-backend and
+/// summary-strategy objects (a name and a parameter fingerprint each), a
+/// partition budget and a statistics-fillers switch.  The pipeline is now
+/// fixed, but every retained baseline — and so every WAL record — stores
+/// signatures computed that way, so this keeps hashing exactly those values:
+/// a different hash would make every relation of an existing WAL re-solve
+/// on its first delta after an upgrade (`tests/solve_identity.rs` pins it).
+fn hash_pipeline(alignment: AlignmentStrategy, hasher: &mut DefaultHasher) {
+    let solver = LpSolver::default();
+    let mut solver_hasher = DefaultHasher::new();
+    solver.recover_least_violation.hash(&mut solver_hasher);
+    solver.tolerance.to_bits().hash(&mut solver_hasher);
+    solver.simplex.max_pivots.hash(&mut solver_hasher);
+
+    "simplex-region".hash(hasher);
+    solver_hasher.finish().hash(hasher);
+    let (strategy, fingerprint) = match alignment {
+        AlignmentStrategy::Deterministic => ("aligned-deterministic", 0u64),
+        AlignmentStrategy::Sampled { seed } => ("aligned-sampled", seed ^ 0x5EED),
+    };
+    strategy.hash(hasher);
+    fingerprint.hash(hasher);
+    DEFAULT_MAX_REGIONS.hash(hasher);
+    // Statistics fillers are always on.
+    true.hash(hasher);
+}
+
 /// The set of relations that are the target of some foreign key (those get
-/// interior LP solutions; see `solve::solve_formulated`).
+/// interior LP solutions; see [`solve_relation`]).
 fn referenced_set<'a>(order: &[&'a Table]) -> std::collections::BTreeSet<&'a str> {
     order
         .iter()
@@ -566,7 +553,6 @@ fn referential_strata<'a>(order: &[&'a Table]) -> Vec<Vec<&'a Table>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::GridBackend;
     use hydra_catalog::domain::Domain;
     use hydra_catalog::schema::{ColumnBuilder, SchemaBuilder};
     use hydra_catalog::types::DataType;
@@ -785,9 +771,10 @@ mod tests {
     #[test]
     fn sampled_alignment_config_builds() {
         let schema = toy_schema();
-        let builder = SummaryBuilder::new(
-            SummaryBuilderConfig::default().with_alignment(AlignmentStrategy::Sampled { seed: 99 }),
-        );
+        let builder = SummaryBuilder::new(SummaryBuilderConfig {
+            alignment: AlignmentStrategy::Sampled { seed: 99 },
+            ..Default::default()
+        });
         let (db, _) = builder
             .build(&schema, &row_targets(), &figure1_constraints(), None)
             .unwrap();
@@ -814,32 +801,6 @@ mod tests {
             assert_eq!(a.summary_rows, b.summary_rows);
             assert_eq!(a.total_rows, b.total_rows);
         }
-    }
-
-    #[test]
-    fn grid_backend_builds_the_toy_summary() {
-        let schema = toy_schema();
-        let builder = SummaryBuilder::new(
-            SummaryBuilderConfig::default().with_backend(Arc::new(GridBackend::default())),
-        );
-        let (db, report) = builder
-            .build(&schema, &row_targets(), &figure1_constraints(), None)
-            .unwrap();
-        assert_eq!(db.relation("R").unwrap().total_rows, 1000);
-        assert_eq!(db.relation("S").unwrap().total_rows, 100);
-        assert!(report.total_lp_variables() > 0);
-        // The same spot check as the simplex path: the S constraint holds.
-        let s = db.relation("S").unwrap();
-        let pred = TablePredicate::always_true()
-            .with(ColumnPredicate::new("A", CompareOp::Ge, 20))
-            .with(ColumnPredicate::new("A", CompareOp::Lt, 60));
-        let achieved: u64 = s
-            .rows
-            .iter()
-            .filter(|r| pred.evaluate(|c| r.values.get(c)))
-            .map(|r| r.count)
-            .sum();
-        assert_eq!(achieved, 40);
     }
 
     #[test]

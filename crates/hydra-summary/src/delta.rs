@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RelationBaseline {
     /// Fingerprint of every input that determined the solve (constraints,
-    /// row target, FK domains, dimension summaries, backend, strategy).
+    /// row target, FK domains, dimension summaries, alignment).
     pub signature: u64,
     /// The solved placement (partition + region counts) — the warm-start
     /// seed for a changed re-solve.  Full as a build returns it;

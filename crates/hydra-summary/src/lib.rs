@@ -29,13 +29,12 @@
 //!    volumetric constraint to produce the relative-error report of the
 //!    vendor screen (and experiments E2/E7).
 //!
-//! The solve stage (2) and the generation stage (3) are both pluggable:
-//! [`backend::LpBackend`] swaps the partitioning/solver combination (HYDRA's
-//! region+simplex vs. the DataSynth grid baseline), and
-//! [`strategy::SummaryStrategy`] swaps the summary generator. The builder
-//! solves independent relations of the referential DAG in parallel and,
-//! against a previous [`delta::SolveBaseline`], reuses every relation whose
-//! constraint signature is unchanged.
+//! Stages 2 and 3 are one fixed chain per relation:
+//! [`solve::solve_relation`] (partition, LP, rounding and repair) followed by
+//! [`align::build_relation_summary`]. The builder solves independent
+//! relations of the referential DAG in parallel and, against a previous
+//! [`delta::SolveBaseline`], reuses every relation whose constraint
+//! signature is unchanged.
 
 //!
 //! Because alignment is deterministic, each summary row's tuples occupy one
@@ -48,19 +47,16 @@
 
 pub mod align;
 pub mod axes;
-pub mod backend;
 pub mod builder;
 pub mod delta;
 pub mod error;
 pub mod exec;
 pub mod index;
 pub mod solve;
-pub mod strategy;
 pub mod summary;
 pub mod verify;
 
 pub use align::AlignmentStrategy;
-pub use backend::{GridBackend, LpBackend, SimplexBackend, SolveRequest};
 pub use builder::{RelationBuildStats, SummaryBuildReport, SummaryBuilder, SummaryBuilderConfig};
 pub use delta::{
     DeltaAction, DeltaBuild, DeltaBuildReport, RelationDiff, SolveBaseline, SummaryDiff,
@@ -68,6 +64,5 @@ pub use delta::{
 pub use error::{SummaryError, SummaryResult};
 pub use exec::{JoinResolver, ResolvedDim, SummaryExecutor};
 pub use index::{BlockPos, PkBlockIndex};
-pub use strategy::{AlignedSummary, SummaryStrategy};
 pub use summary::{DatabaseSummary, RelationSummary, SummaryRow};
 pub use verify::{ConstraintCheck, VolumetricAccuracyReport};

@@ -95,7 +95,7 @@ impl SolvedRelation {
 /// A constraint translated to its boxes over the relation's attribute space,
 /// after dedup, conflict merging, and dropping of empty/total-row
 /// constraints.
-pub(crate) struct BoxedConstraints {
+struct BoxedConstraints {
     /// Surviving constraints with their box unions, in input order.
     pub boxed: Vec<(VolumetricConstraint, Vec<hydra_partition::nbox::NBox>)>,
     /// Constraints whose FK projection was coalesced (approximation count).
@@ -115,8 +115,8 @@ pub(crate) struct BoxedConstraints {
 
 /// Translates constraints to boxes, dropping total-row-count duplicates and
 /// unsatisfiable (empty-region) constraints, and merging identical-box
-/// conflicts at their median.  Shared by every LP backend.
-pub(crate) fn boxed_constraints(
+/// conflicts at their median.
+fn boxed_constraints(
     table: &Table,
     axes: &RelationAxes,
     constraints: &[VolumetricConstraint],
@@ -174,9 +174,9 @@ pub(crate) fn boxed_constraints(
 }
 
 /// Formulates the per-relation LP over an already-built partition (one
-/// variable per region/cell, one equality per surviving constraint, plus the
-/// total row count).  Shared by every LP backend.
-pub(crate) fn formulate_lp(
+/// variable per region, one equality per surviving constraint, plus the
+/// total row count).
+fn formulate_lp(
     table: &Table,
     partition: &RegionPartition,
     boxed: &[(VolumetricConstraint, Vec<hydra_partition::nbox::NBox>)],
@@ -205,9 +205,13 @@ pub(crate) fn formulate_lp(
 /// Iteration budget for post-rounding integral repair.
 const REPAIR_MAX_MOVES: usize = 2_000;
 
-/// Solves a formulated per-relation LP, optionally refines the solution into
-/// the interior of the feasible set, rounds to integral counts, and repairs
-/// rounding drift.  Shared by every LP backend.
+/// Solves one relation: partitions its attribute space into regions,
+/// formulates and solves the LP, optionally refines the solution into the
+/// interior of the feasible set, rounds to integral counts, and repairs
+/// rounding drift.
+///
+/// `summaries` must already contain the summaries of every dimension this
+/// relation references (dimensions-first processing order).
 ///
 /// `interior` should be set for relations that other relations reference
 /// (dimensions): vertex solutions collapse regions that distinguish different
@@ -216,42 +220,52 @@ const REPAIR_MAX_MOVES: usize = 2_000;
 /// contradictions.  Moving to the volume-proportional interior point keeps
 /// distinguishing regions populated.  Fact relations keep vertex solutions —
 /// they give the smallest summaries and nothing projects *onto* them.
-pub(crate) fn solve_formulated(
-    partition: RegionPartition,
-    lp: &LpProblem,
+///
+/// `previous` is the relation's last solve, when this is a delta re-profile:
+/// its support (full or [`SolvedRelation::support_only`]) is carried into
+/// the re-swept partition by representative point and warm-starts the
+/// simplex.  A stale, dimensionally incompatible or support-less previous
+/// solve is silently ignored — the solve degrades to a cold partition +
+/// solve.
+pub fn solve_relation(
+    table: &Table,
+    axes: &RelationAxes,
+    constraints: &[VolumetricConstraint],
     row_target: u64,
-    solver: &LpSolver,
+    summaries: &BTreeMap<String, RelationSummary>,
     interior: bool,
-    partition_time: Duration,
-    pre: &BoxedConstraints,
+    previous: Option<&SolvedRelation>,
 ) -> SummaryResult<SolvedRelation> {
-    solve_formulated_warm(
-        partition,
-        lp,
-        row_target,
-        solver,
-        interior,
-        partition_time,
-        pre,
-        None,
-    )
-}
+    let partition_start = Instant::now();
+    let pre = boxed_constraints(table, axes, constraints, summaries)?;
 
-/// [`solve_formulated`] with an optional LP warm-start hint (the previous
-/// solution's support mapped into this partition's column space by
-/// [`hydra_partition::refine`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_formulated_warm(
-    partition: RegionPartition,
-    lp: &LpProblem,
-    row_target: u64,
-    solver: &LpSolver,
-    interior: bool,
-    partition_time: Duration,
-    pre: &BoxedConstraints,
-    warm_hint: Option<&WarmStart>,
-) -> SummaryResult<SolvedRelation> {
-    let (solution, warm) = solver.solve_warm(lp, warm_hint)?;
+    // Partition the space against the constraint boxes — incrementally when
+    // a compatible previous partition is available.
+    let mut partitioner = RegionPartitioner::new(axes.space.clone());
+    for (_, boxes) in &pre.boxed {
+        partitioner = partitioner.add_constraint_union(boxes.clone());
+    }
+    // A previous solve with no support carries nothing to warm-start from
+    // (and an empty hint is not the same as none: the least-violation
+    // solve would still seed its elastic columns), so it solves cold.
+    let usable_previous = previous.filter(|prev| {
+        !prev.support().is_empty() && check_refinable(&prev.partition, axes.space.dims()).is_ok()
+    });
+    let (partition, warm_hint) = match usable_previous {
+        Some(prev) => {
+            // The previous solution's support (nonzero regions) is all the
+            // warm start needs; a basic solution keeps it small no matter
+            // how many regions the partition has.
+            let refinement = partitioner.refine(&prev.partition, &prev.support())?;
+            let hint = WarmStart::new(refinement.warm_columns());
+            (refinement.partition, Some(hint))
+        }
+        None => (partitioner.partition()?, None),
+    };
+    let partition_time = partition_start.elapsed();
+
+    let lp = formulate_lp(table, &partition, &pre.boxed, row_target);
+    let (solution, warm) = LpSolver::default().solve_warm(&lp, warm_hint.as_ref())?;
     let mut values = solution.values.clone();
     if interior && solution.status == SolveStatus::Feasible {
         let volumes: Vec<f64> = partition
@@ -270,11 +284,11 @@ pub(crate) fn solve_formulated_warm(
                 .iter()
                 .map(|v| row_target as f64 * 0.5 * (v / total_volume + 1.0 / num_regions as f64))
                 .collect();
-            values = hydra_lp::refine::refine_toward(lp, &values, &attractor);
+            values = hydra_lp::refine::refine_toward(&lp, &values, &attractor);
         }
     }
     let mut region_counts = largest_remainder_round(&values, row_target);
-    hydra_lp::refine::repair_rounded_counts(lp, &mut region_counts, REPAIR_MAX_MOVES);
+    hydra_lp::refine::repair_rounded_counts(&lp, &mut region_counts, REPAIR_MAX_MOVES);
 
     // Conflict merges pre-committed some violation before the LP ever ran;
     // report it honestly (status and total).
@@ -301,118 +315,6 @@ pub(crate) fn solve_formulated_warm(
         },
         partition,
     })
-}
-
-/// Formulates and solves the LP for one relation using HYDRA's region
-/// partitioning and the two-phase simplex (the classic pipeline; LP backends
-/// wrap this or replace the partitioning stage).
-///
-/// `summaries` must already contain the summaries of every dimension this
-/// relation references (dimensions-first processing order).
-pub fn formulate_and_solve(
-    table: &Table,
-    axes: &RelationAxes,
-    constraints: &[VolumetricConstraint],
-    row_target: u64,
-    summaries: &BTreeMap<String, RelationSummary>,
-    solver: &LpSolver,
-    max_regions: usize,
-) -> SummaryResult<SolvedRelation> {
-    formulate_and_solve_with(
-        table,
-        axes,
-        constraints,
-        row_target,
-        summaries,
-        solver,
-        max_regions,
-        false,
-    )
-}
-
-/// [`formulate_and_solve`] with control over interior refinement (used by
-/// [`crate::backend::SimplexBackend`] for dimension relations).
-#[allow(clippy::too_many_arguments)]
-pub fn formulate_and_solve_with(
-    table: &Table,
-    axes: &RelationAxes,
-    constraints: &[VolumetricConstraint],
-    row_target: u64,
-    summaries: &BTreeMap<String, RelationSummary>,
-    solver: &LpSolver,
-    max_regions: usize,
-    interior: bool,
-) -> SummaryResult<SolvedRelation> {
-    formulate_and_solve_delta(
-        table,
-        axes,
-        constraints,
-        row_target,
-        summaries,
-        solver,
-        max_regions,
-        interior,
-        None,
-    )
-}
-
-/// [`formulate_and_solve_with`] for delta re-profiling: when the relation
-/// was solved before, its previous solution's support (full or
-/// [`SolvedRelation::support_only`]) is carried into the re-swept partition
-/// by representative point and warm-starts the simplex.  A stale,
-/// dimensionally incompatible or support-less previous solve is silently
-/// ignored — the build degrades to a cold partition + solve.
-#[allow(clippy::too_many_arguments)]
-pub fn formulate_and_solve_delta(
-    table: &Table,
-    axes: &RelationAxes,
-    constraints: &[VolumetricConstraint],
-    row_target: u64,
-    summaries: &BTreeMap<String, RelationSummary>,
-    solver: &LpSolver,
-    max_regions: usize,
-    interior: bool,
-    previous: Option<&SolvedRelation>,
-) -> SummaryResult<SolvedRelation> {
-    let partition_start = Instant::now();
-    let pre = boxed_constraints(table, axes, constraints, summaries)?;
-
-    // Partition the space against the constraint boxes — incrementally when
-    // a compatible previous partition is available.
-    let mut partitioner = RegionPartitioner::new(axes.space.clone()).with_max_regions(max_regions);
-    for (_, boxes) in &pre.boxed {
-        partitioner = partitioner.add_constraint_union(boxes.clone());
-    }
-    // A previous solve with no support carries nothing to warm-start from
-    // (and an empty hint is not the same as none: the least-violation
-    // solve would still seed its elastic columns), so it solves cold.
-    let usable_previous = previous.filter(|prev| {
-        !prev.support().is_empty() && check_refinable(&prev.partition, axes.space.dims()).is_ok()
-    });
-    let (partition, warm_hint) = match usable_previous {
-        Some(prev) => {
-            // The previous solution's support (nonzero regions) is all the
-            // warm start needs; a basic solution keeps it small no matter
-            // how many regions the partition has.
-            let refinement = partitioner.refine(&prev.partition, &prev.support())?;
-            let hint = WarmStart::new(refinement.warm_columns());
-            (refinement.partition, Some(hint))
-        }
-        None => (partitioner.partition()?, None),
-    };
-    let partition_time = partition_start.elapsed();
-
-    let lp = formulate_lp(table, &partition, &pre.boxed, row_target);
-    solve_formulated_warm(
-        partition,
-        &lp,
-        row_target,
-        solver,
-        interior,
-        partition_time,
-        &pre,
-        warm_hint.as_ref(),
-    )
 }
 
 #[cfg(test)]
@@ -453,14 +355,14 @@ mod tests {
         let schema = schema();
         let table = schema.table("S").unwrap();
         let axes = RelationAxes::build(table, constraints, &BTreeMap::new()).unwrap();
-        formulate_and_solve(
+        solve_relation(
             table,
             &axes,
             constraints,
             total,
             &BTreeMap::new(),
-            &LpSolver::default(),
-            1_000_000,
+            false,
+            None,
         )
         .unwrap()
     }

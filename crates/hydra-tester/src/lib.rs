@@ -73,7 +73,7 @@ impl HydraTester {
     }
 
     /// Boots a tester over a caller-configured session (velocity caps,
-    /// parallelism, solver backend…).  Both protocol listeners share one
+    /// parallelism, alignment…).  Both protocol listeners share one
     /// reactor event loop, exactly like a production `hydra-serve`.
     pub fn with_session(session: Hydra) -> Self {
         Self::with_registry(SummaryRegistry::in_memory(session.clone()), session)

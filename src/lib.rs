@@ -25,9 +25,9 @@
 //! ## Quickstart
 //!
 //! Everything is driven through a [`Hydra`] session built from a typed
-//! builder: pick an LP backend ([`summary::SimplexBackend`] is the paper's
-//! pipeline, [`summary::GridBackend`] the DataSynth baseline), an alignment
-//! strategy and a worker count for the per-relation solves.
+//! builder: pick an alignment strategy and a worker count for the
+//! per-relation solves; the solve itself is the paper's fixed pipeline
+//! (region partitioning, one LP per relation, deterministic alignment).
 //!
 //! ```
 //! use hydra::Hydra;

@@ -4,12 +4,14 @@
 
 use hydra::catalog::types::Value;
 use hydra::core::scenario::Scenario;
-use hydra::core::RegenerationState;
+use hydra::core::{HydraError, RegenerationState};
 use hydra::workload::{
     generate_client_database, retail_row_targets, retail_schema, DataGenConfig, WorkloadGenConfig,
     WorkloadGenerator,
 };
 use hydra::{ExecMode, Hydra, QueryEngine};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// The solved base state every scenario is built against.
@@ -137,4 +139,100 @@ fn infeasible_injection_is_reported_not_hidden() {
     // The accuracy report exposes the violated constraint rather than
     // silently claiming success.
     assert!(result.regeneration.accuracy.max_relative_error() > 0.0);
+}
+
+/// Seed of the strict-scenario differential's scenario draws.
+const STRICT_DIFFERENTIAL_SEED: u64 = 0x57_1C7;
+
+/// A seeded mix of feasible and contradictory distortions of `base`: each
+/// rewrites one annotated edge (to 0, to its observed cardinality, a small
+/// multiple of it, or far past the fact table) or one relation's row count
+/// (halved, doubled, or kept).
+fn drawn_scenarios(base: &RegenerationState, count: usize) -> Vec<Scenario> {
+    let mut rng = StdRng::seed_from_u64(STRICT_DIFFERENTIAL_SEED);
+    let entries: Vec<_> = base
+        .package
+        .workload
+        .entries
+        .iter()
+        .filter_map(|e| e.aqp.as_ref().map(|aqp| (e.query.name.clone(), aqp)))
+        .collect();
+    let tables = base.package.metadata.schema.table_names();
+    (0..count)
+        .map(|i| {
+            let name = format!("drawn-{i}");
+            if rng.gen_bool(0.7) {
+                let (query, aqp) = &entries[rng.gen_range(0..entries.len())];
+                let nodes = aqp.root.preorder();
+                let edge = rng.gen_range(0..nodes.len());
+                let observed = nodes[edge].cardinality;
+                let cardinality = match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => observed,
+                    2 => observed * 2 + 1,
+                    _ => 250_000_000,
+                };
+                Scenario::scaled(name, 1.0).with_cardinality_override(
+                    query.clone(),
+                    edge,
+                    cardinality,
+                )
+            } else {
+                let table = &tables[rng.gen_range(0..tables.len())];
+                let observed = base.package.metadata.row_count(table);
+                let rows = match rng.gen_range(0..3u32) {
+                    0 => observed / 2,
+                    1 => observed,
+                    _ => observed * 2,
+                };
+                Scenario::scaled(name, 1.0).with_row_override(table.clone(), rows)
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn strict_scenarios_fail_exactly_when_the_recovering_build_is_infeasible() {
+    let session = session();
+    let base = base(&session);
+    let query = base.package.workload.entries[0].query.name.clone();
+    let mut scenarios = vec![
+        Scenario::scaled("identity", 1.0),
+        Scenario::scaled("overload", 1.0).with_cardinality_override(query, 0, 250_000_000),
+    ];
+    scenarios.extend(drawn_scenarios(&base, 12));
+
+    let (mut feasible, mut infeasible) = (0, 0);
+    for scenario in &scenarios {
+        let recovering = session.scenario(scenario, &base).unwrap();
+        match session.scenario(&scenario.clone().strict(), &base) {
+            Ok(strict) => {
+                assert!(
+                    recovering.feasible,
+                    "`{}`: strict scenario accepted an infeasible build",
+                    scenario.name
+                );
+                assert!(
+                    strict.feasible,
+                    "`{}`: strict Ok is infeasible",
+                    scenario.name
+                );
+                feasible += 1;
+            }
+            Err(HydraError::InfeasibleScenario(_)) => {
+                assert!(
+                    !recovering.feasible,
+                    "`{}`: strict scenario rejected a feasible build",
+                    scenario.name
+                );
+                infeasible += 1;
+            }
+            Err(other) => panic!("`{}`: unexpected error {other}", scenario.name),
+        }
+    }
+    // The draw must exercise both sides of the equivalence.
+    assert!(
+        feasible > 0 && infeasible > 0,
+        "{feasible} feasible, {infeasible} infeasible"
+    );
 }
