@@ -2,11 +2,17 @@
 //!
 //! The packages are built with `hydra-benchmark`'s recipe (retail schema,
 //! `retail_row_targets(0.02)` with 10 000 `store_sales` and 3 333
-//! `web_sales` rows, client data seed 500, workload seed 131) at 32 and 64
-//! queries, and solved from scratch with the default summary builder.  Per
+//! `web_sales` rows, client data seed 500, workload seed 131) at 32, 64 and
+//! 131 queries, and solved from scratch with the default summary builder.  Per
 //! relation the test pins the LP's size and status, the support size, the
 //! row total, an FNV-1a hash of the integral region counts, an FNV-1a
 //! hash of the serialized relation summary, and the relation's signature.
+//!
+//! Retail-131 is the one package whose fact LP takes a pricing round: the
+//! seeded working set of `store_sales` is infeasible, and column generation
+//! prices columns in before the second restricted solve closes.  Its pins
+//! therefore cover pricing and a second restriction, which 32 and 64 (both
+//! feasible on their seeded working sets) do not.
 //!
 //! The signature is what a retained baseline (and so every WAL record)
 //! stores to decide whether a relation is reused on the next delta: a
@@ -129,7 +135,7 @@ fn solve(package: &TransferPackage) -> Vec<Pin> {
 }
 
 /// Expected pins: `(table, variables, constraints, support, rows,
-/// counts_fnv, summary_fnv, signature)`; every retail-32/64 LP solves
+/// counts_fnv, summary_fnv, signature)`; every retail-32/64/131 LP solves
 /// feasibly.
 type Expected = (&'static str, usize, usize, usize, u64, u64, u64, u64);
 
@@ -153,6 +159,17 @@ const RETAIL_64: [Expected; 7] = [
     ("promotion", 9, 5, 6, 8, 6188884001814975623, 1125429905245522361, 6129346476132244851),
     ("store_sales", 6782, 46, 46, 10000, 18445437577155344292, 9968394983305595138, 18091628869607414454),
     ("web_sales", 2004, 57, 56, 3333, 11501537120763025196, 7536823748832869543, 16003984201027627945),
+];
+
+#[rustfmt::skip]
+const RETAIL_131: [Expected; 7] = [
+    ("date_dim", 9, 5, 9, 2190, 3609506748404832453, 12917821092877606055, 11155841063254444165),
+    ("item", 9, 5, 5, 255, 4786593312796007972, 3789412587736684609, 9154108518252147498),
+    ("customer", 6, 5, 6, 1414, 11306929868643285377, 13417177031688967149, 1858677784899990641),
+    ("store", 9, 5, 4, 8, 10421227486964289413, 10396037110182395270, 3823475928389926607),
+    ("promotion", 9, 5, 6, 8, 6188884001814975623, 1125429905245522361, 4406205800014095962),
+    ("store_sales", 44676, 79, 79, 10000, 16752463447553779323, 17254879734583104318, 11005408259948407744),
+    ("web_sales", 2106, 85, 82, 3333, 15890232344270721118, 2224358895652755467, 9702931974655451618),
 ];
 
 fn check(queries: usize, expected: &[Expected]) {
@@ -200,4 +217,9 @@ fn retail_32_solves_to_its_pinned_output() {
 #[test]
 fn retail_64_solves_to_its_pinned_output() {
     check(64, &RETAIL_64);
+}
+
+#[test]
+fn retail_131_solves_to_its_pinned_output() {
+    check(131, &RETAIL_131);
 }
