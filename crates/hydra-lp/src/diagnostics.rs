@@ -36,19 +36,32 @@ pub struct ViolationReport {
 
 impl ViolationReport {
     /// Evaluates a candidate solution against all constraints of a problem.
+    ///
+    /// The left-hand sides are summed column by column over the problem's
+    /// [`crate::problem::ColumnView`], skipping zero values: a row's terms
+    /// ascend by column, so each row still adds its nonzero terms in its
+    /// own order, and a sparse solution costs its support's nonzeros.
     pub fn evaluate(problem: &LpProblem, values: &[f64]) -> Self {
-        let mut violations = Vec::with_capacity(problem.constraints.len());
+        let columns = problem.columns();
+        let mut lhs = vec![0.0f64; problem.num_constraints()];
+        for (j, &v) in values.iter().enumerate().take(problem.num_vars) {
+            if v != 0.0 {
+                for (&r, &c) in columns.rows(j).iter().zip(columns.coefs(j)) {
+                    lhs[r as usize] += c * v;
+                }
+            }
+        }
+        let mut violations = Vec::with_capacity(lhs.len());
         let mut total = 0.0;
-        for (i, c) in problem.constraints.iter().enumerate() {
-            let achieved = c.lhs(values);
-            let absolute = c.violation(values).abs();
-            let relative = absolute / c.rhs.abs().max(1.0);
+        for (i, (head, achieved)) in problem.heads().iter().zip(lhs).enumerate() {
+            let absolute = head.op.violation(achieved, head.rhs).abs();
+            let relative = absolute / head.rhs.abs().max(1.0);
             total += absolute;
             violations.push(ConstraintViolation {
                 index: i,
-                label: c.label.clone(),
+                label: head.label.clone(),
                 achieved,
-                target: c.rhs,
+                target: head.rhs,
                 absolute,
                 relative,
             });

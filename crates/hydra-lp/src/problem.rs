@@ -1,7 +1,23 @@
 //! Sparse linear-program model.
+//!
+//! The constraint matrix is stored once, flat: every row's terms sit in two
+//! shared vectors (`u32` column indices and `f64` coefficients) with one
+//! offset per row, and a row's terms ascend by column (repeated terms stay,
+//! in the order given).  A [`Constraint`] is a borrowed view of one row.
+//!
+//! The LPs HYDRA solves have a few dozen rows and up to tens of thousands
+//! of columns, and most passes over them run column by column: seeding and
+//! pricing column-generation working sets, restricting to a working set,
+//! evaluating a sparse solution, repairing rounded counts.  Those share one
+//! [`ColumnView`] — the same entries ordered by column — which
+//! [`LpProblem::columns`] derives at most once per problem.  A problem
+//! built with [`LpProblem::from_columns`] (HYDRA's formulation, whose
+//! columns are its regions' signatures) is given that view at construction
+//! and derives its rows from it instead.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Relational operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,55 +40,172 @@ impl fmt::Display for ConstraintOp {
     }
 }
 
-/// A single linear constraint `sum(coef_i * x_i) op rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Constraint {
-    /// Sparse terms: (variable index, coefficient).
-    pub terms: Vec<(usize, f64)>,
+/// One row of a problem: `sum(coef_i * x_i) op rhs`, borrowed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Constraint<'a> {
+    /// The terms' variable indices, ascending.
+    pub columns: &'a [u32],
+    /// The terms' coefficients, one per entry of `columns`.
+    pub coefs: &'a [f64],
     /// Relational operator.
     pub op: ConstraintOp,
     /// Right-hand side.
     pub rhs: f64,
     /// Optional human-readable label (e.g. which AQP edge produced it),
     /// carried through to violation reports.
-    pub label: Option<String>,
+    pub label: Option<&'a str>,
 }
 
-impl Constraint {
+impl Constraint<'_> {
+    /// The sparse terms: (variable index, coefficient).
+    pub fn terms(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.columns
+            .iter()
+            .zip(self.coefs)
+            .map(|(&j, &c)| (j as usize, c))
+    }
+
     /// Evaluates the left-hand side for a candidate solution.
     pub fn lhs(&self, values: &[f64]) -> f64 {
-        self.terms
-            .iter()
-            .map(|(i, c)| c * values.get(*i).copied().unwrap_or(0.0))
+        self.terms()
+            .map(|(i, c)| c * values.get(i).copied().unwrap_or(0.0))
             .sum()
     }
 
     /// Signed violation of the constraint for a candidate solution
     /// (0 when satisfied; positive magnitude = amount by which it is missed).
     pub fn violation(&self, values: &[f64]) -> f64 {
-        let lhs = self.lhs(values);
-        match self.op {
-            ConstraintOp::Eq => lhs - self.rhs,
-            ConstraintOp::Le => (lhs - self.rhs).max(0.0),
-            ConstraintOp::Ge => (self.rhs - lhs).max(0.0),
+        self.op.violation(self.lhs(values), self.rhs)
+    }
+}
+
+impl ConstraintOp {
+    /// Signed violation of `lhs op rhs` (see [`Constraint::violation`]).
+    pub fn violation(self, lhs: f64, rhs: f64) -> f64 {
+        match self {
+            ConstraintOp::Eq => lhs - rhs,
+            ConstraintOp::Le => (lhs - rhs).max(0.0),
+            ConstraintOp::Ge => (rhs - lhs).max(0.0),
         }
     }
+}
+
+/// A row's operator, right-hand side and label: everything but its terms.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowHead {
+    /// Relational operator.
+    pub op: ConstraintOp,
+    /// Right-hand side.
+    pub rhs: f64,
+    /// Optional label, carried through to violation reports.
+    pub label: Option<String>,
+}
+
+/// A problem's constraint matrix ordered by column: column `j`'s entries
+/// are its `(row, coefficient)` pairs, rows ascending, one entry per term
+/// (a term repeated in a row repeats that row).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnView {
+    /// Column `j`'s entries are `rows[start[j]..start[j + 1]]`.
+    start: Vec<usize>,
+    rows: Vec<u32>,
+    coefs: Vec<f64>,
+}
+
+impl ColumnView {
+    /// The rows naming column `j`, ascending, one entry per term.
+    pub fn rows(&self, j: usize) -> &[u32] {
+        &self.rows[self.start[j]..self.start[j + 1]]
+    }
+
+    /// The coefficients of column `j`, one per entry of
+    /// [`ColumnView::rows`].
+    pub fn coefs(&self, j: usize) -> &[f64] {
+        &self.coefs[self.start[j]..self.start[j + 1]]
+    }
+
+    /// Number of terms in column `j`.
+    pub fn len(&self, j: usize) -> usize {
+        self.start[j + 1] - self.start[j]
+    }
+
+    /// Number of columns.
+    pub fn num_columns(&self) -> usize {
+        self.start.len() - 1
+    }
+}
+
+/// Transposes one compressed sparse layout into the other: `start` holds
+/// `outer + 1` offsets into `inner`/`coefs`, and the result lists, for each
+/// of `num_inner` inner indices, the outer indices naming it, ascending (a
+/// stable counting sort, so repeated entries keep their order).
+fn transpose(
+    start: &[usize],
+    inner: &[u32],
+    coefs: &[f64],
+    num_inner: usize,
+) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
+    let mut out_start = vec![0usize; num_inner + 1];
+    for &i in inner {
+        out_start[i as usize + 1] += 1;
+    }
+    for i in 0..num_inner {
+        out_start[i + 1] += out_start[i];
+    }
+    let mut fill = out_start[..num_inner].to_vec();
+    let mut out_inner = vec![0u32; inner.len()];
+    let mut out_coefs = vec![0.0f64; inner.len()];
+    for (outer, range) in start.windows(2).enumerate() {
+        for k in range[0]..range[1] {
+            let slot = &mut fill[inner[k] as usize];
+            out_inner[*slot] = outer as u32;
+            out_coefs[*slot] = coefs[k];
+            *slot += 1;
+        }
+    }
+    (out_start, out_inner, out_coefs)
 }
 
 /// A linear program over non-negative variables.
 ///
 /// All variables are implicitly bounded below by zero (tuple counts cannot be
 /// negative); optional upper bounds can be attached per variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LpProblem {
     /// Number of decision variables.
     pub num_vars: usize,
-    /// Constraints.
-    pub constraints: Vec<Constraint>,
     /// Optional sparse objective (minimized).  Empty = pure feasibility.
     pub objective: Vec<(usize, f64)>,
     /// Optional per-variable upper bounds (`None` = unbounded above).
     pub upper_bounds: Vec<Option<f64>>,
+    heads: Vec<RowHead>,
+    /// Row `r`'s terms are `term_columns[row_start[r]..row_start[r + 1]]`
+    /// (and the same range of `term_coefs`).
+    row_start: Vec<usize>,
+    term_columns: Vec<u32>,
+    term_coefs: Vec<f64>,
+    /// The matrix by column, derived on first use (or given by
+    /// [`LpProblem::from_columns`]) and dropped when a row is added.
+    columns: OnceLock<ColumnView>,
+}
+
+impl PartialEq for LpProblem {
+    /// Equal problems have equal variables, rows, objective and bounds;
+    /// whether the column view has been derived yet does not matter.
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vars == other.num_vars
+            && self.objective == other.objective
+            && self.upper_bounds == other.upper_bounds
+            && self.heads == other.heads
+            && self.row_start == other.row_start
+            && self.term_columns == other.term_columns
+            && self.term_coefs == other.term_coefs
+    }
+}
+
+/// A variable index as the flat stores keep it.
+fn column_index(j: usize) -> u32 {
+    u32::try_from(j).expect("LP variable index exceeds u32")
 }
 
 impl LpProblem {
@@ -81,26 +214,66 @@ impl LpProblem {
     pub fn new(num_vars: usize) -> Self {
         LpProblem {
             num_vars,
-            constraints: Vec::new(),
             objective: Vec::new(),
             upper_bounds: vec![None; num_vars],
+            heads: Vec::new(),
+            row_start: vec![0],
+            term_columns: Vec::new(),
+            term_coefs: Vec::new(),
+            columns: OnceLock::new(),
         }
     }
 
-    /// Adds a constraint and returns its index.
+    /// Builds a problem column by column: one row per entry of `heads`, and
+    /// one variable per item of `columns`, each giving its `(row,
+    /// coefficient)` entries with rows ascending.  The entries are written
+    /// once, into the problem's [`ColumnView`]; the rows are derived from
+    /// it.  Panics if an entry names a row past `heads`.
+    pub fn from_columns<C, E>(heads: Vec<RowHead>, columns: C) -> Self
+    where
+        C: IntoIterator<Item = E>,
+        E: IntoIterator<Item = (usize, f64)>,
+    {
+        let m = heads.len();
+        let mut start = vec![0usize];
+        let (mut rows, mut coefs) = (Vec::new(), Vec::new());
+        for column in columns {
+            for (r, c) in column {
+                assert!(r < m, "column entry names row {r} of {m}");
+                debug_assert!(rows.len() == start[start.len() - 1] || rows[rows.len() - 1] <= r as u32);
+                rows.push(r as u32);
+                coefs.push(c);
+            }
+            start.push(rows.len());
+        }
+        let num_vars = start.len() - 1;
+        assert!(u32::try_from(num_vars).is_ok(), "LP variable index exceeds u32");
+        let (row_start, term_columns, term_coefs) = transpose(&start, &rows, &coefs, m);
+        LpProblem {
+            num_vars,
+            objective: Vec::new(),
+            upper_bounds: vec![None; num_vars],
+            heads,
+            row_start,
+            term_columns,
+            term_coefs,
+            columns: OnceLock::from(ColumnView {
+                start,
+                rows,
+                coefs,
+            }),
+        }
+    }
+
+    /// Adds a constraint and returns its index.  Its terms are kept in
+    /// column order (a stable sort, so repeated terms keep theirs).
     pub fn add_constraint(
         &mut self,
         terms: Vec<(usize, f64)>,
         op: ConstraintOp,
         rhs: f64,
     ) -> usize {
-        self.constraints.push(Constraint {
-            terms,
-            op,
-            rhs,
-            label: None,
-        });
-        self.constraints.len() - 1
+        self.push_row(terms, RowHead { op, rhs, label: None })
     }
 
     /// Adds a labelled constraint and returns its index.
@@ -111,13 +284,26 @@ impl LpProblem {
         rhs: f64,
         label: impl Into<String>,
     ) -> usize {
-        self.constraints.push(Constraint {
+        self.push_row(
             terms,
-            op,
-            rhs,
-            label: Some(label.into()),
-        });
-        self.constraints.len() - 1
+            RowHead {
+                op,
+                rhs,
+                label: Some(label.into()),
+            },
+        )
+    }
+
+    fn push_row(&mut self, mut terms: Vec<(usize, f64)>, head: RowHead) -> usize {
+        terms.sort_by_key(|&(j, _)| j);
+        for (j, c) in terms {
+            self.term_columns.push(column_index(j));
+            self.term_coefs.push(c);
+        }
+        self.row_start.push(self.term_columns.len());
+        self.heads.push(head);
+        self.columns = OnceLock::new();
+        self.heads.len() - 1
     }
 
     /// Sets the (sparse) linear objective to minimize.
@@ -134,12 +320,53 @@ impl LpProblem {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.heads.len()
     }
 
     /// Total number of non-zero coefficients across all constraints.
     pub fn num_nonzeros(&self) -> usize {
-        self.constraints.iter().map(|c| c.terms.len()).sum()
+        self.term_columns.len()
+    }
+
+    /// Constraint `r`.  Panics if `r` is out of range.
+    pub fn constraint(&self, r: usize) -> Constraint<'_> {
+        let terms = self.row_start[r]..self.row_start[r + 1];
+        let head = &self.heads[r];
+        Constraint {
+            columns: &self.term_columns[terms.clone()],
+            coefs: &self.term_coefs[terms],
+            op: head.op,
+            rhs: head.rhs,
+            label: head.label.as_deref(),
+        }
+    }
+
+    /// The constraints, in order.
+    pub fn constraints(&self) -> impl ExactSizeIterator<Item = Constraint<'_>> + '_ {
+        (0..self.num_constraints()).map(|r| self.constraint(r))
+    }
+
+    /// The rows' operators, right-hand sides and labels, in order.
+    pub fn heads(&self) -> &[RowHead] {
+        &self.heads
+    }
+
+    /// Every term's coefficient, row after row.
+    pub fn coefficients(&self) -> &[f64] {
+        &self.term_coefs
+    }
+
+    /// The constraint matrix by column, derived from the rows on first use.
+    pub fn columns(&self) -> &ColumnView {
+        self.columns.get_or_init(|| {
+            let (start, rows, coefs) = transpose(
+                &self.row_start,
+                &self.term_columns,
+                &self.term_coefs,
+                self.num_vars,
+            );
+            ColumnView { start, rows, coefs }
+        })
     }
 
     /// Checks a candidate solution against every constraint and the
@@ -158,8 +385,7 @@ impl LpProblem {
                 }
             }
         }
-        self.constraints
-            .iter()
+        self.constraints()
             .all(|c| c.violation(values).abs() <= tol)
     }
 }
@@ -170,12 +396,9 @@ mod tests {
 
     #[test]
     fn constraint_evaluation() {
-        let c = Constraint {
-            terms: vec![(0, 2.0), (2, 1.0)],
-            op: ConstraintOp::Eq,
-            rhs: 7.0,
-            label: None,
-        };
+        let mut lp = LpProblem::new(3);
+        lp.add_constraint(vec![(0, 2.0), (2, 1.0)], ConstraintOp::Eq, 7.0);
+        let c = lp.constraint(0);
         assert_eq!(c.lhs(&[2.0, 99.0, 3.0]), 7.0);
         assert_eq!(c.violation(&[2.0, 99.0, 3.0]), 0.0);
         assert_eq!(c.violation(&[2.0, 0.0, 4.0]), 1.0);
@@ -183,22 +406,58 @@ mod tests {
 
     #[test]
     fn violation_direction_for_inequalities() {
-        let le = Constraint {
-            terms: vec![(0, 1.0)],
-            op: ConstraintOp::Le,
-            rhs: 5.0,
-            label: None,
-        };
+        let mut lp = LpProblem::new(1);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 5.0);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 5.0);
+        let (le, ge) = (lp.constraint(0), lp.constraint(1));
         assert_eq!(le.violation(&[4.0]), 0.0);
         assert_eq!(le.violation(&[6.0]), 1.0);
-        let ge = Constraint {
-            terms: vec![(0, 1.0)],
-            op: ConstraintOp::Ge,
-            rhs: 5.0,
-            label: None,
-        };
         assert_eq!(ge.violation(&[6.0]), 0.0);
         assert_eq!(ge.violation(&[4.0]), 1.0);
+    }
+
+    #[test]
+    fn rows_keep_column_order_and_repeated_terms() {
+        let mut lp = LpProblem::new(4);
+        lp.add_labeled_constraint(
+            vec![(2, 1.0), (0, 3.0), (2, 2.0)],
+            ConstraintOp::Eq,
+            1.0,
+            "a",
+        );
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 1.0);
+        let a = lp.constraint(0);
+        assert_eq!(a.terms().collect::<Vec<_>>(), vec![(0, 3.0), (2, 1.0), (2, 2.0)]);
+        assert_eq!(a.label, Some("a"));
+        let columns = lp.columns();
+        assert_eq!(columns.num_columns(), 4);
+        assert_eq!(columns.rows(0), &[0, 1]);
+        assert_eq!(columns.coefs(0), &[3.0, 1.0]);
+        assert_eq!(columns.rows(1), &[1]);
+        assert_eq!(columns.rows(2), &[0, 0]);
+        assert_eq!(columns.coefs(2), &[1.0, 2.0]);
+        assert!(columns.rows(3).is_empty());
+        assert_eq!(columns.len(2), 2);
+    }
+
+    #[test]
+    fn a_problem_built_by_columns_equals_the_one_built_by_rows() {
+        let head = |rhs| RowHead {
+            op: ConstraintOp::Eq,
+            rhs,
+            label: None,
+        };
+        let by_columns = LpProblem::from_columns(
+            vec![head(1.0), head(2.0)],
+            vec![vec![(0, 1.0), (1, 1.0)], vec![], vec![(1, -1.0)]],
+        );
+        let mut by_rows = LpProblem::new(3);
+        by_rows.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1.0);
+        let _ = by_rows.columns();
+        by_rows.add_constraint(vec![(2, -1.0), (0, 1.0)], ConstraintOp::Eq, 2.0);
+        assert_eq!(by_columns, by_rows);
+        assert_eq!(by_columns.columns(), by_rows.columns());
+        assert_eq!(by_rows.columns().rows(2), &[1]);
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! a few units. A greedy integral local search moves single units between
 //! regions while the total absolute constraint violation strictly decreases,
 //! typically restoring every feasible constraint group to exactness.  The
-//! search keeps constraint membership in one column-major index and caches
-//! each region's gain for a unit up and a unit down; a move recomputes only
-//! the gains of constraints whose violation changed sign class, so a move
-//! costs a scan of the cached gains rather than of every nonzero.
+//! search reads a region's constraints off the problem's
+//! [`ColumnView`](crate::problem::ColumnView) — the same view column
+//! generation seeds, prices and restricts with, so no index of its own is
+//! built — and caches each region's gain for a unit up and a unit down; a
+//! move recomputes only the gains of constraints whose violation changed
+//! sign class, so a move costs a scan of the cached gains rather than of
+//! every nonzero.
 
-use crate::problem::{ConstraintOp, LpProblem};
+use crate::problem::{ColumnView, ConstraintOp, LpProblem};
 
 /// Moves a feasible solution toward `attractor` without leaving the equality
 /// constraint subspace or the non-negative orthant.
@@ -38,16 +41,15 @@ pub fn refine_toward(problem: &LpProblem, solution: &[f64], attractor: &[f64]) -
     if solution.len() != n
         || attractor.len() != n
         || n == 0
-        || problem.constraints.iter().any(|c| c.op != ConstraintOp::Eq)
+        || problem.heads().iter().any(|c| c.op != ConstraintOp::Eq)
     {
         return solution.to_vec();
     }
 
     // Pre-compute squared norms of constraint rows.
     let norms: Vec<f64> = problem
-        .constraints
-        .iter()
-        .map(|c| c.terms.iter().map(|(_, coef)| coef * coef).sum::<f64>())
+        .constraints()
+        .map(|c| c.coefs.iter().map(|coef| coef * coef).sum::<f64>())
         .collect();
 
     let mut x = solution.to_vec();
@@ -60,15 +62,15 @@ pub fn refine_toward(problem: &LpProblem, solution: &[f64], attractor: &[f64]) -
         // rows' null spaces.
         for _sweep in 0..40 {
             let mut residual = 0.0f64;
-            for (c, &nrm) in problem.constraints.iter().zip(&norms) {
+            for (c, &nrm) in problem.constraints().zip(&norms) {
                 if nrm <= 1e-12 {
                     continue;
                 }
-                let dot: f64 = c.terms.iter().map(|(i, coef)| coef * d[*i]).sum();
+                let dot: f64 = c.terms().map(|(i, coef)| coef * d[i]).sum();
                 if dot.abs() > 1e-12 {
                     let scale = dot / nrm;
-                    for (i, coef) in &c.terms {
-                        d[*i] -= scale * coef;
+                    for (i, coef) in c.terms() {
+                        d[i] -= scale * coef;
                     }
                     residual += dot.abs();
                 }
@@ -119,10 +121,8 @@ pub fn repair_rounded_counts(problem: &LpProblem, counts: &mut [u64], max_moves:
     if counts.len() != n || n == 0 {
         return;
     }
-    let hydra_shaped = problem
-        .constraints
-        .iter()
-        .all(|c| c.op == ConstraintOp::Eq && c.terms.iter().all(|(_, coef)| *coef == 1.0));
+    let hydra_shaped = problem.heads().iter().all(|c| c.op == ConstraintOp::Eq)
+        && problem.coefficients().iter().all(|&coef| coef == 1.0);
     if !hydra_shaped {
         return;
     }
@@ -165,48 +165,6 @@ fn dec_term(delta: i64) -> i64 {
     }
 }
 
-/// The constraint matrix by column, in compressed sparse form: for each
-/// variable, the indices of the constraints whose terms name it, ascending,
-/// one entry per term (a term repeated in one constraint repeats that
-/// constraint).  Built in one pass over the terms.
-struct ColumnIndex {
-    /// `rows[start[j]..start[j + 1]]` are variable `j`'s constraints.
-    start: Vec<usize>,
-    rows: Vec<usize>,
-}
-
-impl ColumnIndex {
-    /// Indexes `problem`'s constraints by variable.  Panics, as indexing a
-    /// variable-sized vector by it would, if a term names a variable
-    /// outside `0..problem.num_vars`.
-    fn new(problem: &LpProblem) -> ColumnIndex {
-        let n = problem.num_vars;
-        let mut start = vec![0usize; n + 1];
-        for c in &problem.constraints {
-            for (j, _) in &c.terms {
-                start[*j + 1] += 1;
-            }
-        }
-        for j in 0..n {
-            start[j + 1] += start[j];
-        }
-        let mut fill = start[..n].to_vec();
-        let mut rows = vec![0usize; start[n]];
-        for (k, c) in problem.constraints.iter().enumerate() {
-            for (j, _) in &c.terms {
-                rows[fill[*j]] = k;
-                fill[*j] += 1;
-            }
-        }
-        ColumnIndex { start, rows }
-    }
-
-    /// The constraints naming variable `j`, one entry per term.
-    fn rows(&self, j: usize) -> &[usize] {
-        &self.rows[self.start[j]..self.start[j + 1]]
-    }
-}
-
 /// The state of [`repair_rounded_counts`]: each constraint's signed delta
 /// (achieved minus target) and each variable's cached single-move gains.
 ///
@@ -217,37 +175,43 @@ impl ColumnIndex {
 /// delta across a class boundary.
 struct Repair<'a> {
     problem: &'a LpProblem,
-    member: ColumnIndex,
+    /// Each variable's constraints, one entry per term.
+    member: &'a ColumnView,
     delta: Vec<i64>,
     gain_inc: Vec<i64>,
     gain_dec: Vec<i64>,
 }
 
 impl<'a> Repair<'a> {
+    /// Sums each constraint's counts over the variables holding any, then
+    /// each variable's gains over its constraints — both column by column.
     fn new(problem: &'a LpProblem, counts: &[u64]) -> Repair<'a> {
-        let member = ColumnIndex::new(problem);
-        let delta: Vec<i64> = problem
-            .constraints
+        let member = problem.columns();
+        let mut delta: Vec<i64> = problem
+            .heads()
             .iter()
-            .map(|c| {
-                let achieved: i64 = c.terms.iter().map(|(i, _)| counts[*i] as i64).sum();
-                achieved - c.rhs.round() as i64
-            })
+            .map(|c| -(c.rhs.round() as i64))
             .collect();
-        let mut gain_inc = vec![0i64; problem.num_vars];
-        let mut gain_dec = vec![0i64; problem.num_vars];
-        for (c, &d) in problem.constraints.iter().zip(&delta) {
-            for (v, _) in &c.terms {
-                gain_inc[*v] += inc_term(d);
-                gain_dec[*v] += dec_term(d);
+        for (var, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                for &k in member.rows(var) {
+                    delta[k as usize] += count as i64;
+                }
             }
         }
+        let inc: Vec<i64> = delta.iter().map(|&d| inc_term(d)).collect();
+        let dec: Vec<i64> = delta.iter().map(|&d| dec_term(d)).collect();
+        let gain = |terms: &[i64]| -> Vec<i64> {
+            (0..problem.num_vars)
+                .map(|var| member.rows(var).iter().map(|&k| terms[k as usize]).sum())
+                .collect()
+        };
         Repair {
             problem,
             member,
+            gain_inc: gain(&inc),
+            gain_dec: gain(&dec),
             delta,
-            gain_inc,
-            gain_dec,
         }
     }
 
@@ -291,12 +255,14 @@ impl<'a> Repair<'a> {
                 let mut change = 0i64;
                 for &k in member_r {
                     if !member_s.contains(&k) {
-                        change += (self.delta[k] + 1).abs() - self.delta[k].abs();
+                        let d = self.delta[k as usize];
+                        change += (d + 1).abs() - d.abs();
                     }
                 }
                 for &k in member_s {
                     if !member_r.contains(&k) {
-                        change += (self.delta[k] - 1).abs() - self.delta[k].abs();
+                        let d = self.delta[k as usize];
+                        change += (d - 1).abs() - d.abs();
                     }
                 }
                 if change < 0 {
@@ -317,15 +283,16 @@ impl<'a> Repair<'a> {
             counts[var] -= 1;
         }
         for &k in self.member.rows(var) {
+            let k = k as usize;
             let old = self.delta[k];
             let new = old + dir;
             self.delta[k] = new;
             let inc = inc_term(new) - inc_term(old);
             let dec = dec_term(new) - dec_term(old);
             if inc != 0 || dec != 0 {
-                for (v, _) in &self.problem.constraints[k].terms {
-                    self.gain_inc[*v] += inc;
-                    self.gain_dec[*v] += dec;
+                for &v in self.problem.constraint(k).columns {
+                    self.gain_inc[v as usize] += inc;
+                    self.gain_dec[v as usize] += dec;
                 }
             }
         }
@@ -420,23 +387,21 @@ mod tests {
             return;
         }
         let hydra_shaped = problem
-            .constraints
-            .iter()
-            .all(|c| c.op == ConstraintOp::Eq && c.terms.iter().all(|(_, coef)| *coef == 1.0));
+            .constraints()
+            .all(|c| c.op == ConstraintOp::Eq && c.terms().all(|(_, coef)| coef == 1.0));
         if !hydra_shaped {
             return;
         }
         let mut member: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (k, c) in problem.constraints.iter().enumerate() {
-            for (i, _) in &c.terms {
-                member[*i].push(k);
+        for (k, c) in problem.constraints().enumerate() {
+            for (i, _) in c.terms() {
+                member[i].push(k);
             }
         }
         let mut delta: Vec<i64> = problem
-            .constraints
-            .iter()
+            .constraints()
             .map(|c| {
-                let achieved: i64 = c.terms.iter().map(|(i, _)| counts[*i] as i64).sum();
+                let achieved: i64 = c.terms().map(|(i, _)| counts[i] as i64).sum();
                 achieved - c.rhs.round() as i64
             })
             .collect();
@@ -561,18 +526,6 @@ mod tests {
             repair_reference(&lp, &mut reference, max_moves);
             prop_assert_eq!(repaired, reference, "from {:?}", counts);
         }
-    }
-
-    #[test]
-    fn column_index_lists_every_term_by_variable() {
-        let mut lp = LpProblem::new(4);
-        lp.add_constraint(vec![(2, 1.0), (0, 1.0), (2, 1.0)], ConstraintOp::Eq, 1.0);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 1.0);
-        let index = ColumnIndex::new(&lp);
-        assert_eq!(index.rows(0), &[0, 1]);
-        assert_eq!(index.rows(1), &[1]);
-        assert_eq!(index.rows(2), &[0, 0]);
-        assert!(index.rows(3).is_empty());
     }
 
     #[test]

@@ -310,28 +310,31 @@ impl Simplex {
         let mut warm_outcome = WarmOutcome::NotAttempted;
 
         // Materialize all rows: user constraints plus upper-bound rows.
-        struct Row {
-            coefs: Vec<(usize, f64)>,
+        struct Row<'a> {
+            columns: &'a [u32],
+            coefs: &'a [f64],
             op: ConstraintOp,
             rhs: f64,
         }
         let mut rows: Vec<Row> = problem
-            .constraints
-            .iter()
+            .constraints()
             .map(|c| Row {
-                coefs: c.terms.clone(),
+                columns: c.columns,
+                coefs: c.coefs,
                 op: c.op,
                 rhs: c.rhs,
             })
             .collect();
-        for (i, ub) in problem.upper_bounds.iter().enumerate() {
-            if let Some(u) = ub {
-                rows.push(Row {
-                    coefs: vec![(i, 1.0)],
-                    op: ConstraintOp::Le,
-                    rhs: *u,
-                });
-            }
+        let bounded: Vec<(u32, f64)> = (problem.upper_bounds.iter().enumerate())
+            .filter_map(|(i, ub)| ub.map(|u| (i as u32, u)))
+            .collect();
+        for (i, u) in &bounded {
+            rows.push(Row {
+                columns: std::slice::from_ref(i),
+                coefs: &[1.0],
+                op: ConstraintOp::Le,
+                rhs: *u,
+            });
         }
 
         let m = rows.len();
@@ -415,9 +418,9 @@ impl Simplex {
                     ConstraintOp::Eq => ConstraintOp::Eq,
                 };
             }
-            for (j, c) in &row.coefs {
-                if *j < n {
-                    a[*j] += sign * c;
+            for (&j, c) in row.columns.iter().zip(row.coefs) {
+                if (j as usize) < n {
+                    a[j as usize] += sign * c;
                 }
             }
             a[cols] = rhs;
@@ -448,7 +451,7 @@ impl Simplex {
         // Reads the duals of the user constraints off the current cost row:
         // the reduced cost of row r's initial basis column is
         // `c_init - y_r` (its tableau column is the r-th identity column).
-        let num_user = problem.constraints.len();
+        let num_user = problem.num_constraints();
         let duals_from =
             |tableau: &Tableau, init_cost: &dyn Fn(usize) -> f64| -> Option<Vec<f64>> {
                 if negated_any {

@@ -1,7 +1,7 @@
 //! High-level LP solving interface used by the summary generator.
 
 use crate::diagnostics::ViolationReport;
-use crate::problem::{Constraint, ConstraintOp, LpProblem};
+use crate::problem::{ConstraintOp, LpProblem, RowHead};
 use crate::simplex::{Simplex, SimplexOutcome, WarmOutcome, WarmStart};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -125,74 +125,109 @@ enum ColumnGeneration {
 /// end of its `(degree, column)` order.
 const SEED_PER_END: usize = 13;
 
+/// The columns a column-generation loop solves over: a membership mask
+/// over the problem's columns.
+struct WorkingSet {
+    member: Vec<bool>,
+    len: usize,
+}
+
+impl WorkingSet {
+    /// The empty working set over `n` columns.
+    fn new(n: usize) -> WorkingSet {
+        WorkingSet {
+            member: vec![false; n],
+            len: 0,
+        }
+    }
+
+    fn insert(&mut self, j: usize) {
+        if !self.member[j] {
+            self.member[j] = true;
+            self.len += 1;
+        }
+    }
+
+    fn contains(&self, j: usize) -> bool {
+        self.member[j]
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The member columns, ascending.
+    fn columns(&self) -> Vec<usize> {
+        (0..self.member.len()).filter(|&j| self.member[j]).collect()
+    }
+}
+
 /// Seeds the working set: per constraint, a spread of its lowest-degree
 /// columns (private freedom) and highest-degree columns (shared mass) —
 /// the first and last [`SEED_PER_END`] of its terms in `(degree, column)`
 /// order, where a column's degree counts its terms across all constraints.
 ///
-/// One sort of all columns ranks them in that order; each constraint then
-/// selects its lowest and highest ranks in place (repeated terms count
-/// toward its length, as in a sort of its terms), so the cost is linear in
-/// the nonzeros plus the one sort.
-fn initial_working_set(problem: &LpProblem) -> std::collections::BTreeSet<usize> {
+/// One sort of all columns ranks them in that order.  Walking the columns
+/// up that order, then down it, each constraint takes the columns of its
+/// first [`SEED_PER_END`] terms met (repeated terms count toward its
+/// length, as in a sort of its terms); a walk stops once every constraint
+/// has taken its share, so the cost is at most the nonzeros twice plus
+/// the one sort.
+fn initial_working_set(problem: &LpProblem) -> WorkingSet {
     let n = problem.num_vars;
-    let mut degree = vec![0u32; n];
-    for c in &problem.constraints {
-        for (j, _) in &c.terms {
-            degree[*j] += 1;
-        }
-    }
+    let columns = problem.columns();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&j| (degree[j], j));
-    let mut rank = vec![0usize; n];
-    for (r, &j) in order.iter().enumerate() {
-        rank[j] = r;
-    }
-    let mut selected = vec![false; n];
-    let mut ranks = Vec::new();
-    for c in &problem.constraints {
-        ranks.clear();
-        ranks.extend(c.terms.iter().map(|(j, _)| rank[*j]));
-        let len = ranks.len();
-        let ends = if len > 2 * SEED_PER_END {
-            // The SEED_PER_END lowest ranks to the front, then the
-            // SEED_PER_END highest of the rest to the back.
-            ranks.select_nth_unstable(SEED_PER_END - 1);
-            ranks[SEED_PER_END..].select_nth_unstable(len - 2 * SEED_PER_END);
-            [&ranks[..SEED_PER_END], &ranks[len - SEED_PER_END..]]
-        } else {
-            [&ranks[..], &[][..]]
-        };
-        for &r in ends.into_iter().flatten() {
-            selected[order[r]] = true;
+    order.sort_unstable_by_key(|&j| (columns.len(j), j));
+    let share: Vec<usize> = problem
+        .constraints()
+        .map(|c| c.columns.len().min(SEED_PER_END))
+        .collect();
+    let mut selected = WorkingSet::new(n);
+    let mut take = |walk: &mut dyn Iterator<Item = &usize>| {
+        let mut left = share.clone();
+        let mut outstanding: usize = left.iter().sum();
+        for &j in walk {
+            if outstanding == 0 {
+                break;
+            }
+            for &r in columns.rows(j) {
+                let left = &mut left[r as usize];
+                if *left > 0 {
+                    *left -= 1;
+                    outstanding -= 1;
+                    selected.insert(j);
+                }
+            }
         }
-    }
-    (0..n).filter(|&j| selected[j]).collect()
+    };
+    take(&mut order.iter());
+    take(&mut order.iter().rev());
+    selected
 }
 
-/// Projects the problem onto a column subset (excluded columns are fixed at
-/// zero).  Returns the subproblem and the subset in slot order.
-fn restrict(
-    problem: &LpProblem,
-    selected: &std::collections::BTreeSet<usize>,
-) -> (LpProblem, Vec<usize>) {
-    let columns: Vec<usize> = selected.iter().copied().collect();
-    let mut slot_of = vec![usize::MAX; problem.num_vars];
-    for (slot, &j) in columns.iter().enumerate() {
-        slot_of[j] = slot;
-    }
-    let mut sub = LpProblem::new(columns.len());
+/// Projects the problem onto the working set (excluded columns are fixed at
+/// zero).  Returns the subproblem and the working set in slot order.  Only
+/// the working set's columns are read.
+fn restrict(problem: &LpProblem, selected: &WorkingSet) -> (LpProblem, Vec<usize>) {
+    let columns = selected.columns();
+    let view = problem.columns();
+    let heads = problem
+        .heads()
+        .iter()
+        .map(|head| RowHead {
+            op: head.op,
+            rhs: head.rhs,
+            label: None,
+        })
+        .collect();
+    let mut sub = LpProblem::from_columns(
+        heads,
+        columns.iter().map(|&j| {
+            (view.rows(j).iter().zip(view.coefs(j))).map(|(&r, &c)| (r as usize, c))
+        }),
+    );
     for (slot, &j) in columns.iter().enumerate() {
         sub.upper_bounds[slot] = problem.upper_bounds[j];
-    }
-    for c in &problem.constraints {
-        let terms: Vec<(usize, f64)> = c
-            .terms
-            .iter()
-            .filter(|(j, _)| slot_of[*j] != usize::MAX)
-            .map(|(j, coef)| (slot_of[*j], *coef))
-            .collect();
-        sub.add_constraint(terms, c.op, c.rhs);
     }
     (sub, columns)
 }
@@ -203,15 +238,15 @@ fn restrict(
 /// consistent tie-breaking).
 fn soften(problem: &LpProblem) -> LpProblem {
     let n = problem.num_vars;
-    let m = problem.constraints.len();
+    let m = problem.num_constraints();
     // Two slack variables per constraint (over- and under-shoot).
     let mut soft = LpProblem::new(n + 2 * m);
     soft.upper_bounds[..n].clone_from_slice(&problem.upper_bounds);
     let mut objective: Vec<(usize, f64)> = Vec::with_capacity(2 * m + problem.objective.len());
-    for (r, c) in problem.constraints.iter().enumerate() {
+    for (r, c) in problem.constraints().enumerate() {
         let over = n + 2 * r; // adds to LHS
         let under = n + 2 * r + 1; // subtracts from LHS
-        let mut terms = c.terms.clone();
+        let mut terms: Vec<(usize, f64)> = c.terms().collect();
         match c.op {
             ConstraintOp::Eq => {
                 terms.push((over, 1.0));
@@ -229,12 +264,10 @@ fn soften(problem: &LpProblem) -> LpProblem {
                 objective.push((over, 1.0));
             }
         }
-        soft.constraints.push(Constraint {
-            terms,
-            op: c.op,
-            rhs: c.rhs,
-            label: c.label.clone(),
-        });
+        match c.label {
+            Some(label) => soft.add_labeled_constraint(terms, c.op, c.rhs, label),
+            None => soft.add_constraint(terms, c.op, c.rhs),
+        };
     }
     // Tiny weight on the original objective so ties are broken consistently.
     for (j, c) in &problem.objective {
@@ -247,33 +280,34 @@ fn soften(problem: &LpProblem) -> LpProblem {
 /// Prices every excluded column against the duals (`rc_j = -y·A_j` for
 /// zero-cost structural columns) and adds the most promising ones to the
 /// working set.  Returns how many were added.
-fn price_and_add(
-    problem: &LpProblem,
-    duals: &[f64],
-    selected: &mut std::collections::BTreeSet<usize>,
-) -> usize {
-    let n = problem.num_vars;
-    let mut score = vec![0.0f64; n]; // y·A_j; improving columns have score > 0
-    for (r, c) in problem.constraints.iter().enumerate() {
-        let y = duals.get(r).copied().unwrap_or(0.0);
-        if y.abs() > 1e-12 {
-            for (j, coef) in &c.terms {
-                score[*j] += y * coef;
+///
+/// A column's score `y·A_j` adds its terms in row order over the
+/// [`crate::problem::ColumnView`], skipping rows whose dual is negligible.
+fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut WorkingSet) -> usize {
+    let columns = problem.columns();
+    let y: Vec<f64> = (0..problem.num_constraints())
+        .map(|r| duals.get(r).copied().filter(|y| y.abs() > 1e-12).unwrap_or(0.0))
+        .collect();
+    // Improving columns have score > 0.
+    let mut candidates: Vec<(f64, usize)> = Vec::new();
+    for j in (0..problem.num_vars).filter(|&j| !selected.contains(j)) {
+        let mut score = 0.0f64;
+        for (&r, coef) in columns.rows(j).iter().zip(columns.coefs(j)) {
+            let y = y[r as usize];
+            if y != 0.0 {
+                score += y * coef;
             }
         }
+        if score > 1e-7 {
+            candidates.push((score, j));
+        }
     }
-    let mut candidates: Vec<(f64, usize)> = score
-        .iter()
-        .enumerate()
-        .filter(|(j, s)| **s > 1e-7 && !selected.contains(j))
-        .map(|(j, s)| (*s, j))
-        .collect();
     candidates.sort_by(|a, b| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.1.cmp(&b.1))
     });
-    let budget = (4 * problem.constraints.len()).max(64);
+    let budget = (4 * problem.num_constraints()).max(64);
     let mut added = 0usize;
     for &(_, j) in candidates.iter().take(budget) {
         selected.insert(j);
@@ -398,7 +432,9 @@ impl LpSolver {
         let mut warm_outcome = WarmOutcome::NotAttempted;
         if let Some(w) = warm {
             if !w.columns.is_empty() && w.columns.iter().all(|&j| j < n) {
-                selected.extend(w.columns.iter().copied());
+                for &j in &w.columns {
+                    selected.insert(j);
+                }
                 // Provisional: upgraded to `Hit` if the seeded working set
                 // closes feasibility without a single pricing round.
                 warm_outcome = WarmOutcome::FellBack;
@@ -469,7 +505,9 @@ impl LpSolver {
         let mut selected = initial_working_set(problem);
         if let Some(w) = warm {
             if w.columns.iter().all(|&j| j < n) {
-                selected.extend(w.columns.iter().copied());
+                for &j in &w.columns {
+                    selected.insert(j);
+                }
             }
         }
         for _round in 0..COLUMN_GENERATION_ROUNDS {
@@ -522,7 +560,7 @@ impl LpSolver {
     /// reporting noise.
     fn feasibility_tolerance(&self, problem: &LpProblem) -> f64 {
         let rhs_scale = problem
-            .constraints
+            .heads()
             .iter()
             .map(|c| c.rhs.abs())
             .fold(1.0f64, f64::max);
@@ -804,17 +842,17 @@ mod tests {
     /// The working-set seed as it was first written: each constraint's
     /// columns sorted on their own.  Kept as the reference the linear seed
     /// must reproduce exactly.
-    fn initial_working_set_reference(problem: &LpProblem) -> std::collections::BTreeSet<usize> {
+    fn initial_working_set_reference(problem: &LpProblem) -> Vec<usize> {
         let n = problem.num_vars;
         let mut degree = vec![0u32; n];
-        for c in &problem.constraints {
-            for (j, _) in &c.terms {
-                degree[*j] += 1;
+        for c in problem.constraints() {
+            for (j, _) in c.terms() {
+                degree[j] += 1;
             }
         }
         let mut selected = std::collections::BTreeSet::new();
-        for c in &problem.constraints {
-            let mut cols: Vec<usize> = c.terms.iter().map(|(j, _)| *j).collect();
+        for c in problem.constraints() {
+            let mut cols: Vec<usize> = c.terms().map(|(j, _)| j).collect();
             cols.sort_unstable_by_key(|&j| (degree[j], j));
             for &j in cols.iter().take(13) {
                 selected.insert(j);
@@ -823,7 +861,7 @@ mod tests {
                 selected.insert(j);
             }
         }
-        selected
+        selected.into_iter().collect()
     }
 
     /// A random 0/1 equality system: `n` columns, constraints of random
@@ -853,7 +891,7 @@ mod tests {
         /// sorts select, repeated terms included.
         #[test]
         fn working_set_seed_matches_the_reference(lp in zero_one_system()) {
-            prop_assert_eq!(initial_working_set(&lp), initial_working_set_reference(&lp));
+            prop_assert_eq!(initial_working_set(&lp).columns(), initial_working_set_reference(&lp));
         }
     }
 
@@ -866,9 +904,12 @@ mod tests {
         lp.add_constraint((0..40).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1.0);
         let seed = initial_working_set(&lp);
         assert_eq!(seed.len(), 26);
-        assert_eq!(seed, initial_working_set_reference(&lp));
+        assert_eq!(seed.columns(), initial_working_set_reference(&lp));
         lp.add_constraint(vec![(5, 1.0), (5, 1.0), (6, 1.0)], ConstraintOp::Eq, 1.0);
-        assert_eq!(initial_working_set(&lp), initial_working_set_reference(&lp));
+        assert_eq!(
+            initial_working_set(&lp).columns(),
+            initial_working_set_reference(&lp)
+        );
     }
 
     #[test]

@@ -39,12 +39,7 @@ impl NBox {
     /// Number of integer points in the box, saturating at `u128::MAX` for
     /// astronomically large boxes (exabyte-scale what-if scenarios).
     pub fn volume(&self) -> u128 {
-        if self.is_empty() {
-            return 0;
-        }
-        self.intervals
-            .iter()
-            .fold(1u128, |acc, i| acc.saturating_mul(i.len() as u128))
+        volume(&self.intervals)
     }
 
     /// Intersection with another box of the same dimensionality.
@@ -77,20 +72,13 @@ impl NBox {
 
     /// True if the box contains the given point.
     pub fn contains_point(&self, point: &[i64]) -> bool {
-        debug_assert_eq!(self.dims(), point.len());
-        self.intervals
-            .iter()
-            .zip(point.iter())
-            .all(|(iv, p)| iv.contains(*p))
+        contains_point(&self.intervals, point)
     }
 
     /// The lexicographically smallest point of the box (its lower corner).
     /// `None` when the box is empty.
     pub fn lower_corner(&self) -> Option<Vec<i64>> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(self.intervals.iter().map(|i| i.lo).collect())
+        lower_corner(&self.intervals)
     }
 
     /// Splits `self` against `other`, returning `(inside, outside)`: the part
@@ -126,6 +114,33 @@ impl NBox {
         }
         (core, outside)
     }
+}
+
+/// [`NBox::volume`] of the box with these per-axis intervals.
+pub(crate) fn volume(intervals: &[Interval]) -> u128 {
+    if intervals.iter().any(Interval::is_empty) {
+        return 0;
+    }
+    intervals
+        .iter()
+        .fold(1u128, |acc, i| acc.saturating_mul(i.len() as u128))
+}
+
+/// [`NBox::contains_point`] of the box with these per-axis intervals.
+pub(crate) fn contains_point(intervals: &[Interval], point: &[i64]) -> bool {
+    debug_assert_eq!(intervals.len(), point.len());
+    intervals
+        .iter()
+        .zip(point.iter())
+        .all(|(iv, p)| iv.contains(*p))
+}
+
+/// [`NBox::lower_corner`] of the box with these per-axis intervals.
+pub(crate) fn lower_corner(intervals: &[Interval]) -> Option<Vec<i64>> {
+    if intervals.iter().any(Interval::is_empty) {
+        return None;
+    }
+    Some(intervals.iter().map(|i| i.lo).collect())
 }
 
 impl fmt::Display for NBox {

@@ -146,7 +146,7 @@ impl RegionPartitioner {
             };
             let point = region.representative_point();
             if let Some(new) = partition.region_containing(&point) {
-                if partition.regions()[new].volume == region.volume {
+                if partition.region(new).volume == region.volume {
                     reused_regions += 1;
                 }
                 carried.push((old, new));
@@ -227,7 +227,7 @@ mod tests {
             .unwrap();
         // A sparse support, as a basic LP solution leaves it.
         let support: Vec<usize> = (0..full.num_variables()).step_by(2).collect();
-        let restricted = full.clone().restrict_to(&support);
+        let restricted = full.restrict_to(&support);
         let restricted_support: Vec<usize> = (0..restricted.num_variables()).collect();
 
         let identical = || {

@@ -26,8 +26,8 @@
 //!    representative cells, which is all that deterministic alignment needs to
 //!    place concrete attribute values inside the region.  During the sweep a
 //!    cell is an id into an arena of `(parent, interval)` prefix nodes, so
-//!    extending it by an axis is one push; cells become boxes once, at the
-//!    end.
+//!    extending it by an axis is one push; cells become intervals once, at
+//!    the end.
 //!
 //! The region budget is checked every time a partial signature is added,
 //! so a hostile constraint set fails as soon as it exceeds the budget, not
@@ -37,14 +37,25 @@
 //! projections (which is exactly how the summary layer constructs them: a
 //! foreign-key condition contributes a set of primary-key intervals on one
 //! axis, crossed with the other axes' intervals).
+//!
+//! ## Layout
+//!
+//! A [`RegionPartition`] holds no per-region heap object.  Its regions live
+//! in three flat vectors written straight from the sweep: signature words
+//! at one fixed stride (enough words for every constraint index), volumes,
+//! and the sample cells' intervals, `dims` per cell, with one offset per
+//! region.  A [`Region`] is a borrowed view of one row.  A region's
+//! signature is its 0/1 column in the relation's LP: constraint `i` has a
+//! unit coefficient on the region exactly when bit `i` is set.
 
 use crate::error::{PartitionError, PartitionResult};
 use crate::interval::Interval;
-use crate::nbox::NBox;
-use crate::signature::Signature;
+use crate::nbox::{self, NBox};
+use crate::signature::{Signature, SignatureRef};
 use crate::space::AttributeSpace;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Default bound on the number of regions (LP variables).  Workloads in the
 /// paper's class stay far below this; the bound exists to fail fast on
@@ -54,34 +65,44 @@ pub const DEFAULT_MAX_REGIONS: usize = 200_000;
 /// How many representative cells each region retains for value placement.
 const CELLS_PER_REGION: usize = 8;
 
-/// One region: a maximal set of points sharing a constraint signature.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Region {
-    /// The set of constraints that cover this region.
-    pub signature: Signature,
-    /// A bounded sample of disjoint cells lying inside the region, used to
-    /// pick concrete attribute values (the region may contain more points
-    /// than these cells cover; see [`Region::volume`]).
-    pub pieces: Vec<NBox>,
+/// One region: a maximal set of points sharing a constraint signature,
+/// borrowed from its partition's flat storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region<'a> {
+    /// The set of constraints that cover this region (its LP column).
+    pub signature: SignatureRef<'a>,
     /// Total number of integer points in the region (saturating).
     pub volume: u128,
+    /// The retained cells' intervals, `dims` per cell.
+    cells: &'a [Interval],
+    /// Number of retained cells.
+    pieces: usize,
 }
 
-impl Region {
+impl<'a> Region<'a> {
+    /// A bounded sample of disjoint cells lying inside the region, ordered
+    /// by lower corner, each given by its per-axis intervals.  The region
+    /// may contain more points than these cells cover; see
+    /// [`Region::volume`].
+    pub fn pieces(&self) -> impl ExactSizeIterator<Item = &'a [Interval]> + 'a {
+        let cells = self.cells;
+        let dims = cells.len().checked_div(self.pieces).unwrap_or(0);
+        (0..self.pieces).map(move |c| &cells[c * dims..(c + 1) * dims])
+    }
+
     /// A deterministic representative point of the region (the lower corner
     /// of its first retained cell).
     pub fn representative_point(&self) -> Vec<i64> {
-        self.pieces
-            .first()
-            .and_then(NBox::lower_corner)
+        self.pieces()
+            .next()
+            .and_then(nbox::lower_corner)
             .unwrap_or_default()
     }
 
     /// Total number of points covered by the retained representative cells.
     pub fn sampled_volume(&self) -> u128 {
-        self.pieces
-            .iter()
-            .fold(0u128, |acc, p| acc.saturating_add(p.volume()))
+        self.pieces()
+            .fold(0u128, |acc, p| acc.saturating_add(nbox::volume(p)))
     }
 
     /// The `idx`-th point of the region in a fixed enumeration order over the
@@ -94,16 +115,16 @@ impl Region {
             return None;
         }
         let mut k = idx % total;
-        for piece in &self.pieces {
-            let v = piece.volume();
+        for piece in self.pieces() {
+            let v = nbox::volume(piece);
             if k < v {
                 // Decode k into coordinates (row-major, last axis fastest).
-                let mut coords = vec![0i64; piece.dims()];
+                let mut coords = vec![0i64; piece.len()];
                 let mut rem = k;
-                for axis in (0..piece.dims()).rev() {
-                    let len = piece.interval(axis).len() as u128;
+                for axis in (0..piece.len()).rev() {
+                    let len = piece[axis].len() as u128;
                     let offset = (rem % len) as i64;
-                    coords[axis] = piece.interval(axis).lo + offset;
+                    coords[axis] = piece[axis].lo + offset;
                     rem /= len;
                 }
                 return Some(coords);
@@ -117,32 +138,147 @@ impl Region {
     /// (a sufficient but not necessary membership test; use
     /// [`RegionPartition::region_containing`] for an exact lookup).
     pub fn contains_point(&self, point: &[i64]) -> bool {
-        self.pieces.iter().any(|p| p.contains_point(point))
+        self.pieces().any(|p| nbox::contains_point(p, point))
+    }
+}
+
+/// The regions of a partition, in canonical (signature-sorted) order: a
+/// borrowed, indexable sequence of [`Region`] views.
+#[derive(Debug, Clone, Copy)]
+pub struct Regions<'a> {
+    partition: &'a RegionPartition,
+}
+
+impl<'a> Regions<'a> {
+    /// Number of regions.
+    pub fn len(&self) -> usize {
+        self.partition.volumes.len()
+    }
+
+    /// True if there are no regions.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The region at `index`, if there is one.
+    pub fn get(&self, index: usize) -> Option<Region<'a>> {
+        (index < self.len()).then(|| self.partition.region(index))
+    }
+
+    /// Iterates the regions in order.
+    pub fn iter(&self) -> RegionIter<'a> {
+        RegionIter {
+            partition: self.partition,
+            range: 0..self.len(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Regions<'a> {
+    type Item = Region<'a>;
+    type IntoIter = RegionIter<'a>;
+
+    fn into_iter(self) -> RegionIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a partition's [`Region`] views.
+#[derive(Debug, Clone)]
+pub struct RegionIter<'a> {
+    partition: &'a RegionPartition,
+    range: Range<usize>,
+}
+
+impl<'a> Iterator for RegionIter<'a> {
+    type Item = Region<'a>;
+
+    fn next(&mut self) -> Option<Region<'a>> {
+        self.range.next().map(|i| self.partition.region(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RegionIter<'_> {}
+
+impl DoubleEndedIterator for RegionIter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.range.next_back().map(|i| self.partition.region(i))
     }
 }
 
 /// The result of region partitioning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes as the space, a list of regions (each a signature, its
+/// sample cells as boxes, and its volume) and the constraint unions.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionPartition {
     space: AttributeSpace,
-    regions: Vec<Region>,
     constraints: Vec<Vec<NBox>>,
+    /// Region `i`'s signature words: `signatures[i * stride..][..stride]`,
+    /// with `stride` words enough for every constraint index.
+    signatures: Vec<u64>,
+    volumes: Vec<u128>,
+    /// Region `i`'s sample cells are cells `cell_start[i]..cell_start[i + 1]`.
+    cell_start: Vec<usize>,
+    /// The sample cells' intervals, `dims` per cell, region after region.
+    cells: Vec<Interval>,
 }
 
 impl RegionPartition {
+    /// An empty partition (no regions yet) of `space` against `constraints`.
+    fn empty(space: AttributeSpace, constraints: Vec<Vec<NBox>>, capacity: usize) -> Self {
+        let mut cell_start = Vec::with_capacity(capacity + 1);
+        cell_start.push(0);
+        RegionPartition {
+            signatures: Vec::with_capacity(capacity * constraints.len().div_ceil(64)),
+            volumes: Vec::with_capacity(capacity),
+            cell_start,
+            cells: Vec::new(),
+            space,
+            constraints,
+        }
+    }
+
+    /// Signature words per region.
+    fn stride(&self) -> usize {
+        self.constraints.len().div_ceil(64)
+    }
+
+    /// The signature words of region `index`.
+    fn signature_words(&self, index: usize) -> &[u64] {
+        let stride = self.stride();
+        &self.signatures[index * stride..(index + 1) * stride]
+    }
+
     /// The partitioned attribute space.
     pub fn space(&self) -> &AttributeSpace {
         &self.space
     }
 
     /// The regions, in canonical (signature-sorted) order.
-    pub fn regions(&self) -> &[Region] {
-        &self.regions
+    pub fn regions(&self) -> Regions<'_> {
+        Regions { partition: self }
+    }
+
+    /// The region at `index`.  Panics if `index` is out of range.
+    pub fn region(&self, index: usize) -> Region<'_> {
+        let cells = self.cell_start[index]..self.cell_start[index + 1];
+        let dims = self.space.dims();
+        Region {
+            signature: SignatureRef::new(self.signature_words(index)),
+            volume: self.volumes[index],
+            cells: &self.cells[cells.start * dims..cells.end * dims],
+            pieces: cells.len(),
+        }
     }
 
     /// Number of LP variables this encoding needs (= number of regions).
     pub fn num_variables(&self) -> usize {
-        self.regions.len()
+        self.volumes.len()
     }
 
     /// Number of constraints that were partitioned against.
@@ -159,34 +295,16 @@ impl RegionPartition {
 
     /// Indices of the regions covered by the given constraint.
     pub fn regions_in_constraint(&self, constraint: usize) -> Vec<usize> {
-        self.regions
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.signature.contains(constraint))
-            .map(|(i, _)| i)
+        (0..self.num_variables())
+            .filter(|&i| self.region(i).signature.contains(constraint))
             .collect()
     }
 
-    /// The regions covered by each constraint, for every constraint at once:
-    /// entry `ci` equals [`RegionPartition::regions_in_constraint`]`(ci)`.
-    /// One pass over the regions' signatures, so the cost is linear in the
-    /// number of (region, constraint) memberships — the LP's nonzeros —
-    /// instead of regions × constraints.
-    pub fn constraint_columns(&self) -> Vec<Vec<usize>> {
-        let mut columns = vec![Vec::new(); self.constraints.len()];
-        for (i, region) in self.regions.iter().enumerate() {
-            for ci in region.signature.iter() {
-                if let Some(column) = columns.get_mut(ci) {
-                    column.push(i);
-                }
-            }
-        }
-        columns
-    }
-
     /// Index of the region containing a point (exact: the point's signature is
-    /// computed against the stored constraints).  `None` if the point lies
-    /// outside the attribute space.
+    /// computed against the stored constraints, then found by binary search
+    /// among the signature-sorted regions).  `None` if the point lies
+    /// outside the attribute space, or in no retained region of a
+    /// restricted partition.
     pub fn region_containing(&self, point: &[i64]) -> Option<usize> {
         if point.len() != self.space.dims() {
             return None;
@@ -196,45 +314,151 @@ impl RegionPartition {
                 return None;
             }
         }
-        let mut signature = Signature::empty();
+        let mut signature = vec![0u64; self.stride()];
         for (ci, boxes) in self.constraints.iter().enumerate() {
             let covered = (0..self.space.dims())
                 .all(|axis| boxes.iter().any(|b| b.interval(axis).contains(point[axis])));
             if covered && !boxes.is_empty() {
-                signature.insert(ci);
+                signature[ci / 64] |= 1u64 << (ci % 64);
             }
         }
-        self.regions.iter().position(|r| r.signature == signature)
+        // Fixed-stride words compare as the signatures they pad.
+        let (mut lo, mut hi) = (0, self.num_variables());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.signature_words(mid).cmp(&signature) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// Total volume across all regions (equals the space volume; saturating
     /// for astronomically large spaces).
     pub fn total_volume(&self) -> u128 {
-        self.regions
+        self.volumes
             .iter()
-            .fold(0u128, |acc, r| acc.saturating_add(r.volume))
+            .fold(0u128, |acc, v| acc.saturating_add(*v))
     }
 
     /// Restricts the partition to the regions at the given indices (strictly
     /// ascending; indices past the end are ignored), keeping the space and
-    /// the constraint unions.  The kept regions are moved, not cloned.
+    /// the constraint unions.  Only the kept regions are copied.
     ///
     /// The result no longer covers the whole space: it is the retained form
     /// of a solved partition — typically its LP *support* — which is all
     /// incremental refinement needs (see [`RegionPartitioner::refine`]).
-    pub fn restrict_to(self, keep: &[usize]) -> RegionPartition {
-        let mut keep = keep.iter().copied().peekable();
-        let regions = self
-            .regions
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, region)| keep.next_if_eq(&index).map(|_| region))
-            .collect();
-        RegionPartition {
-            space: self.space,
-            regions,
-            constraints: self.constraints,
+    pub fn restrict_to(&self, keep: &[usize]) -> RegionPartition {
+        let kept = keep
+            .iter()
+            .copied()
+            .take_while(|&index| index < self.num_variables());
+        let mut restricted =
+            RegionPartition::empty(self.space.clone(), self.constraints.clone(), keep.len());
+        for index in kept {
+            let region = self.region(index);
+            restricted.push(
+                self.signature_words(index),
+                region.volume,
+                region.cells,
+                region.pieces,
+            );
         }
+        restricted
+    }
+
+    /// Appends a region: its signature words (`stride` of them), volume,
+    /// and the intervals of its `pieces` cells.
+    fn push(&mut self, signature: &[u64], volume: u128, cells: &[Interval], pieces: usize) {
+        debug_assert_eq!(signature.len(), self.stride());
+        debug_assert_eq!(cells.len(), pieces * self.space.dims());
+        self.signatures.extend_from_slice(signature);
+        self.volumes.push(volume);
+        let end = self.cell_start[self.cell_start.len() - 1] + pieces;
+        self.cell_start.push(end);
+        self.cells.extend_from_slice(cells);
+    }
+}
+
+/// One region as a partition serializes it.
+#[derive(Serialize, Deserialize)]
+struct RegionRecord {
+    signature: Signature,
+    pieces: Vec<NBox>,
+    volume: u128,
+}
+
+impl Serialize for RegionPartition {
+    fn serialize_content(&self) -> Content {
+        let regions = self
+            .regions()
+            .iter()
+            .map(|region| {
+                RegionRecord {
+                    signature: region.signature.to_signature(),
+                    pieces: region.pieces().map(|p| NBox::new(p.to_vec())).collect(),
+                    volume: region.volume,
+                }
+                .serialize_content()
+            })
+            .collect();
+        Content::Map(vec![
+            ("space".to_string(), self.space.serialize_content()),
+            ("regions".to_string(), Content::Seq(regions)),
+            ("constraints".to_string(), self.constraints.serialize_content()),
+        ])
+    }
+}
+
+impl Deserialize for RegionPartition {
+    /// Reads what [`Serialize`] writes.  Fails on a region whose signature
+    /// names a constraint the partition lacks, whose cells do not have one
+    /// interval per axis, or that is not ordered after its predecessor.
+    fn deserialize_content(content: &Content) -> Result<Self, serde::Error> {
+        const TY: &str = "RegionPartition";
+        let entries = content
+            .as_map()
+            .ok_or_else(|| serde::Error::expected("map", TY))?;
+        let space: AttributeSpace = serde::field(entries, "space", TY)?;
+        let records: Vec<RegionRecord> = serde::field(entries, "regions", TY)?;
+        let constraints: Vec<Vec<NBox>> = serde::field(entries, "constraints", TY)?;
+        let mut partition = RegionPartition::empty(space, constraints, records.len());
+        let (stride, dims) = (partition.stride(), partition.space.dims());
+        let mut words = vec![0u64; stride];
+        let mut cells = Vec::new();
+        for (index, record) in records.into_iter().enumerate() {
+            let signature = record.signature.words();
+            if signature.len() > stride && signature[stride..].iter().any(|&w| w != 0) {
+                return Err(serde::Error::custom(format!(
+                    "region {index} names a constraint past the partition's {}",
+                    partition.num_constraints()
+                )));
+            }
+            words.fill(0);
+            for (word, &w) in words.iter_mut().zip(signature) {
+                *word = w;
+            }
+            if index > 0 && partition.signature_words(index - 1) >= &words[..] {
+                return Err(serde::Error::custom(format!(
+                    "region {index} is not ordered after region {}",
+                    index - 1
+                )));
+            }
+            cells.clear();
+            for piece in &record.pieces {
+                if piece.dims() != dims {
+                    return Err(serde::Error::custom(format!(
+                        "region {index} has a {}-axis cell in a {dims}-axis space",
+                        piece.dims()
+                    )));
+                }
+                cells.extend_from_slice(piece.intervals());
+            }
+            partition.push(&words, record.volume, &cells, record.pieces.len());
+        }
+        Ok(partition)
     }
 }
 
@@ -256,16 +480,15 @@ impl PrefixArena {
         self.nodes.len() - 1
     }
 
-    /// The intervals of a prefix of `len` axes, first axis first.
-    fn intervals(&self, mut prefix: usize, len: usize) -> Vec<Interval> {
-        let mut intervals = Vec::with_capacity(len);
-        while prefix != Self::EMPTY {
+    /// Writes the intervals of a prefix of `out.len()` axes into `out`,
+    /// first axis first.
+    fn write(&self, mut prefix: usize, out: &mut [Interval]) {
+        for slot in out.iter_mut().rev() {
             let (parent, interval) = self.nodes[prefix];
-            intervals.push(interval);
+            *slot = interval;
             prefix = parent;
         }
-        intervals.reverse();
-        intervals
+        debug_assert_eq!(prefix, Self::EMPTY);
     }
 }
 
@@ -463,35 +686,42 @@ impl RegionPartitioner {
             partials = next;
         }
 
-        let regions: Vec<Region> = partials
-            .into_iter()
-            .map(|(SweepKey { signature, .. }, partial)| {
-                let mut pieces: Vec<NBox> = partial.cells[..partial.len]
-                    .iter()
-                    .map(|&cell| NBox::new(arena.intervals(cell, dims)))
-                    .collect();
-                // By lower corner: cells are never empty, so that is the
-                // order of their intervals' lower bounds.
-                pieces.sort_by(|a, b| {
-                    let lo = |iv: &Interval| iv.lo;
-                    a.intervals()
-                        .iter()
-                        .map(lo)
-                        .cmp(b.intervals().iter().map(lo))
-                });
-                Region {
-                    signature,
-                    pieces,
-                    volume: partial.volume,
+        // Write the regions straight into the partition's flat vectors:
+        // each cell's intervals are read off its prefix chain, last axis
+        // first, and a region's cells are put in lower-corner order (cells
+        // are disjoint and never empty, so lower corners are distinct).
+        let mut partition = RegionPartition::empty(self.space, self.constraints, partials.len());
+        let stride = partition.stride();
+        let mut words = vec![0u64; stride];
+        let mut cells: Vec<Interval> = Vec::with_capacity(CELLS_PER_REGION * dims);
+        let mut sorted: Vec<Interval> = Vec::with_capacity(CELLS_PER_REGION * dims);
+        let mut order = [0usize; CELLS_PER_REGION];
+        for (key, partial) in &partials {
+            words.fill(0);
+            words[..key.signature.words().len()].copy_from_slice(key.signature.words());
+            cells.clear();
+            cells.resize(partial.len * dims, Interval::empty());
+            for (cell, &prefix) in cells.chunks_exact_mut(dims.max(1)).zip(&partial.cells[..partial.len]) {
+                arena.write(prefix, cell);
+            }
+            let order = &mut order[..partial.len];
+            for (c, slot) in order.iter_mut().enumerate() {
+                *slot = c;
+            }
+            let lower = |c: usize| cells[c * dims..(c + 1) * dims].iter().map(|iv| iv.lo);
+            order.sort_unstable_by(|&a, &b| lower(a).cmp(lower(b)));
+            let cells = if order.iter().enumerate().all(|(c, &slot)| c == slot) {
+                &cells
+            } else {
+                sorted.clear();
+                for &c in order.iter() {
+                    sorted.extend_from_slice(&cells[c * dims..(c + 1) * dims]);
                 }
-            })
-            .collect();
-
-        Ok(RegionPartition {
-            space: self.space,
-            regions,
-            constraints: self.constraints,
-        })
+                &sorted
+            };
+            partition.push(&words, partial.volume, cells, partial.len);
+        }
+        Ok(partition)
     }
 }
 
@@ -515,8 +745,8 @@ mod tests {
     fn no_constraints_single_region() {
         let p = RegionPartitioner::new(space_1d()).partition().unwrap();
         assert_eq!(p.num_variables(), 1);
-        assert_eq!(p.regions()[0].volume, 100);
-        assert!(p.regions()[0].signature.is_empty());
+        assert_eq!(p.region(0).volume, 100);
+        assert!(p.region(0).signature.is_empty());
         assert_eq!(p.total_volume(), 100);
     }
 
@@ -538,7 +768,7 @@ mod tests {
         assert_eq!(both.volume, 20);
         let none = p.regions().iter().find(|r| r.signature.is_empty()).unwrap();
         assert_eq!(none.volume, 40);
-        assert_eq!(none.pieces.len(), 2);
+        assert_eq!(none.pieces().len(), 2);
     }
 
     #[test]
@@ -586,7 +816,7 @@ mod tests {
             .find(|r| r.signature.contains(0))
             .unwrap();
         assert_eq!(inside.volume, 20);
-        assert_eq!(inside.pieces.len(), 2);
+        assert_eq!(inside.pieces().len(), 2);
     }
 
     #[test]
@@ -620,10 +850,10 @@ mod tests {
             .partition()
             .unwrap();
         let in0 = p.regions_in_constraint(0);
-        let vol0: u128 = in0.iter().map(|&i| p.regions()[i].volume).sum();
+        let vol0: u128 = in0.iter().map(|&i| p.region(i).volume).sum();
         assert_eq!(vol0, 40);
         let in1 = p.regions_in_constraint(1);
-        let vol1: u128 = in1.iter().map(|&i| p.regions()[i].volume).sum();
+        let vol1: u128 = in1.iter().map(|&i| p.region(i).volume).sum();
         assert_eq!(vol1, 40);
     }
 
@@ -659,9 +889,9 @@ mod tests {
             .partition()
             .unwrap();
         let inside = p.region_containing(&[30]).unwrap();
-        assert!(p.regions()[inside].signature.contains(0));
+        assert!(p.region(inside).signature.contains(0));
         let outside = p.region_containing(&[70]).unwrap();
-        assert!(p.regions()[outside].signature.is_empty());
+        assert!(p.region(outside).signature.is_empty());
         assert!(p.region_containing(&[1000]).is_none());
         assert!(p.region_containing(&[1, 2]).is_none());
     }
@@ -673,9 +903,10 @@ mod tests {
             .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
             .partition()
             .unwrap();
-        let kept = [p.regions()[1].clone(), p.regions()[3].clone()];
-        let restricted = p.clone().restrict_to(&[1, 3, 99]);
-        assert_eq!(restricted.regions(), &kept[..]);
+        let restricted = p.restrict_to(&[1, 3, 99]);
+        assert_eq!(restricted.num_variables(), 2);
+        assert_eq!(restricted.region(0), p.region(1));
+        assert_eq!(restricted.region(1), p.region(3));
         assert_eq!(restricted.space(), p.space());
         assert_eq!(restricted.constraint_unions(), p.constraint_unions());
     }

@@ -3,6 +3,8 @@
 //! A region of the attribute space is identified by *which constraints cover
 //! it*.  The [`Signature`] is that membership set, stored as a growable
 //! bitset so it can serve as a hash / ordering key when regions are grouped.
+//! A [`SignatureRef`] borrows the same set from a partition's fixed-stride
+//! signature words.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -45,23 +47,29 @@ impl Signature {
         s
     }
 
+    /// The signature as a borrowed view.
+    pub fn as_ref(&self) -> SignatureRef<'_> {
+        SignatureRef { words: &self.words }
+    }
+
+    /// The bitset words, without trailing zero words.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// True if the signature contains the constraint index.
     pub fn contains(&self, index: usize) -> bool {
-        let word = index / 64;
-        self.words
-            .get(word)
-            .map(|w| w & (1u64 << (index % 64)) != 0)
-            .unwrap_or(false)
+        self.as_ref().contains(index)
     }
 
     /// Number of constraints in the signature.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_ref().count()
     }
 
     /// True if no constraint covers this signature.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| *w == 0)
+        self.as_ref().is_empty()
     }
 
     /// Set intersection of two signatures.
@@ -102,18 +110,8 @@ impl Signature {
 
     /// Iterates the contained constraint indices, ascending, without
     /// allocating.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + b)
-            })
-        })
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.as_ref().iter()
     }
 
     /// Drops trailing zero words so equal sets compare equal regardless of
@@ -127,12 +125,104 @@ impl Signature {
 
 impl fmt::Display for Signature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// A borrowed signature: bitset words that may carry trailing zero words
+/// (a partition stores every region's signature at one fixed stride).
+/// Equality and the methods ignore the padding, so a view equals the
+/// [`Signature`] of the same set.
+#[derive(Debug, Clone, Copy)]
+pub struct SignatureRef<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> SignatureRef<'a> {
+    /// Views zero-padded bitset words as a signature.
+    pub(crate) fn new(words: &'a [u64]) -> Self {
+        SignatureRef { words }
+    }
+
+    /// The words without their zero padding.
+    fn trimmed(&self) -> &'a [u64] {
+        let len = self.words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        &self.words[..len]
+    }
+
+    /// True if the signature contains the constraint index.
+    pub fn contains(&self, index: usize) -> bool {
+        self.words
+            .get(index / 64)
+            .is_some_and(|w| w & (1u64 << (index % 64)) != 0)
+    }
+
+    /// Number of constraints in the signature.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if no constraint covers this signature.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|w| *w == 0)
+    }
+
+    /// The contained constraint indices, ascending.
+    pub fn indices(&self) -> Vec<usize> {
+        self.iter().collect()
+    }
+
+    /// Iterates the contained constraint indices, ascending, without
+    /// allocating.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(wi * 64 + b)
+            })
+        })
+    }
+
+    /// An owned copy of the set.
+    pub fn to_signature(&self) -> Signature {
+        Signature {
+            words: self.trimmed().to_vec(),
+        }
+    }
+}
+
+impl PartialEq for SignatureRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.trimmed() == other.trimmed()
+    }
+}
+
+impl Eq for SignatureRef<'_> {}
+
+impl PartialEq<Signature> for SignatureRef<'_> {
+    fn eq(&self, other: &Signature) -> bool {
+        self.trimmed() == other.words
+    }
+}
+
+impl PartialEq<SignatureRef<'_>> for Signature {
+    fn eq(&self, other: &SignatureRef<'_>) -> bool {
+        other == self
+    }
+}
+
+impl fmt::Display for SignatureRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{{{}}}",
-            self.indices()
-                .iter()
-                .map(usize::to_string)
+            self.iter()
+                .map(|i| i.to_string())
                 .collect::<Vec<_>>()
                 .join(",")
         )
@@ -212,5 +302,22 @@ mod tests {
         assert_eq!(out, a.intersect(&b));
         a.intersect_into(&c, &mut out);
         assert_eq!(out, Signature::empty());
+    }
+
+    #[test]
+    fn padded_views_equal_their_signature() {
+        let s = Signature::from_indices(&[3, 70]);
+        let padded = [1u64 << 3, 1u64 << 6, 0, 0];
+        let view = SignatureRef::new(&padded);
+        assert_eq!(view, s);
+        assert_eq!(view, s.as_ref());
+        assert_eq!(view.to_signature(), s);
+        assert_eq!(view.indices(), vec![3, 70]);
+        assert_eq!(view.count(), 2);
+        assert!(view.contains(70) && !view.contains(200));
+        assert_eq!(view.to_string(), "{3,70}");
+        let empty = SignatureRef::new(&[0, 0]);
+        assert!(empty.is_empty());
+        assert_eq!(empty, Signature::empty());
     }
 }

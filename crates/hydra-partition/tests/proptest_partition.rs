@@ -2,11 +2,62 @@
 
 use hydra_partition::interval::Interval;
 use hydra_partition::nbox::NBox;
-use hydra_partition::region::{Region, RegionPartitioner};
+use hydra_partition::region::{RegionPartition, RegionPartitioner};
 use hydra_partition::signature::Signature;
 use hydra_partition::space::AttributeSpace;
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// A region as partitions first stored it — its own signature and boxes —
+/// kept as the reference layout: the reference sweep produces it, and it
+/// fixes the JSON a partition reads and writes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ParentRegion {
+    signature: Signature,
+    pieces: Vec<NBox>,
+    volume: u128,
+}
+
+/// A partition in the reference layout.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ParentPartition {
+    space: AttributeSpace,
+    regions: Vec<ParentRegion>,
+    constraints: Vec<Vec<NBox>>,
+}
+
+/// A partition's regions copied out of their views into the reference
+/// layout.
+fn parent_regions(p: &RegionPartition) -> Vec<ParentRegion> {
+    p.regions()
+        .iter()
+        .map(|r| ParentRegion {
+            signature: r.signature.to_signature(),
+            pieces: r.pieces().map(|cell| NBox::new(cell.to_vec())).collect(),
+            volume: r.volume,
+        })
+        .collect()
+}
+
+/// Partitions `space` against `unions`.
+fn partition(space: &AttributeSpace, unions: &[Vec<NBox>]) -> RegionPartition {
+    let mut partitioner = RegionPartitioner::new(space.clone());
+    for union in unions {
+        partitioner = partitioner.add_constraint_union(union.clone());
+    }
+    partitioner.partition().unwrap()
+}
+
+/// The strictly ascending region indices `mask` keeps, plus one index past
+/// the end (which `restrict_to` ignores).
+fn kept(mask: &[bool], regions: usize) -> Vec<usize> {
+    let mut keep: Vec<usize> = (0..regions)
+        .filter(|&i| mask.get(i).copied().unwrap_or(false))
+        .collect();
+    keep.push(regions + 1);
+    keep
+}
 
 /// Strategy: a small attribute space (1–3 axes) plus 1–6 constraint boxes.
 fn space_and_constraints() -> impl Strategy<Value = (AttributeSpace, Vec<NBox>)> {
@@ -69,7 +120,7 @@ fn space_and_unions() -> impl Strategy<Value = (AttributeSpace, Vec<Vec<NBox>>)>
 /// The axis sweep as it was first written — every cell a cloned interval
 /// prefix, masks found by testing every box against every elementary
 /// interval — kept as the reference the partitioner must reproduce.
-fn reference_regions(space: &AttributeSpace, constraints: &[Vec<NBox>]) -> Vec<Region> {
+fn reference_regions(space: &AttributeSpace, constraints: &[Vec<NBox>]) -> Vec<ParentRegion> {
     struct Partial {
         volume: u128,
         cells: Vec<Vec<Interval>>,
@@ -143,7 +194,7 @@ fn reference_regions(space: &AttributeSpace, constraints: &[Vec<NBox>]) -> Vec<R
         .map(|(signature, partial)| {
             let mut pieces: Vec<NBox> = partial.cells.into_iter().map(NBox::new).collect();
             pieces.sort_by_cached_key(NBox::lower_corner);
-            Region {
+            ParentRegion {
                 signature,
                 pieces,
                 volume: partial.volume,
@@ -156,20 +207,76 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The partitioner reproduces the reference sweep exactly: the same
-    /// regions in the same order, with the same volumes and pieces; and
-    /// the one-pass constraint columns equal the per-constraint scans.
+    /// regions in the same order, with the same volumes and pieces.
     #[test]
     fn partition_matches_the_reference_sweep((space, unions) in space_and_unions()) {
-        let mut partitioner = RegionPartitioner::new(space.clone());
-        for union in &unions {
-            partitioner = partitioner.add_constraint_union(union.clone());
+        let p = partition(&space, &unions);
+        prop_assert_eq!(parent_regions(&p), reference_regions(&space, &unions));
+    }
+
+    /// A full or restricted partition serializes to exactly the JSON of
+    /// the reference layout holding the reference sweep's regions, and that
+    /// JSON deserializes to an equal partition.
+    #[test]
+    fn partition_json_matches_the_reference_layout(
+        (space, unions) in space_and_unions(),
+        mask in proptest::collection::vec(any::<bool>(), 0..64),
+    ) {
+        let full = partition(&space, &unions);
+        let reference = reference_regions(&space, &unions);
+        let keep = kept(&mask, full.num_variables());
+        let restricted = full.restrict_to(&keep);
+        let restricted_reference: Vec<ParentRegion> = keep
+            .iter()
+            .filter_map(|&i| reference.get(i).cloned())
+            .collect();
+        for (p, regions) in [(&full, reference.clone()), (&restricted, restricted_reference)] {
+            let parent = ParentPartition {
+                space: space.clone(),
+                regions,
+                constraints: unions.clone(),
+            };
+            let json = serde_json::to_string(&parent).unwrap();
+            prop_assert_eq!(serde_json::to_string(p).unwrap(), json.clone());
+            let read: RegionPartition = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(&read, p);
         }
-        let p = partitioner.partition().unwrap();
-        prop_assert_eq!(p.regions(), &reference_regions(&space, &unions)[..]);
-        let columns = p.constraint_columns();
-        prop_assert_eq!(columns.len(), unions.len());
-        for (ci, column) in columns.iter().enumerate() {
-            prop_assert_eq!(column, &p.regions_in_constraint(ci), "constraint {}", ci);
+    }
+
+    /// The binary search finds the same region as a linear scan over the
+    /// signatures, on full and restricted partitions, for points inside and
+    /// outside the space.
+    #[test]
+    fn region_containing_matches_a_linear_scan(
+        (space, unions) in space_and_unions(),
+        mask in proptest::collection::vec(any::<bool>(), 0..64),
+        points in proptest::collection::vec(proptest::collection::vec(-5i64..70, 3), 1..24),
+    ) {
+        let full = partition(&space, &unions);
+        let restricted = full.restrict_to(&kept(&mask, full.num_variables()));
+        for p in [&full, &restricted] {
+            for point in &points {
+                let point = &point[..space.dims()];
+                let inside = point
+                    .iter()
+                    .enumerate()
+                    .all(|(axis, &x)| space.domain(axis).contains(x));
+                let mut signature = Signature::empty();
+                for (ci, union) in unions.iter().enumerate() {
+                    let covered = (0..space.dims()).all(|axis| {
+                        union.iter().any(|b| b.interval(axis).contains(point[axis]))
+                    });
+                    if covered && !union.is_empty() {
+                        signature.insert(ci);
+                    }
+                }
+                let scan = if inside {
+                    p.regions().iter().position(|r| r.signature == signature)
+                } else {
+                    None
+                };
+                prop_assert_eq!(p.region_containing(point), scan, "point {:?}", point);
+            }
         }
     }
 
@@ -187,7 +294,7 @@ proptest! {
         // Signatures are unique per region.
         for i in 0..p.regions().len() {
             for j in (i + 1)..p.regions().len() {
-                prop_assert_ne!(&p.regions()[i].signature, &p.regions()[j].signature);
+                prop_assert_ne!(p.region(i).signature, p.region(j).signature);
             }
         }
     }
@@ -207,7 +314,7 @@ proptest! {
             let got: u128 = p
                 .regions_in_constraint(ci)
                 .iter()
-                .map(|&i| p.regions()[i].volume)
+                .map(|&i| p.region(i).volume)
                 .sum();
             prop_assert_eq!(got, expected, "constraint {} volume mismatch", ci);
         }

@@ -82,10 +82,10 @@ pub fn build_relation_summary(
     // intervals and the referencing relation's region partition stays small.
     // Only the LP support emits rows, so only it is ordered.
     let mut order = solved.support();
-    order.sort_by_cached_key(|&i| solved.partition.regions()[i].representative_point());
+    order.sort_by_cached_key(|&i| solved.partition.region(i).representative_point());
 
     for &index in &order {
-        let region = &solved.partition.regions()[index];
+        let region = solved.partition.region(index);
         let count = solved.region_counts[index];
         let point = match &mut rng {
             Some(rng) if region.volume > 0 => {

@@ -92,7 +92,7 @@ impl SolveBaseline {
                 .iter()
                 .map(|(name, relation)| {
                     let solved = SolvedRelation {
-                        partition: relation.solved.partition.clone().restrict_to(&[]),
+                        partition: relation.solved.partition.restrict_to(&[]),
                         region_counts: Vec::new(),
                         stats: relation.solved.stats.clone(),
                     };

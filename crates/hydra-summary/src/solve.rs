@@ -11,7 +11,7 @@ use crate::axes::RelationAxes;
 use crate::error::SummaryResult;
 use crate::summary::RelationSummary;
 use hydra_catalog::schema::Table;
-use hydra_lp::problem::{ConstraintOp, LpProblem};
+use hydra_lp::problem::{ConstraintOp, LpProblem, RowHead};
 use hydra_lp::rounding::largest_remainder_round;
 use hydra_lp::simplex::{WarmOutcome, WarmStart};
 use hydra_lp::solver::{LpSolver, SolveStatus};
@@ -175,31 +175,34 @@ fn boxed_constraints(
 
 /// Formulates the per-relation LP over an already-built partition (one
 /// variable per region, one equality per surviving constraint, plus the
-/// total row count).
+/// total row count).  A region's signature is its column: the LP matrix is
+/// written in one pass over the signatures, each region a unit entry in
+/// the rows of its constraints and in the total row.
 fn formulate_lp(
     table: &Table,
     partition: &RegionPartition,
     boxed: &[(VolumetricConstraint, Vec<hydra_partition::nbox::NBox>)],
     row_target: u64,
 ) -> LpProblem {
-    let num_regions = partition.num_variables();
-    let mut lp = LpProblem::new(num_regions);
-    for ((c, _), columns) in boxed.iter().zip(partition.constraint_columns()) {
-        let terms: Vec<(usize, f64)> = columns.into_iter().map(|r| (r, 1.0)).collect();
-        lp.add_labeled_constraint(
-            terms,
-            ConstraintOp::Eq,
-            c.cardinality as f64,
-            c.label.clone(),
-        );
-    }
-    lp.add_labeled_constraint(
-        (0..num_regions).map(|r| (r, 1.0)).collect(),
-        ConstraintOp::Eq,
-        row_target as f64,
-        format!("{}.total_rows", table.name),
-    );
-    lp
+    let equality = |rhs: u64, label: String| RowHead {
+        op: ConstraintOp::Eq,
+        rhs: rhs as f64,
+        label: Some(label),
+    };
+    let mut heads: Vec<RowHead> = boxed
+        .iter()
+        .map(|(c, _)| equality(c.cardinality, c.label.clone()))
+        .collect();
+    let total_row = heads.len();
+    heads.push(equality(row_target, format!("{}.total_rows", table.name)));
+    LpProblem::from_columns(
+        heads,
+        partition.regions().iter().map(|region| {
+            (region.signature.iter())
+                .chain(std::iter::once(total_row))
+                .map(|r| (r, 1.0))
+        }),
+    )
 }
 
 /// Iteration budget for post-rounding integral repair.
@@ -444,12 +447,7 @@ mod tests {
         assert!(support.len() < solved.partition.num_variables());
         let kept: Vec<_> = support
             .iter()
-            .map(|&r| {
-                (
-                    solved.partition.regions()[r].clone(),
-                    solved.region_counts[r],
-                )
-            })
+            .map(|&r| (solved.partition.region(r), solved.region_counts[r]))
             .collect();
         let retained = solved.clone().support_only();
         assert_eq!(retained.partition.num_variables(), support.len());
@@ -458,7 +456,6 @@ mod tests {
             .partition
             .regions()
             .iter()
-            .cloned()
             .zip(retained.region_counts.iter().copied())
             .collect();
         assert_eq!(retained_pairs, kept);
