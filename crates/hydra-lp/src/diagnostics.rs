@@ -46,7 +46,7 @@ impl ViolationReport {
         let mut lhs = vec![0.0f64; problem.num_constraints()];
         for (j, &v) in values.iter().enumerate().take(problem.num_vars) {
             if v != 0.0 {
-                for (&r, &c) in columns.rows(j).iter().zip(columns.coefs(j)) {
+                for (&r, c) in columns.rows(j).iter().zip(columns.coefs(j).iter()) {
                     lhs[r as usize] += c * v;
                 }
             }

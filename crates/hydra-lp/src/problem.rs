@@ -1,9 +1,11 @@
 //! Sparse linear-program model.
 //!
-//! The constraint matrix is stored once, flat: every row's terms sit in two
-//! shared vectors (`u32` column indices and `f64` coefficients) with one
-//! offset per row, and a row's terms ascend by column (repeated terms stay,
-//! in the order given).  A [`Constraint`] is a borrowed view of one row.
+//! The constraint matrix is stored once, flat: every row's terms sit in
+//! shared vectors (`u32` column indices, and `f64` coefficients unless
+//! every coefficient is 1 — HYDRA's matrices are 0/1 and store none) with
+//! one offset per row, and a row's terms ascend by column (repeated terms
+//! stay, in the order given).  A [`Constraint`] is a borrowed view of one
+//! row.
 //!
 //! The LPs HYDRA solves have a few dozen rows and up to tens of thousands
 //! of columns, and most passes over them run column by column: seeding and
@@ -40,13 +42,77 @@ impl fmt::Display for ConstraintOp {
     }
 }
 
+impl ConstraintOp {
+    /// Signed violation of `lhs op rhs` (see [`Constraint::violation`]).
+    pub fn violation(self, lhs: f64, rhs: f64) -> f64 {
+        match self {
+            ConstraintOp::Eq => lhs - rhs,
+            ConstraintOp::Le => (lhs - rhs).max(0.0),
+            ConstraintOp::Ge => (rhs - lhs).max(0.0),
+        }
+    }
+}
+
+/// The coefficients of a run of terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Coefs<'a> {
+    /// This many coefficients, every one 1 (stored as none).
+    Unit(usize),
+    /// The stored coefficients.
+    Given(&'a [f64]),
+}
+
+impl<'a> Coefs<'a> {
+    /// The coefficients, in term order.
+    pub fn iter(&self) -> CoefIter<'a> {
+        match *self {
+            Coefs::Unit(len) => CoefIter::Unit(len),
+            Coefs::Given(coefs) => CoefIter::Given(coefs.iter()),
+        }
+    }
+}
+
+/// Iterator over [`Coefs`].
+#[derive(Debug, Clone)]
+pub enum CoefIter<'a> {
+    /// Unit coefficients still to yield.
+    Unit(usize),
+    /// Stored coefficients still to yield.
+    Given(std::slice::Iter<'a, f64>),
+}
+
+impl Iterator for CoefIter<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        match self {
+            CoefIter::Unit(0) => None,
+            CoefIter::Unit(left) => {
+                *left -= 1;
+                Some(1.0)
+            }
+            CoefIter::Given(coefs) => coefs.next().copied(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = match self {
+            CoefIter::Unit(left) => *left,
+            CoefIter::Given(coefs) => coefs.len(),
+        };
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for CoefIter<'_> {}
+
 /// One row of a problem: `sum(coef_i * x_i) op rhs`, borrowed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraint<'a> {
     /// The terms' variable indices, ascending.
     pub columns: &'a [u32],
     /// The terms' coefficients, one per entry of `columns`.
-    pub coefs: &'a [f64],
+    pub coefs: Coefs<'a>,
     /// Relational operator.
     pub op: ConstraintOp,
     /// Right-hand side.
@@ -56,13 +122,10 @@ pub struct Constraint<'a> {
     pub label: Option<&'a str>,
 }
 
-impl Constraint<'_> {
+impl<'a> Constraint<'a> {
     /// The sparse terms: (variable index, coefficient).
-    pub fn terms(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.columns
-            .iter()
-            .zip(self.coefs)
-            .map(|(&j, &c)| (j as usize, c))
+    pub fn terms(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        (self.columns.iter().map(|&j| j as usize)).zip(self.coefs.iter())
     }
 
     /// Evaluates the left-hand side for a candidate solution.
@@ -79,17 +142,6 @@ impl Constraint<'_> {
     }
 }
 
-impl ConstraintOp {
-    /// Signed violation of `lhs op rhs` (see [`Constraint::violation`]).
-    pub fn violation(self, lhs: f64, rhs: f64) -> f64 {
-        match self {
-            ConstraintOp::Eq => lhs - rhs,
-            ConstraintOp::Le => (lhs - rhs).max(0.0),
-            ConstraintOp::Ge => (rhs - lhs).max(0.0),
-        }
-    }
-}
-
 /// A row's operator, right-hand side and label: everything but its terms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowHead {
@@ -101,69 +153,132 @@ pub struct RowHead {
     pub label: Option<String>,
 }
 
+/// A sparse matrix by lines (rows or columns): line `i`'s entries are
+/// `index[start[i]..start[i + 1]]`, with the same range of `coefs` — or
+/// no `coefs` at all while every coefficient is 1 (so `coefs` is `None`
+/// exactly when every coefficient is 1).
+#[derive(Debug, Clone, PartialEq)]
+struct Lines {
+    start: Vec<usize>,
+    index: Vec<u32>,
+    coefs: Option<Vec<f64>>,
+}
+
+impl Lines {
+    /// No lines, room for `lines` of them and `entries` entries.
+    fn with_capacity(lines: usize, entries: usize) -> Lines {
+        let mut start = Vec::with_capacity(lines + 1);
+        start.push(0);
+        Lines {
+            start,
+            index: Vec::with_capacity(entries),
+            coefs: None,
+        }
+    }
+
+    fn num_lines(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn len(&self, i: usize) -> usize {
+        self.start[i + 1] - self.start[i]
+    }
+
+    fn index(&self, i: usize) -> &[u32] {
+        &self.index[self.start[i]..self.start[i + 1]]
+    }
+
+    fn coefs(&self, i: usize) -> Coefs<'_> {
+        match &self.coefs {
+            None => Coefs::Unit(self.len(i)),
+            Some(coefs) => Coefs::Given(&coefs[self.start[i]..self.start[i + 1]]),
+        }
+    }
+
+    /// Appends one entry to the last line (see [`Lines::end_line`]).
+    fn push(&mut self, index: u32, coef: f64) {
+        if coef != 1.0 && self.coefs.is_none() {
+            let mut coefs = Vec::with_capacity(self.index.capacity());
+            coefs.resize(self.index.len(), 1.0);
+            self.coefs = Some(coefs);
+        }
+        self.index.push(index);
+        if let Some(coefs) = &mut self.coefs {
+            coefs.push(coef);
+        }
+    }
+
+    /// Closes the line the pushed entries belong to.
+    fn end_line(&mut self) {
+        self.start.push(self.index.len());
+    }
+
+    /// The same entries by index: for each of `num_indices` indices, the
+    /// lines naming it, ascending (a stable counting sort, so repeated
+    /// entries keep their order).
+    fn transpose(&self, num_indices: usize) -> Lines {
+        let mut start = vec![0usize; num_indices + 1];
+        for &i in &self.index {
+            start[i as usize + 1] += 1;
+        }
+        for i in 0..num_indices {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start[..num_indices].to_vec();
+        let mut index = vec![0u32; self.index.len()];
+        for (line, bounds) in self.start.windows(2).enumerate() {
+            for &i in &self.index[bounds[0]..bounds[1]] {
+                let slot = &mut fill[i as usize];
+                index[*slot] = line as u32;
+                *slot += 1;
+            }
+        }
+        // The coefficients follow their entries in a second walk.
+        let coefs = self.coefs.as_ref().map(|given| {
+            let mut fill = start[..num_indices].to_vec();
+            let mut coefs = vec![0.0f64; given.len()];
+            for (&i, &coef) in self.index.iter().zip(given) {
+                let slot = &mut fill[i as usize];
+                coefs[*slot] = coef;
+                *slot += 1;
+            }
+            coefs
+        });
+        Lines {
+            start,
+            index,
+            coefs,
+        }
+    }
+}
+
 /// A problem's constraint matrix ordered by column: column `j`'s entries
 /// are its `(row, coefficient)` pairs, rows ascending, one entry per term
 /// (a term repeated in a row repeats that row).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnView {
-    /// Column `j`'s entries are `rows[start[j]..start[j + 1]]`.
-    start: Vec<usize>,
-    rows: Vec<u32>,
-    coefs: Vec<f64>,
-}
+pub struct ColumnView(Lines);
 
 impl ColumnView {
     /// The rows naming column `j`, ascending, one entry per term.
     pub fn rows(&self, j: usize) -> &[u32] {
-        &self.rows[self.start[j]..self.start[j + 1]]
+        self.0.index(j)
     }
 
     /// The coefficients of column `j`, one per entry of
     /// [`ColumnView::rows`].
-    pub fn coefs(&self, j: usize) -> &[f64] {
-        &self.coefs[self.start[j]..self.start[j + 1]]
+    pub fn coefs(&self, j: usize) -> Coefs<'_> {
+        self.0.coefs(j)
     }
 
     /// Number of terms in column `j`.
     pub fn len(&self, j: usize) -> usize {
-        self.start[j + 1] - self.start[j]
+        self.0.len(j)
     }
 
     /// Number of columns.
     pub fn num_columns(&self) -> usize {
-        self.start.len() - 1
+        self.0.num_lines()
     }
-}
-
-/// Transposes one compressed sparse layout into the other: `start` holds
-/// `outer + 1` offsets into `inner`/`coefs`, and the result lists, for each
-/// of `num_inner` inner indices, the outer indices naming it, ascending (a
-/// stable counting sort, so repeated entries keep their order).
-fn transpose(
-    start: &[usize],
-    inner: &[u32],
-    coefs: &[f64],
-    num_inner: usize,
-) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-    let mut out_start = vec![0usize; num_inner + 1];
-    for &i in inner {
-        out_start[i as usize + 1] += 1;
-    }
-    for i in 0..num_inner {
-        out_start[i + 1] += out_start[i];
-    }
-    let mut fill = out_start[..num_inner].to_vec();
-    let mut out_inner = vec![0u32; inner.len()];
-    let mut out_coefs = vec![0.0f64; inner.len()];
-    for (outer, range) in start.windows(2).enumerate() {
-        for k in range[0]..range[1] {
-            let slot = &mut fill[inner[k] as usize];
-            out_inner[*slot] = outer as u32;
-            out_coefs[*slot] = coefs[k];
-            *slot += 1;
-        }
-    }
-    (out_start, out_inner, out_coefs)
 }
 
 /// A linear program over non-negative variables.
@@ -179,11 +294,8 @@ pub struct LpProblem {
     /// Optional per-variable upper bounds (`None` = unbounded above).
     pub upper_bounds: Vec<Option<f64>>,
     heads: Vec<RowHead>,
-    /// Row `r`'s terms are `term_columns[row_start[r]..row_start[r + 1]]`
-    /// (and the same range of `term_coefs`).
-    row_start: Vec<usize>,
-    term_columns: Vec<u32>,
-    term_coefs: Vec<f64>,
+    /// The matrix by row: row `r`'s terms, columns ascending.
+    rows: Lines,
     /// The matrix by column, derived on first use (or given by
     /// [`LpProblem::from_columns`]) and dropped when a row is added.
     columns: OnceLock<ColumnView>,
@@ -197,29 +309,24 @@ impl PartialEq for LpProblem {
             && self.objective == other.objective
             && self.upper_bounds == other.upper_bounds
             && self.heads == other.heads
-            && self.row_start == other.row_start
-            && self.term_columns == other.term_columns
-            && self.term_coefs == other.term_coefs
+            && self.rows == other.rows
     }
-}
-
-/// A variable index as the flat stores keep it.
-fn column_index(j: usize) -> u32 {
-    u32::try_from(j).expect("LP variable index exceeds u32")
 }
 
 impl LpProblem {
     /// Creates a problem with `num_vars` non-negative variables and no
     /// constraints.
     pub fn new(num_vars: usize) -> Self {
+        assert!(
+            u32::try_from(num_vars).is_ok(),
+            "LP variable index exceeds u32"
+        );
         LpProblem {
             num_vars,
             objective: Vec::new(),
             upper_bounds: vec![None; num_vars],
             heads: Vec::new(),
-            row_start: vec![0],
-            term_columns: Vec::new(),
-            term_coefs: Vec::new(),
+            rows: Lines::with_capacity(0, 0),
             columns: OnceLock::new(),
         }
     }
@@ -229,40 +336,34 @@ impl LpProblem {
     /// coefficient)` entries with rows ascending.  The entries are written
     /// once, into the problem's [`ColumnView`]; the rows are derived from
     /// it.  Panics if an entry names a row past `heads`.
+    ///
+    /// The columns are walked twice: once for their entries' size hints, to
+    /// size the view exactly when the hints are exact, then to write it.
     pub fn from_columns<C, E>(heads: Vec<RowHead>, columns: C) -> Self
     where
         C: IntoIterator<Item = E>,
+        C::IntoIter: Clone,
         E: IntoIterator<Item = (usize, f64)>,
     {
         let m = heads.len();
-        let mut start = vec![0usize];
-        let (mut rows, mut coefs) = (Vec::new(), Vec::new());
+        let columns = columns.into_iter();
+        let entries: usize = (columns.clone())
+            .map(|column| column.into_iter().size_hint().0)
+            .sum();
+        let mut view = Lines::with_capacity(columns.size_hint().0, entries);
         for column in columns {
             for (r, c) in column {
                 assert!(r < m, "column entry names row {r} of {m}");
-                debug_assert!(rows.len() == start[start.len() - 1] || rows[rows.len() - 1] <= r as u32);
-                rows.push(r as u32);
-                coefs.push(c);
+                view.push(r as u32, c);
             }
-            start.push(rows.len());
+            view.end_line();
         }
-        let num_vars = start.len() - 1;
-        assert!(u32::try_from(num_vars).is_ok(), "LP variable index exceeds u32");
-        let (row_start, term_columns, term_coefs) = transpose(&start, &rows, &coefs, m);
-        LpProblem {
-            num_vars,
-            objective: Vec::new(),
-            upper_bounds: vec![None; num_vars],
-            heads,
-            row_start,
-            term_columns,
-            term_coefs,
-            columns: OnceLock::from(ColumnView {
-                start,
-                rows,
-                coefs,
-            }),
-        }
+        let num_vars = view.num_lines();
+        let mut problem = LpProblem::new(num_vars);
+        problem.rows = view.transpose(m);
+        problem.heads = heads;
+        problem.columns = OnceLock::from(ColumnView(view));
+        problem
     }
 
     /// Adds a constraint and returns its index.  Its terms are kept in
@@ -273,7 +374,14 @@ impl LpProblem {
         op: ConstraintOp,
         rhs: f64,
     ) -> usize {
-        self.push_row(terms, RowHead { op, rhs, label: None })
+        self.push_row(
+            terms,
+            RowHead {
+                op,
+                rhs,
+                label: None,
+            },
+        )
     }
 
     /// Adds a labelled constraint and returns its index.
@@ -297,10 +405,10 @@ impl LpProblem {
     fn push_row(&mut self, mut terms: Vec<(usize, f64)>, head: RowHead) -> usize {
         terms.sort_by_key(|&(j, _)| j);
         for (j, c) in terms {
-            self.term_columns.push(column_index(j));
-            self.term_coefs.push(c);
+            let j = u32::try_from(j).expect("LP variable index exceeds u32");
+            self.rows.push(j, c);
         }
-        self.row_start.push(self.term_columns.len());
+        self.rows.end_line();
         self.heads.push(head);
         self.columns = OnceLock::new();
         self.heads.len() - 1
@@ -325,16 +433,15 @@ impl LpProblem {
 
     /// Total number of non-zero coefficients across all constraints.
     pub fn num_nonzeros(&self) -> usize {
-        self.term_columns.len()
+        self.rows.index.len()
     }
 
     /// Constraint `r`.  Panics if `r` is out of range.
     pub fn constraint(&self, r: usize) -> Constraint<'_> {
-        let terms = self.row_start[r]..self.row_start[r + 1];
         let head = &self.heads[r];
         Constraint {
-            columns: &self.term_columns[terms.clone()],
-            coefs: &self.term_coefs[terms],
+            columns: self.rows.index(r),
+            coefs: self.rows.coefs(r),
             op: head.op,
             rhs: head.rhs,
             label: head.label.as_deref(),
@@ -351,22 +458,15 @@ impl LpProblem {
         &self.heads
     }
 
-    /// Every term's coefficient, row after row.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.term_coefs
+    /// True if every coefficient of every constraint is 1.
+    pub fn is_zero_one(&self) -> bool {
+        self.rows.coefs.is_none()
     }
 
     /// The constraint matrix by column, derived from the rows on first use.
     pub fn columns(&self) -> &ColumnView {
-        self.columns.get_or_init(|| {
-            let (start, rows, coefs) = transpose(
-                &self.row_start,
-                &self.term_columns,
-                &self.term_coefs,
-                self.num_vars,
-            );
-            ColumnView { start, rows, coefs }
-        })
+        self.columns
+            .get_or_init(|| ColumnView(self.rows.transpose(self.num_vars)))
     }
 
     /// Checks a candidate solution against every constraint and the
@@ -385,8 +485,7 @@ impl LpProblem {
                 }
             }
         }
-        self.constraints()
-            .all(|c| c.violation(values).abs() <= tol)
+        self.constraints().all(|c| c.violation(values).abs() <= tol)
     }
 }
 
@@ -427,15 +526,18 @@ mod tests {
         );
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 1.0);
         let a = lp.constraint(0);
-        assert_eq!(a.terms().collect::<Vec<_>>(), vec![(0, 3.0), (2, 1.0), (2, 2.0)]);
+        assert_eq!(
+            a.terms().collect::<Vec<_>>(),
+            vec![(0, 3.0), (2, 1.0), (2, 2.0)]
+        );
         assert_eq!(a.label, Some("a"));
         let columns = lp.columns();
         assert_eq!(columns.num_columns(), 4);
         assert_eq!(columns.rows(0), &[0, 1]);
-        assert_eq!(columns.coefs(0), &[3.0, 1.0]);
+        assert_eq!(columns.coefs(0), Coefs::Given(&[3.0, 1.0]));
         assert_eq!(columns.rows(1), &[1]);
         assert_eq!(columns.rows(2), &[0, 0]);
-        assert_eq!(columns.coefs(2), &[1.0, 2.0]);
+        assert_eq!(columns.coefs(2), Coefs::Given(&[1.0, 2.0]));
         assert!(columns.rows(3).is_empty());
         assert_eq!(columns.len(2), 2);
     }

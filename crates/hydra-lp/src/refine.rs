@@ -121,8 +121,8 @@ pub fn repair_rounded_counts(problem: &LpProblem, counts: &mut [u64], max_moves:
     if counts.len() != n || n == 0 {
         return;
     }
-    let hydra_shaped = problem.heads().iter().all(|c| c.op == ConstraintOp::Eq)
-        && problem.coefficients().iter().all(|&coef| coef == 1.0);
+    let hydra_shaped =
+        problem.heads().iter().all(|c| c.op == ConstraintOp::Eq) && problem.is_zero_one();
     if !hydra_shaped {
         return;
     }
@@ -199,19 +199,27 @@ impl<'a> Repair<'a> {
                 }
             }
         }
-        let inc: Vec<i64> = delta.iter().map(|&d| inc_term(d)).collect();
-        let dec: Vec<i64> = delta.iter().map(|&d| dec_term(d)).collect();
-        let gain = |terms: &[i64]| -> Vec<i64> {
-            (0..problem.num_vars)
-                .map(|var| member.rows(var).iter().map(|&k| terms[k as usize]).sum())
-                .collect()
-        };
+        let terms: Vec<(i64, i64)> = delta.iter().map(|&d| (inc_term(d), dec_term(d))).collect();
+        let (mut gain_inc, mut gain_dec) = (
+            Vec::with_capacity(counts.len()),
+            Vec::with_capacity(counts.len()),
+        );
+        for var in 0..counts.len() {
+            let (mut inc, mut dec) = (0i64, 0i64);
+            for &k in member.rows(var) {
+                let (i, d) = terms[k as usize];
+                inc += i;
+                dec += d;
+            }
+            gain_inc.push(inc);
+            gain_dec.push(dec);
+        }
         Repair {
             problem,
             member,
-            gain_inc: gain(&inc),
-            gain_dec: gain(&dec),
             delta,
+            gain_inc,
+            gain_dec,
         }
     }
 

@@ -26,7 +26,7 @@
 //! Pivoting uses Dantzig's rule with a Bland's-rule fallback after a pivot
 //! budget is exhausted, which guarantees termination.
 
-use crate::problem::{ConstraintOp, LpProblem};
+use crate::problem::{Coefs, ConstraintOp, LpProblem};
 use serde::{Deserialize, Serialize};
 
 /// Numerical tolerance used for pivot and optimality tests.
@@ -312,7 +312,7 @@ impl Simplex {
         // Materialize all rows: user constraints plus upper-bound rows.
         struct Row<'a> {
             columns: &'a [u32],
-            coefs: &'a [f64],
+            coefs: Coefs<'a>,
             op: ConstraintOp,
             rhs: f64,
         }
@@ -331,7 +331,7 @@ impl Simplex {
         for (i, u) in &bounded {
             rows.push(Row {
                 columns: std::slice::from_ref(i),
-                coefs: &[1.0],
+                coefs: Coefs::Unit(1),
                 op: ConstraintOp::Le,
                 rhs: *u,
             });
@@ -418,7 +418,7 @@ impl Simplex {
                     ConstraintOp::Eq => ConstraintOp::Eq,
                 };
             }
-            for (&j, c) in row.columns.iter().zip(row.coefs) {
+            for (&j, c) in row.columns.iter().zip(row.coefs.iter()) {
                 if (j as usize) < n {
                     a[j as usize] += sign * c;
                 }

@@ -1,7 +1,7 @@
 //! High-level LP solving interface used by the summary generator.
 
 use crate::diagnostics::ViolationReport;
-use crate::problem::{ConstraintOp, LpProblem, RowHead};
+use crate::problem::{Coefs, ConstraintOp, LpProblem, RowHead};
 use crate::simplex::{Simplex, SimplexOutcome, WarmOutcome, WarmStart};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -176,8 +176,12 @@ impl WorkingSet {
 fn initial_working_set(problem: &LpProblem) -> WorkingSet {
     let n = problem.num_vars;
     let columns = problem.columns();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&j| (columns.len(j), j));
+    // `(degree, column)` packed into one sort key.
+    let mut order: Vec<u64> = (0..n)
+        .map(|j| ((columns.len(j) as u64) << 32) | j as u64)
+        .collect();
+    order.sort_unstable();
+    let order: Vec<usize> = order.into_iter().map(|key| key as u32 as usize).collect();
     let share: Vec<usize> = problem
         .constraints()
         .map(|c| c.columns.len().min(SEED_PER_END))
@@ -222,9 +226,9 @@ fn restrict(problem: &LpProblem, selected: &WorkingSet) -> (LpProblem, Vec<usize
         .collect();
     let mut sub = LpProblem::from_columns(
         heads,
-        columns.iter().map(|&j| {
-            (view.rows(j).iter().zip(view.coefs(j))).map(|(&r, &c)| (r as usize, c))
-        }),
+        columns
+            .iter()
+            .map(|&j| (view.rows(j).iter().map(|&r| r as usize)).zip(view.coefs(j).iter())),
     );
     for (slot, &j) in columns.iter().enumerate() {
         sub.upper_bounds[slot] = problem.upper_bounds[j];
@@ -286,18 +290,31 @@ fn soften(problem: &LpProblem) -> LpProblem {
 fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut WorkingSet) -> usize {
     let columns = problem.columns();
     let y: Vec<f64> = (0..problem.num_constraints())
-        .map(|r| duals.get(r).copied().filter(|y| y.abs() > 1e-12).unwrap_or(0.0))
+        .map(|r| {
+            duals
+                .get(r)
+                .copied()
+                .filter(|y| y.abs() > 1e-12)
+                .unwrap_or(0.0)
+        })
         .collect();
     // Improving columns have score > 0.
     let mut candidates: Vec<(f64, usize)> = Vec::new();
     for j in (0..problem.num_vars).filter(|&j| !selected.contains(j)) {
-        let mut score = 0.0f64;
-        for (&r, coef) in columns.rows(j).iter().zip(columns.coefs(j)) {
-            let y = y[r as usize];
-            if y != 0.0 {
-                score += y * coef;
-            }
-        }
+        let rows = columns.rows(j);
+        let score = match columns.coefs(j) {
+            // `y * 1.0` is `y`, and a skipped row's `+0.0` leaves the sum
+            // unchanged (it starts at `+0.0`, so it is never `-0.0`).
+            Coefs::Unit(_) => rows.iter().fold(0.0f64, |score, &r| score + y[r as usize]),
+            Coefs::Given(coefs) => rows.iter().zip(coefs).fold(0.0f64, |score, (&r, coef)| {
+                let y = y[r as usize];
+                if y == 0.0 {
+                    score
+                } else {
+                    score + y * coef
+                }
+            }),
+        };
         if score > 1e-7 {
             candidates.push((score, j));
         }

@@ -62,5 +62,5 @@ pub use interval::Interval;
 pub use nbox::NBox;
 pub use refine::PartitionRefinement;
 pub use region::{Region, RegionPartition, RegionPartitioner, Regions};
-pub use signature::{Signature, SignatureRef};
+pub use signature::{Members, Signature, SignatureRef};
 pub use space::AttributeSpace;

@@ -41,16 +41,19 @@
 //! ## Layout
 //!
 //! A [`RegionPartition`] holds no per-region heap object.  Its regions live
-//! in three flat vectors written straight from the sweep: signature words
+//! in a few flat vectors written straight from the sweep: signature words
 //! at one fixed stride (enough words for every constraint index), volumes,
-//! and the sample cells' intervals, `dims` per cell, with one offset per
-//! region.  A [`Region`] is a borrowed view of one row.  A region's
-//! signature is its 0/1 column in the relation's LP: constraint `i` has a
-//! unit coefficient on the region exactly when bit `i` is set.
+//! and each region's sample cells as ids into the sweep's own prefix arena,
+//! which the partition keeps instead of spelling every cell out as a box.
+//! A [`Region`] is a borrowed view of one row; its cells become boxes only
+//! when asked for ([`Region::pieces`]), which alignment does for the LP
+//! support alone.  A region's signature is its 0/1 column in the
+//! relation's LP: constraint `i` has a unit coefficient on the region
+//! exactly when bit `i` is set.
 
 use crate::error::{PartitionError, PartitionResult};
 use crate::interval::Interval;
-use crate::nbox::{self, NBox};
+use crate::nbox::NBox;
 use crate::signature::{Signature, SignatureRef};
 use crate::space::AttributeSpace;
 use serde::{Content, Deserialize, Serialize};
@@ -67,42 +70,67 @@ const CELLS_PER_REGION: usize = 8;
 
 /// One region: a maximal set of points sharing a constraint signature,
 /// borrowed from its partition's flat storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Region<'a> {
     /// The set of constraints that cover this region (its LP column).
     pub signature: SignatureRef<'a>,
     /// Total number of integer points in the region (saturating).
     pub volume: u128,
-    /// The retained cells' intervals, `dims` per cell.
-    cells: &'a [Interval],
-    /// Number of retained cells.
-    pieces: usize,
+    /// The retained cells, as prefixes in `arena`.
+    cells: &'a [usize],
+    arena: &'a PrefixArena,
+    dims: usize,
 }
 
-impl<'a> Region<'a> {
+impl PartialEq for Region<'_> {
+    /// Regions are equal when their signatures, volumes and pieces are.
+    fn eq(&self, other: &Self) -> bool {
+        self.signature == other.signature
+            && self.volume == other.volume
+            && self.pieces() == other.pieces()
+    }
+}
+
+impl Eq for Region<'_> {}
+
+impl Region<'_> {
     /// A bounded sample of disjoint cells lying inside the region, ordered
-    /// by lower corner, each given by its per-axis intervals.  The region
-    /// may contain more points than these cells cover; see
-    /// [`Region::volume`].
-    pub fn pieces(&self) -> impl ExactSizeIterator<Item = &'a [Interval]> + 'a {
-        let cells = self.cells;
-        let dims = cells.len().checked_div(self.pieces).unwrap_or(0);
-        (0..self.pieces).map(move |c| &cells[c * dims..(c + 1) * dims])
+    /// by lower corner (the region may contain more points than these cells
+    /// cover; see [`Region::volume`]).
+    pub fn pieces(&self) -> Vec<NBox> {
+        let mut pieces: Vec<NBox> = self
+            .cells
+            .iter()
+            .map(|&cell| {
+                let mut intervals = vec![Interval::empty(); self.dims];
+                self.arena.write(cell, &mut intervals);
+                NBox::new(intervals)
+            })
+            .collect();
+        // By lower corner: cells are never empty, so that is the order of
+        // their intervals' lower bounds.
+        pieces.sort_by(|a, b| {
+            let lo = |iv: &Interval| iv.lo;
+            a.intervals()
+                .iter()
+                .map(lo)
+                .cmp(b.intervals().iter().map(lo))
+        });
+        pieces
     }
 
     /// A deterministic representative point of the region (the lower corner
     /// of its first retained cell).
     pub fn representative_point(&self) -> Vec<i64> {
         self.pieces()
-            .next()
-            .and_then(nbox::lower_corner)
+            .first()
+            .and_then(NBox::lower_corner)
             .unwrap_or_default()
     }
 
     /// Total number of points covered by the retained representative cells.
     pub fn sampled_volume(&self) -> u128 {
-        self.pieces()
-            .fold(0u128, |acc, p| acc.saturating_add(nbox::volume(p)))
+        sampled_volume(&self.pieces())
     }
 
     /// The `idx`-th point of the region in a fixed enumeration order over the
@@ -110,21 +138,22 @@ impl<'a> Region<'a> {
     /// axes).  Indices wrap around modulo the retained-cell volume, so any
     /// index yields a valid point for non-empty regions.
     pub fn point_at(&self, idx: u128) -> Option<Vec<i64>> {
-        let total = self.sampled_volume();
+        let pieces = self.pieces();
+        let total = sampled_volume(&pieces);
         if total == 0 {
             return None;
         }
         let mut k = idx % total;
-        for piece in self.pieces() {
-            let v = nbox::volume(piece);
+        for piece in &pieces {
+            let v = piece.volume();
             if k < v {
                 // Decode k into coordinates (row-major, last axis fastest).
-                let mut coords = vec![0i64; piece.len()];
+                let mut coords = vec![0i64; piece.dims()];
                 let mut rem = k;
-                for axis in (0..piece.len()).rev() {
-                    let len = piece[axis].len() as u128;
+                for axis in (0..piece.dims()).rev() {
+                    let len = piece.interval(axis).len() as u128;
                     let offset = (rem % len) as i64;
-                    coords[axis] = piece[axis].lo + offset;
+                    coords[axis] = piece.interval(axis).lo + offset;
                     rem /= len;
                 }
                 return Some(coords);
@@ -138,8 +167,15 @@ impl<'a> Region<'a> {
     /// (a sufficient but not necessary membership test; use
     /// [`RegionPartition::region_containing`] for an exact lookup).
     pub fn contains_point(&self, point: &[i64]) -> bool {
-        self.pieces().any(|p| nbox::contains_point(p, point))
+        self.pieces().iter().any(|p| p.contains_point(point))
     }
+}
+
+/// Total number of points the pieces cover (saturating).
+fn sampled_volume(pieces: &[NBox]) -> u128 {
+    pieces
+        .iter()
+        .fold(0u128, |acc, p| acc.saturating_add(p.volume()))
 }
 
 /// The regions of a partition, in canonical (signature-sorted) order: a
@@ -214,7 +250,7 @@ impl DoubleEndedIterator for RegionIter<'_> {
 ///
 /// Serializes as the space, a list of regions (each a signature, its
 /// sample cells as boxes, and its volume) and the constraint unions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RegionPartition {
     space: AttributeSpace,
     constraints: Vec<Vec<NBox>>,
@@ -222,10 +258,23 @@ pub struct RegionPartition {
     /// with `stride` words enough for every constraint index.
     signatures: Vec<u64>,
     volumes: Vec<u128>,
-    /// Region `i`'s sample cells are cells `cell_start[i]..cell_start[i + 1]`.
+    /// Region `i`'s sample cells are `cells[cell_start[i]..cell_start[i + 1]]`,
+    /// each a full-length prefix in `arena`.
     cell_start: Vec<usize>,
-    /// The sample cells' intervals, `dims` per cell, region after region.
-    cells: Vec<Interval>,
+    cells: Vec<usize>,
+    arena: PrefixArena,
+}
+
+impl PartialEq for RegionPartition {
+    /// Partitions are equal when their spaces, constraints and regions are,
+    /// however their cells' prefixes are shared in the arena.
+    fn eq(&self, other: &Self) -> bool {
+        self.space == other.space
+            && self.constraints == other.constraints
+            && self.signatures == other.signatures
+            && self.volumes == other.volumes
+            && self.regions().iter().eq(other.regions().iter())
+    }
 }
 
 impl RegionPartition {
@@ -238,6 +287,7 @@ impl RegionPartition {
             volumes: Vec::with_capacity(capacity),
             cell_start,
             cells: Vec::new(),
+            arena: PrefixArena::default(),
             space,
             constraints,
         }
@@ -264,15 +314,19 @@ impl RegionPartition {
         Regions { partition: self }
     }
 
+    /// Every region's signature, in region order: the LP's columns.
+    pub fn signatures(&self) -> impl ExactSizeIterator<Item = SignatureRef<'_>> + Clone + '_ {
+        (0..self.num_variables()).map(|index| SignatureRef::new(self.signature_words(index)))
+    }
+
     /// The region at `index`.  Panics if `index` is out of range.
     pub fn region(&self, index: usize) -> Region<'_> {
-        let cells = self.cell_start[index]..self.cell_start[index + 1];
-        let dims = self.space.dims();
         Region {
             signature: SignatureRef::new(self.signature_words(index)),
             volume: self.volumes[index],
-            cells: &self.cells[cells.start * dims..cells.end * dims],
-            pieces: cells.len(),
+            cells: &self.cells[self.cell_start[index]..self.cell_start[index + 1]],
+            arena: &self.arena,
+            dims: self.space.dims(),
         }
     }
 
@@ -345,40 +399,46 @@ impl RegionPartition {
 
     /// Restricts the partition to the regions at the given indices (strictly
     /// ascending; indices past the end are ignored), keeping the space and
-    /// the constraint unions.  Only the kept regions are copied.
+    /// the constraint unions.  Only the kept regions are copied, each cell
+    /// into an arena of its own.
     ///
     /// The result no longer covers the whole space: it is the retained form
     /// of a solved partition — typically its LP *support* — which is all
     /// incremental refinement needs (see [`RegionPartitioner::refine`]).
     pub fn restrict_to(&self, keep: &[usize]) -> RegionPartition {
-        let kept = keep
-            .iter()
-            .copied()
-            .take_while(|&index| index < self.num_variables());
         let mut restricted =
             RegionPartition::empty(self.space.clone(), self.constraints.clone(), keep.len());
-        for index in kept {
+        let mut intervals = vec![Interval::empty(); self.space.dims()];
+        for &index in keep
+            .iter()
+            .take_while(|&&index| index < self.num_variables())
+        {
             let region = self.region(index);
-            restricted.push(
-                self.signature_words(index),
-                region.volume,
-                region.cells,
-                region.pieces,
-            );
+            let cells = region.cells.iter().map(|&cell| {
+                self.arena.write(cell, &mut intervals);
+                intervals.clone()
+            });
+            restricted.push(self.signature_words(index), region.volume, cells);
         }
         restricted
     }
 
     /// Appends a region: its signature words (`stride` of them), volume,
-    /// and the intervals of its `pieces` cells.
-    fn push(&mut self, signature: &[u64], volume: u128, cells: &[Interval], pieces: usize) {
+    /// and its cells' per-axis intervals.
+    fn push(
+        &mut self,
+        signature: &[u64],
+        volume: u128,
+        cells: impl IntoIterator<Item = impl AsRef<[Interval]>>,
+    ) {
         debug_assert_eq!(signature.len(), self.stride());
-        debug_assert_eq!(cells.len(), pieces * self.space.dims());
         self.signatures.extend_from_slice(signature);
         self.volumes.push(volume);
-        let end = self.cell_start[self.cell_start.len() - 1] + pieces;
-        self.cell_start.push(end);
-        self.cells.extend_from_slice(cells);
+        for cell in cells {
+            let prefix = self.arena.push_cell(cell.as_ref());
+            self.cells.push(prefix);
+        }
+        self.cell_start.push(self.cells.len());
     }
 }
 
@@ -398,7 +458,7 @@ impl Serialize for RegionPartition {
             .map(|region| {
                 RegionRecord {
                     signature: region.signature.to_signature(),
-                    pieces: region.pieces().map(|p| NBox::new(p.to_vec())).collect(),
+                    pieces: region.pieces(),
                     volume: region.volume,
                 }
                 .serialize_content()
@@ -407,7 +467,10 @@ impl Serialize for RegionPartition {
         Content::Map(vec![
             ("space".to_string(), self.space.serialize_content()),
             ("regions".to_string(), Content::Seq(regions)),
-            ("constraints".to_string(), self.constraints.serialize_content()),
+            (
+                "constraints".to_string(),
+                self.constraints.serialize_content(),
+            ),
         ])
     }
 }
@@ -427,7 +490,6 @@ impl Deserialize for RegionPartition {
         let mut partition = RegionPartition::empty(space, constraints, records.len());
         let (stride, dims) = (partition.stride(), partition.space.dims());
         let mut words = vec![0u64; stride];
-        let mut cells = Vec::new();
         for (index, record) in records.into_iter().enumerate() {
             let signature = record.signature.words();
             if signature.len() > stride && signature[stride..].iter().any(|&w| w != 0) {
@@ -446,17 +508,17 @@ impl Deserialize for RegionPartition {
                     index - 1
                 )));
             }
-            cells.clear();
-            for piece in &record.pieces {
-                if piece.dims() != dims {
-                    return Err(serde::Error::custom(format!(
-                        "region {index} has a {}-axis cell in a {dims}-axis space",
-                        piece.dims()
-                    )));
-                }
-                cells.extend_from_slice(piece.intervals());
+            if let Some(piece) = record.pieces.iter().find(|p| p.dims() != dims) {
+                return Err(serde::Error::custom(format!(
+                    "region {index} has a {}-axis cell in a {dims}-axis space",
+                    piece.dims()
+                )));
             }
-            partition.push(&words, record.volume, &cells, record.pieces.len());
+            partition.push(
+                &words,
+                record.volume,
+                record.pieces.iter().map(NBox::intervals),
+            );
         }
         Ok(partition)
     }
@@ -464,8 +526,9 @@ impl Deserialize for RegionPartition {
 
 /// Cell prefixes of the axis sweep, stored once each: a node is an
 /// interval on the next axis appended to its parent prefix.  Extending a
-/// cell by one axis is one push instead of a copy of its whole prefix.
-#[derive(Default)]
+/// cell by one axis is one push instead of a copy of its whole prefix.  A
+/// partition keeps its sweep's arena as the store of its regions' cells.
+#[derive(Debug, Clone, Default)]
 struct PrefixArena {
     nodes: Vec<(usize, Interval)>,
 }
@@ -478,6 +541,14 @@ impl PrefixArena {
     fn extend(&mut self, prefix: usize, interval: Interval) -> usize {
         self.nodes.push((prefix, interval));
         self.nodes.len() - 1
+    }
+
+    /// The prefix of the given intervals, first axis first, as a chain of
+    /// new nodes.
+    fn push_cell(&mut self, intervals: &[Interval]) -> usize {
+        intervals.iter().fold(Self::EMPTY, |prefix, &interval| {
+            self.extend(prefix, interval)
+        })
     }
 
     /// Writes the intervals of a prefix of `out.len()` axes into `out`,
@@ -686,41 +757,19 @@ impl RegionPartitioner {
             partials = next;
         }
 
-        // Write the regions straight into the partition's flat vectors:
-        // each cell's intervals are read off its prefix chain, last axis
-        // first, and a region's cells are put in lower-corner order (cells
-        // are disjoint and never empty, so lower corners are distinct).
+        // Write the regions straight into the partition's flat vectors; the
+        // arena moves in with them as the store of their cells.
         let mut partition = RegionPartition::empty(self.space, self.constraints, partials.len());
         let stride = partition.stride();
-        let mut words = vec![0u64; stride];
-        let mut cells: Vec<Interval> = Vec::with_capacity(CELLS_PER_REGION * dims);
-        let mut sorted: Vec<Interval> = Vec::with_capacity(CELLS_PER_REGION * dims);
-        let mut order = [0usize; CELLS_PER_REGION];
         for (key, partial) in &partials {
-            words.fill(0);
-            words[..key.signature.words().len()].copy_from_slice(key.signature.words());
-            cells.clear();
-            cells.resize(partial.len * dims, Interval::empty());
-            for (cell, &prefix) in cells.chunks_exact_mut(dims.max(1)).zip(&partial.cells[..partial.len]) {
-                arena.write(prefix, cell);
-            }
-            let order = &mut order[..partial.len];
-            for (c, slot) in order.iter_mut().enumerate() {
-                *slot = c;
-            }
-            let lower = |c: usize| cells[c * dims..(c + 1) * dims].iter().map(|iv| iv.lo);
-            order.sort_unstable_by(|&a, &b| lower(a).cmp(lower(b)));
-            let cells = if order.iter().enumerate().all(|(c, &slot)| c == slot) {
-                &cells
-            } else {
-                sorted.clear();
-                for &c in order.iter() {
-                    sorted.extend_from_slice(&cells[c * dims..(c + 1) * dims]);
-                }
-                &sorted
-            };
-            partition.push(&words, partial.volume, cells, partial.len);
+            let words = key.signature.words();
+            partition.signatures.extend_from_slice(words);
+            (partition.signatures).extend(std::iter::repeat_n(0, stride - words.len()));
+            partition.volumes.push(partial.volume);
+            (partition.cells).extend_from_slice(&partial.cells[..partial.len]);
+            partition.cell_start.push(partition.cells.len());
         }
+        partition.arena = arena;
         Ok(partition)
     }
 }

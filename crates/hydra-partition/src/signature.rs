@@ -110,7 +110,7 @@ impl Signature {
 
     /// Iterates the contained constraint indices, ascending, without
     /// allocating.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn iter(&self) -> Members<'_> {
         self.as_ref().iter()
     }
 
@@ -146,7 +146,11 @@ impl<'a> SignatureRef<'a> {
 
     /// The words without their zero padding.
     fn trimmed(&self) -> &'a [u64] {
-        let len = self.words.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        let len = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
         &self.words[..len]
     }
 
@@ -174,18 +178,13 @@ impl<'a> SignatureRef<'a> {
 
     /// Iterates the contained constraint indices, ascending, without
     /// allocating.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(wi * 64 + b)
-            })
-        })
+    pub fn iter(&self) -> Members<'a> {
+        Members {
+            words: self.words,
+            word: 0,
+            bits: self.words.first().copied().unwrap_or(0),
+            remaining: self.count(),
+        }
     }
 
     /// An owned copy of the set.
@@ -195,6 +194,39 @@ impl<'a> SignatureRef<'a> {
         }
     }
 }
+
+/// The members of a signature, ascending; the iterator knows how many
+/// remain.
+#[derive(Debug, Clone)]
+pub struct Members<'a> {
+    words: &'a [u64],
+    /// The word `bits` came from.
+    word: usize,
+    /// The members of `words[word]` not yet yielded.
+    bits: u64,
+    remaining: usize,
+}
+
+impl Iterator for Members<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.words.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        self.remaining -= 1;
+        Some(self.word * 64 + bit)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Members<'_> {}
 
 impl PartialEq for SignatureRef<'_> {
     fn eq(&self, other: &Self) -> bool {

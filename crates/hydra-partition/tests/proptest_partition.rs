@@ -34,7 +34,7 @@ fn parent_regions(p: &RegionPartition) -> Vec<ParentRegion> {
         .iter()
         .map(|r| ParentRegion {
             signature: r.signature.to_signature(),
-            pieces: r.pieces().map(|cell| NBox::new(cell.to_vec())).collect(),
+            pieces: r.pieces(),
             volume: r.volume,
         })
         .collect()

@@ -197,8 +197,8 @@ fn formulate_lp(
     heads.push(equality(row_target, format!("{}.total_rows", table.name)));
     LpProblem::from_columns(
         heads,
-        partition.regions().iter().map(|region| {
-            (region.signature.iter())
+        partition.signatures().map(|signature| {
+            (signature.iter())
                 .chain(std::iter::once(total_row))
                 .map(|r| (r, 1.0))
         }),
