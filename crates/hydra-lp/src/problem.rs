@@ -196,15 +196,19 @@ impl Lines {
     }
 
     /// Appends one entry to the last line (see [`Lines::end_line`]).
+    #[inline]
     fn push(&mut self, index: u32, coef: f64) {
-        if coef != 1.0 && self.coefs.is_none() {
-            let mut coefs = Vec::with_capacity(self.index.capacity());
-            coefs.resize(self.index.len(), 1.0);
-            self.coefs = Some(coefs);
-        }
         self.index.push(index);
-        if let Some(coefs) = &mut self.coefs {
-            coefs.push(coef);
+        match &mut self.coefs {
+            None if coef == 1.0 => {}
+            // The first coefficient other than 1: store all of them.
+            None => {
+                let mut coefs = Vec::with_capacity(self.index.capacity());
+                coefs.resize(self.index.len() - 1, 1.0);
+                coefs.push(coef);
+                self.coefs = Some(coefs);
+            }
+            Some(coefs) => coefs.push(coef),
         }
     }
 

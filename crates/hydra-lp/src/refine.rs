@@ -20,13 +20,12 @@
 //! a few units. A greedy integral local search moves single units between
 //! regions while the total absolute constraint violation strictly decreases,
 //! typically restoring every feasible constraint group to exactness.  The
-//! search reads a region's constraints off the problem's
-//! [`ColumnView`](crate::problem::ColumnView) — the same view column
-//! generation seeds, prices and restricts with, so no index of its own is
-//! built — and caches each region's gain for a unit up and a unit down; a
-//! move recomputes only the gains of constraints whose violation changed
-//! sign class, so a move costs a scan of the cached gains rather than of
-//! every nonzero.
+//! search reads a region's constraints off the problem's [`ColumnView`] —
+//! the view column generation seeds, prices and restricts with, so it
+//! builds no index of its own — and caches each region's gain for a unit up
+//! and a unit down; a move recomputes only the gains of constraints whose
+//! violation changed sign class, so a move costs a scan of the cached gains
+//! rather than of every nonzero.
 
 use crate::problem::{ColumnView, ConstraintOp, LpProblem};
 

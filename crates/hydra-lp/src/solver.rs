@@ -319,18 +319,22 @@ fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut WorkingSet) 
             candidates.push((score, j));
         }
     }
-    candidates.sort_by(|a, b| {
+    // The budget's best, in order: highest score first, ties by column.
+    let budget = (4 * problem.num_constraints()).max(64);
+    let order = |a: &(f64, usize), b: &(f64, usize)| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.1.cmp(&b.1))
-    });
-    let budget = (4 * problem.num_constraints()).max(64);
-    let mut added = 0usize;
-    for &(_, j) in candidates.iter().take(budget) {
-        selected.insert(j);
-        added += 1;
+    };
+    if candidates.len() > budget {
+        candidates.select_nth_unstable_by(budget - 1, order);
+        candidates.truncate(budget);
     }
-    added
+    candidates.sort_by(order);
+    for &(_, j) in &candidates {
+        selected.insert(j);
+    }
+    candidates.len()
 }
 
 impl LpSolver {

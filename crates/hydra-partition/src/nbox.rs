@@ -39,7 +39,12 @@ impl NBox {
     /// Number of integer points in the box, saturating at `u128::MAX` for
     /// astronomically large boxes (exabyte-scale what-if scenarios).
     pub fn volume(&self) -> u128 {
-        volume(&self.intervals)
+        if self.is_empty() {
+            return 0;
+        }
+        self.intervals
+            .iter()
+            .fold(1u128, |acc, i| acc.saturating_mul(i.len() as u128))
     }
 
     /// Intersection with another box of the same dimensionality.
@@ -72,13 +77,20 @@ impl NBox {
 
     /// True if the box contains the given point.
     pub fn contains_point(&self, point: &[i64]) -> bool {
-        contains_point(&self.intervals, point)
+        debug_assert_eq!(self.dims(), point.len());
+        self.intervals
+            .iter()
+            .zip(point.iter())
+            .all(|(iv, p)| iv.contains(*p))
     }
 
     /// The lexicographically smallest point of the box (its lower corner).
     /// `None` when the box is empty.
     pub fn lower_corner(&self) -> Option<Vec<i64>> {
-        lower_corner(&self.intervals)
+        if self.is_empty() {
+            return None;
+        }
+        Some(self.intervals.iter().map(|i| i.lo).collect())
     }
 
     /// Splits `self` against `other`, returning `(inside, outside)`: the part
@@ -114,33 +126,6 @@ impl NBox {
         }
         (core, outside)
     }
-}
-
-/// [`NBox::volume`] of the box with these per-axis intervals.
-pub(crate) fn volume(intervals: &[Interval]) -> u128 {
-    if intervals.iter().any(Interval::is_empty) {
-        return 0;
-    }
-    intervals
-        .iter()
-        .fold(1u128, |acc, i| acc.saturating_mul(i.len() as u128))
-}
-
-/// [`NBox::contains_point`] of the box with these per-axis intervals.
-pub(crate) fn contains_point(intervals: &[Interval], point: &[i64]) -> bool {
-    debug_assert_eq!(intervals.len(), point.len());
-    intervals
-        .iter()
-        .zip(point.iter())
-        .all(|(iv, p)| iv.contains(*p))
-}
-
-/// [`NBox::lower_corner`] of the box with these per-axis intervals.
-pub(crate) fn lower_corner(intervals: &[Interval]) -> Option<Vec<i64>> {
-    if intervals.iter().any(Interval::is_empty) {
-        return None;
-    }
-    Some(intervals.iter().map(|i| i.lo).collect())
 }
 
 impl fmt::Display for NBox {

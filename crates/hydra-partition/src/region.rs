@@ -762,9 +762,15 @@ impl RegionPartitioner {
         let mut partition = RegionPartition::empty(self.space, self.constraints, partials.len());
         let stride = partition.stride();
         for (key, partial) in &partials {
-            let words = key.signature.words();
-            partition.signatures.extend_from_slice(words);
-            (partition.signatures).extend(std::iter::repeat_n(0, stride - words.len()));
+            // The inline head holds a signature of up to 128 constraints
+            // whole; only longer ones are read through their pointer.
+            let head = &key.head[..stride.min(2)];
+            partition.signatures.extend_from_slice(head);
+            if stride > 2 {
+                let tail = key.signature.words().get(2..).unwrap_or_default();
+                partition.signatures.extend_from_slice(tail);
+                (partition.signatures).extend(std::iter::repeat_n(0, stride - 2 - tail.len()));
+            }
             partition.volumes.push(partial.volume);
             (partition.cells).extend_from_slice(&partial.cells[..partial.len]);
             partition.cell_start.push(partition.cells.len());
