@@ -64,47 +64,14 @@ pub enum Coefs<'a> {
 
 impl<'a> Coefs<'a> {
     /// The coefficients, in term order.
-    pub fn iter(&self) -> CoefIter<'a> {
-        match *self {
-            Coefs::Unit(len) => CoefIter::Unit(len),
-            Coefs::Given(coefs) => CoefIter::Given(coefs.iter()),
-        }
-    }
-}
-
-/// Iterator over [`Coefs`].
-#[derive(Debug, Clone)]
-pub enum CoefIter<'a> {
-    /// Unit coefficients still to yield.
-    Unit(usize),
-    /// Stored coefficients still to yield.
-    Given(std::slice::Iter<'a, f64>),
-}
-
-impl Iterator for CoefIter<'_> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        match self {
-            CoefIter::Unit(0) => None,
-            CoefIter::Unit(left) => {
-                *left -= 1;
-                Some(1.0)
-            }
-            CoefIter::Given(coefs) => coefs.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = match self {
-            CoefIter::Unit(left) => *left,
-            CoefIter::Given(coefs) => coefs.len(),
+    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
+        let (unit, given) = match *self {
+            Coefs::Unit(len) => (len, &[][..]),
+            Coefs::Given(coefs) => (0, coefs),
         };
-        (len, Some(len))
+        std::iter::repeat_n(1.0, unit).chain(given.iter().copied())
     }
 }
-
-impl ExactSizeIterator for CoefIter<'_> {}
 
 /// One row of a problem: `sum(coef_i * x_i) op rhs`, borrowed.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -125,43 +125,6 @@ enum ColumnGeneration {
 /// end of its `(degree, column)` order.
 const SEED_PER_END: usize = 13;
 
-/// The columns a column-generation loop solves over: a membership mask
-/// over the problem's columns.
-struct WorkingSet {
-    member: Vec<bool>,
-    len: usize,
-}
-
-impl WorkingSet {
-    /// The empty working set over `n` columns.
-    fn new(n: usize) -> WorkingSet {
-        WorkingSet {
-            member: vec![false; n],
-            len: 0,
-        }
-    }
-
-    fn insert(&mut self, j: usize) {
-        if !self.member[j] {
-            self.member[j] = true;
-            self.len += 1;
-        }
-    }
-
-    fn contains(&self, j: usize) -> bool {
-        self.member[j]
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The member columns, ascending.
-    fn columns(&self) -> Vec<usize> {
-        (0..self.member.len()).filter(|&j| self.member[j]).collect()
-    }
-}
-
 /// Seeds the working set: per constraint, a spread of its lowest-degree
 /// columns (private freedom) and highest-degree columns (shared mass) —
 /// the first and last [`SEED_PER_END`] of its terms in `(degree, column)`
@@ -172,8 +135,8 @@ impl WorkingSet {
 /// first [`SEED_PER_END`] terms met (repeated terms count toward its
 /// length, as in a sort of its terms); a walk stops once every constraint
 /// has taken its share, so the cost is at most the nonzeros twice plus
-/// the one sort.
-fn initial_working_set(problem: &LpProblem) -> WorkingSet {
+/// the one sort.  The working set is a membership mask over the columns.
+fn initial_working_set(problem: &LpProblem) -> Vec<bool> {
     let n = problem.num_vars;
     let columns = problem.columns();
     // `(degree, column)` packed into one sort key.
@@ -186,7 +149,7 @@ fn initial_working_set(problem: &LpProblem) -> WorkingSet {
         .constraints()
         .map(|c| c.columns.len().min(SEED_PER_END))
         .collect();
-    let mut selected = WorkingSet::new(n);
+    let mut selected = vec![false; n];
     let mut take = |walk: &mut dyn Iterator<Item = &usize>| {
         let mut left = share.clone();
         let mut outstanding: usize = left.iter().sum();
@@ -199,7 +162,7 @@ fn initial_working_set(problem: &LpProblem) -> WorkingSet {
                 if *left > 0 {
                     *left -= 1;
                     outstanding -= 1;
-                    selected.insert(j);
+                    selected[j] = true;
                 }
             }
         }
@@ -212,8 +175,8 @@ fn initial_working_set(problem: &LpProblem) -> WorkingSet {
 /// Projects the problem onto the working set (excluded columns are fixed at
 /// zero).  Returns the subproblem and the working set in slot order.  Only
 /// the working set's columns are read.
-fn restrict(problem: &LpProblem, selected: &WorkingSet) -> (LpProblem, Vec<usize>) {
-    let columns = selected.columns();
+fn restrict(problem: &LpProblem, selected: &[bool]) -> (LpProblem, Vec<usize>) {
+    let columns: Vec<usize> = (0..selected.len()).filter(|&j| selected[j]).collect();
     let view = problem.columns();
     let heads = problem
         .heads()
@@ -287,7 +250,7 @@ fn soften(problem: &LpProblem) -> LpProblem {
 ///
 /// A column's score `y·A_j` adds its terms in row order over the
 /// [`crate::problem::ColumnView`], skipping rows whose dual is negligible.
-fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut WorkingSet) -> usize {
+fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut [bool]) -> usize {
     let columns = problem.columns();
     let y: Vec<f64> = (0..problem.num_constraints())
         .map(|r| {
@@ -300,7 +263,7 @@ fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut WorkingSet) 
         .collect();
     // Improving columns have score > 0.
     let mut candidates: Vec<(f64, usize)> = Vec::new();
-    for j in (0..problem.num_vars).filter(|&j| !selected.contains(j)) {
+    for j in (0..problem.num_vars).filter(|&j| !selected[j]) {
         let rows = columns.rows(j);
         let score = match columns.coefs(j) {
             // `y * 1.0` is `y`, and a skipped row's `+0.0` leaves the sum
@@ -332,7 +295,7 @@ fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut WorkingSet) 
     }
     candidates.sort_by(order);
     for &(_, j) in &candidates {
-        selected.insert(j);
+        selected[j] = true;
     }
     candidates.len()
 }
@@ -454,7 +417,7 @@ impl LpSolver {
         if let Some(w) = warm {
             if !w.columns.is_empty() && w.columns.iter().all(|&j| j < n) {
                 for &j in &w.columns {
-                    selected.insert(j);
+                    selected[j] = true;
                 }
                 // Provisional: upgraded to `Hit` if the seeded working set
                 // closes feasibility without a single pricing round.
@@ -462,7 +425,7 @@ impl LpSolver {
             }
         }
         for round in 0..COLUMN_GENERATION_ROUNDS {
-            if selected.len() >= n {
+            if selected.iter().all(|&s| s) {
                 return (ColumnGeneration::GaveUp, warm_outcome);
             }
             let (sub, columns) = restrict(problem, &selected);
@@ -527,12 +490,12 @@ impl LpSolver {
         if let Some(w) = warm {
             if w.columns.iter().all(|&j| j < n) {
                 for &j in &w.columns {
-                    selected.insert(j);
+                    selected[j] = true;
                 }
             }
         }
         for _round in 0..COLUMN_GENERATION_ROUNDS {
-            if selected.len() >= n {
+            if selected.iter().all(|&s| s) {
                 return None;
             }
             let (sub, columns) = restrict(problem, &selected);
@@ -860,6 +823,11 @@ mod tests {
         assert!((cold.total_violation - warm.total_violation).abs() < 1e-5);
     }
 
+    /// The columns a working-set mask holds, ascending.
+    fn members(mask: &[bool]) -> Vec<usize> {
+        (0..mask.len()).filter(|&j| mask[j]).collect()
+    }
+
     /// The working-set seed as it was first written: each constraint's
     /// columns sorted on their own.  Kept as the reference the linear seed
     /// must reproduce exactly.
@@ -912,7 +880,7 @@ mod tests {
         /// sorts select, repeated terms included.
         #[test]
         fn working_set_seed_matches_the_reference(lp in zero_one_system()) {
-            prop_assert_eq!(initial_working_set(&lp).columns(), initial_working_set_reference(&lp));
+            prop_assert_eq!(members(&initial_working_set(&lp)), initial_working_set_reference(&lp));
         }
     }
 
@@ -923,12 +891,12 @@ mod tests {
         let mut lp = LpProblem::new(40);
         lp.add_constraint((0..40).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1.0);
         lp.add_constraint((0..40).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1.0);
-        let seed = initial_working_set(&lp);
+        let seed = members(&initial_working_set(&lp));
         assert_eq!(seed.len(), 26);
-        assert_eq!(seed.columns(), initial_working_set_reference(&lp));
+        assert_eq!(seed, initial_working_set_reference(&lp));
         lp.add_constraint(vec![(5, 1.0), (5, 1.0), (6, 1.0)], ConstraintOp::Eq, 1.0);
         assert_eq!(
-            initial_working_set(&lp).columns(),
+            members(&initial_working_set(&lp)),
             initial_working_set_reference(&lp)
         );
     }

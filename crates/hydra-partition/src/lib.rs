@@ -61,6 +61,6 @@ pub use grid::GridPartition;
 pub use interval::Interval;
 pub use nbox::NBox;
 pub use refine::PartitionRefinement;
-pub use region::{Region, RegionPartition, RegionPartitioner, Regions};
+pub use region::{Region, RegionPartition, RegionPartitioner};
 pub use signature::{Members, Signature, SignatureRef};
 pub use space::AttributeSpace;

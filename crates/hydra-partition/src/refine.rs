@@ -141,9 +141,10 @@ impl RegionPartitioner {
         let mut carried = Vec::with_capacity(prev_support.len());
         let mut reused_regions = 0usize;
         for &old in prev_support {
-            let Some(region) = prev.regions().get(old) else {
+            if old >= prev.num_variables() {
                 continue;
-            };
+            }
+            let region = prev.region(old);
             let point = region.representative_point();
             if let Some(new) = partition.region_containing(&point) {
                 if partition.region(new).volume == region.volume {
@@ -307,7 +308,6 @@ mod tests {
         // support and refine with an extra disjoint constraint.
         let inside = prev
             .regions()
-            .iter()
             .position(|r| r.signature.contains(0))
             .unwrap();
         let mut counts = vec![0u64; prev.num_variables()];
@@ -326,7 +326,6 @@ mod tests {
         let new_inside = refinement
             .partition
             .regions()
-            .iter()
             .position(|r| r.signature.contains(0))
             .unwrap();
         assert_eq!(warm, vec![new_inside]);
@@ -342,14 +341,9 @@ mod tests {
         // A *narrower* new space: the old outside region's representative
         // (a = 0) no longer exists, so its support cannot carry.
         let narrow = AttributeSpace::new(vec![("a".to_string(), Interval::new(15, 70))]);
-        let outside = prev
-            .regions()
-            .iter()
-            .position(|r| r.signature.is_empty())
-            .unwrap();
+        let outside = prev.regions().position(|r| r.signature.is_empty()).unwrap();
         let inside = prev
             .regions()
-            .iter()
             .position(|r| r.signature.contains(0))
             .unwrap();
         let refinement = RegionPartitioner::new(narrow)

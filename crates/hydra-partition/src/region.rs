@@ -58,7 +58,6 @@ use crate::signature::{Signature, SignatureRef};
 use crate::space::AttributeSpace;
 use serde::{Content, Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Default bound on the number of regions (LP variables).  Workloads in the
 /// paper's class stay far below this; the bound exists to fail fast on
@@ -178,74 +177,6 @@ fn sampled_volume(pieces: &[NBox]) -> u128 {
         .fold(0u128, |acc, p| acc.saturating_add(p.volume()))
 }
 
-/// The regions of a partition, in canonical (signature-sorted) order: a
-/// borrowed, indexable sequence of [`Region`] views.
-#[derive(Debug, Clone, Copy)]
-pub struct Regions<'a> {
-    partition: &'a RegionPartition,
-}
-
-impl<'a> Regions<'a> {
-    /// Number of regions.
-    pub fn len(&self) -> usize {
-        self.partition.volumes.len()
-    }
-
-    /// True if there are no regions.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The region at `index`, if there is one.
-    pub fn get(&self, index: usize) -> Option<Region<'a>> {
-        (index < self.len()).then(|| self.partition.region(index))
-    }
-
-    /// Iterates the regions in order.
-    pub fn iter(&self) -> RegionIter<'a> {
-        RegionIter {
-            partition: self.partition,
-            range: 0..self.len(),
-        }
-    }
-}
-
-impl<'a> IntoIterator for Regions<'a> {
-    type Item = Region<'a>;
-    type IntoIter = RegionIter<'a>;
-
-    fn into_iter(self) -> RegionIter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over a partition's [`Region`] views.
-#[derive(Debug, Clone)]
-pub struct RegionIter<'a> {
-    partition: &'a RegionPartition,
-    range: Range<usize>,
-}
-
-impl<'a> Iterator for RegionIter<'a> {
-    type Item = Region<'a>;
-
-    fn next(&mut self) -> Option<Region<'a>> {
-        self.range.next().map(|i| self.partition.region(i))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.range.size_hint()
-    }
-}
-
-impl ExactSizeIterator for RegionIter<'_> {}
-
-impl DoubleEndedIterator for RegionIter<'_> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        self.range.next_back().map(|i| self.partition.region(i))
-    }
-}
-
 /// The result of region partitioning.
 ///
 /// Serializes as the space, a list of regions (each a signature, its
@@ -273,7 +204,7 @@ impl PartialEq for RegionPartition {
             && self.constraints == other.constraints
             && self.signatures == other.signatures
             && self.volumes == other.volumes
-            && self.regions().iter().eq(other.regions().iter())
+            && self.regions().eq(other.regions())
     }
 }
 
@@ -310,8 +241,10 @@ impl RegionPartition {
     }
 
     /// The regions, in canonical (signature-sorted) order.
-    pub fn regions(&self) -> Regions<'_> {
-        Regions { partition: self }
+    pub fn regions(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Region<'_>> + DoubleEndedIterator + Clone + '_ {
+        (0..self.num_variables()).map(|index| self.region(index))
     }
 
     /// Every region's signature, in region order: the LP's columns.
@@ -454,7 +387,6 @@ impl Serialize for RegionPartition {
     fn serialize_content(&self) -> Content {
         let regions = self
             .regions()
-            .iter()
             .map(|region| {
                 RegionRecord {
                     signature: region.signature.to_signature(),
@@ -815,13 +747,9 @@ mod tests {
         // Signatures: {} -> [0,20)+[80,100), {0} -> [20,40), {0,1} -> [40,60), {1} -> [60,80).
         assert_eq!(p.num_variables(), 4);
         assert_eq!(p.total_volume(), 100);
-        let both = p
-            .regions()
-            .iter()
-            .find(|r| r.signature.count() == 2)
-            .unwrap();
+        let both = p.regions().find(|r| r.signature.count() == 2).unwrap();
         assert_eq!(both.volume, 20);
-        let none = p.regions().iter().find(|r| r.signature.is_empty()).unwrap();
+        let none = p.regions().find(|r| r.signature.is_empty()).unwrap();
         assert_eq!(none.volume, 40);
         assert_eq!(none.pieces().len(), 2);
     }
@@ -835,11 +763,7 @@ mod tests {
             .unwrap();
         // {} , {0}, {0,1} — the inner box is fully inside the outer one.
         assert_eq!(p.num_variables(), 3);
-        let inner = p
-            .regions()
-            .iter()
-            .find(|r| r.signature.count() == 2)
-            .unwrap();
+        let inner = p.regions().find(|r| r.signature.count() == 2).unwrap();
         assert_eq!(inner.volume, 20);
     }
 
@@ -865,11 +789,7 @@ mod tests {
             .partition()
             .unwrap();
         assert_eq!(p.num_variables(), 2);
-        let inside = p
-            .regions()
-            .iter()
-            .find(|r| r.signature.contains(0))
-            .unwrap();
+        let inside = p.regions().find(|r| r.signature.contains(0)).unwrap();
         assert_eq!(inside.volume, 20);
         assert_eq!(inside.pieces().len(), 2);
     }
@@ -889,11 +809,7 @@ mod tests {
         assert_eq!(p.num_variables(), 4);
         assert_eq!(p.total_volume(), 1000);
         // Region with both constraints: 40 x 5 = 200 points.
-        let both = p
-            .regions()
-            .iter()
-            .find(|r| r.signature.count() == 2)
-            .unwrap();
+        let both = p.regions().find(|r| r.signature.count() == 2).unwrap();
         assert_eq!(both.volume, 200);
     }
 
@@ -918,11 +834,7 @@ mod tests {
             .add_constraint_box(NBox::new(vec![Interval::new(20, 22), Interval::new(3, 5)]))
             .partition()
             .unwrap();
-        let region = p
-            .regions()
-            .iter()
-            .find(|r| r.signature.contains(0))
-            .unwrap();
+        let region = p.regions().find(|r| r.signature.contains(0)).unwrap();
         assert_eq!(region.volume, 4);
         let pts: Vec<Vec<i64>> = (0..4).map(|i| region.point_at(i).unwrap()).collect();
         // All distinct, all inside the region.

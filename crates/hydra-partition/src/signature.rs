@@ -171,11 +171,6 @@ impl<'a> SignatureRef<'a> {
         self.words.iter().all(|w| *w == 0)
     }
 
-    /// The contained constraint indices, ascending.
-    pub fn indices(&self) -> Vec<usize> {
-        self.iter().collect()
-    }
-
     /// Iterates the contained constraint indices, ascending, without
     /// allocating.
     pub fn iter(&self) -> Members<'a> {
@@ -344,7 +339,8 @@ mod tests {
         assert_eq!(view, s);
         assert_eq!(view, s.as_ref());
         assert_eq!(view.to_signature(), s);
-        assert_eq!(view.indices(), vec![3, 70]);
+        assert_eq!(view.iter().collect::<Vec<_>>(), vec![3, 70]);
+        assert_eq!(view.iter().len(), 2);
         assert_eq!(view.count(), 2);
         assert!(view.contains(70) && !view.contains(200));
         assert_eq!(view.to_string(), "{3,70}");

@@ -31,7 +31,6 @@ struct ParentPartition {
 /// layout.
 fn parent_regions(p: &RegionPartition) -> Vec<ParentRegion> {
     p.regions()
-        .iter()
         .map(|r| ParentRegion {
             signature: r.signature.to_signature(),
             pieces: r.pieces(),
@@ -271,7 +270,7 @@ proptest! {
                     }
                 }
                 let scan = if inside {
-                    p.regions().iter().position(|r| r.signature == signature)
+                    p.regions().position(|r| r.signature == signature)
                 } else {
                     None
                 };

@@ -271,11 +271,7 @@ pub fn solve_relation(
     let (solution, warm) = LpSolver::default().solve_warm(&lp, warm_hint.as_ref())?;
     let mut values = solution.values.clone();
     if interior && solution.status == SolveStatus::Feasible {
-        let volumes: Vec<f64> = partition
-            .regions()
-            .iter()
-            .map(|r| r.volume as f64)
-            .collect();
+        let volumes: Vec<f64> = partition.regions().map(|r| r.volume as f64).collect();
         let total_volume: f64 = volumes.iter().sum();
         let num_regions = volumes.len();
         if total_volume > 0.0 && num_regions > 0 {
@@ -455,7 +451,6 @@ mod tests {
         let retained_pairs: Vec<_> = retained
             .partition
             .regions()
-            .iter()
             .zip(retained.region_counts.iter().copied())
             .collect();
         assert_eq!(retained_pairs, kept);
