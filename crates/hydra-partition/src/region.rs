@@ -26,8 +26,8 @@
 //!    representative cells, which is all that deterministic alignment needs to
 //!    place concrete attribute values inside the region.  During the sweep a
 //!    cell is an id into an arena of `(parent, interval)` prefix nodes, so
-//!    extending it by an axis is one push; cells become intervals once, at
-//!    the end.
+//!    extending it by an axis is one push, and the finished partition keeps
+//!    the arena as its cell store (see *Layout*).
 //!
 //! The region budget is checked every time a partial signature is added,
 //! so a hostile constraint set fails as soon as it exceeds the budget, not
