@@ -37,7 +37,7 @@
 //! lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 10.0);
 //! lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 4.0);
 //! lp.set_objective(vec![(1, 1.0)]);
-//! let sol = LpSolver::default().solve(&lp).unwrap();
+//! let sol = LpSolver.solve(&lp).unwrap();
 //! assert!((sol.values[0] - 4.0).abs() < 1e-6);
 //! assert!((sol.values[1] - 6.0).abs() < 1e-6);
 //! ```

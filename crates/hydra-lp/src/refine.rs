@@ -336,7 +336,7 @@ mod tests {
             ConstraintOp::Eq,
             20.0,
         );
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         let attractor = vec![5.0; 4];
         let refined = refine_toward(&lp, &sol.values, &attractor);
         // Still feasible...

@@ -105,18 +105,12 @@ pub struct SolveDetail {
     pub duals: Option<Vec<f64>>,
 }
 
-/// Dense two-phase primal simplex solver.
-#[derive(Debug, Clone)]
-pub struct Simplex {
-    /// Hard cap on pivots per phase (scaled with problem size at solve time).
-    pub max_pivots: usize,
-}
+/// Hard cap on pivots per phase (raised with problem size at solve time).
+pub const MAX_PIVOTS: usize = 50_000;
 
-impl Default for Simplex {
-    fn default() -> Self {
-        Simplex { max_pivots: 50_000 }
-    }
-}
+/// Dense two-phase primal simplex solver.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Simplex;
 
 struct Tableau {
     /// rows x (cols + 1) coefficient matrix, row-major with stride
@@ -464,7 +458,7 @@ impl Simplex {
                 )
             };
 
-        let max_pivots = self.max_pivots.max(20 * (m + cols));
+        let max_pivots = MAX_PIVOTS.max(20 * (m + cols));
 
         // ---- Phase 1: minimize sum of artificial variables. ----
         let mut tableau = Tableau {
@@ -650,7 +644,7 @@ mod tests {
     use crate::problem::{ConstraintOp, LpProblem};
 
     fn solve(lp: &LpProblem) -> SimplexOutcome {
-        Simplex::default().solve(lp)
+        Simplex.solve(lp)
     }
 
     #[test]
@@ -788,6 +782,24 @@ mod tests {
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
         assert!(matches!(solve(&lp), SimplexOutcome::Infeasible { .. }));
+    }
+
+    #[test]
+    fn warm_start_respects_mixed_scale_infeasibility_detection() {
+        // A huge row target must not mask a real small-scale contradiction,
+        // warm-started or not.
+        let mut lp = LpProblem::new(2);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
+        for warm in [None, Some(WarmStart::new(vec![0, 1]))] {
+            let (detail, _) = Simplex.solve_detailed_warm(&lp, warm.as_ref());
+            assert!(
+                matches!(detail.outcome, SimplexOutcome::Infeasible { .. }),
+                "warm {warm:?}: {:?}",
+                detail.outcome
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,9 @@ pub enum LpError {
     Unbounded,
     /// The solver exceeded its pivot budget.
     IterationLimit,
-    /// The problem was infeasible and least-violation recovery was disabled.
+    /// Even the least-violation relaxation, where every constraint has
+    /// slack, came out infeasible: a numerical failure, since that system
+    /// is feasible in exact arithmetic.
     Infeasible {
         /// The positive phase-1 optimum certifying infeasibility.
         phase1_objective: f64,
@@ -77,29 +79,31 @@ impl std::error::Error for LpError {}
 /// High-level LP solver.
 ///
 /// `solve` first attempts an exact feasibility/optimality solve; if the system
-/// is infeasible and `recover_least_violation` is set (the default), it
-/// re-solves a soft version where every constraint gets slack variables and
-/// the total slack is minimized.  This mirrors HYDRA's behaviour: the
-/// post-processing step may introduce small additive errors, and the reported
-/// relative errors stay small.
-#[derive(Debug, Clone)]
-pub struct LpSolver {
-    /// Underlying simplex engine.
-    pub simplex: Simplex,
-    /// Whether to fall back to least-violation solving on infeasibility.
-    pub recover_least_violation: bool,
-    /// Feasibility tolerance used when classifying the result.
-    pub tolerance: f64,
-}
+/// is infeasible, it re-solves a soft version where every constraint gets
+/// slack variables and the total slack is minimized.  This mirrors HYDRA's
+/// behaviour: the post-processing step may introduce small additive errors,
+/// and the reported relative errors stay small.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LpSolver;
 
-impl Default for LpSolver {
-    fn default() -> Self {
-        LpSolver {
-            simplex: Simplex::default(),
-            recover_least_violation: true,
-            tolerance: 1e-6,
-        }
-    }
+/// Feasibility tolerance used when classifying a recovered solution,
+/// relative to the largest right-hand side: a least-violation solution
+/// within it counts as [`SolveStatus::Feasible`].
+pub const FEASIBILITY_TOLERANCE: f64 = 1e-6;
+
+/// The absolute violation below which a recovered solution counts as
+/// feasible: [`FEASIBILITY_TOLERANCE`], scaled by the magnitude of the
+/// right-hand sides.  Large-scale what-if scenarios (cardinalities in the
+/// trillions) accumulate floating-point rounding that is absolutely large
+/// but relatively negligible; classifying those infeasible would be
+/// reporting noise.
+fn feasibility_tolerance(problem: &LpProblem) -> f64 {
+    let rhs_scale = problem
+        .heads()
+        .iter()
+        .map(|c| c.rhs.abs())
+        .fold(1.0f64, f64::max);
+    FEASIBILITY_TOLERANCE * rhs_scale
 }
 
 /// Column count above which pure-feasibility problems try restricted
@@ -115,7 +119,7 @@ enum ColumnGeneration {
     Feasible(Vec<f64>),
     /// Certified infeasible: no excluded column can reduce the restricted
     /// phase-1 optimum below its positive value.
-    Infeasible { phase1_objective: f64 },
+    Infeasible,
     /// Pricing information was unavailable or the loop did not converge; the
     /// caller falls back to the full dense solve.
     GaveUp,
@@ -301,14 +305,6 @@ fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut [bool]) -> u
 }
 
 impl LpSolver {
-    /// Creates a solver that fails (instead of recovering) on infeasibility.
-    pub fn strict() -> Self {
-        LpSolver {
-            recover_least_violation: false,
-            ..Default::default()
-        }
-    }
-
     /// Solves the problem.
     pub fn solve(&self, problem: &LpProblem) -> Result<LpSolution, LpError> {
         self.solve_warm(problem, None).map(|(solution, _)| solution)
@@ -357,10 +353,7 @@ impl LpSolver {
                         cg_outcome,
                     ));
                 }
-                ColumnGeneration::Infeasible { phase1_objective } => {
-                    if !self.recover_least_violation {
-                        return Err(LpError::Infeasible { phase1_objective });
-                    }
+                ColumnGeneration::Infeasible => {
                     if let Some(solution) =
                         self.column_generation_least_violation(problem, start, warm)
                     {
@@ -371,7 +364,7 @@ impl LpSolver {
             }
         }
 
-        let (detail, warm_outcome) = self.simplex.solve_detailed_warm(problem, warm);
+        let (detail, warm_outcome) = Simplex.solve_detailed_warm(problem, warm);
         match detail.outcome {
             SimplexOutcome::Optimal { values, objective } => {
                 let report = ViolationReport::evaluate(problem, &values);
@@ -388,10 +381,7 @@ impl LpSolver {
                     warm_outcome,
                 ))
             }
-            SimplexOutcome::Infeasible { phase1_objective } => {
-                if !self.recover_least_violation {
-                    return Err(LpError::Infeasible { phase1_objective });
-                }
+            SimplexOutcome::Infeasible { .. } => {
                 // Credit the *recovery* solve's warm outcome — the strict
                 // pass necessarily fell short, but the hint can still close
                 // the elastic system's phase 1.
@@ -429,7 +419,7 @@ impl LpSolver {
                 return (ColumnGeneration::GaveUp, warm_outcome);
             }
             let (sub, columns) = restrict(problem, &selected);
-            let detail = self.simplex.solve_detailed(&sub);
+            let detail = Simplex.solve_detailed(&sub);
             match detail.outcome {
                 crate::simplex::SimplexOutcome::Optimal { values, .. } => {
                     let mut full = vec![0.0; n];
@@ -452,7 +442,7 @@ impl LpSolver {
                     }
                     return (ColumnGeneration::Feasible(full), warm_outcome);
                 }
-                crate::simplex::SimplexOutcome::Infeasible { phase1_objective } => {
+                crate::simplex::SimplexOutcome::Infeasible { .. } => {
                     let Some(duals) = detail.duals else {
                         return (ColumnGeneration::GaveUp, warm_outcome);
                     };
@@ -462,10 +452,7 @@ impl LpSolver {
                     if added == 0 {
                         // No column can lower the positive phase-1 optimum:
                         // the full problem is infeasible, certified.
-                        return (
-                            ColumnGeneration::Infeasible { phase1_objective },
-                            warm_outcome,
-                        );
+                        return (ColumnGeneration::Infeasible, warm_outcome);
                     }
                 }
                 _ => return (ColumnGeneration::GaveUp, warm_outcome),
@@ -500,7 +487,7 @@ impl LpSolver {
             }
             let (sub, columns) = restrict(problem, &selected);
             let soft = soften(&sub);
-            let detail = self.simplex.solve_detailed(&soft);
+            let detail = Simplex.solve_detailed(&soft);
             match detail.outcome {
                 crate::simplex::SimplexOutcome::Optimal { values, .. } => {
                     let duals = detail.duals?;
@@ -515,7 +502,7 @@ impl LpSolver {
                     }
                     let report = ViolationReport::evaluate(problem, &full);
                     let status =
-                        if report.total_absolute_violation <= self.feasibility_tolerance(problem) {
+                        if report.total_absolute_violation <= feasibility_tolerance(problem) {
                             SolveStatus::Feasible
                         } else {
                             SolveStatus::LeastViolation
@@ -534,21 +521,6 @@ impl LpSolver {
             }
         }
         None
-    }
-
-    /// The absolute violation below which a recovered solution counts as
-    /// feasible: the configured tolerance, scaled by the magnitude of the
-    /// right-hand sides.  Large-scale what-if scenarios (cardinalities in the
-    /// trillions) accumulate floating-point rounding that is absolutely large
-    /// but relatively negligible; classifying those infeasible would be
-    /// reporting noise.
-    fn feasibility_tolerance(&self, problem: &LpProblem) -> f64 {
-        let rhs_scale = problem
-            .heads()
-            .iter()
-            .map(|c| c.rhs.abs())
-            .fold(1.0f64, f64::max);
-        self.tolerance * rhs_scale
     }
 
     /// Solves the soft relaxation: every constraint `a·x op b` becomes
@@ -572,17 +544,16 @@ impl LpSolver {
             WarmStart::new(columns)
         });
 
-        let (detail, warm_outcome) = self.simplex.solve_detailed_warm(&soft, soft_warm.as_ref());
+        let (detail, warm_outcome) = Simplex.solve_detailed_warm(&soft, soft_warm.as_ref());
         match detail.outcome {
             SimplexOutcome::Optimal { values, .. } => {
                 let values: Vec<f64> = values.into_iter().take(n).collect();
                 let report = ViolationReport::evaluate(problem, &values);
-                let status =
-                    if report.total_absolute_violation <= self.feasibility_tolerance(problem) {
-                        SolveStatus::Feasible
-                    } else {
-                        SolveStatus::LeastViolation
-                    };
+                let status = if report.total_absolute_violation <= feasibility_tolerance(problem) {
+                    SolveStatus::Feasible
+                } else {
+                    SolveStatus::LeastViolation
+                };
                 let objective: f64 = problem.objective.iter().map(|(j, c)| c * values[*j]).sum();
                 Ok((
                     LpSolution {
@@ -617,7 +588,7 @@ mod tests {
         let mut lp = LpProblem::new(3);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], ConstraintOp::Eq, 9.0);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 2.0);
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         assert_eq!(sol.status, SolveStatus::Feasible);
         assert!(sol.total_violation < 1e-6);
         assert!(lp.is_feasible(&sol.values, 1e-6));
@@ -631,19 +602,10 @@ mod tests {
         let mut lp = LpProblem::new(1);
         lp.add_labeled_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 5.0, "c1");
         lp.add_labeled_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 7.0, "c2");
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         assert_eq!(sol.status, SolveStatus::LeastViolation);
         assert!((sol.total_violation - 2.0).abs() < 1e-5);
         assert!(sol.values[0] >= 5.0 - 1e-6 && sol.values[0] <= 7.0 + 1e-6);
-    }
-
-    #[test]
-    fn strict_solver_errors_on_infeasible() {
-        let mut lp = LpProblem::new(1);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 1.0);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 3.0);
-        let err = LpSolver::strict().solve(&lp).unwrap_err();
-        assert!(matches!(err, LpError::Infeasible { .. }));
     }
 
     #[test]
@@ -651,10 +613,7 @@ mod tests {
         let mut lp = LpProblem::new(1);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 1.0);
         lp.set_objective(vec![(0, -1.0)]);
-        assert_eq!(
-            LpSolver::default().solve(&lp).unwrap_err(),
-            LpError::Unbounded
-        );
+        assert_eq!(LpSolver.solve(&lp).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -662,7 +621,7 @@ mod tests {
         let mut lp = LpProblem::new(1);
         lp.add_labeled_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 5.0, "edge a");
         lp.add_labeled_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 6.0, "edge b");
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         let report = sol.violations(&lp);
         assert_eq!(report.violations.len(), 2);
         assert!(report.max_relative_error() <= 0.2 + 1e-9);
@@ -675,7 +634,7 @@ mod tests {
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 10.0);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 4.0);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 20.0);
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         assert_eq!(sol.status, SolveStatus::LeastViolation);
         assert!(sol.values[0] <= 10.0 + 1e-6);
         assert!(sol.values[0] >= 4.0 - 1e-6);
@@ -709,7 +668,7 @@ mod tests {
     #[test]
     fn warm_start_from_previous_support_hits() {
         let lp = blocky_lp(480.0);
-        let solver = LpSolver::default();
+        let solver = LpSolver;
         let cold = solver.solve(&lp).unwrap();
         assert_eq!(cold.status, SolveStatus::Feasible);
 
@@ -747,7 +706,7 @@ mod tests {
             v.push(lp);
             v
         };
-        let solver = LpSolver::default();
+        let solver = LpSolver;
         for (i, lp) in fixtures.iter().enumerate() {
             let cold = solver.solve(lp).unwrap();
             let hints = [
@@ -774,7 +733,7 @@ mod tests {
         let mut lp = LpProblem::new(2);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 10.0);
         lp.set_upper_bound(0, 3.0);
-        let solver = LpSolver::default();
+        let solver = LpSolver;
         let (sol, outcome) = solver
             .solve_warm(&lp, Some(&WarmStart::new(vec![0])))
             .unwrap();
@@ -792,28 +751,15 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_respects_mixed_scale_infeasibility_detection() {
-        // The PR 3 regression shape: a huge row target must not mask a real
-        // small-scale contradiction — warm-started or not.
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        let strict = LpSolver::strict();
-        let cold = strict.solve(&lp).unwrap_err();
-        assert!(matches!(cold, LpError::Infeasible { .. }));
-        let warm = strict
-            .solve_warm(&lp, Some(&WarmStart::new(vec![0, 1])))
-            .unwrap_err();
-        assert!(matches!(warm, LpError::Infeasible { .. }));
-
-        // The recovering solver reaches the same least-violation compromise
-        // (unit scale, where the violation is relatively significant too).
+    fn warm_and_cold_reach_the_same_least_violation_compromise() {
+        // A unit-scale contradiction (the mixed-scale one is
+        // `simplex.rs::warm_start_respects_mixed_scale_infeasibility_detection`),
+        // where the violation is relatively significant.
         let mut lp = LpProblem::new(2);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 3.0);
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        let solver = LpSolver::default();
+        let solver = LpSolver;
         let cold = solver.solve(&lp).unwrap();
         let (warm, _) = solver
             .solve_warm(&lp, Some(&WarmStart::new(vec![0, 1])))
@@ -913,7 +859,7 @@ mod tests {
             lp.add_constraint(terms, ConstraintOp::Eq, 100.0);
         }
         lp.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1000.0);
-        let solver = LpSolver::default();
+        let solver = LpSolver;
         let cold = solver.solve(&lp).unwrap();
         assert_eq!(cold.status, SolveStatus::Feasible);
         let (warm_sol, outcome) = solver

@@ -46,7 +46,7 @@ proptest! {
     /// Any feasible-by-construction LP must be solved exactly feasibly.
     #[test]
     fn simplex_finds_feasible_solutions((lp, _truth) in feasible_lp()) {
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         prop_assert_eq!(sol.status, SolveStatus::Feasible);
         prop_assert!(lp.is_feasible(&sol.values, 1e-4),
             "solution {:?} violates constraints", sol.values);
@@ -55,7 +55,7 @@ proptest! {
     /// Solutions never contain negative values.
     #[test]
     fn simplex_solutions_are_nonnegative((lp, _truth) in feasible_lp()) {
-        let sol = LpSolver::default().solve(&lp).unwrap();
+        let sol = LpSolver.solve(&lp).unwrap();
         prop_assert!(sol.values.iter().all(|v| *v >= -1e-9));
     }
 

@@ -33,8 +33,8 @@ use crate::solve::{solve_relation, LpStats};
 use crate::summary::{DatabaseSummary, RelationSummary};
 use hydra_catalog::metadata::DatabaseMetadata;
 use hydra_catalog::schema::{Schema, Table};
-use hydra_lp::simplex::WarmOutcome;
-use hydra_lp::solver::LpSolver;
+use hydra_lp::simplex::{WarmOutcome, MAX_PIVOTS};
+use hydra_lp::solver::FEASIBILITY_TOLERANCE;
 use hydra_partition::region::DEFAULT_MAX_REGIONS;
 use hydra_query::aqp::VolumetricConstraint;
 use serde::{Deserialize, Serialize};
@@ -496,11 +496,11 @@ impl SummaryBuilder {
 /// a different hash would make every relation of an existing WAL re-solve
 /// on its first delta after an upgrade (`tests/solve_identity.rs` pins it).
 fn hash_pipeline(alignment: AlignmentStrategy, hasher: &mut DefaultHasher) {
-    let solver = LpSolver::default();
     let mut solver_hasher = DefaultHasher::new();
-    solver.recover_least_violation.hash(&mut solver_hasher);
-    solver.tolerance.to_bits().hash(&mut solver_hasher);
-    solver.simplex.max_pivots.hash(&mut solver_hasher);
+    // Least-violation recovery is always on.
+    true.hash(&mut solver_hasher);
+    FEASIBILITY_TOLERANCE.to_bits().hash(&mut solver_hasher);
+    MAX_PIVOTS.hash(&mut solver_hasher);
 
     "simplex-region".hash(hasher);
     solver_hasher.finish().hash(hasher);

@@ -268,7 +268,7 @@ pub fn solve_relation(
     let partition_time = partition_start.elapsed();
 
     let lp = formulate_lp(table, &partition, &pre.boxed, row_target);
-    let (solution, warm) = LpSolver::default().solve_warm(&lp, warm_hint.as_ref())?;
+    let (solution, warm) = LpSolver.solve_warm(&lp, warm_hint.as_ref())?;
     let mut values = solution.values.clone();
     if interior && solution.status == SolveStatus::Feasible {
         let volumes: Vec<f64> = partition.regions().map(|r| r.volume as f64).collect();
