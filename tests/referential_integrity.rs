@@ -1,7 +1,8 @@
 //! Referential integrity of regenerated data (the paper's post-processing
 //! guarantee): every foreign key produced by the tuple generator references an
 //! existing primary key, across both the star (retail) and snowflake
-//! (supplier) schemas.
+//! (supplier) schemas, and the regeneration is the same on one worker
+//! thread as on two.
 
 use hydra::engine::database::Database;
 use hydra::workload::{
@@ -26,6 +27,16 @@ fn check_schema(
     let session = Hydra::builder().compare_aqps(false).parallelism(2).build();
     let package = session.profile(db, &queries).unwrap();
     let result = session.regenerate(&package).unwrap();
+
+    // Solving independent relations on worker threads changes nothing.
+    let sequential = Hydra::builder()
+        .compare_aqps(false)
+        .parallelism(1)
+        .build()
+        .regenerate(&package)
+        .unwrap();
+    assert_eq!(sequential.summary, result.summary);
+    assert_eq!(sequential.accuracy, result.accuracy);
 
     // Materialize the regenerated database and check every FK.
     let generator = result.generator();

@@ -126,6 +126,49 @@ fn relative_errors_shrink_as_database_grows() {
 }
 
 #[test]
+#[ignore = "fails at 9ebe8f1: 0.00085 → 0.00301 from ×1 to ×10; ROADMAP 2"]
+fn relative_errors_shrink_at_retail_64() {
+    // E7 at the paper experiment's scale: 64 queries over a 10 000-row
+    // `store_sales`, scaled ×1 → ×1000; the mean relative error must not
+    // grow from one scale to the next.
+    let schema = retail_schema();
+    let mut targets = retail_row_targets(0.02);
+    targets.insert("store_sales".to_string(), 10_000);
+    targets.insert("web_sales".to_string(), 10_000 / 3);
+    let db = generate_client_database(&schema, &targets, &DataGenConfig::default());
+    let queries = WorkloadGenerator::new(
+        schema,
+        WorkloadGenConfig {
+            num_queries: 64,
+            seed: 131,
+            ..Default::default()
+        },
+    )
+    .generate();
+    let session = session();
+    let package = session.profile(db, &queries).unwrap();
+    let base = session.regenerate_stateful(&package).unwrap();
+
+    let mut previous_mean = f64::INFINITY;
+    for scale in [1.0, 10.0, 100.0, 1000.0] {
+        let scenario = Scenario::scaled(format!("x{scale}"), scale);
+        let result = session.scenario(&scenario, &base).unwrap();
+        let accuracy = &result.regeneration.accuracy;
+        let mean = accuracy.mean_relative_error();
+        println!(
+            "[E7] ×{scale}: mean relative error {mean:.5}, max {:.5}, within 1% {:.1}%",
+            accuracy.max_relative_error(),
+            100.0 * accuracy.fraction_within(0.01)
+        );
+        assert!(
+            mean <= previous_mean + 1e-9,
+            "mean relative error grew to {mean} at ×{scale} (was {previous_mean})"
+        );
+        previous_mean = mean;
+    }
+}
+
+#[test]
 fn infeasible_injection_is_reported_not_hidden() {
     let session = session();
     let base = base(&session);
