@@ -23,10 +23,8 @@
 //! the property the `delta_differential` proptest harness pins down.
 
 use crate::error::HydraResult;
-use crate::report::build_aqp_comparisons;
 use crate::transfer::TransferPackage;
 use crate::vendor::{RegenerationResult, VendorSite};
-use hydra_datagen::dataless::DatalessDatabase;
 use hydra_query::delta::{ConstraintSet, WorkloadDelta};
 use hydra_summary::builder::{SummaryBuildReport, SummaryBuilder};
 use hydra_summary::delta::{DeltaBuildReport, SolveBaseline, SummaryDiff};
@@ -132,9 +130,9 @@ impl VendorSite {
     /// runs: the summary is reassembled from the baseline's solved
     /// relations, the stored build report is reattached verbatim (so
     /// descriptions stay bit-identical across a restart), and only the
-    /// cheap artifacts (constraint extraction, verification, optional AQP
-    /// comparisons) are recomputed.  A full baseline (as older registries
-    /// logged it) is accepted and reduced to its support.
+    /// cheap artifacts (constraint extraction and verification) are
+    /// recomputed.  A full baseline (as older registries logged it) is
+    /// accepted and reduced to its support.
     pub fn restore_stateful(
         &self,
         package: &TransferPackage,
@@ -219,8 +217,7 @@ impl VendorSite {
     }
 
     /// The tail every build shares: verify the summary against the
-    /// constraint set, optionally compare the regenerated AQPs, and wrap
-    /// the result as a state.
+    /// constraint set and wrap the result as a state.
     fn finish(
         &self,
         package: TransferPackage,
@@ -231,17 +228,10 @@ impl VendorSite {
     ) -> HydraResult<RegenerationState> {
         let schema = package.metadata.schema.clone();
         let accuracy = verify_summary(&summary, constraints.by_table())?;
-        let aqp_comparisons = if self.config.compare_aqps {
-            let dataless = DatalessDatabase::new(schema.clone(), summary.clone());
-            build_aqp_comparisons(&dataless, &package.workload)?
-        } else {
-            Vec::new()
-        };
         let regeneration = RegenerationResult {
             summary,
             build_report,
             accuracy,
-            aqp_comparisons,
             schema,
         };
         Ok(RegenerationState::new(
@@ -257,7 +247,6 @@ impl VendorSite {
 mod tests {
     use super::*;
     use crate::client::ClientSite;
-    use crate::vendor::HydraConfig;
     use hydra_engine::database::Database;
     use hydra_engine::exec::Executor;
     use hydra_query::query::SpjQuery;
@@ -269,7 +258,7 @@ mod tests {
     }
 
     fn vendor() -> VendorSite {
-        VendorSite::new(HydraConfig::without_aqp_comparison())
+        VendorSite::default()
     }
 
     /// Harvests one extra query (unused seed range) against the client DB.

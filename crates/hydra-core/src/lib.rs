@@ -61,7 +61,7 @@ pub mod vendor;
 pub use client::ClientSite;
 pub use delta::{DeltaOutcome, RegenerationState};
 pub use error::{HydraError, HydraResult};
-pub use report::{AqpEdgeComparison, QueryAqpComparison, RegenerationReport};
+pub use report::RegenerationReport;
 pub use scenario::{Scenario, ScenarioResult};
 pub use session::{Hydra, HydraBuilder};
 pub use transfer::TransferPackage;

@@ -1,90 +1,10 @@
 //! Regeneration-quality reports: the textual counterpart of the demo's vendor
-//! screens (summary display, LP statistics, error CDF, per-query AQP
-//! comparison).
+//! screens (summary display, LP statistics, per-constraint accuracy).  Every
+//! annotated AQP edge is one volumetric constraint, so the accuracy table is
+//! also the original-vs-regenerated AQP comparison.
 
-use crate::error::HydraResult;
-use hydra_datagen::dataless::DatalessDatabase;
-use hydra_engine::exec::Executor;
-use hydra_query::plan::LogicalPlan;
-use hydra_query::workload::QueryWorkload;
 use hydra_summary::builder::SummaryBuildReport;
 use hydra_summary::verify::VolumetricAccuracyReport;
-use serde::{Deserialize, Serialize};
-
-/// One annotated edge compared between the original and regenerated plans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AqpEdgeComparison {
-    /// Operator description.
-    pub operator: String,
-    /// Cardinality observed at the client (green annotation in the demo).
-    pub original: u64,
-    /// Cardinality observed on the regenerated database.
-    pub regenerated: u64,
-    /// Relative error (red annotation in the demo).
-    pub relative_error: f64,
-}
-
-/// The AQP comparison for one query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QueryAqpComparison {
-    /// Query name.
-    pub query: String,
-    /// Per-edge comparisons in plan pre-order.
-    pub edges: Vec<AqpEdgeComparison>,
-}
-
-impl QueryAqpComparison {
-    /// The largest relative error across this query's edges.
-    pub fn max_relative_error(&self) -> f64 {
-        self.edges
-            .iter()
-            .map(|e| e.relative_error)
-            .fold(0.0, f64::max)
-    }
-
-    /// The mean relative error across this query's edges.
-    pub fn mean_relative_error(&self) -> f64 {
-        if self.edges.is_empty() {
-            return 0.0;
-        }
-        self.edges.iter().map(|e| e.relative_error).sum::<f64>() / self.edges.len() as f64
-    }
-}
-
-/// Executes the workload against the regenerated (dataless) database and
-/// compares every plan edge's cardinality with the client's annotation.
-pub fn build_aqp_comparisons(
-    dataless: &DatalessDatabase,
-    workload: &QueryWorkload,
-) -> HydraResult<Vec<QueryAqpComparison>> {
-    let executor = Executor::new(dataless);
-    let mut out = Vec::new();
-    for entry in &workload.entries {
-        let Some(original) = &entry.aqp else { continue };
-        let plan = LogicalPlan::from_query(&entry.query)?;
-        let (_result, regenerated) = executor.run_annotated(&entry.query.name, &plan)?;
-        let original_nodes = original.root.preorder();
-        let regenerated_nodes = regenerated.root.preorder();
-        let edges = original_nodes
-            .iter()
-            .zip(regenerated_nodes.iter())
-            .map(|(o, r)| {
-                let abs = o.cardinality.abs_diff(r.cardinality);
-                AqpEdgeComparison {
-                    operator: o.op.name(),
-                    original: o.cardinality,
-                    regenerated: r.cardinality,
-                    relative_error: abs as f64 / o.cardinality.max(1) as f64,
-                }
-            })
-            .collect();
-        out.push(QueryAqpComparison {
-            query: entry.query.name.clone(),
-            edges,
-        });
-    }
-    Ok(out)
-}
 
 /// The consolidated regeneration report.
 #[derive(Debug, Clone)]
@@ -93,8 +13,6 @@ pub struct RegenerationReport {
     pub build: SummaryBuildReport,
     /// Volumetric-constraint accuracy of the summary.
     pub accuracy: VolumetricAccuracyReport,
-    /// Per-query AQP comparisons (may be empty when comparison was disabled).
-    pub aqp_comparisons: Vec<QueryAqpComparison>,
     /// Summary size in bytes.
     pub summary_bytes: usize,
     /// Total rows regenerable from the summary.
@@ -102,32 +20,6 @@ pub struct RegenerationReport {
 }
 
 impl RegenerationReport {
-    /// Mean relative error across all compared AQP edges.
-    pub fn mean_aqp_relative_error(&self) -> f64 {
-        let edges: Vec<f64> = self
-            .aqp_comparisons
-            .iter()
-            .flat_map(|q| q.edges.iter().map(|e| e.relative_error))
-            .collect();
-        if edges.is_empty() {
-            return 0.0;
-        }
-        edges.iter().sum::<f64>() / edges.len() as f64
-    }
-
-    /// Fraction of compared AQP edges within the given relative error.
-    pub fn aqp_fraction_within(&self, threshold: f64) -> f64 {
-        let edges: Vec<f64> = self
-            .aqp_comparisons
-            .iter()
-            .flat_map(|q| q.edges.iter().map(|e| e.relative_error))
-            .collect();
-        if edges.is_empty() {
-            return 1.0;
-        }
-        edges.iter().filter(|e| **e <= threshold + 1e-12).count() as f64 / edges.len() as f64
-    }
-
     /// Renders the report as human-readable text (the vendor screens).
     pub fn to_display_text(&self) -> String {
         let mut out = String::new();
@@ -146,15 +38,6 @@ impl RegenerationReport {
         out.push_str(&self.build.to_display_table());
         out.push_str("\n--- volumetric constraint accuracy ---\n");
         out.push_str(&self.accuracy.to_display_table());
-        if !self.aqp_comparisons.is_empty() {
-            out.push_str("\n--- AQP comparison (original vs regenerated) ---\n");
-            out.push_str(&format!(
-                "queries compared: {}, mean edge relative error: {:.4}, edges within 10%: {:.1}%\n",
-                self.aqp_comparisons.len(),
-                self.mean_aqp_relative_error(),
-                100.0 * self.aqp_fraction_within(0.10)
-            ));
-        }
         out
     }
 }
@@ -164,50 +47,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn edge_and_query_error_math() {
-        let q = QueryAqpComparison {
-            query: "q1".into(),
-            edges: vec![
-                AqpEdgeComparison {
-                    operator: "Scan(t)".into(),
-                    original: 100,
-                    regenerated: 100,
-                    relative_error: 0.0,
-                },
-                AqpEdgeComparison {
-                    operator: "Filter(t)".into(),
-                    original: 50,
-                    regenerated: 45,
-                    relative_error: 0.1,
-                },
-            ],
-        };
-        assert_eq!(q.max_relative_error(), 0.1);
-        assert!((q.mean_relative_error() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
     fn report_aggregates() {
         let report = RegenerationReport {
             build: SummaryBuildReport::default(),
             accuracy: VolumetricAccuracyReport::default(),
-            aqp_comparisons: vec![QueryAqpComparison {
-                query: "q1".into(),
-                edges: vec![AqpEdgeComparison {
-                    operator: "Scan(t)".into(),
-                    original: 10,
-                    regenerated: 10,
-                    relative_error: 0.0,
-                }],
-            }],
             summary_bytes: 128,
             regenerated_rows: 1000,
         };
-        assert_eq!(report.mean_aqp_relative_error(), 0.0);
-        assert_eq!(report.aqp_fraction_within(0.0), 1.0);
         let text = report.to_display_text();
         assert!(text.contains("128 bytes"));
-        assert!(text.contains("AQP comparison"));
     }
 
     #[test]
@@ -215,11 +63,11 @@ mod tests {
         let report = RegenerationReport {
             build: SummaryBuildReport::default(),
             accuracy: VolumetricAccuracyReport::default(),
-            aqp_comparisons: vec![],
             summary_bytes: 0,
             regenerated_rows: 0,
         };
-        assert_eq!(report.mean_aqp_relative_error(), 0.0);
-        assert_eq!(report.aqp_fraction_within(0.5), 1.0);
+        assert!(report
+            .to_display_text()
+            .contains("0 bytes for 0 regenerable rows (0.0 rows/byte)"));
     }
 }

@@ -183,11 +183,10 @@ impl VendorSite {
 mod tests {
     use super::*;
     use crate::client::ClientSite;
-    use crate::vendor::HydraConfig;
     use hydra_workload::retail_client_fixture;
 
     fn vendor() -> VendorSite {
-        VendorSite::new(HydraConfig::without_aqp_comparison())
+        VendorSite::default()
     }
 
     fn base() -> RegenerationState {

@@ -1,8 +1,8 @@
 //! The `Hydra` session façade — the one front door to the reproduction.
 //!
 //! A session owns a fully-resolved pipeline configuration (alignment
-//! strategy, parallelism, AQP comparison) and an observability
-//! registry, and exposes the paper's workflow as these entry points:
+//! strategy, parallelism) and an observability registry, and exposes the
+//! paper's workflow as these entry points:
 //!
 //! * [`Hydra::profile`] — the client site: profile a warehouse, execute the
 //!   workload, package the synopsis (optionally anonymized);
@@ -37,7 +37,7 @@
 //! let queries = WorkloadGenerator::new(schema,
 //!     WorkloadGenConfig { num_queries: 5, ..Default::default() }).generate();
 //!
-//! let session = Hydra::builder().parallelism(2).compare_aqps(false).build();
+//! let session = Hydra::builder().parallelism(2).build();
 //! let package = session.profile(db, &queries).unwrap();
 //! let result = session.regenerate(&package).unwrap();
 //! assert!(result.accuracy.fraction_within(0.10) > 0.9);
@@ -72,7 +72,6 @@ use std::sync::Arc;
 /// let session = Hydra::builder()
 ///     .parallelism(4)                                  // per-relation solve workers
 ///     .alignment(AlignmentStrategy::Deterministic)     // the paper's alignment
-///     .compare_aqps(false)                             // skip workload re-execution
 ///     .build();
 /// assert_eq!(session.config().builder.parallelism, 4);
 /// ```
@@ -108,10 +107,10 @@ impl HydraBuilder {
         self
     }
 
-    /// Whether [`Hydra::regenerate`] re-executes the workload on the dataless
-    /// database and attaches per-query AQP comparisons (default: true).
-    pub fn compare_aqps(mut self, enabled: bool) -> Self {
-        self.config.compare_aqps = enabled;
+    /// Does nothing: a regeneration's accuracy report already holds every
+    /// AQP edge's regenerated cardinality, so no workload is re-executed
+    /// whatever `_enabled` says.  Kept only so existing callers still build.
+    pub fn compare_aqps(self, _enabled: bool) -> Self {
         self
     }
 
@@ -324,7 +323,7 @@ impl Hydra {
     /// use hydra_workload::retail_client_fixture;
     ///
     /// let (db, queries) = retail_client_fixture(1_000, 300, 5);
-    /// let session = Hydra::builder().compare_aqps(false).build();
+    /// let session = Hydra::builder().build();
     /// let package = session.profile(db, &queries).unwrap();
     /// let result = session.regenerate(&package).unwrap();
     ///
@@ -440,7 +439,7 @@ impl Hydra {
     /// let queries = WorkloadGenerator::new(schema,
     ///     WorkloadGenConfig { num_queries: 4, ..Default::default() }).generate();
     ///
-    /// let session = Hydra::builder().compare_aqps(false).build();
+    /// let session = Hydra::builder().build();
     /// let package = session.profile(db, &queries).unwrap();
     /// let result = session.regenerate(&package).unwrap();
     ///
@@ -497,7 +496,7 @@ mod tests {
     #[test]
     fn session_profile_and_regenerate() {
         let (db, queries) = client_fixture();
-        let session = Hydra::builder().compare_aqps(false).build();
+        let session = Hydra::builder().build();
         let package = session.profile(db, &queries).unwrap();
         assert_eq!(package.query_count(), 8);
         let result = session.regenerate(&package).unwrap();
@@ -508,8 +507,8 @@ mod tests {
     #[test]
     fn parallel_session_matches_sequential_accuracy() {
         let (db, queries) = client_fixture();
-        let sequential = Hydra::builder().parallelism(1).compare_aqps(false).build();
-        let parallel = Hydra::builder().parallelism(4).compare_aqps(false).build();
+        let sequential = Hydra::builder().parallelism(1).build();
+        let parallel = Hydra::builder().parallelism(4).build();
         let package = sequential.profile(db, &queries).unwrap();
         let a = sequential.regenerate(&package).unwrap();
         let b = parallel.regenerate(&package).unwrap();
@@ -521,7 +520,7 @@ mod tests {
     #[test]
     fn scenario_sweep_reuses_unchanged_relations() {
         let (db, queries) = client_fixture();
-        let session = Hydra::builder().compare_aqps(false).build();
+        let session = Hydra::builder().build();
         let package = session.profile(db, &queries).unwrap();
         let base = session.regenerate_stateful(&package).unwrap();
 
@@ -551,7 +550,7 @@ mod tests {
         use hydra_query::exec::ExecStrategy;
 
         let (db, queries) = client_fixture();
-        let session = Hydra::builder().compare_aqps(false).build();
+        let session = Hydra::builder().build();
         let package = session.profile(db, &queries).unwrap();
         let result = session.regenerate(&package).unwrap();
 
@@ -595,7 +594,7 @@ mod tests {
     #[test]
     fn stream_table_drives_sinks() {
         let (db, queries) = client_fixture();
-        let session = Hydra::builder().compare_aqps(false).build();
+        let session = Hydra::builder().build();
         let package = session.profile(db, &queries).unwrap();
         let result = session.regenerate(&package).unwrap();
 
@@ -625,10 +624,7 @@ mod tests {
     fn session_velocity_knob_throttles_streams() {
         let (db, queries) = client_fixture();
         // 2_500 rows/s session default → 250 rows take at least ~100 ms.
-        let session = Hydra::builder()
-            .compare_aqps(false)
-            .velocity(2_500.0)
-            .build();
+        let session = Hydra::builder().velocity(2_500.0).build();
         assert_eq!(session.velocity(), Some(2_500.0));
         let package = session.profile(db, &queries).unwrap();
         let result = session.regenerate(&package).unwrap();
@@ -684,7 +680,7 @@ mod tests {
     #[test]
     fn sharded_streaming_concatenates_to_the_sequential_output() {
         let (db, queries) = client_fixture();
-        let session = Hydra::builder().compare_aqps(false).build();
+        let session = Hydra::builder().build();
         let package = session.profile(db, &queries).unwrap();
         let result = session.regenerate(&package).unwrap();
 

@@ -5,7 +5,7 @@
 //! and (on demand) dynamic tuple generation through the dataless database.
 
 use crate::error::HydraResult;
-use crate::report::{QueryAqpComparison, RegenerationReport};
+use crate::report::RegenerationReport;
 use crate::transfer::TransferPackage;
 use hydra_datagen::dataless::DatalessDatabase;
 use hydra_datagen::generator::DynamicGenerator;
@@ -14,35 +14,11 @@ use hydra_summary::summary::DatabaseSummary;
 use hydra_summary::verify::VolumetricAccuracyReport;
 
 /// Configuration of the vendor-side regeneration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HydraConfig {
     /// Summary-builder configuration (alignment strategy and per-stratum
     /// parallelism).
     pub builder: SummaryBuilderConfig,
-    /// Whether to execute the workload against the regenerated (dataless)
-    /// database and produce per-query AQP comparisons.  Costs one execution
-    /// of the workload; enabled by default.
-    pub compare_aqps: bool,
-}
-
-impl Default for HydraConfig {
-    fn default() -> Self {
-        HydraConfig {
-            builder: SummaryBuilderConfig::default(),
-            compare_aqps: true,
-        }
-    }
-}
-
-impl HydraConfig {
-    /// A cheaper configuration that skips re-executing the workload on the
-    /// regenerated database.
-    pub fn without_aqp_comparison() -> Self {
-        HydraConfig {
-            compare_aqps: false,
-            ..Default::default()
-        }
-    }
 }
 
 /// The outcome of a regeneration run.
@@ -52,11 +28,9 @@ pub struct RegenerationResult {
     pub summary: DatabaseSummary,
     /// Per-relation LP / construction statistics.
     pub build_report: SummaryBuildReport,
-    /// Volumetric-constraint accuracy of the summary.
+    /// Volumetric-constraint accuracy of the summary: one check per
+    /// annotated AQP edge, labelled `{query}#{pre-order index}`.
     pub accuracy: VolumetricAccuracyReport,
-    /// Per-query AQP comparisons (original vs. regenerated cardinalities),
-    /// present when [`HydraConfig::compare_aqps`] is set.
-    pub aqp_comparisons: Vec<QueryAqpComparison>,
     /// The schema the summary regenerates.
     pub schema: hydra_catalog::schema::Schema,
 }
@@ -72,12 +46,11 @@ impl RegenerationResult {
         DynamicGenerator::new(self.schema.clone(), self.summary.clone())
     }
 
-    /// The consolidated report (build + accuracy + AQP comparisons).
+    /// The consolidated report (build + accuracy).
     pub fn report(&self) -> RegenerationReport {
         RegenerationReport {
             build: self.build_report.clone(),
             accuracy: self.accuracy.clone(),
-            aqp_comparisons: self.aqp_comparisons.clone(),
             summary_bytes: self.summary.size_bytes(),
             regenerated_rows: self.summary.total_rows(),
         }
@@ -98,8 +71,7 @@ impl VendorSite {
     }
 
     /// Runs the full regeneration pipeline on a transfer package:
-    /// preprocess → solve → summarize → verify (and, when configured,
-    /// re-execute the workload on the dataless database).  This is
+    /// preprocess → solve → summarize → verify.  This is
     /// [`VendorSite::regenerate_stateful`] without the retained state.
     pub fn regenerate(&self, package: &TransferPackage) -> HydraResult<RegenerationResult> {
         Ok(self.regenerate_stateful(package)?.regeneration)
@@ -151,23 +123,7 @@ mod tests {
             package.metadata.row_count("store_sales")
         );
 
-        // AQP comparisons were produced for every query.
-        assert_eq!(result.aqp_comparisons.len(), package.query_count());
-        let report = result.report();
-        assert!(report.mean_aqp_relative_error() < 0.25);
-        let text = report.to_display_text();
+        let text = result.report().to_display_text();
         assert!(text.contains("volumetric"));
-    }
-
-    #[test]
-    fn regeneration_without_aqp_comparison_is_cheaper() {
-        let package = small_package();
-        let vendor = VendorSite::new(HydraConfig {
-            compare_aqps: false,
-            ..Default::default()
-        });
-        let result = vendor.regenerate(&package).unwrap();
-        assert!(result.aqp_comparisons.is_empty());
-        assert!(!result.accuracy.is_empty());
     }
 }

@@ -28,7 +28,7 @@
 //! use hydra_workload::retail_client_fixture;
 //! use std::sync::Arc;
 //!
-//! let session = Hydra::builder().compare_aqps(false).build();
+//! let session = Hydra::builder().build();
 //! let registry = Arc::new(SummaryRegistry::in_memory(session.clone()));
 //! let (db, queries) = retail_client_fixture(300, 80, 4);
 //! let package = session.profile(db, &queries).unwrap();

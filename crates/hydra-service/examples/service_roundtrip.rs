@@ -27,7 +27,7 @@ fn main() {
         .expect("usage: service_roundtrip HOST:PORT");
 
     // Client site: profile a small retail warehouse.
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let (db, queries) = retail_client_fixture(1_200, 400, 6);
     let package = session.profile(db.clone(), &queries).expect("profile");
 

@@ -34,7 +34,7 @@
 //! use hydra_workload::retail_client_fixture;
 //!
 //! // Vendor site: a server over an in-memory registry on an ephemeral port.
-//! let session = Hydra::builder().compare_aqps(false).build();
+//! let session = Hydra::builder().build();
 //! let server = hydra_service::server::serve(
 //!     SummaryRegistry::in_memory(session.clone()),
 //!     "127.0.0.1:0",

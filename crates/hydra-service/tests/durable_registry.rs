@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 fn session() -> Hydra {
-    Hydra::builder().compare_aqps(false).build()
+    Hydra::builder().build()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

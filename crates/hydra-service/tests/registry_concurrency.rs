@@ -26,7 +26,7 @@ use std::sync::Arc;
 const VARIANT_ROWS: [u64; 3] = [400, 500, 600];
 
 fn variant_packages() -> Vec<TransferPackage> {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     VARIANT_ROWS
         .iter()
         .map(|&rows| {
@@ -41,7 +41,6 @@ fn variants() -> Vec<(TransferPackage, Vec<Row>)> {
         .into_iter()
         .map(|package| {
             let expected: Vec<Row> = Hydra::builder()
-                .compare_aqps(false)
                 .build()
                 .regenerate(&package)
                 .expect("solve")
@@ -68,7 +67,7 @@ fn modes(tag: &str) -> [Option<PathBuf>; 2] {
 }
 
 fn open_registry(dir: Option<&Path>) -> SummaryRegistry {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     match dir {
         None => SummaryRegistry::in_memory(session),
         Some(dir) => SummaryRegistry::durable(session, dir, 1).expect("open durable registry"),
@@ -142,9 +141,7 @@ fn publish_stream_describe_interleavings_never_tear() {
         .map(|(_, rows)| (rows.len() as u64, rows.clone()))
         .collect();
 
-    let registry = Arc::new(SummaryRegistry::in_memory(
-        Hydra::builder().compare_aqps(false).build(),
-    ));
+    let registry = Arc::new(SummaryRegistry::in_memory(Hydra::builder().build()));
     // Baseline version so readers always find something.
     registry
         .publish("retail", variants[0].0.clone())
@@ -281,7 +278,7 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
     const ROUNDS: usize = 2;
 
     let (db, queries) = retail_client_fixture(400, 150, 4);
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db.clone(), &queries).expect("profile");
 
     // Per-(thread, round) deltas, pre-harvested against the client data.
@@ -474,7 +471,7 @@ fn retained_regions_gauge_counts_lp_supports() {
     use hydra_summary::builder::SummaryBuilder;
 
     let package = variant_packages().remove(0);
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let registry = SummaryRegistry::in_memory(session.clone());
     let gauge = session.metrics().gauge("hydra_registry_retained_regions");
     assert_eq!(gauge.value(), 0);

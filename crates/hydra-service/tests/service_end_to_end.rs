@@ -32,7 +32,7 @@ fn retail_package(
 
 #[test]
 fn concurrent_disjoint_shards_concatenate_bit_identically() {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = retail_package(&session, 2_000, 600, 8);
 
     // Local ground truth: the sequential stream of the fact table.
@@ -46,7 +46,7 @@ fn concurrent_disjoint_shards_concatenate_bit_identically() {
     assert_eq!(total, 2_000);
 
     // Vendor site: fresh server (its own session) on an ephemeral port.
-    let server_session = Hydra::builder().compare_aqps(false).build();
+    let server_session = Hydra::builder().build();
     let server =
         serve(SummaryRegistry::in_memory(server_session), "127.0.0.1:0").expect("bind server");
     let addr = server.local_addr();
@@ -161,7 +161,7 @@ fn persistent_registry_survives_a_server_restart() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = retail_package(&session, 600, 200, 5);
     let expected: Vec<Row> = session
         .regenerate(&package)
@@ -174,8 +174,7 @@ fn persistent_registry_survives_a_server_restart() {
     // First server generation: publish twice (version bump), then stop.
     {
         let registry =
-            SummaryRegistry::durable(Hydra::builder().compare_aqps(false).build(), &dir, 64)
-                .expect("open registry");
+            SummaryRegistry::durable(Hydra::builder().build(), &dir, 64).expect("open registry");
         let server = serve(registry, "127.0.0.1:0").expect("bind");
         let mut client = HydraClient::connect(server.local_addr()).expect("connect");
         assert_eq!(
@@ -198,7 +197,7 @@ fn persistent_registry_survives_a_server_restart() {
 
     // Second generation: the solved state is recovered from the WAL — no
     // client ever publishes, no LP runs — and streams the same bits.
-    let rebooted = Hydra::builder().compare_aqps(false).build();
+    let rebooted = Hydra::builder().build();
     let registry = SummaryRegistry::durable(rebooted.clone(), &dir, 64).expect("reopen registry");
     assert_eq!(registry.len(), 1);
     let server = serve(registry, "127.0.0.1:0").expect("rebind");
@@ -234,7 +233,7 @@ fn persistent_registry_survives_a_server_restart() {
 
 #[test]
 fn wire_queries_round_trip_and_report_out_of_class() {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = retail_package(&session, 1_200, 400, 6);
 
     // Local ground truth: the same package solved locally answers the same
@@ -242,7 +241,7 @@ fn wire_queries_round_trip_and_report_out_of_class() {
     let local = session.regenerate(&package).expect("local solve");
 
     let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().compare_aqps(false).build()),
+        SummaryRegistry::in_memory(Hydra::builder().build()),
         "127.0.0.1:0",
     )
     .expect("bind");
@@ -315,12 +314,12 @@ fn delta_publish_round_trips_over_the_wire() {
     use hydra_query::query::SpjQuery;
     use hydra_workload::harvest_workload;
 
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let (db, queries) = retail_client_fixture(1_200, 400, 6);
     let package = session.profile(db.clone(), &queries).expect("profile");
 
     let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().compare_aqps(false).build()),
+        SummaryRegistry::in_memory(Hydra::builder().build()),
         "127.0.0.1:0",
     )
     .expect("bind");
@@ -394,7 +393,7 @@ fn delta_publish_round_trips_over_the_wire() {
 #[test]
 fn error_paths_keep_the_connection_usable() {
     let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().compare_aqps(false).build()),
+        SummaryRegistry::in_memory(Hydra::builder().build()),
         "127.0.0.1:0",
     )
     .expect("bind");
@@ -417,7 +416,7 @@ fn error_paths_keep_the_connection_usable() {
     assert!(client.list().expect("list still works").is_empty());
 
     // A stream range beyond the relation clamps instead of failing.
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = retail_package(&session, 300, 100, 4);
     client.publish("tiny", &package).expect("publish");
     let (rows, _) = client
@@ -466,7 +465,7 @@ fn error_paths_keep_the_connection_usable() {
 /// `Stats` frame counts the very connection that asks.
 #[test]
 fn library_server_stats_report_reactor_accepts() {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let server = serve(SummaryRegistry::in_memory(session), "127.0.0.1:0").expect("bind");
     let mut client = HydraClient::connect(server.local_addr()).expect("connect");
     client.list().expect("list");
@@ -488,7 +487,7 @@ fn library_server_stats_report_reactor_accepts() {
 /// forever or spinning its event loop on a zero-byte queue bound.
 #[test]
 fn zero_valued_reactor_config_still_answers() {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let server = serve_with_options(
         Arc::new(SummaryRegistry::in_memory(session)),
         "127.0.0.1:0",

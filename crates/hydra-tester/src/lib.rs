@@ -69,7 +69,7 @@ impl HydraTester {
     /// Boots an empty tester (no summaries published) over a default
     /// session.
     pub fn new() -> Self {
-        Self::with_session(Hydra::builder().compare_aqps(false).build())
+        Self::with_session(Hydra::builder().build())
     }
 
     /// Boots a tester over a caller-configured session (velocity caps,

@@ -102,7 +102,7 @@ fn pg_virtual_table_serves_metrics() {
 /// the request id, op, duration, and detail; fast requests stay silent.
 #[test]
 fn slow_request_log_fires_only_over_threshold() {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     // Threshold zero: everything is "slow", so every op must log.
     let (slow, lines) = SlowLog::buffered(Duration::ZERO);
     session.metrics().set_slow_log(Some(slow));
@@ -274,7 +274,7 @@ fn throttled_frame_stream_accounts_governor_sleep() {
 /// accounts its waits too, read back through `hydra_metrics`.
 #[test]
 fn velocity_capped_pg_scan_accounts_governor_sleep() {
-    let session = Hydra::builder().compare_aqps(false).velocity(600.0).build();
+    let session = Hydra::builder().velocity(600.0).build();
     let tester = HydraTester::with_session(session);
     tester.publish_retail("retail");
     let mut pg = tester.pg(None);
@@ -374,10 +374,7 @@ fn disconnected_frame_stream_settles_its_rows_as_a_failure() {
 #[test]
 fn disconnected_pg_scan_settles_its_rows_as_a_failure() {
     // 3000 rows at 2000 rows/s: three 1024-row pulses half a second apart.
-    let session = Hydra::builder()
-        .compare_aqps(false)
-        .velocity(2000.0)
-        .build();
+    let session = Hydra::builder().velocity(2000.0).build();
     let tester = HydraTester::with_session(session);
     let (db, queries) = retail_client_fixture(3000, 120, 4);
     let package = tester.session().profile(db, &queries).expect("profile");

@@ -37,7 +37,7 @@ fn main() {
     )
     .generate();
 
-    let session = Hydra::builder().compare_aqps(false).parallelism(2).build();
+    let session = Hydra::builder().parallelism(2).build();
     let package = session.profile(db, &queries).expect("package");
     let result = session.regenerate(&package).expect("regeneration");
     let generator = result.generator();

@@ -41,7 +41,7 @@ fn main() {
 
     // Client site: profile a small retail warehouse and publish it over
     // the frame protocol — the pg listener serves the same registry.
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let (db, queries) = retail_client_fixture(900, 300, 6);
     let schema = db.schema.clone();
     let package = session.profile(db, &queries).expect("profile");

@@ -15,7 +15,7 @@ fn main() {
     // Client site: profile a 50k-row warehouse under a 24-query workload
     // (the richer the workload, the finer the summary's block structure).
     let (db, queries) = retail_client_fixture(50_000, 15_000, 24);
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, &queries).expect("profile");
 
     // Vendor site: solve the summary once.

@@ -2,8 +2,8 @@
 //!
 //! Generates a retail client warehouse, the canonical 131-query SPJ workload,
 //! runs the full client → vendor pipeline, and prints the vendor-screen
-//! reports: per-relation LP statistics, the summary size, the volumetric
-//! error CDF (experiment E2) and the AQP comparison.
+//! reports: per-relation LP statistics, the summary size and the volumetric
+//! error CDF (experiment E2), one constraint per annotated AQP edge.
 //!
 //! Run with: `cargo run --release --example retail_warehouse [scale_factor]`
 

@@ -34,7 +34,7 @@ fn main() {
     .generate();
     // Every scenario is a delta against one solved base state: only the
     // relations a scenario actually changes are re-solved.
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, &queries).expect("package");
     let base = session.regenerate_stateful(&package).expect("base solve");
 

@@ -43,7 +43,7 @@ fn main() {
         .expect("snowflake query parses");
     queries.push(snowflake.clone());
 
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, &queries).expect("client package");
     let result = session.regenerate(&package).expect("regeneration");
 

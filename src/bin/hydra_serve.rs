@@ -172,7 +172,6 @@ fn main() -> ExitCode {
     };
 
     let session = Hydra::builder()
-        .compare_aqps(false)
         .parallelism(options.parallelism)
         .velocity(options.velocity)
         .build();

@@ -42,7 +42,7 @@
 //! let queries = WorkloadGenerator::new(schema,
 //!     WorkloadGenConfig { num_queries: 5, ..Default::default() }).generate();
 //!
-//! let session = Hydra::builder().parallelism(2).compare_aqps(false).build();
+//! let session = Hydra::builder().parallelism(2).build();
 //! let package = session.profile(db, &queries).unwrap();
 //! let state = session.regenerate_stateful(&package).unwrap();
 //! let result = &state.regeneration;

@@ -508,7 +508,7 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
 #[test]
 fn reactor_accepts_256_concurrent_connections_on_one_worker() {
     let _guard = counters_lock();
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let obs = session.metrics();
     let (db, queries) = retail_client_fixture(400, 120, 4);
     let package = session.profile(db, &queries).expect("profile retail");
@@ -584,7 +584,7 @@ fn reactor_accepts_256_concurrent_connections_on_one_worker() {
 #[test]
 fn shutdown_during_accept_storm_leaves_no_stragglers() {
     let _guard = counters_lock();
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
 
     // A reactor under an accept storm, shut down at staggered offsets to
@@ -664,7 +664,7 @@ fn single_connection_roundtrip_storm() {
     use hydra::service::FrameProtocol;
 
     let _guard = counters_lock();
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let obs = session.metrics();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
     let signal = ShutdownSignal::new();
@@ -949,7 +949,7 @@ fn metrics_invariants_hold_under_connection_storm() {
     use hydra::service::{FrameProtocol, MetricsProtocol};
 
     let _guard = counters_lock();
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let obs = session.metrics();
     let registry = Arc::new(SummaryRegistry::in_memory(session.clone()));
     let (db, queries) = hydra::workload::retail_client_fixture(200, 60, 3);

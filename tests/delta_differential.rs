@@ -175,7 +175,7 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     let base_queries = &all_queries[..n_base];
     let added_queries = &all_queries[n_base..];
 
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session
         .profile(db.clone(), base_queries)
         .expect("base profile");
@@ -241,7 +241,7 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     let counters_before = solve_counters(&session);
     let outcome = session.profile_delta(&state, &delta).expect("delta");
     let incremental = &outcome.state.regeneration;
-    let scratch_session = Hydra::builder().compare_aqps(false).build();
+    let scratch_session = Hydra::builder().build();
     let scratch = scratch_session
         .regenerate(&outcome.state.package)
         .expect("from-scratch");
@@ -542,7 +542,7 @@ fn run_narrow_web_sales_case() {
         },
     )
     .generate();
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session
         .profile(db.clone(), &base_queries)
         .expect("base profile");
@@ -578,7 +578,6 @@ fn run_narrow_web_sales_case() {
     assert_eq!(resolved, ["web_sales"]);
 
     let scratch = Hydra::builder()
-        .compare_aqps(false)
         .build()
         .regenerate(&outcome.state.package)
         .expect("from-scratch");

@@ -148,7 +148,7 @@ fn detail_json(detail: &SummaryDetail) -> String {
 #[test]
 fn sigkill_storm_recovers_every_acknowledged_version() {
     let dir = temp_dir("storm");
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let (db, queries) = retail_client_fixture(400, 150, 4);
     let package = session.profile(db.clone(), &queries).expect("profile");
     // Pre-harvested deltas with unique query ids; the storm consumes them
@@ -268,7 +268,7 @@ fn sigkill_storm_recovers_every_acknowledged_version() {
 #[test]
 fn kill9_restart_serves_historical_versions_over_both_protocols() {
     let dir = temp_dir("timetravel");
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let (db, queries) = retail_client_fixture(500, 150, 4);
     let package = session.profile(db.clone(), &queries).expect("profile");
 

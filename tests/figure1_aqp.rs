@@ -8,12 +8,12 @@ use hydra::catalog::domain::Domain;
 use hydra::catalog::schema::{ColumnBuilder, Schema, SchemaBuilder};
 use hydra::catalog::types::Value;
 use hydra::engine::database::Database;
-use hydra::engine::exec::Executor;
 use hydra::query::parser::parse_query_for_schema;
-use hydra::query::plan::LogicalPlan;
 use hydra::Hydra;
 
 use hydra::catalog::types::DataType;
+
+mod common;
 
 fn toy_schema() -> Schema {
     SchemaBuilder::new("toy")
@@ -98,25 +98,10 @@ fn figure1_aqp_is_reproduced_exactly_by_the_regenerated_database() {
     );
 
     // Re-executing the query on the dataless database reproduces the AQP
-    // edge-for-edge.
-    let dataless = result.dataless_database();
-    let plan = LogicalPlan::from_query(&query).unwrap();
-    let (_, regenerated) = Executor::new(&dataless)
-        .run_annotated("fig1", &plan)
-        .unwrap();
-    for (orig, regen) in original
-        .root
-        .preorder()
-        .iter()
-        .zip(regenerated.root.preorder())
-    {
-        assert_eq!(
-            orig.cardinality,
-            regen.cardinality,
-            "cardinality mismatch at {}",
-            orig.op.name()
-        );
-    }
+    // edge-for-edge: every edge's tuple-scan cardinality is its check's
+    // `achieved`, which equals its `target` (all exact, above).
+    let edges = common::assert_tuple_scan_matches_accuracy(&package, &result);
+    assert_eq!(edges, original.root.preorder().len());
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! builds only: `cargo test --release --test generation_velocity -- --nocapture`.
 
 use hydra::core::client::ClientSite;
-use hydra::core::vendor::{HydraConfig, VendorSite};
+use hydra::core::vendor::VendorSite;
 use hydra::datagen::sink::TupleSink;
 use hydra::service::wire::FrameSink;
 use hydra::workload::{
@@ -58,7 +58,7 @@ fn wire_streaming_and_generation_stay_within_2x_of_memcpy() {
     let package = ClientSite::new(db)
         .prepare_package(&queries, false)
         .expect("client package");
-    let result = VendorSite::new(HydraConfig::without_aqp_comparison())
+    let result = VendorSite::default()
         .regenerate(&package)
         .expect("regeneration");
     let generator = result.generator();

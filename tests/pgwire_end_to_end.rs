@@ -137,7 +137,7 @@ fn pg_shutdown_stops_frame_listener() {
     use hydra::ShutdownSignal;
     use std::sync::Arc;
 
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
     let signal = ShutdownSignal::new();
     let frame = hydra::service::server::serve_with_signal(

@@ -41,7 +41,7 @@ proptest! {
 
         // Parallel session: output must match the sequential pipeline the
         // other integration tests exercise.
-        let session = Hydra::builder().compare_aqps(false).parallelism(3).build();
+        let session = Hydra::builder().parallelism(3).build();
         let package = session.profile(db, &queries).unwrap();
         let result = session.regenerate(&package).unwrap();
 

@@ -656,7 +656,7 @@ fn retail_fixture_summary_direct_equals_scan_and_oracle() {
     use hydra::Hydra;
 
     let (db, queries) = retail_client_fixture(2_000, 600, 8);
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, &queries).unwrap();
     let result = session.regenerate(&package).unwrap();
     let generator = result.generator();
@@ -697,7 +697,7 @@ fn supplier_snowflake_fixture_summary_direct_equals_scan_and_oracle() {
     use hydra::Hydra;
 
     let (db, queries) = supplier_client_fixture(3_000, 1_000, 6);
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, &queries).unwrap();
     let result = session.regenerate(&package).unwrap();
     let generator = result.generator();

@@ -24,13 +24,12 @@ fn check_schema(
         },
     )
     .generate();
-    let session = Hydra::builder().compare_aqps(false).parallelism(2).build();
+    let session = Hydra::builder().parallelism(2).build();
     let package = session.profile(db, &queries).unwrap();
     let result = session.regenerate(&package).unwrap();
 
     // Solving independent relations on worker threads changes nothing.
     let sequential = Hydra::builder()
-        .compare_aqps(false)
         .parallelism(1)
         .build()
         .regenerate(&package)

@@ -11,6 +11,8 @@ use hydra::workload::{
 };
 use std::time::Duration;
 
+mod common;
+
 #[test]
 fn retail_131_query_workload_meets_headline_claims() {
     let schema = retail_schema();
@@ -110,14 +112,11 @@ fn retail_131_query_workload_meets_headline_claims() {
         .count();
     assert!(feasible >= regen.build_report.relations.len() - 1);
 
-    // The AQP comparison ran for every query and its edge errors are small.
-    assert_eq!(regen.aqp_comparisons.len(), 131);
-    let report = regen.report();
-    assert!(
-        report.aqp_fraction_within(0.10) > 0.9,
-        "only {:.1}% of AQP edges within 10%",
-        100.0 * report.aqp_fraction_within(0.10)
-    );
+    // Re-executing all 131 queries on the dataless database reproduces every
+    // check's `achieved` edge for edge: the accuracy bounds above are the
+    // AQP comparison.
+    let edges = common::assert_tuple_scan_matches_accuracy(&package, regen);
+    assert_eq!(edges, 931);
 }
 
 #[test]
@@ -138,10 +137,7 @@ fn anonymized_package_regenerates_with_identical_volumetrics() {
     .generate();
 
     let run = |db, anonymize| {
-        let session = Hydra::builder()
-            .compare_aqps(false)
-            .anonymize(anonymize)
-            .build();
+        let session = Hydra::builder().anonymize(anonymize).build();
         let package = session.profile(db, &queries).unwrap();
         session.regenerate(&package).unwrap()
     };

@@ -34,7 +34,7 @@ fn base(session: &Hydra) -> RegenerationState {
 }
 
 fn session() -> Hydra {
-    Hydra::builder().compare_aqps(false).build()
+    Hydra::builder().build()
 }
 
 #[test]

@@ -8,12 +8,12 @@ use hydra::{Hydra, HydraClient, SummaryRegistry};
 
 #[test]
 fn facade_exposes_the_full_service_round_trip() {
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let (db, queries) = retail_client_fixture(500, 150, 5);
     let package = session.profile(db, &queries).expect("profile");
 
     let server = hydra::service::server::serve(
-        SummaryRegistry::in_memory(Hydra::builder().compare_aqps(false).build()),
+        SummaryRegistry::in_memory(Hydra::builder().build()),
         "127.0.0.1:0",
     )
     .expect("bind");

@@ -191,7 +191,7 @@ fn retail_summary_shards_bit_identically_end_to_end() {
         },
     )
     .generate();
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, &queries).unwrap();
     let result = session.regenerate(&package).unwrap();
 

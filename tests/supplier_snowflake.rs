@@ -10,6 +10,8 @@ use hydra::workload::{
 };
 use hydra::Hydra;
 
+mod common;
+
 #[test]
 fn nested_fk_conditions_are_regenerated_accurately() {
     let schema = supplier_schema();
@@ -27,7 +29,7 @@ fn nested_fk_conditions_are_regenerated_accurately() {
           and orders.o_orderdate >= 9000";
     let query = parse_query_for_schema("snow1", sql, &schema).unwrap();
 
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let package = session.profile(db, std::slice::from_ref(&query)).unwrap();
     let original = package.workload.entries[0].aqp.clone().unwrap();
 
@@ -65,4 +67,8 @@ fn nested_fk_conditions_are_regenerated_accurately() {
         regen_root,
         rel_err
     );
+
+    // Every edge's tuple-scan cardinality is its accuracy check's `achieved`.
+    let edges = common::assert_tuple_scan_matches_accuracy(&package, &result);
+    assert_eq!(edges, original.root.preorder().len());
 }

@@ -48,7 +48,7 @@ fn vendor_output_is_identical_for_serialized_and_in_memory_packages() {
     let parsed = TransferPackage::from_json(&original.to_json().unwrap()).unwrap();
     // Cache off: both regenerations must independently produce identical
     // summaries from the serialized and in-memory packages.
-    let session = Hydra::builder().compare_aqps(false).build();
+    let session = Hydra::builder().build();
     let a = session.regenerate(&original).unwrap();
     let b = session.regenerate(&parsed).unwrap();
     // Deterministic alignment ⇒ byte-identical summaries.
