@@ -7,15 +7,15 @@
 //! provides a self-contained replacement:
 //!
 //! * [`problem::LpProblem`] — a sparse LP model (variables, linear
-//!   constraints, optional linear objective, non-negativity bounds);
-//! * [`simplex::Simplex`] — a dense two-phase primal simplex solver with
-//!   Bland's-rule anti-cycling over a flat row-major tableau, which sees a
-//!   fact relation's LP only as column-generation working sets of a few
-//!   hundred to about 1 400 columns;
-//! * [`solver::LpSolver`] — the high-level entry point used by
-//!   `hydra-summary`: feasibility solving, least-violation ("soft") solving
-//!   when the constraint system is over-determined, and optional objective
-//!   minimization;
+//!   constraints, non-negativity and optional hard upper bounds);
+//! * [`simplex`] — the elastic restricted master: one dense primal simplex
+//!   that minimizes the constraints' total violation over a working set of
+//!   columns, which priced columns join without losing its basis;
+//! * [`solver::LpSolver`] — the entry point used by `hydra-summary`: it
+//!   grows the master's working set by dual pricing until nothing prices,
+//!   and reports a zero optimum as feasible and a positive one as the
+//!   certified least-violation solution; a [`WarmStart`] hint seeds the
+//!   working set;
 //! * [`rounding`] — largest-remainder rounding of fractional solutions into
 //!   integral tuple counts that preserve group sums;
 //! * [`diagnostics`] — constraint-violation reports used by the accuracy
@@ -30,16 +30,23 @@
 //!
 //! ```
 //! use hydra_lp::problem::{LpProblem, ConstraintOp};
-//! use hydra_lp::solver::LpSolver;
+//! use hydra_lp::solver::{LpSolver, SolveStatus};
 //!
-//! // x0 + x1 = 10, x0 <= 4, minimize x1
+//! // x0 + x1 = 10, x0 <= 4, x1 >= 7: feasible only with x0 <= 3.
 //! let mut lp = LpProblem::new(2);
 //! lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 10.0);
 //! lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 4.0);
-//! lp.set_objective(vec![(1, 1.0)]);
+//! lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Ge, 7.0);
 //! let sol = LpSolver.solve(&lp).unwrap();
-//! assert!((sol.values[0] - 4.0).abs() < 1e-6);
-//! assert!((sol.values[1] - 6.0).abs() < 1e-6);
+//! assert_eq!(sol.status, SolveStatus::Feasible);
+//! assert!(lp.is_feasible(&sol.values, 1e-9));
+//!
+//! // Asking for x0 = 5 as well contradicts x1 >= 7: the solver returns the
+//! // least total violation, 2.
+//! lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 5.0);
+//! let sol = LpSolver.solve(&lp).unwrap();
+//! assert_eq!(sol.status, SolveStatus::LeastViolation);
+//! assert!((sol.total_violation - 2.0).abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //!
 //! The LPs HYDRA solves have a few dozen rows and up to tens of thousands
 //! of columns, and most passes over them run column by column: seeding and
-//! pricing column-generation working sets, restricting to a working set,
+//! pricing the master's working set, joining priced columns to it,
 //! evaluating a sparse solution, repairing rounded counts.  Those share one
 //! [`ColumnView`] — the same entries ordered by column — which
 //! [`LpProblem::columns`] derives at most once per problem.  A problem
@@ -260,8 +260,6 @@ impl ColumnView {
 pub struct LpProblem {
     /// Number of decision variables.
     pub num_vars: usize,
-    /// Optional sparse objective (minimized).  Empty = pure feasibility.
-    pub objective: Vec<(usize, f64)>,
     /// Optional per-variable upper bounds (`None` = unbounded above).
     pub upper_bounds: Vec<Option<f64>>,
     heads: Vec<RowHead>,
@@ -273,11 +271,10 @@ pub struct LpProblem {
 }
 
 impl PartialEq for LpProblem {
-    /// Equal problems have equal variables, rows, objective and bounds;
+    /// Equal problems have equal variables, rows and bounds;
     /// whether the column view has been derived yet does not matter.
     fn eq(&self, other: &Self) -> bool {
         self.num_vars == other.num_vars
-            && self.objective == other.objective
             && self.upper_bounds == other.upper_bounds
             && self.heads == other.heads
             && self.rows == other.rows
@@ -294,7 +291,6 @@ impl LpProblem {
         );
         LpProblem {
             num_vars,
-            objective: Vec::new(),
             upper_bounds: vec![None; num_vars],
             heads: Vec::new(),
             rows: Lines::with_capacity(0, 0),
@@ -385,12 +381,9 @@ impl LpProblem {
         self.heads.len() - 1
     }
 
-    /// Sets the (sparse) linear objective to minimize.
-    pub fn set_objective(&mut self, terms: Vec<(usize, f64)>) {
-        self.objective = terms;
-    }
-
-    /// Sets an upper bound on a variable.
+    /// Sets an upper bound on a variable: a hard `x_var <= bound` row that
+    /// takes no violation (so a negative bound makes the problem fail to
+    /// solve).
     pub fn set_upper_bound(&mut self, var: usize, bound: f64) {
         if var < self.num_vars {
             self.upper_bounds[var] = Some(bound);

@@ -1,6 +1,6 @@
 //! Solution refinement: interior solutions and integral repair.
 //!
-//! The two-phase simplex returns a *vertex* of the feasible polytope. For
+//! The simplex returns a *vertex* of the feasible polytope. For
 //! HYDRA's dimension relations that is a poor representative: vertex solutions
 //! concentrate tuple mass in as few regions as possible, which collapses
 //! regions that distinguish different workload predicates. Downstream, the
@@ -21,7 +21,7 @@
 //! regions while the total absolute constraint violation strictly decreases,
 //! typically restoring every feasible constraint group to exactness.  The
 //! search reads a region's constraints off the problem's [`ColumnView`] —
-//! the view column generation seeds, prices and restricts with, so it
+//! the view the LP master seeds and prices its working set with, so it
 //! builds no index of its own — and caches each region's gain for a unit up
 //! and a unit down; a move recomputes only the gains of constraints whose
 //! violation changed sign class, so a move costs a scan of the cached gains

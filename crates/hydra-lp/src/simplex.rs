@@ -1,72 +1,64 @@
-//! Dense two-phase primal simplex.
+//! The elastic restricted master: the one simplex every LP is solved by.
 //!
-//! The tableau is dense.  HYDRA's per-relation LPs have a few dozen rows
-//! (one per deduplicated volumetric constraint), but a fact relation's
-//! region partition can have tens of thousands of columns.  Those LPs reach
-//! the tableau only as the working sets of [`crate::solver::LpSolver`]'s
-//! delayed column generation, about 300–1 400 columns each; the dimension
-//! LPs are a handful of columns.  At that size a dense tableau is simple and
-//! fast enough.
+//! HYDRA's per-relation LPs have a few dozen rows (one per deduplicated
+//! volumetric constraint) but, for a fact relation, tens of thousands of
+//! columns (one per region).  [`crate::solver::LpSolver`] never builds the
+//! full-width tableau: the master holds a *working set* of the problem's
+//! columns, and the excluded ones are priced against the master's duals;
+//! those that price in join the tableau the master already holds.
 //!
-//! The tableau is one row-major `Vec<f64>` with stride `cols + 1` (each
-//! row's right-hand side is its last entry).  A pivot splits the pivot row
-//! off with `split_at_mut` and updates every other row, and the cost row,
-//! as a zipped loop over two contiguous slices, which the compiler
-//! vectorises.
+//! The master is elastic.  Every row `a·x op b` carries violation columns
+//! in the directions its operator allows — over (`+1`) for `=` and `>=`,
+//! under (`−1`) for `=` and `<=`, each costing 1 — and a zero-cost slack
+//! (`+1`, for `<=`) or surplus (`−1`, for `>=`).  An upper bound `x_j <= u`
+//! is a hard row with a slack and no violation column.  The master
+//! minimizes the total violation.  Its starting basis takes, per row, the
+//! `±1` column whose sign is that of the row's right-hand side, so the start
+//! is primal feasible without a phase 1, no row is negated, and the duals are
+//! always defined.
 //!
-//! The implementation is a textbook two-phase method:
+//! A column joining the master enters nonbasic: its tableau column is
+//! `B⁻¹A_j`, read off the columns that started basic (they began as the
+//! signed identity), and its reduced cost is `−y·A_j`.  The simplex then
+//! continues from the basis it kept.
 //!
-//! 1. every constraint is normalized to `a·x (op) b` with `b >= 0`;
-//! 2. slack variables are added for `<=`, surplus + artificial for `>=`,
-//!    artificial for `=`;
-//! 3. phase 1 minimizes the sum of artificial variables — a positive optimum
-//!    means the LP is infeasible;
-//! 4. phase 2 minimizes the user objective starting from the phase-1 basis.
+//! A positive optimum usually leaves a face of optimal solutions that put
+//! the same total violation on different rows.  `Master::settle` picks,
+//! among them, one of least *relative* violation (each row's violation over
+//! `max(|b|, 1)`, the accuracy report's relative error), pivoting only
+//! along that face.
 //!
-//! Pivoting uses Dantzig's rule with a Bland's-rule fallback after a pivot
-//! budget is exhausted, which guarantees termination.
+//! The tableau is dense: one row-major `Vec<f64>` with stride `cols + 1`
+//! (each row's right-hand side last).  A pivot splits the pivot row off with
+//! `split_at_mut` and updates every other row, and the cost row, as a zipped
+//! loop over two contiguous slices, which the compiler vectorises.  The
+//! structural columns come first, ascending by problem column, then the
+//! slacks and surpluses, the over columns and the under columns, each group
+//! in row order, so Dantzig's rule breaks ties by column index.  The under
+//! columns are priced last — a row overshoots only once nothing else
+//! improves — so a feasible LP pivots exactly as the classic phase 1 (over
+//! columns as its artificials) would.  Bland's rule takes over after half
+//! the pivot budget, which guarantees termination.
 
-use crate::problem::{Coefs, ConstraintOp, LpProblem};
+use crate::problem::{ConstraintOp, LpProblem};
+use crate::solver::LpError;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Numerical tolerance used for pivot and optimality tests.
 const EPS: f64 = 1e-9;
-
-/// Outcome of a simplex run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SimplexOutcome {
-    /// An optimal (or feasible, for pure feasibility problems) solution.
-    Optimal {
-        /// Value per structural variable.
-        values: Vec<f64>,
-        /// Objective value achieved.
-        objective: f64,
-    },
-    /// The constraint system has no feasible point.
-    Infeasible {
-        /// The positive phase-1 optimum certifying infeasibility.
-        phase1_objective: f64,
-    },
-    /// The objective is unbounded below over the feasible region.
-    Unbounded,
-    /// The pivot budget was exhausted (should not happen with Bland's rule;
-    /// kept as a defensive terminal state).
-    IterationLimit,
-}
 
 /// A warm-start hint: the structural columns expected to carry the optimal
 /// basis, typically the support of a previously solved, structurally similar
 /// LP (delta re-profiling maps the old solution's nonzero regions into the
 /// new problem's column space).
 ///
-/// Warm starting is *advisory*: phase 1 first pivots only over the hinted
-/// columns (plus slacks and artificials), and if that restricted pass cannot
-/// drive the artificials out — a stale or incompatible basis — the solver
-/// transparently continues over the full column set, so a warm solve accepts
-/// exactly the problems a cold solve accepts.
+/// Warm starting is *advisory*: the hinted columns join the master's initial
+/// working set, and pricing brings in whatever else the LP needs, so a warm
+/// solve reaches the same optimum as a cold one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarmStart {
-    /// Structural column indices to prioritize during phase 1.
+    /// Structural column indices to start the working set with.
     pub columns: Vec<usize>,
 }
 
@@ -82,50 +74,146 @@ impl WarmStart {
 pub enum WarmOutcome {
     /// No (usable) hint was supplied; the solve was cold.
     NotAttempted,
-    /// The hinted columns alone produced a feasible basis — phase 1 never
-    /// had to look at the rest of the column space.
+    /// The working set seeded with the hint closed without a pricing round,
+    /// and the solution rests on hinted columns.
     Hit,
-    /// The hint was tried but was stale or incompatible; the solver fell
-    /// back to the full (cold-equivalent) pivot space and still solved.
+    /// The hint was tried but was stale or incompatible: the solve needed
+    /// pricing (or did not use a hinted column), and still solved.
     FellBack,
 }
 
-/// A simplex outcome plus the dual prices of the user constraints, when
-/// available.  Duals enable delayed column generation in `LpSolver`: an
-/// excluded column with non-negative reduced cost `c_j - y·A_j` cannot
-/// improve the current (phase-1 or phase-2) objective.
-#[derive(Debug, Clone)]
-pub struct SolveDetail {
-    /// The primal outcome.
-    pub outcome: SimplexOutcome,
-    /// Dual value per user constraint — phase-2 duals for `Optimal`, phase-1
-    /// duals for `Infeasible`.  `None` when a row had to be negated during
-    /// normalization (negative RHS), where this bookkeeping is not
-    /// maintained.
-    pub duals: Option<Vec<f64>>,
-}
-
-/// Hard cap on pivots per phase (raised with problem size at solve time).
+/// Hard cap on pivots per optimization (raised with problem size at solve
+/// time).
 pub const MAX_PIVOTS: usize = 50_000;
 
-/// Dense two-phase primal simplex solver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Simplex;
-
-struct Tableau {
-    /// rows x (cols + 1) coefficient matrix, row-major with stride
-    /// `cols + 1` (the last entry of each row is its RHS).
+/// The elastic restricted master of one LP (see the module doc).
+pub(crate) struct Master {
+    /// `rows × (cols + 1)` coefficient matrix, row-major with stride
+    /// `cols + 1` (the last entry of each row is its right-hand side).
     a: Vec<f64>,
-    /// Objective row (length cols), minimized.
+    /// Reduced cost per column, then minus the current objective.
     cost: Vec<f64>,
-    /// Current basis: basis[r] = column index basic in row r.
+    /// The column basic in each row.
     basis: Vec<usize>,
     rows: usize,
-    cols: usize, // number of structural+slack+artificial columns (excludes RHS)
+    cols: usize,
+    /// The problem column held by each structural tableau column,
+    /// ascending: the tableau's first `structural.len()` columns.
+    structural: Vec<usize>,
+    /// The cost of each auxiliary column; auxiliary column `k` is tableau
+    /// column `structural.len() + k`.
+    aux_cost: Vec<f64>,
+    /// Each auxiliary column's cost per unit of relative violation: its
+    /// row's `1 / max(|b|, 1)` for a violation column, else 0.
+    relative_cost: Vec<f64>,
+    /// The first under column, as an auxiliary column.
+    under: usize,
+    /// Per row: the auxiliary column that started basic in it, and its sign
+    /// in the constraint matrix.
+    start: Vec<(usize, f64)>,
+    /// The hard row of each bounded problem column.
+    bound_rows: BTreeMap<usize, usize>,
 }
 
-impl Tableau {
-    /// Row `r`, RHS included.
+impl Master {
+    /// The master of `problem` over the structural `columns` (ascending),
+    /// at its starting basis.  Errs if an upper bound is negative: a hard
+    /// row no point satisfies.
+    pub(crate) fn new(problem: &LpProblem, columns: &[usize]) -> Result<Master, LpError> {
+        // Rows: the constraints, elastic, then one hard row per upper bound.
+        let mut heads: Vec<(ConstraintOp, f64, bool)> = (problem.heads().iter())
+            .map(|h| (h.op, h.rhs, true))
+            .collect();
+        let mut bound_rows = BTreeMap::new();
+        for (var, bound) in problem.upper_bounds.iter().enumerate() {
+            if let Some(bound) = *bound {
+                if bound < 0.0 {
+                    return Err(LpError::NegativeUpperBound { var, bound });
+                }
+                bound_rows.insert(var, heads.len());
+                heads.push((ConstraintOp::Le, bound, false));
+            }
+        }
+        // Auxiliary columns `(row, sign, cost)`: slacks and surpluses, then
+        // over, then under columns.
+        let mut aux: Vec<(usize, f64, f64)> = Vec::new();
+        for (r, &(op, _, _)) in heads.iter().enumerate() {
+            match op {
+                ConstraintOp::Le => aux.push((r, 1.0, 0.0)),
+                ConstraintOp::Ge => aux.push((r, -1.0, 0.0)),
+                ConstraintOp::Eq => {}
+            }
+        }
+        for (r, &(op, _, elastic)) in heads.iter().enumerate() {
+            if elastic && op != ConstraintOp::Le {
+                aux.push((r, 1.0, 1.0));
+            }
+        }
+        let under = aux.len();
+        for (r, &(op, _, elastic)) in heads.iter().enumerate() {
+            if elastic && op != ConstraintOp::Ge {
+                aux.push((r, -1.0, 1.0));
+            }
+        }
+        let sign = |rhs: f64| if rhs < 0.0 { -1.0 } else { 1.0 };
+        let start: Vec<(usize, f64)> = (heads.iter().enumerate())
+            .map(|(r, &(_, rhs, _))| {
+                let k = (aux.iter())
+                    .position(|&(row, s, _)| row == r && s == sign(rhs))
+                    .expect("every row has a column of its right-hand side's sign");
+                (k, aux[k].1)
+            })
+            .collect();
+
+        // The starting tableau is `B⁻¹A` for the starting basis `B`, the
+        // signed identity: row `r` scaled by its starting column's sign.
+        let rows = heads.len();
+        let ns = columns.len();
+        let cols = ns + aux.len();
+        let stride = cols + 1;
+        let mut a = vec![0.0; rows * stride];
+        for (p, &j) in columns.iter().enumerate() {
+            for (r, c) in entries(problem, &bound_rows, j) {
+                a[r * stride + p] += start[r].1 * c;
+            }
+        }
+        for (k, &(r, s, _)) in aux.iter().enumerate() {
+            a[r * stride + ns + k] = start[r].1 * s;
+        }
+        for (r, &(_, rhs, _)) in heads.iter().enumerate() {
+            a[r * stride + cols] = start[r].1 * rhs;
+        }
+        let mut master = Master {
+            a,
+            cost: vec![0.0; cols + 1],
+            basis: start.iter().map(|&(k, _)| ns + k).collect(),
+            rows,
+            cols,
+            structural: columns.to_vec(),
+            aux_cost: aux.iter().map(|&(_, _, cost)| cost).collect(),
+            relative_cost: (aux.iter())
+                .map(|&(r, _, cost)| cost / heads[r].1.abs().max(1.0))
+                .collect(),
+            under,
+            start,
+            bound_rows,
+        };
+        master.cost[ns..cols].copy_from_slice(&master.aux_cost);
+        master.canonicalize();
+        Ok(master)
+    }
+
+    /// Eliminates the basic columns from the cost row.
+    fn canonicalize(&mut self) {
+        for r in 0..self.rows {
+            let factor = self.cost[self.basis[r]];
+            if factor.abs() > EPS {
+                self.eliminate_from_cost(r, factor);
+            }
+        }
+    }
+
+    /// Row `r`, right-hand side included.
     fn row(&self, r: usize) -> &[f64] {
         let stride = self.cols + 1;
         &self.a[r * stride..(r + 1) * stride]
@@ -142,13 +230,6 @@ impl Tableau {
         for (c, p) in self.cost.iter_mut().zip(row) {
             *c -= factor * p;
         }
-    }
-
-    /// Reduced cost of column j given the current basis (costs are kept
-    /// explicitly; the tableau rows are maintained in canonical form, so the
-    /// reduced cost is simply the cost row entry).
-    fn reduced_cost(&self, j: usize) -> f64 {
-        self.cost[j]
     }
 
     /// Performs a pivot on (row, col): row is scaled so the pivot becomes 1,
@@ -192,42 +273,28 @@ impl Tableau {
         self.basis[row] = col;
     }
 
-    /// Runs simplex iterations until optimality, unboundedness or the pivot
-    /// budget is exhausted.  `allowed` masks the columns eligible to enter.
-    fn optimize(&mut self, allowed: &[bool], max_pivots: usize) -> SimplexResult {
-        let mut pivots = 0usize;
-        // Switch to Bland's rule once we have used half the budget; Dantzig is
-        // faster in practice, Bland guarantees no cycling.
+    /// Pivots from the current basis to an optimum.  Every cost is
+    /// non-negative, so the objective is bounded below by zero: a ray with
+    /// no leaving row is a numerical failure, reported like an exhausted
+    /// pivot budget.
+    pub(crate) fn optimize(&mut self) -> Result<(), LpError> {
+        let max_pivots = MAX_PIVOTS.max(20 * (self.rows + self.cols));
+        // Dantzig is faster in practice, Bland guarantees no cycling: switch
+        // once half the budget is used.
         let bland_after = max_pivots / 2;
-        loop {
-            if pivots >= max_pivots {
-                return SimplexResult::IterationLimit;
-            }
-            let use_bland = pivots >= bland_after;
-            // Choose entering column.
-            let mut entering: Option<usize> = None;
-            if use_bland {
-                entering = allowed[..self.cols]
-                    .iter()
-                    .enumerate()
-                    .find(|(j, ok)| **ok && self.reduced_cost(*j) < -EPS)
-                    .map(|(j, _)| j);
+        for pivots in 0..max_pivots {
+            let reduced = &self.cost[..self.cols];
+            let entering = if pivots >= bland_after {
+                reduced.iter().position(|&rc| rc < -EPS)
             } else {
-                let mut best = -EPS;
-                for (j, ok) in allowed[..self.cols].iter().enumerate() {
-                    if *ok {
-                        let rc = self.reduced_cost(j);
-                        if rc < best {
-                            best = rc;
-                            entering = Some(j);
-                        }
-                    }
-                }
-            }
-            let Some(col) = entering else {
-                return SimplexResult::Optimal;
+                let under = self.structural.len() + self.under;
+                dantzig(&reduced[..under], 0).or_else(|| dantzig(&reduced[under..], under))
             };
-            // Ratio test for leaving row.
+            let Some(col) = entering else {
+                return Ok(());
+            };
+            // Ratio test for the leaving row, ties to the smallest basic
+            // column (Bland).
             let mut leaving: Option<(usize, f64)> = None;
             for r in 0..self.rows {
                 let coef = self.a[r * (self.cols + 1) + col];
@@ -236,7 +303,6 @@ impl Tableau {
                     match leaving {
                         None => leaving = Some((r, ratio)),
                         Some((lr, lratio)) => {
-                            // Tie-break on smallest basis index (Bland).
                             if ratio < lratio - EPS
                                 || ((ratio - lratio).abs() <= EPS && self.basis[r] < self.basis[lr])
                             {
@@ -247,395 +313,160 @@ impl Tableau {
                 }
             }
             let Some((row, _)) = leaving else {
-                return SimplexResult::Unbounded;
+                return Err(LpError::IterationLimit);
             };
             self.pivot(row, col);
-            pivots += 1;
         }
+        Err(LpError::IterationLimit)
     }
 
-    fn objective_value(&self) -> f64 {
-        // cost row's RHS holds -(current objective) in canonical form.
+    /// From an optimum, moves to an optimal solution of least relative
+    /// violation over the working set.  A column of positive reduced cost
+    /// would raise the total violation, so it gets an infinite cost and
+    /// never enters; a pivot on a column of zero reduced cost leaves the
+    /// total, and every reduced cost, where they are.  Afterwards
+    /// [`Master::objective`] reads the relative violation.
+    pub(crate) fn settle(&mut self) -> Result<(), LpError> {
+        let ns = self.structural.len();
+        let mut cost = vec![0.0; self.cols + 1];
+        cost[ns..self.cols].copy_from_slice(&self.relative_cost);
+        for (c, &reduced) in cost.iter_mut().zip(&self.cost[..self.cols]) {
+            if reduced > EPS {
+                *c = f64::INFINITY;
+            }
+        }
+        self.cost = cost;
+        self.canonicalize();
+        self.optimize()
+    }
+
+    /// The current total violation (or, once settled, relative violation).
+    pub(crate) fn objective(&self) -> f64 {
+        // The cost row's last entry holds minus the objective.
         -self.cost[self.cols]
     }
 
-    fn extract(&self, num_structural: usize) -> Vec<f64> {
-        let mut values = vec![0.0; num_structural];
+    /// The dual price of every row (the constraints', then the bounds'):
+    /// row `r`'s starting column is `s·e_r` with cost `c`, so its reduced
+    /// cost `c − s·y_r` gives `y_r`.
+    pub(crate) fn duals(&self) -> Vec<f64> {
+        let ns = self.structural.len();
+        (self.start.iter())
+            .map(|&(k, s)| s * (self.aux_cost[k] - self.cost[ns + k]))
+            .collect()
+    }
+
+    /// The value of each of the problem's `n` columns at the current basis
+    /// (zero off the working set).
+    pub(crate) fn values(&self, n: usize) -> Vec<f64> {
+        let mut values = vec![0.0; n];
         for (r, &b) in self.basis.iter().enumerate() {
-            if b < num_structural {
-                values[b] = self.rhs(r).max(0.0);
+            if let Some(&j) = self.structural.get(b) {
+                values[j] = self.rhs(r).max(0.0);
             }
         }
         values
     }
-}
 
-enum SimplexResult {
-    Optimal,
-    Unbounded,
-    IterationLimit,
-}
-
-impl Simplex {
-    /// Solves the given LP (minimizing its objective; pure feasibility when
-    /// the objective is empty).  Per-variable upper bounds are handled by
-    /// adding explicit `x_i <= u_i` rows.
-    pub fn solve(&self, problem: &LpProblem) -> SimplexOutcome {
-        self.solve_detailed(problem).outcome
-    }
-
-    /// [`Simplex::solve`] additionally recovering constraint duals (see
-    /// [`SolveDetail`]).
-    pub fn solve_detailed(&self, problem: &LpProblem) -> SolveDetail {
-        self.solve_detailed_warm(problem, None).0
-    }
-
-    /// [`Simplex::solve_detailed`] with an optional [`WarmStart`]: phase 1
-    /// first pivots only over the hinted structural columns (plus auxiliary
-    /// columns) and widens to the full column set only if that restricted
-    /// pass cannot reach feasibility.  Behaviour with `None` is identical to
-    /// a cold solve.
-    pub fn solve_detailed_warm(
-        &self,
-        problem: &LpProblem,
-        warm: Option<&WarmStart>,
-    ) -> (SolveDetail, WarmOutcome) {
-        let n = problem.num_vars;
-        let mut warm_outcome = WarmOutcome::NotAttempted;
-
-        // Materialize all rows: user constraints plus upper-bound rows.
-        struct Row<'a> {
-            columns: &'a [u32],
-            coefs: Coefs<'a>,
-            op: ConstraintOp,
-            rhs: f64,
-        }
-        let mut rows: Vec<Row> = problem
-            .constraints()
-            .map(|c| Row {
-                columns: c.columns,
-                coefs: c.coefs,
-                op: c.op,
-                rhs: c.rhs,
+    /// Adds problem columns `joining` (ascending, none held yet) to the
+    /// working set as nonbasic columns, keeping the basis: column `j`'s
+    /// tableau column is `B⁻¹A_j`, where `B⁻¹`'s column `r` is the current
+    /// tableau column of row `r`'s starting column times its sign, and its
+    /// reduced cost is `−y·A_j`.
+    pub(crate) fn join(&mut self, problem: &LpProblem, joining: &[usize]) {
+        let (rows, ns, stride) = (self.rows, self.structural.len(), self.cols + 1);
+        let y = self.duals();
+        let fresh: Vec<(Vec<f64>, f64)> = (joining.iter())
+            .map(|&j| {
+                let mut column = vec![0.0; rows];
+                let mut reduced = 0.0;
+                for (r, c) in entries(problem, &self.bound_rows, j) {
+                    let (k, s) = self.start[r];
+                    let from = ns + k;
+                    for (i, v) in column.iter_mut().enumerate() {
+                        *v += c * s * self.a[i * stride + from];
+                    }
+                    reduced -= c * y[r];
+                }
+                (column, reduced)
             })
             .collect();
-        let bounded: Vec<(u32, f64)> = (problem.upper_bounds.iter().enumerate())
-            .filter_map(|(i, ub)| ub.map(|u| (i as u32, u)))
-            .collect();
-        for (i, u) in &bounded {
-            rows.push(Row {
-                columns: std::slice::from_ref(i),
-                coefs: Coefs::Unit(1),
-                op: ConstraintOp::Le,
-                rhs: *u,
-            });
+
+        // Merge the joining columns into the ascending structural columns;
+        // every held column keeps its order and shifts right.
+        let cols = self.cols + joining.len();
+        let mut moved = Vec::with_capacity(self.cols);
+        let mut placed = Vec::with_capacity(joining.len());
+        let mut structural = Vec::with_capacity(ns + joining.len());
+        let mut next = joining.iter().peekable();
+        for &held in &self.structural {
+            while let Some(&j) = next.next_if(|&&j| j < held) {
+                placed.push(structural.len());
+                structural.push(j);
+            }
+            moved.push(structural.len());
+            structural.push(held);
         }
-
-        let m = rows.len();
-        if m == 0 {
-            // Trivially feasible: all-zeros minimizes any non-negative cone
-            // objective with non-negative coefficients; for general objectives
-            // the LP is unbounded unless coefficients are >= 0.
-            let has_negative_cost = problem.objective.iter().any(|(_, c)| *c < 0.0);
-            if has_negative_cost {
-                return (
-                    SolveDetail {
-                        outcome: SimplexOutcome::Unbounded,
-                        duals: None,
-                    },
-                    warm_outcome,
-                );
-            }
-            return (
-                SolveDetail {
-                    outcome: SimplexOutcome::Optimal {
-                        values: vec![0.0; n],
-                        objective: 0.0,
-                    },
-                    duals: Some(Vec::new()),
-                },
-                warm_outcome,
-            );
+        for &j in next {
+            placed.push(structural.len());
+            structural.push(j);
         }
+        moved.extend((ns..self.cols).map(|p| p + joining.len()));
 
-        // Count auxiliary columns.
-        let mut num_slack = 0usize;
-        let mut num_artificial = 0usize;
-        for row in &rows {
-            let rhs_nonneg = row.rhs >= 0.0;
-            let effective_op = if rhs_nonneg {
-                row.op
-            } else {
-                // Row will be negated.
-                match row.op {
-                    ConstraintOp::Le => ConstraintOp::Ge,
-                    ConstraintOp::Ge => ConstraintOp::Le,
-                    ConstraintOp::Eq => ConstraintOp::Eq,
-                }
-            };
-            match effective_op {
-                ConstraintOp::Le => num_slack += 1,
-                ConstraintOp::Ge => {
-                    num_slack += 1;
-                    num_artificial += 1;
-                }
-                ConstraintOp::Eq => num_artificial += 1,
+        let mut a = vec![0.0; rows * (cols + 1)];
+        for (r, row) in a.chunks_exact_mut(cols + 1).enumerate() {
+            let old = self.row(r);
+            for (&to, &v) in moved.iter().zip(old) {
+                row[to] = v;
             }
+            for (&to, (column, _)) in placed.iter().zip(&fresh) {
+                row[to] = column[r];
+            }
+            row[cols] = old[self.cols];
         }
-
-        let cols = n + num_slack + num_artificial;
-        let stride = cols + 1;
-        let mut a = vec![0.0; m * stride];
-        let mut basis = vec![usize::MAX; m];
-        // Per row: the column that starts in the basis for it (used to read
-        // duals off the final cost row), and whether any row was negated
-        // (which breaks that bookkeeping).
-        let mut init_col = vec![usize::MAX; m];
-        let mut negated_any = false;
-
-        // Columns are laid out structural, slack, artificial: every column
-        // from `artificial_start` on is artificial.
-        let artificial_start = n + num_slack;
-        let mut next_slack = n;
-        let mut next_artificial = artificial_start;
-        for (r, (row, a)) in rows.iter().zip(a.chunks_exact_mut(stride)).enumerate() {
-            let mut sign = 1.0;
-            let mut rhs = row.rhs;
-            let mut op = row.op;
-            if rhs < 0.0 {
-                sign = -1.0;
-                rhs = -rhs;
-                negated_any = true;
-                op = match op {
-                    ConstraintOp::Le => ConstraintOp::Ge,
-                    ConstraintOp::Ge => ConstraintOp::Le,
-                    ConstraintOp::Eq => ConstraintOp::Eq,
-                };
-            }
-            for (&j, c) in row.columns.iter().zip(row.coefs.iter()) {
-                if (j as usize) < n {
-                    a[j as usize] += sign * c;
-                }
-            }
-            a[cols] = rhs;
-            match op {
-                ConstraintOp::Le => {
-                    a[next_slack] = 1.0;
-                    basis[r] = next_slack;
-                    init_col[r] = next_slack;
-                    next_slack += 1;
-                }
-                ConstraintOp::Ge => {
-                    a[next_slack] = -1.0;
-                    next_slack += 1;
-                    a[next_artificial] = 1.0;
-                    basis[r] = next_artificial;
-                    init_col[r] = next_artificial;
-                    next_artificial += 1;
-                }
-                ConstraintOp::Eq => {
-                    a[next_artificial] = 1.0;
-                    basis[r] = next_artificial;
-                    init_col[r] = next_artificial;
-                    next_artificial += 1;
-                }
-            }
-        }
-
-        // Reads the duals of the user constraints off the current cost row:
-        // the reduced cost of row r's initial basis column is
-        // `c_init - y_r` (its tableau column is the r-th identity column).
-        let num_user = problem.num_constraints();
-        let duals_from =
-            |tableau: &Tableau, init_cost: &dyn Fn(usize) -> f64| -> Option<Vec<f64>> {
-                if negated_any {
-                    return None;
-                }
-                Some(
-                    (0..num_user)
-                        .map(|r| init_cost(init_col[r]) - tableau.cost[init_col[r]])
-                        .collect(),
-                )
-            };
-
-        let max_pivots = MAX_PIVOTS.max(20 * (m + cols));
-
-        // ---- Phase 1: minimize sum of artificial variables. ----
-        let mut tableau = Tableau {
-            a,
-            cost: vec![0.0; cols + 1],
-            basis,
-            rows: m,
-            cols,
-        };
-        // Phase-1 infeasibility cutoff (see the comment further down); also
-        // used to decide whether a warm-restricted pass closed feasibility.
-        let rhs_scale = rows.iter().map(|r| r.rhs.abs()).fold(0.0f64, f64::max);
-        let phase1_cutoff = (1e-10 * rhs_scale).max(1e-6);
-
-        if num_artificial > 0 {
-            for slot in &mut tableau.cost[artificial_start..cols] {
-                *slot = 1.0;
-            }
-            // Canonicalize: eliminate basic artificial columns from cost row.
-            for r in 0..m {
-                let b = tableau.basis[r];
-                if b >= artificial_start {
-                    let factor = tableau.cost[b];
-                    if factor.abs() > EPS {
-                        tableau.eliminate_from_cost(r, factor);
-                    }
-                }
-            }
-            // Warm-restricted pass: pivot only over the hinted structural
-            // columns (plus every auxiliary column).  A hint with any
-            // out-of-range column is stale by definition and skipped.
-            let mut closed_by_warm = false;
-            if let Some(w) = warm {
-                if !w.columns.is_empty() && w.columns.iter().all(|&j| j < n) {
-                    let mut mask = vec![false; cols];
-                    for &j in &w.columns {
-                        mask[j] = true;
-                    }
-                    for slot in mask.iter_mut().take(cols).skip(n) {
-                        *slot = true;
-                    }
-                    if matches!(tableau.optimize(&mask, max_pivots), SimplexResult::Optimal)
-                        && tableau.objective_value() <= phase1_cutoff
-                    {
-                        closed_by_warm = true;
-                        warm_outcome = WarmOutcome::Hit;
-                    } else {
-                        // Stale basis: keep whatever progress the restricted
-                        // pivots made and widen to the full column set.
-                        warm_outcome = WarmOutcome::FellBack;
-                    }
-                }
-            }
-            if !closed_by_warm {
-                match tableau.optimize(&vec![true; cols], max_pivots) {
-                    SimplexResult::Optimal => {}
-                    SimplexResult::Unbounded => {
-                        // Phase-1 objective is bounded below by zero; treat as limit.
-                        return (
-                            SolveDetail {
-                                outcome: SimplexOutcome::IterationLimit,
-                                duals: None,
-                            },
-                            warm_outcome,
-                        );
-                    }
-                    SimplexResult::IterationLimit => {
-                        return (
-                            SolveDetail {
-                                outcome: SimplexOutcome::IterationLimit,
-                                duals: None,
-                            },
-                            warm_outcome,
-                        );
-                    }
-                }
-            }
-            let phase1 = tableau.objective_value();
-            // The infeasibility cutoff has two parts: an absolute floor
-            // (the classic 1e-6) plus a term relative to the magnitude of
-            // the right-hand sides.  At what-if scales (rows in the
-            // billions) the phase-1 optimum of a feasible system
-            // accumulates floating-point residue on the order of
-            // `eps * rhs * pivots` — absolutely large but relatively
-            // negligible — and a purely absolute cutoff turned that noise
-            // into hard `Infeasible` errors, even for the elastic
-            // least-violation relaxation, which is feasible by
-            // construction.  The relative factor is deliberately tiny
-            // (1e-10) so that a *real* contradiction among small-scale
-            // constraints is still caught even when an unrelated huge row
-            // target sits in the same system.
-            if phase1 > phase1_cutoff {
-                // Phase-1 duals: slacks cost 0, artificials cost 1.
-                let duals = duals_from(&tableau, &|col| {
-                    if col >= artificial_start {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                });
-                return (
-                    SolveDetail {
-                        outcome: SimplexOutcome::Infeasible {
-                            phase1_objective: phase1,
-                        },
-                        duals,
-                    },
-                    warm_outcome,
-                );
-            }
-            // Drive any artificial variables still in the basis out of it
-            // (degenerate rows); if impossible the row is redundant.
-            for r in 0..m {
-                if tableau.basis[r] >= artificial_start {
-                    // Find a non-artificial column with a non-zero entry.
-                    let found = tableau.row(r)[..artificial_start]
-                        .iter()
-                        .position(|v| v.abs() > EPS);
-                    if let Some(j) = found {
-                        tableau.pivot(r, j);
-                    }
-                }
-            }
-        }
-
-        // ---- Phase 2: minimize the user objective. ----
         let mut cost = vec![0.0; cols + 1];
-        for (j, c) in &problem.objective {
-            if *j < n {
-                cost[*j] += *c;
-            }
+        for (&to, &v) in moved.iter().zip(&self.cost) {
+            cost[to] = v;
         }
-        tableau.cost = cost;
-        // Canonicalize cost row w.r.t. current basis.
-        for r in 0..m {
-            let b = tableau.basis[r];
-            let factor = tableau.cost[b];
-            if factor.abs() > EPS {
-                tableau.eliminate_from_cost(r, factor);
-            }
+        for (&to, &(_, reduced)) in placed.iter().zip(&fresh) {
+            cost[to] = reduced;
         }
-        // Artificial columns may not re-enter the basis.
-        let allowed: Vec<bool> = (0..cols).map(|j| j < artificial_start).collect();
-        match tableau.optimize(&allowed, max_pivots) {
-            SimplexResult::Optimal => {}
-            SimplexResult::Unbounded => {
-                return (
-                    SolveDetail {
-                        outcome: SimplexOutcome::Unbounded,
-                        duals: None,
-                    },
-                    warm_outcome,
-                )
-            }
-            SimplexResult::IterationLimit => {
-                return (
-                    SolveDetail {
-                        outcome: SimplexOutcome::IterationLimit,
-                        duals: None,
-                    },
-                    warm_outcome,
-                )
-            }
+        cost[cols] = self.cost[self.cols];
+        for b in &mut self.basis {
+            *b = moved[*b];
         }
-
-        // Phase-2 duals: every slack/artificial costs 0.
-        let duals = duals_from(&tableau, &|_| 0.0);
-        let values = tableau.extract(n);
-        let objective: f64 = problem.objective.iter().map(|(j, c)| c * values[*j]).sum();
-        (
-            SolveDetail {
-                outcome: SimplexOutcome::Optimal { values, objective },
-                duals,
-            },
-            warm_outcome,
-        )
+        self.a = a;
+        self.cost = cost;
+        self.cols = cols;
+        self.structural = structural;
     }
+}
+
+/// The column of most negative reduced cost below `-EPS`, first on ties,
+/// numbered from `offset`.
+fn dantzig(reduced: &[f64], offset: usize) -> Option<usize> {
+    let mut entering = None;
+    let mut best = -EPS;
+    for (j, &rc) in reduced.iter().enumerate() {
+        if rc < best {
+            best = rc;
+            entering = Some(offset + j);
+        }
+    }
+    entering
+}
+
+/// Problem column `j`'s `(row, coefficient)` entries in the master: its
+/// constraint terms, then its bound row's 1.
+fn entries<'a>(
+    problem: &'a LpProblem,
+    bound_rows: &BTreeMap<usize, usize>,
+    j: usize,
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    let view = problem.columns();
+    (view.rows(j).iter().map(|&r| r as usize))
+        .zip(view.coefs(j).iter())
+        .chain(bound_rows.get(&j).map(|&r| (r, 1.0)))
 }
 
 #[cfg(test)]
@@ -643,8 +474,12 @@ mod tests {
     use super::*;
     use crate::problem::{ConstraintOp, LpProblem};
 
-    fn solve(lp: &LpProblem) -> SimplexOutcome {
-        Simplex.solve(lp)
+    /// The master over every column, optimized: values and total violation.
+    fn solve(lp: &LpProblem) -> (Vec<f64>, f64) {
+        let all: Vec<usize> = (0..lp.num_vars).collect();
+        let mut master = Master::new(lp, &all).unwrap();
+        master.optimize().unwrap();
+        (master.values(lp.num_vars), master.objective())
     }
 
     #[test]
@@ -652,88 +487,65 @@ mod tests {
         // x0 + x1 = 10
         let mut lp = LpProblem::new(2);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 10.0);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, .. } => {
-                assert!((values[0] + values[1] - 10.0).abs() < 1e-6);
-                assert!(values.iter().all(|v| *v >= -1e-9));
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn optimization_with_objective() {
-        // minimize 2x0 + x1  s.t. x0 + x1 >= 4, x0 <= 3
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Ge, 4.0);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 3.0);
-        lp.set_objective(vec![(0, 2.0), (1, 1.0)]);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, objective } => {
-                // Optimum: x0 = 0, x1 = 4, objective 4.
-                assert!((values[0]).abs() < 1e-6);
-                assert!((values[1] - 4.0).abs() < 1e-6);
-                assert!((objective - 4.0).abs() < 1e-6);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
+        let (values, violation) = solve(&lp);
+        assert!(violation.abs() < 1e-9);
+        assert!((values[0] + values[1] - 10.0).abs() < 1e-6);
+        assert!(values.iter().all(|v| *v >= -1e-9));
     }
 
     #[test]
     fn infeasible_detection() {
-        // x0 <= 1 and x0 >= 3
+        // x0 <= 1 and x0 >= 3: the least total violation is 2.
         let mut lp = LpProblem::new(1);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 1.0);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 3.0);
-        assert!(matches!(solve(&lp), SimplexOutcome::Infeasible { .. }));
+        let (values, violation) = solve(&lp);
+        assert!((violation - 2.0).abs() < 1e-9);
+        assert!((1.0 - 1e-9..=3.0 + 1e-9).contains(&values[0]));
     }
 
     #[test]
-    fn unbounded_detection() {
-        // minimize -x0 with only x0 >= 1
-        let mut lp = LpProblem::new(1);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 1.0);
-        lp.set_objective(vec![(0, -1.0)]);
-        assert!(matches!(solve(&lp), SimplexOutcome::Unbounded));
-    }
-
-    #[test]
-    fn negative_rhs_is_normalized() {
-        // -x0 <= -5   (i.e. x0 >= 5), minimize x0.
-        let mut lp = LpProblem::new(1);
+    fn negative_right_hand_sides_start_feasible() {
+        // -x0 <= -5 (x0 >= 5), -x1 = -2, -x0 - x1 >= -9: the starting basis
+        // takes each row's column of its right-hand side's sign.
+        let mut lp = LpProblem::new(2);
         lp.add_constraint(vec![(0, -1.0)], ConstraintOp::Le, -5.0);
-        lp.set_objective(vec![(0, 1.0)]);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, .. } => assert!((values[0] - 5.0).abs() < 1e-6),
-            other => panic!("expected optimal, got {other:?}"),
-        }
+        lp.add_constraint(vec![(1, -1.0)], ConstraintOp::Eq, -2.0);
+        lp.add_constraint(vec![(0, -1.0), (1, -1.0)], ConstraintOp::Ge, -9.0);
+        let (values, violation) = solve(&lp);
+        assert!(violation.abs() < 1e-9);
+        assert!(lp.is_feasible(&values, 1e-9), "{values:?}");
+        let master = Master::new(&lp, &[0, 1]).unwrap();
+        assert!((master.objective() - 7.0).abs() < 1e-12);
     }
 
     #[test]
-    fn upper_bounds_respected() {
-        // maximize x0 (minimize -x0) with x0 <= 7 via upper bound.
+    fn upper_bounds_are_hard() {
+        // x0 >= 9 against the bound x0 <= 7: the bound holds and the
+        // constraint takes the violation.
         let mut lp = LpProblem::new(1);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 9.0);
         lp.set_upper_bound(0, 7.0);
-        lp.set_objective(vec![(0, -1.0)]);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, .. } => assert!((values[0] - 7.0).abs() < 1e-6),
-            other => panic!("expected optimal, got {other:?}"),
-        }
+        let (values, violation) = solve(&lp);
+        assert!((values[0] - 7.0).abs() < 1e-9);
+        assert!((violation - 2.0).abs() < 1e-9);
+
+        lp.set_upper_bound(0, -1.0);
+        assert_eq!(
+            Master::new(&lp, &[0]).err(),
+            Some(LpError::NegativeUpperBound {
+                var: 0,
+                bound: -1.0
+            })
+        );
     }
 
     #[test]
     fn no_constraints_trivial() {
         let lp = LpProblem::new(3);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, objective } => {
-                assert_eq!(values, vec![0.0; 3]);
-                assert_eq!(objective, 0.0);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
-        let mut lp = LpProblem::new(1);
-        lp.set_objective(vec![(0, -1.0)]);
-        assert!(matches!(solve(&lp), SimplexOutcome::Unbounded));
+        let (values, violation) = solve(&lp);
+        assert_eq!(values, vec![0.0; 3]);
+        assert_eq!(violation, 0.0);
     }
 
     #[test]
@@ -743,63 +555,74 @@ mod tests {
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 5.0);
         lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 5.0);
         lp.add_constraint(vec![(0, 1.0), (1, -1.0)], ConstraintOp::Eq, 1.0);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, .. } => {
-                assert!((values[0] - 3.0).abs() < 1e-6);
-                assert!((values[1] - 2.0).abs() < 1e-6);
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
+        let (values, _) = solve(&lp);
+        assert!((values[0] - 3.0).abs() < 1e-6);
+        assert!((values[1] - 2.0).abs() < 1e-6);
     }
 
     #[test]
-    fn phase1_tolerance_is_relative_to_rhs_scale() {
-        // At 1e10 scale, a 1e-3 absolute inconsistency is floating-point
-        // noise (what-if scenarios hit this); it must not read as infeasible.
+    fn duals_price_the_starting_basis() {
+        // At the start every equality's over column is basic at cost 1, so
+        // each row's dual is 1; a `<=` row's slack is basic at cost 0.
         let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 2e10);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 3e10 + 1e-3);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, .. } => {
-                assert!((values[0] - 1e10).abs() < 1.0);
-                assert!((values[1] - 2e10).abs() < 1.0);
-            }
-            other => panic!("expected optimal at scale, got {other:?}"),
-        }
-
-        // The same absolute gap at unit scale is a real contradiction.
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 5.0);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 12.001);
-        assert!(matches!(solve(&lp), SimplexOutcome::Infeasible { .. }));
-
-        // Mixed scales: an unrelated 1e10 row target must not mask a real
-        // unit-scale contradiction elsewhere in the same system.
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        assert!(matches!(solve(&lp), SimplexOutcome::Infeasible { .. }));
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 4.0);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Le, 3.0);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, -2.0);
+        let master = Master::new(&lp, &[]).unwrap();
+        assert_eq!(master.duals(), vec![1.0, 0.0, -1.0]);
+        assert!((master.objective() - 6.0).abs() < 1e-12);
     }
 
     #[test]
-    fn warm_start_respects_mixed_scale_infeasibility_detection() {
-        // A huge row target must not mask a real small-scale contradiction,
-        // warm-started or not.
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        for warm in [None, Some(WarmStart::new(vec![0, 1]))] {
-            let (detail, _) = Simplex.solve_detailed_warm(&lp, warm.as_ref());
-            assert!(
-                matches!(detail.outcome, SimplexOutcome::Infeasible { .. }),
-                "warm {warm:?}: {:?}",
-                detail.outcome
-            );
+    fn joined_columns_continue_from_the_kept_basis() {
+        // A block LP solved over the first column of each block, capped at
+        // 1, then the rest joined one by one from the last: each join keeps
+        // the basis (the objective does not move until the next pivots) and
+        // the end is the full optimum.
+        let n = 40;
+        let mut lp = LpProblem::new(n);
+        for k in 0..8 {
+            let lo = k * 5;
+            let terms: Vec<(usize, f64)> = (lo..lo + 5).map(|j| (j, 1.0)).collect();
+            lp.add_constraint(terms, ConstraintOp::Eq, 10.0 + k as f64);
+            lp.set_upper_bound(lo, 1.0);
         }
+        lp.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 108.0);
+        let (_, full) = solve(&lp);
+        assert!(full.abs() < 1e-9);
+        let held: Vec<usize> = (0..n).step_by(5).collect();
+        let mut master = Master::new(&lp, &held).unwrap();
+        master.optimize().unwrap();
+        assert!(master.objective() > 1.0);
+        for j in (0..n).filter(|j| j % 5 != 0).rev() {
+            let before = master.objective();
+            master.join(&lp, &[j]);
+            assert_eq!(master.objective(), before);
+            master.optimize().unwrap();
+        }
+        assert!((master.objective() - full).abs() < 1e-9);
+        assert!(master.structural.windows(2).all(|w| w[0] < w[1]));
+        let values = master.values(n);
+        assert!(lp.is_feasible(&values, 1e-6), "{values:?}");
+    }
+
+    #[test]
+    fn settling_moves_the_violation_to_the_largest_target() {
+        // x0 = 4, x0 + x1 = 10, x1 = 8 miss by 2 in total wherever the 2
+        // lands: on the first row (relative 0.5), the second (0.2) or the
+        // third (0.25).  The simplex lands on the third; settling moves the
+        // miss to the second and keeps the total.
+        let mut lp = LpProblem::new(2);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 4.0);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 10.0);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 8.0);
+        let mut master = Master::new(&lp, &[0, 1]).unwrap();
+        master.optimize().unwrap();
+        assert!((master.objective() - 2.0).abs() < 1e-9);
+        assert_eq!(master.values(2), vec![4.0, 6.0]);
+        master.settle().unwrap();
+        assert!((master.objective() - 0.2).abs() < 1e-9);
+        assert_eq!(master.values(2), vec![4.0, 8.0]);
     }
 
     #[test]
@@ -814,11 +637,8 @@ mod tests {
             lp.add_constraint(terms, ConstraintOp::Eq, 50.0);
         }
         lp.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1000.0);
-        match solve(&lp) {
-            SimplexOutcome::Optimal { values, .. } => {
-                assert!(lp.is_feasible(&values, 1e-5));
-            }
-            other => panic!("expected optimal, got {other:?}"),
-        }
+        let (values, violation) = solve(&lp);
+        assert!(violation.abs() < 1e-9);
+        assert!(lp.is_feasible(&values, 1e-5));
     }
 }

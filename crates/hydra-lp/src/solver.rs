@@ -1,8 +1,8 @@
 //! High-level LP solving interface used by the summary generator.
 
 use crate::diagnostics::ViolationReport;
-use crate::problem::{Coefs, ConstraintOp, LpProblem, RowHead};
-use crate::simplex::{Simplex, SimplexOutcome, WarmOutcome, WarmStart};
+use crate::problem::{Coefs, LpProblem};
+use crate::simplex::{Master, WarmOutcome, WarmStart};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -22,8 +22,6 @@ pub enum SolveStatus {
 pub struct LpSolution {
     /// Value per decision variable.
     pub values: Vec<f64>,
-    /// Objective value achieved (0 for pure feasibility problems).
-    pub objective: f64,
     /// Whether the solution is exactly feasible or least-violation.
     pub status: SolveStatus,
     /// Total absolute violation across constraints (0 when feasible).
@@ -46,29 +44,24 @@ impl LpSolution {
 /// Errors from the high-level solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
-    /// The LP objective is unbounded below.
-    Unbounded,
     /// The solver exceeded its pivot budget.
     IterationLimit,
-    /// Even the least-violation relaxation, where every constraint has
-    /// slack, came out infeasible: a numerical failure, since that system
-    /// is feasible in exact arithmetic.
-    Infeasible {
-        /// The positive phase-1 optimum certifying infeasibility.
-        phase1_objective: f64,
+    /// A variable's upper bound is below zero, so no non-negative value
+    /// meets it (bounds are hard; only constraints take violation).
+    NegativeUpperBound {
+        /// The bounded variable.
+        var: usize,
+        /// Its upper bound.
+        bound: f64,
     },
 }
 
 impl fmt::Display for LpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LpError::Unbounded => write!(f, "LP objective is unbounded"),
             LpError::IterationLimit => write!(f, "LP solver exceeded its pivot budget"),
-            LpError::Infeasible { phase1_objective } => {
-                write!(
-                    f,
-                    "LP is infeasible (phase-1 objective {phase1_objective:.4})"
-                )
+            LpError::NegativeUpperBound { var, bound } => {
+                write!(f, "LP variable {var} has a negative upper bound {bound}")
             }
         }
     }
@@ -78,21 +71,21 @@ impl std::error::Error for LpError {}
 
 /// High-level LP solver.
 ///
-/// `solve` first attempts an exact feasibility/optimality solve; if the system
-/// is infeasible, it re-solves a soft version where every constraint gets
-/// slack variables and the total slack is minimized.  This mirrors HYDRA's
-/// behaviour: the post-processing step may introduce small additive errors,
-/// and the reported relative errors stay small.
+/// `solve` minimizes the total violation of the constraints over the
+/// elastic restricted master ([`crate::simplex`]), growing its working set
+/// by dual pricing until no excluded column can lower it.  A zero optimum
+/// (within [`FEASIBILITY_TOLERANCE`]) is a feasible point; a positive one
+/// is the certified least-violation compromise, HYDRA's "minor additive
+/// errors", placed where its relative error is smallest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LpSolver;
 
-/// Feasibility tolerance used when classifying a recovered solution,
-/// relative to the largest right-hand side: a least-violation solution
-/// within it counts as [`SolveStatus::Feasible`].
+/// Feasibility tolerance used when classifying a solution, relative to the
+/// largest right-hand side: a total violation within it counts as
+/// [`SolveStatus::Feasible`].
 pub const FEASIBILITY_TOLERANCE: f64 = 1e-6;
 
-/// The absolute violation below which a recovered solution counts as
-/// feasible: [`FEASIBILITY_TOLERANCE`], scaled by the magnitude of the
+/// The absolute violation below which a solution counts as feasible: [`FEASIBILITY_TOLERANCE`], scaled by the magnitude of the
 /// right-hand sides.  Large-scale what-if scenarios (cardinalities in the
 /// trillions) accumulate floating-point rounding that is absolutely large
 /// but relatively negligible; classifying those infeasible would be
@@ -104,25 +97,6 @@ fn feasibility_tolerance(problem: &LpProblem) -> f64 {
         .map(|c| c.rhs.abs())
         .fold(1.0f64, f64::max);
     FEASIBILITY_TOLERANCE * rhs_scale
-}
-
-/// Column count above which pure-feasibility problems try restricted
-/// working-set solves before touching the full tableau.
-const WORKING_SET_MIN_VARS: usize = 1024;
-
-/// Cap on column-generation rounds before giving up on the restricted path.
-const COLUMN_GENERATION_ROUNDS: usize = 50;
-
-/// Outcome of the column-generation feasibility loop.
-enum ColumnGeneration {
-    /// A feasible full-length solution (zeros outside the working set).
-    Feasible(Vec<f64>),
-    /// Certified infeasible: no excluded column can reduce the restricted
-    /// phase-1 optimum below its positive value.
-    Infeasible,
-    /// Pricing information was unavailable or the loop did not converge; the
-    /// caller falls back to the full dense solve.
-    GaveUp,
 }
 
 /// Columns each constraint contributes to the seed working set from either
@@ -176,85 +150,13 @@ fn initial_working_set(problem: &LpProblem) -> Vec<bool> {
     selected
 }
 
-/// Projects the problem onto the working set (excluded columns are fixed at
-/// zero).  Returns the subproblem and the working set in slot order.  Only
-/// the working set's columns are read.
-fn restrict(problem: &LpProblem, selected: &[bool]) -> (LpProblem, Vec<usize>) {
-    let columns: Vec<usize> = (0..selected.len()).filter(|&j| selected[j]).collect();
-    let view = problem.columns();
-    let heads = problem
-        .heads()
-        .iter()
-        .map(|head| RowHead {
-            op: head.op,
-            rhs: head.rhs,
-            label: None,
-        })
-        .collect();
-    let mut sub = LpProblem::from_columns(
-        heads,
-        columns
-            .iter()
-            .map(|&j| (view.rows(j).iter().map(|&r| r as usize)).zip(view.coefs(j).iter())),
-    );
-    for (slot, &j) in columns.iter().enumerate() {
-        sub.upper_bounds[slot] = problem.upper_bounds[j];
-    }
-    (sub, columns)
-}
-
-/// Builds the soft (elastic) relaxation: every constraint `a·x op b` gains
-/// violation variables in the directions its operator allows, and the total
-/// violation is minimized (plus a tiny weight on the original objective for
-/// consistent tie-breaking).
-fn soften(problem: &LpProblem) -> LpProblem {
-    let n = problem.num_vars;
-    let m = problem.num_constraints();
-    // Two slack variables per constraint (over- and under-shoot).
-    let mut soft = LpProblem::new(n + 2 * m);
-    soft.upper_bounds[..n].clone_from_slice(&problem.upper_bounds);
-    let mut objective: Vec<(usize, f64)> = Vec::with_capacity(2 * m + problem.objective.len());
-    for (r, c) in problem.constraints().enumerate() {
-        let over = n + 2 * r; // adds to LHS
-        let under = n + 2 * r + 1; // subtracts from LHS
-        let mut terms: Vec<(usize, f64)> = c.terms().collect();
-        match c.op {
-            ConstraintOp::Eq => {
-                terms.push((over, 1.0));
-                terms.push((under, -1.0));
-                objective.push((over, 1.0));
-                objective.push((under, 1.0));
-            }
-            ConstraintOp::Le => {
-                // a·x - s_under <= b : s_under absorbs overshoot.
-                terms.push((under, -1.0));
-                objective.push((under, 1.0));
-            }
-            ConstraintOp::Ge => {
-                terms.push((over, 1.0));
-                objective.push((over, 1.0));
-            }
-        }
-        match c.label {
-            Some(label) => soft.add_labeled_constraint(terms, c.op, c.rhs, label),
-            None => soft.add_constraint(terms, c.op, c.rhs),
-        };
-    }
-    // Tiny weight on the original objective so ties are broken consistently.
-    for (j, c) in &problem.objective {
-        objective.push((*j, 1e-6 * c));
-    }
-    soft.set_objective(objective);
-    soft
-}
-
 /// Prices every excluded column against the duals (`rc_j = -y·A_j` for
 /// zero-cost structural columns) and adds the most promising ones to the
-/// working set.  Returns how many were added.
+/// working set.  Returns the added columns, ascending.
 ///
 /// A column's score `y·A_j` adds its terms in row order over the
 /// [`crate::problem::ColumnView`], skipping rows whose dual is negligible.
-fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut [bool]) -> usize {
+fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut [bool]) -> Vec<usize> {
     let columns = problem.columns();
     let y: Vec<f64> = (0..problem.num_constraints())
         .map(|r| {
@@ -297,11 +199,56 @@ fn price_and_add(problem: &LpProblem, duals: &[f64], selected: &mut [bool]) -> u
         candidates.select_nth_unstable_by(budget - 1, order);
         candidates.truncate(budget);
     }
-    candidates.sort_by(order);
-    for &(_, j) in &candidates {
+    let mut added: Vec<usize> = candidates.into_iter().map(|(_, j)| j).collect();
+    added.sort_unstable();
+    for &j in &added {
         selected[j] = true;
     }
-    candidates.len()
+    added
+}
+
+/// The master's optimum over a working set grown by pricing.
+struct Priced {
+    /// Value per problem column (zero off the working set).
+    values: Vec<f64>,
+    /// Whether the total violation is within the feasibility tolerance.
+    feasible: bool,
+    /// Whether any priced column joined the working set.
+    grew: bool,
+}
+
+/// Solves the master over the working set `selected`, then prices the
+/// excluded columns against its duals and lets those that price in join
+/// the kept basis, until none does (or the violation is already within
+/// the tolerance, where no column can lower it further).  The working set
+/// only grows, so the loop ends.  A least-violation optimum is then
+/// settled onto the rows where its violation is relatively smallest.
+fn solve_priced(problem: &LpProblem, mut selected: Vec<bool>) -> Result<Priced, LpError> {
+    let tolerance = feasibility_tolerance(problem);
+    let working: Vec<usize> = (0..problem.num_vars).filter(|&j| selected[j]).collect();
+    let mut master = Master::new(problem, &working)?;
+    let mut grew = false;
+    loop {
+        master.optimize()?;
+        if master.objective() <= tolerance {
+            break;
+        }
+        let joining = price_and_add(problem, &master.duals(), &mut selected);
+        if joining.is_empty() {
+            break;
+        }
+        master.join(problem, &joining);
+        grew = true;
+    }
+    let feasible = master.objective() <= tolerance;
+    if !feasible {
+        master.settle()?;
+    }
+    Ok(Priced {
+        values: master.values(problem.num_vars),
+        feasible,
+        grew,
+    })
 }
 
 impl LpSolver {
@@ -314,266 +261,49 @@ impl LpSolver {
     /// previously solved, structurally similar LP mapped into this problem's
     /// column space (delta re-profiling).
     ///
-    /// The hint is advisory on every path: the dense simplex runs a
-    /// warm-restricted phase 1 first, the delayed-column-generation fast
-    /// path seeds its working set with the hinted columns, and a stale or
-    /// incompatible hint falls back to the cold pivot space — so a warm
-    /// solve reaches a feasible optimum on every problem the cold solver
-    /// handles.  The returned [`WarmOutcome`] reports what the hint
-    /// contributed.
+    /// The hinted columns join the seeded working set; pricing brings in
+    /// anything else the LP needs, so a warm solve reaches the optimum a
+    /// cold one does.  An empty hint, or one naming a column past the
+    /// problem (saved against another problem), is ignored.  The returned
+    /// [`WarmOutcome`] reports what the hint contributed.
     pub fn solve_warm(
         &self,
         problem: &LpProblem,
         warm: Option<&WarmStart>,
     ) -> Result<(LpSolution, WarmOutcome), LpError> {
         let start = Instant::now();
-
-        // Fast path for HYDRA's fact-relation LPs: tens of thousands of
-        // region columns against a few dozen equality rows.  A basic feasible
-        // solution never needs more columns than rows, so solve over a small
-        // working set and grow it by dual pricing (delayed column
-        // generation): a restricted phase-1 optimum with no negatively-priced
-        // excluded column proves infeasibility of the *full* problem, and any
-        // restricted feasible point zero-pads to a full feasible point.
-        if problem.objective.is_empty() && problem.num_vars >= WORKING_SET_MIN_VARS {
-            let (generated, cg_outcome) = self.column_generation_feasibility(problem, warm);
-            match generated {
-                ColumnGeneration::Feasible(values) => {
-                    let report = ViolationReport::evaluate(problem, &values);
-                    return Ok((
-                        LpSolution {
-                            objective: 0.0,
-                            status: SolveStatus::Feasible,
-                            total_violation: report.total_absolute_violation,
-                            solve_time: start.elapsed(),
-                            num_vars: problem.num_vars,
-                            num_constraints: problem.num_constraints(),
-                            values,
-                        },
-                        cg_outcome,
-                    ));
-                }
-                ColumnGeneration::Infeasible => {
-                    if let Some(solution) =
-                        self.column_generation_least_violation(problem, start, warm)
-                    {
-                        return Ok((solution, cg_outcome));
-                    }
-                }
-                ColumnGeneration::GaveUp => {}
-            }
-        }
-
-        let (detail, warm_outcome) = Simplex.solve_detailed_warm(problem, warm);
-        match detail.outcome {
-            SimplexOutcome::Optimal { values, objective } => {
-                let report = ViolationReport::evaluate(problem, &values);
-                Ok((
-                    LpSolution {
-                        values,
-                        objective,
-                        status: SolveStatus::Feasible,
-                        total_violation: report.total_absolute_violation,
-                        solve_time: start.elapsed(),
-                        num_vars: problem.num_vars,
-                        num_constraints: problem.num_constraints(),
-                    },
-                    warm_outcome,
-                ))
-            }
-            SimplexOutcome::Infeasible { .. } => {
-                // Credit the *recovery* solve's warm outcome — the strict
-                // pass necessarily fell short, but the hint can still close
-                // the elastic system's phase 1.
-                self.solve_least_violation(problem, start, warm)
-            }
-            SimplexOutcome::Unbounded => Err(LpError::Unbounded),
-            SimplexOutcome::IterationLimit => Err(LpError::IterationLimit),
-        }
-    }
-
-    /// Runs delayed column generation for pure feasibility.  A warm start
-    /// seeds the working set with the hinted columns: a previous solution's
-    /// support is usually a feasible basis already, so the first restricted
-    /// solve closes feasibility without any pricing rounds.
-    fn column_generation_feasibility(
-        &self,
-        problem: &LpProblem,
-        warm: Option<&WarmStart>,
-    ) -> (ColumnGeneration, WarmOutcome) {
         let n = problem.num_vars;
+        let hint = warm.filter(|w| !w.columns.is_empty() && w.columns.iter().all(|&j| j < n));
         let mut selected = initial_working_set(problem);
-        let mut warm_outcome = WarmOutcome::NotAttempted;
-        if let Some(w) = warm {
-            if !w.columns.is_empty() && w.columns.iter().all(|&j| j < n) {
-                for &j in &w.columns {
-                    selected[j] = true;
-                }
-                // Provisional: upgraded to `Hit` if the seeded working set
-                // closes feasibility without a single pricing round.
-                warm_outcome = WarmOutcome::FellBack;
-            }
+        for &j in hint.map_or(&[][..], |w| &w.columns) {
+            selected[j] = true;
         }
-        for round in 0..COLUMN_GENERATION_ROUNDS {
-            if selected.iter().all(|&s| s) {
-                return (ColumnGeneration::GaveUp, warm_outcome);
+        let priced = solve_priced(problem, selected)?;
+        // A hit closed on the seeded working set and rests on hinted
+        // columns: a junk hint riding on the seed is not a hit.
+        let warm_outcome = match hint {
+            None => WarmOutcome::NotAttempted,
+            Some(w) if !priced.grew && w.columns.iter().any(|&j| priced.values[j] > 1e-9) => {
+                WarmOutcome::Hit
             }
-            let (sub, columns) = restrict(problem, &selected);
-            let detail = Simplex.solve_detailed(&sub);
-            match detail.outcome {
-                crate::simplex::SimplexOutcome::Optimal { values, .. } => {
-                    let mut full = vec![0.0; n];
-                    for (slot, &j) in columns.iter().enumerate() {
-                        full[j] = values[slot];
-                    }
-                    // Credit the hint only when the seeded working set
-                    // closed feasibility without pricing rounds *and* the
-                    // found solution actually rests on hinted columns — a
-                    // junk hint riding on the heuristic seed is not a hit.
-                    if round == 0
-                        && warm_outcome == WarmOutcome::FellBack
-                        && warm.is_some_and(|w| {
-                            w.columns
-                                .iter()
-                                .any(|&j| full.get(j).is_some_and(|v| *v > 1e-9))
-                        })
-                    {
-                        warm_outcome = WarmOutcome::Hit;
-                    }
-                    return (ColumnGeneration::Feasible(full), warm_outcome);
-                }
-                crate::simplex::SimplexOutcome::Infeasible { .. } => {
-                    let Some(duals) = detail.duals else {
-                        return (ColumnGeneration::GaveUp, warm_outcome);
-                    };
-                    // Price excluded columns against the phase-1 duals: the
-                    // structural phase-1 cost is 0, so rc_j = -y·A_j.
-                    let added = price_and_add(problem, &duals, &mut selected);
-                    if added == 0 {
-                        // No column can lower the positive phase-1 optimum:
-                        // the full problem is infeasible, certified.
-                        return (ColumnGeneration::Infeasible, warm_outcome);
-                    }
-                }
-                _ => return (ColumnGeneration::GaveUp, warm_outcome),
-            }
-        }
-        (ColumnGeneration::GaveUp, warm_outcome)
-    }
-
-    /// Runs delayed column generation for the least-violation relaxation.
-    /// The elastic problem is always feasible, so each round solves to
-    /// optimality over the working set and prices the excluded structural
-    /// columns with the phase-2 duals; no negative price means the global
-    /// least-violation optimum has been reached.
-    fn column_generation_least_violation(
-        &self,
-        problem: &LpProblem,
-        start: Instant,
-        warm: Option<&WarmStart>,
-    ) -> Option<LpSolution> {
-        let n = problem.num_vars;
-        let mut selected = initial_working_set(problem);
-        if let Some(w) = warm {
-            if w.columns.iter().all(|&j| j < n) {
-                for &j in &w.columns {
-                    selected[j] = true;
-                }
-            }
-        }
-        for _round in 0..COLUMN_GENERATION_ROUNDS {
-            if selected.iter().all(|&s| s) {
-                return None;
-            }
-            let (sub, columns) = restrict(problem, &selected);
-            let soft = soften(&sub);
-            let detail = Simplex.solve_detailed(&soft);
-            match detail.outcome {
-                crate::simplex::SimplexOutcome::Optimal { values, .. } => {
-                    let duals = detail.duals?;
-                    let added = price_and_add(problem, &duals, &mut selected);
-                    if added > 0 {
-                        continue;
-                    }
-                    // Globally optimal: expand and classify.
-                    let mut full = vec![0.0; n];
-                    for (slot, &j) in columns.iter().enumerate() {
-                        full[j] = values[slot];
-                    }
-                    let report = ViolationReport::evaluate(problem, &full);
-                    let status =
-                        if report.total_absolute_violation <= feasibility_tolerance(problem) {
-                            SolveStatus::Feasible
-                        } else {
-                            SolveStatus::LeastViolation
-                        };
-                    return Some(LpSolution {
-                        values: full,
-                        objective: 0.0,
-                        status,
-                        total_violation: report.total_absolute_violation,
-                        solve_time: start.elapsed(),
-                        num_vars: problem.num_vars,
-                        num_constraints: problem.num_constraints(),
-                    });
-                }
-                _ => return None,
-            }
-        }
-        None
-    }
-
-    /// Solves the soft relaxation: every constraint `a·x op b` becomes
-    /// `a·x + s⁺ - s⁻ op b` (with the slack signs restricted according to the
-    /// operator) and `Σ(s⁺ + s⁻)` is minimized.
-    fn solve_least_violation(
-        &self,
-        problem: &LpProblem,
-        start: Instant,
-        warm: Option<&WarmStart>,
-    ) -> Result<(LpSolution, WarmOutcome), LpError> {
-        let n = problem.num_vars;
-        let soft = soften(problem);
-
-        // Structural columns keep their indices in the softened problem, so
-        // the hint stays valid — extended with the violation variables, which
-        // are what makes the elastic system feasible in the first place.
-        let soft_warm = warm.map(|w| {
-            let mut columns = w.columns.clone();
-            columns.extend(n..soft.num_vars);
-            WarmStart::new(columns)
-        });
-
-        let (detail, warm_outcome) = Simplex.solve_detailed_warm(&soft, soft_warm.as_ref());
-        match detail.outcome {
-            SimplexOutcome::Optimal { values, .. } => {
-                let values: Vec<f64> = values.into_iter().take(n).collect();
-                let report = ViolationReport::evaluate(problem, &values);
-                let status = if report.total_absolute_violation <= feasibility_tolerance(problem) {
+            Some(_) => WarmOutcome::FellBack,
+        };
+        let report = ViolationReport::evaluate(problem, &priced.values);
+        Ok((
+            LpSolution {
+                status: if priced.feasible {
                     SolveStatus::Feasible
                 } else {
                     SolveStatus::LeastViolation
-                };
-                let objective: f64 = problem.objective.iter().map(|(j, c)| c * values[*j]).sum();
-                Ok((
-                    LpSolution {
-                        values,
-                        objective,
-                        status,
-                        total_violation: report.total_absolute_violation,
-                        solve_time: start.elapsed(),
-                        num_vars: problem.num_vars,
-                        num_constraints: problem.num_constraints(),
-                    },
-                    warm_outcome,
-                ))
-            }
-            SimplexOutcome::Infeasible { phase1_objective } => {
-                Err(LpError::Infeasible { phase1_objective })
-            }
-            SimplexOutcome::Unbounded => Err(LpError::Unbounded),
-            SimplexOutcome::IterationLimit => Err(LpError::IterationLimit),
-        }
+                },
+                total_violation: report.total_absolute_violation,
+                solve_time: start.elapsed(),
+                num_vars: n,
+                num_constraints: problem.num_constraints(),
+                values: priced.values,
+            },
+            warm_outcome,
+        ))
     }
 }
 
@@ -606,14 +336,6 @@ mod tests {
         assert_eq!(sol.status, SolveStatus::LeastViolation);
         assert!((sol.total_violation - 2.0).abs() < 1e-5);
         assert!(sol.values[0] >= 5.0 - 1e-6 && sol.values[0] <= 7.0 + 1e-6);
-    }
-
-    #[test]
-    fn unbounded_propagates() {
-        let mut lp = LpProblem::new(1);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Ge, 1.0);
-        lp.set_objective(vec![(0, -1.0)]);
-        assert_eq!(LpSolver.solve(&lp).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -692,8 +414,8 @@ mod tests {
             lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 2.0);
             v.push(lp);
             v.push(blocky_lp(480.0));
-            // The PR 3 mixed-scale phase-1 tolerance fixture: a huge row
-            // target plus small-scale equalities that are exactly feasible.
+            // The mixed-scale tolerance fixture: a huge row target plus
+            // small-scale equalities that are exactly feasible.
             let mut lp = LpProblem::new(3);
             lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
             lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
@@ -727,12 +449,18 @@ mod tests {
 
     #[test]
     fn stale_warm_basis_falls_back_to_cold() {
-        // A hint pointing at columns that cannot span a feasible basis: only
-        // x0 is hinted, but feasibility needs x1 (x0 is capped below the
-        // demand).  The restricted pass must fail over to the full space.
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 10.0);
-        lp.set_upper_bound(0, 3.0);
+        // A hint whose columns cannot carry the solution: 60 columns must
+        // sum to 20 while columns 20..60 sum to 0 and every column is capped
+        // at 1, so each of columns 0..20 must hold 1.  The seed takes only
+        // 13 of those (the rest sit mid-order in both rows), so pricing has
+        // to bring the others in.
+        let mut lp = LpProblem::new(60);
+        lp.add_constraint((0..60).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 20.0);
+        lp.add_constraint((20..60).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 0.0);
+        for j in 0..60 {
+            lp.set_upper_bound(j, 1.0);
+        }
+        assert!(!initial_working_set(&lp)[15]);
         let solver = LpSolver;
         let (sol, outcome) = solver
             .solve_warm(&lp, Some(&WarmStart::new(vec![0])))
@@ -752,9 +480,8 @@ mod tests {
 
     #[test]
     fn warm_and_cold_reach_the_same_least_violation_compromise() {
-        // A unit-scale contradiction (the mixed-scale one is
-        // `simplex.rs::warm_start_respects_mixed_scale_infeasibility_detection`),
-        // where the violation is relatively significant.
+        // A unit-scale contradiction, where the violation is relatively
+        // significant.
         let mut lp = LpProblem::new(2);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 3.0);
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
@@ -767,6 +494,45 @@ mod tests {
         assert_eq!(cold.status, SolveStatus::LeastViolation);
         assert_eq!(warm.status, SolveStatus::LeastViolation);
         assert!((cold.total_violation - warm.total_violation).abs() < 1e-5);
+    }
+
+    #[test]
+    fn feasibility_tolerance_is_relative_to_rhs_scale() {
+        // At 1e10 scale, a 1e-3 absolute inconsistency is floating-point
+        // noise (what-if scenarios hit this): it reads as feasible.
+        let mut lp = LpProblem::new(2);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 2e10);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 3e10 + 1e-3);
+        let sol = LpSolver.solve(&lp).unwrap();
+        assert_eq!(sol.status, SolveStatus::Feasible);
+        assert!((sol.values[0] - 1e10).abs() < 1.0);
+        assert!((sol.values[1] - 2e10).abs() < 1.0);
+
+        // The same absolute gap at unit scale is a real contradiction.
+        let mut lp = LpProblem::new(2);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 5.0);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 12.001);
+        let sol = LpSolver.solve(&lp).unwrap();
+        assert_eq!(sol.status, SolveStatus::LeastViolation);
+        assert!((sol.total_violation - 0.001).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warm_start_keeps_a_mixed_scale_violation() {
+        // A unit-scale contradiction next to a 1e10 row target falls within
+        // the scale-relative tolerance, but its violation is still reported,
+        // warm-started or not.
+        let mut lp = LpProblem::new(2);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
+        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
+        for warm in [None, Some(WarmStart::new(vec![0, 1]))] {
+            let (sol, _) = LpSolver.solve_warm(&lp, warm.as_ref()).unwrap();
+            assert_eq!(sol.status, SolveStatus::Feasible, "warm {warm:?}");
+            assert!((sol.total_violation - 2.0).abs() < 1e-6, "warm {warm:?}");
+        }
     }
 
     /// The columns a working-set mask holds, ascending.
@@ -830,6 +596,121 @@ mod tests {
         }
     }
 
+    /// A 0/1 equality system wider than the seed takes: 40–300 columns,
+    /// 3–12 rows each over about half of them, and a total row.  The
+    /// right-hand sides are read off a hidden non-negative integer point
+    /// whose support sits on columns the seed tends to skip (median degree,
+    /// middle third by index), so pricing has to find them.  With `perturb`,
+    /// one row's right-hand side moves by up to ±40 (it may turn negative),
+    /// which usually makes the system infeasible.  Returns the system and
+    /// whether it is feasible by construction.
+    fn wide_system(perturb: bool) -> impl Strategy<Value = (LpProblem, bool)> {
+        (40usize..300, 3usize..12).prop_flat_map(move |(n, m)| {
+            let masks = proptest::collection::vec(proptest::collection::vec(any::<bool>(), n), m);
+            let point = proptest::collection::vec(0u32..16, n);
+            (masks, point, 0..m, -40i32..40).prop_map(move |(masks, point, row, delta)| {
+                let degree: Vec<usize> = (0..n)
+                    .map(|j| masks.iter().filter(|mask| mask[j]).count())
+                    .collect();
+                let mut sorted = degree.clone();
+                sorted.sort_unstable();
+                let median = sorted[n / 2];
+                let middle = n / 3..2 * n / 3;
+                // About one such column in four carries 1..=4 units.
+                let point: Vec<f64> = (0..n)
+                    .map(|j| match degree[j] == median && middle.contains(&j) {
+                        true => point[j].saturating_sub(11) as f64,
+                        false => 0.0,
+                    })
+                    .collect();
+                let mut lp = LpProblem::new(n);
+                let rows = masks
+                    .iter()
+                    .map(|mask| (0..n).filter(|&j| mask[j]).collect());
+                for (r, row_columns) in rows.chain([(0..n).collect::<Vec<usize>>()]).enumerate() {
+                    let mut rhs: f64 = row_columns.iter().map(|&j| point[j]).sum();
+                    if perturb && r == row {
+                        rhs += delta as f64;
+                    }
+                    let terms = row_columns.into_iter().map(|j| (j, 1.0)).collect();
+                    lp.add_constraint(terms, ConstraintOp::Eq, rhs);
+                }
+                (lp, !perturb || delta == 0)
+            })
+        })
+    }
+
+    /// `a` and `b` agree to 1e-6, relative to the larger (or to 1).
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0)
+    }
+
+    /// Status and total violation of the master over every column.
+    fn full_master(lp: &LpProblem) -> (SolveStatus, f64) {
+        let full = solve_priced(lp, vec![true; lp.num_vars]).unwrap();
+        let status = if full.feasible {
+            SolveStatus::Feasible
+        } else {
+            SolveStatus::LeastViolation
+        };
+        let violation = ViolationReport::evaluate(lp, &full.values).total_absolute_violation;
+        (status, violation)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Pricing from the seed reaches the optimum of the master that
+        /// holds every column from the start, feasible or not; a system
+        /// feasible by construction solves `Feasible`.
+        #[test]
+        fn pricing_reaches_the_full_master_optimum(
+            (lp, feasible) in wide_system(false),
+            (soft, soft_feasible) in wide_system(true),
+        ) {
+            for (lp, feasible) in [(lp, feasible), (soft, soft_feasible)] {
+                let sol = LpSolver.solve(&lp).unwrap();
+                let (status, violation) = full_master(&lp);
+                prop_assert_eq!(sol.status, status);
+                prop_assert!(close(sol.total_violation, violation),
+                    "priced {} vs full {}", sol.total_violation, violation);
+                if feasible {
+                    prop_assert_eq!(sol.status, SolveStatus::Feasible);
+                }
+            }
+        }
+
+        /// The master started on any working set, the empty one included,
+        /// prices its way to the full master's optimum.
+        #[test]
+        fn pricing_from_any_working_set_reaches_the_full_optimum(
+            (lp, _) in wide_system(true),
+            mask in proptest::collection::vec(0u32..8, 300),
+        ) {
+            let selected: Vec<bool> = (0..lp.num_vars).map(|j| mask[j] == 0).collect();
+            let priced = solve_priced(&lp, selected).unwrap();
+            let violation = ViolationReport::evaluate(&lp, &priced.values).total_absolute_violation;
+            let (status, full) = full_master(&lp);
+            prop_assert_eq!(priced.feasible, status == SolveStatus::Feasible);
+            prop_assert!(close(violation, full), "priced {} vs full {}", violation, full);
+        }
+
+        /// A warm hint — any subset of the columns, possibly empty — gives
+        /// the status and total violation of the cold solve.
+        #[test]
+        fn warm_hint_changes_neither_status_nor_violation(
+            (lp, _) in wide_system(true),
+            mask in proptest::collection::vec(any::<bool>(), 300),
+        ) {
+            let hint: Vec<usize> = (0..lp.num_vars).filter(|&j| mask[j]).collect();
+            let cold = LpSolver.solve(&lp).unwrap();
+            let (warm, _) = LpSolver.solve_warm(&lp, Some(&WarmStart::new(hint))).unwrap();
+            prop_assert_eq!(warm.status, cold.status);
+            prop_assert!(close(warm.total_violation, cold.total_violation),
+                "warm {} vs cold {}", warm.total_violation, cold.total_violation);
+        }
+    }
+
     #[test]
     fn working_set_seed_takes_both_ends_of_long_constraints() {
         // One 40-column constraint plus the total row: 26 of the 40 are
@@ -848,9 +729,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_seeds_the_column_generation_path() {
-        // Big enough to take the delayed-column-generation fast path
-        // (>= WORKING_SET_MIN_VARS), structured like a fact-relation LP.
+    fn warm_start_seeds_the_working_set() {
+        // Wider than the seed takes, structured like a fact-relation LP.
         let n = 1500usize;
         let mut lp = LpProblem::new(n);
         for k in 0..10 {

@@ -827,7 +827,7 @@ mod tests {
 
         // A cardinality re-annotation on S only (same boxes, new demand):
         // S re-solves (warm — the re-swept partition equals the previous one
-        // and the old support closes phase 1), T is untouched, and R re-solves
+        // and the old support closes without pricing), T is untouched, and R re-solves
         // because its FK projection reads the changed S summary.
         let mut revised = constraints.clone();
         revised.get_mut("S").unwrap()[0].cardinality = 50;

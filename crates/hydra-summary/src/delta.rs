@@ -10,9 +10,9 @@
 //!   partitioning, no LP, bit-identical output);
 //! * **changed signature** → the relation re-solves, but the previous
 //!   solution's support is carried into the re-swept partition and
-//!   warm-starts the simplex ([`DeltaAction::WarmSolved`] when the warm
-//!   basis closed phase 1, [`DeltaAction::ColdSolved`] when the hint was
-//!   stale and the solver fell back).
+//!   warm-starts the LP ([`DeltaAction::WarmSolved`] when the working set
+//!   seeded with it closed without pricing, [`DeltaAction::ColdSolved`]
+//!   when the hint was stale and the solver fell back).
 //!
 //! The support is all a later build reads of a solve, so a retained
 //! baseline keeps only that ([`SolveBaseline::support_only`]): the regions
@@ -133,8 +133,9 @@ pub enum DeltaAction {
     /// Constraint signature unchanged: the previous summary was reused
     /// without partitioning or solving.
     Reused,
-    /// Re-solved, and the previous solution's support closed phase 1 — the
-    /// solver never had to look beyond the warm basis.
+    /// Re-solved, and the working set seeded with the previous solution's
+    /// support closed without pricing — the solver never had to look beyond
+    /// it.
     WarmSolved,
     /// Re-solved from scratch (no previous solve, or a stale warm basis the
     /// solver fell back from).

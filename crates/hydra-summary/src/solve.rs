@@ -2,10 +2,11 @@
 //!
 //! One LP variable per region of the relation's region partition, one equality
 //! constraint per (deduplicated) volumetric constraint, plus the relation's
-//! total row count.  The LP is solved by `hydra-lp`'s simplex; if the workload
-//! is inconsistent (which can happen for what-if scenarios with injected
-//! cardinalities) the solver falls back to a least-violation solution, exactly
-//! the "minor additive errors" the paper tolerates.
+//! total row count.  The LP is solved by `hydra-lp`'s elastic master, which
+//! minimizes the total violation: if the workload is inconsistent (which can
+//! happen for what-if scenarios with injected cardinalities) its optimum is a
+//! least-violation solution, exactly the "minor additive errors" the paper
+//! tolerates.
 
 use crate::axes::RelationAxes;
 use crate::error::SummaryResult;
@@ -248,9 +249,8 @@ pub fn solve_relation(
     for (_, boxes) in &pre.boxed {
         partitioner = partitioner.add_constraint_union(boxes.clone());
     }
-    // A previous solve with no support carries nothing to warm-start from
-    // (and an empty hint is not the same as none: the least-violation
-    // solve would still seed its elastic columns), so it solves cold.
+    // A previous solve with no support carries nothing to warm-start from,
+    // so it solves cold.
     let usable_previous = previous.filter(|prev| {
         !prev.support().is_empty() && check_refinable(&prev.partition, axes.space.dims()).is_ok()
     });

@@ -12,7 +12,7 @@
 //! | [`catalog`] | `hydra-catalog` | schema, value model, statistics, metadata transfer |
 //! | [`query`] | `hydra-query` | SPJ queries, logical plans, annotated query plans (AQPs) |
 //! | [`engine`] | `hydra-engine` | in-memory relational executor with cardinality instrumentation |
-//! | [`lp`] | `hydra-lp` | LP model + two-phase simplex solver (Z3 substitute) |
+//! | [`lp`] | `hydra-lp` | LP model + elastic restricted-master simplex (Z3 substitute) |
 //! | [`partition`] | `hydra-partition` | region partitioning (HYDRA) and grid partitioning (DataSynth baseline) |
 //! | [`summary`] | `hydra-summary` | LP formulation, deterministic alignment, database summaries, verification |
 //! | [`datagen`] | `hydra-datagen` | dynamic tuple generation, velocity regulation, dataless databases |
