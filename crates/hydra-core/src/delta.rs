@@ -103,6 +103,22 @@ fn row_targets(package: &TransferPackage) -> BTreeMap<String, u64> {
         .collect()
 }
 
+impl TransferPackage {
+    /// The package a delta evolves this one into: the delta merged into the
+    /// workload, and the client metadata revised where the delta observed
+    /// new row counts (a drifted warehouse).  [`VendorSite::apply_delta`]
+    /// solves this package, and a durable registry re-derives a delta
+    /// version's package with it instead of logging the package again.
+    pub fn apply_delta(&self, delta: &WorkloadDelta) -> HydraResult<TransferPackage> {
+        let workload = self.workload.apply_delta(delta)?;
+        let mut metadata = self.metadata.clone();
+        for (table, rows) in &delta.row_counts {
+            metadata.tables.entry(table.clone()).or_default().row_count = *rows;
+        }
+        Ok(TransferPackage::new(metadata, workload))
+    }
+}
+
 impl VendorSite {
     /// [`VendorSite::regenerate`] retaining the per-relation solve artifacts
     /// needed for incremental evolution (and for what-if scenarios against
@@ -158,30 +174,9 @@ impl VendorSite {
         prev: &RegenerationState,
         delta: &WorkloadDelta,
     ) -> HydraResult<DeltaOutcome> {
-        // 1. Merge the delta into the workload and the constraint set
-        //    (constraints of untouched queries are reused verbatim).
-        let merged_workload = prev.package.workload.apply_delta(delta)?;
-        let constraints = prev.constraints.merge_delta(&merged_workload, delta)?;
-
-        // 2. Revise the client metadata where the delta observed new row
-        //    counts (a drifted warehouse).
-        let mut metadata = prev.package.metadata.clone();
-        for (table, rows) in &delta.row_counts {
-            if let Some(stats) = metadata.tables.get_mut(table) {
-                stats.row_count = *rows;
-            } else {
-                metadata.tables.insert(
-                    table.clone(),
-                    hydra_catalog::stats::TableStatistics {
-                        row_count: *rows,
-                        ..Default::default()
-                    },
-                );
-            }
-        }
-
-        // 3. Incremental rebuild against the previous baseline.
-        let package = TransferPackage::new(metadata, merged_workload);
+        // The constraints of untouched queries are reused verbatim.
+        let package = prev.package.apply_delta(delta)?;
+        let constraints = prev.constraints.merge_delta(&package.workload, delta)?;
         self.rebuild(package, constraints, &prev.baseline)
     }
 

@@ -388,6 +388,22 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "Bytes appended to the write-ahead log (framing included)",
     },
     FamilyDesc {
+        name: "hydra_wal_record_relations_total",
+        kind: MetricKind::Counter,
+        unit: Unit::Count,
+        label_key: "form",
+        layer: "wal",
+        help: "Relations per appended WAL record: inline (logged) or base (named by reference to version - 1)",
+    },
+    FamilyDesc {
+        name: "hydra_wal_snapshot_bytes_total",
+        kind: MetricKind::Counter,
+        unit: Unit::Bytes,
+        label_key: "",
+        layer: "wal",
+        help: "Bytes written to snapshot files by checkpoints (footer included)",
+    },
+    FamilyDesc {
         name: "hydra_wal_checkpoints_total",
         kind: MetricKind::Counter,
         unit: Unit::Count,

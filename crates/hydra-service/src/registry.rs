@@ -17,15 +17,20 @@
 //! durable ([`SummaryRegistry::durable`]); both commit every version
 //! through one path that assigns the version under the commit mutex and
 //! then inserts it into the chain.  A durable registry additionally
-//! appends the operation *and the solved state* (package, build report and
-//! the support-only solve baseline) to an fsync'd write-ahead log **before**
-//! the version becomes visible, and periodic checkpoints serialize all
-//! retained versions into an immutable, checksummed snapshot file
-//! (truncating the WAL).  Boot loads the snapshot and replays the WAL —
-//! **zero cold LP solves**, full version chains intact, torn WAL tails
-//! truncated in place.  A record or snapshot that passed its checksum but
-//! does not decode or restore fails the boot: serving a chain with a hole
-//! would let the next publish re-issue an acknowledged version number.
+//! appends the version's [`WalRecord`] to an fsync'd write-ahead log
+//! **before** the version becomes visible, and periodic checkpoints write
+//! every retained version's record into an immutable, checksummed snapshot
+//! file (truncating the WAL).  One encoder writes both files: a publish is
+//! logged in full (package, build report, support-only solve baseline); a
+//! delta as its [`WorkloadDelta`], its build report and only the relations
+//! it re-solved — the rest, and the package, are re-derived from
+//! `name@version-1`, so a version costs what changed on disk.  Boot loads
+//! the snapshot and replays the WAL — **zero cold LP solves**, full version
+//! chains intact, torn WAL tails truncated in place.  A record or snapshot
+//! that passed its checksum but does not decode or restore, or a delta
+//! record whose base was not restored, fails the boot: serving a chain with
+//! a hole would let the next publish re-issue an acknowledged version
+//! number.
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::protocol::{
@@ -39,32 +44,40 @@ use hydra_datagen::generator::DynamicGenerator;
 use hydra_lp::solver::SolveStatus;
 use hydra_query::delta::WorkloadDelta;
 use hydra_summary::builder::SummaryBuildReport;
-use hydra_summary::delta::SolveBaseline;
+use hydra_summary::delta::{RelationBaseline, SolveBaseline};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// The complete solved state of one version: the package it was solved
-/// from, the build report describing how, and the per-relation baseline
-/// (signatures, summaries, LP supports).  This is what the WAL and snapshot
-/// files carry — enough to rebuild a servable entry with **zero** LP solves
-/// via [`Hydra::restore_stateful`].  The baseline is written support-only;
-/// a full one (as older registries wrote it) restores the same way.
+/// The solved state a record logs: enough, together with `name@version-1`
+/// for a delta record, to rebuild a servable entry with **zero** LP solves
+/// via [`Hydra::restore_stateful`].
+///
+/// A *full* record carries the package and every relation.  A *delta*
+/// record (no package) carries only the relations whose signature differs
+/// from version − 1's: a relation with an unchanged signature was reused by
+/// construction, so it takes its signature, support and summary from
+/// version − 1 and its stats from this record's report, and the package is
+/// version − 1's with the delta applied ([`TransferPackage::apply_delta`]).
+/// The baseline is written support-only; a full one (as older registries
+/// wrote it) restores the same way.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolvedState {
-    /// The (merged) transfer package.
-    pub package: TransferPackage,
+    /// The (merged) transfer package; `None` on a delta record.
+    pub package: Option<TransferPackage>,
     /// The build report of the original solve, reattached verbatim on
     /// recovery so descriptions stay bit-identical across restarts.
     pub report: SummaryBuildReport,
-    /// Per-relation solve artifacts.
+    /// Per-relation solve artifacts: every relation on a full record, the
+    /// re-solved ones on a delta record.
     pub baseline: SolveBaseline,
 }
 
-/// The operation a WAL record logs.
+/// The operation that produced a version.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum WalOp {
     /// A full publish; the package is `WalRecord::solved.package`.
@@ -76,32 +89,26 @@ pub enum WalOp {
     },
 }
 
-/// One write-ahead log record: the operation plus the full resulting solved
-/// state, appended (and fsync'd) before the version becomes visible.
+/// One version as the WAL and snapshots log it: the operation plus the
+/// resulting solved state, appended (and fsync'd) before the version
+/// becomes visible.  A snapshot is every name's records in version order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WalRecord {
     /// Registry name.
     pub name: String,
     /// The version this record commits.
     pub version: u32,
-    /// What produced it.
-    pub op: WalOp,
-    /// The full solved state of the committed version.
+    /// What produced it; `None` on the entries of snapshots written before
+    /// records carried it (those are full records).
+    pub op: Option<WalOp>,
+    /// The solved state of the committed version.
     pub solved: SolvedState,
 }
 
-/// One retained version inside a snapshot file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SnapshotEntry {
-    name: String,
-    version: u32,
-    solved: SolvedState,
-}
-
-/// A checkpoint: every retained version of every name at snapshot time.
+/// A checkpoint: the record of every retained version at snapshot time.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct SnapshotFile {
-    entries: Vec<SnapshotEntry>,
+    entries: Vec<WalRecord>,
 }
 
 /// What a durable boot recovered (reported by [`SummaryRegistry::durable`]).
@@ -131,28 +138,58 @@ pub struct RegistryEntry {
     /// The evolvable regeneration state (package + summary + baseline).
     state: RegenerationState,
     detail: SummaryDetail,
+    /// What produced this version, as its record logs it.
+    op: Option<WalOp>,
 }
 
 impl RegistryEntry {
     /// Wraps a solved (published, delta-merged or recovered) state as an
     /// entry.  A fresh commit passes version 0; [`SummaryRegistry::commit`]
     /// assigns the real one.
-    fn new(name: &str, version: u32, state: RegenerationState) -> ServiceResult<Self> {
+    fn new(
+        name: &str,
+        version: u32,
+        state: RegenerationState,
+        op: Option<WalOp>,
+    ) -> ServiceResult<Self> {
         let detail = describe(name, version, &state.package, &state.regeneration)?;
         Ok(RegistryEntry {
             name: name.to_string(),
             version,
             state,
             detail,
+            op,
         })
     }
 
-    /// The full solved state of this entry, as the WAL and snapshots log it.
-    fn solved_state(&self) -> SolvedState {
-        SolvedState {
-            package: self.state.package.clone(),
-            report: self.state.regeneration.build_report.clone(),
-            baseline: self.state.baseline().clone(),
+    /// This version's record — the one encoder of the WAL and snapshots.  A
+    /// delta version whose predecessor `base` (`name@version-1`) is given
+    /// logs only the relations whose signature differs from `base`'s; any
+    /// other version logs in full.
+    fn record(&self, base: Option<&RegistryEntry>) -> WalRecord {
+        let baseline = self.state.baseline();
+        let (package, relations) = match (&self.op, base) {
+            (Some(WalOp::Delta { .. }), Some(base)) => {
+                let prev = &base.state.baseline().relations;
+                let changed = baseline
+                    .relations
+                    .iter()
+                    .filter(|(table, r)| prev.get(*table).map(|p| p.signature) != Some(r.signature))
+                    .map(|(table, r)| (table.clone(), r.clone()))
+                    .collect();
+                (None, changed)
+            }
+            _ => (Some(self.state.package.clone()), baseline.relations.clone()),
+        };
+        WalRecord {
+            name: self.name.clone(),
+            version: self.version,
+            op: self.op.clone(),
+            solved: SolvedState {
+                package,
+                report: self.state.regeneration.build_report.clone(),
+                baseline: SolveBaseline { relations },
+            },
         }
     }
 
@@ -164,6 +201,11 @@ impl RegistryEntry {
     /// The solved regeneration (summary, reports, schema).
     pub fn regeneration(&self) -> &RegenerationResult {
         &self.state.regeneration
+    }
+
+    /// The per-relation solve artifacts (support-only) this entry retains.
+    pub fn baseline(&self) -> &SolveBaseline {
+        self.state.baseline()
     }
 
     /// Registry-level description (name, version, sizes).
@@ -342,10 +384,7 @@ impl Source {
 /// What a commit records: a full publish, or a delta merged onto `base`.
 enum Commit<'a> {
     Publish,
-    Delta {
-        base: &'a Arc<RegistryEntry>,
-        delta: &'a WorkloadDelta,
-    },
+    Delta { base: &'a Arc<RegistryEntry> },
 }
 
 /// A concurrent store of solved summaries, in memory or WAL-backed.
@@ -438,25 +477,27 @@ impl SummaryRegistry {
             .enumerate()
             .map(|(index, payload)| {
                 decode::<WalRecord>(payload)
-                    .map(|r| (Source::Wal, r.name, r.version, r.solved))
+                    .map(|r| (Source::Wal, r))
                     .map_err(|e| unrecoverable(&wal_path, &format!("record {}", index + 1), e))
             });
 
-        // 3. One restore loop over both sources, snapshot first.
+        // 3. One restore loop over both sources, snapshot first; a delta
+        //    record resolves against the already-restored `name@version-1`.
         let recovered = snapshot
             .entries
             .into_iter()
-            .map(|e| Ok((Source::Snapshot, e.name, e.version, e.solved)))
+            .map(|r| Ok((Source::Snapshot, r)))
             .chain(wal_records);
         for item in recovered {
-            let (source, name, version, solved) = item?;
+            let (source, record) = item?;
             let path = match source {
                 Source::Snapshot => &snapshot_path,
                 Source::Wal => &wal_path,
             };
+            let what = format!("entry {}@{}", record.name, record.version);
             registry
-                .recover(source, &name, version, solved)
-                .map_err(|e| unrecoverable(path, &format!("entry {name}@{version}"), e))?;
+                .recover(source, record)
+                .map_err(|e| unrecoverable(path, &what, e))?;
         }
 
         let wal = hydra_wal::Wal::open(&wal_path)?;
@@ -479,21 +520,57 @@ impl SummaryRegistry {
     }
 
     /// Restores one recovered version with zero LP solves and inserts it,
-    /// unless an earlier source already covers `name@version`.
-    fn recover(
-        &mut self,
-        source: Source,
-        name: &str,
-        version: u32,
-        solved: SolvedState,
-    ) -> ServiceResult<()> {
-        if self.get_version(name, version).is_some() {
+    /// unless an earlier source already covers `name@version`.  A delta
+    /// record is resolved against the restored `name@version-1`; a missing
+    /// base is an error, never a hole.
+    fn recover(&mut self, source: Source, record: WalRecord) -> Result<(), String> {
+        let WalRecord {
+            name,
+            version,
+            op,
+            solved,
+        } = record;
+        if self.get_version(&name, version).is_some() {
             return Ok(()); // already covered (the snapshot holds this WAL record)
         }
-        let state =
-            self.session
-                .restore_stateful(&solved.package, solved.report, solved.baseline)?;
-        self.insert_version(Arc::new(RegistryEntry::new(name, version, state)?));
+        let (package, baseline) = match (solved.package, &op) {
+            (Some(package), _) => (package, solved.baseline),
+            (None, Some(WalOp::Delta { delta })) => {
+                let base_version = version.saturating_sub(1);
+                let base = self
+                    .get_version(&name, base_version)
+                    .ok_or_else(|| format!("its base {name}@{base_version} was not restored"))?;
+                let package = base
+                    .state
+                    .package
+                    .apply_delta(delta)
+                    .map_err(|e| e.to_string())?;
+                let prev = &base.state.baseline().relations;
+                let mut relations = solved.baseline.relations;
+                for stats in &solved.report.relations {
+                    if let Entry::Vacant(slot) = relations.entry(stats.table.clone()) {
+                        let reused = prev.get(&stats.table).ok_or_else(|| {
+                            format!(
+                                "relation `{}` is neither logged nor in {name}@{base_version}",
+                                stats.table
+                            )
+                        })?;
+                        slot.insert(RelationBaseline {
+                            stats: stats.clone(),
+                            ..reused.clone()
+                        });
+                    }
+                }
+                (package, SolveBaseline { relations })
+            }
+            (None, _) => return Err("a record without a package must be a delta".to_string()),
+        };
+        let state = self
+            .session
+            .restore_stateful(&package, solved.report, baseline)
+            .map_err(|e| e.to_string())?;
+        let entry = RegistryEntry::new(&name, version, state, op).map_err(|e| e.to_string())?;
+        self.insert_version(Arc::new(entry));
         match source {
             Source::Snapshot => self.recovery.snapshot_versions += 1,
             Source::Wal => self.recovery.wal_versions += 1,
@@ -567,19 +644,11 @@ impl SummaryRegistry {
         entry.version = version;
         entry.detail.info.version = version;
         if let Some(dur) = durable.as_mut() {
-            let op = match op {
-                Commit::Publish => WalOp::Publish,
-                Commit::Delta { delta, .. } => WalOp::Delta {
-                    delta: delta.clone(),
-                },
+            let base = match op {
+                Commit::Publish => None,
+                Commit::Delta { base } => Some(&**base),
             };
-            let record = WalRecord {
-                name: entry.name.clone(),
-                version,
-                op,
-                solved: entry.solved_state(),
-            };
-            self.wal_append(dur, &record)?;
+            self.wal_append(dur, &entry.record(base))?;
         }
         let entry = Arc::new(entry);
         self.insert_version(Arc::clone(&entry));
@@ -608,13 +677,20 @@ impl SummaryRegistry {
         dur.records_in_wal += 1;
         let metrics = self.session.metrics();
         let op = match record.op {
-            WalOp::Publish => "publish",
-            WalOp::Delta { .. } => "delta",
+            Some(WalOp::Delta { .. }) => "delta",
+            _ => "publish",
         };
         metrics
             .counter_labeled("hydra_wal_records_total", "op", op)
             .inc();
         metrics.counter("hydra_wal_bytes_total").add(bytes);
+        let inline = record.solved.baseline.len();
+        let reused = record.solved.report.relations.len().saturating_sub(inline);
+        for (form, count) in [("inline", inline), ("base", reused)] {
+            metrics
+                .counter_labeled("hydra_wal_record_relations_total", "form", form)
+                .add(count as u64);
+        }
         Ok(())
     }
 
@@ -630,33 +706,34 @@ impl SummaryRegistry {
         }
     }
 
-    /// Serializes every retained version into a new immutable snapshot,
-    /// then truncates the WAL.  Crash-ordering: the snapshot becomes
-    /// visible (rename + dir fsync) *before* the WAL shrinks, so every
-    /// committed version is always in at least one of the two.
+    /// Writes every retained version's record — each encoded against its
+    /// chain predecessor, as the WAL encodes it — into a new immutable
+    /// snapshot, then truncates the WAL.  Crash-ordering: the snapshot
+    /// becomes visible (rename + dir fsync) *before* the WAL shrinks, so
+    /// every committed version is always in at least one of the two.
     fn checkpoint_locked(&self, dur: &mut DurableState) -> ServiceResult<()> {
-        let entries: Vec<SnapshotEntry> = {
+        let entries: Vec<WalRecord> = {
             let map = self.entries.read().expect("registry lock poisoned");
             map.values()
-                .flat_map(|chain| chain.values())
-                .map(|e| SnapshotEntry {
-                    name: e.name.clone(),
-                    version: e.version,
-                    solved: e.solved_state(),
+                .flat_map(|chain| {
+                    chain.values().map(|e| {
+                        let base = e.version.checked_sub(1).and_then(|v| chain.get(&v));
+                        e.record(base.map(|b| &**b))
+                    })
                 })
                 .collect()
         };
         let payload = serde_json::to_string(&SnapshotFile { entries })
             .map_err(|e| ServiceError::Protocol(e.to_string()))?;
         let seq = dur.next_snapshot_seq;
-        hydra_wal::write_snapshot(&dur.dir.join(snapshot_name(seq)), payload.as_bytes())?;
+        let bytes =
+            hydra_wal::write_snapshot(&dur.dir.join(snapshot_name(seq)), payload.as_bytes())?;
         dur.next_snapshot_seq += 1;
         dur.wal.truncate()?;
         dur.records_in_wal = 0;
-        self.session
-            .metrics()
-            .counter("hydra_wal_checkpoints_total")
-            .inc();
+        let metrics = self.session.metrics();
+        metrics.counter("hydra_wal_checkpoints_total").inc();
+        metrics.counter("hydra_wal_snapshot_bytes_total").add(bytes);
         // Keep the newest snapshot plus one fallback; prune the rest.
         if let Ok(snaps) = snapshot_paths(&dur.dir) {
             for (_, path) in snaps.iter().rev().skip(2) {
@@ -690,7 +767,8 @@ impl SummaryRegistry {
             )));
         }
         let state = self.session.regenerate_stateful(&package)?;
-        let entry = self.commit(RegistryEntry::new(name, 0, state)?, Commit::Publish)?;
+        let entry = RegistryEntry::new(name, 0, state, Some(WalOp::Publish))?;
+        let entry = self.commit(entry, Commit::Publish)?;
         Ok(entry.expect("a publish commit always lands"))
     }
 
@@ -706,8 +784,9 @@ impl SummaryRegistry {
     /// delta lands on the same name while this delta solves, the merge is
     /// transparently retried against the new base — so versions stay
     /// strictly monotonic and a reader never observes a summary that mixes
-    /// two bases.  In durable mode the WAL record (delta + solved state) is
-    /// appended and fsync'd before the new version becomes visible.
+    /// two bases.  In durable mode the WAL record (the delta, its report and
+    /// the re-solved relations) is appended and fsync'd before the new
+    /// version becomes visible.
     pub fn delta_publish(
         &self,
         name: &str,
@@ -721,8 +800,11 @@ impl SummaryRegistry {
                 .session
                 .profile_delta(&base.state, delta)
                 .map_err(ServiceError::Hydra)?;
-            let entry = RegistryEntry::new(name, 0, outcome.state)?;
-            let Some(entry) = self.commit(entry, Commit::Delta { base: &base, delta })? else {
+            let op = WalOp::Delta {
+                delta: delta.clone(),
+            };
+            let entry = RegistryEntry::new(name, 0, outcome.state, Some(op))?;
+            let Some(entry) = self.commit(entry, Commit::Delta { base: &base })? else {
                 continue; // base moved while we solved; re-merge
             };
             let (added, removed, resized) =

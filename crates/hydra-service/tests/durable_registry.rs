@@ -12,7 +12,7 @@ use hydra_service::registry::{SolvedState, SummaryRegistry, WalOp, WalRecord};
 use hydra_summary::builder::SummaryBuilder;
 use hydra_workload::{harvest_workload, retail_client_fixture};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn session() -> Hydra {
     Hydra::builder().build()
@@ -316,9 +316,9 @@ fn full_baseline_wal_records_recover_support_only() {
     let record = WalRecord {
         name: "retail".to_string(),
         version: 1,
-        op: WalOp::Publish,
+        op: Some(WalOp::Publish),
         solved: SolvedState {
-            package: package.clone(),
+            package: Some(package.clone()),
             report,
             baseline: full,
         },
@@ -379,4 +379,234 @@ fn stale_tmp_files_are_swept_on_startup() {
         registry.is_empty(),
         "a staging file is not a registry entry"
     );
+}
+
+fn json(value: &impl serde::Serialize) -> String {
+    serde_json::to_string(value).expect("encode")
+}
+
+/// Every byte a reader can observe of one version: package, baseline,
+/// build report and `Describe` detail, each as JSON.
+fn version_bytes(registry: &SummaryRegistry, name: &str, version: u32) -> [String; 4] {
+    let entry = registry
+        .get_version(name, version)
+        .unwrap_or_else(|| panic!("{name}@{version} missing"));
+    [
+        json(entry.package()),
+        json(entry.baseline()),
+        json(&entry.regeneration().build_report),
+        json(&entry.detail()),
+    ]
+}
+
+fn counter(session: &Hydra, family: &str) -> u64 {
+    session.metrics().counter(family).value()
+}
+
+fn relations_logged(session: &Hydra, form: &str) -> u64 {
+    session
+        .metrics()
+        .counter_labeled("hydra_wal_record_relations_total", "form", form)
+        .value()
+}
+
+/// The byte-level differential: two names, interleaved, each published,
+/// delta'd three times, re-published and delta'd twice more, at every
+/// checkpoint interval.  Every version recovers byte-identical (package,
+/// baseline, report, `Describe`) with zero LP solves, and every delta
+/// record is under half the size of its chain's publish record.
+#[test]
+fn delta_records_recover_byte_identical_at_every_checkpoint_interval() {
+    let fixtures: Vec<_> = [400u64, 500]
+        .iter()
+        .map(|&rows| retail_client_fixture(rows, 150, 4))
+        .collect();
+    let names = ["retail-a", "retail-b"];
+    for checkpoint_every in [1usize, 2, 3, 1000] {
+        let dir = temp_dir(&format!("differential-{checkpoint_every}"));
+        let mut truth: Vec<(&str, u32, [String; 4])> = Vec::new();
+        {
+            let session = session();
+            let registry =
+                SummaryRegistry::durable(session.clone(), &dir, checkpoint_every).expect("open");
+            // One step per name and round, interleaved: a publish, or a
+            // delta (narrow web_sales queries, or a drifted row count).
+            let mut publish_bytes = [0u64; 2];
+            let (mut inline, mut by_base) = (0u64, 0u64);
+            for step in 0..8u32 {
+                for (i, name) in names.iter().enumerate() {
+                    let (db, queries) = &fixtures[i];
+                    let before = counter(&session, "hydra_wal_bytes_total");
+                    let checkpoints = counter(&session, "hydra_wal_checkpoints_total");
+                    let snapshot_bytes = counter(&session, "hydra_wal_snapshot_bytes_total");
+                    let version = if step == 0 || step == 4 {
+                        let (db, queries) = if step == 0 {
+                            (db.clone(), queries.clone())
+                        } else {
+                            retail_client_fixture(450 + 50 * i as u64, 150, 4)
+                        };
+                        let package = session.profile(db, &queries).expect("profile");
+                        let entry = registry.publish(name, package).expect("publish");
+                        publish_bytes[i] = counter(&session, "hydra_wal_bytes_total") - before;
+                        entry.version
+                    } else {
+                        let delta = if step % 3 == 2 {
+                            WorkloadDelta::new()
+                                .with_row_count("store_sales", 600 + 10 * step as u64)
+                        } else {
+                            narrow_delta(db, &format!("{name}-drift-{step}"), 20 + 5 * step as i64)
+                        };
+                        let published = registry.delta_publish(name, &delta).expect("delta");
+                        let bytes = counter(&session, "hydra_wal_bytes_total") - before;
+                        assert!(
+                            2 * bytes < publish_bytes[i],
+                            "{name}@{}: delta record {bytes} B vs publish record {} B",
+                            published.info.version,
+                            publish_bytes[i]
+                        );
+                        let reused = published.report.reused() as u64;
+                        inline += published.report.relations.len() as u64 - reused;
+                        by_base += reused;
+                        published.info.version
+                    };
+                    assert_eq!(version, step + 1);
+                    // A checkpoint counts exactly the snapshot file it wrote.
+                    if counter(&session, "hydra_wal_checkpoints_total") > checkpoints {
+                        let newest = dir.join(format!("snapshot-{checkpoints:010}.snap"));
+                        assert_eq!(
+                            counter(&session, "hydra_wal_snapshot_bytes_total") - snapshot_bytes,
+                            std::fs::metadata(newest).expect("newest snapshot").len()
+                        );
+                    }
+                    truth.push((name, version, version_bytes(&registry, name, version)));
+                }
+            }
+            // Publishes log every relation inline; a delta its re-solved
+            // relations inline and its reused ones by reference.
+            let relations = truth[0].2[3].matches("\"table\"").count() as u64;
+            assert_eq!(relations_logged(&session, "inline"), 4 * relations + inline);
+            assert_eq!(relations_logged(&session, "base"), by_base);
+            assert!(by_base > 0, "the deltas reuse relations");
+            assert_eq!(
+                counter(&session, "hydra_wal_checkpoints_total"),
+                16 / checkpoint_every as u64
+            );
+        }
+
+        let session = session();
+        let registry =
+            SummaryRegistry::durable(session.clone(), &dir, checkpoint_every).expect("reopen");
+        let recovery = registry.recovery_report();
+        assert_eq!(
+            recovery.snapshot_versions + recovery.wal_versions,
+            16,
+            "every {checkpoint_every}: {recovery:?}"
+        );
+        assert_eq!(
+            lp_solves(&session),
+            0,
+            "recovery must not run the LP solver"
+        );
+        for (name, version, bytes) in &truth {
+            assert!(
+                version_bytes(&registry, name, *version) == *bytes,
+                "{name}@{version} must recover byte-identical (checkpoint every {checkpoint_every})"
+            );
+        }
+        // A checkpoint of the recovered chains re-encodes them identically.
+        registry.checkpoint().expect("checkpoint");
+        drop(registry);
+        let registry =
+            SummaryRegistry::durable(session.clone(), &dir, checkpoint_every).expect("reboot");
+        assert_eq!(lp_solves(&session), 0);
+        for (name, version, bytes) in &truth {
+            assert!(version_bytes(&registry, name, *version) == *bytes);
+        }
+    }
+}
+
+/// Flips one byte of `path`'s snapshot footer so its checksum fails.
+fn corrupt_footer(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("read snapshot");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(path, &bytes).expect("corrupt snapshot");
+}
+
+/// A delta record whose `name@version-1` was not restored — here because
+/// the newest snapshot's footer is corrupt and boot fell back to the older
+/// one — fails the boot naming the file, the record and the missing base:
+/// never a hole in the chain, never a panic.
+#[test]
+fn a_delta_record_without_its_base_fails_the_boot() {
+    let dir = temp_dir("missing-base");
+    {
+        let session = session();
+        let registry = SummaryRegistry::durable(session.clone(), &dir, 2).expect("open");
+        let (db, queries) = retail_client_fixture(400, 150, 4);
+        let package = session.profile(db.clone(), &queries).expect("profile");
+        registry.publish("retail", package).expect("publish v1");
+        for (step, threshold) in [30, 35, 40, 45].into_iter().enumerate() {
+            let delta = narrow_delta(&db, &format!("drift-{step}"), threshold);
+            registry.delta_publish("retail", &delta).expect("delta");
+        }
+    }
+    // v1-v2 in snapshot 0, v1-v4 in snapshot 1, v5 in the WAL.
+    corrupt_footer(&dir.join("snapshot-0000000001.snap"));
+    let err = SummaryRegistry::durable(session(), &dir, 2)
+        .expect_err("a delta record without its base must fail the boot");
+    let message = err.to_string();
+    assert!(
+        message.contains("wal.log")
+            && message.contains("retail@5")
+            && message.contains("base retail@4 was not restored"),
+        "{message}"
+    );
+}
+
+/// Snapshots written before delta records (`{"entries":[{name, version,
+/// solved}]}`, every entry full, no `op`) boot bit-identically with zero
+/// LP solves, and a checkpoint of what they restored reboots the same.
+#[test]
+fn parent_format_snapshots_boot_bit_identically() {
+    let live = SummaryRegistry::in_memory(session());
+    let (db, queries) = retail_client_fixture(400, 150, 4);
+    let package = live
+        .session()
+        .profile(db.clone(), &queries)
+        .expect("profile");
+    live.publish("retail", package).expect("publish");
+    live.delta_publish("retail", &narrow_delta(&db, "drift", 40))
+        .expect("delta");
+    let entries: Vec<String> = [1u32, 2]
+        .iter()
+        .map(|&version| {
+            let entry = live.get_version("retail", version).expect("version");
+            format!(
+                r#"{{"name":"retail","version":{version},"solved":{{"package":{},"report":{},"baseline":{}}}}}"#,
+                json(entry.package()),
+                json(&entry.regeneration().build_report),
+                json(entry.baseline()),
+            )
+        })
+        .collect();
+    let dir = temp_dir("parent-snapshot");
+    let payload = format!(r#"{{"entries":[{}]}}"#, entries.join(","));
+    hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), payload.as_bytes())
+        .expect("write snapshot");
+
+    for _ in 0..2 {
+        let booted = session();
+        let registry = SummaryRegistry::durable(booted.clone(), &dir, 1000).expect("boot");
+        assert_eq!(registry.recovery_report().snapshot_versions, 2);
+        assert_eq!(lp_solves(&booted), 0, "recovery must not run the LP solver");
+        for version in [1, 2] {
+            assert!(
+                version_bytes(&registry, "retail", version)
+                    == version_bytes(&live, "retail", version),
+                "retail@{version} must boot bit-identical"
+            );
+        }
+        registry.checkpoint().expect("checkpoint");
+    }
 }

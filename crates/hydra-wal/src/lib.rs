@@ -273,8 +273,9 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
 
 /// Writes `payload` as an immutable snapshot at `path`: payload + checksum
 /// footer, staged through `path.tmp`, fsync'd, renamed into place, and the
-/// parent directory fsync'd — atomically visible, durably named.
-pub fn write_snapshot(path: &Path, payload: &[u8]) -> std::io::Result<()> {
+/// parent directory fsync'd — atomically visible, durably named.  Returns
+/// the number of bytes the file occupies on disk.
+pub fn write_snapshot(path: &Path, payload: &[u8]) -> std::io::Result<u64> {
     let mut bytes = Vec::with_capacity(payload.len() + SNAPSHOT_FOOTER as usize);
     bytes.extend_from_slice(payload);
     bytes.extend_from_slice(&crc32(payload).to_le_bytes());
@@ -287,7 +288,7 @@ pub fn write_snapshot(path: &Path, payload: &[u8]) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         fsync_dir(parent)?;
     }
-    Ok(())
+    Ok(bytes.len() as u64)
 }
 
 /// Reads and validates a snapshot written by [`write_snapshot`], returning

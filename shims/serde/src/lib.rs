@@ -110,10 +110,20 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from a data-model tree.
     fn deserialize_content(content: &Content) -> Result<Self, Error>;
+
+    /// The value of a struct field absent from its map: `None` (an error)
+    /// for every type but `Option`, which reads as `Some(None)` — real
+    /// serde's missing-field rule.  Probing `Content::Null` instead would
+    /// turn a missing float into NaN.
+    fn missing_field() -> Option<Self> {
+        None
+    }
 }
 
 /// Looks up and deserializes one struct field from a map, ignoring unknown
-/// entries (forward compatibility). Used by derived impls.
+/// entries (forward compatibility) and reading a missing `Option` field as
+/// `None` (so an optional field can be added without a second decoder).
+/// Used by derived impls.
 pub fn field<T: Deserialize>(
     entries: &[(String, Content)],
     name: &str,
@@ -121,9 +131,8 @@ pub fn field<T: Deserialize>(
 ) -> Result<T, Error> {
     match entries.iter().find(|(k, _)| k == name) {
         Some((_, v)) => T::deserialize_content(v),
-        None => Err(Error(format!(
-            "missing field `{name}` while deserializing {ty}"
-        ))),
+        None => T::missing_field()
+            .ok_or_else(|| Error(format!("missing field `{name}` while deserializing {ty}"))),
     }
 }
 
@@ -297,6 +306,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::deserialize_content(other).map(Some),
         }
     }
+
+    fn missing_field() -> Option<Self> {
+        Some(None)
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -397,5 +410,34 @@ impl Serialize for Content {
 impl Deserialize for Content {
     fn deserialize_content(c: &Content) -> Result<Self, Error> {
         Ok(c.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entries() -> Vec<(String, Content)> {
+        vec![("present".to_string(), Content::I64(7))]
+    }
+
+    #[test]
+    fn a_missing_option_field_reads_as_none() {
+        let present: Option<u32> = field(&entries(), "present", "T").unwrap();
+        assert_eq!(present, Some(7));
+        let missing: Option<u32> = field(&entries(), "absent", "T").unwrap();
+        assert_eq!(missing, None);
+        let nested: Option<Option<u32>> = field(&entries(), "absent", "T").unwrap();
+        assert_eq!(nested, None);
+    }
+
+    #[test]
+    fn a_missing_non_option_field_is_an_error() {
+        let err = field::<u32>(&entries(), "absent", "T").unwrap_err();
+        assert_eq!(err.0, "missing field `absent` while deserializing T");
+        // Floats read `null` as NaN, yet a missing float is still an error.
+        assert!(field::<f64>(&entries(), "absent", "T").is_err());
+        assert!(field::<String>(&entries(), "absent", "T").is_err());
+        assert!(field::<Vec<u8>>(&entries(), "absent", "T").is_err());
     }
 }

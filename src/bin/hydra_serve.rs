@@ -17,7 +17,9 @@
 //!   Printed as `hydra-serve pg listening on HOST:PORT`.
 //! * `--wal-dir DIR`: full durability — every publish and delta is appended
 //!   (and fsync'd) to `DIR/wal.log` before it is acknowledged, and periodic
-//!   checkpoints snapshot the complete solved state.  Restart recovers all
+//!   checkpoints snapshot every retained version.  A publish is logged in
+//!   full; a delta as the delta plus the relations it re-solved, the rest
+//!   named by reference to the previous version.  Restart recovers all
 //!   names **and all retained versions** with zero cold LP solves
 //!   (snapshot-load + WAL-replay).  Without it the registry is in-memory.
 //! * `--checkpoint-every N` (default 64, `N >= 1`): write a snapshot and
