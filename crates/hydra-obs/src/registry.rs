@@ -419,6 +419,22 @@ pub const FAMILIES: &[FamilyDesc] = &[
         layer: "wal",
         help: "Summary versions recovered at boot, by source (snapshot or wal)",
     },
+    FamilyDesc {
+        name: "hydra_wal_recovered_bytes_total",
+        kind: MetricKind::Counter,
+        unit: Unit::Bytes,
+        label_key: "source",
+        layer: "wal",
+        help: "Payload bytes decoded at boot, by source (snapshot or wal)",
+    },
+    FamilyDesc {
+        name: "hydra_wal_recovery_seconds",
+        kind: MetricKind::Gauge,
+        unit: Unit::Nanos,
+        label_key: "",
+        layer: "wal",
+        help: "Wall time of the durable registry's boot: snapshot load plus WAL replay",
+    },
 ];
 
 fn family(name: &str) -> Option<&'static FamilyDesc> {

@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod metrics_http;

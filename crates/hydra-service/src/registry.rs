@@ -24,14 +24,18 @@
 //! logged in full (package, build report, support-only solve baseline); a
 //! delta as its [`WorkloadDelta`], its build report and only the relations
 //! it re-solved — the rest, and the package, are re-derived from
-//! `name@version-1`, so a version costs what changed on disk.  Boot loads
-//! the snapshot and replays the WAL — **zero cold LP solves**, full version
-//! chains intact, torn WAL tails truncated in place.  A record or snapshot
-//! that passed its checksum but does not decode or restore, or a delta
-//! record whose base was not restored, fails the boot: serving a chain with
-//! a hole would let the next publish re-issue an acknowledged version
-//! number.
+//! `name@version-1`, so a version costs what changed on disk.  Both files
+//! hold [`codec`] payloads (tag bytes and varints, under half the JSON
+//! text the registry wrote before); boot still reads a JSON payload by its
+//! leading `{`, so directories written before the codec keep booting.
+//! Boot loads the snapshot and replays the WAL — **zero cold LP solves**,
+//! full version chains intact, torn WAL tails truncated in place.  A record
+//! or snapshot that passed its checksum but does not decode or restore, or
+//! a delta record whose base was not restored, fails the boot: serving a
+//! chain with a hole would let the next publish re-issue an acknowledged
+//! version number.
 
+use crate::codec;
 use crate::error::{ServiceError, ServiceResult};
 use crate::protocol::{
     DeltaPublished, RelationInfo, ScenarioReport, ScenarioSpec, SummaryDetail, SummaryInfo,
@@ -52,6 +56,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 /// The solved state a record logs: enough, together with `name@version-1`
 /// for a delta record, to rebuild a servable entry with **zero** LP solves
@@ -333,10 +338,16 @@ fn snapshot_paths(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(snaps)
 }
 
-/// Decodes a checksummed WAL or snapshot payload.
-fn decode<T: Deserialize>(payload: Vec<u8>) -> Result<T, String> {
-    let text = String::from_utf8(payload).map_err(|e| e.to_string())?;
-    serde_json::from_str(&text).map_err(|e| e.to_string())
+/// Decodes a checksummed WAL or snapshot payload by its first byte: a
+/// [`codec::FORMAT`] payload with the binary codec, a `{` one as the JSON
+/// registries wrote before it; any other byte is an error naming it.
+fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
+    if payload.first() == Some(&b'{') {
+        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    } else {
+        codec::from_bytes(payload).map_err(|e| e.to_string())
+    }
 }
 
 /// The boot error for something in `path` that passed its checksum yet
@@ -429,10 +440,15 @@ impl SummaryRegistry {
         dir: impl Into<PathBuf>,
         checkpoint_every: usize,
     ) -> ServiceResult<Self> {
+        let started = Instant::now();
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         sweep_tmp_files(&dir);
         let mut registry = Self::in_memory(session);
+        let metrics = registry.session.metrics();
+        let recovered_bytes = |source: Source| {
+            metrics.counter_labeled("hydra_wal_recovered_bytes_total", "source", source.label())
+        };
 
         // 1. Newest checksum-valid snapshot (older ones are the fallback
         //    chain for a corrupt footer).
@@ -444,8 +460,9 @@ impl SummaryRegistry {
         for (_, path) in &snaps {
             match hydra_wal::read_snapshot(path) {
                 Ok(payload) => {
-                    snapshot = decode(payload).map_err(|e| unrecoverable(path, "snapshot", e))?;
+                    snapshot = decode(&payload).map_err(|e| unrecoverable(path, "snapshot", e))?;
                     snapshot_path = path.clone();
+                    recovered_bytes(Source::Snapshot).add(payload.len() as u64);
                     break;
                 }
                 Err(e) => {
@@ -476,7 +493,8 @@ impl SummaryRegistry {
             .into_iter()
             .enumerate()
             .map(|(index, payload)| {
-                decode::<WalRecord>(payload)
+                recovered_bytes(Source::Wal).add(payload.len() as u64);
+                decode::<WalRecord>(&payload)
                     .map(|r| (Source::Wal, r))
                     .map_err(|e| unrecoverable(&wal_path, &format!("record {}", index + 1), e))
             });
@@ -510,12 +528,13 @@ impl SummaryRegistry {
         });
         // Refresh the version gauges for everything we recovered.
         for entry in registry.list() {
-            registry
-                .session
-                .metrics()
+            metrics
                 .gauge_labeled("hydra_registry_version", "name", &entry.name)
                 .set(i64::from(entry.version));
         }
+        metrics
+            .gauge("hydra_wal_recovery_seconds")
+            .set(started.elapsed().as_nanos() as i64);
         Ok(registry)
     }
 
@@ -671,9 +690,7 @@ impl SummaryRegistry {
     /// point.  Called with the commit mutex held; the version becomes
     /// visible only after this returns `Ok`.
     fn wal_append(&self, dur: &mut DurableState, record: &WalRecord) -> ServiceResult<()> {
-        let json =
-            serde_json::to_string(record).map_err(|e| ServiceError::Protocol(e.to_string()))?;
-        let bytes = dur.wal.append(json.as_bytes())?;
+        let bytes = dur.wal.append(&codec::to_bytes(record))?;
         dur.records_in_wal += 1;
         let metrics = self.session.metrics();
         let op = match record.op {
@@ -723,11 +740,9 @@ impl SummaryRegistry {
                 })
                 .collect()
         };
-        let payload = serde_json::to_string(&SnapshotFile { entries })
-            .map_err(|e| ServiceError::Protocol(e.to_string()))?;
+        let payload = codec::to_bytes(&SnapshotFile { entries });
         let seq = dur.next_snapshot_seq;
-        let bytes =
-            hydra_wal::write_snapshot(&dur.dir.join(snapshot_name(seq)), payload.as_bytes())?;
+        let bytes = hydra_wal::write_snapshot(&dur.dir.join(snapshot_name(seq)), &payload)?;
         dur.next_snapshot_seq += 1;
         dur.wal.truncate()?;
         dur.records_in_wal = 0;

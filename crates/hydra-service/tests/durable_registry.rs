@@ -610,3 +610,186 @@ fn parent_format_snapshots_boot_bit_identically() {
         registry.checkpoint().expect("checkpoint");
     }
 }
+
+/// `name@version` of `live` as a registry before the binary codec logged
+/// it: a full record for a publish, and for a delta version only the
+/// relations whose signature differs from `name@version-1`'s.
+fn json_era_record(
+    live: &SummaryRegistry,
+    name: &str,
+    version: u32,
+    delta: Option<&WorkloadDelta>,
+) -> String {
+    let entry = live.get_version(name, version).expect("version");
+    let (op, package, baseline) = match delta {
+        None => (
+            WalOp::Publish,
+            Some(entry.package().clone()),
+            entry.baseline().clone(),
+        ),
+        Some(delta) => {
+            let base = live.get_version(name, version - 1).expect("base");
+            let mut baseline = entry.baseline().clone();
+            baseline.relations.retain(|table, r| {
+                base.baseline().relations.get(table).map(|b| b.signature) != Some(r.signature)
+            });
+            let op = WalOp::Delta {
+                delta: delta.clone(),
+            };
+            (op, None, baseline)
+        }
+    };
+    json(&WalRecord {
+        name: name.to_string(),
+        version,
+        op: Some(op),
+        solved: SolvedState {
+            package,
+            report: entry.regeneration().build_report.clone(),
+            baseline,
+        },
+    })
+}
+
+/// The snapshot payloads in `dir`, oldest first, and the WAL's records.
+fn payloads(dir: &Path) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "snap"))
+        .collect();
+    snapshots.sort();
+    let snapshots = snapshots
+        .iter()
+        .map(|p| hydra_wal::read_snapshot(p).expect("snapshot"))
+        .collect();
+    let wal = hydra_wal::replay(&dir.join("wal.log")).expect("replay");
+    (snapshots, wal.records)
+}
+
+/// The first byte of every payload boot would read in `dir`: the newest
+/// snapshot's, then each WAL record's.
+fn payload_heads(dir: &Path) -> (Option<u8>, Vec<u8>) {
+    let (snapshots, wal) = payloads(dir);
+    (
+        snapshots.last().map(|p| p[0]),
+        wal.iter().map(|r| r[0]).collect(),
+    )
+}
+
+/// Upgrade path: a directory a JSON-era registry wrote (two versions, as a
+/// WAL or as a snapshot) that the binary-codec registry keeps appending to.
+/// The JSON-era versions boot byte-identical to a live in-memory registry,
+/// every version boots byte-identical to what was acknowledged, with zero
+/// LP solves, boot reports what it decoded, and after the next checkpoint
+/// boot reads binary payloads only.
+fn json_era_directory_keeps_booting_after_binary_appends(json_snapshot: bool) {
+    let live = SummaryRegistry::in_memory(session());
+    let (db, queries) = retail_client_fixture(400, 150, 4);
+    let package = live
+        .session()
+        .profile(db.clone(), &queries)
+        .expect("profile");
+    live.publish("retail", package).expect("publish");
+    let deltas: Vec<WorkloadDelta> = [40, 30, 35]
+        .iter()
+        .enumerate()
+        .map(|(i, &threshold)| narrow_delta(&db, &format!("drift-{i}"), threshold))
+        .collect();
+    live.delta_publish("retail", &deltas[0]).expect("delta");
+    let records = [
+        json_era_record(&live, "retail", 1, None),
+        json_era_record(&live, "retail", 2, Some(&deltas[0])),
+    ];
+    assert!(records[1].contains(r#""package":null"#), "a delta record");
+    let dir = temp_dir(if json_snapshot {
+        "json-snapshot"
+    } else {
+        "json-wal"
+    });
+    if json_snapshot {
+        let payload = format!(r#"{{"entries":[{}]}}"#, records.join(","));
+        hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), payload.as_bytes())
+            .expect("write snapshot");
+    } else {
+        let mut wal = hydra_wal::Wal::open(dir.join("wal.log")).expect("open wal");
+        for record in &records {
+            wal.append(record.as_bytes()).expect("append");
+        }
+    }
+    // The JSON-era versions boot as they were acknowledged; the versions
+    // appended after them are acknowledged by the new registry.
+    let truth: Vec<[String; 4]> = {
+        let registry = SummaryRegistry::durable(session(), &dir, 1000).expect("boot");
+        for version in [1, 2] {
+            assert!(
+                version_bytes(&registry, "retail", version)
+                    == version_bytes(&live, "retail", version),
+                "JSON-era retail@{version} must boot byte-identical"
+            );
+        }
+        for delta in &deltas[1..] {
+            registry.delta_publish("retail", delta).expect("delta");
+        }
+        (1..=4)
+            .map(|version| version_bytes(&registry, "retail", version))
+            .collect()
+    };
+    let binary = hydra_service::codec::FORMAT;
+    let (snapshot, wal) = payload_heads(&dir);
+    if json_snapshot {
+        assert_eq!((snapshot, wal), (Some(b'{'), vec![binary, binary]));
+    } else {
+        assert_eq!((snapshot, wal), (None, vec![b'{', b'{', binary, binary]));
+    }
+
+    let (snapshots, wal) = payloads(&dir);
+    let bytes = |payloads: &[Vec<u8>]| payloads.iter().map(|p| p.len() as u64).sum::<u64>();
+    let (snapshot_bytes, wal_bytes) = (bytes(&snapshots), bytes(&wal));
+    for checkpointed in [false, true] {
+        let booted = session();
+        let registry = SummaryRegistry::durable(booted.clone(), &dir, 1000).expect("reboot");
+        assert_eq!(registry.versions_of("retail"), vec![1, 2, 3, 4]);
+        assert_eq!(lp_solves(&booted), 0, "recovery must not run the LP solver");
+        for (version, bytes) in (1..).zip(&truth) {
+            assert!(
+                version_bytes(&registry, "retail", version) == *bytes,
+                "retail@{version} must boot byte-identical (checkpointed: {checkpointed})"
+            );
+        }
+        if !checkpointed {
+            // Boot reports what it decoded and how long it took.
+            let decoded = |source: &str| {
+                booted
+                    .metrics()
+                    .counter_labeled("hydra_wal_recovered_bytes_total", "source", source)
+                    .value()
+            };
+            assert_eq!(
+                (decoded("snapshot"), decoded("wal")),
+                (snapshot_bytes, wal_bytes)
+            );
+            let recovery = booted.metrics().gauge("hydra_wal_recovery_seconds").value();
+            assert!(recovery > 0, "boot time is recorded: {recovery} ns");
+            let text = booted.metrics().snapshot().render_prometheus();
+            assert!(
+                text.contains(&format!(
+                    "hydra_wal_recovered_bytes_total{{source=\"wal\"}} {wal_bytes}\n"
+                )),
+                "{text}"
+            );
+            registry.checkpoint().expect("checkpoint");
+            assert_eq!(payload_heads(&dir), (Some(binary), Vec::new()));
+        }
+    }
+}
+
+#[test]
+fn json_era_wal_then_binary_records_boot_byte_identical() {
+    json_era_directory_keeps_booting_after_binary_appends(false);
+}
+
+#[test]
+fn json_era_snapshot_then_binary_records_boot_byte_identical() {
+    json_era_directory_keeps_booting_after_binary_appends(true);
+}

@@ -461,6 +461,45 @@ fn error_paths_keep_the_connection_usable() {
     server.join();
 }
 
+/// A frame nested 10 000 deep — 10 KB, far under the frame cap — is
+/// answered with an `Error` frame naming the offset where the JSON parser
+/// gave up, and the connection keeps serving.  Unbounded, the parser's
+/// recursion overflowed the stack of the thread parsing it and aborted the
+/// whole server.
+#[test]
+fn nested_frame_is_an_error_not_a_crash() {
+    use std::io::Write;
+    let server = serve(
+        SummaryRegistry::in_memory(Hydra::builder().build()),
+        "127.0.0.1:0",
+    )
+    .expect("bind");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let payload = format!("{{\"Publish\":{}", "[".repeat(10_000));
+    conn.write_all(&(payload.len() as u32).to_be_bytes())
+        .expect("write header");
+    conn.write_all(payload.as_bytes()).expect("write payload");
+    match read_frame::<_, Response>(&mut conn).expect("a reply") {
+        Some(Response::Error { message }) => assert!(
+            message.contains("nesting deeper than 128 at offset"),
+            "{message}"
+        ),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    write_frame(&mut conn, &Request::List).expect("list");
+    conn.flush().expect("flush");
+    match read_frame::<_, Response>(&mut conn).expect("a reply") {
+        Some(Response::SummaryList(list)) => assert!(list.is_empty()),
+        other => panic!("expected the listing, got {other:?}"),
+    }
+    drop(conn);
+    HydraClient::connect(server.local_addr())
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    server.join();
+}
+
 /// A library `serve` records its reactor into the session registry, so the
 /// `Stats` frame counts the very connection that asks.
 #[test]

@@ -3,7 +3,8 @@
 //! The storage discipline under the durable summary registry: an
 //! **append-only write-ahead log** plus **immutable snapshot files**, both
 //! checksummed, both fsync'd, both payload-agnostic (callers hand this crate
-//! opaque bytes; the registry serializes its own records).
+//! opaque bytes; the durable registry encodes its records and snapshots
+//! with `hydra-service`'s binary codec, `hydra_service::codec`).
 //!
 //! ## WAL record framing
 //!

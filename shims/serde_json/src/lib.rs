@@ -6,9 +6,16 @@
 //! structs, externally tagged enums, `null` for `None` and non-finite floats.
 //! Unknown object keys are ignored by deserialization (see the shim `serde`
 //! crate), which is what gives transfer packages forward compatibility.
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep, as in real
+//! serde_json: deeper input is an error, never a stack overflow.
 
 use serde::{Content, Deserialize, Serialize};
 use std::fmt;
+
+/// How deep arrays and objects may nest: real serde_json's default
+/// recursion limit.  The parser recurses once per level, so without a cap a
+/// few kilobytes of `[` overflow the stack of whichever thread parses them.
+pub const MAX_DEPTH: usize = 128;
 
 /// JSON error (serialization or parse).
 #[derive(Debug, Clone, PartialEq)]
@@ -47,6 +54,7 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let content = parser.parse_value()?;
@@ -157,6 +165,8 @@ fn write_json_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -187,8 +197,22 @@ impl Parser<'_> {
     fn parse_value(&mut self) -> Result<Content, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Content::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Content::Bool(true)),
             Some(b'f') => self.parse_literal("false", Content::Bool(false)),
@@ -377,5 +401,48 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Content::F64)
             .map_err(|_| Error(format!("invalid number `{text}`")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let ok: Content = from_str(&nested(MAX_DEPTH)).expect("depth 128 parses");
+        let mut level = &ok;
+        for _ in 1..MAX_DEPTH {
+            level = &level.as_seq().expect("a sequence")[0];
+        }
+        assert_eq!(level, &Content::Seq(Vec::new()));
+        let err = from_str::<Content>(&nested(MAX_DEPTH + 1)).expect_err("depth 129 fails");
+        assert_eq!(err.0, "nesting deeper than 128 at offset 128");
+        // Objects count toward the same cap, and a wide tree is not deep.
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Content>(&objects).is_err());
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 64].join(","));
+        assert!(from_str::<Content>(&wide).is_ok());
+    }
+
+    #[test]
+    fn a_deep_frame_fails_on_a_small_stack() {
+        let text = format!("{{\"Publish\":{}", "[".repeat(10_000));
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || from_str::<Content>(&text).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("the parser must not overflow the stack");
+        let err = outcome.expect_err("too deep");
+        assert!(err.0.contains("offset"), "{err}");
     }
 }

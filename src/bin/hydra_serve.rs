@@ -19,9 +19,12 @@
 //!   (and fsync'd) to `DIR/wal.log` before it is acknowledged, and periodic
 //!   checkpoints snapshot every retained version.  A publish is logged in
 //!   full; a delta as the delta plus the relations it re-solved, the rest
-//!   named by reference to the previous version.  Restart recovers all
-//!   names **and all retained versions** with zero cold LP solves
-//!   (snapshot-load + WAL-replay).  Without it the registry is in-memory.
+//!   named by reference to the previous version.  Records and snapshots
+//!   are binary (`hydra_service::codec`); a directory written as JSON by an
+//!   older server still boots.  Restart recovers all names **and all
+//!   retained versions** with zero cold LP solves (snapshot-load +
+//!   WAL-replay), and reports its duration as `hydra_wal_recovery_seconds`.
+//!   Without it the registry is in-memory.
 //! * `--checkpoint-every N` (default 64, `N >= 1`): write a snapshot and
 //!   truncate the WAL after every `N` appended records.  Only valid with
 //!   `--wal-dir`; given without it, or with `N = 0`, the server refuses to
