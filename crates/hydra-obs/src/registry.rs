@@ -412,6 +412,14 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "Solved-state snapshots written (each truncates the WAL)",
     },
     FamilyDesc {
+        name: "hydra_wal_checkpoint_seconds",
+        kind: MetricKind::Histogram,
+        unit: Unit::Nanos,
+        label_key: "stage",
+        layer: "wal",
+        help: "Checkpoint time, by stage: encode (every retained version's record plus the snapshot encoding) or write (snapshot write, fsyncs and rename, plus the WAL truncate)",
+    },
+    FamilyDesc {
         name: "hydra_wal_recovered_records_total",
         kind: MetricKind::Counter,
         unit: Unit::Count,

@@ -16,15 +16,20 @@
 //!   drives, paced by the same velocity governor.
 //!
 //! Both protocol front-ends serve one [`SummaryRegistry`]; the `database`
-//! startup parameter (`name[@version]`) selects the registry entry. Run
-//! them together under one [`ShutdownSignal`](hydra_service::ShutdownSignal)
+//! startup parameter (`name[@version]`) selects the registry entry.  A pg
+//! listener is a [`PgProtocol`] bound on a
+//! [`ReactorBuilder`](hydra_service::ReactorBuilder): v3 messages are
+//! decoded incrementally on the event loop, bounded statements are answered
+//! there, and scans and scan fallbacks run on the fixed worker pool.  Bind
+//! it on the same builder as the frame listener (as `hydra-serve` does), or
+//! start both under one [`ShutdownSignal`](hydra_service::ShutdownSignal),
 //! so either side's shutdown stops both accept loops.
 //!
 //! ```
 //! use hydra_core::session::Hydra;
-//! use hydra_pgwire::{serve_pg, PgClient};
+//! use hydra_pgwire::{PgClient, PgProtocol};
 //! use hydra_service::registry::SummaryRegistry;
-//! use hydra_service::ShutdownSignal;
+//! use hydra_service::{ReactorBuilder, ShutdownSignal};
 //! use hydra_workload::retail_client_fixture;
 //! use std::sync::Arc;
 //!
@@ -34,8 +39,12 @@
 //! let package = session.profile(db, &queries).unwrap();
 //! registry.publish("retail", package).unwrap();
 //!
-//! let server = serve_pg(registry, "127.0.0.1:0", ShutdownSignal::new()).unwrap();
-//! let mut client = PgClient::connect(server.local_addr(), Some("retail")).unwrap();
+//! let mut builder = ReactorBuilder::new(session.metrics());
+//! let addr = builder
+//!     .listen("127.0.0.1:0", Arc::new(PgProtocol::new(registry)))
+//!     .unwrap();
+//! let server = builder.start(ShutdownSignal::new()).unwrap();
+//! let mut client = PgClient::connect(addr, Some("retail")).unwrap();
 //! let answer = client.query("select count(*) from store_sales").unwrap();
 //! assert_eq!(answer.columns, vec!["count(*)".to_string()]);
 //! client.terminate().unwrap();
@@ -52,11 +61,9 @@ mod connection;
 mod datarow;
 pub mod error;
 pub mod reactor;
-pub mod server;
 pub mod types;
 
 pub use client::{PgClient, PgRows};
 pub use codec::{BackendMessage, FieldDescription, FrontendMessage, StartupPacket};
 pub use error::{PgResult, PgWireError, ServerError};
 pub use reactor::PgProtocol;
-pub use server::{serve_pg, serve_pg_with_options, PgServerHandle};

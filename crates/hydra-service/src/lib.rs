@@ -26,24 +26,42 @@
 //! wire-streamed shards in plan order is bit-identical to local sequential
 //! generation — the integration tests assert it.
 //!
+//! A listener is a [`FrameProtocol`] bound on a [`ReactorBuilder`]: frames
+//! are decoded incrementally on the reactor's event loop, bounded requests
+//! (summary-direct queries, `Describe`, `List`) are answered right there,
+//! and the rest run as cooperative tasks on a **fixed** worker pool — ten
+//! thousand idle or slow clients cost ten thousand fds, never ten thousand
+//! threads.  Tuple streams run the in-process generation path in bounded
+//! slices, paced by a per-connection `VelocityGovernor` through the
+//! reactor's timer wheel and backpressured by each connection's bounded
+//! write queue.  One builder can host several protocols (`hydra-serve`
+//! binds frames, pg and `/metrics` on one loop), all stopping on one
+//! [`ShutdownSignal`]; a `Shutdown` frame triggers it.
+//!
 //! ```
 //! use hydra_core::session::Hydra;
 //! use hydra_service::client::HydraClient;
 //! use hydra_service::protocol::StreamRequest;
 //! use hydra_service::registry::SummaryRegistry;
+//! use hydra_service::{FrameProtocol, ReactorBuilder, ShutdownSignal};
 //! use hydra_workload::retail_client_fixture;
+//! use std::sync::Arc;
 //!
-//! // Vendor site: a server over an in-memory registry on an ephemeral port.
+//! // Vendor site: a frame listener over an in-memory registry on an
+//! // ephemeral port, its reactor recording into the session's metrics.
 //! let session = Hydra::builder().build();
-//! let server = hydra_service::server::serve(
-//!     SummaryRegistry::in_memory(session.clone()),
-//!     "127.0.0.1:0",
-//! ).unwrap();
+//! let registry = Arc::new(SummaryRegistry::in_memory(session.clone()));
+//! let signal = ShutdownSignal::new();
+//! let mut builder = ReactorBuilder::new(session.metrics());
+//! let addr = builder
+//!     .listen("127.0.0.1:0", Arc::new(FrameProtocol::new(registry, signal.clone())))
+//!     .unwrap();
+//! let server = builder.start(signal).unwrap();
 //!
 //! // Client site: profile a warehouse, publish the package, stream a shard.
 //! let (db, queries) = retail_client_fixture(400, 120, 4);
 //! let package = session.profile(db, &queries).unwrap();
-//! let mut client = HydraClient::connect(server.local_addr()).unwrap();
+//! let mut client = HydraClient::connect(addr).unwrap();
 //! let info = client.publish("retail", &package).unwrap();
 //! assert_eq!(info.version, 1);
 //! let (rows, _) = client
@@ -64,19 +82,15 @@ pub mod metrics_http;
 pub mod protocol;
 pub mod pump;
 pub mod registry;
-pub mod server;
 pub mod wire;
 
 pub use client::HydraClient;
 pub use error::{ServiceError, ServiceResult};
 pub use frame::FrameProtocol;
+pub use hydra_reactor::{ReactorBuilder, ReactorConfig, ReactorHandle, ShutdownSignal};
 pub use metrics_http::MetricsProtocol;
 pub use protocol::{
     DeltaPublished, MetricSample, QueryRequest, Request, Response, ScenarioSpec, StreamRequest,
 };
 pub use registry::{RegistryEntry, SummaryRegistry};
-pub use server::{
-    serve, serve_shared, serve_with_options, serve_with_signal, ReactorConfig, ServerHandle,
-    ShutdownSignal,
-};
 pub use wire::FrameSink;

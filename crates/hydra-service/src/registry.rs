@@ -729,6 +729,13 @@ impl SummaryRegistry {
     /// becomes visible (rename + dir fsync) *before* the WAL shrinks, so
     /// every committed version is always in at least one of the two.
     fn checkpoint_locked(&self, dur: &mut DurableState) -> ServiceResult<()> {
+        let metrics = self.session.metrics();
+        let stage = |name: &str, started: Instant| {
+            metrics
+                .histogram_labeled("hydra_wal_checkpoint_seconds", "stage", name)
+                .record_duration(started.elapsed())
+        };
+        let started = Instant::now();
         let entries: Vec<WalRecord> = {
             let map = self.entries.read().expect("registry lock poisoned");
             map.values()
@@ -741,12 +748,14 @@ impl SummaryRegistry {
                 .collect()
         };
         let payload = codec::to_bytes(&SnapshotFile { entries });
+        stage("encode", started);
+        let started = Instant::now();
         let seq = dur.next_snapshot_seq;
         let bytes = hydra_wal::write_snapshot(&dur.dir.join(snapshot_name(seq)), &payload)?;
         dur.next_snapshot_seq += 1;
         dur.wal.truncate()?;
         dur.records_in_wal = 0;
-        let metrics = self.session.metrics();
+        stage("write", started);
         metrics.counter("hydra_wal_checkpoints_total").inc();
         metrics.counter("hydra_wal_snapshot_bytes_total").add(bytes);
         // Keep the newest snapshot plus one fallback; prune the rest.

@@ -207,7 +207,8 @@ fn checkpoint_truncates_wal_and_recovery_reads_the_snapshot() {
 
 /// The durable write path issues its syncs: a publish fsyncs the WAL file
 /// before it is acknowledged, and a checkpoint fsyncs the registry
-/// directory after renaming its snapshot into place.
+/// directory after renaming its snapshot into place.  The checkpoint times
+/// its two stages, record encoding and the synced write, apart.
 #[test]
 fn durable_write_path_issues_file_and_dir_syncs() {
     let dir = temp_dir("syncs");
@@ -229,6 +230,17 @@ fn durable_write_path_issues_file_and_dir_syncs() {
         dirs_after > dirs_before,
         "checkpoint must fsync the registry directory after the rename"
     );
+    for stage in ["encode", "write"] {
+        let timed = session
+            .metrics()
+            .histogram_labeled("hydra_wal_checkpoint_seconds", "stage", stage)
+            .snapshot();
+        assert_eq!(
+            timed.count, 1,
+            "one forced checkpoint, one `{stage}` sample"
+        );
+        assert!(timed.sum > 0, "the `{stage}` stage took no time");
+    }
 }
 
 /// A WAL record or newest snapshot that passed its checksum but does not

@@ -15,12 +15,13 @@ use hydra_engine::row::Row;
 use hydra_service::client::HydraClient;
 use hydra_service::protocol::StreamRequest;
 use hydra_service::registry::SummaryRegistry;
-use hydra_service::server::serve_shared;
 use hydra_workload::retail_client_fixture;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+mod common;
 
 /// Distinct fact-table sizes → distinct, recognizable summary versions.
 const VARIANT_ROWS: [u64; 3] = [400, 500, 600];
@@ -146,8 +147,7 @@ fn publish_stream_describe_interleavings_never_tear() {
     registry
         .publish("retail", variants[0].0.clone())
         .expect("seed publish");
-    let server = serve_shared(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
-    let addr = server.local_addr();
+    let (server, addr) = common::serve(Arc::clone(&registry));
 
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
@@ -324,8 +324,7 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
             .stream("store_sales")
             .expect("stream")
             .collect();
-        let server = serve_shared(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
-        let addr = server.local_addr();
+        let (server, addr) = common::serve(Arc::clone(&registry));
 
         let stop = Arc::new(AtomicBool::new(false));
         let all_versions: Vec<u32> = std::thread::scope(|scope| {

@@ -13,12 +13,14 @@ use hydra_service::client::HydraClient;
 use hydra_service::protocol::{read_frame, write_frame, Request, Response};
 use hydra_service::protocol::{QueryRequest, ScenarioSpec, StreamRequest};
 use hydra_service::registry::SummaryRegistry;
-use hydra_service::server::{serve, serve_with_options, ReactorConfig, ShutdownSignal};
+use hydra_service::{FrameProtocol, ReactorBuilder, ReactorConfig, ShutdownSignal};
 use hydra_workload::retail_client_fixture;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+mod common;
 
 fn retail_package(
     session: &Hydra,
@@ -47,9 +49,7 @@ fn concurrent_disjoint_shards_concatenate_bit_identically() {
 
     // Vendor site: fresh server (its own session) on an ephemeral port.
     let server_session = Hydra::builder().build();
-    let server =
-        serve(SummaryRegistry::in_memory(server_session), "127.0.0.1:0").expect("bind server");
-    let addr = server.local_addr();
+    let (server, addr) = common::serve(SummaryRegistry::in_memory(server_session));
 
     HydraClient::connect(addr)
         .expect("connect publisher")
@@ -175,8 +175,8 @@ fn persistent_registry_survives_a_server_restart() {
     {
         let registry =
             SummaryRegistry::durable(Hydra::builder().build(), &dir, 64).expect("open registry");
-        let server = serve(registry, "127.0.0.1:0").expect("bind");
-        let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+        let (server, addr) = common::serve(registry);
+        let mut client = HydraClient::connect(addr).expect("connect");
         assert_eq!(
             client.publish("retail", &package).expect("publish").version,
             1
@@ -200,8 +200,8 @@ fn persistent_registry_survives_a_server_restart() {
     let rebooted = Hydra::builder().build();
     let registry = SummaryRegistry::durable(rebooted.clone(), &dir, 64).expect("reopen registry");
     assert_eq!(registry.len(), 1);
-    let server = serve(registry, "127.0.0.1:0").expect("rebind");
-    let mut client = HydraClient::connect(server.local_addr()).expect("reconnect");
+    let (server, addr) = common::serve(registry);
+    let mut client = HydraClient::connect(addr).expect("reconnect");
 
     let listed = client.list().expect("list");
     assert_eq!(listed.len(), 1);
@@ -240,12 +240,8 @@ fn wire_queries_round_trip_and_report_out_of_class() {
     // queries (the vendor pipeline is deterministic).
     let local = session.regenerate(&package).expect("local solve");
 
-    let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().build()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+    let (server, addr) = common::serve(SummaryRegistry::in_memory(Hydra::builder().build()));
+    let mut client = HydraClient::connect(addr).expect("connect");
     client.publish("retail", &package).expect("publish");
 
     // A grouped, joined aggregate: the wire answer equals the local
@@ -318,12 +314,8 @@ fn delta_publish_round_trips_over_the_wire() {
     let (db, queries) = retail_client_fixture(1_200, 400, 6);
     let package = session.profile(db.clone(), &queries).expect("profile");
 
-    let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().build()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+    let (server, addr) = common::serve(SummaryRegistry::in_memory(Hydra::builder().build()));
+    let mut client = HydraClient::connect(addr).expect("connect");
     let info = client.publish("retail", &package).expect("publish");
     assert_eq!(info.version, 1);
 
@@ -392,12 +384,8 @@ fn delta_publish_round_trips_over_the_wire() {
 
 #[test]
 fn error_paths_keep_the_connection_usable() {
-    let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().build()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+    let (server, addr) = common::serve(SummaryRegistry::in_memory(Hydra::builder().build()));
+    let mut client = HydraClient::connect(addr).expect("connect");
 
     // Unknown summary / unknown relation / bad name — each answered with an
     // error frame, none of them fatal to the connection.
@@ -469,12 +457,8 @@ fn error_paths_keep_the_connection_usable() {
 #[test]
 fn nested_frame_is_an_error_not_a_crash() {
     use std::io::Write;
-    let server = serve(
-        SummaryRegistry::in_memory(Hydra::builder().build()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
-    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let (server, addr) = common::serve(SummaryRegistry::in_memory(Hydra::builder().build()));
+    let mut conn = TcpStream::connect(addr).expect("connect");
     let payload = format!("{{\"Publish\":{}", "[".repeat(10_000));
     conn.write_all(&(payload.len() as u32).to_be_bytes())
         .expect("write header");
@@ -493,20 +477,20 @@ fn nested_frame_is_an_error_not_a_crash() {
         other => panic!("expected the listing, got {other:?}"),
     }
     drop(conn);
-    HydraClient::connect(server.local_addr())
+    HydraClient::connect(addr)
         .expect("connect")
         .shutdown()
         .expect("shutdown");
     server.join();
 }
 
-/// A library `serve` records its reactor into the session registry, so the
+/// A reactor built over the session's metrics records into them, so the
 /// `Stats` frame counts the very connection that asks.
 #[test]
 fn library_server_stats_report_reactor_accepts() {
     let session = Hydra::builder().build();
-    let server = serve(SummaryRegistry::in_memory(session), "127.0.0.1:0").expect("bind");
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+    let (_server, addr) = common::serve(SummaryRegistry::in_memory(session));
+    let mut client = HydraClient::connect(addr).expect("connect");
     client.list().expect("list");
     let accepts = client
         .stats()
@@ -527,18 +511,21 @@ fn library_server_stats_report_reactor_accepts() {
 #[test]
 fn zero_valued_reactor_config_still_answers() {
     let session = Hydra::builder().build();
-    let server = serve_with_options(
-        Arc::new(SummaryRegistry::in_memory(session)),
-        "127.0.0.1:0",
-        ShutdownSignal::new(),
-        ReactorConfig {
-            max_connections: 0,
-            write_queue_cap: 0,
-            ..ReactorConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let signal = ShutdownSignal::new();
+    let mut builder = ReactorBuilder::new(session.metrics()).config(ReactorConfig {
+        max_connections: 0,
+        write_queue_cap: 0,
+        ..ReactorConfig::default()
+    });
+    let registry = Arc::new(SummaryRegistry::in_memory(session));
+    let addr = builder
+        .listen(
+            "127.0.0.1:0",
+            Arc::new(FrameProtocol::new(registry, signal.clone())),
+        )
+        .expect("bind");
+    let _server = builder.start(signal).expect("start");
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");

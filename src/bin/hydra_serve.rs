@@ -33,7 +33,8 @@
 //!   fixture (fact table of `ROWS` rows) as summary `retail`, so clients can
 //!   stream immediately without publishing anything.
 //! * `--velocity R`: default server-side velocity cap (rows/second) for
-//!   streams that do not request their own rate.
+//!   streams that do not request their own rate; `R` must be finite and at
+//!   least 0.001, or the server refuses to start.
 //! * `--parallelism N`: worker threads for per-relation solving.
 //! * `--workers N`: reactor worker threads executing requests and tuple
 //!   streams (default: available parallelism).  Connection count is
@@ -56,11 +57,13 @@
 //! listeners, drains in-flight connections, and exits 0.
 
 use hydra_core::session::Hydra;
+use hydra_datagen::governor::VelocityGovernor;
 use hydra_obs::SlowLog;
 use hydra_pgwire::PgProtocol;
 use hydra_service::registry::SummaryRegistry;
-use hydra_service::server::{ReactorBuilder, ReactorConfig};
-use hydra_service::{FrameProtocol, MetricsProtocol, ShutdownSignal};
+use hydra_service::{
+    FrameProtocol, MetricsProtocol, ReactorBuilder, ReactorConfig, ShutdownSignal,
+};
 use hydra_workload::retail_client_fixture;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -117,11 +120,16 @@ fn parse_args() -> Result<Options, String> {
                 )
             }
             "--velocity" => {
-                options.velocity = Some(
-                    value("--velocity")?
-                        .parse()
-                        .map_err(|e| format!("--velocity: {e}"))?,
-                )
+                let rate: f64 = value("--velocity")?
+                    .parse()
+                    .map_err(|e| format!("--velocity: {e}"))?;
+                if !(rate.is_finite() && rate >= VelocityGovernor::MIN_RATE) {
+                    return Err(format!(
+                        "--velocity: rows_per_sec must be a finite rate >= {}, got {rate}",
+                        VelocityGovernor::MIN_RATE
+                    ));
+                }
+                options.velocity = Some(rate);
             }
             "--parallelism" => {
                 options.parallelism = value("--parallelism")?

@@ -18,8 +18,8 @@
 //! | [`datagen`] | `hydra-datagen` | dynamic tuple generation, velocity regulation, dataless databases |
 //! | [`workload`] | `hydra-workload` | synthetic client schemas, data generators, SPJ workloads |
 //! | [`core`] | `hydra-core` | client site, transfer package, vendor site, scenarios, reports |
-//! | [`service`] | `hydra-service` | TCP regeneration server, persistent summary registry, typed client |
-//! | [`pgwire`] | `hydra-pgwire` | PostgreSQL simple-query front-end over the same registry |
+//! | [`service`] | `hydra-service` | frame protocol for a `ReactorBuilder` listener, durable summary registry, typed client |
+//! | [`pgwire`] | `hydra-pgwire` | PostgreSQL simple-query protocol for the same reactor and registry |
 //! | [`obs`] | `hydra-obs` | metrics, latency histograms, tracing spans, Prometheus exposition |
 //!
 //! ## Quickstart
@@ -83,7 +83,7 @@ pub use hydra_workload as workload;
 pub use hydra_core::session::{Hydra, HydraBuilder};
 pub use hydra_core::{DeltaOutcome, RegenerationResult, RegenerationState, TransferPackage};
 pub use hydra_datagen::exec::{ExecMode, QueryEngine};
-pub use hydra_pgwire::{serve_pg, PgClient};
+pub use hydra_pgwire::PgClient;
 pub use hydra_query::delta::{ConstraintSet, WorkloadDelta};
 pub use hydra_query::exec::{AggregateQuery, ExecStrategy, QueryAnswer};
 pub use hydra_service::{HydraClient, ShutdownSignal, SummaryRegistry};

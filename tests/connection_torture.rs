@@ -29,16 +29,21 @@ use hydra::service::protocol::{
     read_frame, write_frame, QueryRequest, Request, Response, StreamRequest,
 };
 use hydra::service::registry::SummaryRegistry;
-use hydra::service::server::{serve_with_options, ReactorConfig, ShutdownSignal};
-use hydra::service::{FrameSink, HydraClient};
+use hydra::service::{
+    FrameProtocol, FrameSink, HydraClient, ReactorBuilder, ReactorConfig, ReactorHandle,
+    ShutdownSignal,
+};
 use hydra::workload::retail_client_fixture;
 use hydra::Hydra;
-use hydra_tester::HydraTester;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+#[path = "common/tester.rs"]
+mod tester;
+use tester::HydraTester;
 
 /// Serializes the fd/thread-counting tests against each other (the default
 /// harness runs tests on parallel threads, which would skew the counters).
@@ -72,6 +77,23 @@ fn eventually(deadline: Duration, what: &str, mut predicate: impl FnMut() -> boo
         assert!(Instant::now() < end, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// A frame listener over `registry` on its own reactor under `config`,
+/// recording into the registry's session metrics; stops on `signal`.
+fn frame_reactor(
+    registry: Arc<SummaryRegistry>,
+    signal: ShutdownSignal,
+    config: ReactorConfig,
+) -> (ReactorHandle, SocketAddr) {
+    let mut builder = ReactorBuilder::new(registry.session().metrics()).config(config);
+    let addr = builder
+        .listen(
+            "127.0.0.1:0",
+            Arc::new(FrameProtocol::new(registry, signal.clone())),
+        )
+        .expect("bind frame listener");
+    (builder.start(signal).expect("start reactor"), addr)
 }
 
 /// One request as raw wire bytes (length prefix + JSON payload).
@@ -434,9 +456,8 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
     let evictions_before = evictions.value();
 
     const CAP: usize = 256 << 10;
-    let server = serve_with_options(
+    let (_server, addr) = frame_reactor(
         registry,
-        "127.0.0.1:0",
         ShutdownSignal::new(),
         ReactorConfig {
             workers: 2,
@@ -444,12 +465,11 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
             stall_timeout: Duration::from_millis(700),
             ..ReactorConfig::default()
         },
-    )
-    .expect("custom-config server");
+    );
 
     // The stalled reader pipelines hundreds of full-table streams —
     // megabytes of demand — and never reads a byte.
-    let mut stalled = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut stalled = TcpStream::connect(addr).expect("connect");
     let one = frame_bytes(&Request::Stream(StreamRequest::full(
         "retail",
         "store_sales",
@@ -460,7 +480,7 @@ fn stalled_reader_is_capped_and_evicted_while_neighbors_proceed() {
 
     // Neighbors proceed while the stall builds and trips: a throttled
     // stream completes with every row, a summary-direct query answers.
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect client");
+    let mut client = HydraClient::connect(addr).expect("connect client");
     let (rows, _stats) = client
         .stream_collect(StreamRequest::full("retail", "web_sales").rows_per_sec(300.0))
         .expect("neighbor stream");
@@ -515,17 +535,14 @@ fn reactor_accepts_256_concurrent_connections_on_one_worker() {
     let registry = Arc::new(SummaryRegistry::in_memory(session));
     registry.publish("retail", package).expect("publish retail");
     let threads_base = thread_count();
-    let server = serve_with_options(
+    let (_server, addr) = frame_reactor(
         registry,
-        "127.0.0.1:0",
         ShutdownSignal::new(),
         ReactorConfig {
             workers: 1,
             ..ReactorConfig::default()
         },
-    )
-    .expect("one-worker server");
-    let addr = server.local_addr();
+    );
     // The fixed pool: the event loop plus the one worker.
     let threads_served = thread_count();
     assert!(
@@ -591,17 +608,14 @@ fn shutdown_during_accept_storm_leaves_no_stragglers() {
     // sweep the trigger across the accept path.
     for round in 0u64..15 {
         let signal = ShutdownSignal::new();
-        let server = serve_with_options(
+        let (server, addr) = frame_reactor(
             Arc::clone(&registry),
-            "127.0.0.1:0",
             signal.clone(),
             ReactorConfig {
                 workers: 1,
                 ..ReactorConfig::default()
             },
-        )
-        .expect("storm server");
-        let addr = server.local_addr();
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let hammers: Vec<_> = (0..3)
             .map(|_| {
@@ -634,13 +648,7 @@ fn shutdown_during_accept_storm_leaves_no_stragglers() {
     // already-triggered signal).
     let signal = ShutdownSignal::new();
     signal.trigger();
-    let server = serve_with_options(
-        Arc::clone(&registry),
-        "127.0.0.1:0",
-        signal,
-        ReactorConfig::default(),
-    )
-    .expect("pre-triggered reactor");
+    let (server, _) = frame_reactor(Arc::clone(&registry), signal, ReactorConfig::default());
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         server.join();
@@ -660,22 +668,11 @@ fn shutdown_during_accept_storm_leaves_no_stragglers() {
 /// which routes every line through the pool.)
 #[test]
 fn single_connection_roundtrip_storm() {
-    use hydra::service::server::ReactorBuilder;
-    use hydra::service::FrameProtocol;
-
     let _guard = counters_lock();
     let session = Hydra::builder().build();
     let obs = session.metrics();
     let registry = Arc::new(SummaryRegistry::in_memory(session));
-    let signal = ShutdownSignal::new();
-    let mut builder = ReactorBuilder::new(Arc::clone(&obs));
-    let addr = builder
-        .listen(
-            "127.0.0.1:0",
-            Arc::new(FrameProtocol::new(registry, signal.clone())),
-        )
-        .expect("bind storm listener");
-    let reactor = builder.start(signal.clone()).expect("start storm reactor");
+    let (reactor, addr) = frame_reactor(registry, ShutdownSignal::new(), ReactorConfig::default());
     let pool_submits = || {
         obs.snapshot()
             .value("hydra_reactor_pool_submits_total", None)
@@ -730,8 +727,7 @@ fn single_connection_roundtrip_storm() {
         Some(iterations as f64),
         "every inline List keeps its span"
     );
-    signal.trigger();
-    reactor.join();
+    reactor.shutdown();
 }
 
 /// Inline answers obey the write-queue bound: a client that pipelines fifty
@@ -751,9 +747,8 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
     let (evictions_before, submits_before) = (evictions.value(), pool_submits.value());
 
     const CAP: usize = 64 << 10;
-    let server = serve_with_options(
+    let (_server, addr) = frame_reactor(
         registry,
-        "127.0.0.1:0",
         ShutdownSignal::new(),
         ReactorConfig {
             workers: 2,
@@ -761,13 +756,12 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
             stall_timeout: Duration::from_millis(700),
             ..ReactorConfig::default()
         },
-    )
-    .expect("custom-config server");
+    );
     let sql = "select count(*) from store_sales";
     let one = frame_bytes(&Request::Query(QueryRequest::new("retail", sql)));
 
     // One round trip measures the reply: the bound is the cap plus one.
-    let mut sizer = TcpStream::connect(server.local_addr()).expect("connect sizer");
+    let mut sizer = TcpStream::connect(addr).expect("connect sizer");
     sizer.write_all(&one).expect("send query");
     let reply = read_frame_raw(&mut sizer);
     assert!(matches!(parse_frame(&reply), Response::QueryResult(_)));
@@ -780,11 +774,11 @@ fn pipelined_inline_queries_are_capped_and_evicted_while_neighbors_proceed() {
         .cycle()
         .take(one.len() * PIPELINED)
         .collect();
-    let mut stalled = TcpStream::connect(server.local_addr()).expect("connect stalled");
+    let mut stalled = TcpStream::connect(addr).expect("connect stalled");
     stalled.write_all(&demand).expect("pipeline demand");
 
     // The neighbor's round trips succeed while the stall builds and trips.
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect client");
+    let mut client = HydraClient::connect(addr).expect("connect client");
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut round_trips = 0;
     while evictions.value() == evictions_before {
@@ -945,8 +939,7 @@ fn requests_past_the_inline_byte_budget_finish_on_the_pool_unchanged() {
 ///   builds — the guard on "bounded work only" for inline answers.
 #[test]
 fn metrics_invariants_hold_under_connection_storm() {
-    use hydra::service::server::ReactorBuilder;
-    use hydra::service::{FrameProtocol, MetricsProtocol};
+    use hydra::service::MetricsProtocol;
 
     let _guard = counters_lock();
     let session = Hydra::builder().build();

@@ -3,16 +3,19 @@
 //! slow-request log — all fed by one shared registry across the reactor
 //! and both protocol front-ends.
 
-use hydra_core::session::Hydra;
-use hydra_obs::SlowLog;
-use hydra_pgwire::codec::{encode_startup, read_backend_message, write_frontend};
-use hydra_pgwire::{BackendMessage, FrontendMessage, StartupPacket};
-use hydra_service::protocol::{read_frame, write_frame, Request, Response, StreamRequest};
-use hydra_tester::HydraTester;
-use hydra_workload::retail_client_fixture;
+use hydra::obs::SlowLog;
+use hydra::pgwire::codec::{encode_startup, read_backend_message, write_frontend};
+use hydra::pgwire::{BackendMessage, FrontendMessage, StartupPacket};
+use hydra::service::protocol::{read_frame, write_frame, Request, Response, StreamRequest};
+use hydra::workload::retail_client_fixture;
+use hydra::Hydra;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+#[path = "common/tester.rs"]
+mod tester;
+use tester::HydraTester;
 
 /// Frame `Stats` returns the same registry a `/metrics` scrape renders,
 /// and the op counters reflect the requests this very client sent.

@@ -14,7 +14,10 @@ use hydra::catalog::schema::Schema;
 use hydra::datagen::exec::{ExecMode, QueryEngine};
 use hydra::pgwire::types::pg_text;
 use hydra::query::exec::{ExecStrategy, QueryAnswer};
-use hydra_tester::HydraTester;
+
+#[path = "common/tester.rs"]
+mod tester;
+use tester::HydraTester;
 
 /// Render a frame-protocol `QueryAnswer` exactly as the pg front-end must:
 /// group keys typed by the schema (dates become ISO strings), aggregates by

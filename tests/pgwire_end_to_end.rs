@@ -7,12 +7,17 @@
 //! symmetry, database selection, and error-position contracts.
 
 use hydra::pgwire::codec::{encode_startup, read_backend_message, BackendMessage, StartupPacket};
-use hydra::pgwire::{PgClient, PgWireError};
-use hydra::service::StreamRequest;
-use hydra_tester::HydraTester;
+use hydra::pgwire::{PgClient, PgProtocol, PgWireError};
+use hydra::service::{FrameProtocol, ReactorBuilder, StreamRequest};
+use hydra::ShutdownSignal;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[path = "common/tester.rs"]
+mod tester;
+use tester::HydraTester;
 
 /// A connect attempt against a stopped listener must fail; a raced accept
 /// (connection taken off the backlog, then dropped by the dying server)
@@ -127,28 +132,30 @@ fn frame_shutdown_stops_pg_listener() {
     assert_eventually_refused(|| PgClient::connect(tester.pg_addr(), Some("retail")).is_ok());
 }
 
-/// Satellite, the other direction: shutting the pg handle down stops the
-/// frame listener (shared signal), and the frame server's `join` returns.
+/// Satellite, the other direction: shutting the pg reactor down stops the
+/// frame reactor started on the same signal, and the frame side's `join`
+/// returns.
 #[test]
 fn pg_shutdown_stops_frame_listener() {
     use hydra::core::session::Hydra;
-    use hydra::pgwire::serve_pg;
     use hydra::service::registry::SummaryRegistry;
-    use hydra::ShutdownSignal;
-    use std::sync::Arc;
 
     let session = Hydra::builder().build();
-    let registry = Arc::new(SummaryRegistry::in_memory(session));
+    let registry = Arc::new(SummaryRegistry::in_memory(session.clone()));
     let signal = ShutdownSignal::new();
-    let frame = hydra::service::server::serve_with_signal(
-        Arc::clone(&registry),
-        "127.0.0.1:0",
-        signal.clone(),
-    )
-    .expect("frame listener");
-    let pg = serve_pg(Arc::clone(&registry), "127.0.0.1:0", signal).expect("pg listener");
+    let mut frame = ReactorBuilder::new(session.metrics());
+    let frame_addr = frame
+        .listen(
+            "127.0.0.1:0",
+            Arc::new(FrameProtocol::new(Arc::clone(&registry), signal.clone())),
+        )
+        .expect("frame listener");
+    let frame = frame.start(signal.clone()).expect("frame reactor");
+    let mut pg = ReactorBuilder::new(session.metrics());
+    pg.listen("127.0.0.1:0", Arc::new(PgProtocol::new(registry)))
+        .expect("pg listener");
+    let pg = pg.start(signal).expect("pg reactor");
 
-    let frame_addr = frame.local_addr();
     pg.shutdown();
     assert!(frame.is_shutting_down());
     // join() blocking forever here would mean the frame accept loop
@@ -342,24 +349,22 @@ fn hostile_length_field_gets_error_response_then_close() {
     }
 }
 
-/// A library `serve_pg` records its reactor into the session registry, so
+/// A pg reactor built over the session's metrics records into them, so
 /// `hydra_metrics` counts the very connection that asks.
 #[test]
 fn library_pg_server_reports_reactor_accepts() {
-    use hydra::pgwire::serve_pg;
-    use hydra::ShutdownSignal;
-    use std::sync::Arc;
-
     let tester = HydraTester::retail();
     // The tester's own reactor shares the session registry: count from here.
     let accepts_before = tester.obs().counter("hydra_reactor_accepts_total").value() as f64;
-    let server = serve_pg(
-        Arc::clone(tester.registry()),
-        "127.0.0.1:0",
-        ShutdownSignal::new(),
-    )
-    .expect("pg listener");
-    let mut pg = PgClient::connect(server.local_addr(), Some("retail")).expect("connect pg");
+    let mut builder = ReactorBuilder::new(tester.obs());
+    let addr = builder
+        .listen(
+            "127.0.0.1:0",
+            Arc::new(PgProtocol::new(Arc::clone(tester.registry()))),
+        )
+        .expect("pg listener");
+    let _server = builder.start(ShutdownSignal::new()).expect("pg reactor");
+    let mut pg = PgClient::connect(addr, Some("retail")).expect("connect pg");
     let metrics = pg
         .query("select * from hydra_metrics")
         .expect("metrics table");

@@ -3,8 +3,10 @@
 //! scenario → shutdown round-trip over TCP.
 
 use hydra::service::protocol::{ScenarioSpec, StreamRequest};
+use hydra::service::{FrameProtocol, ReactorBuilder};
 use hydra::workload::retail_client_fixture;
-use hydra::{Hydra, HydraClient, SummaryRegistry};
+use hydra::{Hydra, HydraClient, ShutdownSignal, SummaryRegistry};
+use std::sync::Arc;
 
 #[test]
 fn facade_exposes_the_full_service_round_trip() {
@@ -12,13 +14,19 @@ fn facade_exposes_the_full_service_round_trip() {
     let (db, queries) = retail_client_fixture(500, 150, 5);
     let package = session.profile(db, &queries).expect("profile");
 
-    let server = hydra::service::server::serve(
-        SummaryRegistry::in_memory(Hydra::builder().build()),
-        "127.0.0.1:0",
-    )
-    .expect("bind");
+    let vendor = Hydra::builder().build();
+    let registry = Arc::new(SummaryRegistry::in_memory(vendor.clone()));
+    let signal = ShutdownSignal::new();
+    let mut builder = ReactorBuilder::new(vendor.metrics());
+    let addr = builder
+        .listen(
+            "127.0.0.1:0",
+            Arc::new(FrameProtocol::new(registry, signal.clone())),
+        )
+        .expect("bind");
+    let server = builder.start(signal).expect("start");
 
-    let mut client = HydraClient::connect(server.local_addr()).expect("connect");
+    let mut client = HydraClient::connect(addr).expect("connect");
     let info = client.publish("facade", &package).expect("publish");
     assert_eq!(info.version, 1);
     assert_eq!(info.total_rows, package.metadata.total_rows());
