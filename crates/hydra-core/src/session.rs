@@ -258,7 +258,7 @@ impl Hydra {
 
     /// Rebuilds a [`RegenerationState`] from a previously solved baseline
     /// without running the LP solver — the recovery path of a durable
-    /// registry replaying its snapshot and write-ahead log.  The stored
+    /// registry replaying its write-ahead log.  The stored
     /// build report is reattached verbatim, and **no** solve metrics are
     /// recorded: recovery performs zero cold solves and the
     /// `hydra_lp_solves_total` counters prove it.

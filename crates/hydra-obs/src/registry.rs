@@ -396,20 +396,12 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "Relations per appended WAL record: inline (logged) or base (named by reference to version - 1)",
     },
     FamilyDesc {
-        name: "hydra_wal_snapshot_bytes_total",
-        kind: MetricKind::Counter,
-        unit: Unit::Bytes,
-        label_key: "",
-        layer: "wal",
-        help: "Bytes written to snapshot files by checkpoints (footer included)",
-    },
-    FamilyDesc {
         name: "hydra_wal_checkpoints_total",
         kind: MetricKind::Counter,
         unit: Unit::Count,
         label_key: "",
         layer: "wal",
-        help: "Solved-state snapshots written (each truncates the WAL)",
+        help: "WAL segments sealed by checkpoints (each renames the active log and opens a fresh one)",
     },
     FamilyDesc {
         name: "hydra_wal_checkpoint_seconds",
@@ -417,7 +409,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
         unit: Unit::Nanos,
         label_key: "stage",
         layer: "wal",
-        help: "Checkpoint time, by stage: encode (every retained version's record plus the snapshot encoding) or write (snapshot write, fsyncs and rename, plus the WAL truncate)",
+        help: "Checkpoint time, by stage: write (the seal: cut back to the acknowledged end, fsync, rename, directory fsync, fresh log)",
     },
     FamilyDesc {
         name: "hydra_wal_recovered_records_total",
@@ -425,7 +417,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
         unit: Unit::Count,
         label_key: "source",
         layer: "wal",
-        help: "Summary versions recovered at boot, by source (snapshot or wal)",
+        help: "Summary versions recovered at boot, by source (snapshot: a legacy snapshot file; wal: sealed segments and the active log)",
     },
     FamilyDesc {
         name: "hydra_wal_recovered_bytes_total",
@@ -433,7 +425,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
         unit: Unit::Bytes,
         label_key: "source",
         layer: "wal",
-        help: "Payload bytes decoded at boot, by source (snapshot or wal)",
+        help: "Payload bytes decoded at boot, by source (snapshot: a legacy snapshot file; wal: sealed segments and the active log)",
     },
     FamilyDesc {
         name: "hydra_wal_recovery_seconds",
@@ -441,7 +433,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
         unit: Unit::Nanos,
         label_key: "",
         layer: "wal",
-        help: "Wall time of the durable registry's boot: snapshot load plus WAL replay",
+        help: "Wall time of the durable registry's boot: legacy snapshot load plus the replay of every sealed segment and the active log",
     },
 ];
 

@@ -1,6 +1,7 @@
-//! The compact binary codec of the durable registry's WAL records and
-//! snapshots: a serde data-model tree ([`serde::Content`]) written as tag
-//! bytes, varints and raw little-endian words instead of JSON text.
+//! The compact binary codec of the durable registry's WAL records (and of
+//! the legacy snapshots it still reads): a serde data-model tree
+//! ([`serde::Content`]) written as tag bytes, varints and raw
+//! little-endian words instead of JSON text.
 //!
 //! A payload is one leading [`FORMAT`] byte, then one value.  Every value is
 //! a tag byte followed by its body:

@@ -18,22 +18,24 @@
 //! through one path that assigns the version under the commit mutex and
 //! then inserts it into the chain.  A durable registry additionally
 //! appends the version's [`WalRecord`] to an fsync'd write-ahead log
-//! **before** the version becomes visible, and periodic checkpoints write
-//! every retained version's record into an immutable, checksummed snapshot
-//! file (truncating the WAL).  One encoder writes both files: a publish is
-//! logged in full (package, build report, support-only solve baseline); a
-//! delta as its [`WorkloadDelta`], its build report and only the relations
-//! it re-solved — the rest, and the package, are re-derived from
-//! `name@version-1`, so a version costs what changed on disk.  Both files
-//! hold [`codec`] payloads (tag bytes and varints, under half the JSON
-//! text the registry wrote before); boot still reads a JSON payload by its
-//! leading `{`, so directories written before the codec keep booting.
-//! Boot loads the snapshot and replays the WAL — **zero cold LP solves**,
-//! full version chains intact, torn WAL tails truncated in place.  A record
-//! or snapshot that passed its checksum but does not decode or restore, or
-//! a delta record whose base was not restored, fails the boot: serving a
-//! chain with a hole would let the next publish re-issue an acknowledged
-//! version number.
+//! **before** the version becomes visible; the log is the only on-disk
+//! form of a version.  A publish is logged in full (package, build report,
+//! support-only solve baseline); a delta as its [`WorkloadDelta`], its
+//! build report and only the relations it re-solved — the rest, and the
+//! package, are re-derived from `name@version-1`, so a version costs what
+//! changed on disk.  A checkpoint **seals** the active `wal.log` as the
+//! next numbered segment (`wal-<seq>.log`) and continues in a fresh one:
+//! nothing is re-encoded.  Records are [`codec`] payloads (tag bytes and
+//! varints, under half the JSON text the registry wrote before); boot
+//! still reads a JSON payload by its leading `{`, and still reads the
+//! snapshot files registries wrote before sealed segments, so older
+//! directories keep booting.  Boot loads the newest valid legacy snapshot,
+//! then every sealed segment in order, then `wal.log` — **zero cold LP
+//! solves**, full version chains intact, a torn `wal.log` tail truncated
+//! in place.  A corrupt sealed segment, a record or snapshot that passed
+//! its checksum but does not decode or restore, or a delta record whose
+//! base was not restored, fails the boot: serving a chain with a hole
+//! would let the next publish re-issue an acknowledged version number.
 
 use crate::codec;
 use crate::error::{ServiceError, ServiceResult};
@@ -94,9 +96,9 @@ pub enum WalOp {
     },
 }
 
-/// One version as the WAL and snapshots log it: the operation plus the
-/// resulting solved state, appended (and fsync'd) before the version
-/// becomes visible.  A snapshot is every name's records in version order.
+/// One version as the WAL logs it: the operation plus the resulting solved
+/// state, appended (and fsync'd) before the version becomes visible.  A
+/// legacy snapshot is every name's records in version order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WalRecord {
     /// Registry name.
@@ -110,8 +112,9 @@ pub struct WalRecord {
     pub solved: SolvedState,
 }
 
-/// A checkpoint: the record of every retained version at snapshot time.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A legacy snapshot: the record of every retained version at the
+/// checkpoint that wrote it.
+#[derive(Debug, Default, Deserialize)]
 struct SnapshotFile {
     entries: Vec<WalRecord>,
 }
@@ -119,13 +122,14 @@ struct SnapshotFile {
 /// What a durable boot recovered (reported by [`SummaryRegistry::durable`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Versions restored from the newest valid snapshot.
+    /// Versions restored from the newest valid legacy snapshot.
     pub snapshot_versions: usize,
-    /// Versions restored by WAL replay (committed after the snapshot).
+    /// Versions restored from the sealed segments and the active log.
     pub wal_versions: usize,
-    /// Torn-tail bytes truncated from the WAL (0 on a clean shutdown).
+    /// Torn-tail bytes truncated from the active log (0 on a clean
+    /// shutdown).
     pub wal_truncated_bytes: u64,
-    /// Corrupt snapshot files that were skipped in favor of an older one.
+    /// Corrupt legacy snapshot files skipped in favor of an older one.
     pub snapshots_skipped: usize,
 }
 
@@ -167,10 +171,10 @@ impl RegistryEntry {
         })
     }
 
-    /// This version's record — the one encoder of the WAL and snapshots.  A
-    /// delta version whose predecessor `base` (`name@version-1`) is given
-    /// logs only the relations whose signature differs from `base`'s; any
-    /// other version logs in full.
+    /// This version's record — the one encoder of the WAL.  A delta
+    /// version whose predecessor `base` (`name@version-1`) is given logs
+    /// only the relations whose signature differs from `base`'s; any other
+    /// version logs in full.
     fn record(&self, base: Option<&RegistryEntry>) -> WalRecord {
         let baseline = self.state.baseline();
         let (package, relations) = match (&self.op, base) {
@@ -291,54 +295,7 @@ pub fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
 }
 
-/// Removes leftover `*.tmp` staging files (a crash between write and rename
-/// strands them) so they cannot accumulate across restarts.
-fn sweep_tmp_files(dir: &Path) {
-    let Ok(read) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in read.flatten() {
-        let path = entry.path();
-        if path.extension().is_some_and(|ext| ext == "tmp") {
-            match std::fs::remove_file(&path) {
-                Ok(()) => eprintln!(
-                    "hydra-service: removed stale temp file {} (crash leftover)",
-                    path.display()
-                ),
-                Err(e) => eprintln!(
-                    "hydra-service: could not remove stale temp file {}: {e}",
-                    path.display()
-                ),
-            }
-        }
-    }
-}
-
-/// Snapshot file name for sequence `seq`.
-fn snapshot_name(seq: u64) -> String {
-    format!("snapshot-{seq:010}.snap")
-}
-
-/// Sequence number parsed from a snapshot file name, if it is one.
-fn snapshot_seq(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    name.strip_prefix("snapshot-")?
-        .strip_suffix(".snap")?
-        .parse()
-        .ok()
-}
-
-/// Every snapshot file in `dir`, sorted by ascending sequence number.
-fn snapshot_paths(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut snaps: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter_map(|p| snapshot_seq(&p).map(|seq| (seq, p)))
-        .collect();
-    snaps.sort();
-    Ok(snaps)
-}
-
-/// Decodes a checksummed WAL or snapshot payload by its first byte: a
+/// Decodes a checksummed WAL record or snapshot payload by its first byte: a
 /// [`codec::FORMAT`] payload with the binary codec, a `{` one as the JSON
 /// registries wrote before it; any other byte is an error naming it.
 fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
@@ -350,16 +307,14 @@ fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
     }
 }
 
-/// The boot error for something in `path` that passed its checksum yet
-/// cannot be decoded or restored: skipping it would silently drop an
+/// The boot error for something in `path` that cannot be recovered — a
+/// sealed segment with a bad frame, or a record that passed its checksum
+/// yet does not decode or restore: skipping it would silently drop an
 /// acknowledged version.
 fn unrecoverable(path: &Path, what: &str, e: impl std::fmt::Display) -> ServiceError {
     ServiceError::Io(std::io::Error::new(
         std::io::ErrorKind::InvalidData,
-        format!(
-            "{}: {what} passed its checksum but cannot be recovered: {e}",
-            path.display()
-        ),
+        format!("{}: {what} cannot be recovered: {e}", path.display()),
     ))
 }
 
@@ -367,13 +322,11 @@ fn unrecoverable(path: &Path, what: &str, e: impl std::fmt::Display) -> ServiceE
 /// order **is** the commit order).
 #[derive(Debug)]
 struct DurableState {
-    dir: PathBuf,
     wal: hydra_wal::Wal,
-    /// Records appended since the last checkpoint.
+    /// Records in the active log (appended since the last seal).
     records_in_wal: usize,
-    /// Checkpoint after this many WAL records.
+    /// Seal after this many records.
     checkpoint_every: usize,
-    next_snapshot_seq: u64,
 }
 
 /// Where a recovered version was read from at boot.
@@ -405,9 +358,9 @@ pub struct SummaryRegistry {
     /// Name → full version chain (version → entry).  Readers resolve the
     /// latest version or any retained historical one.
     entries: RwLock<BTreeMap<String, BTreeMap<u32, Arc<RegistryEntry>>>>,
-    /// Serializes commits.  Holds the WAL + snapshot state of a durable
-    /// registry; `None` means in-memory.  Lock order: `commit` before
-    /// `entries`; never the reverse.
+    /// Serializes commits.  Holds the WAL state of a durable registry;
+    /// `None` means in-memory.  Lock order: `commit` before `entries`;
+    /// never the reverse.
     commit: Mutex<Option<DurableState>>,
     recovery: RecoveryReport,
 }
@@ -424,17 +377,19 @@ impl SummaryRegistry {
         }
     }
 
-    /// A WAL-backed registry rooted at `dir`, checkpointing every
-    /// `checkpoint_every` WAL records.  Boot recovers the full version
-    /// chains from the newest valid snapshot plus WAL replay — **zero cold
-    /// LP solves** — truncating any torn WAL tail in place.  Every publish
+    /// A WAL-backed registry rooted at `dir`, sealing the active log after
+    /// every `checkpoint_every` records.  Boot recovers the full version
+    /// chains from the newest valid legacy snapshot (if any), every sealed
+    /// segment in order, then the active `wal.log` — **zero cold LP
+    /// solves** — truncating a torn `wal.log` tail in place.  Every publish
     /// and delta is appended (and fsync'd) to the WAL *before* its version
     /// becomes visible, so an acknowledged version survives any crash.
     ///
-    /// A WAL record, or the newest snapshot, that passes its checksum but
-    /// does not decode or restore is an error naming the file (and the
-    /// `name@version` when known); only checksum failures — a torn WAL tail,
-    /// a corrupt snapshot footer — are recovered from.
+    /// A sealed segment with a bad frame, and a record or the newest
+    /// snapshot that passes its checksum but does not decode or restore,
+    /// is an error naming the file (and the `name@version` when known);
+    /// only a torn `wal.log` tail and a corrupt snapshot footer are
+    /// recovered from.
     pub fn durable(
         session: Hydra,
         dir: impl Into<PathBuf>,
@@ -443,26 +398,25 @@ impl SummaryRegistry {
         let started = Instant::now();
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        sweep_tmp_files(&dir);
         let mut registry = Self::in_memory(session);
         let metrics = registry.session.metrics();
-        let recovered_bytes = |source: Source| {
-            metrics.counter_labeled("hydra_wal_recovered_bytes_total", "source", source.label())
-        };
 
-        // 1. Newest checksum-valid snapshot (older ones are the fallback
-        //    chain for a corrupt footer).
-        let mut snaps = snapshot_paths(&dir)?;
-        let next_snapshot_seq = snaps.last().map_or(0, |(seq, _)| seq + 1);
-        snaps.reverse();
-        let mut snapshot: SnapshotFile = SnapshotFile::default();
+        // 1. The newest checksum-valid legacy snapshot (older ones are the
+        //    fallback chain for a corrupt footer).
+        let mut snapshot = SnapshotFile::default();
         let mut snapshot_path = PathBuf::new();
-        for (_, path) in &snaps {
+        for (_, path) in hydra_wal::snapshots(&dir)?.iter().rev() {
             match hydra_wal::read_snapshot(path) {
                 Ok(payload) => {
                     snapshot = decode(&payload).map_err(|e| unrecoverable(path, "snapshot", e))?;
                     snapshot_path = path.clone();
-                    recovered_bytes(Source::Snapshot).add(payload.len() as u64);
+                    metrics
+                        .counter_labeled(
+                            "hydra_wal_recovered_bytes_total",
+                            "source",
+                            Source::Snapshot.label(),
+                        )
+                        .add(payload.len() as u64);
                     break;
                 }
                 Err(e) => {
@@ -474,10 +428,24 @@ impl SummaryRegistry {
                 }
             }
         }
+        for record in snapshot.entries {
+            let what = format!("entry {}@{}", record.name, record.version);
+            registry
+                .recover(Source::Snapshot, record)
+                .map_err(|e| unrecoverable(&snapshot_path, &what, e))?;
+        }
 
-        // 2. WAL replay: versions committed after the snapshot.  Replay
-        //    truncates a torn tail back to the last intact record.
+        // 2. The sealed segments, oldest first.  A segment was fsync'd
+        //    whole, so a bad frame in it is corruption, never a torn tail.
         let wal_path = dir.join("wal.log");
+        for (_, path) in hydra_wal::segments(&wal_path)? {
+            let records = hydra_wal::read_segment(&path)
+                .map_err(|e| unrecoverable(&path, "sealed segment", e))?;
+            registry.recover_log(&path, records)?;
+        }
+
+        // 3. The active log; replay truncates a torn tail back to the last
+        //    intact record.
         let replayed = hydra_wal::replay(&wal_path)?;
         if replayed.truncated_bytes > 0 {
             eprintln!(
@@ -488,43 +456,13 @@ impl SummaryRegistry {
         }
         registry.recovery.wal_truncated_bytes = replayed.truncated_bytes;
         let records_in_wal = replayed.records.len();
-        let wal_records = replayed
-            .records
-            .into_iter()
-            .enumerate()
-            .map(|(index, payload)| {
-                recovered_bytes(Source::Wal).add(payload.len() as u64);
-                decode::<WalRecord>(&payload)
-                    .map(|r| (Source::Wal, r))
-                    .map_err(|e| unrecoverable(&wal_path, &format!("record {}", index + 1), e))
-            });
-
-        // 3. One restore loop over both sources, snapshot first; a delta
-        //    record resolves against the already-restored `name@version-1`.
-        let recovered = snapshot
-            .entries
-            .into_iter()
-            .map(|r| Ok((Source::Snapshot, r)))
-            .chain(wal_records);
-        for item in recovered {
-            let (source, record) = item?;
-            let path = match source {
-                Source::Snapshot => &snapshot_path,
-                Source::Wal => &wal_path,
-            };
-            let what = format!("entry {}@{}", record.name, record.version);
-            registry
-                .recover(source, record)
-                .map_err(|e| unrecoverable(path, &what, e))?;
-        }
+        registry.recover_log(&wal_path, replayed.records)?;
 
         let wal = hydra_wal::Wal::open(&wal_path)?;
         *registry.commit.get_mut().expect("commit lock poisoned") = Some(DurableState {
-            dir,
             wal,
             records_in_wal,
             checkpoint_every: checkpoint_every.max(1),
-            next_snapshot_seq,
         });
         // Refresh the version gauges for everything we recovered.
         for entry in registry.list() {
@@ -536,6 +474,25 @@ impl SummaryRegistry {
             .gauge("hydra_wal_recovery_seconds")
             .set(started.elapsed().as_nanos() as i64);
         Ok(registry)
+    }
+
+    /// Decodes and restores the records of one log file (a sealed segment
+    /// or the active log) in append order.
+    fn recover_log(&mut self, path: &Path, records: Vec<Vec<u8>>) -> ServiceResult<()> {
+        let decoded = self.session.metrics().counter_labeled(
+            "hydra_wal_recovered_bytes_total",
+            "source",
+            Source::Wal.label(),
+        );
+        for (index, payload) in records.into_iter().enumerate() {
+            decoded.add(payload.len() as u64);
+            let record: WalRecord = decode(&payload)
+                .map_err(|e| unrecoverable(path, &format!("record {}", index + 1), e))?;
+            let what = format!("entry {}@{}", record.name, record.version);
+            self.recover(Source::Wal, record)
+                .map_err(|e| unrecoverable(path, &what, e))?;
+        }
+        Ok(())
     }
 
     /// Restores one recovered version with zero LP solves and inserts it,
@@ -711,9 +668,9 @@ impl SummaryRegistry {
         Ok(())
     }
 
-    /// Checkpoints if the WAL has grown past the configured threshold.  A
-    /// failed checkpoint is logged, not fatal — the WAL still holds every
-    /// committed record.
+    /// Checkpoints if the active log holds the configured number of
+    /// records.  A failed checkpoint is logged, not fatal — the log still
+    /// holds every committed record, and the next commit tries again.
     fn maybe_checkpoint(&self, dur: &mut DurableState) {
         if dur.records_in_wal < dur.checkpoint_every {
             return;
@@ -723,47 +680,19 @@ impl SummaryRegistry {
         }
     }
 
-    /// Writes every retained version's record — each encoded against its
-    /// chain predecessor, as the WAL encodes it — into a new immutable
-    /// snapshot, then truncates the WAL.  Crash-ordering: the snapshot
-    /// becomes visible (rename + dir fsync) *before* the WAL shrinks, so
-    /// every committed version is always in at least one of the two.
+    /// Seals the active log as the next numbered segment
+    /// ([`hydra_wal::Wal::seal`]).  Every committed version already is a
+    /// frame in the log, so nothing is rebuilt or encoded and no registry
+    /// entry is read: the seal only gives the file its final name.
     fn checkpoint_locked(&self, dur: &mut DurableState) -> ServiceResult<()> {
-        let metrics = self.session.metrics();
-        let stage = |name: &str, started: Instant| {
-            metrics
-                .histogram_labeled("hydra_wal_checkpoint_seconds", "stage", name)
-                .record_duration(started.elapsed())
-        };
         let started = Instant::now();
-        let entries: Vec<WalRecord> = {
-            let map = self.entries.read().expect("registry lock poisoned");
-            map.values()
-                .flat_map(|chain| {
-                    chain.values().map(|e| {
-                        let base = e.version.checked_sub(1).and_then(|v| chain.get(&v));
-                        e.record(base.map(|b| &**b))
-                    })
-                })
-                .collect()
-        };
-        let payload = codec::to_bytes(&SnapshotFile { entries });
-        stage("encode", started);
-        let started = Instant::now();
-        let seq = dur.next_snapshot_seq;
-        let bytes = hydra_wal::write_snapshot(&dur.dir.join(snapshot_name(seq)), &payload)?;
-        dur.next_snapshot_seq += 1;
-        dur.wal.truncate()?;
+        dur.wal.seal()?;
         dur.records_in_wal = 0;
-        stage("write", started);
+        let metrics = self.session.metrics();
+        metrics
+            .histogram_labeled("hydra_wal_checkpoint_seconds", "stage", "write")
+            .record_duration(started.elapsed());
         metrics.counter("hydra_wal_checkpoints_total").inc();
-        metrics.counter("hydra_wal_snapshot_bytes_total").add(bytes);
-        // Keep the newest snapshot plus one fallback; prune the rest.
-        if let Ok(snaps) = snapshot_paths(&dur.dir) {
-            for (_, path) in snaps.iter().rev().skip(2) {
-                let _ = std::fs::remove_file(path);
-            }
-        }
         Ok(())
     }
 

@@ -1,7 +1,11 @@
-//! The durable registry end to end: WAL-backed commits, checkpointing,
-//! instant recovery with zero cold LP solves, time-travel resolution, and
-//! the fsync discipline of the write path.
+//! The durable registry end to end: WAL-backed commits, checkpoints that
+//! seal WAL segments, instant recovery with zero cold LP solves (legacy
+//! snapshot directories included), time-travel resolution, and the fsync
+//! discipline of the write path.
 
+mod common;
+
+use common::write_legacy_snapshot;
 use hydra_core::session::Hydra;
 use hydra_core::transfer::TransferPackage;
 use hydra_engine::database::Database;
@@ -168,10 +172,29 @@ fn torn_wal_tail_is_discarded_cleanly() {
     assert_eq!(lp_solves(&session), 0);
 }
 
-/// Checkpoints snapshot the full chain and truncate the WAL, so recovery
-/// reads the snapshot instead of replaying every record since boot.
+/// Every `.log` file in `dir` except the active `wal.log`, sorted.
+fn sealed_segments(dir: &Path) -> Vec<PathBuf> {
+    let mut sealed: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "log") && !p.ends_with("wal.log"))
+        .collect();
+    sealed.sort();
+    sealed
+}
+
+/// True when some file in `dir` has the legacy snapshot extension.
+fn has_snapshot_file(dir: &Path) -> bool {
+    std::fs::read_dir(dir)
+        .expect("list dir")
+        .filter_map(|e| e.ok())
+        .any(|e| e.path().extension().is_some_and(|ext| ext == "snap"))
+}
+
+/// Checkpoints seal the active log into numbered segments and leave
+/// `wal.log` empty; recovery reads the records back from the segments.
 #[test]
-fn checkpoint_truncates_wal_and_recovery_reads_the_snapshot() {
+fn checkpoint_seals_wal_segments_and_recovery_reads_them() {
     let dir = temp_dir("checkpoint");
     {
         let session = session();
@@ -189,26 +212,49 @@ fn checkpoint_truncates_wal_and_recovery_reads_the_snapshot() {
         0,
         "checkpoint_every=1 must leave the WAL empty"
     );
-    let snapshots = std::fs::read_dir(&dir)
-        .expect("read dir")
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|ext| ext == "snap"))
-        .count();
-    assert!(snapshots >= 1, "a snapshot file must exist");
+    assert_eq!(
+        sealed_segments(&dir),
+        vec![
+            dir.join("wal-0000000000.log"),
+            dir.join("wal-0000000001.log")
+        ],
+        "one sealed segment per checkpoint"
+    );
+    for segment in sealed_segments(&dir) {
+        let records = hydra_wal::read_segment(&segment).expect("strict read");
+        assert_eq!(records.len(), 1, "{}", segment.display());
+    }
+    assert!(!has_snapshot_file(&dir), "no checkpoint writes a snapshot");
 
     let session = session();
     let registry = SummaryRegistry::durable(session.clone(), &dir, 1).expect("reopen");
     let recovery = registry.recovery_report();
-    assert_eq!(recovery.snapshot_versions, 2, "{recovery:?}");
-    assert_eq!(recovery.wal_versions, 0, "{recovery:?}");
+    assert_eq!(recovery.snapshot_versions, 0, "{recovery:?}");
+    assert_eq!(recovery.wal_versions, 2, "{recovery:?}");
     assert_eq!(registry.versions_of("retail"), vec![1, 2]);
     assert_eq!(lp_solves(&session), 0);
 }
 
+/// Opening a durable registry on an empty directory creates `wal.log` and
+/// fsyncs the directory, so the new file's name — and with it every record
+/// later fsync'd into it — survives a power cut.
+#[test]
+fn opening_a_durable_registry_on_an_empty_directory_syncs_the_directory() {
+    let dir = temp_dir("create-sync");
+    let (_, dirs_before) = hydra_wal::sync_counts();
+    let _registry = SummaryRegistry::durable(session(), &dir, 1000).expect("open");
+    let (_, dirs_after) = hydra_wal::sync_counts();
+    assert!(dir.join("wal.log").exists());
+    assert!(
+        dirs_after > dirs_before,
+        "creating wal.log must fsync the registry directory"
+    );
+}
+
 /// The durable write path issues its syncs: a publish fsyncs the WAL file
 /// before it is acknowledged, and a checkpoint fsyncs the registry
-/// directory after renaming its snapshot into place.  The checkpoint times
-/// its two stages, record encoding and the synced write, apart.
+/// directory after renaming the sealed segment.  The checkpoint is timed as
+/// one `write` stage; there is no encoding left to time.
 #[test]
 fn durable_write_path_issues_file_and_dir_syncs() {
     let dir = temp_dir("syncs");
@@ -230,17 +276,16 @@ fn durable_write_path_issues_file_and_dir_syncs() {
         dirs_after > dirs_before,
         "checkpoint must fsync the registry directory after the rename"
     );
-    for stage in ["encode", "write"] {
-        let timed = session
+    let timed = |stage: &str| {
+        session
             .metrics()
             .histogram_labeled("hydra_wal_checkpoint_seconds", "stage", stage)
-            .snapshot();
-        assert_eq!(
-            timed.count, 1,
-            "one forced checkpoint, one `{stage}` sample"
-        );
-        assert!(timed.sum > 0, "the `{stage}` stage took no time");
-    }
+            .snapshot()
+    };
+    let write = timed("write");
+    assert_eq!(write.count, 1, "one forced checkpoint, one `write` sample");
+    assert!(write.sum > 0, "the `write` stage took no time");
+    assert_eq!(timed("encode").count, 0, "a seal encodes nothing");
 }
 
 /// A WAL record or newest snapshot that passed its checksum but does not
@@ -269,14 +314,102 @@ fn checksummed_but_undecodable_records_fail_the_boot() {
     );
 
     let dir = temp_dir("undecodable-snapshot");
-    hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), b"{\"entries\":")
-        .expect("write snapshot");
+    write_legacy_snapshot(&dir.join("snapshot-0000000000.snap"), b"{\"entries\":");
     let err = SummaryRegistry::durable(session(), &dir, 1000)
         .expect_err("an undecodable newest snapshot must fail the boot");
     assert!(
         err.to_string().contains("snapshot-0000000000.snap"),
         "{err}"
     );
+}
+
+/// A sealed segment was fsync'd whole, so a bad frame in it is corruption,
+/// not a torn tail: boot fails with an error naming the segment and leaves
+/// the file as it was — nothing acknowledged is truncated away.
+#[test]
+fn a_corrupt_sealed_segment_fails_the_boot_and_is_left_untouched() {
+    let dir = temp_dir("corrupt-segment");
+    {
+        let session = session();
+        let registry = SummaryRegistry::durable(session.clone(), &dir, 2).expect("open");
+        let (db, queries) = retail_client_fixture(400, 150, 4);
+        let package = session.profile(db.clone(), &queries).expect("profile");
+        registry.publish("retail", package).expect("publish v1");
+        for (step, threshold) in [30, 35].into_iter().enumerate() {
+            let delta = narrow_delta(&db, &format!("drift-{step}"), threshold);
+            registry.delta_publish("retail", &delta).expect("delta");
+        }
+    }
+    // v1-v2 sealed in segment 0, v3 in wal.log.
+    let segment = dir.join("wal-0000000000.log");
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    bytes[20] ^= 0x01; // a payload byte of the first record
+    std::fs::write(&segment, &bytes).expect("corrupt segment");
+
+    let err = SummaryRegistry::durable(session(), &dir, 2)
+        .expect_err("a corrupt sealed segment must fail the boot");
+    let message = err.to_string();
+    assert!(
+        message.contains("wal-0000000000.log") && message.contains("cannot be recovered"),
+        "{message}"
+    );
+    assert_eq!(
+        std::fs::metadata(&segment).expect("segment meta").len(),
+        bytes.len() as u64,
+        "boot must not truncate a sealed segment"
+    );
+}
+
+/// A seal whose rename fails — a directory squats on the next segment name,
+/// so `rename` returns EISDIR — is logged and retried at the next commit,
+/// never fatal: the commit that triggered it stays acknowledged,
+/// `hydra_wal_checkpoints_total` does not move, and later commits keep
+/// appending to `wal.log`.  Once the blocker is gone, a reboot restores
+/// every version byte-identical with zero LP solves, and seals again.
+#[test]
+fn a_failed_seal_keeps_every_commit_and_the_log_appending() {
+    let dir = temp_dir("failed-seal");
+    let mut truth = Vec::new();
+    let blocker = dir.join("wal-0000000000.log");
+    {
+        let session = session();
+        let registry = SummaryRegistry::durable(session.clone(), &dir, 2).expect("open");
+        let (db, queries) = retail_client_fixture(400, 150, 4);
+        let package = session.profile(db.clone(), &queries).expect("profile");
+        registry.publish("retail", package).expect("publish v1");
+        std::fs::create_dir(&blocker).expect("block the segment name");
+        for (step, threshold) in [30, 35, 40].into_iter().enumerate() {
+            let delta = narrow_delta(&db, &format!("drift-{step}"), threshold);
+            let published = registry
+                .delta_publish("retail", &delta)
+                .expect("a failed seal does not fail the commit");
+            assert_eq!(published.info.version, step as u32 + 2);
+        }
+        assert_eq!(counter(&session, "hydra_wal_checkpoints_total"), 0);
+        assert_eq!(registry.versions_of("retail"), vec![1, 2, 3, 4]);
+        let logged = hydra_wal::read_segment(&dir.join("wal.log")).expect("read wal.log");
+        assert_eq!(logged.len(), 4, "every commit appended to wal.log");
+        for version in 1..=4 {
+            truth.push(version_bytes(&registry, "retail", version));
+        }
+    }
+    std::fs::remove_dir(&blocker).expect("remove the blocker");
+
+    let booted = session();
+    let registry = SummaryRegistry::durable(booted.clone(), &dir, 2).expect("reboot");
+    assert_eq!(registry.recovery_report().wal_versions, 4);
+    assert_eq!(lp_solves(&booted), 0, "recovery must not run the LP solver");
+    for (version, bytes) in (1..).zip(&truth) {
+        assert!(
+            version_bytes(&registry, "retail", version) == *bytes,
+            "retail@{version} must boot byte-identical"
+        );
+    }
+    registry
+        .checkpoint()
+        .expect("the seal succeeds once unblocked");
+    assert_eq!(counter(&booted, "hydra_wal_checkpoints_total"), 1);
+    assert!(blocker.is_file(), "the log was sealed under the freed name");
 }
 
 /// Builds `package` from scratch with the session's builder, returning the
@@ -375,22 +508,20 @@ fn full_baseline_wal_records_recover_support_only() {
     assert_eq!(actions(&upgraded), actions(&fresh));
 }
 
-/// Stale `*.tmp` staging files (a crash between a snapshot's write and its
-/// rename) are swept on startup instead of accumulating forever.
+/// A `*.tmp` staging file an older server stranded (a crash between a
+/// snapshot's write and its rename) is not a registry entry: boot ignores
+/// it, and since nothing writes staging files any more, leaves it alone.
 #[test]
-fn stale_tmp_files_are_swept_on_startup() {
-    let dir = temp_dir("sweep");
+fn stale_tmp_files_of_older_servers_do_not_affect_boot() {
+    let dir = temp_dir("stale-tmp");
     let stale = dir.join("snapshot-0000000007.tmp");
     std::fs::write(&stale, b"{\"torn\":").expect("seed stale tmp");
     let registry = SummaryRegistry::durable(session(), &dir, 1000).expect("open");
     assert!(
-        !stale.exists(),
-        "stale staging file must be removed at startup"
-    );
-    assert!(
         registry.is_empty(),
         "a staging file is not a registry entry"
     );
+    assert!(stale.exists(), "boot deletes nothing it did not write");
 }
 
 fn json(value: &impl serde::Serialize) -> String {
@@ -425,8 +556,10 @@ fn relations_logged(session: &Hydra, form: &str) -> u64 {
 /// The byte-level differential: two names, interleaved, each published,
 /// delta'd three times, re-published and delta'd twice more, at every
 /// checkpoint interval.  Every version recovers byte-identical (package,
-/// baseline, report, `Describe`) with zero LP solves, and every delta
-/// record is under half the size of its chain's publish record.
+/// baseline, report, `Describe`) with zero LP solves, every delta record is
+/// under half the size of its chain's publish record, and every version is
+/// on disk exactly once: the sealed segments plus `wal.log` hold exactly
+/// the bytes appended.
 #[test]
 fn delta_records_recover_byte_identical_at_every_checkpoint_interval() {
     let fixtures: Vec<_> = [400u64, 500]
@@ -449,8 +582,6 @@ fn delta_records_recover_byte_identical_at_every_checkpoint_interval() {
                 for (i, name) in names.iter().enumerate() {
                     let (db, queries) = &fixtures[i];
                     let before = counter(&session, "hydra_wal_bytes_total");
-                    let checkpoints = counter(&session, "hydra_wal_checkpoints_total");
-                    let snapshot_bytes = counter(&session, "hydra_wal_snapshot_bytes_total");
                     let version = if step == 0 || step == 4 {
                         let (db, queries) = if step == 0 {
                             (db.clone(), queries.clone())
@@ -482,14 +613,6 @@ fn delta_records_recover_byte_identical_at_every_checkpoint_interval() {
                         published.info.version
                     };
                     assert_eq!(version, step + 1);
-                    // A checkpoint counts exactly the snapshot file it wrote.
-                    if counter(&session, "hydra_wal_checkpoints_total") > checkpoints {
-                        let newest = dir.join(format!("snapshot-{checkpoints:010}.snap"));
-                        assert_eq!(
-                            counter(&session, "hydra_wal_snapshot_bytes_total") - snapshot_bytes,
-                            std::fs::metadata(newest).expect("newest snapshot").len()
-                        );
-                    }
                     truth.push((name, version, version_bytes(&registry, name, version)));
                 }
             }
@@ -503,6 +626,20 @@ fn delta_records_recover_byte_identical_at_every_checkpoint_interval() {
                 counter(&session, "hydra_wal_checkpoints_total"),
                 16 / checkpoint_every as u64
             );
+            // Each version is on disk once, as the frame it was appended as.
+            let files = sealed_segments(&dir)
+                .into_iter()
+                .chain([dir.join("wal.log")]);
+            let on_disk: u64 = files
+                .map(|p| std::fs::metadata(p).expect("log meta").len())
+                .sum();
+            assert_eq!(on_disk, counter(&session, "hydra_wal_bytes_total"));
+            assert_eq!(
+                sealed_segments(&dir).len(),
+                16 / checkpoint_every,
+                "one segment per checkpoint"
+            );
+            assert!(!has_snapshot_file(&dir), "no checkpoint writes a snapshot");
         }
 
         let session = session();
@@ -525,7 +662,7 @@ fn delta_records_recover_byte_identical_at_every_checkpoint_interval() {
                 "{name}@{version} must recover byte-identical (checkpoint every {checkpoint_every})"
             );
         }
-        // A checkpoint of the recovered chains re-encodes them identically.
+        // A seal after recovery reboots to the same bytes.
         registry.checkpoint().expect("checkpoint");
         drop(registry);
         let registry =
@@ -546,24 +683,49 @@ fn corrupt_footer(path: &Path) {
 }
 
 /// A delta record whose `name@version-1` was not restored — here because
-/// the newest snapshot's footer is corrupt and boot fell back to the older
-/// one — fails the boot naming the file, the record and the missing base:
-/// never a hole in the chain, never a panic.
+/// the newest legacy snapshot's footer is corrupt and boot fell back to the
+/// older one — fails the boot naming the file, the record and the missing
+/// base: never a hole in the chain, never a panic.
 #[test]
 fn a_delta_record_without_its_base_fails_the_boot() {
-    let dir = temp_dir("missing-base");
-    {
-        let session = session();
-        let registry = SummaryRegistry::durable(session.clone(), &dir, 2).expect("open");
-        let (db, queries) = retail_client_fixture(400, 150, 4);
-        let package = session.profile(db.clone(), &queries).expect("profile");
-        registry.publish("retail", package).expect("publish v1");
-        for (step, threshold) in [30, 35, 40, 45].into_iter().enumerate() {
-            let delta = narrow_delta(&db, &format!("drift-{step}"), threshold);
-            registry.delta_publish("retail", &delta).expect("delta");
-        }
+    let live = SummaryRegistry::in_memory(session());
+    let (db, queries) = retail_client_fixture(400, 150, 4);
+    let package = live
+        .session()
+        .profile(db.clone(), &queries)
+        .expect("profile");
+    live.publish("retail", package).expect("publish v1");
+    let deltas: Vec<WorkloadDelta> = [30, 35, 40, 45]
+        .into_iter()
+        .enumerate()
+        .map(|(step, threshold)| narrow_delta(&db, &format!("drift-{step}"), threshold))
+        .collect();
+    for delta in &deltas {
+        live.delta_publish("retail", delta).expect("delta");
     }
+    let record = |version: u32| {
+        let delta = version.checked_sub(2).map(|i| &deltas[i as usize]);
+        json_era_record(&live, "retail", version, delta)
+    };
+    let snapshot = |versions: std::ops::RangeInclusive<u32>| {
+        let entries: Vec<String> = versions.map(record).collect();
+        format!(r#"{{"entries":[{}]}}"#, entries.join(","))
+    };
     // v1-v2 in snapshot 0, v1-v4 in snapshot 1, v5 in the WAL.
+    let dir = temp_dir("missing-base");
+    write_legacy_snapshot(
+        &dir.join("snapshot-0000000000.snap"),
+        snapshot(1..=2).as_bytes(),
+    );
+    write_legacy_snapshot(
+        &dir.join("snapshot-0000000001.snap"),
+        snapshot(1..=4).as_bytes(),
+    );
+    let mut wal = hydra_wal::Wal::open(dir.join("wal.log")).expect("open wal");
+    wal.append(record(5).as_bytes()).expect("append");
+    drop(wal);
+    SummaryRegistry::durable(session(), &dir, 2).expect("both snapshots intact: boot succeeds");
+
     corrupt_footer(&dir.join("snapshot-0000000001.snap"));
     let err = SummaryRegistry::durable(session(), &dir, 2)
         .expect_err("a delta record without its base must fail the boot");
@@ -578,7 +740,7 @@ fn a_delta_record_without_its_base_fails_the_boot() {
 
 /// Snapshots written before delta records (`{"entries":[{name, version,
 /// solved}]}`, every entry full, no `op`) boot bit-identically with zero
-/// LP solves, and a checkpoint of what they restored reboots the same.
+/// LP solves, and so does the directory after a checkpoint.
 #[test]
 fn parent_format_snapshots_boot_bit_identically() {
     let live = SummaryRegistry::in_memory(session());
@@ -604,8 +766,7 @@ fn parent_format_snapshots_boot_bit_identically() {
         .collect();
     let dir = temp_dir("parent-snapshot");
     let payload = format!(r#"{{"entries":[{}]}}"#, entries.join(","));
-    hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), payload.as_bytes())
-        .expect("write snapshot");
+    write_legacy_snapshot(&dir.join("snapshot-0000000000.snap"), payload.as_bytes());
 
     for _ in 0..2 {
         let booted = session();
@@ -663,7 +824,8 @@ fn json_era_record(
     })
 }
 
-/// The snapshot payloads in `dir`, oldest first, and the WAL's records.
+/// The legacy snapshot payloads in `dir`, oldest first, and the records of
+/// the active `wal.log`.
 fn payloads(dir: &Path) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let mut snapshots: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("list dir")
@@ -679,8 +841,8 @@ fn payloads(dir: &Path) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     (snapshots, wal.records)
 }
 
-/// The first byte of every payload boot would read in `dir`: the newest
-/// snapshot's, then each WAL record's.
+/// The first byte of the newest legacy snapshot's payload in `dir`, and
+/// of each record of the active `wal.log`.
 fn payload_heads(dir: &Path) -> (Option<u8>, Vec<u8>) {
     let (snapshots, wal) = payloads(dir);
     (
@@ -693,8 +855,8 @@ fn payload_heads(dir: &Path) -> (Option<u8>, Vec<u8>) {
 /// WAL or as a snapshot) that the binary-codec registry keeps appending to.
 /// The JSON-era versions boot byte-identical to a live in-memory registry,
 /// every version boots byte-identical to what was acknowledged, with zero
-/// LP solves, boot reports what it decoded, and after the next checkpoint
-/// boot reads binary payloads only.
+/// LP solves, boot reports what it decoded, and a checkpoint seals the
+/// records verbatim, JSON-era ones included.
 fn json_era_directory_keeps_booting_after_binary_appends(json_snapshot: bool) {
     let live = SummaryRegistry::in_memory(session());
     let (db, queries) = retail_client_fixture(400, 150, 4);
@@ -721,8 +883,7 @@ fn json_era_directory_keeps_booting_after_binary_appends(json_snapshot: bool) {
     });
     if json_snapshot {
         let payload = format!(r#"{{"entries":[{}]}}"#, records.join(","));
-        hydra_wal::write_snapshot(&dir.join("snapshot-0000000000.snap"), payload.as_bytes())
-            .expect("write snapshot");
+        write_legacy_snapshot(&dir.join("snapshot-0000000000.snap"), payload.as_bytes());
     } else {
         let mut wal = hydra_wal::Wal::open(dir.join("wal.log")).expect("open wal");
         for record in &records {
@@ -748,11 +909,12 @@ fn json_era_directory_keeps_booting_after_binary_appends(json_snapshot: bool) {
             .collect()
     };
     let binary = hydra_service::codec::FORMAT;
-    let (snapshot, wal) = payload_heads(&dir);
+    let heads = payload_heads(&dir);
+    let snapshot_head = heads.0;
     if json_snapshot {
-        assert_eq!((snapshot, wal), (Some(b'{'), vec![binary, binary]));
+        assert_eq!(heads, (Some(b'{'), vec![binary, binary]));
     } else {
-        assert_eq!((snapshot, wal), (None, vec![b'{', b'{', binary, binary]));
+        assert_eq!(heads, (None, vec![b'{', b'{', binary, binary]));
     }
 
     let (snapshots, wal) = payloads(&dir);
@@ -791,7 +953,10 @@ fn json_era_directory_keeps_booting_after_binary_appends(json_snapshot: bool) {
                 "{text}"
             );
             registry.checkpoint().expect("checkpoint");
-            assert_eq!(payload_heads(&dir), (Some(binary), Vec::new()));
+            assert_eq!(payload_heads(&dir), (snapshot_head, Vec::new()));
+            let sealed =
+                hydra_wal::read_segment(&dir.join("wal-0000000000.log")).expect("sealed segment");
+            assert!(sealed == wal, "the seal keeps every record verbatim");
         }
     }
 }

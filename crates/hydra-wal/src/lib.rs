@@ -1,10 +1,12 @@
 //! # hydra-wal
 //!
 //! The storage discipline under the durable summary registry: an
-//! **append-only write-ahead log** plus **immutable snapshot files**, both
-//! checksummed, both fsync'd, both payload-agnostic (callers hand this crate
-//! opaque bytes; the durable registry encodes its records and snapshots
-//! with `hydra-service`'s binary codec, `hydra_service::codec`).
+//! **append-only write-ahead log** whose checkpoints **seal** it into
+//! immutable, numbered segment files, plus the reader of the snapshot
+//! files older registries wrote.  Frames are checksummed, every write is
+//! fsync'd, and the crate is payload-agnostic (callers hand it opaque
+//! bytes; the durable registry encodes its records with `hydra-service`'s
+//! binary codec, `hydra_service::codec`).
 //!
 //! ## WAL record framing
 //!
@@ -16,32 +18,41 @@
 //!
 //! `crc` is the IEEE CRC32 of the payload.  [`Wal::append`] writes one frame
 //! and then `fsync`s the file — a record is durable **before** the caller
-//! acknowledges whatever the record describes.  [`replay`] walks the frames,
-//! stops at the first incomplete or corrupt one, and **truncates** the file
-//! back to the last intact frame boundary: a torn tail from a crash
-//! mid-append disappears instead of poisoning the next run.
+//! acknowledges whatever the record describes.  [`replay`] walks the frames
+//! of the active log, stops at the first incomplete or corrupt one, and
+//! **truncates** the file back to the last intact frame boundary: a torn
+//! tail from a crash mid-append disappears instead of poisoning the next
+//! run.
 //!
-//! ## Snapshot files
+//! ## Sealed segments
 //!
-//! A snapshot is written once and never modified: payload first, then a
-//! fixed-size footer (`crc: u32 LE`, `len: u64 LE`, magic `HYSNAP01`) so a
-//! reader can validate from the end without a header pass.  The file becomes
-//! visible atomically — written to a `.tmp` sibling, fsync'd, renamed into
-//! place, parent directory fsync'd — so a crash mid-checkpoint leaves either
-//! the old snapshot or the new one, never a hybrid.
+//! [`Wal::seal`] gives the active log (`wal.log`) its final name,
+//! `wal-<seq:010>.log`, and continues in a fresh active log.  Nothing is
+//! re-encoded: a segment holds exactly the frames that were appended and
+//! acknowledged.  [`segments`] lists them in sequence order and
+//! [`read_segment`] reads one **strictly** — a sealed file was fsync'd
+//! whole, so a bad frame in it is corruption, reported as
+//! [`std::io::ErrorKind::InvalidData`] and never truncated away.
+//!
+//! ## Legacy snapshot files
+//!
+//! Registries before sealed segments checkpointed into snapshot files:
+//! payload first, then a fixed-size footer (`crc: u32 LE`, `len: u64 LE`,
+//! magic `HYSNAP01`).  Nothing writes them any more; [`snapshots`] lists
+//! them and [`read_snapshot`] validates one, so the directories those
+//! registries left keep booting.
 //!
 //! ## fsync discipline
 //!
-//! [`fsync_file`], [`fsync_dir`] and [`write_file_durable`] are the shared
-//! helpers every durable write in the workspace goes through (the WAL
-//! appends and the checkpoints).  Each call bumps a process-wide counter
-//! ([`sync_counts`]) so tests can assert the write path really issued its
-//! syncs instead of trusting the comment.
+//! [`fsync_file`] and [`fsync_dir`] are the shared helpers every durable
+//! write goes through (appends, creating a log, seals).  Each call bumps a
+//! process-wide counter ([`sync_counts`]) so tests can assert the write
+//! path really issued its syncs instead of trusting the comment.
 
 #![warn(missing_docs)]
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,10 +64,10 @@ const RECORD_HEADER: usize = 8;
 /// as corruption (truncate point), not as an allocation request.
 const MAX_RECORD_BYTES: u32 = 256 << 20;
 
-/// Magic trailing bytes of a snapshot footer (versioned).
+/// Magic trailing bytes of a legacy snapshot footer (versioned).
 const SNAPSHOT_MAGIC: [u8; 8] = *b"HYSNAP01";
 
-/// Bytes of the snapshot footer: crc (4) + payload len (8) + magic (8).
+/// Bytes of a legacy snapshot footer: crc (4) + payload len (8) + magic (8).
 const SNAPSHOT_FOOTER: u64 = 20;
 
 // ---------------------------------------------------------------------------
@@ -128,13 +139,12 @@ pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` (create or truncate) and `fsync`s the file
-/// before returning.  The caller still owns the rename + directory fsync
-/// when the write is a tmp-file staging step.
-pub fn write_file_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut file = File::create(path)?;
-    file.write_all(bytes)?;
-    fsync_file(&file)
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -149,31 +159,36 @@ pub struct Wal {
     path: PathBuf,
     /// End of the last acknowledged frame; the next append writes here.
     end: u64,
+    /// Sequence number the next [`Wal::seal`] gives its segment.
+    next_seq: u64,
 }
 
 impl Wal {
-    /// Opens (or creates) the log at `path` for appending.  Callers that may
-    /// be reopening after a crash should [`replay`] first — replay truncates
-    /// any torn tail, and `open` then continues from the intact boundary.
+    /// Opens (or creates) the active log at `path` for appending.  Callers
+    /// that may be reopening after a crash should [`replay`] first — replay
+    /// truncates any torn tail, and `open` then continues from the intact
+    /// boundary.  Creating the file also `fsync`s its directory: an fsync of
+    /// the file alone does not make its *name* durable, and a log that lost
+    /// its name would lose every record in it.  The next seal continues the
+    /// sequence of the [`segments`] already beside `path`.
     ///
     /// The file is deliberately opened without `O_APPEND`: appends are
     /// positional writes at the acknowledged end, and Linux `pwrite`
     /// ignores the offset on an `O_APPEND` descriptor.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Wal> {
         let path = path.into();
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&path)?;
+        let file = match OpenOptions::new().read(true).write(true).open(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => create_log(&path)?,
+            opened => opened?,
+        };
         let end = file.metadata()?.len();
-        Ok(Wal { file, path, end })
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let next_seq = segments(&path)?.last().map_or(0, |(seq, _)| seq + 1);
+        Ok(Wal {
+            file,
+            path,
+            end,
+            next_seq,
+        })
     }
 
     /// Current log size in bytes.
@@ -185,7 +200,8 @@ impl Wal {
     /// the frame occupies on disk.  When this returns `Ok`, the record is
     /// durable.  When it returns `Err`, whatever part of the frame landed
     /// lies past the acknowledged end: the next append overwrites it from
-    /// that end, and [`replay`] truncates any remainder as a torn tail.
+    /// that end, a seal cuts it off, and [`replay`] truncates any remainder
+    /// as a torn tail.
     pub fn append(&mut self, payload: &[u8]) -> std::io::Result<u64> {
         let len = u32::try_from(payload.len()).map_err(|_| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "WAL record too large")
@@ -206,14 +222,95 @@ impl Wal {
         Ok(frame.len() as u64)
     }
 
-    /// Empties the log (after a successful checkpoint has made its records
-    /// redundant) and `fsync`s the truncation.
-    pub fn truncate(&mut self) -> std::io::Result<()> {
-        self.file.set_len(0)?;
+    /// Seals the active log as the next numbered segment and continues in a
+    /// fresh, empty one.  In this order: cut the file back to the
+    /// acknowledged end (leftovers of a failed append are never sealed),
+    /// `fsync` it, rename it to its segment name, `fsync` the directory, and
+    /// open the fresh log.  Returns the segment's path.
+    ///
+    /// A seal that fails before the rename leaves the log as it was, still
+    /// appending.  Once the rename has happened its sequence number is
+    /// spent, so no later seal renames over the segment, and the fresh log
+    /// is opened even if the directory fsync failed; only if opening it
+    /// fails do appends continue in the renamed file, which boot reads in
+    /// sequence like any segment.
+    pub fn seal(&mut self) -> std::io::Result<PathBuf> {
+        self.file.set_len(self.end)?;
         fsync_file(&self.file)?;
+        let sealed = segment_path(&self.path, self.next_seq);
+        std::fs::rename(&self.path, &sealed)?;
+        self.next_seq += 1;
+        let synced = fsync_dir(parent_dir(&self.path));
+        self.file = create_log(&self.path)?;
         self.end = 0;
-        Ok(())
+        synced.map(|()| sealed)
     }
+}
+
+/// Creates an empty log file at `path` and `fsync`s its directory, so the
+/// new name is durable before any record is acknowledged in it.
+fn create_log(path: &Path) -> std::io::Result<File> {
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(path)?;
+    fsync_dir(parent_dir(path))?;
+    Ok(file)
+}
+
+/// Segment `seq` of the active log `active`: `wal.log` seals to
+/// `wal-0000000007.log` beside it.
+fn segment_path(active: &Path, seq: u64) -> PathBuf {
+    let stem = active.file_stem().unwrap_or_default().to_string_lossy();
+    active.with_file_name(format!("{stem}-{seq:010}.log"))
+}
+
+/// Every sealed segment of the active log `active`, by ascending sequence
+/// number.
+pub fn segments(active: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    let stem = active.file_stem().unwrap_or_default().to_string_lossy();
+    numbered(parent_dir(active), &format!("{stem}-"), ".log")
+}
+
+/// Every file in `dir` named `<prefix><seq><suffix>`, by ascending `seq`.
+fn numbered(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    let mut found: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let name = path.file_name()?.to_str()?;
+            let seq = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+            Some((seq.parse().ok()?, path))
+        })
+        .collect();
+    found.sort();
+    Ok(found)
+}
+
+/// The payloads of the intact frames at the head of `bytes`, and where the
+/// last of them ends.  Walking stops at the first incomplete header, short
+/// payload, garbage length or CRC mismatch.
+fn frames(bytes: &[u8]) -> (Vec<Vec<u8>>, usize) {
+    let mut records = Vec::new();
+    let mut offset = 0usize;
+    loop {
+        let remaining = bytes.len() - offset;
+        if remaining < RECORD_HEADER {
+            break;
+        }
+        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
+        if len > MAX_RECORD_BYTES || remaining - RECORD_HEADER < len as usize {
+            break; // garbage length or short payload
+        }
+        let payload = &bytes[offset + RECORD_HEADER..offset + RECORD_HEADER + len as usize];
+        if crc32(payload) != crc {
+            break; // corrupt record: everything from here on is suspect
+        }
+        records.push(payload.to_vec());
+        offset += RECORD_HEADER + len as usize;
+    }
+    (records, offset)
 }
 
 /// The outcome of replaying a log file.
@@ -225,9 +322,9 @@ pub struct WalReplay {
     pub truncated_bytes: u64,
 }
 
-/// Reads every intact record of the log at `path`, truncating a torn tail
-/// (incomplete header, short payload, or CRC mismatch) back to the last
-/// intact frame boundary.  A missing file replays as empty.
+/// Reads every intact record of the active log at `path`, truncating a
+/// torn tail (incomplete header, short payload, or CRC mismatch) back to
+/// the last intact frame boundary.  A missing file replays as empty.
 pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
     let mut file = match OpenOptions::new().read(true).write(true).open(path) {
         Ok(file) => file,
@@ -236,30 +333,10 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
     };
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
-
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        let remaining = bytes.len() - offset;
-        if remaining < RECORD_HEADER {
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES || remaining - RECORD_HEADER < len as usize {
-            break; // garbage length or short payload: torn tail
-        }
-        let payload = &bytes[offset + RECORD_HEADER..offset + RECORD_HEADER + len as usize];
-        if crc32(payload) != crc {
-            break; // corrupt record: everything from here on is suspect
-        }
-        records.push(payload.to_vec());
-        offset += RECORD_HEADER + len as usize;
-    }
-
-    let truncated_bytes = (bytes.len() - offset) as u64;
+    let (records, end) = frames(&bytes);
+    let truncated_bytes = (bytes.len() - end) as u64;
     if truncated_bytes > 0 {
-        file.set_len(offset as u64)?;
+        file.set_len(end as u64)?;
         fsync_file(&file)?;
     }
     Ok(WalReplay {
@@ -268,31 +345,37 @@ pub fn replay(path: &Path) -> std::io::Result<WalReplay> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Snapshot files
-// ---------------------------------------------------------------------------
-
-/// Writes `payload` as an immutable snapshot at `path`: payload + checksum
-/// footer, staged through `path.tmp`, fsync'd, renamed into place, and the
-/// parent directory fsync'd — atomically visible, durably named.  Returns
-/// the number of bytes the file occupies on disk.
-pub fn write_snapshot(path: &Path, payload: &[u8]) -> std::io::Result<u64> {
-    let mut bytes = Vec::with_capacity(payload.len() + SNAPSHOT_FOOTER as usize);
-    bytes.extend_from_slice(payload);
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-
-    let tmp = path.with_extension("tmp");
-    write_file_durable(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        fsync_dir(parent)?;
+/// Reads every record of the sealed segment at `path`.  Unlike [`replay`]
+/// nothing is truncated: any byte past the last intact frame is an
+/// [`std::io::ErrorKind::InvalidData`] error naming its offset, and the
+/// file is left as it is.
+pub fn read_segment(path: &Path) -> std::io::Result<Vec<Vec<u8>>> {
+    let bytes = std::fs::read(path)?;
+    let (records, end) = frames(&bytes);
+    if end < bytes.len() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "corrupt frame at byte {end} of {} (record {})",
+                bytes.len(),
+                records.len() + 1
+            ),
+        ));
     }
-    Ok(bytes.len() as u64)
+    Ok(records)
 }
 
-/// Reads and validates a snapshot written by [`write_snapshot`], returning
+// ---------------------------------------------------------------------------
+// Legacy snapshot files
+// ---------------------------------------------------------------------------
+
+/// Every legacy snapshot file (`snapshot-<seq>.snap`) in `dir`, by
+/// ascending sequence number.
+pub fn snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    numbered(dir, "snapshot-", ".snap")
+}
+
+/// Reads and validates a snapshot file an older registry wrote, returning
 /// its payload.  Any structural or checksum mismatch is an
 /// [`std::io::ErrorKind::InvalidData`] error — the caller falls back to an
 /// older snapshot.
@@ -326,6 +409,25 @@ pub fn read_snapshot(path: &Path) -> std::io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+
+    /// `payload` framed as [`Wal::append`] writes it.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// Appends `bytes` past whatever `path` holds, as a failed append leaves
+    /// them.
+    fn plant(path: &Path, bytes: &[u8]) {
+        OpenOptions::new()
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(bytes))
+            .expect("plant leftover");
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -432,12 +534,6 @@ mod tests {
     /// but unacknowledged leftover must not be replayed.
     #[test]
     fn append_after_failed_append_leftovers_replays_only_acknowledged_records() {
-        let frame = |payload: &[u8]| {
-            let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
-            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-            bytes.extend_from_slice(payload);
-            bytes
-        };
         let unacknowledged = frame(b"a record whose fsync failed");
         let leftovers = [
             ("partial-frame", unacknowledged[..20].to_vec()),
@@ -448,11 +544,7 @@ mod tests {
             let path = dir.join("wal.log");
             let mut wal = Wal::open(&path).expect("open");
             wal.append(b"one").expect("append one");
-            OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(&leftover))
-                .expect("plant leftover");
+            plant(&path, &leftover);
             wal.append(b"two").expect("append two");
             drop(wal);
             let replayed = replay(&path).expect("replay");
@@ -465,6 +557,83 @@ mod tests {
         }
     }
 
+    /// A seal cuts the log back to its acknowledged end first, so the
+    /// leftovers of a failed append — a partial frame or a complete but
+    /// unacknowledged one — never reach a sealed segment, whose strict read
+    /// returns exactly the acknowledged records.
+    #[test]
+    fn seal_drops_failed_append_leftovers() {
+        let dir = temp_dir("seal-leftovers");
+        let path = dir.join("wal.log");
+        let mut wal = Wal::open(&path).expect("open");
+        wal.append(b"one").expect("append one");
+        wal.append(b"two").expect("append two");
+        let unacknowledged = frame(b"a record whose fsync failed");
+        plant(&path, &unacknowledged[..20]);
+        plant(&path, &unacknowledged);
+        let sealed = wal.seal().expect("seal");
+        assert_eq!(sealed, dir.join("wal-0000000000.log"));
+        assert_eq!(
+            read_segment(&sealed).expect("strict read"),
+            vec![b"one".to_vec(), b"two".to_vec()]
+        );
+        assert_eq!(wal.len_bytes(), 0, "the fresh active log is empty");
+        assert_eq!(std::fs::metadata(&path).expect("fresh log").len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seals number their segments in order, a reopened log continues the
+    /// sequence, and a sealed segment is read strictly: one flipped payload
+    /// byte is an `InvalidData` error, and the file keeps its length.
+    #[test]
+    fn seals_number_segments_and_segments_read_strictly() {
+        let dir = temp_dir("segments");
+        let path = dir.join("wal.log");
+        let mut wal = Wal::open(&path).expect("open");
+        for record in [b"one", b"two"] {
+            wal.append(record).expect("append");
+            wal.seal().expect("seal");
+        }
+        drop(wal);
+        let mut wal = Wal::open(&path).expect("reopen");
+        wal.append(b"six").expect("append");
+        assert_eq!(wal.seal().expect("seal"), dir.join("wal-0000000002.log"));
+        std::fs::write(dir.join("wal-notes.log"), b"not a segment").expect("stray file");
+        let listed: Vec<(u64, PathBuf)> = segments(&path).expect("list");
+        assert_eq!(
+            listed,
+            (0..3)
+                .map(|seq| (seq, dir.join(format!("wal-{seq:010}.log"))))
+                .collect::<Vec<_>>()
+        );
+        let records: Vec<Vec<Vec<u8>>> = listed
+            .iter()
+            .map(|(_, p)| read_segment(p).expect("read"))
+            .collect();
+        assert_eq!(
+            records,
+            vec![
+                vec![b"one".to_vec()],
+                vec![b"two".to_vec()],
+                vec![b"six".to_vec()]
+            ]
+        );
+
+        let first = &listed[0].1;
+        let mut bytes = std::fs::read(first).expect("read bytes");
+        bytes[RECORD_HEADER] ^= 0x40;
+        std::fs::write(first, &bytes).expect("corrupt");
+        let err = read_segment(first).expect_err("a corrupt segment must not read");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("byte 0"), "{err}");
+        assert_eq!(
+            std::fs::metadata(first).expect("meta").len(),
+            bytes.len() as u64,
+            "a strict read truncates nothing"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_wal_replays_empty() {
         let dir = temp_dir("missing");
@@ -474,20 +643,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A legacy snapshot as older registries wrote it: payload, then the
+    /// footer (crc, length, magic).
+    fn legacy_snapshot(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = payload.to_vec();
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
+        bytes
+    }
+
     #[test]
-    fn snapshot_round_trip_and_corruption_detection() {
+    fn legacy_snapshot_reader_detects_corruption() {
         let dir = temp_dir("snapshot");
         let path = dir.join("snapshot-1.snap");
         let payload = b"{\"summaries\": []}".repeat(50);
-        write_snapshot(&path, &payload).expect("write");
+        let mut bytes = legacy_snapshot(&payload);
+        std::fs::write(&path, &bytes).expect("write");
         assert_eq!(read_snapshot(&path).expect("read"), payload);
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "tmp staging file renamed away"
-        );
 
         // Flip one payload byte: checksum mismatch.
-        let mut bytes = std::fs::read(&path).expect("read bytes");
         bytes[3] ^= 0x40;
         std::fs::write(&path, &bytes).expect("corrupt");
         let err = read_snapshot(&path).expect_err("corrupt snapshot must not parse");
@@ -500,19 +675,24 @@ mod tests {
     }
 
     #[test]
-    fn append_issues_a_file_sync_and_snapshot_a_dir_sync() {
+    fn append_issues_a_file_sync_and_seal_a_dir_sync() {
         let dir = temp_dir("sync-counts");
-        let (files_before, dirs_before) = sync_counts();
+        let (_, dirs_before) = sync_counts();
         let mut wal = Wal::open(dir.join("wal.log")).expect("open");
+        let (files_before, dirs_after) = sync_counts();
+        assert!(
+            dirs_after > dirs_before,
+            "creating the log must fsync its directory"
+        );
         wal.append(b"payload").expect("append");
-        let (files_after, _) = sync_counts();
+        let (files_after, dirs_before) = sync_counts();
         assert!(files_after > files_before, "append must fsync the log file");
 
-        write_snapshot(&dir.join("snap.snap"), b"payload").expect("snapshot");
+        wal.seal().expect("seal");
         let (_, dirs_after) = sync_counts();
         assert!(
             dirs_after > dirs_before,
-            "snapshot publication must fsync the directory"
+            "a seal must fsync the directory after the rename"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

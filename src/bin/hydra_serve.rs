@@ -16,17 +16,19 @@
 //!   startup parameter selects the summary, `name@version` pins a version).
 //!   Printed as `hydra-serve pg listening on HOST:PORT`.
 //! * `--wal-dir DIR`: full durability — every publish and delta is appended
-//!   (and fsync'd) to `DIR/wal.log` before it is acknowledged, and periodic
-//!   checkpoints snapshot every retained version.  A publish is logged in
-//!   full; a delta as the delta plus the relations it re-solved, the rest
-//!   named by reference to the previous version.  Records and snapshots
-//!   are binary (`hydra_service::codec`); a directory written as JSON by an
-//!   older server still boots.  Restart recovers all names **and all
-//!   retained versions** with zero cold LP solves (snapshot-load +
-//!   WAL-replay), and reports its duration as `hydra_wal_recovery_seconds`.
-//!   Without it the registry is in-memory.
-//! * `--checkpoint-every N` (default 64, `N >= 1`): write a snapshot and
-//!   truncate the WAL after every `N` appended records.  Only valid with
+//!   (and fsync'd) to `DIR/wal.log` before it is acknowledged; the log is
+//!   the only on-disk form of a version.  A publish is logged in full; a
+//!   delta as the delta plus the relations it re-solved, the rest named by
+//!   reference to the previous version.  Records are binary
+//!   (`hydra_service::codec`); a directory written as JSON, or with
+//!   snapshot files, by an older server still boots.  Restart recovers all
+//!   names **and all retained versions** with zero cold LP solves (legacy
+//!   snapshot, then the sealed segments, then `wal.log`), and reports its
+//!   duration as `hydra_wal_recovery_seconds`.  Without it the registry is
+//!   in-memory.
+//! * `--checkpoint-every N` (default 64, `N >= 1`): records per sealed
+//!   segment — after every `N` appended records, `wal.log` is sealed as
+//!   `DIR/wal-<seq>.log` and a fresh `wal.log` opened.  Only valid with
 //!   `--wal-dir`; given without it, or with `N = 0`, the server refuses to
 //!   start.
 //! * `--seed-retail ROWS`: before serving, publish the synthetic retail

@@ -1,8 +1,9 @@
 //! Crash-injection suite for the durable registry (ISSUE 9).
 //!
 //! These tests SIGKILL a real `hydra-serve` child — no drop handlers, no
-//! flushes, exactly what a power cut leaves behind — and assert the WAL +
-//! snapshot recovery contract:
+//! flushes, exactly what a power cut leaves behind — and assert the
+//! recovery contract of the WAL, whose checkpoints seal `wal.log` into
+//! numbered segments:
 //!
 //! * every version **acknowledged** before the kill is served after
 //!   restart, bit-identical to its pre-kill description;
