@@ -261,7 +261,7 @@ mod tests {
         let executor = Executor::new(db);
         let mut delta = WorkloadDelta::new();
         for query in queries {
-            let (_, aqp) = executor.run_query(query).unwrap();
+            let aqp = executor.run_query(query).unwrap();
             delta = delta.add_annotated(query.clone(), aqp);
         }
         delta

@@ -138,10 +138,11 @@ mod tests {
         )
         .unwrap();
         let plan = LogicalPlan::from_query(&q).unwrap();
-        let (result, aqp) = Executor::new(&db).run_annotated("q", &plan).unwrap();
+        let executor = Executor::new(&db);
+        let aqp = executor.run_annotated("q", &plan).unwrap();
         // Sales rows referencing items with manager < 50 are exactly the 300
         // rows whose FK lands in the first item block.
-        assert_eq!(result.rows.len(), 300);
+        assert_eq!(executor.run(&plan).unwrap().rows.len(), 300);
         assert_eq!(aqp.root.cardinality, 300);
     }
 }

@@ -13,6 +13,8 @@ pub enum EngineError {
     RowMismatch(String),
     /// The plan shape is not executable (e.g. wrong child count).
     BadPlan(String),
+    /// A scanned table has more rows than the executor can address.
+    TableTooLarge(String),
 }
 
 impl fmt::Display for EngineError {
@@ -22,6 +24,7 @@ impl fmt::Display for EngineError {
             EngineError::UnknownColumn(c) => write!(f, "unknown column `{c}`"),
             EngineError::RowMismatch(msg) => write!(f, "row mismatch: {msg}"),
             EngineError::BadPlan(msg) => write!(f, "bad plan: {msg}"),
+            EngineError::TableTooLarge(msg) => write!(f, "table too large: {msg}"),
         }
     }
 }

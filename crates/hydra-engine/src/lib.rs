@@ -13,7 +13,10 @@
 //!
 //! The engine supports the query class HYDRA targets: scans, conjunctive
 //! range/equality filters, and key/foreign-key joins, executed over
-//! materialized or generated row streams.
+//! materialized or generated row streams.  An [`exec::Executor`] reads each
+//! base table once and runs plans over row-id tuples; only
+//! [`exec::Executor::run`] builds output rows, while
+//! [`exec::Executor::run_annotated`] returns the AQP alone.
 //!
 //! ## Example
 //!
@@ -40,8 +43,14 @@
 //! }
 //! let q = parse_query_for_schema("q", "select * from item where item.i_manager_id < 40", &schema).unwrap();
 //! let plan = LogicalPlan::from_query(&q).unwrap();
-//! let result = Executor::new(&db).run(&plan).unwrap();
+//! let executor = Executor::new(&db);
+//! let result = executor.run(&plan).unwrap();
 //! assert_eq!(result.rows.len(), 40);
+//!
+//! // The AQP annotates every plan edge; no output row is built for it.
+//! let aqp = executor.run_annotated("q", &plan).unwrap();
+//! assert_eq!(aqp.root.cardinality, 40);
+//! assert_eq!(aqp.edge_count(), 2); // filter over scan
 //! ```
 
 pub mod database;

@@ -404,6 +404,14 @@ pub const FAMILIES: &[FamilyDesc] = &[
         help: "WAL segments sealed by checkpoints (each renames the active log and opens a fresh one)",
     },
     FamilyDesc {
+        name: "hydra_wal_checkpoint_failures_total",
+        kind: MetricKind::Counter,
+        unit: Unit::Count,
+        label_key: "",
+        layer: "wal",
+        help: "Checkpoints whose seal failed (the active log keeps every record and keeps appending; the next commit retries)",
+    },
+    FamilyDesc {
         name: "hydra_wal_checkpoint_seconds",
         kind: MetricKind::Histogram,
         unit: Unit::Nanos,

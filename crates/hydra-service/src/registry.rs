@@ -53,9 +53,7 @@ use hydra_summary::builder::SummaryBuildReport;
 use hydra_summary::delta::{RelationBaseline, SolveBaseline};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -155,20 +153,15 @@ impl RegistryEntry {
     /// Wraps a solved (published, delta-merged or recovered) state as an
     /// entry.  A fresh commit passes version 0; [`SummaryRegistry::commit`]
     /// assigns the real one.
-    fn new(
-        name: &str,
-        version: u32,
-        state: RegenerationState,
-        op: Option<WalOp>,
-    ) -> ServiceResult<Self> {
-        let detail = describe(name, version, &state.package, &state.regeneration)?;
-        Ok(RegistryEntry {
+    fn new(name: &str, version: u32, state: RegenerationState, op: Option<WalOp>) -> Self {
+        let detail = describe(name, version, &state);
+        RegistryEntry {
             name: name.to_string(),
             version,
             state,
             detail,
             op,
-        })
+        }
     }
 
     /// This version's record — the one encoder of the WAL.  A delta
@@ -233,57 +226,35 @@ impl RegistryEntry {
     }
 }
 
-/// Builds the wire description of a solved entry.
-fn describe(
-    name: &str,
-    version: u32,
-    package: &TransferPackage,
-    regeneration: &RegenerationResult,
-) -> ServiceResult<SummaryDetail> {
-    let constraints = package
-        .workload
-        .constraints_by_table()
-        .map_err(|e| ServiceError::Hydra(hydra_core::error::HydraError::Query(e)))?;
+/// Builds the wire description of a solved entry.  Constraint counts and
+/// signatures come from the state's constraint set, which already holds
+/// every AQP decomposed by relation.
+fn describe(name: &str, version: u32, state: &RegenerationState) -> SummaryDetail {
+    let regeneration = &state.regeneration;
     let relations = regeneration
         .build_report
         .relations
         .iter()
-        .map(|stats| {
-            let table_constraints = constraints.get(&stats.table);
-            RelationInfo {
-                table: stats.table.clone(),
-                total_rows: stats.total_rows,
-                summary_rows: stats.summary_rows,
-                constraints: table_constraints.map_or(0, |c| c.len()),
-                constraint_signature: constraint_signature(
-                    table_constraints.map_or(&[][..], |c| &c[..]),
-                ),
-                feasible: stats.lp.status == SolveStatus::Feasible,
-            }
+        .map(|stats| RelationInfo {
+            table: stats.table.clone(),
+            total_rows: stats.total_rows,
+            summary_rows: stats.summary_rows,
+            constraints: state.constraints.of_table(&stats.table).len(),
+            constraint_signature: state.constraints.table_signature(&stats.table),
+            feasible: stats.lp.status == SolveStatus::Feasible,
         })
         .collect::<Vec<_>>();
-    Ok(SummaryDetail {
+    SummaryDetail {
         info: SummaryInfo {
             name: name.to_string(),
             version,
             relations: relations.len(),
             total_rows: regeneration.summary.total_rows(),
             summary_bytes: regeneration.summary.size_bytes(),
-            queries: package.query_count(),
+            queries: state.package.query_count(),
         },
         relations,
-    })
-}
-
-/// Fingerprint of one relation's constraint set: a hash of its canonical
-/// JSON encoding (the same trick the summary builder's relation signatures
-/// use).
-fn constraint_signature(constraints: &[hydra_query::aqp::VolumetricConstraint]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    serde_json::to_string(&constraints.to_vec())
-        .unwrap_or_default()
-        .hash(&mut hasher);
-    hasher.finish()
+    }
 }
 
 /// True iff `name` is a valid registry name (`[A-Za-z0-9_-]+`) — anything
@@ -545,7 +516,7 @@ impl SummaryRegistry {
             .session
             .restore_stateful(&package, solved.report, baseline)
             .map_err(|e| e.to_string())?;
-        let entry = RegistryEntry::new(&name, version, state, op).map_err(|e| e.to_string())?;
+        let entry = RegistryEntry::new(&name, version, state, op);
         self.insert_version(Arc::new(entry));
         match source {
             Source::Snapshot => self.recovery.snapshot_versions += 1,
@@ -686,9 +657,12 @@ impl SummaryRegistry {
     /// entry is read: the seal only gives the file its final name.
     fn checkpoint_locked(&self, dur: &mut DurableState) -> ServiceResult<()> {
         let started = Instant::now();
-        dur.wal.seal()?;
-        dur.records_in_wal = 0;
         let metrics = self.session.metrics();
+        if let Err(e) = dur.wal.seal() {
+            metrics.counter("hydra_wal_checkpoint_failures_total").inc();
+            return Err(e.into());
+        }
+        dur.records_in_wal = 0;
         metrics
             .histogram_labeled("hydra_wal_checkpoint_seconds", "stage", "write")
             .record_duration(started.elapsed());
@@ -720,7 +694,7 @@ impl SummaryRegistry {
             )));
         }
         let state = self.session.regenerate_stateful(&package)?;
-        let entry = RegistryEntry::new(name, 0, state, Some(WalOp::Publish))?;
+        let entry = RegistryEntry::new(name, 0, state, Some(WalOp::Publish));
         let entry = self.commit(entry, Commit::Publish)?;
         Ok(entry.expect("a publish commit always lands"))
     }
@@ -756,7 +730,7 @@ impl SummaryRegistry {
             let op = WalOp::Delta {
                 delta: delta.clone(),
             };
-            let entry = RegistryEntry::new(name, 0, outcome.state, Some(op))?;
+            let entry = RegistryEntry::new(name, 0, outcome.state, Some(op));
             let Some(entry) = self.commit(entry, Commit::Delta { base: &base })? else {
                 continue; // base moved while we solved; re-merge
             };

@@ -363,9 +363,11 @@ fn a_corrupt_sealed_segment_fails_the_boot_and_is_left_untouched() {
 /// A seal whose rename fails — a directory squats on the next segment name,
 /// so `rename` returns EISDIR — is logged and retried at the next commit,
 /// never fatal: the commit that triggered it stays acknowledged,
-/// `hydra_wal_checkpoints_total` does not move, and later commits keep
-/// appending to `wal.log`.  Once the blocker is gone, a reboot restores
-/// every version byte-identical with zero LP solves, and seals again.
+/// `hydra_wal_checkpoints_total` does not move while
+/// `hydra_wal_checkpoint_failures_total` counts every failed attempt, the
+/// error names the segment, and later commits keep appending to `wal.log`.
+/// Once the blocker is gone, a reboot restores every version byte-identical
+/// with zero LP solves, and seals again.
 #[test]
 fn a_failed_seal_keeps_every_commit_and_the_log_appending() {
     let dir = temp_dir("failed-seal");
@@ -385,6 +387,15 @@ fn a_failed_seal_keeps_every_commit_and_the_log_appending() {
                 .expect("a failed seal does not fail the commit");
             assert_eq!(published.info.version, step as u32 + 2);
         }
+        // Commits 2, 3 and 4 each reached the threshold and tried to seal.
+        assert_eq!(counter(&session, "hydra_wal_checkpoints_total"), 0);
+        assert_eq!(counter(&session, "hydra_wal_checkpoint_failures_total"), 3);
+        let err = registry
+            .checkpoint()
+            .expect_err("the segment name is still blocked")
+            .to_string();
+        assert!(err.contains("wal-0000000000.log"), "{err}");
+        assert_eq!(counter(&session, "hydra_wal_checkpoint_failures_total"), 4);
         assert_eq!(counter(&session, "hydra_wal_checkpoints_total"), 0);
         assert_eq!(registry.versions_of("retail"), vec![1, 2, 3, 4]);
         let logged = hydra_wal::read_segment(&dir.join("wal.log")).expect("read wal.log");
@@ -409,7 +420,39 @@ fn a_failed_seal_keeps_every_commit_and_the_log_appending() {
         .checkpoint()
         .expect("the seal succeeds once unblocked");
     assert_eq!(counter(&booted, "hydra_wal_checkpoints_total"), 1);
+    assert_eq!(counter(&booted, "hydra_wal_checkpoint_failures_total"), 0);
     assert!(blocker.is_file(), "the log was sealed under the freed name");
+}
+
+/// `Describe` of a delta version reads its constraint counts and
+/// signatures off the merged constraint set; it must equal, field by field
+/// except the version, a from-scratch publish of the package
+/// `TransferPackage::apply_delta` derives — live, and after a reboot
+/// restores the delta version from the WAL.
+#[test]
+fn a_delta_versions_describe_equals_a_from_scratch_publish_of_its_package() {
+    let dir = temp_dir("describe-delta");
+    let session = session();
+    let (db, queries) = retail_client_fixture(400, 150, 4);
+    let package = session.profile(db.clone(), &queries).expect("profile");
+    let delta = narrow_delta(&db, "drift-describe", 30);
+    let scratch = SummaryRegistry::in_memory(session.clone());
+    scratch
+        .publish("retail", package.apply_delta(&delta).expect("apply_delta"))
+        .expect("from-scratch publish");
+    let mut expected = scratch.get("retail").expect("published").detail();
+    expected.info.version = 2;
+    {
+        let registry = SummaryRegistry::durable(session.clone(), &dir, 1000).expect("open");
+        registry.publish("retail", package).expect("publish v1");
+        registry.delta_publish("retail", &delta).expect("delta v2");
+        let live = registry.get_version("retail", 2).expect("v2").detail();
+        assert_eq!(live, expected, "live delta version");
+        assert!(live.relations.iter().any(|r| r.constraints > 0));
+    }
+    let registry = SummaryRegistry::durable(Hydra::builder().build(), &dir, 1000).expect("reboot");
+    let recovered = registry.get_version("retail", 2).expect("v2").detail();
+    assert_eq!(recovered, expected, "recovered delta version");
 }
 
 /// Builds `package` from scratch with the session's builder, returning the

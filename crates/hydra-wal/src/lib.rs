@@ -233,17 +233,25 @@ impl Wal {
     /// spent, so no later seal renames over the segment, and the fresh log
     /// is opened even if the directory fsync failed; only if opening it
     /// fails do appends continue in the renamed file, which boot reads in
-    /// sequence like any segment.
+    /// sequence like any segment.  An error names the segment path.
     pub fn seal(&mut self) -> std::io::Result<PathBuf> {
+        let sealed = segment_path(&self.path, self.next_seq);
+        self.seal_as(&sealed).map_err(|e| {
+            let what = format!("sealing {} as {}", self.path.display(), sealed.display());
+            std::io::Error::new(e.kind(), format!("{what}: {e}"))
+        })?;
+        Ok(sealed)
+    }
+
+    fn seal_as(&mut self, sealed: &Path) -> std::io::Result<()> {
         self.file.set_len(self.end)?;
         fsync_file(&self.file)?;
-        let sealed = segment_path(&self.path, self.next_seq);
-        std::fs::rename(&self.path, &sealed)?;
+        std::fs::rename(&self.path, sealed)?;
         self.next_seq += 1;
         let synced = fsync_dir(parent_dir(&self.path));
         self.file = create_log(&self.path)?;
         self.end = 0;
-        synced.map(|()| sealed)
+        synced
     }
 }
 

@@ -13,7 +13,7 @@ pub fn harvest_workload(db: &Database, queries: &[SpjQuery]) -> EngineResult<Que
     let executor = Executor::new(db);
     let mut workload = QueryWorkload::new();
     for query in queries {
-        let (_result, aqp) = executor.run_query(query)?;
+        let aqp = executor.run_query(query)?;
         workload.add_annotated(query.clone(), aqp);
     }
     Ok(workload)

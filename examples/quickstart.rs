@@ -109,13 +109,12 @@ fn main() {
     // ---- Dynamic regeneration: run the query with no stored data ------------
     let dataless = result.dataless_database();
     let plan = LogicalPlan::from_query(&query).unwrap();
-    let (exec_result, regenerated_aqp) = Executor::new(&dataless)
+    let regenerated_aqp = Executor::new(&dataless)
         .run_annotated("fig1", &plan)
         .expect("dataless execution");
     println!(
         "query executed on the DATALESS database: {} output rows (client observed {})",
-        exec_result.rows.len(),
-        aqp.root.cardinality
+        regenerated_aqp.root.cardinality, aqp.root.cardinality
     );
     println!("\nregenerated AQP comparison:");
     for (orig, regen) in aqp

@@ -57,7 +57,7 @@ fn main() {
         .expect("probe AQP");
     let dataless = result.dataless_database();
     let plan = LogicalPlan::from_query(&snowflake).unwrap();
-    let (_, regenerated) = Executor::new(&dataless)
+    let regenerated = Executor::new(&dataless)
         .run_annotated("snowflake_probe", &plan)
         .expect("dataless execution");
     println!("snowflake probe — original vs regenerated edge cardinalities:");

@@ -38,7 +38,7 @@ pub fn assert_tuple_scan_matches_accuracy(
         let Some(original) = &entry.aqp else { continue };
         let name = &original.query_name;
         let plan = LogicalPlan::from_query(&entry.query).unwrap();
-        let (_, regenerated) = executor.run_annotated(name, &plan).unwrap();
+        let regenerated = executor.run_annotated(name, &plan).unwrap();
         let original = original.root.preorder();
         let regenerated = regenerated.root.preorder();
         assert_eq!(original.len(), regenerated.len(), "{name}: plan shape");

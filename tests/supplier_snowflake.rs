@@ -54,7 +54,7 @@ fn nested_fk_conditions_are_regenerated_accurately() {
 
     let dataless = result.dataless_database();
     let plan = LogicalPlan::from_query(&query).unwrap();
-    let (_, regenerated) = Executor::new(&dataless)
+    let regenerated = Executor::new(&dataless)
         .run_annotated("snow1", &plan)
         .unwrap();
     let orig_root = original.root.cardinality;
