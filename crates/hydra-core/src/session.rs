@@ -50,10 +50,10 @@ use crate::scenario::{Scenario, ScenarioResult};
 use crate::transfer::TransferPackage;
 use crate::vendor::{HydraConfig, RegenerationResult, VendorSite};
 use hydra_datagen::exec::{ExecMode, QueryEngine};
-use hydra_datagen::generator::GenerationStats;
+use hydra_datagen::generator::{relation, GenerationStats};
 use hydra_datagen::governor::VelocityGovernor;
-use hydra_datagen::shard::ShardedRun;
-use hydra_datagen::sink::TupleSink;
+use hydra_datagen::shard::{run_sharded, ShardedRun};
+use hydra_datagen::sink::{CollectSink, TupleSink};
 use hydra_engine::database::Database;
 use hydra_engine::table::MemTable;
 use hydra_obs::MetricsRegistry;
@@ -62,6 +62,7 @@ use hydra_query::query::SpjQuery;
 use hydra_summary::align::AlignmentStrategy;
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Typed builder for a [`Hydra`] session.
 ///
@@ -355,17 +356,21 @@ impl Hydra {
         let answer = QueryEngine::over(&regeneration.schema, &regeneration.summary)
             .with_scan_shards(self.config.builder.parallelism)
             .query_mode(sql, mode)?;
-        let strategy = match answer.strategy() {
-            ExecStrategy::SummaryDirect => "summary_direct",
-            ExecStrategy::TupleScan => "tuple_scan",
-        };
+        self.record_query(answer.strategy(), started.elapsed());
+        Ok(answer)
+    }
+
+    /// Records one answered query under its strategy label
+    /// (`hydra_query_total`, `hydra_query_seconds`) — the one recorder for
+    /// [`Hydra::query`] and the wire front-ends alike.
+    pub fn record_query(&self, strategy: ExecStrategy, elapsed: Duration) {
+        let label = strategy.label();
         self.metrics
-            .counter_labeled("hydra_query_total", "strategy", strategy)
+            .counter_labeled("hydra_query_total", "strategy", label)
             .inc();
         self.metrics
-            .histogram_labeled("hydra_query_seconds", "strategy", strategy)
-            .record_duration(started.elapsed());
-        Ok(answer)
+            .histogram_labeled("hydra_query_seconds", "strategy", label)
+            .record_duration(elapsed);
     }
 
     /// Streams one regenerated relation into a [`TupleSink`], optionally
@@ -382,11 +387,11 @@ impl Hydra {
         rows_per_sec: Option<f64>,
         limit: Option<u64>,
     ) -> HydraResult<GenerationStats> {
-        let stats = regeneration.generator().stream_into(
+        let stats = regeneration.generator().stream_range_into(
             table,
+            0..limit.unwrap_or(u64::MAX),
             sink,
             rows_per_sec.or(self.velocity),
-            limit,
         )?;
         self.record_generation(&stats);
         Ok(stats)
@@ -394,10 +399,11 @@ impl Hydra {
 
     /// Records one completed generation stream's velocity account.
     ///
-    /// [`Hydra::stream_table`] calls this automatically; the wire front-ends
-    /// (frame `Stream`, pg `SELECT *` scans) drive the generator directly and
-    /// call it themselves so `hydra_datagen_rows_total` and friends account
-    /// for every generated tuple regardless of the entry point.
+    /// [`Hydra::stream_table`] and the sharded entry points call this
+    /// automatically; the wire front-ends (frame `Stream`, pg `SELECT *`
+    /// scans) drive the generator directly and call it themselves so
+    /// `hydra_datagen_rows_total` and friends account for every generated
+    /// tuple regardless of the entry point.
     pub fn record_generation(&self, stats: &GenerationStats) {
         self.metrics
             .counter_labeled("hydra_datagen_rows_total", "table", &stats.table)
@@ -460,9 +466,10 @@ impl Hydra {
         S: TupleSink + Send,
         F: Fn(usize, Range<u64>) -> S + Sync,
     {
-        Ok(regeneration
-            .generator()
-            .stream_sharded(table, shards, sink_factory)?)
+        let (t, summary) = relation(&regeneration.schema, &regeneration.summary, table)?;
+        let run = run_sharded(t, summary, shards, sink_factory);
+        self.record_generation(&run.aggregate_stats());
+        Ok(run)
     }
 
     /// Materializes one regenerated relation with `shards` parallel workers;
@@ -473,9 +480,10 @@ impl Hydra {
         table: &str,
         shards: usize,
     ) -> HydraResult<MemTable> {
-        Ok(regeneration
-            .generator()
-            .materialize_sharded(table, shards)?)
+        let (t, summary) = relation(&regeneration.schema, &regeneration.summary, table)?;
+        let run = run_sharded(t, summary, shards, |_, _| CollectSink::new());
+        self.record_generation(&run.aggregate_stats());
+        Ok(run.into_table(t))
     }
 
     fn vendor(&self) -> VendorSite {
@@ -486,7 +494,7 @@ impl Hydra {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_datagen::sink::{CollectSink, CountingSink};
+    use hydra_datagen::sink::CountingSink;
     use hydra_workload::retail_client_fixture;
 
     fn client_fixture() -> (Database, Vec<SpjQuery>) {

@@ -19,7 +19,7 @@
 //! `tests/query_differential.rs` (workspace root) proves it with a
 //! property-based differential oracle.
 
-use crate::generator::DynamicGenerator;
+use crate::generator::{relation, DynamicGenerator};
 use crate::sink::TupleSink;
 use crate::stream::RowBlock;
 use hydra_catalog::schema::Schema;
@@ -208,14 +208,7 @@ impl<'a> QueryEngine<'a> {
     /// generation path and fold every tuple into the aggregation kernel.
     fn scan(&self, query: &AggregateQuery) -> ExecResult<QueryAnswer> {
         let root = query.spj.root_table()?.to_string();
-        let table = self
-            .schema
-            .table(&root)
-            .ok_or_else(|| EngineError::UnknownTable(root.clone()))?;
-        let root_summary = self
-            .summary
-            .relation(&root)
-            .ok_or_else(|| EngineError::UnknownTable(format!("{root} (no summary)")))?;
+        let (table, root_summary) = relation(self.schema, self.summary, &root)?;
         let ctx = ScanContext {
             query,
             root: &root,

@@ -1,14 +1,14 @@
 //! The user-facing dynamic generator: streams, materialization, tuple sinks,
 //! and rate-controlled generation runs.
 
-use crate::governor::VelocityGovernor;
+use crate::governor::{Pulse, VelocityGovernor};
 use crate::shard::{run_sharded, ShardedRun};
 use crate::sink::{CollectSink, CountingSink, TupleSink};
 use crate::stream::TupleStream;
-use hydra_catalog::schema::Schema;
+use hydra_catalog::schema::{Schema, Table};
 use hydra_engine::error::{EngineError, EngineResult};
 use hydra_engine::table::MemTable;
-use hydra_summary::summary::DatabaseSummary;
+use hydra_summary::summary::{DatabaseSummary, RelationSummary};
 use std::ops::Range;
 use std::time::Duration;
 
@@ -81,22 +81,8 @@ impl DynamicGenerator {
     }
 
     /// Resolves a table name to its schema and summary entries.
-    pub fn relation(
-        &self,
-        table: &str,
-    ) -> EngineResult<(
-        &hydra_catalog::schema::Table,
-        &hydra_summary::summary::RelationSummary,
-    )> {
-        let t = self
-            .schema
-            .table(table)
-            .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
-        let summary = self
-            .summary
-            .relation(table)
-            .ok_or_else(|| EngineError::UnknownTable(format!("{table} (no summary)")))?;
-        Ok((t, summary))
+    pub fn relation(&self, table: &str) -> EngineResult<(&Table, &RelationSummary)> {
+        relation(&self.schema, &self.summary, table)
     }
 
     /// A lazy tuple stream for one relation.
@@ -138,12 +124,7 @@ impl DynamicGenerator {
     /// table is bit-identical to [`DynamicGenerator::materialize`].
     pub fn materialize_sharded(&self, table: &str, shards: usize) -> EngineResult<MemTable> {
         let (t, summary) = self.relation(table)?;
-        let run = run_sharded(t, summary, shards, |_, _| CollectSink::new());
-        let mut mem = MemTable::empty(t.clone());
-        for sink in run.into_sinks() {
-            mem.load_unchecked(sink.rows);
-        }
-        Ok(mem)
+        Ok(run_sharded(t, summary, shards, |_, _| CollectSink::new()).into_table(t))
     }
 
     /// Materializes a relation into an in-memory table (the demo's optional
@@ -160,27 +141,12 @@ impl DynamicGenerator {
         Ok(mem)
     }
 
-    /// Streams a relation's tuples into a [`TupleSink`], optionally throttled
-    /// to `rows_per_sec` and truncated at `limit` tuples.  This is the one
-    /// generation path behind query execution, export, and velocity
-    /// measurement; run statistics come back either way.
-    pub fn stream_into(
-        &self,
-        table: &str,
-        sink: &mut dyn TupleSink,
-        rows_per_sec: Option<f64>,
-        limit: Option<u64>,
-    ) -> EngineResult<GenerationStats> {
-        let stream = self.stream(table)?;
-        Ok(drive_stream(stream, sink, rows_per_sec, limit))
-    }
-
-    /// Streams the row range `rows` of a relation into a [`TupleSink`],
-    /// optionally throttled to `rows_per_sec`.  The stream seeks to the start
-    /// of the range through the summary's block-offset index, so serving rows
-    /// `[lo, hi)` never generates a tuple outside the range — this is the
-    /// generation path behind wire-streamed shard serving, where each
-    /// connection pulls its own range at its own velocity.
+    /// Streams the row range `rows` of a relation (clamped to its size) into
+    /// a [`TupleSink`], optionally throttled to `rows_per_sec`, and returns
+    /// the run statistics.  The stream seeks to the start of the range
+    /// through the summary's block-offset index, so serving rows `[lo, hi)`
+    /// never generates a tuple outside the range.  A whole relation is
+    /// `0..u64::MAX`; its first `n` tuples are `0..n`.
     pub fn stream_range_into(
         &self,
         table: &str,
@@ -189,7 +155,7 @@ impl DynamicGenerator {
         rows_per_sec: Option<f64>,
     ) -> EngineResult<GenerationStats> {
         let stream = self.stream_range(table, rows)?;
-        Ok(drive_stream(stream, sink, rows_per_sec, None))
+        Ok(drive_stream(stream, sink, rows_per_sec))
     }
 
     /// Generates up to `limit` tuples of a relation at the given velocity
@@ -203,58 +169,67 @@ impl DynamicGenerator {
         limit: Option<u64>,
     ) -> EngineResult<GenerationStats> {
         let mut sink = CountingSink::new();
-        self.stream_into(table, &mut sink, rows_per_sec, limit)
+        self.stream_range_into(table, 0..limit.unwrap_or(u64::MAX), &mut sink, rows_per_sec)
     }
 }
 
-/// Drives a prepared stream into a sink under a [`VelocityGovernor`] — the
-/// shared emission loop of [`DynamicGenerator::stream_into`] and
-/// [`DynamicGenerator::stream_range_into`].
-fn drive_stream(
+/// Resolves a table name to its schema and summary entries, borrowing both
+/// from wherever they live (a generator, a registry version).
+pub fn relation<'a>(
+    schema: &'a Schema,
+    summary: &'a DatabaseSummary,
+    table: &str,
+) -> EngineResult<(&'a Table, &'a RelationSummary)> {
+    let t = schema
+        .table(table)
+        .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
+    let relation = summary
+        .relation(table)
+        .ok_or_else(|| EngineError::UnknownTable(format!("{table} (no summary)")))?;
+    Ok((t, relation))
+}
+
+/// Drives a prepared stream into a sink — the one blocking emission loop,
+/// behind [`DynamicGenerator::stream_range_into`] and every shard of a
+/// sharded run.  [`VelocityGovernor::next_pulse`] paces it: a throttled
+/// stream emits one tuple per pulse (the exact per-tuple schedule), an
+/// unthrottled one walks whole blocks in a single pulse.  The loop stops
+/// early once the sink [aborts](TupleSink::aborted), and the sink is closed
+/// either way.
+pub(crate) fn drive_stream(
     mut stream: TupleStream<'_>,
     sink: &mut dyn TupleSink,
     rows_per_sec: Option<f64>,
-    limit: Option<u64>,
 ) -> GenerationStats {
-    let table = stream.table().name.clone();
-    let limit = limit.unwrap_or(u64::MAX);
-    let expected = stream.remaining().min(limit);
-    sink.begin(stream.table(), expected);
-    let mut governor = match rows_per_sec {
-        Some(rate) => VelocityGovernor::with_rate(rate),
-        None => VelocityGovernor::unthrottled(),
+    sink.begin(stream.table(), stream.remaining());
+    let (mut governor, cap) = match rows_per_sec {
+        Some(rate) => (VelocityGovernor::with_rate(rate), 1),
+        None => (VelocityGovernor::unthrottled(), u64::MAX),
     };
-    let mut produced = 0u64;
-    if governor.target_rate().is_none() {
-        // Unthrottled: hand the sink whole columnar blocks so overriding
-        // sinks do O(1) work per block (the default expansion is
-        // bit-identical to the per-row loop below).
-        while produced < limit && !sink.aborted() {
-            let Some(block) = stream.next_block(limit - produced) else {
-                break;
+    'pulses: while !sink.aborted() {
+        let mut goal = match governor.next_pulse(stream.remaining(), cap) {
+            Pulse::Wait(wait) => {
+                std::thread::sleep(wait);
+                continue;
+            }
+            Pulse::Emit(goal) => goal,
+            Pulse::Drained => break,
+        };
+        while goal > 0 {
+            let Some(block) = stream.next_block(goal) else {
+                break 'pulses;
             };
             let n = sink.write_block(&block);
-            produced += n;
             governor.note(n);
             if n < block.len() {
                 // The sink aborted mid-block; don't credit unconsumed rows.
-                break;
+                break 'pulses;
             }
-        }
-    } else {
-        // Throttled: pace tuple by tuple so the emission schedule is exactly
-        // the configured velocity, not block-grained bursts.
-        for row in stream {
-            if produced >= limit || sink.aborted() {
-                break;
-            }
-            sink.accept(row);
-            produced += 1;
-            governor.pace(1);
+            goal -= n;
         }
     }
     sink.finish();
-    governor.stats(&table)
+    governor.stats(&stream.table().name)
 }
 
 #[cfg(test)]
@@ -399,7 +374,9 @@ mod tests {
             accepted: 0,
             finished: false,
         };
-        let stats = gen.stream_into("item", &mut sink, None, None).unwrap();
+        let stats = gen
+            .stream_range_into("item", 0..u64::MAX, &mut sink, None)
+            .unwrap();
         // The driver stopped at the abort signal instead of generating the
         // remaining 4_900 tuples into a dead sink, and still closed it.
         assert_eq!(stats.rows, 100);

@@ -2,9 +2,12 @@
 //!
 //! The vendor screen of the original demo exposes a slider that sets the
 //! desired generation velocity in rows per second.  The [`VelocityGovernor`]
-//! implements that control: before each tuple (or batch of tuples) is
-//! released, the governor compares how many tuples *should* have been emitted
-//! by now against how many actually were, and sleeps for the difference.
+//! implements that control with one pacing rule,
+//! [`VelocityGovernor::next_pulse`]: it compares how many tuples *should*
+//! have been emitted by now against how many actually were, and either
+//! releases the next pulse or says how long to wait for it.  The blocking
+//! in-process driver sleeps the wait on its own thread; the wire pump parks
+//! it on the reactor's timer wheel.
 
 use crate::generator::GenerationStats;
 use std::time::{Duration, Instant};
@@ -49,7 +52,7 @@ impl VelocityGovernor {
     /// Panics unless `rows_per_sec` is finite and at least
     /// [`MIN_RATE`](Self::MIN_RATE) — the same validation the wire path
     /// applies, so a zero/subnormal/NaN rate fails loudly at construction
-    /// instead of turning every pace call into a 60 s sleep.
+    /// instead of turning every wait into a 60 s sleep.
     pub fn with_rate(rows_per_sec: f64) -> Self {
         assert!(
             rows_per_sec.is_finite() && rows_per_sec >= Self::MIN_RATE,
@@ -82,9 +85,10 @@ impl VelocityGovernor {
         self.target_rows_per_sec
     }
 
-    /// Longest single sleep `pace` will take (pathologically small target
-    /// rates otherwise turn into effectively-infinite sleeps, and a
-    /// non-finite deadline would panic `Duration::from_secs_f64`).
+    /// Longest single wait [`next_pulse`](Self::next_pulse) hands out
+    /// (pathologically small target rates otherwise turn into
+    /// effectively-infinite waits, and a non-finite deadline would panic
+    /// `Duration::from_secs_f64`).
     const MAX_PACE_SLEEP_SECS: f64 = 60.0;
 
     /// Largest emission deficit the schedule will try to catch up on.  After
@@ -108,43 +112,29 @@ impl VelocityGovernor {
         }
     }
 
-    /// Records that `n` tuples are about to be emitted and sleeps long enough
-    /// to keep the emission rate at (or below) the target.
-    pub fn pace(&mut self, n: u64) {
-        self.note(n);
-        if let Some(wait) = self.delay_for(0) {
-            self.slept += wait;
-            std::thread::sleep(wait);
-        }
-    }
-
-    /// Total time this governor has throttled emission: the sleeps
-    /// [`pace`](Self::pace) took plus every wait
+    /// Total time this governor has throttled emission: every wait
     /// [`next_pulse`](Self::next_pulse) handed out (the throttling cost the
     /// observability layer reports as governor sleep).
     pub fn slept(&self) -> Duration {
         self.slept
     }
 
-    /// Records that `n` tuples were emitted **without sleeping** — the
-    /// cooperative half of [`pace`](Self::pace) for event-loop callers that
-    /// must not block a worker thread.  Pair with
-    /// [`next_pulse`](Self::next_pulse), which sizes the emission and
-    /// schedules the wait elsewhere, e.g. on a reactor timer wheel.
+    /// Records that `n` tuples were emitted — the other half of
+    /// [`next_pulse`](Self::next_pulse), which sizes each emission and
+    /// leaves serving its waits to the caller.
     pub fn note(&mut self, n: u64) {
         self.emitted += n;
     }
 
-    /// The pacing decision of a cooperative stream pump with `remaining`
-    /// tuples left that emits in pulses of at most `cap` tuples.
+    /// The pacing decision of a stream with `remaining` tuples left that
+    /// emits in pulses of at most `cap` tuples — the one pacing rule of
+    /// every stream driver.
     ///
     /// A throttled stream waits until its *whole* next pulse is due, and a
     /// finished one waits out its final deficit before reporting
-    /// [`Pulse::Drained`] — [`pace`](Self::pace) sleeps after every tuple,
-    /// the last one included, so elapsed time is never shorter than
-    /// rows/rate on either path.  Every wait handed out is accounted in
-    /// [`slept`](Self::slept); the caller serves it off-thread and asks
-    /// again.
+    /// [`Pulse::Drained`], so elapsed time is never shorter than rows/rate.
+    /// Every wait handed out is accounted in [`slept`](Self::slept); the
+    /// caller serves it (by sleeping, or on a timer) and asks again.
     pub fn next_pulse(&mut self, remaining: u64, cap: u64) -> Pulse {
         let goal = cap.min(remaining);
         let wait = if goal == 0 {
@@ -169,7 +159,7 @@ impl VelocityGovernor {
     /// How long emission must pause before `extra` *more* tuples (beyond
     /// those already noted) are due under the target rate.  `None` when
     /// unthrottled or when that many tuples are already due now.  Capped at
-    /// the same 60 s bound as [`pace`](Self::pace)'s sleep, and the schedule
+    /// [`MAX_PACE_SLEEP_SECS`](Self::MAX_PACE_SLEEP_SECS), and the schedule
     /// forgives all but the last second of a stall (see
     /// [`MAX_CATCHUP_SECS`](Self::MAX_CATCHUP_SECS)).
     fn delay_for(&mut self, extra: u64) -> Option<Duration> {
@@ -234,15 +224,29 @@ impl VelocityGovernor {
 mod tests {
     use super::*;
 
+    /// Emits `rows` tuples in pulses of at most `cap`, sleeping every wait
+    /// (the blocking driver's loop, minus the sink).
+    fn drain(g: &mut VelocityGovernor, mut rows: u64, cap: u64) {
+        loop {
+            match g.next_pulse(rows, cap) {
+                Pulse::Wait(wait) => std::thread::sleep(wait),
+                Pulse::Emit(n) => {
+                    g.note(n);
+                    rows -= n;
+                }
+                Pulse::Drained => return,
+            }
+        }
+    }
+
     #[test]
     fn unthrottled_governor_never_sleeps() {
         let mut g = VelocityGovernor::unthrottled();
         let start = Instant::now();
-        for _ in 0..10_000 {
-            g.pace(1);
-        }
+        drain(&mut g, 10_000, 1);
         assert!(start.elapsed() < Duration::from_millis(500));
         assert_eq!(g.emitted(), 10_000);
+        assert_eq!(g.slept(), Duration::ZERO);
         assert!(g.target_rate().is_none());
     }
 
@@ -250,9 +254,8 @@ mod tests {
     fn throttled_governor_respects_target_rate() {
         // 1000 rows at 10_000 rows/s should take ~100 ms.
         let mut g = VelocityGovernor::with_rate(10_000.0);
-        for _ in 0..10 {
-            g.pace(100);
-        }
+        drain(&mut g, 1000, 100);
+        assert_eq!(g.emitted(), 1000);
         let elapsed = g.elapsed();
         assert!(
             elapsed >= Duration::from_millis(90),
@@ -266,8 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn cooperative_api_matches_pace_semantics() {
-        // note() + delay_for(0) is pace() without the sleep.
+    fn noted_emission_ahead_of_schedule_owes_a_wait() {
         let mut g = VelocityGovernor::with_rate(1000.0);
         g.note(100);
         let wait = g
@@ -369,7 +371,7 @@ mod tests {
     #[test]
     fn achieved_rate_reflects_emission() {
         let mut g = VelocityGovernor::unthrottled();
-        g.pace(500);
+        g.note(500);
         std::thread::sleep(Duration::from_millis(20));
         let rate = g.achieved_rate();
         assert!(rate > 0.0);

@@ -12,20 +12,20 @@
 //! 2. [`run_sharded`] streams every shard on its own thread
 //!    (`std::thread::scope`, mirroring the summary builder's stratum
 //!    parallelism) into a per-shard [`TupleSink`] produced by a caller
-//!    factory; each tuple is built from a per-block template row and handed
-//!    straight to the shard's own sink (batched consumers can pull through
-//!    [`TupleStream::fill_batch`] instead).
+//!    factory, through the same unthrottled blocking loop as
+//!    [`DynamicGenerator::stream_range_into`](crate::generator::DynamicGenerator::stream_range_into):
+//!    whole columnar blocks go straight to the shard's own sink.
 //!
 //! Because each shard is a deterministic range stream, concatenating the
 //! shard outputs in shard order is **bit-identical** to the sequential
 //! [`TupleStream`] over the whole relation —
 //! asserted by the `shard_determinism` property tests.
 
-use crate::generator::GenerationStats;
-use crate::governor::VelocityGovernor;
-use crate::sink::TupleSink;
+use crate::generator::{drive_stream, GenerationStats};
+use crate::sink::{CollectSink, TupleSink};
 use crate::stream::TupleStream;
 use hydra_catalog::schema::Table;
+use hydra_engine::table::MemTable;
 use hydra_summary::summary::RelationSummary;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -146,6 +146,17 @@ impl<S> ShardedRun<S> {
     }
 }
 
+impl ShardedRun<CollectSink> {
+    /// The collected shards, concatenated in plan order, as a `table`.
+    pub fn into_table(self, table: &Table) -> MemTable {
+        let mut mem = MemTable::empty(table.clone());
+        for sink in self.into_sinks() {
+            mem.load_unchecked(sink.rows);
+        }
+        mem
+    }
+}
+
 /// Streams every planned shard of `summary` on its own thread into a sink
 /// from `sink_factory` (called with the shard index and row range, from the
 /// shard's thread).  Shard outputs concatenated in plan order are
@@ -172,28 +183,15 @@ where
             .enumerate()
             .map(|(shard_index, range)| {
                 scope.spawn(move || {
-                    let mut governor = VelocityGovernor::unthrottled();
                     let mut sink = sink_factory(shard_index, range.clone());
-                    let mut stream =
+                    let stream =
                         TupleStream::with_range_using(table, summary, index, range.clone());
-                    sink.begin(table, stream.remaining());
-                    // Each shard owns its sink and feeds it whole columnar
-                    // blocks: sinks that exploit the block-constant structure
-                    // do O(1) work per block, everything else expands through
-                    // the bit-identical `write_block` default.
-                    while let Some(block) = stream.next_block(u64::MAX) {
-                        let n = sink.write_block(&block);
-                        governor.note(n);
-                        if n < block.len() {
-                            break;
-                        }
-                    }
-                    sink.finish();
+                    let stats = drive_stream(stream, &mut sink, None);
                     ShardOutcome {
                         index: shard_index,
                         range,
                         sink,
-                        stats: governor.stats(&table.name),
+                        stats,
                     }
                 })
             })
@@ -213,7 +211,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CollectSink;
     use hydra_catalog::schema::{ColumnBuilder, SchemaBuilder};
     use hydra_catalog::types::{DataType, Value};
     use hydra_engine::row::Row;

@@ -3,9 +3,10 @@
 //! The paper's generator feeds regenerated tuples straight into query
 //! execution; real deployments also want to count them, materialize them, or
 //! export them. [`TupleSink`] abstracts the consumer so
-//! [`crate::generator::DynamicGenerator::stream_into`] (and the session
-//! façade's `stream_table`) can drive any of these — including
-//! velocity-regulated streaming — through one code path.
+//! [`crate::generator::DynamicGenerator::stream_range_into`] (and the
+//! session façade's `stream_table`, and every shard of a sharded run) can
+//! drive any of these — including velocity-regulated streaming — through
+//! one code path.
 
 use crate::stream::{BlockTemplate, RowBlock};
 use hydra_catalog::schema::Table;
@@ -15,7 +16,10 @@ use std::io::Write;
 /// A consumer of regenerated tuples.
 ///
 /// Implement it to plug any destination into the generation pipeline — the
-/// driver calls `begin` once, `accept` per tuple, `finish` once.  Sharded
+/// driver calls `begin` once, [`write_block`](Self::write_block) per
+/// columnar block (one tuple per block when throttled), `finish` once;
+/// implementing `accept` is enough, the default `write_block` expands each
+/// block into `accept` calls.  Sharded
 /// generation builds one sink per shard, so a sink never needs to be
 /// thread-safe; it only has to be `Send` to travel to its shard's thread.
 ///
@@ -55,7 +59,7 @@ pub trait TupleSink {
     ///
     /// The default implementation expands the block into individual
     /// [`accept`](Self::accept) calls (checking [`aborted`](Self::aborted)
-    /// between tuples, like the row-at-a-time drivers do), so every existing
+    /// between tuples), so every existing
     /// sink behaves bit-identically when driven by blocks.  Sinks that can
     /// exploit the block-constant structure override this to do O(1) work
     /// per block instead of O(rows).

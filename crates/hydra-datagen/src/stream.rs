@@ -439,24 +439,6 @@ impl<'a> TupleStream<'a> {
             ordinal: self.row_index,
         })
     }
-
-    /// Moves up to `max` tuples into `out`, returning how many were produced.
-    /// The caller's buffer is reused across calls (drain it between calls);
-    /// this is the batched hot path used by the sharded driver.
-    pub fn fill_batch(&mut self, out: &mut Vec<Row>, max: usize) -> usize {
-        out.reserve(max.min(self.remaining() as usize));
-        let mut produced = 0;
-        while produced < max {
-            match self.next() {
-                Some(row) => {
-                    out.push(row);
-                    produced += 1;
-                }
-                None => break,
-            }
-        }
-        produced
-    }
 }
 
 impl Iterator for TupleStream<'_> {
@@ -625,25 +607,6 @@ mod tests {
             TupleStream::with_range_using(&table, &summary, &index, 910..920).collect();
         let b: Vec<Row> = TupleStream::with_range(&table, &summary, 910..920).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fill_batch_drains_in_order_and_reuses_buffer() {
-        let table = table();
-        let summary = summary();
-        let full: Vec<Row> = TupleStream::new(&table, &summary).collect();
-        let mut stream = TupleStream::new(&table, &summary);
-        let mut buffer: Vec<Row> = Vec::new();
-        let mut collected: Vec<Row> = Vec::new();
-        loop {
-            let n = stream.fill_batch(&mut buffer, 100);
-            if n == 0 {
-                break;
-            }
-            assert_eq!(buffer.len(), n);
-            collected.append(&mut buffer);
-        }
-        assert_eq!(collected, full);
     }
 
     #[test]

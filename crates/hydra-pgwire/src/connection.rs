@@ -27,7 +27,7 @@ use crate::types::{pg_text, pg_type_of, OID_FLOAT8, OID_INT4, OID_INT8, OID_TEXT
 use hydra_catalog::schema::Schema;
 use hydra_datagen::exec::{ExecError, ExecMode, QueryEngine};
 use hydra_obs::{MetricsRegistry, Span};
-use hydra_query::exec::{AggFunc, AggregateQuery, ExecStrategy, QueryAnswer};
+use hydra_query::exec::{AggFunc, AggregateQuery, QueryAnswer};
 use hydra_query::parser::parse_aggregate_query_for_schema;
 use hydra_service::registry::{RegistryEntry, SummaryRegistry};
 use std::io::Write;
@@ -559,18 +559,9 @@ fn write_answer<W: Write>(
     span: &mut Span,
 ) -> Result<(), StatementFailure> {
     let schema = &entry.regeneration().schema;
-    let metrics = registry.session().metrics();
-    let strategy = match answer.strategy {
-        ExecStrategy::SummaryDirect => "summary_direct",
-        ExecStrategy::TupleScan => "tuple_scan",
-    };
-    metrics
-        .counter_labeled("hydra_query_total", "strategy", strategy)
-        .inc();
-    metrics
-        .histogram_labeled("hydra_query_seconds", "strategy", strategy)
-        .record_duration(started.elapsed());
-    span.set_detail(strategy);
+    let session = registry.session();
+    session.record_query(answer.strategy, started.elapsed());
+    span.set_detail(answer.strategy.label());
 
     let mut fields =
         Vec::with_capacity(answer.group_columns.len() + answer.aggregate_columns.len());
@@ -611,7 +602,8 @@ fn write_answer<W: Write>(
             .write_all(&scratch)
             .map_err(|_| StatementFailure::Wire)?;
     }
-    metrics
+    session
+        .metrics()
         .counter("hydra_pg_datarow_bytes_total")
         .add(datarow_bytes);
     write_backend(

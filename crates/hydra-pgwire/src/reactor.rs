@@ -34,7 +34,7 @@ use crate::connection::{
 };
 use crate::datarow::{row_description, DataRowTemplate};
 use hydra_catalog::types::DataType;
-use hydra_datagen::generator::GenerationStats;
+use hydra_datagen::generator::{relation, GenerationStats};
 use hydra_datagen::stream::RowBlock;
 use hydra_obs::Counter;
 use hydra_reactor::{
@@ -414,13 +414,13 @@ impl BlockEncoder for DataRowEncoder {
 /// the session's velocity, exactly like a frame `Stream` request.
 fn open_scan(
     registry: &SummaryRegistry,
-    entry: &RegistryEntry,
+    entry: &Arc<RegistryEntry>,
     table: &str,
     out: &mut Vec<u8>,
 ) -> Result<Box<Pump<DataRowEncoder>>, PgError> {
-    let generator = entry.generator();
-    let no_relation = || PgError::error("42P01", format!("relation \"{table}\" does not exist"));
-    let (schema_table, summary) = generator.relation(table).map_err(|_| no_relation())?;
+    let regeneration = entry.regeneration();
+    let (schema_table, summary) = relation(&regeneration.schema, &regeneration.summary, table)
+        .map_err(|_| PgError::error("42P01", format!("relation \"{table}\" does not exist")))?;
     let total = summary.total_rows;
     let column_types = schema_table
         .columns()
@@ -439,7 +439,7 @@ fn open_scan(
     };
     Ok(Box::new(Pump::new(
         session,
-        generator,
+        Arc::clone(entry),
         table,
         0..total,
         None,

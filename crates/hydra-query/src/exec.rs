@@ -230,6 +230,17 @@ pub enum ExecStrategy {
     TupleScan,
 }
 
+impl ExecStrategy {
+    /// The `strategy` label value metrics and spans record this strategy
+    /// under.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExecStrategy::SummaryDirect => "summary_direct",
+            ExecStrategy::TupleScan => "tuple_scan",
+        }
+    }
+}
+
 impl fmt::Display for ExecStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

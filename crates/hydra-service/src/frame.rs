@@ -38,10 +38,9 @@
 //! * **Frame-cap splitting.** Both drive one `BatchEncoder`: an oversized
 //!   batch splits in half recursively, down to the same single-tuple error
 //!   message.
-//! * **Pacing.** `VelocityGovernor::pace` sleeps *after every row including
-//!   the last*, so a finished stream still waits out its final deficit
-//!   before `StreamEnd` — `VelocityGovernor::next_pulse` carries the same
-//!   rule, so elapsed-time stats and rate caps agree.
+//! * **Pacing.** Both are paced by `VelocityGovernor::next_pulse`, the one
+//!   pacing rule: a finished stream still waits out its final deficit
+//!   before `StreamEnd`, so elapsed-time stats and rate caps agree.
 //!
 //! A framing-level violation (oversized length prefix) desynchronizes the
 //! byte stream, so the handler answers with an `Error` frame and then
@@ -56,7 +55,7 @@ use crate::pump::{BlockEncoder, Pump};
 use crate::registry::{RegistryEntry, SummaryRegistry};
 use crate::wire::BatchEncoder;
 use hydra_datagen::exec::{ExecError, ExecMode, ExecResult, QueryEngine};
-use hydra_datagen::generator::{DynamicGenerator, GenerationStats};
+use hydra_datagen::generator::{relation, GenerationStats};
 use hydra_datagen::governor::VelocityGovernor;
 use hydra_datagen::stream::RowBlock;
 use hydra_obs::{Counter, Span};
@@ -127,14 +126,6 @@ fn respond(registry: &SummaryRegistry, request: Request) -> Response {
         Request::Query(_) | Request::Stream(_) | Request::Shutdown => Response::Error {
             message: "request requires connection-level handling".to_string(),
         },
-    }
-}
-
-/// The `strategy` label value of a query answer's execution strategy.
-pub(crate) fn strategy_label(strategy: hydra_query::exec::ExecStrategy) -> &'static str {
-    match strategy {
-        hydra_query::exec::ExecStrategy::SummaryDirect => "summary_direct",
-        hydra_query::exec::ExecStrategy::TupleScan => "tuple_scan",
     }
 }
 
@@ -355,10 +346,8 @@ impl FrameCtx {
                 self.frame(out, &Response::ShuttingDown);
                 Served::Close
             }
-            Request::Stream(request) => match open_stream(&self.registry, &request) {
-                Ok((header, generator, rows)) => {
-                    self.frame_bytes.add(header.len() as u64);
-                    out.extend_from_slice(&header);
+            Request::Stream(request) => match self.open_stream(&request, out) {
+                Ok((entry, rows)) => {
                     let encoder = FrameEncoder {
                         batch: BatchEncoder::new(
                             request
@@ -371,7 +360,7 @@ impl FrameCtx {
                     // it at the trailer or when the stream stops early.
                     Served::Pool(TaskState::Stream(Box::new(Pump::new(
                         self.registry.session(),
-                        generator,
+                        entry,
                         &request.table,
                         rows,
                         request.rows_per_sec,
@@ -469,15 +458,10 @@ impl FrameCtx {
     ) -> Served {
         let response = match result {
             Ok(answer) => {
-                let metrics = self.registry.session().metrics();
-                let strategy = strategy_label(answer.strategy);
-                metrics
-                    .counter_labeled("hydra_query_total", "strategy", strategy)
-                    .inc();
-                metrics
-                    .histogram_labeled("hydra_query_seconds", "strategy", strategy)
-                    .record_duration(started.elapsed());
-                span.set_detail(strategy);
+                self.registry
+                    .session()
+                    .record_query(answer.strategy, started.elapsed());
+                span.set_detail(answer.strategy.label());
                 Response::QueryResult(answer)
             }
             Err(e) => {
@@ -524,6 +508,51 @@ impl FrameCtx {
     fn error_frame(&self, out: &mut Vec<u8>, message: String) {
         self.frame(out, &Response::Error { message });
     }
+
+    /// Resolves and validates a `Stream` request — the one place the
+    /// requested range is clamped to the relation and a wire-supplied rate
+    /// is checked — writing the `StreamStart` header into `out` and
+    /// returning the resolved version and the clamped range.
+    fn open_stream(
+        &self,
+        request: &StreamRequest,
+        out: &mut Vec<u8>,
+    ) -> Result<(Arc<RegistryEntry>, Range<u64>), ServiceError> {
+        let entry = self.registry.resolve(&request.name)?;
+        let regeneration = entry.regeneration();
+        let no_relation = |_| {
+            ServiceError::Protocol(format!(
+                "summary `{}` has no relation `{}`",
+                request.name, request.table
+            ))
+        };
+        let (table, summary) =
+            relation(&regeneration.schema, &regeneration.summary, &request.table)
+                .map_err(no_relation)?;
+        let total = summary.total_rows;
+        let start = request.start.unwrap_or(0).min(total);
+        let end = request.end.unwrap_or(total).clamp(start, total);
+        // A wire-supplied rate is untrusted input: a zero, negative, NaN or
+        // absurdly small rate would park this stream's timer essentially
+        // forever.
+        if let Some(rate) = request.rows_per_sec {
+            if !rate.is_finite() || rate < VelocityGovernor::MIN_RATE {
+                return Err(ServiceError::Protocol(format!(
+                    "rows_per_sec must be a finite rate >= {}, got {rate}",
+                    VelocityGovernor::MIN_RATE
+                )));
+            }
+        }
+        let header = encode_frame(&Response::StreamStart(StreamStart {
+            table: table.name.clone(),
+            columns: table.columns().iter().map(|c| c.name.clone()).collect(),
+            start,
+            end,
+        }))?;
+        self.frame_bytes.add(header.len() as u64);
+        out.extend_from_slice(&header);
+        Ok((entry, start..end))
+    }
 }
 
 /// The span operation label of a request.
@@ -539,48 +568,6 @@ fn op_name(request: &Request) -> &'static str {
         Request::Stats => "frame.stats",
         Request::Shutdown => "frame.shutdown",
     }
-}
-
-/// Resolves and validates a `Stream` request — the one place the requested
-/// range is clamped to the relation and a wire-supplied rate is checked —
-/// returning the encoded `StreamStart` header, the generator and the
-/// clamped range.
-fn open_stream(
-    registry: &SummaryRegistry,
-    request: &StreamRequest,
-) -> Result<(Vec<u8>, DynamicGenerator, Range<u64>), ServiceError> {
-    let entry = registry.resolve(&request.name)?;
-    let generator = entry.generator();
-    let no_relation = || {
-        ServiceError::Protocol(format!(
-            "summary `{}` has no relation `{}`",
-            request.name, request.table
-        ))
-    };
-    let (table, summary) = generator
-        .relation(&request.table)
-        .map_err(|_| no_relation())?;
-    let total = summary.total_rows;
-    let start = request.start.unwrap_or(0).min(total);
-    let end = request.end.unwrap_or(total).clamp(start, total);
-    // A wire-supplied rate is untrusted input: a zero, negative, NaN or
-    // absurdly small rate would park this stream's timer essentially
-    // forever.
-    if let Some(rate) = request.rows_per_sec {
-        if !rate.is_finite() || rate < VelocityGovernor::MIN_RATE {
-            return Err(ServiceError::Protocol(format!(
-                "rows_per_sec must be a finite rate >= {}, got {rate}",
-                VelocityGovernor::MIN_RATE
-            )));
-        }
-    }
-    let header = encode_frame(&Response::StreamStart(StreamStart {
-        table: table.name.clone(),
-        columns: table.columns().iter().map(|c| c.name.clone()).collect(),
-        start,
-        end,
-    }))?;
-    Ok((header, generator, start..end))
 }
 
 /// The frame protocol's [`BlockEncoder`]: `Batch` frames through the

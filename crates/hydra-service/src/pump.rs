@@ -23,17 +23,22 @@
 //! `hydra_datagen_rows_total` and every aborted stream in
 //! `hydra_request_errors_total`.
 //!
-//! A pulse is the encoder's batch, capped at [`SLICE_ROWS`].  The protocol
-//! keeps only what differs: request validation, its header, the encoder,
-//! and how a mid-stream failure is reported.
+//! A pulse is the encoder's batch, capped at [`SLICE_ROWS`].  The pump
+//! streams from the registry version it was opened on, borrowed through its
+//! `Arc` (nothing is copied per request), and seeks each pulse through one
+//! block index built at its first pulse.  The protocol keeps only what
+//! differs: request validation, its header, the encoder, and how a
+//! mid-stream failure is reported.
 
+use crate::registry::RegistryEntry;
 use hydra_core::session::Hydra;
-use hydra_datagen::generator::{DynamicGenerator, GenerationStats};
+use hydra_datagen::generator::{relation, GenerationStats};
 use hydra_datagen::governor::{Pulse, VelocityGovernor};
-use hydra_datagen::stream::RowBlock;
+use hydra_datagen::stream::{RowBlock, TupleStream};
 pub use hydra_engine::error::EngineError;
 use hydra_obs::{Counter, Span};
 use hydra_reactor::{ConnHandle, TaskPoll};
+use hydra_summary::index::PkBlockIndex;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -64,8 +69,11 @@ pub trait BlockEncoder {
 /// One stream of a relation's row range through an encoder `E`.
 pub struct Pump<E: BlockEncoder> {
     session: Hydra,
-    generator: DynamicGenerator,
+    /// The registry version being streamed.
+    entry: Arc<RegistryEntry>,
     table: String,
+    /// The relation's block index, built at the first pulse.
+    index: Option<PkBlockIndex>,
     /// The rows still to generate.
     rows: Range<u64>,
     governor: VelocityGovernor,
@@ -77,11 +85,11 @@ pub struct Pump<E: BlockEncoder> {
 
 impl<E: BlockEncoder> Pump<E> {
     /// A pump streaming `rows` of `table` (already validated against
-    /// `generator`) through `encoder`, paced at `rows_per_sec` or else the
+    /// `entry`) through `encoder`, paced at `rows_per_sec` or else the
     /// session's velocity, and recording under `span` until it finishes.
     pub fn new(
         session: &Hydra,
-        generator: DynamicGenerator,
+        entry: Arc<RegistryEntry>,
         table: &str,
         rows: Range<u64>,
         rows_per_sec: Option<f64>,
@@ -94,8 +102,9 @@ impl<E: BlockEncoder> Pump<E> {
         };
         Pump {
             session: session.clone(),
-            generator,
+            entry,
             table: table.to_string(),
+            index: None,
             rows,
             governor,
             encoder,
@@ -145,14 +154,15 @@ impl<E: BlockEncoder> Pump<E> {
         }
     }
 
-    /// Encodes the next `goal` rows.  `stream_range` borrows the generator,
-    /// so each pulse re-seeks through the summary's block index
-    /// (O(log blocks)); range concatenation is bit-identical to one
-    /// continuous scan.
+    /// Encodes the next `goal` rows.  Each pulse re-seeks through the
+    /// relation's block index (O(log blocks)); range concatenation is
+    /// bit-identical to one continuous scan.
     fn walk(&mut self, goal: u64, out: &mut Vec<u8>) -> Result<(), E::Error> {
-        let mut tuples = self
-            .generator
-            .stream_range(&self.table, self.rows.start..self.rows.start + goal)?;
+        let regeneration = self.entry.regeneration();
+        let (table, summary) = relation(&regeneration.schema, &regeneration.summary, &self.table)?;
+        let index = self.index.get_or_insert_with(|| summary.block_index());
+        let range = self.rows.start..self.rows.start + goal;
+        let mut tuples = TupleStream::with_range_using(table, summary, index, range);
         while let Some(block) = tuples.next_block(u64::MAX) {
             self.encoder.encode(&block, out)?;
         }

@@ -1,12 +1,12 @@
 //! The frame encoders: the byte-wise `BatchEncoder` the server's stream
 //! task drives, and [`FrameSink`], the in-process reference encoder.
 //!
-//! [`FrameSink`] implements [`TupleSink`], so the exact code path that feeds
-//! in-process consumers (`DynamicGenerator::stream_into` /
-//! `stream_range_into`, sharded runs, velocity governing) writes the bytes
-//! a `Stream` request puts on the wire — the `StreamStart` header and every
-//! `Response::Batch` frame, everything but the timing trailer — into any
-//! `Write`.  The end-to-end benchmark, the `generation_velocity` bench and
+//! [`FrameSink`] implements [`TupleSink`], so the one blocking loop that
+//! feeds in-process consumers (`DynamicGenerator::stream_range_into`,
+//! sharded runs), paced by the same `VelocityGovernor::next_pulse` rule as
+//! the wire pump, writes the bytes a `Stream` request puts on the wire —
+//! the `StreamStart` header and every `Response::Batch` frame, everything
+//! but the timing trailer — into any `Write`.  The end-to-end benchmark, the `generation_velocity` bench and
 //! the byte-identity tests compare the served wire against it.
 //!
 //! Batch encoding exploits the summary's block-constant structure: frames

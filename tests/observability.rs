@@ -3,6 +3,7 @@
 //! slow-request log — all fed by one shared registry across the reactor
 //! and both protocol front-ends.
 
+use hydra::datagen::sink::CountingSink;
 use hydra::obs::SlowLog;
 use hydra::pgwire::codec::{encode_startup, read_backend_message, write_frontend};
 use hydra::pgwire::{BackendMessage, FrontendMessage, StartupPacket};
@@ -198,6 +199,33 @@ fn obs_registry_is_shared_with_the_session() {
     );
     let rendered = snapshot.render_prometheus();
     assert!(rendered.contains("hydra_registry_publishes_total 1"));
+}
+
+/// The sharded entry points settle their generation account, as
+/// `stream_table` does: every tuple they generate is in
+/// `hydra_datagen_rows_total`.
+#[test]
+fn sharded_runs_settle_their_generation_account() {
+    let session = Hydra::builder().build();
+    let (db, queries) = retail_client_fixture(1_000, 300, 5);
+    let package = session.profile(db, &queries).expect("profile");
+    let result = session.regenerate(&package).expect("regenerate");
+    let rows = || {
+        session
+            .metrics()
+            .snapshot()
+            .value("hydra_datagen_rows_total", Some(("table", "store_sales")))
+    };
+    let run = session
+        .stream_table_sharded(&result, "store_sales", 4, |_, _| CountingSink::new())
+        .expect("sharded stream");
+    assert_eq!(run.total_rows(), 1_000);
+    assert_eq!(rows(), Some(1_000.0), "stream_table_sharded went uncounted");
+    let table = session
+        .materialize_sharded(&result, "store_sales", 3)
+        .expect("sharded materialization");
+    assert_eq!(table.row_count(), 1_000);
+    assert_eq!(rows(), Some(2_000.0), "materialize_sharded went uncounted");
 }
 
 /// One publish records its build: the summary build time once, and the

@@ -126,7 +126,6 @@ fn relative_errors_shrink_as_database_grows() {
 }
 
 #[test]
-#[ignore = "fails at 9ebe8f1: 0.00085 → 0.00301 from ×1 to ×10; ROADMAP 2"]
 fn relative_errors_shrink_at_retail_64() {
     // E7 at the paper experiment's scale: 64 queries over a 10 000-row
     // `store_sales`, scaled ×1 → ×1000; the mean relative error must not
