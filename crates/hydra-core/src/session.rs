@@ -50,9 +50,9 @@ use crate::scenario::{Scenario, ScenarioResult};
 use crate::transfer::TransferPackage;
 use crate::vendor::{HydraConfig, RegenerationResult, VendorSite};
 use hydra_datagen::exec::{ExecMode, QueryEngine};
-use hydra_datagen::generator::{relation, GenerationStats};
+use hydra_datagen::generator::GenerationStats;
 use hydra_datagen::governor::VelocityGovernor;
-use hydra_datagen::shard::{run_sharded, ShardedRun};
+use hydra_datagen::shard::ShardedRun;
 use hydra_datagen::sink::{CollectSink, TupleSink};
 use hydra_engine::database::Database;
 use hydra_engine::table::MemTable;
@@ -348,12 +348,10 @@ impl Hydra {
         sql: &str,
         mode: ExecMode,
     ) -> HydraResult<QueryAnswer> {
-        // Borrow the solved summary in place — answering a query must not
-        // clone it (summary-direct latency is O(blocks), and should stay so).
         // Scan fallbacks respect the session's parallelism knob, like every
         // other multi-threaded path of the session.
         let started = std::time::Instant::now();
-        let answer = QueryEngine::over(&regeneration.schema, &regeneration.summary)
+        let answer = QueryEngine::new(&regeneration.generator())
             .with_scan_shards(self.config.builder.parallelism)
             .query_mode(sql, mode)?;
         self.record_query(answer.strategy(), started.elapsed());
@@ -466,8 +464,9 @@ impl Hydra {
         S: TupleSink + Send,
         F: Fn(usize, Range<u64>) -> S + Sync,
     {
-        let (t, summary) = relation(&regeneration.schema, &regeneration.summary, table)?;
-        let run = run_sharded(t, summary, shards, sink_factory);
+        let run = regeneration
+            .generator()
+            .stream_sharded(table, shards, sink_factory)?;
         self.record_generation(&run.aggregate_stats());
         Ok(run)
     }
@@ -480,9 +479,9 @@ impl Hydra {
         table: &str,
         shards: usize,
     ) -> HydraResult<MemTable> {
-        let (t, summary) = relation(&regeneration.schema, &regeneration.summary, table)?;
-        let run = run_sharded(t, summary, shards, |_, _| CollectSink::new());
-        self.record_generation(&run.aggregate_stats());
+        let (t, _) = regeneration.generator().relation(table)?;
+        let run =
+            self.stream_table_sharded(regeneration, table, shards, |_, _| CollectSink::new())?;
         Ok(run.into_table(t))
     }
 

@@ -7,7 +7,6 @@
 use crate::error::HydraResult;
 use crate::report::RegenerationReport;
 use crate::transfer::TransferPackage;
-use hydra_datagen::dataless::DatalessDatabase;
 use hydra_datagen::generator::DynamicGenerator;
 use hydra_summary::builder::{SummaryBuildReport, SummaryBuilderConfig};
 use hydra_summary::summary::DatabaseSummary;
@@ -36,14 +35,11 @@ pub struct RegenerationResult {
 }
 
 impl RegenerationResult {
-    /// A dataless database over the summary (dynamic regeneration).
-    pub fn dataless_database(&self) -> DatalessDatabase {
-        DatalessDatabase::new(self.schema.clone(), self.summary.clone())
-    }
-
-    /// A dynamic generator over the summary (streams / velocity control).
-    pub fn generator(&self) -> DynamicGenerator {
-        DynamicGenerator::new(self.schema.clone(), self.summary.clone())
+    /// The regenerated database: a borrowed view of the schema and summary
+    /// that streams, shards, scans and answers queries without copying
+    /// either.
+    pub fn generator(&self) -> DynamicGenerator<'_> {
+        DynamicGenerator::new(&self.schema, &self.summary)
     }
 
     /// The consolidated report (build + accuracy).
@@ -116,12 +112,14 @@ mod tests {
         assert!(result.summary.size_bytes() < 64 * 1024);
         assert_eq!(result.summary.total_rows(), client_rows);
 
-        // The dataless database serves every relation.
-        let dataless = result.dataless_database();
+        // The regenerated database serves every relation, in place.
+        let generator = result.generator();
         assert_eq!(
-            dataless.row_count("store_sales"),
+            generator.stream("store_sales").unwrap().remaining(),
             package.metadata.row_count("store_sales")
         );
+        assert!(std::ptr::eq(generator.summary, &result.summary));
+        assert!(std::ptr::eq(generator.schema, &result.schema));
 
         let text = result.report().to_display_text();
         assert!(text.contains("volumetric"));

@@ -19,10 +19,9 @@
 //! `tests/query_differential.rs` (workspace root) proves it with a
 //! property-based differential oracle.
 
-use crate::generator::{relation, DynamicGenerator};
+use crate::generator::DynamicGenerator;
 use crate::sink::TupleSink;
 use crate::stream::RowBlock;
-use hydra_catalog::schema::Schema;
 use hydra_catalog::types::Value;
 use hydra_engine::error::EngineError;
 use hydra_engine::row::Row;
@@ -32,7 +31,6 @@ use hydra_query::parser::parse_aggregate_query_for_schema;
 use hydra_query::predicate::ColumnPredicate;
 use hydra_summary::error::SummaryError;
 use hydra_summary::exec::{JoinResolver, SummaryExecutor};
-use hydra_summary::summary::DatabaseSummary;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -124,7 +122,7 @@ pub type ExecResult<T> = Result<T, ExecError>;
 /// item.push_row(1_000_000, v);
 /// let mut summary = DatabaseSummary::new();
 /// summary.insert(item);
-/// let generator = DynamicGenerator::new(schema, summary);
+/// let generator = DynamicGenerator::new(&schema, &summary);
 ///
 /// // A million-row aggregate answered without generating a single tuple.
 /// let engine = QueryEngine::new(&generator);
@@ -134,8 +132,7 @@ pub type ExecResult<T> = Result<T, ExecError>;
 /// assert_eq!(answer.scanned_tuples, 0);
 /// ```
 pub struct QueryEngine<'a> {
-    schema: &'a Schema,
-    summary: &'a DatabaseSummary,
+    generator: DynamicGenerator<'a>,
     /// Shards of a tuple-scan fallback; `None` sizes them to the available
     /// cores when a scan actually runs, so a summary-direct answer never
     /// pays for the (procfs-reading) core-count lookup.
@@ -143,18 +140,11 @@ pub struct QueryEngine<'a> {
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Creates an engine; scan fallbacks shard across the available cores.
-    pub fn new(generator: &'a DynamicGenerator) -> Self {
-        Self::over(&generator.schema, &generator.summary)
-    }
-
-    /// Creates an engine over borrowed schema + summary — no clones, so the
-    /// per-query cost really is independent of the summary size (callers
-    /// holding a `RegenerationResult` or registry entry query in place).
-    pub fn over(schema: &'a Schema, summary: &'a DatabaseSummary) -> Self {
+    /// Creates an engine over a regenerated database; scan fallbacks shard
+    /// across the available cores.
+    pub fn new(generator: &DynamicGenerator<'a>) -> Self {
         QueryEngine {
-            schema,
-            summary,
+            generator: *generator,
             scan_shards: None,
         }
     }
@@ -174,7 +164,7 @@ impl<'a> QueryEngine<'a> {
 
     /// Parses, validates and executes a SQL aggregate query under `mode`.
     pub fn query_mode(&self, sql: &str, mode: ExecMode) -> ExecResult<QueryAnswer> {
-        let query = parse_aggregate_query_for_schema("query", sql, self.schema)?;
+        let query = parse_aggregate_query_for_schema("query", sql, self.generator.schema)?;
         self.execute_mode(&query, mode)
     }
 
@@ -188,7 +178,7 @@ impl<'a> QueryEngine<'a> {
     /// reports out-of-class queries as a structured error this dispatch
     /// turns into either a refusal or the scan fallback.
     pub fn execute_mode(&self, query: &AggregateQuery, mode: ExecMode) -> ExecResult<QueryAnswer> {
-        let direct = SummaryExecutor::new(self.schema, self.summary);
+        let direct = SummaryExecutor::new(self.generator.schema, self.generator.summary);
         match mode {
             ExecMode::ScanOnly => self.scan(query),
             ExecMode::SummaryOnly => match direct.execute(query) {
@@ -208,11 +198,16 @@ impl<'a> QueryEngine<'a> {
     /// generation path and fold every tuple into the aggregation kernel.
     fn scan(&self, query: &AggregateQuery) -> ExecResult<QueryAnswer> {
         let root = query.spj.root_table()?.to_string();
-        let (table, root_summary) = relation(self.schema, self.summary, &root)?;
+        let (table, root_summary) = self.generator.relation(&root)?;
         let ctx = ScanContext {
             query,
             root: &root,
-            resolver: JoinResolver::new(query, &root, self.schema, self.summary)?,
+            resolver: JoinResolver::new(
+                query,
+                &root,
+                self.generator.schema,
+                self.generator.summary,
+            )?,
             col_index: table
                 .columns()
                 .iter()
@@ -230,11 +225,13 @@ impl<'a> QueryEngine<'a> {
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-        let run = crate::shard::run_sharded(table, root_summary, shards, |_, _| ScanSink {
-            ctx: &ctx,
-            agg: Aggregator::for_query(query),
-            scanned: 0,
-        });
+        let run = self
+            .generator
+            .stream_sharded(&root, shards, |_, _| ScanSink {
+                ctx: &ctx,
+                agg: Aggregator::for_query(query),
+                scanned: 0,
+            })?;
         let mut merged = Aggregator::for_query(query);
         let mut scanned = 0u64;
         for sink in run.into_sinks() {
@@ -423,12 +420,12 @@ impl TupleSink for ScanSink<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_catalog::schema::{ColumnBuilder, SchemaBuilder};
+    use hydra_catalog::schema::{ColumnBuilder, Schema, SchemaBuilder};
     use hydra_catalog::types::DataType;
     use hydra_summary::summary::{DatabaseSummary, RelationSummary};
 
     /// sales → item star with a pk-split-friendly block structure.
-    fn generator() -> DynamicGenerator {
+    fn fixture() -> (Schema, DatabaseSummary) {
         let schema = SchemaBuilder::new("db")
             .table("item", |t| {
                 t.column(ColumnBuilder::new("i_pk", DataType::BigInt).primary_key())
@@ -462,12 +459,13 @@ mod tests {
         let mut db = DatabaseSummary::new();
         db.insert(item);
         db.insert(sales);
-        DynamicGenerator::new(schema, db)
+        (schema, db)
     }
 
     #[test]
     fn auto_mode_answers_in_class_queries_summary_direct() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let engine = QueryEngine::new(&gen);
         let answer = engine
             .query("select count(*), sum(sales.s_qty) from sales")
@@ -483,7 +481,8 @@ mod tests {
 
     #[test]
     fn scan_only_matches_summary_direct_bit_for_bit() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let engine = QueryEngine::new(&gen).with_scan_shards(3);
         for sql in [
             "select count(*) from sales",
@@ -505,7 +504,8 @@ mod tests {
 
     #[test]
     fn auto_mode_falls_back_to_scan_for_out_of_class() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let engine = QueryEngine::new(&gen).with_scan_shards(2);
         let sql = "select count(*) from sales group by sales.s_pk";
         let answer = engine.query(sql).unwrap();
@@ -524,7 +524,8 @@ mod tests {
 
     #[test]
     fn shard_count_does_not_change_scan_answers() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let sql = "select count(*), sum(item.i_price) from sales, item \
                    where sales.s_item_fk = item.i_pk group by sales.s_qty";
         let baseline = QueryEngine::new(&gen)
@@ -542,7 +543,8 @@ mod tests {
 
     #[test]
     fn parse_and_validation_errors_surface() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let engine = QueryEngine::new(&gen);
         assert!(matches!(
             engine.query("select nonsense"),

@@ -7,6 +7,8 @@ use crate::sink::{CollectSink, CountingSink, TupleSink};
 use crate::stream::TupleStream;
 use hydra_catalog::schema::{Schema, Table};
 use hydra_engine::error::{EngineError, EngineResult};
+use hydra_engine::exec::TableProvider;
+use hydra_engine::row::Row;
 use hydra_engine::table::MemTable;
 use hydra_summary::summary::{DatabaseSummary, RelationSummary};
 use std::ops::Range;
@@ -30,7 +32,16 @@ pub struct GenerationStats {
     pub governor_sleep: Duration,
 }
 
-/// Regenerates relations from a database summary.
+/// A regenerated database: a borrowed view of a schema and the summary that
+/// drives it — the paper's dataless database.  Every scan, stream, shard and
+/// query of a regenerated relation resolves through
+/// [`DynamicGenerator::relation`]; the view is `Copy` and costs two pointers,
+/// so callers build one wherever the schema and summary live (a regeneration
+/// result, a registry version) instead of copying either.
+///
+/// It implements the execution engine's [`TableProvider`], so query plans
+/// run with **no stored data at all**: every scan is served by the tuple
+/// generator (the paper's `datagen` scan operator).
 ///
 /// ```
 /// use hydra_catalog::schema::{ColumnBuilder, SchemaBuilder};
@@ -50,7 +61,7 @@ pub struct GenerationStats {
 /// item.push_row(1_000, BTreeMap::new());
 /// let mut summary = DatabaseSummary::new();
 /// summary.insert(item);
-/// let generator = DynamicGenerator::new(schema, summary);
+/// let generator = DynamicGenerator::new(&schema, &summary);
 ///
 /// // Random access: rows [200, 210) without generating rows [0, 200).
 /// let slice: Vec<_> = generator.stream_range("item", 200..210).unwrap().collect();
@@ -66,27 +77,35 @@ pub struct GenerationStats {
 /// let sequential: Vec<_> = generator.stream("item").unwrap().collect();
 /// assert_eq!(sharded, sequential);
 /// ```
-#[derive(Debug, Clone)]
-pub struct DynamicGenerator {
+#[derive(Debug, Clone, Copy)]
+pub struct DynamicGenerator<'a> {
     /// Schema of the regenerated database.
-    pub schema: Schema,
+    pub schema: &'a Schema,
     /// The driving summary.
-    pub summary: DatabaseSummary,
+    pub summary: &'a DatabaseSummary,
 }
 
-impl DynamicGenerator {
-    /// Creates a generator.
-    pub fn new(schema: Schema, summary: DatabaseSummary) -> Self {
+impl<'a> DynamicGenerator<'a> {
+    /// A view of `schema` regenerated from `summary`.
+    pub fn new(schema: &'a Schema, summary: &'a DatabaseSummary) -> Self {
         DynamicGenerator { schema, summary }
     }
 
     /// Resolves a table name to its schema and summary entries.
-    pub fn relation(&self, table: &str) -> EngineResult<(&Table, &RelationSummary)> {
-        relation(&self.schema, &self.summary, table)
+    pub fn relation(&self, table: &str) -> EngineResult<(&'a Table, &'a RelationSummary)> {
+        let t = self
+            .schema
+            .table(table)
+            .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
+        let relation = self
+            .summary
+            .relation(table)
+            .ok_or_else(|| EngineError::UnknownTable(format!("{table} (no summary)")))?;
+        Ok((t, relation))
     }
 
     /// A lazy tuple stream for one relation.
-    pub fn stream(&self, table: &str) -> EngineResult<TupleStream<'_>> {
+    pub fn stream(&self, table: &str) -> EngineResult<TupleStream<'a>> {
         let (t, summary) = self.relation(table)?;
         Ok(TupleStream::new(t, summary))
     }
@@ -96,7 +115,7 @@ impl DynamicGenerator {
     /// in O(log B) through the summary's block-offset index — no tuples
     /// before the range are ever generated — and produces exactly the
     /// corresponding slice of [`DynamicGenerator::stream`].
-    pub fn stream_range(&self, table: &str, rows: Range<u64>) -> EngineResult<TupleStream<'_>> {
+    pub fn stream_range(&self, table: &str, rows: Range<u64>) -> EngineResult<TupleStream<'a>> {
         let (t, summary) = self.relation(table)?;
         Ok(TupleStream::with_range(t, summary, rows))
     }
@@ -120,25 +139,20 @@ impl DynamicGenerator {
         Ok(run_sharded(t, summary, shards, sink_factory))
     }
 
-    /// Materializes a relation with `shards` parallel workers; the resulting
-    /// table is bit-identical to [`DynamicGenerator::materialize`].
+    /// Materializes a relation with `shards` parallel workers into an
+    /// in-memory table, bit-identical for every shard count.
     pub fn materialize_sharded(&self, table: &str, shards: usize) -> EngineResult<MemTable> {
-        let (t, summary) = self.relation(table)?;
-        Ok(run_sharded(t, summary, shards, |_, _| CollectSink::new()).into_table(t))
+        let (t, _) = self.relation(table)?;
+        Ok(self
+            .stream_sharded(table, shards, |_, _| CollectSink::new())?
+            .into_table(t))
     }
 
     /// Materializes a relation into an in-memory table (the demo's optional
     /// "materialize" mode).  Dynamic generation makes this unnecessary for
     /// query execution; it exists for comparison and for exporting data.
     pub fn materialize(&self, table: &str) -> EngineResult<MemTable> {
-        let t = self
-            .schema
-            .table(table)
-            .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
-        let mut mem = MemTable::empty(t.clone());
-        let rows: Vec<_> = self.stream(table)?.collect();
-        mem.load_unchecked(rows);
-        Ok(mem)
+        self.materialize_sharded(table, 1)
     }
 
     /// Streams the row range `rows` of a relation (clamped to its size) into
@@ -173,20 +187,21 @@ impl DynamicGenerator {
     }
 }
 
-/// Resolves a table name to its schema and summary entries, borrowing both
-/// from wherever they live (a generator, a registry version).
-pub fn relation<'a>(
-    schema: &'a Schema,
-    summary: &'a DatabaseSummary,
-    table: &str,
-) -> EngineResult<(&'a Table, &'a RelationSummary)> {
-    let t = schema
-        .table(table)
-        .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
-    let relation = summary
-        .relation(table)
-        .ok_or_else(|| EngineError::UnknownTable(format!("{table} (no summary)")))?;
-    Ok((t, relation))
+impl TableProvider for DynamicGenerator<'_> {
+    fn table_columns(&self, table: &str) -> Option<Vec<String>> {
+        self.schema
+            .table(table)
+            .map(|t| t.columns().iter().map(|c| c.name.clone()).collect())
+    }
+
+    fn scan(&self, table: &str) -> Option<Box<dyn Iterator<Item = Row> + '_>> {
+        let stream = self.stream(table).ok()?;
+        Some(Box::new(stream))
+    }
+
+    fn estimated_rows(&self, table: &str) -> Option<u64> {
+        self.summary.relation(table).map(|r| r.total_rows)
+    }
 }
 
 /// Drives a prepared stream into a sink — the one blocking emission loop,
@@ -235,12 +250,15 @@ pub(crate) fn drive_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_catalog::domain::Domain;
     use hydra_catalog::schema::{ColumnBuilder, SchemaBuilder};
     use hydra_catalog::types::{DataType, Value};
-    use hydra_summary::summary::RelationSummary;
+    use hydra_engine::exec::Executor;
+    use hydra_query::parser::parse_query_for_schema;
+    use hydra_query::plan::LogicalPlan;
     use std::collections::BTreeMap;
 
-    fn generator() -> DynamicGenerator {
+    fn fixture() -> (Schema, DatabaseSummary) {
         let schema = SchemaBuilder::new("db")
             .table("item", |t| {
                 t.column(ColumnBuilder::new("i_item_sk", DataType::BigInt).primary_key())
@@ -254,12 +272,13 @@ mod tests {
         item.push_row(5000, v);
         let mut summary = DatabaseSummary::new();
         summary.insert(item);
-        DynamicGenerator::new(schema, summary)
+        (schema, summary)
     }
 
     #[test]
     fn stream_and_materialize_agree() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let streamed: Vec<_> = gen.stream("item").unwrap().collect();
         let materialized = gen.materialize("item").unwrap();
         assert_eq!(streamed.len(), 5000);
@@ -271,7 +290,8 @@ mod tests {
 
     #[test]
     fn stream_range_is_a_slice_of_the_full_stream() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let full: Vec<_> = gen.stream("item").unwrap().collect();
         let slice: Vec<_> = gen.stream_range("item", 1000..1010).unwrap().collect();
         assert_eq!(slice, full[1000..1010]);
@@ -280,7 +300,8 @@ mod tests {
 
     #[test]
     fn sharded_materialization_matches_sequential() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let sequential = gen.materialize("item").unwrap();
         for shards in [1, 3, 8] {
             let sharded = gen.materialize_sharded("item", shards).unwrap();
@@ -291,7 +312,8 @@ mod tests {
 
     #[test]
     fn sharded_stream_drives_one_sink_per_shard() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let run = gen
             .stream_sharded("item", 4, |_, _| CountingSink::new())
             .unwrap();
@@ -305,7 +327,8 @@ mod tests {
 
     #[test]
     fn unthrottled_generation_stats() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let stats = gen.generate_with_velocity("item", None, None).unwrap();
         assert_eq!(stats.rows, 5000);
         assert!(stats.achieved_rows_per_sec > 0.0);
@@ -314,14 +337,16 @@ mod tests {
 
     #[test]
     fn limited_generation_stops_early() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let stats = gen.generate_with_velocity("item", None, Some(100)).unwrap();
         assert_eq!(stats.rows, 100);
     }
 
     #[test]
     fn stream_range_into_matches_the_slice_and_respects_velocity() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let full: Vec<_> = gen.stream("item").unwrap().collect();
 
         let mut collect = CollectSink::new();
@@ -368,7 +393,8 @@ mod tests {
             }
         }
 
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         let mut sink = DyingSink {
             alive: 100,
             accepted: 0,
@@ -386,7 +412,8 @@ mod tests {
 
     #[test]
     fn throttled_generation_respects_velocity() {
-        let gen = generator();
+        let (schema, summary) = fixture();
+        let gen = DynamicGenerator::new(&schema, &summary);
         // 500 rows at 5000 rows/s → ~100 ms.
         let stats = gen
             .generate_with_velocity("item", Some(5000.0), Some(500))
@@ -398,5 +425,86 @@ mod tests {
             stats.elapsed
         );
         assert!(stats.achieved_rows_per_sec <= 5800.0);
+    }
+
+    /// An `item` ← `store_sales` star: sales rows in the first item block
+    /// (manager 40) and in the second (manager 91).
+    fn star() -> (Schema, DatabaseSummary) {
+        let schema = SchemaBuilder::new("db")
+            .table("item", |t| {
+                t.column(ColumnBuilder::new("i_item_sk", DataType::BigInt).primary_key())
+                    .column(
+                        ColumnBuilder::new("i_manager_id", DataType::BigInt)
+                            .domain(Domain::integer(0, 100)),
+                    )
+            })
+            .table("store_sales", |t| {
+                t.column(ColumnBuilder::new("ss_sk", DataType::BigInt).primary_key())
+                    .column(
+                        ColumnBuilder::new("ss_item_fk", DataType::BigInt)
+                            .references("item", "i_item_sk"),
+                    )
+            })
+            .build()
+            .unwrap();
+
+        let mut item = RelationSummary::new("item", Some("i_item_sk".to_string()));
+        let mut v1 = BTreeMap::new();
+        v1.insert("i_manager_id".to_string(), Value::Integer(40));
+        item.push_row(60, v1);
+        let mut v2 = BTreeMap::new();
+        v2.insert("i_manager_id".to_string(), Value::Integer(91));
+        item.push_row(40, v2);
+
+        let mut sales = RelationSummary::new("store_sales", Some("ss_sk".to_string()));
+        let mut s1 = BTreeMap::new();
+        s1.insert("ss_item_fk".to_string(), Value::Integer(10)); // manager 40 block
+        sales.push_row(300, s1);
+        let mut s2 = BTreeMap::new();
+        s2.insert("ss_item_fk".to_string(), Value::Integer(70)); // manager 91 block
+        sales.push_row(700, s2);
+
+        let mut db = DatabaseSummary::new();
+        db.insert(item);
+        db.insert(sales);
+        (schema, db)
+    }
+
+    #[test]
+    fn provider_interface() {
+        let (schema, summary) = star();
+        let db = DynamicGenerator::new(&schema, &summary);
+        assert_eq!(db.estimated_rows("item"), Some(100));
+        assert_eq!(db.estimated_rows("missing"), None);
+        assert_eq!(db.estimated_rows("store_sales"), Some(1000));
+        assert_eq!(
+            db.table_columns("item"),
+            Some(vec!["i_item_sk".to_string(), "i_manager_id".to_string()])
+        );
+        assert!(db.table_columns("missing").is_none());
+        assert_eq!(db.scan("item").unwrap().count(), 100);
+        assert!(db.scan("missing").is_none());
+    }
+
+    #[test]
+    fn queries_run_with_no_stored_tuples() {
+        // The headline feature: execute a filter + join query with absolutely
+        // no materialized tuples.
+        let (schema, summary) = star();
+        let db = DynamicGenerator::new(&schema, &summary);
+        let q = parse_query_for_schema(
+            "q",
+            "select * from store_sales, item \
+             where store_sales.ss_item_fk = item.i_item_sk and item.i_manager_id < 50",
+            &schema,
+        )
+        .unwrap();
+        let plan = LogicalPlan::from_query(&q).unwrap();
+        let executor = Executor::new(&db);
+        let aqp = executor.run_annotated("q", &plan).unwrap();
+        // Sales rows referencing items with manager < 50 are exactly the 300
+        // rows whose FK lands in the first item block.
+        assert_eq!(executor.run(&plan).unwrap().rows.len(), 300);
+        assert_eq!(aqp.root.cardinality, 300);
     }
 }

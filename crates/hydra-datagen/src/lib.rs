@@ -12,13 +12,13 @@
 //! * [`governor::VelocityGovernor`] regulates the generation rate in rows per
 //!   second — the paper's "velocity" slider — by pacing the stream against a
 //!   monotonic clock.
-//! * [`dataless::DatalessDatabase`] implements the execution engine's
-//!   [`hydra_engine::exec::TableProvider`] over a summary, so queries run with
-//!   **no stored data at all**: every scan is served by the tuple generator
-//!   (the paper's `datagen` scan operator).
-//! * [`generator::DynamicGenerator`] is the user-facing façade: streams,
-//!   optional materialization, and rate-controlled generation runs with
-//!   statistics.
+//! * [`generator::DynamicGenerator`] is the paper's dataless database: a
+//!   borrowed, `Copy` view of a schema and its summary through which every
+//!   relation of the regenerated database is resolved.  It streams, seeks,
+//!   shards, optionally materializes, runs rate-controlled generation, and
+//!   implements the execution engine's [`hydra_engine::exec::TableProvider`],
+//!   so queries run with **no stored data at all**: every scan is served by
+//!   the tuple generator (the paper's `datagen` scan operator).
 //! * [`shard`] adds the scale-out path: [`shard::ShardPlanner`] splits a
 //!   relation's row space into balanced ranges, each regenerated on its own
 //!   thread through an O(log B) seek into the summary's block-offset index,
@@ -47,7 +47,7 @@
 //! let mut summary = DatabaseSummary::new();
 //! summary.insert(item);
 //!
-//! let gen = DynamicGenerator::new(schema, summary);
+//! let gen = DynamicGenerator::new(&schema, &summary);
 //! let rows: Vec<_> = gen.stream("item").unwrap().collect();
 //! assert_eq!(rows.len(), 917);
 //! assert_eq!(rows[0][0], Value::Integer(0));     // auto-numbered PK
@@ -56,7 +56,6 @@
 
 #![warn(missing_docs)]
 
-pub mod dataless;
 pub mod exec;
 pub mod generator;
 pub mod governor;
@@ -64,7 +63,6 @@ pub mod shard;
 pub mod sink;
 pub mod stream;
 
-pub use dataless::DatalessDatabase;
 pub use exec::{ExecError, ExecMode, ExecResult, QueryEngine};
 pub use generator::{DynamicGenerator, GenerationStats};
 pub use governor::{Pulse, VelocityGovernor};

@@ -6,9 +6,9 @@
 //! * at the **client site** it executes the query workload over the client's
 //!   warehouse and records the output cardinality of every plan operator —
 //!   which is exactly how Annotated Query Plans are produced;
-//! * at the **vendor site** it executes the same plans over a *dataless*
-//!   database whose scans are served by the dynamic tuple generator
-//!   (`hydra-datagen`'s `DatalessDatabase` implements this crate's
+//! * at the **vendor site** it executes the same plans over the paper's
+//!   *dataless* database, whose scans are served by the dynamic tuple
+//!   generator (`hydra-datagen`'s `DynamicGenerator` implements this crate's
 //!   [`exec::TableProvider`] trait), demonstrating dynamic regeneration.
 //!
 //! The engine supports the query class HYDRA targets: scans, conjunctive

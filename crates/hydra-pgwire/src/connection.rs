@@ -388,9 +388,8 @@ pub(crate) fn run_deferred<W: Write>(
     offset: usize,
 ) -> Result<(), StatementFailure> {
     let DeferredAggregate { query, mut span } = deferred;
-    let regeneration = entry.regeneration();
     let started = Instant::now();
-    let result = QueryEngine::over(&regeneration.schema, &regeneration.summary)
+    let result = QueryEngine::new(&entry.generator())
         .execute_mode(&query, ExecMode::ScanOnly)
         .map_err(|e| StatementFailure::Sql(pg_error_of_exec(&e, offset)))
         .and_then(|answer| {
@@ -533,13 +532,11 @@ fn run_aggregate<W: Write>(
     offset: usize,
     span: &mut Span,
 ) -> Result<Option<AggregateQuery>, StatementFailure> {
-    let regeneration = entry.regeneration();
-    let schema = &regeneration.schema;
-    let query = parse_aggregate_query_for_schema("pgwire", stmt, schema)
+    let generator = entry.generator();
+    let query = parse_aggregate_query_for_schema("pgwire", stmt, generator.schema)
         .map_err(|e| StatementFailure::Sql(pg_error_of_exec(&ExecError::Query(e), offset)))?;
-    let engine = QueryEngine::over(schema, &regeneration.summary);
     let started = Instant::now();
-    let answer = match engine.execute_mode(&query, ExecMode::SummaryOnly) {
+    let answer = match QueryEngine::new(&generator).execute_mode(&query, ExecMode::SummaryOnly) {
         Err(ExecError::OutOfClass(_)) => return Ok(Some(query)),
         result => result.map_err(|e| StatementFailure::Sql(pg_error_of_exec(&e, offset)))?,
     };

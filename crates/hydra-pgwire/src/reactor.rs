@@ -34,7 +34,7 @@ use crate::connection::{
 };
 use crate::datarow::{row_description, DataRowTemplate};
 use hydra_catalog::types::DataType;
-use hydra_datagen::generator::{relation, GenerationStats};
+use hydra_datagen::generator::GenerationStats;
 use hydra_datagen::stream::RowBlock;
 use hydra_obs::Counter;
 use hydra_reactor::{
@@ -418,8 +418,9 @@ fn open_scan(
     table: &str,
     out: &mut Vec<u8>,
 ) -> Result<Box<Pump<DataRowEncoder>>, PgError> {
-    let regeneration = entry.regeneration();
-    let (schema_table, summary) = relation(&regeneration.schema, &regeneration.summary, table)
+    let (schema_table, summary) = entry
+        .generator()
+        .relation(table)
         .map_err(|_| PgError::error("42P01", format!("relation \"{table}\" does not exist")))?;
     let total = summary.total_rows;
     let column_types = schema_table

@@ -55,7 +55,7 @@ use crate::pump::{BlockEncoder, Pump};
 use crate::registry::{RegistryEntry, SummaryRegistry};
 use crate::wire::BatchEncoder;
 use hydra_datagen::exec::{ExecError, ExecMode, ExecResult, QueryEngine};
-use hydra_datagen::generator::{relation, GenerationStats};
+use hydra_datagen::generator::GenerationStats;
 use hydra_datagen::governor::VelocityGovernor;
 use hydra_datagen::stream::RowBlock;
 use hydra_obs::{Counter, Span};
@@ -414,17 +414,14 @@ impl FrameCtx {
                 return Served::Done;
             }
         };
-        // Query the registered entry in place — no summary clone per
-        // request.
-        let regeneration = entry.regeneration();
+        let generator = entry.generator();
         let started = Instant::now();
-        let query =
-            match parse_aggregate_query_for_schema("query", &request.sql, &regeneration.schema) {
-                Ok(query) => query,
-                Err(e) => return self.answer(Err(e.into()), span, started, out),
-            };
-        let engine = QueryEngine::over(&regeneration.schema, &regeneration.summary);
-        match engine.execute_mode(&query, ExecMode::SummaryOnly) {
+        let query = match parse_aggregate_query_for_schema("query", &request.sql, generator.schema)
+        {
+            Ok(query) => query,
+            Err(e) => return self.answer(Err(e.into()), span, started, out),
+        };
+        match QueryEngine::new(&generator).execute_mode(&query, ExecMode::SummaryOnly) {
             Err(ExecError::OutOfClass(_)) if !request.summary_only => {
                 Served::Pool(TaskState::Scan(Box::new(ScanFallback {
                     entry: Arc::clone(&entry),
@@ -441,10 +438,8 @@ impl FrameCtx {
     /// worker.
     fn finish_scan(&self, fallback: ScanFallback, out: &mut Vec<u8>) -> Served {
         let ScanFallback { entry, query, span } = fallback;
-        let regeneration = entry.regeneration();
         let started = Instant::now();
-        let result = QueryEngine::over(&regeneration.schema, &regeneration.summary)
-            .execute_mode(&query, ExecMode::ScanOnly);
+        let result = QueryEngine::new(&entry.generator()).execute_mode(&query, ExecMode::ScanOnly);
         self.answer(result, span, started, out)
     }
 
@@ -519,16 +514,12 @@ impl FrameCtx {
         out: &mut Vec<u8>,
     ) -> Result<(Arc<RegistryEntry>, Range<u64>), ServiceError> {
         let entry = self.registry.resolve(&request.name)?;
-        let regeneration = entry.regeneration();
-        let no_relation = |_| {
+        let (table, summary) = entry.generator().relation(&request.table).map_err(|_| {
             ServiceError::Protocol(format!(
                 "summary `{}` has no relation `{}`",
                 request.name, request.table
             ))
-        };
-        let (table, summary) =
-            relation(&regeneration.schema, &regeneration.summary, &request.table)
-                .map_err(no_relation)?;
+        })?;
         let total = summary.total_rows;
         let start = request.start.unwrap_or(0).min(total);
         let end = request.end.unwrap_or(total).clamp(start, total);

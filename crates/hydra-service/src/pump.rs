@@ -32,7 +32,7 @@
 
 use crate::registry::RegistryEntry;
 use hydra_core::session::Hydra;
-use hydra_datagen::generator::{relation, GenerationStats};
+use hydra_datagen::generator::GenerationStats;
 use hydra_datagen::governor::{Pulse, VelocityGovernor};
 use hydra_datagen::stream::{RowBlock, TupleStream};
 pub use hydra_engine::error::EngineError;
@@ -158,8 +158,7 @@ impl<E: BlockEncoder> Pump<E> {
     /// relation's block index (O(log blocks)); range concatenation is
     /// bit-identical to one continuous scan.
     fn walk(&mut self, goal: u64, out: &mut Vec<u8>) -> Result<(), E::Error> {
-        let regeneration = self.entry.regeneration();
-        let (table, summary) = relation(&regeneration.schema, &regeneration.summary, &self.table)?;
+        let (table, summary) = self.entry.generator().relation(&self.table)?;
         let index = self.index.get_or_insert_with(|| summary.block_index());
         let range = self.rows.start..self.rows.start + goal;
         let mut tuples = TupleStream::with_range_using(table, summary, index, range);

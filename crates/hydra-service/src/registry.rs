@@ -220,8 +220,9 @@ impl RegistryEntry {
         self.detail.clone()
     }
 
-    /// A dynamic generator over this entry's summary (streams / seeks).
-    pub fn generator(&self) -> DynamicGenerator {
+    /// This version's regenerated database, borrowed in place (streams,
+    /// seeks, scans and queries).
+    pub fn generator(&self) -> DynamicGenerator<'_> {
         self.regeneration().generator()
     }
 }

@@ -122,6 +122,14 @@ fn assert_entry_consistent(entry: &hydra_service::RegistryEntry, truth: &BTreeMa
         .expect("described fact relation");
     assert_eq!(fact.total_rows, total);
 
+    // Generator ↔ entry: the generator borrows this version in place, so
+    // it cannot regenerate any other variant.
+    let regeneration = entry.regeneration();
+    for generator in [entry.generator(), regeneration.generator()] {
+        assert!(std::ptr::eq(generator.summary, &regeneration.summary));
+        assert!(std::ptr::eq(generator.schema, &regeneration.schema));
+    }
+
     // Generation ↔ ground truth: a mid-relation slice must match the same
     // variant the row count identified.
     let lo = total / 3;

@@ -98,7 +98,6 @@ fn main() {
 
     // --- dataless vs materialized execution ----------------------------------
     println!("\ndataless vs materialized execution (same regenerated data):");
-    let dataless = result.dataless_database();
     let mut materialized = Database::empty(schema.clone());
     for table in schema.table_names() {
         let mem = generator.materialize(table).expect("materialize");
@@ -113,7 +112,7 @@ fn main() {
     );
     for query in queries.iter().take(8) {
         let plan = LogicalPlan::from_query(query).unwrap();
-        let dl = Executor::new(&dataless).run(&plan).expect("dataless run");
+        let dl = Executor::new(&generator).run(&plan).expect("dataless run");
         let mt = Executor::new(&materialized)
             .run(&plan)
             .expect("materialized run");

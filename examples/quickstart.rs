@@ -107,9 +107,8 @@ fn main() {
     println!();
 
     // ---- Dynamic regeneration: run the query with no stored data ------------
-    let dataless = result.dataless_database();
     let plan = LogicalPlan::from_query(&query).unwrap();
-    let regenerated_aqp = Executor::new(&dataless)
+    let regenerated_aqp = Executor::new(&generator)
         .run_annotated("fig1", &plan)
         .expect("dataless execution");
     println!(

@@ -55,7 +55,7 @@ fn main() {
         .entry("snowflake_probe")
         .and_then(|e| e.aqp.as_ref())
         .expect("probe AQP");
-    let dataless = result.dataless_database();
+    let dataless = result.generator();
     let plan = LogicalPlan::from_query(&snowflake).unwrap();
     let regenerated = Executor::new(&dataless)
         .run_annotated("snowflake_probe", &plan)

@@ -15,7 +15,7 @@
 //! | [`lp`] | `hydra-lp` | LP model + elastic restricted-master simplex (Z3 substitute) |
 //! | [`partition`] | `hydra-partition` | region partitioning (HYDRA) and grid partitioning (DataSynth baseline) |
 //! | [`summary`] | `hydra-summary` | LP formulation, deterministic alignment, database summaries, verification |
-//! | [`datagen`] | `hydra-datagen` | dynamic tuple generation, velocity regulation, dataless databases |
+//! | [`datagen`] | `hydra-datagen` | the dataless database (`DynamicGenerator`), dynamic tuple generation, velocity regulation |
 //! | [`workload`] | `hydra-workload` | synthetic client schemas, data generators, SPJ workloads |
 //! | [`core`] | `hydra-core` | client site, transfer package, vendor site, scenarios, reports |
 //! | [`service`] | `hydra-service` | frame protocol for a `ReactorBuilder` listener, durable summary registry, typed client |

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// A relation whose summary has the given block row counts (zeros allowed —
 /// the summary drops empty blocks, matching the generator's invariants).
-fn fixture(block_counts: &[u64]) -> DynamicGenerator {
+fn fixture(block_counts: &[u64]) -> (Schema, DatabaseSummary) {
     let schema: Schema = SchemaBuilder::new("db")
         .table("item", |t| {
             t.column(ColumnBuilder::new("i_item_sk", DataType::BigInt).primary_key())
@@ -36,7 +36,7 @@ fn fixture(block_counts: &[u64]) -> DynamicGenerator {
     }
     let mut db = DatabaseSummary::new();
     db.insert(summary);
-    DynamicGenerator::new(schema, db)
+    (schema, db)
 }
 
 /// Records every `accept` the block path's default expansion makes.
@@ -85,7 +85,8 @@ proptest! {
         block_counts in proptest::collection::vec(0u64..400, 0..24),
         caps in proptest::collection::vec(1u64..500, 1..8),
     ) {
-        let generator = fixture(&block_counts);
+        let (schema, summary) = fixture(&block_counts);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let expected = sequential(&generator);
         let total = expected.len() as u64;
         let got = block_driven(&generator, 0..total, &caps);
@@ -101,7 +102,8 @@ proptest! {
         cuts in proptest::collection::vec(0u64..4_000, 0..6),
         cap in 1u64..512,
     ) {
-        let generator = fixture(&block_counts);
+        let (schema, summary) = fixture(&block_counts);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let expected = sequential(&generator);
         let total = expected.len() as u64;
         let mut bounds: Vec<u64> = cuts.iter().map(|&c| c.min(total)).collect();
@@ -123,7 +125,8 @@ proptest! {
         shards in 1usize..12,
         cap in 1u64..512,
     ) {
-        let generator = fixture(&block_counts);
+        let (schema, summary) = fixture(&block_counts);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let expected = sequential(&generator);
         let total = expected.len() as u64;
         let mut got = Vec::new();
@@ -138,7 +141,8 @@ proptest! {
 /// `None` (the wire paths poll it after exhaustion).
 #[test]
 fn edge_cases_zero_cap_and_exhaustion() {
-    let generator = fixture(&[5]);
+    let (schema, summary) = fixture(&[5]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     let mut stream = generator.stream_range("item", 0..5).unwrap();
     assert!(stream.next_block(0).is_none());
     let block = stream.next_block(u64::MAX).unwrap();

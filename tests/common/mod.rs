@@ -31,7 +31,7 @@ pub fn assert_tuple_scan_matches_accuracy(
         "duplicate check labels"
     );
 
-    let dataless = result.dataless_database();
+    let dataless = result.generator();
     let executor = Executor::new(&dataless);
     let mut edges = 0;
     for entry in &package.workload.entries {

@@ -345,8 +345,8 @@ fn run_case(case_seed: u64) -> CaseOutcome {
     // Every workload query re-asked as COUNT(*) through the PR 4 query
     // engine: identical answers in the strict regime; within integral
     // rounding slack otherwise.
-    let inc_engine = QueryEngine::over(&incremental.schema, &incremental.summary);
-    let scratch_engine = QueryEngine::over(&scratch.schema, &scratch.summary);
+    let inc_engine = QueryEngine::new(&incremental.generator());
+    let scratch_engine = QueryEngine::new(&scratch.generator());
     let mut queries_compared = 0usize;
     for entry in &outcome.state.package.workload.entries {
         let sql = count_sql(&entry.query);

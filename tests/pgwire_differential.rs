@@ -127,7 +127,7 @@ fn out_of_class_fallback_scans_identically_on_both_protocols() {
     assert_eq!(frame_answer.strategy, ExecStrategy::TupleScan);
     assert!(frame_answer.scanned_tuples > 0);
     assert_eq!(tuple_scans(), 1.0);
-    let auto = QueryEngine::over(&schema, &entry.regeneration().summary)
+    let auto = QueryEngine::new(&entry.generator())
         .query_mode(sql, ExecMode::Auto)
         .expect("in-process Auto");
     assert_eq!(frame_answer, auto, "loop/pool split diverges from Auto");

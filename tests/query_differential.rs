@@ -308,12 +308,12 @@ fn star_schema() -> Schema {
         .unwrap()
 }
 
-/// Hand-built star generator: dim blocks (count, cat, price), fact blocks
+/// Hand-built star database: dim blocks (count, cat, price), fact blocks
 /// (count, fk — possibly dangling or negative, qty).
-fn star_generator(
+fn star_fixture(
     dim_blocks: &[(u64, u8, u8)],
     fact_blocks: &[(u64, i64, i64)],
-) -> DynamicGenerator {
+) -> (Schema, DatabaseSummary) {
     let mut item = RelationSummary::new("item", Some("i_pk".to_string()));
     for &(count, cat, price) in dim_blocks {
         let mut v = BTreeMap::new();
@@ -337,7 +337,7 @@ fn star_generator(
     let mut db = DatabaseSummary::new();
     db.insert(item);
     db.insert(sales);
-    DynamicGenerator::new(star_schema(), db)
+    (star_schema(), db)
 }
 
 /// The joined star query under test: full aggregate list, a predicate and a
@@ -446,7 +446,7 @@ fn star_query(predicate_choice: u8, pk_bound: u64, group_choice: u8) -> Aggregat
 /// oracle, the forced tuple scan and (when in class) the summary-direct
 /// executor all produce exactly the same rows.
 fn assert_differential(generator: &DynamicGenerator, query: &AggregateQuery, label: &str) {
-    query.validate(&generator.schema).expect("valid query");
+    query.validate(generator.schema).expect("valid query");
     let expected = oracle_answer(generator, query);
 
     let engine = QueryEngine::new(generator).with_scan_shards(3);
@@ -493,7 +493,8 @@ proptest! {
         pk_bound in 0u64..1_500,
         group_choice in 0u8..7,
     ) {
-        let generator = star_generator(&dim_blocks, &fact_blocks);
+        let (schema, summary) = star_fixture(&dim_blocks, &fact_blocks);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let query = star_query(predicate_choice, pk_bound, group_choice);
         let label = format!(
             "dims={dim_blocks:?} facts={fact_blocks:?} pred={predicate_choice} \
@@ -512,7 +513,8 @@ proptest! {
         use_double in proptest::prelude::any::<bool>(),
         group_by_qty in proptest::prelude::any::<bool>(),
     ) {
-        let generator = star_generator(&[], &fact_blocks);
+        let (schema, summary) = star_fixture(&[], &fact_blocks);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let mut spj = SpjQuery::new("single");
         spj.add_table("sales");
         let (lo_lit, hi_lit) = if use_double {
@@ -550,7 +552,8 @@ proptest! {
 
 #[test]
 fn edge_case_empty_relation() {
-    let generator = star_generator(&[(5, 0, 0)], &[]);
+    let (schema, summary) = star_fixture(&[(5, 0, 0)], &[]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     let query = star_query(0, 0, 0);
     assert_differential(&generator, &query, "empty fact relation");
     // The global aggregate still answers one row: COUNT 0, SUM/AVG NULL.
@@ -563,7 +566,8 @@ fn edge_case_empty_relation() {
 
 #[test]
 fn edge_case_predicate_selecting_zero_blocks() {
-    let generator = star_generator(&[(5, 0, 0)], &[(40, 2, 1), (60, 2, 3)]);
+    let (schema, summary) = star_fixture(&[(5, 0, 0)], &[(40, 2, 1), (60, 2, 3)]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     let mut query = star_query(0, 0, 0);
     query.spj.set_predicate(
         "sales",
@@ -575,7 +579,8 @@ fn edge_case_predicate_selecting_zero_blocks() {
 #[test]
 fn edge_case_predicate_splitting_a_block() {
     // One 100-tuple block; the pk predicate keeps rows [37, 63).
-    let generator = star_generator(&[(5, 1, 1)], &[(100, 2, 3)]);
+    let (schema, summary) = star_fixture(&[(5, 1, 1)], &[(100, 2, 3)]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     let mut spj = SpjQuery::new("split");
     spj.add_table("sales");
     spj.set_predicate(
@@ -612,7 +617,8 @@ fn edge_case_avg_over_empty_group() {
     item.push_row(1, BTreeMap::new());
     db.insert(item);
     db.insert(sales);
-    let generator = DynamicGenerator::new(star_schema(), db);
+    let schema = star_schema();
+    let generator = DynamicGenerator::new(&schema, &db);
 
     let mut spj = SpjQuery::new("nullavg");
     spj.add_table("sales");
@@ -630,10 +636,11 @@ fn edge_case_avg_over_empty_group() {
 
 #[test]
 fn edge_case_dangling_and_negative_foreign_keys() {
-    let generator = star_generator(
+    let (schema, summary) = star_fixture(
         &[(10, 0, 0), (10, 1, 1)],
         &[(30, 5, 1), (20, 19, 2), (40, 777, 3), (25, -3, 4)],
     );
+    let generator = DynamicGenerator::new(&schema, &summary);
     let query = star_query(0, 0, 2);
     assert_differential(&generator, &query, "dangling + negative fks");
     // Only the first two fact blocks join.
@@ -681,12 +688,9 @@ fn retail_fixture_summary_direct_equals_scan_and_oracle() {
         "select count(*), sum(store_sales.ss_sk) from store_sales \
          where store_sales.ss_sk >= 123 and store_sales.ss_sk < 1711",
     ] {
-        let query = hydra::query::parser::parse_aggregate_query_for_schema(
-            "retail",
-            sql,
-            &generator.schema,
-        )
-        .unwrap();
+        let query =
+            hydra::query::parser::parse_aggregate_query_for_schema("retail", sql, generator.schema)
+                .unwrap();
         assert_differential(&generator, &query, sql);
     }
 }
@@ -729,7 +733,7 @@ fn supplier_snowflake_fixture_summary_direct_equals_scan_and_oracle() {
         let query = hydra::query::parser::parse_aggregate_query_for_schema(
             "supplier",
             sql,
-            &generator.schema,
+            generator.schema,
         )
         .unwrap();
         assert_differential(&generator, &query, sql);

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// A two-column relation whose summary has the given `#TUPLES` block counts.
-fn fixture(block_counts: &[u64]) -> DynamicGenerator {
+fn fixture(block_counts: &[u64]) -> (Schema, DatabaseSummary) {
     let schema: Schema = SchemaBuilder::new("db")
         .table("item", |t| {
             t.column(ColumnBuilder::new("i_item_sk", DataType::BigInt).primary_key())
@@ -33,7 +33,7 @@ fn fixture(block_counts: &[u64]) -> DynamicGenerator {
     }
     let mut db = DatabaseSummary::new();
     db.insert(summary);
-    DynamicGenerator::new(schema, db)
+    (schema, db)
 }
 
 fn sequential(generator: &DynamicGenerator) -> Vec<Row> {
@@ -60,7 +60,8 @@ proptest! {
         block_counts in proptest::collection::vec(0u64..400, 0..24),
         shards in 1usize..12,
     ) {
-        let generator = fixture(&block_counts);
+        let (schema, summary) = fixture(&block_counts);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let expected = sequential(&generator);
         let got = sharded_concatenation(&generator, shards);
         prop_assert_eq!(got, expected, "blocks {:?}, {} shards", block_counts, shards);
@@ -74,7 +75,8 @@ proptest! {
         lo in 0u64..5_000,
         len in 0u64..5_000,
     ) {
-        let generator = fixture(&block_counts);
+        let (schema, summary) = fixture(&block_counts);
+        let generator = DynamicGenerator::new(&schema, &summary);
         let expected = sequential(&generator);
         let total = expected.len() as u64;
         let lo = lo.min(total);
@@ -105,7 +107,8 @@ proptest! {
 
 #[test]
 fn edge_case_empty_relation() {
-    let generator = fixture(&[]);
+    let (schema, summary) = fixture(&[]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     assert!(sequential(&generator).is_empty());
     for shards in [1, 4] {
         let run = generator
@@ -130,7 +133,8 @@ fn edge_case_empty_relation() {
 
 #[test]
 fn edge_case_empty_range() {
-    let generator = fixture(&[10, 5]);
+    let (schema, summary) = fixture(&[10, 5]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     assert_eq!(generator.stream_range("item", 7..7).unwrap().count(), 0);
     assert_eq!(generator.stream_range("item", 15..15).unwrap().count(), 0);
     assert_eq!(generator.stream_range("item", 40..50).unwrap().count(), 0);
@@ -138,7 +142,8 @@ fn edge_case_empty_range() {
 
 #[test]
 fn edge_case_single_row_shards() {
-    let generator = fixture(&[3, 1, 2]);
+    let (schema, summary) = fixture(&[3, 1, 2]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     let expected = sequential(&generator);
     // Exactly one row per shard.
     let run = generator
@@ -154,7 +159,8 @@ fn edge_case_single_row_shards() {
 
 #[test]
 fn edge_case_more_shards_than_rows() {
-    let generator = fixture(&[2, 1]);
+    let (schema, summary) = fixture(&[2, 1]);
+    let generator = DynamicGenerator::new(&schema, &summary);
     let expected = sequential(&generator);
     for shards in [4, 17, 1_000] {
         let run = generator

@@ -52,7 +52,7 @@ fn nested_fk_conditions_are_regenerated_accurately() {
         result.accuracy.to_display_table()
     );
 
-    let dataless = result.dataless_database();
+    let dataless = result.generator();
     let plan = LogicalPlan::from_query(&query).unwrap();
     let regenerated = Executor::new(&dataless)
         .run_annotated("snow1", &plan)

@@ -45,7 +45,7 @@ fn table1_sample_tuples_follow_the_block_pattern() {
         .unwrap();
     let mut summary = DatabaseSummary::new();
     summary.insert(item_summary());
-    let generator = DynamicGenerator::new(schema, summary);
+    let generator = DynamicGenerator::new(&schema, &summary);
 
     let rows: Vec<_> = generator.stream("item").unwrap().collect();
     assert_eq!(rows.len(), 1000);
