@@ -19,6 +19,7 @@ use hydra_query::query::SpjQuery;
 use hydra_query::workload::QueryWorkload;
 use hydra_workload::harvest_workload;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Number of most-common values profiled per column.
 const MCV_LIMIT: usize = 8;
@@ -29,19 +30,31 @@ const HISTOGRAM_BUCKETS: usize = 16;
 #[derive(Debug, Clone)]
 pub struct ClientSite {
     /// The client's warehouse.
-    pub database: Database,
+    database: Database,
+    /// The warehouse's profile, taken on first use.
+    metadata: OnceLock<DatabaseMetadata>,
 }
 
 impl ClientSite {
     /// Wraps a client database.
     pub fn new(database: Database) -> Self {
-        ClientSite { database }
+        ClientSite {
+            database,
+            metadata: OnceLock::new(),
+        }
+    }
+
+    /// The client's warehouse.
+    pub fn database(&self) -> &Database {
+        &self.database
     }
 
     /// Profiles the warehouse into the metadata package (`ANALYZE` + CODD
-    /// metadata transfer).
-    pub fn profile_metadata(&self) -> DatabaseMetadata {
-        self.database.profile(MCV_LIMIT, HISTOGRAM_BUCKETS)
+    /// metadata transfer).  The warehouse is profiled once; later calls
+    /// return the same profile.
+    pub fn profile_metadata(&self) -> &DatabaseMetadata {
+        self.metadata
+            .get_or_init(|| self.database.profile(MCV_LIMIT, HISTOGRAM_BUCKETS))
     }
 
     /// Executes the workload on the client data and records the AQPs.
@@ -56,7 +69,7 @@ impl ClientSite {
         queries: &[SpjQuery],
         anonymize: bool,
     ) -> HydraResult<TransferPackage> {
-        let metadata = self.profile_metadata();
+        let metadata = self.profile_metadata().clone();
         let workload = self.execute_workload(queries)?;
         let mut package = TransferPackage::new(metadata, workload);
         if anonymize {

@@ -8,9 +8,7 @@
 //! tuples; a basic LP solution has at most one per constraint, so this set is
 //! small regardless of how many regions the partition has — forward into
 //! the new partition, so a downstream LP warm start can inherit it instead
-//! of starting from nothing.  It also reports which axes gained or lost
-//! predicate boundaries, and whether the boxes were identical outright (a
-//! pure cardinality re-annotation).
+//! of starting from nothing ([`PartitionRefinement::warm_columns`]).
 //!
 //! Each supported region is located by its representative point alone, so
 //! the previous partition may be *support-only* (see
@@ -20,12 +18,10 @@
 //!
 //! The carry-over map is advisory (it feeds warm-start *hints*, never
 //! correctness): a supported previous region maps to the new region
-//! containing its representative point, and counts as *reused* when its
-//! point set is provably the same (equal volume — a region no new boundary
-//! split).  Mapping only the support keeps refinement linear in the support
-//! size instead of quadratic in the region count.
+//! containing its representative point.  Mapping only the support keeps
+//! refinement linear in the support size instead of quadratic in the
+//! region count.
 
-use crate::nbox::NBox;
 use crate::region::{RegionPartition, RegionPartitioner};
 use crate::{PartitionError, PartitionResult};
 use std::collections::BTreeSet;
@@ -38,65 +34,15 @@ pub struct PartitionRefinement {
     /// `(old region, new region)` pairs: where each *supported* previous
     /// region's representative point landed in the new partition.
     pub carried: Vec<(usize, usize)>,
-    /// Number of supported previous regions whose geometry is provably
-    /// unchanged (carried into a new region of equal volume).
-    pub reused_regions: usize,
-    /// Axes whose elementary cut set changed between the previous and the
-    /// new constraint boxes (empty on a pure re-annotation delta).
-    pub changed_axes: Vec<usize>,
-    /// True when the space and constraint boxes are identical to the
-    /// previous ones (a pure re-annotation delta): the sweep reproduces the
-    /// previous partition and every supported region carries over intact.
-    pub full_reuse: bool,
 }
 
 impl PartitionRefinement {
-    /// Maps per-previous-region quantities (e.g. solved tuple counts) onto
-    /// the new regions along the carry-over pairs; new regions nothing
-    /// carried into get `0`.  The support of the result is the canonical LP
-    /// warm-start hint.
-    pub fn carry_values(&self, values: &[u64]) -> Vec<u64> {
-        let mut carried = vec![0u64; self.partition.num_variables()];
-        for &(old, new) in &self.carried {
-            carried[new] = carried[new].saturating_add(values.get(old).copied().unwrap_or(0));
-        }
-        carried
-    }
-
     /// The new-region indices to prioritize in a warm-started LP: the
     /// regions that inherit the previous solution's support.
     pub fn warm_columns(&self) -> Vec<usize> {
         let set: BTreeSet<usize> = self.carried.iter().map(|&(_, new)| new).collect();
         set.into_iter().collect()
     }
-}
-
-/// The per-axis elementary cut set a constraint collection induces (the same
-/// cuts the axis sweep uses).
-fn axis_cuts(
-    space: &crate::space::AttributeSpace,
-    constraints: &[Vec<NBox>],
-    axis: usize,
-) -> BTreeSet<i64> {
-    let domain = space.domain(axis);
-    let mut cuts: BTreeSet<i64> = BTreeSet::new();
-    cuts.insert(domain.lo);
-    cuts.insert(domain.hi);
-    for boxes in constraints {
-        for b in boxes {
-            let iv = b.interval(axis).intersect(&domain);
-            if iv.is_empty() {
-                continue;
-            }
-            if iv.lo > domain.lo && iv.lo < domain.hi {
-                cuts.insert(iv.lo);
-            }
-            if iv.hi > domain.lo && iv.hi < domain.hi {
-                cuts.insert(iv.hi);
-            }
-        }
-    }
-    cuts
 }
 
 impl RegionPartitioner {
@@ -113,22 +59,6 @@ impl RegionPartitioner {
     ) -> PartitionResult<PartitionRefinement> {
         let (space, constraints, max_regions) = self.parts();
 
-        // Identical space and boxes — a pure re-annotation delta — moves no
-        // boundary; otherwise, which axes gained or lost one?
-        let full_reuse = space == *prev.space() && constraints == prev.constraint_unions();
-        let changed_axes: Vec<usize> = if full_reuse {
-            Vec::new()
-        } else if space == *prev.space() {
-            (0..space.dims())
-                .filter(|&axis| {
-                    axis_cuts(&space, &constraints, axis)
-                        != axis_cuts(&space, prev.constraint_unions(), axis)
-                })
-                .collect()
-        } else {
-            (0..space.dims()).collect()
-        };
-
         // Sweep the new constraint set once, then carry the previous
         // *support* forward — each supported old region's representative
         // point is located in the new partition (linear in the support size,
@@ -138,28 +68,15 @@ impl RegionPartitioner {
             partitioner = partitioner.add_constraint_union(boxes);
         }
         let partition = partitioner.partition()?;
-        let mut carried = Vec::with_capacity(prev_support.len());
-        let mut reused_regions = 0usize;
-        for &old in prev_support {
-            if old >= prev.num_variables() {
-                continue;
-            }
-            let region = prev.region(old);
-            let point = region.representative_point();
-            if let Some(new) = partition.region_containing(&point) {
-                if partition.region(new).volume == region.volume {
-                    reused_regions += 1;
-                }
-                carried.push((old, new));
-            }
-        }
-        Ok(PartitionRefinement {
-            partition,
-            carried,
-            reused_regions,
-            changed_axes,
-            full_reuse,
-        })
+        let carried = prev_support
+            .iter()
+            .filter(|&&old| old < prev.num_variables())
+            .filter_map(|&old| {
+                let point = prev.region(old).representative_point();
+                partition.region_containing(&point).map(|new| (old, new))
+            })
+            .collect();
+        Ok(PartitionRefinement { partition, carried })
     }
 }
 
@@ -180,6 +97,7 @@ pub fn check_refinable(prev: &RegionPartition, dims: usize) -> PartitionResult<(
 mod tests {
     use super::*;
     use crate::interval::Interval;
+    use crate::nbox::NBox;
     use crate::space::AttributeSpace;
 
     fn space_1d() -> AttributeSpace {
@@ -206,13 +124,10 @@ mod tests {
             .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
             .refine(&prev, &support)
             .unwrap();
-        assert!(refinement.full_reuse);
         assert_eq!(refinement.partition, prev);
-        assert!(refinement.changed_axes.is_empty());
-        assert_eq!(refinement.reused_regions, prev.num_variables());
-        // Carried values are the identity here.
-        let counts: Vec<u64> = (0..prev.num_variables() as u64).collect();
-        assert_eq!(refinement.carry_values(&counts), counts);
+        // Every region carries onto itself.
+        let identity: Vec<(usize, usize)> = support.iter().map(|&i| (i, i)).collect();
+        assert_eq!(refinement.carried, identity);
         assert_eq!(refinement.warm_columns(), support);
     }
 
@@ -253,18 +168,11 @@ mod tests {
                 from_support.warm_columns(),
                 "{name}"
             );
-            assert_eq!(
-                from_full.reused_regions, from_support.reused_regions,
-                "{name}"
-            );
-            assert_eq!(from_full.changed_axes, from_support.changed_axes, "{name}");
-            assert_eq!(from_full.full_reuse, from_support.full_reuse, "{name}");
-            assert_eq!(from_full.full_reuse, name == "identical");
         }
     }
 
     #[test]
-    fn only_the_touched_axis_is_reported_changed() {
+    fn a_new_boundary_resweeps_like_scratch_and_carries_all_support() {
         let c_a = |lo, hi| space_2d().box_from_intervals(vec![("a", Interval::new(lo, hi))]);
         let c_b = |lo, hi| space_2d().box_from_intervals(vec![("b", Interval::new(lo, hi))]);
         let prev = RegionPartitioner::new(space_2d())
@@ -280,11 +188,6 @@ mod tests {
             .add_constraint_box(c_b(50, 90))
             .refine(&prev, &support)
             .unwrap();
-        assert!(!refinement.full_reuse);
-        assert_eq!(refinement.changed_axes, vec![1]);
-        // The subspace untouched by the new boundary carries over: regions
-        // away from b∈[50,90) keep their exact geometry.
-        assert!(refinement.reused_regions >= 2, "{refinement:?}");
         // Every supported old region lands somewhere in the new partition
         // (the space did not shrink).
         assert_eq!(refinement.carried.len(), support.len());
@@ -310,26 +213,20 @@ mod tests {
             .regions()
             .position(|r| r.signature.contains(0))
             .unwrap();
-        let mut counts = vec![0u64; prev.num_variables()];
-        counts[inside] = 500;
         let refinement = RegionPartitioner::new(space_1d())
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .add_constraint_box(NBox::new(vec![Interval::new(80, 90)]))
             .refine(&prev, &[inside])
             .unwrap();
-        // The supported [20,60) region carries its 500 into the matching
-        // new region; nothing else is mapped.
-        let carried = refinement.carry_values(&counts);
-        assert_eq!(carried.iter().sum::<u64>(), 500);
-        let warm = refinement.warm_columns();
-        assert_eq!(warm.len(), 1);
+        // The supported [20,60) region carries into the matching new
+        // region; nothing else is mapped.
         let new_inside = refinement
             .partition
             .regions()
             .position(|r| r.signature.contains(0))
             .unwrap();
-        assert_eq!(warm, vec![new_inside]);
-        assert_eq!(carried[new_inside], 500);
+        assert_eq!(refinement.carried, vec![(inside, new_inside)]);
+        assert_eq!(refinement.warm_columns(), vec![new_inside]);
     }
 
     #[test]
@@ -350,8 +247,6 @@ mod tests {
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .refine(&prev, &[outside, inside])
             .unwrap();
-        assert!(!refinement.full_reuse);
-        assert_eq!(refinement.changed_axes, vec![0]);
         // Only the inside region (representative a = 20) maps.
         assert_eq!(refinement.carried.len(), 1);
         assert_eq!(refinement.carried[0].0, inside);
@@ -360,7 +255,7 @@ mod tests {
             .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
             .refine(&prev, &[99])
             .unwrap();
-        assert!(refinement.carried.is_empty() || refinement.full_reuse);
+        assert!(refinement.carried.is_empty());
     }
 
     #[test]

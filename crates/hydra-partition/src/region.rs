@@ -56,7 +56,7 @@ use crate::interval::Interval;
 use crate::nbox::NBox;
 use crate::signature::{Signature, SignatureRef};
 use crate::space::AttributeSpace;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize, Sink};
 use std::collections::BTreeMap;
 
 /// Default bound on the number of regions (LP variables).  Workloads in the
@@ -384,26 +384,22 @@ struct RegionRecord {
 }
 
 impl Serialize for RegionPartition {
-    fn serialize_content(&self) -> Content {
-        let regions = self
-            .regions()
-            .map(|region| {
-                RegionRecord {
-                    signature: region.signature.to_signature(),
-                    pieces: region.pieces(),
-                    volume: region.volume,
-                }
-                .serialize_content()
-            })
-            .collect();
-        Content::Map(vec![
-            ("space".to_string(), self.space.serialize_content()),
-            ("regions".to_string(), Content::Seq(regions)),
-            (
-                "constraints".to_string(),
-                self.constraints.serialize_content(),
-            ),
-        ])
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.begin_map(3);
+        sink.entry("space", &self.space);
+        sink.key("regions");
+        sink.begin_seq(self.num_variables());
+        for region in self.regions() {
+            RegionRecord {
+                signature: region.signature.to_signature(),
+                pieces: region.pieces(),
+                volume: region.volume,
+            }
+            .serialize(sink);
+        }
+        sink.end_seq();
+        sink.entry("constraints", &self.constraints);
+        sink.end_map();
     }
 }
 

@@ -102,13 +102,28 @@ impl ConnHandler for PgConnHandler {
 }
 
 impl PgConnHandler {
+    /// A protocol violation: counted as `pg.framing`, answered with a
+    /// best-effort FATAL `08P01`, then the connection closes having
+    /// consumed `consumed` bytes.
+    fn protocol_violation(
+        &self,
+        out: &mut Vec<u8>,
+        message: String,
+        consumed: usize,
+    ) -> (usize, HandlerOutcome) {
+        self.registry
+            .session()
+            .metrics()
+            .counter_labeled("hydra_request_errors_total", "op", "pg.framing")
+            .inc();
+        emit(out, &PgError::fatal("08P01", message).to_message());
+        (consumed, HandlerOutcome::Close)
+    }
+
     fn on_startup(&mut self, buf: &[u8], out: &mut Vec<u8>) -> (usize, HandlerOutcome) {
         match decode_startup(buf) {
             Ok(Decoded::Incomplete) => (0, HandlerOutcome::Continue),
-            Err(e) => {
-                emit(out, &PgError::fatal("08P01", e.to_string()).to_message());
-                (buf.len(), HandlerOutcome::Close)
-            }
+            Err(e) => self.protocol_violation(out, e.to_string(), buf.len()),
             Ok(Decoded::Complete { message, consumed }) => match message {
                 StartupPacket::SslRequest | StartupPacket::GssEncRequest => {
                     out.push(b'N');
@@ -123,12 +138,8 @@ impl PgConnHandler {
                     params,
                 } => {
                     if major != 3 {
-                        let e = PgError::fatal(
-                            "08P01",
-                            format!("unsupported protocol version {major}.{minor}"),
-                        );
-                        emit(out, &e.to_message());
-                        return (consumed, HandlerOutcome::Close);
+                        let message = format!("unsupported protocol version {major}.{minor}");
+                        return self.protocol_violation(out, message, consumed);
                     }
                     let database = params
                         .iter()
@@ -160,12 +171,9 @@ impl PgConnHandler {
     ) -> (usize, HandlerOutcome) {
         match decode_frontend(buf) {
             Ok(Decoded::Incomplete) => (0, HandlerOutcome::Continue),
-            Err(e) => {
-                // Hostile or corrupt framing: best-effort FATAL, then close
-                // — there is no way to resynchronize a byte stream.
-                emit(out, &PgError::fatal("08P01", e.to_string()).to_message());
-                (buf.len(), HandlerOutcome::Close)
-            }
+            // Hostile or corrupt framing: there is no way to resynchronize
+            // a byte stream.
+            Err(e) => self.protocol_violation(out, e.to_string(), buf.len()),
             Ok(Decoded::Complete { message, consumed }) => match message {
                 FrontendMessage::Terminate => (consumed, HandlerOutcome::Close),
                 FrontendMessage::Sync => {

@@ -27,7 +27,7 @@ use crate::workload::{QueryWorkload, WorkloadEntry};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// An evolution step over an annotated workload: queries added, queries
 /// retired, and existing queries whose annotations were revised by a fresh
@@ -275,14 +275,12 @@ impl ConstraintSet {
     }
 
     /// Fingerprint of one relation's constraint list (canonical-JSON hash,
-    /// the same trick the summary builder's relation signatures use).  Two constraint sets with
-    /// equal signatures for a relation put identical volumetric demands on
-    /// it.
+    /// the same trick the summary builder's relation signatures use).  Two
+    /// constraint sets with equal signatures for a relation put identical
+    /// volumetric demands on it.
     pub fn table_signature(&self, table: &str) -> u64 {
         let mut hasher = DefaultHasher::new();
-        serde_json::to_string(&self.of_table(table).to_vec())
-            .unwrap_or_default()
-            .hash(&mut hasher);
+        serde_json::hash_into(self.of_table(table), &mut hasher);
         hasher.finish()
     }
 

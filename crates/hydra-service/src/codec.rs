@@ -1,7 +1,9 @@
 //! The compact binary codec of the durable registry's WAL records (and of
-//! the legacy snapshots it still reads): a serde data-model tree
-//! ([`serde::Content`]) written as tag bytes, varints and raw
-//! little-endian words instead of JSON text.
+//! the legacy snapshots it still reads): the serde data model written as
+//! tag bytes, varints and raw little-endian words instead of JSON text.
+//! [`to_bytes`] is a [`serde::Sink`] the value streams itself into;
+//! [`from_bytes`] parses a payload into a [`serde::Content`] tree and
+//! deserializes the value from it.
 //!
 //! A payload is one leading [`FORMAT`] byte, then one value.  Every value is
 //! a tag byte followed by its body:
@@ -33,7 +35,7 @@
 //! invalid UTF-8, key indices out of range and trailing bytes are errors
 //! naming their offset.
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize, Sink};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -84,12 +86,11 @@ impl std::error::Error for CodecError {}
 
 /// Encodes `value` as one binary payload.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let content = value.serialize_content();
     let mut encoder = Encoder {
         out: vec![FORMAT],
         keys: HashMap::new(),
     };
-    encoder.value(&content);
+    value.serialize(&mut encoder);
     encoder.out
 }
 
@@ -118,66 +119,73 @@ pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
     T::deserialize_content(&content).map_err(|e| CodecError(e.0))
 }
 
-struct Encoder<'a> {
+/// The codec's [`Sink`]: writes each data-model call as its tag and body.
+struct Encoder {
     out: Vec<u8>,
     /// Key → its index in the payload's key table.
-    keys: HashMap<&'a str, u64>,
+    keys: HashMap<String, u64>,
 }
 
-impl<'a> Encoder<'a> {
-    fn value(&mut self, content: &'a Content) {
-        match content {
-            Content::Null => self.out.push(TAG_NULL),
-            Content::Bool(false) => self.out.push(TAG_FALSE),
-            Content::Bool(true) => self.out.push(TAG_TRUE),
-            Content::I64(v) => {
-                self.out.push(TAG_I64);
-                self.varint(((v << 1) ^ (v >> 63)) as u64);
-            }
-            Content::U64(v) => {
-                self.out.push(TAG_U64);
-                self.varint(*v);
-            }
-            Content::U128(v) => {
-                self.out.push(TAG_U128);
-                self.out.extend_from_slice(&v.to_le_bytes());
-            }
-            Content::F64(v) => {
-                self.out.push(TAG_F64);
-                self.out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            Content::Str(s) => {
-                self.out.push(TAG_STR);
-                self.text(s);
-            }
-            Content::Seq(items) => {
-                self.out.push(TAG_SEQ);
-                self.varint(items.len() as u64);
-                for item in items {
-                    self.value(item);
-                }
-            }
-            Content::Map(entries) => {
-                self.out.push(TAG_MAP);
-                self.varint(entries.len() as u64);
-                for (key, value) in entries {
-                    self.key(key);
-                    self.value(value);
-                }
-            }
-        }
+impl Sink for Encoder {
+    fn null(&mut self) {
+        self.out.push(TAG_NULL);
     }
 
-    fn key(&mut self, key: &'a str) {
+    fn bool(&mut self, v: bool) {
+        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.out.push(TAG_I64);
+        self.varint(((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.out.push(TAG_U64);
+        self.varint(v);
+    }
+
+    fn u128(&mut self, v: u128) {
+        self.out.push(TAG_U128);
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.out.push(TAG_F64);
+        self.out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.out.push(TAG_STR);
+        self.text(v);
+    }
+
+    fn begin_seq(&mut self, len: usize) {
+        self.out.push(TAG_SEQ);
+        self.varint(len as u64);
+    }
+
+    fn end_seq(&mut self) {}
+
+    fn begin_map(&mut self, len: usize) {
+        self.out.push(TAG_MAP);
+        self.varint(len as u64);
+    }
+
+    fn key(&mut self, key: &str) {
         if let Some(&index) = self.keys.get(key) {
             self.varint(index + 1);
         } else {
-            self.keys.insert(key, self.keys.len() as u64);
+            self.keys.insert(key.to_string(), self.keys.len() as u64);
             self.varint(0);
             self.text(key);
         }
     }
 
+    fn end_map(&mut self) {}
+}
+
+impl Encoder {
     fn text(&mut self, s: &str) {
         self.varint(s.len() as u64);
         self.out.extend_from_slice(s.as_bytes());
@@ -339,6 +347,9 @@ impl Decoder<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hydra_catalog::types::Value;
+    use hydra_query::aqp::{FkCondition, VolumetricConstraint};
+    use hydra_query::predicate::{ColumnPredicate, CompareOp, TablePredicate};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -523,6 +534,99 @@ mod tests {
                 let err = decode(&[first, TAG_NULL]).expect_err("not this codec's");
                 prop_assert_eq!(err.0, format!("unknown payload format byte 0x{first:02x}"));
             }
+        }
+    }
+
+    /// `hash_into`'s digest and the digest of `to_string`'s text, by
+    /// `DefaultHasher`.
+    fn digests<T: Serialize + ?Sized>(value: &T) -> (u64, u64) {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut streamed = DefaultHasher::new();
+        serde_json::hash_into(value, &mut streamed);
+        let mut text = DefaultHasher::new();
+        serde_json::to_string(value).unwrap().hash(&mut text);
+        (streamed.finish(), text.finish())
+    }
+
+    /// Arbitrary per-relation constraint lists: nested FK conditions,
+    /// every `Value` variant (any float bits, text needing escapes) and
+    /// cardinalities past `i64::MAX`.
+    struct ConstraintLists;
+
+    impl ConstraintLists {
+        fn predicate(rng: &mut StdRng) -> TablePredicate {
+            const OPS: [CompareOp; 5] = [
+                CompareOp::Eq,
+                CompareOp::Lt,
+                CompareOp::Le,
+                CompareOp::Gt,
+                CompareOp::Ge,
+            ];
+            let conjuncts = (0..rng.gen_range(0usize..4))
+                .map(|_| {
+                    let value = match rng.gen_range(0u32..5) {
+                        0 => Value::Null,
+                        1 => Value::Boolean(rng.gen_bool(0.5)),
+                        2 => Value::Integer(bits(rng) as i64),
+                        3 => Value::Double(f64::from_bits(bits(rng))),
+                        _ => Value::Varchar(Trees::text(rng)),
+                    };
+                    ColumnPredicate::new(Trees::key(rng), OPS[rng.gen_range(0usize..5)], value)
+                })
+                .collect();
+            TablePredicate::from_conjuncts(conjuncts)
+        }
+
+        fn fk(rng: &mut StdRng, depth: usize) -> FkCondition {
+            let nested = if depth == 0 {
+                0
+            } else {
+                rng.gen_range(0usize..3)
+            };
+            FkCondition {
+                fk_column: Trees::key(rng),
+                dim_table: Trees::text(rng),
+                dim_predicate: Self::predicate(rng),
+                nested: (0..nested).map(|_| Self::fk(rng, depth - 1)).collect(),
+            }
+        }
+    }
+
+    impl Strategy for ConstraintLists {
+        type Value = Vec<VolumetricConstraint>;
+
+        fn sample(&self, rng: &mut StdRng) -> Vec<VolumetricConstraint> {
+            (0..rng.gen_range(0usize..6))
+                .map(|_| VolumetricConstraint {
+                    table: Trees::key(rng),
+                    predicate: Self::predicate(rng),
+                    fk_conditions: (0..rng.gen_range(0usize..3))
+                        .map(|_| Self::fk(rng, 2))
+                        .collect(),
+                    cardinality: bits(rng) >> rng.gen_range(0u32..64),
+                    label: Trees::text(rng),
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sink_identity_hashes_trees_like_their_text(tree in Trees) {
+            let (streamed, text) = digests(&tree);
+            prop_assert_eq!(streamed, text);
+        }
+
+        #[test]
+        fn sink_identity_hashes_constraint_lists_like_their_text(list in ConstraintLists) {
+            let (streamed, text) = digests(list.as_slice());
+            prop_assert_eq!(streamed, text);
+            // The tree the text parses back into hashes alike too.
+            let tree: Content = serde_json::from_str(&serde_json::to_string(&list).unwrap())
+                .expect("written JSON parses");
+            prop_assert_eq!(digests(&tree), (streamed, text));
         }
     }
 

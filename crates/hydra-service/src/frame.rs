@@ -203,7 +203,14 @@ impl ConnHandler for FrameHandler {
                 (consumed, outcome)
             }
             Err(e) => {
-                // The byte stream is desynchronized; answer, then close.
+                // The byte stream is desynchronized; count it, answer, then
+                // close.
+                self.ctx
+                    .registry
+                    .session()
+                    .metrics()
+                    .counter_labeled("hydra_request_errors_total", "op", "frame.framing")
+                    .inc();
                 self.ctx.error_frame(out, e.to_string());
                 (buf.len(), HandlerOutcome::Close)
             }

@@ -159,6 +159,11 @@ fn publish_stream_describe_interleavings_never_tear() {
 
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|scope| {
+        // Each reader reports its first observation; the publishes start
+        // only after all four have, so fast publishes cannot finish before
+        // a reader has looked at all.
+        let (ready, first_observations) = std::sync::mpsc::channel();
+
         // Publisher: cycles through the variants, re-publishing `retail`
         // (and a second name, so List sees the registry grow too).
         let publisher = {
@@ -167,6 +172,11 @@ fn publish_stream_describe_interleavings_never_tear() {
                 variants.iter().map(|(p, _)| p.clone()).collect();
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
+                // A reader that panicked never reports; its join below
+                // fails the test, so the wait is bounded.
+                for _ in 0..4 {
+                    let _ = first_observations.recv_timeout(std::time::Duration::from_secs(60));
+                }
                 let mut published = 1u32; // the seed
                 for round in 0..2 {
                     for (i, package) in variant_packages.iter().enumerate() {
@@ -193,6 +203,7 @@ fn publish_stream_describe_interleavings_never_tear() {
                 let registry = Arc::clone(&registry);
                 let truth = &truth;
                 let stop = Arc::clone(&stop);
+                let ready = ready.clone();
                 scope.spawn(move || {
                     let mut observed = 0usize;
                     let mut last_version = 0u32;
@@ -205,6 +216,9 @@ fn publish_stream_describe_interleavings_never_tear() {
                         last_version = entry.version;
                         assert_entry_consistent(&entry, truth);
                         observed += 1;
+                        if observed == 1 {
+                            let _ = ready.send(());
+                        }
                     }
                     observed
                 })
@@ -216,6 +230,7 @@ fn publish_stream_describe_interleavings_never_tear() {
             .map(|_| {
                 let truth = &truth;
                 let stop = Arc::clone(&stop);
+                let ready = ready.clone();
                 scope.spawn(move || {
                     let mut client = HydraClient::connect(addr).expect("connect");
                     let mut observed = 0usize;
@@ -241,6 +256,9 @@ fn publish_stream_describe_interleavings_never_tear() {
                             .expect("stream length identifies a published variant");
                         assert_eq!(&rows, expected, "wire stream mixed two versions");
                         observed += 1;
+                        if observed == 1 {
+                            let _ = ready.send(());
+                        }
                     }
                     observed
                 })

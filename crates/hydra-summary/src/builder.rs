@@ -239,22 +239,17 @@ impl SummaryBuilder {
         row_target.hash(&mut hasher);
         fk_domains.hash(&mut hasher);
         // Constraints and statistics hash through their canonical JSON
-        // encoding (they do not implement Hash themselves).
-        serde_json::to_string(&constraints.to_vec())
-            .unwrap_or_default()
-            .hash(&mut hasher);
+        // encoding (they do not implement Hash themselves), streamed into
+        // the hasher without building the text.
+        serde_json::hash_into(constraints, &mut hasher);
         if let Some(stats) = stats {
-            serde_json::to_string(stats)
-                .unwrap_or_default()
-                .hash(&mut hasher);
+            serde_json::hash_into(stats, &mut hasher);
         }
         // FK projections read the referenced dimension summaries, so their
         // content is part of the signature.
         for fk in table.foreign_keys() {
             if let Some(dim) = summaries.get(&fk.referenced_table) {
-                serde_json::to_string(dim)
-                    .unwrap_or_default()
-                    .hash(&mut hasher);
+                serde_json::hash_into(dim, &mut hasher);
             }
         }
         hash_pipeline(self.config.alignment, &mut hasher);
@@ -376,7 +371,10 @@ impl SummaryBuilder {
         // block census instead of diffing against an empty database (the
         // caller discards it anyway — see `build_retaining`).
         let diff = match prev {
-            Some(p) => SummaryDiff::between(&p.to_summary(), &db),
+            Some(p) => SummaryDiff::between(
+                p.relations.values().map(|r| &r.summary),
+                db.relations.values(),
+            ),
             None => SummaryDiff::default(),
         };
         Ok(DeltaBuild {

@@ -251,17 +251,24 @@ pub struct SummaryDiff {
 }
 
 impl SummaryDiff {
-    /// Computes the structural diff from `old` to `new`.
-    pub fn between(old: &DatabaseSummary, new: &DatabaseSummary) -> SummaryDiff {
-        let names: std::collections::BTreeSet<&String> =
-            old.relations.keys().chain(new.relations.keys()).collect();
-        let relations = names
+    /// Computes the structural diff from the relation summaries `old` to
+    /// `new`, each relation keyed by its table name (a database summary's
+    /// `relations.values()`, or a baseline's summaries, diffed in place).
+    pub fn between<'a>(
+        old: impl IntoIterator<Item = &'a RelationSummary>,
+        new: impl IntoIterator<Item = &'a RelationSummary>,
+    ) -> SummaryDiff {
+        type Pair<'a> = (Option<&'a RelationSummary>, Option<&'a RelationSummary>);
+        let mut pairs: BTreeMap<&str, Pair<'a>> = BTreeMap::new();
+        for summary in old {
+            pairs.entry(&summary.table).or_default().0 = Some(summary);
+        }
+        for summary in new {
+            pairs.entry(&summary.table).or_default().1 = Some(summary);
+        }
+        let relations = pairs
             .into_iter()
-            .map(|name| {
-                let before = old.relation(name);
-                let after = new.relation(name);
-                Self::diff_relation(name, before, after)
-            })
+            .map(|(name, (before, after))| Self::diff_relation(name, before, after))
             .collect();
         SummaryDiff { relations }
     }
@@ -271,6 +278,23 @@ impl SummaryDiff {
         before: Option<&RelationSummary>,
         after: Option<&RelationSummary>,
     ) -> RelationDiff {
+        let mut diff = RelationDiff {
+            table: table.to_string(),
+            rows_before: before.map_or(0, |s| s.total_rows),
+            rows_after: after.map_or(0, |s| s.total_rows),
+            blocks_added: 0,
+            blocks_removed: 0,
+            blocks_resized: 0,
+            blocks_unchanged: 0,
+        };
+        // Equal summaries (every reused relation) census every block as
+        // unchanged; skip building the census.
+        if let (Some(before), Some(after)) = (before, after) {
+            if before == after {
+                diff.blocks_unchanged = after.rows.len();
+                return diff;
+            }
+        }
         // Blocks keyed by the canonical JSON of their value vector; counts
         // accumulated because distinct blocks can share a value vector.
         let census = |summary: Option<&RelationSummary>| -> BTreeMap<String, (u64, usize)> {
@@ -287,15 +311,6 @@ impl SummaryDiff {
         };
         let old_blocks = census(before);
         let new_blocks = census(after);
-        let mut diff = RelationDiff {
-            table: table.to_string(),
-            rows_before: before.map_or(0, |s| s.total_rows),
-            rows_after: after.map_or(0, |s| s.total_rows),
-            blocks_added: 0,
-            blocks_removed: 0,
-            blocks_resized: 0,
-            blocks_unchanged: 0,
-        };
         for (key, (count, blocks)) in &new_blocks {
             match old_blocks.get(key) {
                 None => diff.blocks_added += blocks,
@@ -392,7 +407,7 @@ mod tests {
     fn diff_classifies_added_removed_resized_unchanged() {
         let old = db(vec![summary("t", &[(10, 1), (20, 2), (30, 3)])]);
         let new = db(vec![summary("t", &[(10, 1), (25, 2), (40, 4)])]);
-        let diff = SummaryDiff::between(&old, &new);
+        let diff = SummaryDiff::between(old.relations.values(), new.relations.values());
         assert_eq!(diff.relations.len(), 1);
         let r = &diff.relations[0];
         assert_eq!(r.blocks_unchanged, 1); // a=1 @10
@@ -412,16 +427,31 @@ mod tests {
             summary("t", &[(10, 1)]),
             summary("u", &[(5, 7), (6, 8)]),
         ]);
-        let diff = SummaryDiff::between(&a, &a.clone());
+        let diff = SummaryDiff::between(a.relations.values(), a.clone().relations.values());
         assert!(diff.is_unchanged());
         assert!(diff.changed_relations().is_empty());
+    }
+
+    #[test]
+    fn equal_summaries_count_what_their_census_counts() {
+        // Two blocks share a value vector: the census sums them under one
+        // key and still counts both blocks.
+        let t = summary("t", &[(10, 1), (20, 1), (5, 2)]);
+        let equal = SummaryDiff::between([&t], [&t]);
+        // Same rows under another PK column: not equal, so censused.
+        let mut twin = t.clone();
+        twin.pk_column = None;
+        let censused = SummaryDiff::between([&t], [&twin]);
+        assert_eq!(equal, censused);
+        assert_eq!(equal.relations[0].blocks_unchanged, 3);
+        assert!(equal.is_unchanged());
     }
 
     #[test]
     fn relation_appearing_and_disappearing() {
         let old = db(vec![summary("gone", &[(10, 1)])]);
         let new = db(vec![summary("fresh", &[(4, 2)])]);
-        let diff = SummaryDiff::between(&old, &new);
+        let diff = SummaryDiff::between(old.relations.values(), new.relations.values());
         let gone = diff.relations.iter().find(|r| r.table == "gone").unwrap();
         assert_eq!(gone.blocks_removed, 1);
         assert_eq!(gone.rows_after, 0);
@@ -434,7 +464,7 @@ mod tests {
     fn diff_serde_round_trip() {
         let old = db(vec![summary("t", &[(10, 1)])]);
         let new = db(vec![summary("t", &[(12, 1)])]);
-        let diff = SummaryDiff::between(&old, &new);
+        let diff = SummaryDiff::between(old.relations.values(), new.relations.values());
         let json = serde_json::to_string(&diff).unwrap();
         let back: SummaryDiff = serde_json::from_str(&json).unwrap();
         assert_eq!(diff, back);

@@ -6,8 +6,11 @@
 //! (re-exported from the sibling `serde_derive` proc-macro crate), and enough
 //! std-type impls to round-trip every type in the HYDRA transfer path.
 //!
-//! Instead of serde's visitor architecture, values convert through an explicit
-//! data-model tree ([`Content`]). `serde_json` renders/parses that tree. The
+//! A [`Serialize`] value writes the serde data model straight into a
+//! [`Sink`] — the JSON writer, the WAL codec or a hashing writer — so
+//! encoding builds no intermediate tree.  Decoding goes the other way
+//! through an explicit data-model tree ([`Content`]): a format parses its
+//! input into one and [`Deserialize`] reads the value back out of it.  The
 //! JSON encoding matches real serde's externally-tagged defaults (unit enum
 //! variants as strings, newtype variants as one-entry maps, structs as maps)
 //! so serialized artifacts look the way readers of the paper's demo expect.
@@ -22,7 +25,8 @@ use std::time::Duration;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-/// The serde data model: what any serializable value reduces to.
+/// The serde data model as a tree: what the decoders parse into, and what
+/// [`Deserialize`] reads.  A tree is also a [`Serialize`] value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Content {
     /// JSON null / `Option::None`.
@@ -100,10 +104,68 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A value that can be reduced to the serde data model.
+/// A writer of the serde data model: what a [`Serialize`] value streams
+/// itself into.  The JSON writer (`serde_json`), the WAL codec
+/// (`hydra_service::codec`) and the hashing writer
+/// (`serde_json::hash_into`) are sinks.
+///
+/// A value is one scalar call or one container.  A sequence is
+/// `begin_seq(len)`, `len` values, `end_seq()`; a map is `begin_map(len)`,
+/// `len` times a [`Sink::key`] followed by a value, `end_map()`.  `len` is
+/// the exact count: a sink may write it before the items.
+pub trait Sink {
+    /// JSON null / `Option::None`.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, v: bool);
+    /// An integer; the impls here write every integer that fits `i64`
+    /// through this call.
+    fn i64(&mut self, v: i64);
+    /// An integer past `i64::MAX`.
+    fn u64(&mut self, v: u64);
+    /// An integer past `u64::MAX`.
+    fn u128(&mut self, v: u128);
+    /// A float.
+    fn f64(&mut self, v: f64);
+    /// A string.
+    fn str(&mut self, v: &str);
+    /// Opens a sequence of `len` values.
+    fn begin_seq(&mut self, len: usize);
+    /// Closes the innermost sequence.
+    fn end_seq(&mut self);
+    /// Opens a map of `len` entries.
+    fn begin_map(&mut self, len: usize);
+    /// The key of the next map entry; its value follows.
+    fn key(&mut self, key: &str);
+    /// Closes the innermost map.
+    fn end_map(&mut self);
+
+    /// One map entry: `key`, then `value`.
+    fn entry<T: Serialize + ?Sized>(&mut self, key: &str, value: &T)
+    where
+        Self: Sized,
+    {
+        self.key(key);
+        value.serialize(self);
+    }
+
+    /// A sequence of `items`.
+    fn seq<'a, T: Serialize + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>)
+    where
+        Self: Sized,
+    {
+        self.begin_seq(items.len());
+        for item in items {
+            item.serialize(self);
+        }
+        self.end_seq();
+    }
+}
+
+/// A value that can be written as the serde data model.
 pub trait Serialize {
-    /// Converts `self` into the data-model tree.
-    fn serialize_content(&self) -> Content;
+    /// Writes `self` into `sink`.
+    fn serialize(&self, sink: &mut impl Sink);
 }
 
 /// A value that can be reconstructed from the serde data model.
@@ -143,8 +205,8 @@ pub fn field<T: Deserialize>(
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize_content(&self) -> Content {
-                Content::I64(*self as i64)
+            fn serialize(&self, sink: &mut impl Sink) {
+                sink.i64(*self as i64);
             }
         }
         impl Deserialize for $t {
@@ -164,12 +226,12 @@ macro_rules! impl_signed {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize_content(&self) -> Content {
+            fn serialize(&self, sink: &mut impl Sink) {
                 let v = *self as u64;
                 if v <= i64::MAX as u64 {
-                    Content::I64(v as i64)
+                    sink.i64(v as i64);
                 } else {
-                    Content::U64(v)
+                    sink.u64(v);
                 }
             }
         }
@@ -193,13 +255,13 @@ impl_signed!(i8, i16, i32, i64, isize);
 impl_unsigned!(u8, u16, u32, u64, usize);
 
 impl Serialize for u128 {
-    fn serialize_content(&self) -> Content {
+    fn serialize(&self, sink: &mut impl Sink) {
         if *self <= i64::MAX as u128 {
-            Content::I64(*self as i64)
+            sink.i64(*self as i64);
         } else if *self <= u64::MAX as u128 {
-            Content::U64(*self as u64)
+            sink.u64(*self as u64);
         } else {
-            Content::U128(*self)
+            sink.u128(*self);
         }
     }
 }
@@ -218,8 +280,8 @@ impl Deserialize for u128 {
 }
 
 impl Serialize for bool {
-    fn serialize_content(&self) -> Content {
-        Content::Bool(*self)
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.bool(*self);
     }
 }
 
@@ -235,8 +297,8 @@ impl Deserialize for bool {
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize_content(&self) -> Content {
-                Content::F64(*self as f64)
+            fn serialize(&self, sink: &mut impl Sink) {
+                sink.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
@@ -258,8 +320,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn serialize_content(&self) -> Content {
-        Content::Str(self.clone())
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.str(self);
     }
 }
 
@@ -273,28 +335,28 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn serialize_content(&self) -> Content {
-        Content::Str(self.to_string())
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.str(self);
     }
 }
 
 impl Serialize for char {
-    fn serialize_content(&self) -> Content {
-        Content::Str(self.to_string())
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize_content(&self) -> Content {
-        (**self).serialize_content()
+    fn serialize(&self, sink: &mut impl Sink) {
+        (**self).serialize(sink);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize_content(&self) -> Content {
+    fn serialize(&self, sink: &mut impl Sink) {
         match self {
-            Some(v) => v.serialize_content(),
-            None => Content::Null,
+            Some(v) => v.serialize(sink),
+            None => sink.null(),
         }
     }
 }
@@ -313,8 +375,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::serialize_content).collect())
+    fn serialize(&self, sink: &mut impl Sink) {
+        self.as_slice().serialize(sink);
     }
 }
 
@@ -328,16 +390,19 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize_content(&self) -> Content {
-        Content::Seq(self.iter().map(Serialize::serialize_content).collect())
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.seq(self.iter());
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize_content(&self) -> Content {
-                Content::Seq(vec![$(self.$idx.serialize_content()),+])
+            fn serialize(&self, sink: &mut impl Sink) {
+                const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
+                sink.begin_seq(LEN);
+                $(self.$idx.serialize(sink);)+
+                sink.end_seq();
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -364,12 +429,12 @@ impl_tuple! {
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize_content(&self) -> Content {
-        Content::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize_content()))
-                .collect(),
-        )
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.begin_map(self.len());
+        for (k, v) in self {
+            sink.entry(k, v);
+        }
+        sink.end_map();
     }
 }
 
@@ -384,11 +449,11 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 }
 
 impl Serialize for Duration {
-    fn serialize_content(&self) -> Content {
-        Content::Map(vec![
-            ("secs".to_string(), self.as_secs().serialize_content()),
-            ("nanos".to_string(), self.subsec_nanos().serialize_content()),
-        ])
+    fn serialize(&self, sink: &mut impl Sink) {
+        sink.begin_map(2);
+        sink.entry("secs", &self.as_secs());
+        sink.entry("nanos", &self.subsec_nanos());
+        sink.end_map();
     }
 }
 
@@ -401,9 +466,26 @@ impl Deserialize for Duration {
     }
 }
 
+/// A tree writes itself as the calls it stands for.
 impl Serialize for Content {
-    fn serialize_content(&self) -> Content {
-        self.clone()
+    fn serialize(&self, sink: &mut impl Sink) {
+        match self {
+            Content::Null => sink.null(),
+            Content::Bool(v) => sink.bool(*v),
+            Content::I64(v) => sink.i64(*v),
+            Content::U64(v) => sink.u64(*v),
+            Content::U128(v) => sink.u128(*v),
+            Content::F64(v) => sink.f64(*v),
+            Content::Str(v) => sink.str(v),
+            Content::Seq(items) => sink.seq(items.iter()),
+            Content::Map(entries) => {
+                sink.begin_map(entries.len());
+                for (k, v) in entries {
+                    sink.entry(k, v);
+                }
+                sink.end_map();
+            }
+        }
     }
 }
 

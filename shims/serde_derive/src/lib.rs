@@ -1,10 +1,12 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! Generates impls of the shim `serde::Serialize` / `serde::Deserialize`
-//! traits (data-model-tree based, not visitor based) for the item shapes this
-//! workspace uses: structs with named fields and enums whose variants are
-//! unit, newtype/tuple, or struct-like. Generics and `#[serde(...)]`
-//! attributes are not supported — the workspace does not use them.
+//! traits for the item shapes this workspace uses: structs with named
+//! fields and enums whose variants are unit, newtype/tuple, or struct-like.
+//! A `Serialize` impl writes its value into a `serde::Sink`; a
+//! `Deserialize` impl reads it back from a `serde::Content` tree.
+//! Generics and `#[serde(...)]` attributes are not supported — the
+//! workspace does not use them.
 //!
 //! The implementation deliberately avoids `syn`/`quote` (unavailable
 //! offline): the item is parsed with a small token-tree walker and the impl
@@ -54,18 +56,25 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 // ---------------------------------------------------------------------------
 
 fn serialize_struct(name: &str, fields: &[String]) -> String {
-    let entries: String = fields
-        .iter()
-        .map(|f| {
-            format!("(\"{f}\".to_string(), ::serde::Serialize::serialize_content(&self.{f})),")
-        })
-        .collect();
+    let body = map_body(fields, "&self.");
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn serialize_content(&self) -> ::serde::Content {{\n\
-                ::serde::Content::Map(vec![{entries}])\n\
+            fn serialize(&self, __sink: &mut impl ::serde::Sink) {{\n\
+                {body}\n\
             }}\n\
         }}"
+    )
+}
+
+/// The calls writing a map of `fields`, each read as `{access}{field}`.
+fn map_body(fields: &[String], access: &str) -> String {
+    let entries: String = fields
+        .iter()
+        .map(|f| format!("::serde::Sink::entry(__sink, \"{f}\", {access}{f});"))
+        .collect();
+    format!(
+        "::serde::Sink::begin_map(__sink, {});{entries}::serde::Sink::end_map(__sink);",
+        fields.len()
     )
 }
 
@@ -89,47 +98,50 @@ fn serialize_enum(name: &str, variants: &[Variant]) -> String {
     let arms: String = variants
         .iter()
         .map(|v| match v {
-            Variant::Unit(vn) => {
-                format!("{name}::{vn} => ::serde::Content::Str(\"{vn}\".to_string()),")
-            }
-            Variant::Tuple(vn, 1) => format!(
-                "{name}::{vn}(__f0) => ::serde::Content::Map(vec![(\"{vn}\".to_string(), \
-                 ::serde::Serialize::serialize_content(__f0))]),"
+            Variant::Unit(vn) => format!("{name}::{vn} => ::serde::Sink::str(__sink, \"{vn}\"),"),
+            Variant::Tuple(vn, 1) => tagged(
+                name,
+                vn,
+                "(__f0)",
+                "::serde::Serialize::serialize(__f0, __sink);",
             ),
             Variant::Tuple(vn, n) => {
                 let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
                 let items: String = binders
                     .iter()
-                    .map(|b| format!("::serde::Serialize::serialize_content({b}),"))
+                    .map(|b| format!("::serde::Serialize::serialize({b}, __sink);"))
                     .collect();
-                format!(
-                    "{name}::{vn}({}) => ::serde::Content::Map(vec![(\"{vn}\".to_string(), \
-                     ::serde::Content::Seq(vec![{items}]))]),",
-                    binders.join(", ")
-                )
+                let body = format!(
+                    "::serde::Sink::begin_seq(__sink, {n});{items}::serde::Sink::end_seq(__sink);"
+                );
+                tagged(name, vn, &format!("({})", binders.join(", ")), &body)
             }
-            Variant::Struct(vn, fields) => {
-                let binders = fields.join(", ");
-                let entries: String = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "(\"{f}\".to_string(), ::serde::Serialize::serialize_content({f})),"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{name}::{vn} {{ {binders} }} => ::serde::Content::Map(vec![(\
-                     \"{vn}\".to_string(), ::serde::Content::Map(vec![{entries}]))]),"
-                )
-            }
+            Variant::Struct(vn, fields) => tagged(
+                name,
+                vn,
+                &format!("{{ {} }}", fields.join(", ")),
+                &map_body(fields, ""),
+            ),
         })
         .collect();
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn serialize_content(&self) -> ::serde::Content {{\n\
+            fn serialize(&self, __sink: &mut impl ::serde::Sink) {{\n\
                 match self {{ {arms} }}\n\
             }}\n\
+        }}"
+    )
+}
+
+/// The match arm writing variant `vn` (bound by `pattern`) externally
+/// tagged: a one-entry map from the variant name to what `body` writes.
+fn tagged(name: &str, vn: &str, pattern: &str, body: &str) -> String {
+    format!(
+        "{name}::{vn} {pattern} => {{\n\
+            ::serde::Sink::begin_map(__sink, 1);\n\
+            ::serde::Sink::key(__sink, \"{vn}\");\n\
+            {body}\n\
+            ::serde::Sink::end_map(__sink);\n\
         }}"
     )
 }

@@ -1,16 +1,21 @@
-//! Offline stand-in for `serde_json`: renders and parses the shim `serde`
-//! data-model tree ([`serde::Content`]) as JSON.
+//! Offline stand-in for `serde_json`: writes the shim `serde` data model as
+//! JSON, and parses JSON into the shim's data-model tree
+//! ([`serde::Content`]).
 //!
 //! Supports the workspace's API surface: [`to_string`], [`to_string_pretty`],
-//! [`from_str`]. The encoding mirrors real serde_json: objects for maps and
+//! [`from_str`], plus [`hash_into`], which hashes the text [`to_string`]
+//! would return without building it.  The writer is a [`serde::Sink`]: a
+//! value streams itself into the text, no tree in between. The encoding mirrors real serde_json: objects for maps and
 //! structs, externally tagged enums, `null` for `None` and non-finite floats.
 //! Unknown object keys are ignored by deserialization (see the shim `serde`
 //! crate), which is what gives transfer packages forward compatibility.
 //! Arrays and objects nest at most [`MAX_DEPTH`] deep, as in real
 //! serde_json: deeper input is an error, never a stack overflow.
 
-use serde::{Content, Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize, Sink};
 use std::fmt;
+use std::hash::Hasher;
+use std::io::Write as _;
 
 /// How deep arrays and objects may nest: real serde_json's default
 /// recursion limit.  The parser recurses once per level, so without a cap a
@@ -37,16 +42,23 @@ impl From<serde::Error> for Error {
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_content(&value.serialize_content(), &mut out, None, 0);
-    Ok(out)
+    Ok(JsonWriter::text(value, false))
 }
 
 /// Serializes a value to human-readable, indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_content(&value.serialize_content(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(JsonWriter::text(value, true))
+}
+
+/// Feeds `hasher` the bytes [`to_string`] would return for `value`, then
+/// the `0xff` that `str::hash` appends, without building the text: so
+/// `hash_into(&v, &mut h)` hashes like `to_string(&v).unwrap().hash(&mut h)`
+/// for any hasher whose `write` calls concatenate (std's `DefaultHasher`
+/// among them).
+pub fn hash_into<T: Serialize + ?Sized, H: Hasher>(value: &T, hasher: &mut H) {
+    let rest = JsonWriter::write(value, false, Some(&mut *hasher as &mut dyn Hasher));
+    hasher.write(&rest);
+    hasher.write_u8(0xff);
 }
 
 /// Parses a value from JSON text.
@@ -72,90 +84,238 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_content(c: &Content, out: &mut String, indent: Option<usize>, level: usize) {
-    match c {
-        Content::Null => out.push_str("null"),
-        Content::Bool(true) => out.push_str("true"),
-        Content::Bool(false) => out.push_str("false"),
-        Content::I64(v) => out.push_str(&v.to_string()),
-        Content::U64(v) => out.push_str(&v.to_string()),
-        Content::U128(v) => out.push_str(&v.to_string()),
-        Content::F64(v) => {
-            if v.is_finite() {
-                // Rust's shortest-roundtrip Display for f64.
-                out.push_str(&v.to_string());
-            } else {
-                out.push_str("null");
+/// Text a hashing writer holds before it hands it to the hasher.
+const SPILL_BYTES: usize = 4096;
+
+/// The JSON sink: compact, or pretty with two-space indentation.
+struct JsonWriter<'h> {
+    /// UTF-8 text: every byte written is ASCII or copied from a `&str`.
+    out: Vec<u8>,
+    pretty: bool,
+    /// Containers open around the next value.
+    level: usize,
+    /// The innermost open container has no element yet.
+    first: bool,
+    /// The next value is a map entry's, its key already written.
+    after_key: bool,
+    /// Where a hashing writer spills its text; `None` builds a `String`.
+    spill: Option<&'h mut dyn Hasher>,
+}
+
+impl<'h> JsonWriter<'h> {
+    /// Writes `value` and returns the text not spilled into `spill`.
+    fn write<T: Serialize + ?Sized>(
+        value: &T,
+        pretty: bool,
+        spill: Option<&'h mut dyn Hasher>,
+    ) -> Vec<u8> {
+        let mut writer = JsonWriter {
+            out: Vec::new(),
+            pretty,
+            level: 0,
+            first: true,
+            after_key: false,
+            spill,
+        };
+        value.serialize(&mut writer);
+        writer.out
+    }
+
+    /// The text of `value`.
+    fn text<T: Serialize + ?Sized>(value: &T, pretty: bool) -> String {
+        String::from_utf8(Self::write(value, pretty, None)).expect("the writer writes UTF-8")
+    }
+
+    /// The separator and indentation before the next element.
+    fn element(&mut self) {
+        if !self.first {
+            self.out.push(b',');
+        }
+        self.first = false;
+        self.newline(self.level);
+    }
+
+    /// What precedes a value: nothing after a key or at the top level, an
+    /// element separator inside a sequence.
+    fn value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.level > 0 {
+            self.element();
+        }
+    }
+
+    fn newline(&mut self, level: usize) {
+        if self.pretty {
+            self.out.push(b'\n');
+            self.out.resize(self.out.len() + 2 * level, b' ');
+        }
+    }
+
+    /// Hands the text written so far to the hasher once it is long enough.
+    fn spill(&mut self) {
+        if let Some(hasher) = self.spill.as_deref_mut() {
+            if self.out.len() >= SPILL_BYTES {
+                hasher.write(&self.out);
+                self.out.clear();
             }
         }
-        Content::Str(s) => write_json_string(s, out),
-        Content::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
+    }
+
+    fn scalar(&mut self, text: &[u8]) {
+        self.value();
+        self.out.extend_from_slice(text);
+        self.spill();
+    }
+
+    /// An integer: its sign, then its decimal digits.
+    fn integer(&mut self, negative: bool, mut magnitude: u64) {
+        let mut digits = [0u8; 21];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (magnitude % 10) as u8;
+            magnitude /= 10;
+            if magnitude == 0 {
+                break;
             }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_content(item, out, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
         }
-        Content::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_json_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_content(v, out, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
+        if negative {
+            at -= 1;
+            digits[at] = b'-';
         }
+        self.scalar(&digits[at..]);
+    }
+
+    fn display(&mut self, v: impl fmt::Display) {
+        self.value();
+        write!(self.out, "{v}").expect("writing to a Vec");
+        self.spill();
+    }
+
+    fn open(&mut self, bracket: u8) {
+        self.value();
+        self.out.push(bracket);
+        self.level += 1;
+        self.first = true;
+    }
+
+    fn close(&mut self, bracket: u8) {
+        self.level -= 1;
+        if !self.first {
+            self.newline(self.level);
+        }
+        self.first = false;
+        self.out.push(bracket);
+        self.spill();
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..(width * level) {
-            out.push(' ');
+impl Sink for JsonWriter<'_> {
+    fn null(&mut self) {
+        self.scalar(b"null");
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.scalar(if v { b"true" } else { b"false" });
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.integer(v < 0, v.unsigned_abs());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.integer(false, v);
+    }
+
+    fn u128(&mut self, v: u128) {
+        self.display(v);
+    }
+
+    fn f64(&mut self, v: f64) {
+        if v.is_finite() {
+            // Rust's shortest-roundtrip Display for f64.
+            self.display(v);
+        } else {
+            self.null();
         }
+    }
+
+    fn str(&mut self, v: &str) {
+        self.value();
+        write_json_string(v, &mut self.out);
+        self.spill();
+    }
+
+    fn begin_seq(&mut self, _len: usize) {
+        self.open(b'[');
+    }
+
+    fn end_seq(&mut self) {
+        self.close(b']');
+    }
+
+    fn begin_map(&mut self, _len: usize) {
+        self.open(b'{');
+    }
+
+    fn key(&mut self, key: &str) {
+        self.element();
+        write_json_string(key, &mut self.out);
+        self.out.push(b':');
+        if self.pretty {
+            self.out.push(b' ');
+        }
+        self.after_key = true;
+    }
+
+    fn end_map(&mut self) {
+        self.close(b'}');
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// What a byte of a string is written as: itself (`0`), a two-character
+/// escape (its letter), or a `\u00XX` escape (`u`).
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut byte = 0;
+    while byte < 0x20 {
+        table[byte] = b'u';
+        byte += 1;
     }
-    out.push('"');
+    table[0x08] = b'b';
+    table[0x0C] = b'f';
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+fn write_json_string(s: &str, out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    // Copy runs of bytes that need no escape in one go.
+    let mut run = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        let escape = ESCAPE[byte as usize];
+        if escape == 0 {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..i]);
+        if escape == b'u' {
+            out.extend_from_slice(b"\\u00");
+            out.push(HEX[usize::from(byte >> 4)]);
+            out.push(HEX[usize::from(byte & 0xF)]);
+        } else {
+            out.extend_from_slice(&[b'\\', escape]);
+        }
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 // ---------------------------------------------------------------------------
@@ -431,6 +591,51 @@ mod tests {
         assert!(from_str::<Content>(&objects).is_err());
         let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 64].join(","));
         assert!(from_str::<Content>(&wide).is_ok());
+    }
+
+    #[test]
+    fn writers_lay_out_compact_and_pretty_text() {
+        let tree = Content::Map(vec![
+            ("a\"\u{1}é".to_string(), Content::Seq(vec![])),
+            ("b".to_string(), Content::Map(vec![])),
+            (
+                "c".to_string(),
+                Content::Seq(vec![
+                    Content::I64(-1),
+                    Content::U64(u64::MAX),
+                    Content::U128(u128::MAX),
+                    Content::F64(0.1),
+                    Content::F64(f64::NAN),
+                    Content::Map(vec![("d".to_string(), Content::Null)]),
+                ]),
+            ),
+            ("e".to_string(), Content::Bool(true)),
+        ]);
+        assert_eq!(
+            to_string(&tree).unwrap(),
+            "{\"a\\\"\\u0001é\":[],\"b\":{},\"c\":[-1,18446744073709551615,\
+             340282366920938463463374607431768211455,0.1,null,{\"d\":null}],\"e\":true}"
+        );
+        assert_eq!(
+            to_string_pretty(&tree).unwrap(),
+            "{\n  \"a\\\"\\u0001é\": [],\n  \"b\": {},\n  \"c\": [\n    -1,\n    \
+             18446744073709551615,\n    340282366920938463463374607431768211455,\n    0.1,\n    \
+             null,\n    {\n      \"d\": null\n    }\n  ],\n  \"e\": true\n}"
+        );
+        assert_eq!(to_string("top").unwrap(), "\"top\"");
+        assert_eq!(to_string_pretty(&Content::Seq(vec![])).unwrap(), "[]");
+    }
+
+    #[test]
+    fn hash_into_spills_long_text_in_order() {
+        use std::hash::{DefaultHasher, Hash};
+        // Past several spills, with escapes straddling the boundaries.
+        let long: Vec<String> = (0..3000).map(|i| format!("k{i}\"\n")).collect();
+        let mut streamed = DefaultHasher::new();
+        hash_into(&long, &mut streamed);
+        let mut text = DefaultHasher::new();
+        to_string(&long).unwrap().hash(&mut text);
+        assert_eq!(streamed.finish(), text.finish());
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   worker**, and serve as many concurrent throttled streams on it
 //!   without growing a thread;
 //! * a **shutdown racing an accept storm** must never strand a listener
-//!   (the self-pipe waker regression).
+//!   (the self-pipe waker regression);
+//! * an **over-cap length prefix** on either protocol must get its error
+//!   reply, then the close, and be counted as a framing violation.
 //!
 //! Several tests count process-wide fds and threads, so the suite
 //! serializes itself behind one mutex instead of relying on
@@ -1097,4 +1099,77 @@ fn metrics_invariants_hold_under_connection_storm() {
 
     signal.trigger();
     reactor.join();
+}
+
+/// Reads until the peer closes, failing if it sends another byte or holds
+/// the connection open past five seconds.
+fn assert_closed(stream: &mut TcpStream, what: &str) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .unwrap_or_else(|e| panic!("{what}: the connection stayed open ({e})"));
+    assert!(
+        rest.is_empty(),
+        "{what}: {} bytes after the error",
+        rest.len()
+    );
+}
+
+/// A length prefix over either protocol's cap desynchronizes the byte
+/// stream: the server answers with an error, closes the connection, and
+/// counts one framing violation under the protocol's `op`.
+#[test]
+fn over_cap_length_prefixes_are_answered_closed_and_counted() {
+    let tester = HydraTester::retail();
+    let framing = |op: &str| {
+        tester
+            .obs()
+            .counter_labeled("hydra_request_errors_total", "op", op)
+            .value()
+    };
+
+    // Frame: a header claiming one byte past the 64 MiB cap.
+    let mut stream = TcpStream::connect(tester.frame_addr()).expect("connect frame");
+    let over_cap = hydra::service::protocol::MAX_FRAME_BYTES + 1;
+    stream
+        .write_all(&over_cap.to_be_bytes())
+        .expect("send hostile header");
+    match parse_frame(&read_frame_raw(&mut stream)) {
+        Response::Error { message } => assert!(message.contains("cap"), "{message}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert_closed(&mut stream, "frame");
+    eventually(Duration::from_secs(5), "frame.framing", || {
+        framing("frame.framing") == 1
+    });
+
+    // pg: a 'Q' message claiming a 1 GiB body after the handshake.
+    let mut stream = TcpStream::connect(tester.pg_addr()).expect("connect pg");
+    send(&mut stream, &pg_startup_bytes("retail"), None);
+    pg_read_until_ready(&mut stream);
+    let mut hostile = vec![b'Q'];
+    hostile.extend_from_slice(&(1u32 << 30).to_be_bytes());
+    hostile.extend_from_slice(b"select 1\0");
+    stream.write_all(&hostile).expect("send hostile message");
+    let mut head = [0u8; 5];
+    stream.read_exact(&mut head).expect("error response head");
+    assert_eq!(head[0], b'E', "an ErrorResponse");
+    let len = u32::from_be_bytes([head[1], head[2], head[3], head[4]]) as usize;
+    let mut fields = vec![0u8; len - 4];
+    stream
+        .read_exact(&mut fields)
+        .expect("error response fields");
+    let fields = String::from_utf8_lossy(&fields);
+    assert!(
+        fields.contains("SFATAL") && fields.contains("C08P01"),
+        "{fields}"
+    );
+    assert_closed(&mut stream, "pg");
+    eventually(Duration::from_secs(5), "pg.framing", || {
+        framing("pg.framing") == 1
+    });
+    assert_eq!(framing("frame.framing"), 1);
 }
