@@ -3,8 +3,7 @@
 //! A [`RegenerationState`] is a regeneration that *remembers how it was
 //! solved*: the published package, the extracted constraint set with
 //! per-query provenance, and the per-relation solve baseline (constraint
-//! signatures plus each relation's LP support: the regions that hold tuples
-//! and their counts).  Against that state, a
+//! signatures, summaries and build statistics).  Against that state, a
 //! [`hydra_query::delta::WorkloadDelta`] — queries added, retired, or
 //! re-annotated after a fresh client run — is applied **incrementally**:
 //!
@@ -12,14 +11,13 @@
 //!    re-extracting untouched annotated plans;
 //! 2. relations whose constraint signature is unchanged reuse their previous
 //!    summary bit-identically (no partitioning, no LP);
-//! 3. changed relations re-solve with the previous LP support carried into
-//!    the new partition and warm-starting the simplex;
+//! 3. changed relations re-solve from scratch;
 //! 4. the structural outcome is reported as a
 //!    [`hydra_summary::delta::SummaryDiff`] (blocks added / removed /
 //!    resized per relation).
 //!
-//! The incremental result satisfies the merged constraint set exactly as a
-//! from-scratch [`VendorSite::regenerate`] over the merged package does —
+//! The incremental summary equals the one a from-scratch
+//! [`VendorSite::regenerate`] over the merged package builds, bit for bit —
 //! the property the `delta_differential` proptest harness pins down.
 
 use crate::error::HydraResult;
@@ -42,26 +40,33 @@ pub struct RegenerationState {
     /// The extracted constraint set, with per-query provenance retained for
     /// incremental merging.
     pub constraints: ConstraintSet,
-    /// Per-relation solve artifacts (signatures, support-only partitions,
-    /// region counts).
+    /// Per-relation solve artifacts (signatures, summaries, stats; the
+    /// partitions keep no regions).
     baseline: SolveBaseline,
 }
 
 impl RegenerationState {
-    /// The one constructor: the baseline is retained support-only, so a
-    /// state holds each relation's LP support rather than its whole region
-    /// partition — in memory, and in whatever a durable registry logs.
+    /// The one constructor: every relation's solve is retained
+    /// [`without_regions`](hydra_summary::solve::SolvedRelation::without_regions),
+    /// since a changed relation re-solves from scratch and nothing reads a
+    /// retained region — in memory, or in whatever a durable registry logs.
     fn new(
         package: TransferPackage,
         regeneration: RegenerationResult,
         constraints: ConstraintSet,
         baseline: SolveBaseline,
     ) -> Self {
+        let relations = (baseline.relations.into_iter())
+            .map(|(name, mut relation)| {
+                relation.solved = relation.solved.without_regions();
+                (name, relation)
+            })
+            .collect();
         RegenerationState {
             package,
             regeneration,
             constraints,
-            baseline: baseline.support_only(),
+            baseline: SolveBaseline { relations },
         }
     }
 
@@ -70,7 +75,7 @@ impl RegenerationState {
         self.baseline.len()
     }
 
-    /// The per-relation solve artifacts backing this state (support-only).
+    /// The per-relation solve artifacts backing this state (no regions).
     /// Exposed so a durable registry can serialize the solved state and
     /// later rebuild it via [`VendorSite::restore_stateful`] without
     /// re-solving.
@@ -88,7 +93,7 @@ pub struct DeltaOutcome {
     /// Structural diff against the previous summary (blocks added / removed
     /// / resized per relation).
     pub diff: SummaryDiff,
-    /// What re-solved, what was reused, and what the warm starts contributed.
+    /// What re-solved and what was reused.
     pub report: DeltaBuildReport,
 }
 
@@ -147,8 +152,9 @@ impl VendorSite {
     /// relations, the stored build report is reattached verbatim (so
     /// descriptions stay bit-identical across a restart), and only the
     /// cheap artifacts (constraint extraction and verification) are
-    /// recomputed.  A full baseline (as older registries logged it) is
-    /// accepted and reduced to its support.
+    /// recomputed.  A baseline whose partitions still hold regions (as
+    /// older registries logged it, full or support-only) is accepted, and
+    /// the regions are dropped.
     pub fn restore_stateful(
         &self,
         package: &TransferPackage,
@@ -167,7 +173,7 @@ impl VendorSite {
     }
 
     /// Applies a workload delta to a previous stateful regeneration: the
-    /// constraint merge, the summary rebuild (reuse / warm / cold per
+    /// constraint merge, the summary rebuild (reuse or re-solve per
     /// relation) and the structural diff, end to end.
     pub fn apply_delta(
         &self,
@@ -181,9 +187,8 @@ impl VendorSite {
     }
 
     /// Builds `package` as a delta against `prev`: relations whose
-    /// signature is unchanged are reused, the rest re-solve warm-started
-    /// from their previous support.  Shared by [`VendorSite::apply_delta`]
-    /// and [`VendorSite::scenario`].
+    /// signature is unchanged are reused, the rest re-solve from scratch.
+    /// Shared by [`VendorSite::apply_delta`] and [`VendorSite::scenario`].
     pub(crate) fn rebuild(
         &self,
         package: TransferPackage,
@@ -278,16 +283,11 @@ mod tests {
         assert_eq!(stateless.summary, stateful.regeneration.summary);
         assert_eq!(stateless.accuracy, stateful.regeneration.accuracy);
         assert!(stateful.baseline_relations() > 0);
-        // The state retains only each relation's LP support.
+        // The state retains no regions and no counts.
         for relation in stateful.baseline().relations.values() {
-            let solved = &relation.solved;
-            assert!(solved.region_counts.iter().all(|&c| c > 0));
-            assert_eq!(solved.region_counts.len(), solved.partition.num_variables());
+            assert!(relation.solved.region_counts.is_empty());
+            assert_eq!(relation.solved.partition.num_variables(), 0);
         }
-        assert!(
-            stateful.baseline().retained_regions()
-                < stateful.regeneration.build_report.total_lp_variables()
-        );
     }
 
     #[test]

@@ -138,12 +138,9 @@ impl VendorSite {
     /// [`SolveStatus::Feasible`] is [`HydraError::InfeasibleScenario`], so a
     /// strict `Ok` is always feasible.
     ///
-    /// Changed relations solve cold
-    /// ([`hydra_summary::delta::SolveBaseline::reuse_only`]): a distortion
-    /// moves every demand the base support was solved for, and a warm start
-    /// lands on a different LP vertex whose integral rounding can differ
-    /// from a from-scratch build's, so each re-solved relation is the one a
-    /// from-scratch regeneration of the distorted package produces.
+    /// Changed relations solve from scratch, as in any delta, so each
+    /// re-solved relation is the one a from-scratch regeneration of the
+    /// distorted package produces.
     pub fn scenario(
         &self,
         scenario: &Scenario,
@@ -152,7 +149,7 @@ impl VendorSite {
         let distorted = scenario.apply(&base.package);
         let constraints = ConstraintSet::from_workload(&distorted.workload)?;
         let regeneration = self
-            .rebuild(distorted, constraints, &base.baseline().reuse_only())?
+            .rebuild(distorted, constraints, base.baseline())?
             .state
             .regeneration;
         let relations = &regeneration.build_report.relations;

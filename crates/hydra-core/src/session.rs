@@ -136,14 +136,8 @@ impl HydraBuilder {
     /// the wire protocol applies, so a zero/subnormal/NaN rate fails at
     /// configuration time instead of stalling every stream.
     pub fn velocity(mut self, rows_per_sec: impl Into<Option<f64>>) -> Self {
-        let rate = rows_per_sec.into();
-        if let Some(rate) = rate {
-            assert!(
-                rate.is_finite() && rate >= VelocityGovernor::MIN_RATE,
-                "rows_per_sec must be a finite rate >= 0.001, got {rate}"
-            );
-        }
-        self.velocity = rate;
+        self.velocity = (rows_per_sec.into())
+            .map(|rate| VelocityGovernor::check_rate(rate).unwrap_or_else(|e| panic!("{e}")));
         self
     }
 
@@ -198,16 +192,11 @@ impl Hydra {
     /// time and partitioning time, and the build's total time — the one
     /// recorder for every build (regeneration, delta, scenario).
     fn record_build_report(&self, report: &hydra_summary::builder::SummaryBuildReport) {
-        use hydra_lp::simplex::WarmOutcome;
         for relation in &report.relations {
             let outcome = if relation.from_cache {
                 "reused"
             } else {
-                match relation.lp.warm {
-                    WarmOutcome::NotAttempted => "cold",
-                    WarmOutcome::Hit => "warm_hit",
-                    WarmOutcome::FellBack => "warm_fellback",
-                }
+                "cold"
             };
             self.metrics
                 .counter_labeled("hydra_lp_solves_total", "outcome", outcome)
@@ -247,7 +236,7 @@ impl Hydra {
     }
 
     /// [`Hydra::regenerate`] retaining the per-relation solve artifacts
-    /// (constraint signatures, region partitions, LP supports) that make the
+    /// (constraint signatures, summaries, build statistics) that make the
     /// regeneration *evolvable*: feed the returned state and a
     /// [`hydra_query::delta::WorkloadDelta`] to [`Hydra::profile_delta`] and
     /// only the relations the delta actually touches re-solve.
@@ -276,13 +265,12 @@ impl Hydra {
     /// Applies a workload delta (queries added / retired / re-annotated,
     /// revised row counts) to a previous stateful regeneration
     /// *incrementally*: unchanged relations are reused bit-identically,
-    /// changed relations re-solve warm-started from their previous LP
-    /// support, and the outcome reports a structural
-    /// [`hydra_summary::delta::SummaryDiff`] plus a per-relation
-    /// reuse/warm/cold account.
+    /// changed relations re-solve from scratch, and the outcome reports a
+    /// structural [`hydra_summary::delta::SummaryDiff`] plus a per-relation
+    /// reuse/re-solve account.
     ///
-    /// The evolved summary satisfies the merged constraint set exactly as a
-    /// from-scratch [`Hydra::regenerate`] of the merged package does.
+    /// The evolved summary equals the one a from-scratch
+    /// [`Hydra::regenerate`] of the merged package builds, bit for bit.
     pub fn profile_delta(
         &self,
         prev: &RegenerationState,

@@ -45,19 +45,29 @@ impl VelocityGovernor {
     /// (`rows_per_sec must be a finite rate >= 0.001`).
     pub const MIN_RATE: f64 = 1e-3;
 
+    /// The one validation of a target rate, shared by the governor, the
+    /// session builder, the wire protocol and `hydra-serve --velocity`:
+    /// `rows_per_sec` back when it is finite and at least
+    /// [`MIN_RATE`](Self::MIN_RATE), else the message naming it.  A zero,
+    /// subnormal or NaN rate would turn every wait into a 60 s sleep.
+    pub fn check_rate(rows_per_sec: f64) -> Result<f64, String> {
+        if rows_per_sec.is_finite() && rows_per_sec >= Self::MIN_RATE {
+            Ok(rows_per_sec)
+        } else {
+            Err(format!(
+                "rows_per_sec must be a finite rate >= 0.001, got {rows_per_sec}"
+            ))
+        }
+    }
+
     /// A governor with the given target velocity (rows/second).
     ///
     /// # Panics
     ///
-    /// Panics unless `rows_per_sec` is finite and at least
-    /// [`MIN_RATE`](Self::MIN_RATE) — the same validation the wire path
-    /// applies, so a zero/subnormal/NaN rate fails loudly at construction
-    /// instead of turning every wait into a 60 s sleep.
+    /// Panics with [`check_rate`](Self::check_rate)'s message unless
+    /// `rows_per_sec` is finite and at least [`MIN_RATE`](Self::MIN_RATE).
     pub fn with_rate(rows_per_sec: f64) -> Self {
-        assert!(
-            rows_per_sec.is_finite() && rows_per_sec >= Self::MIN_RATE,
-            "rows_per_sec must be a finite rate >= 0.001, got {rows_per_sec}"
-        );
+        let rows_per_sec = Self::check_rate(rows_per_sec).unwrap_or_else(|e| panic!("{e}"));
         let now = Instant::now();
         VelocityGovernor {
             target_rows_per_sec: Some(rows_per_sec),
@@ -348,6 +358,19 @@ mod tests {
     fn with_rate_accepts_the_wire_minimum() {
         let g = VelocityGovernor::with_rate(VelocityGovernor::MIN_RATE);
         assert_eq!(g.target_rate(), Some(1e-3));
+    }
+
+    #[test]
+    fn check_rate_names_the_rejected_rate() {
+        assert_eq!(VelocityGovernor::check_rate(2.5), Ok(2.5));
+        for (rate, shown) in [(0.0, "0"), (-5.0, "-5"), (f64::NAN, "NaN")] {
+            assert_eq!(
+                VelocityGovernor::check_rate(rate),
+                Err(format!(
+                    "rows_per_sec must be a finite rate >= 0.001, got {shown}"
+                ))
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * [`solver::LpSolver`] — the entry point used by `hydra-summary`: it
 //!   grows the master's working set by dual pricing until nothing prices,
 //!   and reports a zero optimum as feasible and a positive one as the
-//!   certified least-violation solution; a [`WarmStart`] hint seeds the
-//!   working set;
+//!   certified least-violation solution;
 //! * [`rounding`] — largest-remainder rounding of fractional solutions into
 //!   integral tuple counts that preserve group sums;
 //! * [`diagnostics`] — constraint-violation reports used by the accuracy
@@ -62,5 +61,4 @@ pub use diagnostics::{ConstraintViolation, ViolationReport};
 pub use problem::{Constraint, ConstraintOp, LpProblem};
 pub use refine::{refine_toward, repair_rounded_counts};
 pub use rounding::largest_remainder_round;
-pub use simplex::{WarmOutcome, WarmStart};
 pub use solver::{LpError, LpSolution, LpSolver, SolveStatus};

@@ -42,45 +42,10 @@
 
 use crate::problem::{ConstraintOp, LpProblem};
 use crate::solver::LpError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Numerical tolerance used for pivot and optimality tests.
 const EPS: f64 = 1e-9;
-
-/// A warm-start hint: the structural columns expected to carry the optimal
-/// basis, typically the support of a previously solved, structurally similar
-/// LP (delta re-profiling maps the old solution's nonzero regions into the
-/// new problem's column space).
-///
-/// Warm starting is *advisory*: the hinted columns join the master's initial
-/// working set, and pricing brings in whatever else the LP needs, so a warm
-/// solve reaches the same optimum as a cold one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WarmStart {
-    /// Structural column indices to start the working set with.
-    pub columns: Vec<usize>,
-}
-
-impl WarmStart {
-    /// A warm start over the given structural columns.
-    pub fn new(columns: Vec<usize>) -> Self {
-        WarmStart { columns }
-    }
-}
-
-/// What a warm-start hint contributed to a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WarmOutcome {
-    /// No (usable) hint was supplied; the solve was cold.
-    NotAttempted,
-    /// The working set seeded with the hint closed without a pricing round,
-    /// and the solution rests on hinted columns.
-    Hit,
-    /// The hint was tried but was stale or incompatible: the solve needed
-    /// pricing (or did not use a hinted column), and still solved.
-    FellBack,
-}
 
 /// Hard cap on pivots per optimization (raised with problem size at solve
 /// time).

@@ -2,7 +2,7 @@
 
 use crate::diagnostics::ViolationReport;
 use crate::problem::{Coefs, LpProblem};
-use crate::simplex::{Master, WarmOutcome, WarmStart};
+use crate::simplex::Master;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -213,8 +213,6 @@ struct Priced {
     values: Vec<f64>,
     /// Whether the total violation is within the feasibility tolerance.
     feasible: bool,
-    /// Whether any priced column joined the working set.
-    grew: bool,
 }
 
 /// Solves the master over the working set `selected`, then prices the
@@ -227,7 +225,6 @@ fn solve_priced(problem: &LpProblem, mut selected: Vec<bool>) -> Result<Priced, 
     let tolerance = feasibility_tolerance(problem);
     let working: Vec<usize> = (0..problem.num_vars).filter(|&j| selected[j]).collect();
     let mut master = Master::new(problem, &working)?;
-    let mut grew = false;
     loop {
         master.optimize()?;
         if master.objective() <= tolerance {
@@ -238,7 +235,6 @@ fn solve_priced(problem: &LpProblem, mut selected: Vec<bool>) -> Result<Priced, 
             break;
         }
         master.join(problem, &joining);
-        grew = true;
     }
     let feasible = master.objective() <= tolerance;
     if !feasible {
@@ -247,63 +243,28 @@ fn solve_priced(problem: &LpProblem, mut selected: Vec<bool>) -> Result<Priced, 
     Ok(Priced {
         values: master.values(problem.num_vars),
         feasible,
-        grew,
     })
 }
 
 impl LpSolver {
-    /// Solves the problem.
+    /// Solves the problem: the master over the seeded working set, grown by
+    /// pricing until nothing prices.
     pub fn solve(&self, problem: &LpProblem) -> Result<LpSolution, LpError> {
-        self.solve_warm(problem, None).map(|(solution, _)| solution)
-    }
-
-    /// [`LpSolver::solve`] with an optional [`WarmStart`] — the support of a
-    /// previously solved, structurally similar LP mapped into this problem's
-    /// column space (delta re-profiling).
-    ///
-    /// The hinted columns join the seeded working set; pricing brings in
-    /// anything else the LP needs, so a warm solve reaches the optimum a
-    /// cold one does.  An empty hint, or one naming a column past the
-    /// problem (saved against another problem), is ignored.  The returned
-    /// [`WarmOutcome`] reports what the hint contributed.
-    pub fn solve_warm(
-        &self,
-        problem: &LpProblem,
-        warm: Option<&WarmStart>,
-    ) -> Result<(LpSolution, WarmOutcome), LpError> {
         let start = Instant::now();
-        let n = problem.num_vars;
-        let hint = warm.filter(|w| !w.columns.is_empty() && w.columns.iter().all(|&j| j < n));
-        let mut selected = initial_working_set(problem);
-        for &j in hint.map_or(&[][..], |w| &w.columns) {
-            selected[j] = true;
-        }
-        let priced = solve_priced(problem, selected)?;
-        // A hit closed on the seeded working set and rests on hinted
-        // columns: a junk hint riding on the seed is not a hit.
-        let warm_outcome = match hint {
-            None => WarmOutcome::NotAttempted,
-            Some(w) if !priced.grew && w.columns.iter().any(|&j| priced.values[j] > 1e-9) => {
-                WarmOutcome::Hit
-            }
-            Some(_) => WarmOutcome::FellBack,
-        };
+        let priced = solve_priced(problem, initial_working_set(problem))?;
         let report = ViolationReport::evaluate(problem, &priced.values);
-        Ok((
-            LpSolution {
-                status: if priced.feasible {
-                    SolveStatus::Feasible
-                } else {
-                    SolveStatus::LeastViolation
-                },
-                total_violation: report.total_absolute_violation,
-                solve_time: start.elapsed(),
-                num_vars: n,
-                num_constraints: problem.num_constraints(),
-                values: priced.values,
+        Ok(LpSolution {
+            status: if priced.feasible {
+                SolveStatus::Feasible
+            } else {
+                SolveStatus::LeastViolation
             },
-            warm_outcome,
-        ))
+            total_violation: report.total_absolute_violation,
+            solve_time: start.elapsed(),
+            num_vars: problem.num_vars,
+            num_constraints: problem.num_constraints(),
+            values: priced.values,
+        })
     }
 }
 
@@ -362,98 +323,12 @@ mod tests {
         assert!(sol.values[0] >= 4.0 - 1e-6);
     }
 
-    /// The support (nonzero columns) of a solution — what delta re-profiling
-    /// carries from one solve to the next.
-    fn support(solution: &LpSolution) -> Vec<usize> {
-        solution
-            .values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v > 1e-9)
-            .map(|(j, _)| j)
-            .collect()
-    }
-
-    /// A HYDRA-shaped feasibility LP: block equalities plus a total sum.
-    fn blocky_lp(total: f64) -> LpProblem {
-        let n = 60;
-        let mut lp = LpProblem::new(n);
-        for k in 0..12 {
-            let lo = k * 5;
-            let terms: Vec<(usize, f64)> = (lo..lo + 5).map(|j| (j, 1.0)).collect();
-            lp.add_constraint(terms, ConstraintOp::Eq, 40.0);
-        }
-        lp.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, total);
-        lp
-    }
-
     #[test]
-    fn warm_start_from_previous_support_hits() {
-        let lp = blocky_lp(480.0);
-        let solver = LpSolver;
-        let cold = solver.solve(&lp).unwrap();
-        assert_eq!(cold.status, SolveStatus::Feasible);
-
-        // Re-solve the same structure with a revised RHS (a re-annotation
-        // delta): the old support is still a feasible basis.
-        let warm_hint = WarmStart::new(support(&cold));
-        let (warm_sol, outcome) = solver.solve_warm(&lp, Some(&warm_hint)).unwrap();
-        assert_eq!(outcome, WarmOutcome::Hit);
-        assert_eq!(warm_sol.status, SolveStatus::Feasible);
-        assert!(lp.is_feasible(&warm_sol.values, 1e-5));
-    }
-
-    #[test]
-    fn warm_start_matches_cold_feasibility_on_all_fixtures() {
-        // Every fixture the cold solver handles must be handled warm too —
-        // with a good hint, a junk hint, and an empty hint.
-        let fixtures: Vec<LpProblem> = {
-            let mut v = Vec::new();
-            let mut lp = LpProblem::new(3);
-            lp.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], ConstraintOp::Eq, 9.0);
-            lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 2.0);
-            v.push(lp);
-            v.push(blocky_lp(480.0));
-            // The mixed-scale tolerance fixture: a huge row target plus
-            // small-scale equalities that are exactly feasible.
-            let mut lp = LpProblem::new(3);
-            lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
-            lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
-            lp.add_constraint(vec![(1, 1.0), (2, 1.0)], ConstraintOp::Eq, 12.0);
-            v.push(lp);
-            // Inequalities + upper bounds.
-            let mut lp = LpProblem::new(2);
-            lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Ge, 4.0);
-            lp.set_upper_bound(0, 3.0);
-            v.push(lp);
-            v
-        };
-        let solver = LpSolver;
-        for (i, lp) in fixtures.iter().enumerate() {
-            let cold = solver.solve(lp).unwrap();
-            let hints = [
-                WarmStart::new(support(&cold)),
-                WarmStart::new((0..lp.num_vars).rev().collect()),
-                WarmStart::new(Vec::new()),
-            ];
-            for hint in &hints {
-                let (warm_sol, _) = solver.solve_warm(lp, Some(hint)).unwrap();
-                assert_eq!(warm_sol.status, cold.status, "fixture {i}");
-                assert!(
-                    lp.is_feasible(&warm_sol.values, 1e-5),
-                    "fixture {i} warm solution infeasible"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stale_warm_basis_falls_back_to_cold() {
-        // A hint whose columns cannot carry the solution: 60 columns must
-        // sum to 20 while columns 20..60 sum to 0 and every column is capped
-        // at 1, so each of columns 0..20 must hold 1.  The seed takes only
-        // 13 of those (the rest sit mid-order in both rows), so pricing has
-        // to bring the others in.
+    fn pricing_brings_in_what_the_seed_missed() {
+        // 60 columns must sum to 20 while columns 20..60 sum to 0 and every
+        // column is capped at 1, so each of columns 0..20 must hold 1.  The
+        // seed takes only 13 of those (the rest sit mid-order in both rows),
+        // so pricing has to bring the others in.
         let mut lp = LpProblem::new(60);
         lp.add_constraint((0..60).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 20.0);
         lp.add_constraint((20..60).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 0.0);
@@ -461,39 +336,9 @@ mod tests {
             lp.set_upper_bound(j, 1.0);
         }
         assert!(!initial_working_set(&lp)[15]);
-        let solver = LpSolver;
-        let (sol, outcome) = solver
-            .solve_warm(&lp, Some(&WarmStart::new(vec![0])))
-            .unwrap();
-        assert_eq!(outcome, WarmOutcome::FellBack);
+        let sol = LpSolver.solve(&lp).unwrap();
         assert_eq!(sol.status, SolveStatus::Feasible);
         assert!(lp.is_feasible(&sol.values, 1e-6));
-
-        // An incompatible hint (columns out of range — a basis saved against
-        // a different problem) is skipped entirely, not an error.
-        let (sol, outcome) = solver
-            .solve_warm(&lp, Some(&WarmStart::new(vec![0, 99])))
-            .unwrap();
-        assert_eq!(outcome, WarmOutcome::NotAttempted);
-        assert!(lp.is_feasible(&sol.values, 1e-6));
-    }
-
-    #[test]
-    fn warm_and_cold_reach_the_same_least_violation_compromise() {
-        // A unit-scale contradiction, where the violation is relatively
-        // significant.
-        let mut lp = LpProblem::new(2);
-        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 3.0);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
-        lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        let solver = LpSolver;
-        let cold = solver.solve(&lp).unwrap();
-        let (warm, _) = solver
-            .solve_warm(&lp, Some(&WarmStart::new(vec![0, 1])))
-            .unwrap();
-        assert_eq!(cold.status, SolveStatus::LeastViolation);
-        assert_eq!(warm.status, SolveStatus::LeastViolation);
-        assert!((cold.total_violation - warm.total_violation).abs() < 1e-5);
     }
 
     #[test]
@@ -520,19 +365,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_keeps_a_mixed_scale_violation() {
+    fn a_mixed_scale_violation_is_still_reported() {
         // A unit-scale contradiction next to a 1e10 row target falls within
-        // the scale-relative tolerance, but its violation is still reported,
-        // warm-started or not.
+        // the scale-relative tolerance, but its violation is still reported.
         let mut lp = LpProblem::new(2);
         lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Eq, 1e10);
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 5.0);
         lp.add_constraint(vec![(1, 1.0)], ConstraintOp::Eq, 7.0);
-        for warm in [None, Some(WarmStart::new(vec![0, 1]))] {
-            let (sol, _) = LpSolver.solve_warm(&lp, warm.as_ref()).unwrap();
-            assert_eq!(sol.status, SolveStatus::Feasible, "warm {warm:?}");
-            assert!((sol.total_violation - 2.0).abs() < 1e-6, "warm {warm:?}");
-        }
+        let sol = LpSolver.solve(&lp).unwrap();
+        assert_eq!(sol.status, SolveStatus::Feasible);
+        assert!((sol.total_violation - 2.0).abs() < 1e-6);
     }
 
     /// The columns a working-set mask holds, ascending.
@@ -694,21 +536,6 @@ mod tests {
             prop_assert_eq!(priced.feasible, status == SolveStatus::Feasible);
             prop_assert!(close(violation, full), "priced {} vs full {}", violation, full);
         }
-
-        /// A warm hint — any subset of the columns, possibly empty — gives
-        /// the status and total violation of the cold solve.
-        #[test]
-        fn warm_hint_changes_neither_status_nor_violation(
-            (lp, _) in wide_system(true),
-            mask in proptest::collection::vec(any::<bool>(), 300),
-        ) {
-            let hint: Vec<usize> = (0..lp.num_vars).filter(|&j| mask[j]).collect();
-            let cold = LpSolver.solve(&lp).unwrap();
-            let (warm, _) = LpSolver.solve_warm(&lp, Some(&WarmStart::new(hint))).unwrap();
-            prop_assert_eq!(warm.status, cold.status);
-            prop_assert!(close(warm.total_violation, cold.total_violation),
-                "warm {} vs cold {}", warm.total_violation, cold.total_violation);
-        }
     }
 
     #[test]
@@ -726,26 +553,5 @@ mod tests {
             members(&initial_working_set(&lp)),
             initial_working_set_reference(&lp)
         );
-    }
-
-    #[test]
-    fn warm_start_seeds_the_working_set() {
-        // Wider than the seed takes, structured like a fact-relation LP.
-        let n = 1500usize;
-        let mut lp = LpProblem::new(n);
-        for k in 0..10 {
-            let lo = k * 150;
-            let terms: Vec<(usize, f64)> = (lo..lo + 150).map(|j| (j, 1.0)).collect();
-            lp.add_constraint(terms, ConstraintOp::Eq, 100.0);
-        }
-        lp.add_constraint((0..n).map(|j| (j, 1.0)).collect(), ConstraintOp::Eq, 1000.0);
-        let solver = LpSolver;
-        let cold = solver.solve(&lp).unwrap();
-        assert_eq!(cold.status, SolveStatus::Feasible);
-        let (warm_sol, outcome) = solver
-            .solve_warm(&lp, Some(&WarmStart::new(support(&cold))))
-            .unwrap();
-        assert_eq!(outcome, WarmOutcome::Hit);
-        assert!(lp.is_feasible(&warm_sol.values, 1e-5));
     }
 }

@@ -277,7 +277,7 @@ pub const FAMILIES: &[FamilyDesc] = &[
         unit: Unit::Count,
         label_key: "outcome",
         layer: "lp",
-        help: "Per-relation LP solves, by outcome (cold, warm_hit, warm_fellback, reused)",
+        help: "Per-relation LP solves, by outcome (cold, reused)",
     },
     FamilyDesc {
         name: "hydra_lp_solve_seconds",
@@ -361,14 +361,6 @@ pub const FAMILIES: &[FamilyDesc] = &[
         label_key: "kind",
         layer: "registry",
         help: "Summary blocks added/removed/resized by delta merges",
-    },
-    FamilyDesc {
-        name: "hydra_registry_retained_regions",
-        kind: MetricKind::Gauge,
-        unit: Unit::Count,
-        label_key: "",
-        layer: "registry",
-        help: "Partition regions (LP supports) retained across every version",
     },
     // -- durability (WAL + checkpoints) ----------------------------------
     FamilyDesc {

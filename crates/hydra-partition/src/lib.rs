@@ -51,7 +51,6 @@ pub mod error;
 pub mod grid;
 pub mod interval;
 pub mod nbox;
-pub mod refine;
 pub mod region;
 pub mod signature;
 pub mod space;
@@ -60,7 +59,6 @@ pub use error::{PartitionError, PartitionResult};
 pub use grid::GridPartition;
 pub use interval::Interval;
 pub use nbox::NBox;
-pub use refine::PartitionRefinement;
 pub use region::{Region, RegionPartition, RegionPartitioner};
 pub use signature::{Members, Signature, SignatureRef};
 pub use space::AttributeSpace;

@@ -163,8 +163,7 @@ impl Region<'_> {
     }
 
     /// True if the point lies inside one of the retained representative cells
-    /// (a sufficient but not necessary membership test; use
-    /// [`RegionPartition::region_containing`] for an exact lookup).
+    /// (a sufficient but not necessary membership test).
     pub fn contains_point(&self, point: &[i64]) -> bool {
         self.pieces().iter().any(|p| p.contains_point(point))
     }
@@ -274,8 +273,7 @@ impl RegionPartition {
     }
 
     /// The constraint box unions this partition was built against, in the
-    /// order the signatures index them (used by incremental refinement to
-    /// detect unchanged boxes and moved predicate boundaries).
+    /// order the signatures index them.
     pub fn constraint_unions(&self) -> &[Vec<NBox>] {
         &self.constraints
     }
@@ -287,39 +285,10 @@ impl RegionPartition {
             .collect()
     }
 
-    /// Index of the region containing a point (exact: the point's signature is
-    /// computed against the stored constraints, then found by binary search
-    /// among the signature-sorted regions).  `None` if the point lies
-    /// outside the attribute space, or in no retained region of a
-    /// restricted partition.
-    pub fn region_containing(&self, point: &[i64]) -> Option<usize> {
-        if point.len() != self.space.dims() {
-            return None;
-        }
-        for (axis, coord) in point.iter().enumerate() {
-            if !self.space.domain(axis).contains(*coord) {
-                return None;
-            }
-        }
-        let mut signature = vec![0u64; self.stride()];
-        for (ci, boxes) in self.constraints.iter().enumerate() {
-            let covered = (0..self.space.dims())
-                .all(|axis| boxes.iter().any(|b| b.interval(axis).contains(point[axis])));
-            if covered && !boxes.is_empty() {
-                signature[ci / 64] |= 1u64 << (ci % 64);
-            }
-        }
-        // Fixed-stride words compare as the signatures they pad.
-        let (mut lo, mut hi) = (0, self.num_variables());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.signature_words(mid).cmp(&signature) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+    /// The partition's space and constraint unions with no regions: what a
+    /// registry version retains of a solve.
+    pub fn without_regions(self) -> RegionPartition {
+        RegionPartition::empty(self.space, self.constraints, 0)
     }
 
     /// Total volume across all regions (equals the space volume; saturating
@@ -328,32 +297,6 @@ impl RegionPartition {
         self.volumes
             .iter()
             .fold(0u128, |acc, v| acc.saturating_add(*v))
-    }
-
-    /// Restricts the partition to the regions at the given indices (strictly
-    /// ascending; indices past the end are ignored), keeping the space and
-    /// the constraint unions.  Only the kept regions are copied, each cell
-    /// into an arena of its own.
-    ///
-    /// The result no longer covers the whole space: it is the retained form
-    /// of a solved partition — typically its LP *support* — which is all
-    /// incremental refinement needs (see [`RegionPartitioner::refine`]).
-    pub fn restrict_to(&self, keep: &[usize]) -> RegionPartition {
-        let mut restricted =
-            RegionPartition::empty(self.space.clone(), self.constraints.clone(), keep.len());
-        let mut intervals = vec![Interval::empty(); self.space.dims()];
-        for &index in keep
-            .iter()
-            .take_while(|&&index| index < self.num_variables())
-        {
-            let region = self.region(index);
-            let cells = region.cells.iter().map(|&cell| {
-                self.arena.write(cell, &mut intervals);
-                intervals.clone()
-            });
-            restricted.push(self.signature_words(index), region.volume, cells);
-        }
-        restricted
     }
 
     /// Appends a region: its signature words (`stride` of them), volume,
@@ -559,13 +502,6 @@ impl RegionPartitioner {
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Deconstructs the partitioner into its space, constraint unions and
-    /// region budget (used by [`RegionPartitioner::refine`], which needs to
-    /// compare them against a previous partition before sweeping).
-    pub(crate) fn parts(self) -> (AttributeSpace, Vec<Vec<NBox>>, usize) {
-        (self.space, self.constraints, self.max_regions)
     }
 
     /// Runs the partitioning.
@@ -843,35 +779,6 @@ mod tests {
         // Wrap-around yields a valid point again.
         assert_eq!(region.point_at(4), region.point_at(0));
         assert_eq!(region.representative_point(), vec![20, 3]);
-    }
-
-    #[test]
-    fn region_containing_point() {
-        let p = RegionPartitioner::new(space_1d())
-            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
-            .partition()
-            .unwrap();
-        let inside = p.region_containing(&[30]).unwrap();
-        assert!(p.region(inside).signature.contains(0));
-        let outside = p.region_containing(&[70]).unwrap();
-        assert!(p.region(outside).signature.is_empty());
-        assert!(p.region_containing(&[1000]).is_none());
-        assert!(p.region_containing(&[1, 2]).is_none());
-    }
-
-    #[test]
-    fn restriction_keeps_the_chosen_regions_in_order() {
-        let p = RegionPartitioner::new(space_1d())
-            .add_constraint_box(NBox::new(vec![Interval::new(20, 60)]))
-            .add_constraint_box(NBox::new(vec![Interval::new(40, 80)]))
-            .partition()
-            .unwrap();
-        let restricted = p.restrict_to(&[1, 3, 99]);
-        assert_eq!(restricted.num_variables(), 2);
-        assert_eq!(restricted.region(0), p.region(1));
-        assert_eq!(restricted.region(1), p.region(3));
-        assert_eq!(restricted.space(), p.space());
-        assert_eq!(restricted.constraint_unions(), p.constraint_unions());
     }
 
     #[test]

@@ -48,16 +48,6 @@ fn partition(space: &AttributeSpace, unions: &[Vec<NBox>]) -> RegionPartition {
     partitioner.partition().unwrap()
 }
 
-/// The strictly ascending region indices `mask` keeps, plus one index past
-/// the end (which `restrict_to` ignores).
-fn kept(mask: &[bool], regions: usize) -> Vec<usize> {
-    let mut keep: Vec<usize> = (0..regions)
-        .filter(|&i| mask.get(i).copied().unwrap_or(false))
-        .collect();
-    keep.push(regions + 1);
-    keep
-}
-
 /// Strategy: a small attribute space (1–3 axes) plus 1–6 constraint boxes.
 fn space_and_constraints() -> impl Strategy<Value = (AttributeSpace, Vec<NBox>)> {
     (1usize..=3).prop_flat_map(|dims| {
@@ -213,9 +203,10 @@ proptest! {
         prop_assert_eq!(parent_regions(&p), reference_regions(&space, &unions));
     }
 
-    /// A full or restricted partition serializes to exactly the JSON of
-    /// the reference layout holding the reference sweep's regions, and that
-    /// JSON deserializes to an equal partition.
+    /// A partition serializes to exactly the JSON of the reference layout
+    /// holding the reference sweep's regions, and that JSON deserializes to
+    /// an equal partition.  The layout with only some of the regions (how
+    /// older registry records kept a solve's support) reads back too.
     #[test]
     fn partition_json_matches_the_reference_layout(
         (space, unions) in space_and_unions(),
@@ -223,60 +214,27 @@ proptest! {
     ) {
         let full = partition(&space, &unions);
         let reference = reference_regions(&space, &unions);
-        let keep = kept(&mask, full.num_variables());
-        let restricted = full.restrict_to(&keep);
-        let restricted_reference: Vec<ParentRegion> = keep
-            .iter()
-            .filter_map(|&i| reference.get(i).cloned())
-            .collect();
-        for (p, regions) in [(&full, reference.clone()), (&restricted, restricted_reference)] {
-            let parent = ParentPartition {
-                space: space.clone(),
-                regions,
-                constraints: unions.clone(),
-            };
-            let json = serde_json::to_string(&parent).unwrap();
-            prop_assert_eq!(serde_json::to_string(p).unwrap(), json.clone());
-            let read: RegionPartition = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(&read, p);
-        }
-    }
+        let parent = ParentPartition {
+            space: space.clone(),
+            regions: reference.clone(),
+            constraints: unions.clone(),
+        };
+        let json = serde_json::to_string(&parent).unwrap();
+        prop_assert_eq!(serde_json::to_string(&full).unwrap(), json.clone());
+        let read: RegionPartition = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&read, &full);
 
-    /// The binary search finds the same region as a linear scan over the
-    /// signatures, on full and restricted partitions, for points inside and
-    /// outside the space.
-    #[test]
-    fn region_containing_matches_a_linear_scan(
-        (space, unions) in space_and_unions(),
-        mask in proptest::collection::vec(any::<bool>(), 0..64),
-        points in proptest::collection::vec(proptest::collection::vec(-5i64..70, 3), 1..24),
-    ) {
-        let full = partition(&space, &unions);
-        let restricted = full.restrict_to(&kept(&mask, full.num_variables()));
-        for p in [&full, &restricted] {
-            for point in &points {
-                let point = &point[..space.dims()];
-                let inside = point
-                    .iter()
-                    .enumerate()
-                    .all(|(axis, &x)| space.domain(axis).contains(x));
-                let mut signature = Signature::empty();
-                for (ci, union) in unions.iter().enumerate() {
-                    let covered = (0..space.dims()).all(|axis| {
-                        union.iter().any(|b| b.interval(axis).contains(point[axis]))
-                    });
-                    if covered && !union.is_empty() {
-                        signature.insert(ci);
-                    }
-                }
-                let scan = if inside {
-                    p.regions().position(|r| r.signature == signature)
-                } else {
-                    None
-                };
-                prop_assert_eq!(p.region_containing(point), scan, "point {:?}", point);
-            }
-        }
+        let kept: Vec<ParentRegion> = reference
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| mask.get(*i).copied().unwrap_or(false))
+            .map(|(_, region)| region)
+            .collect();
+        let parent = ParentPartition { regions: kept.clone(), ..parent };
+        let json = serde_json::to_string(&parent).unwrap();
+        let read: RegionPartition = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(parent_regions(&read), kept);
+        prop_assert_eq!(serde_json::to_string(&read).unwrap(), json);
     }
 
     /// Regions cover the whole space exactly once (volumes add up) and are

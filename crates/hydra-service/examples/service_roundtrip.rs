@@ -110,11 +110,10 @@ fn main() {
     );
     assert_eq!(published.diff.changed_relations(), vec!["web_sales"]);
     println!(
-        "delta-published `{}` v{}: {} reused, {} warm, {} cold; changed: {:?}",
+        "delta-published `{}` v{}: {} reused, {} re-solved; changed: {:?}",
         published.info.name,
         published.info.version,
         published.report.reused(),
-        published.report.warm_solved(),
         published.report.cold_solved(),
         published.diff.changed_relations()
     );

@@ -66,8 +66,8 @@ impl HydraClient {
     /// Evolves a registered summary incrementally: ships a
     /// [`WorkloadDelta`] (queries added / retired / re-annotated, revised
     /// row counts); the server merges it, re-solves only the touched
-    /// relations (warm-started), bumps the version atomically, and returns
-    /// the structural diff plus the per-relation reuse/warm/cold report.
+    /// relations, bumps the version atomically, and returns the structural
+    /// diff plus the per-relation reuse/re-solve report.
     pub fn delta_publish(
         &mut self,
         name: &str,

@@ -534,12 +534,7 @@ impl FrameCtx {
         // absurdly small rate would park this stream's timer essentially
         // forever.
         if let Some(rate) = request.rows_per_sec {
-            if !rate.is_finite() || rate < VelocityGovernor::MIN_RATE {
-                return Err(ServiceError::Protocol(format!(
-                    "rows_per_sec must be a finite rate >= {}, got {rate}",
-                    VelocityGovernor::MIN_RATE
-                )));
-            }
+            VelocityGovernor::check_rate(rate).map_err(ServiceError::Protocol)?;
         }
         let header = encode_frame(&Response::StreamStart(StreamStart {
             table: table.name.clone(),

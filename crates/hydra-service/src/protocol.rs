@@ -165,9 +165,9 @@ pub enum Request {
     },
     /// Evolve a registered summary *incrementally*: the delta (queries
     /// added / retired / re-annotated, revised row counts) merges into the
-    /// entry's workload, only the relations it touches re-solve (warm-started
-    /// from the previous LP basis), the registry version is bumped
-    /// atomically, and the structural diff comes back over the wire.
+    /// entry's workload, only the relations it touches re-solve (from
+    /// scratch), the registry version is bumped atomically, and the
+    /// structural diff comes back over the wire.
     DeltaPublish {
         /// Registry name of the summary to evolve.
         name: String,
@@ -394,14 +394,14 @@ pub struct MetricSample {
 
 /// Outcome of a `DeltaPublish`: the bumped registry description, the
 /// structural diff against the previous version, and the per-relation
-/// reuse / warm / cold account of the incremental rebuild.
+/// reuse / re-solve account of the incremental rebuild.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaPublished {
     /// The evolved entry's registry description (version bumped).
     pub info: SummaryInfo,
     /// Blocks added / removed / resized per relation.
     pub diff: SummaryDiff,
-    /// What re-solved, what was reused, what the warm starts contributed.
+    /// What re-solved and what was reused.
     pub report: DeltaBuildReport,
 }
 

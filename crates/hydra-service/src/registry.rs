@@ -20,7 +20,7 @@
 //! appends the version's [`WalRecord`] to an fsync'd write-ahead log
 //! **before** the version becomes visible; the log is the only on-disk
 //! form of a version.  A publish is logged in full (package, build report,
-//! support-only solve baseline); a delta as its [`WorkloadDelta`], its
+//! solve baseline without regions); a delta as its [`WorkloadDelta`], its
 //! build report and only the relations it re-solved — the rest, and the
 //! package, are re-derived from `name@version-1`, so a version costs what
 //! changed on disk.  A checkpoint **seals** the active `wal.log` as the
@@ -65,11 +65,12 @@ use std::time::Instant;
 /// A *full* record carries the package and every relation.  A *delta*
 /// record (no package) carries only the relations whose signature differs
 /// from version − 1's: a relation with an unchanged signature was reused by
-/// construction, so it takes its signature, support and summary from
-/// version − 1 and its stats from this record's report, and the package is
-/// version − 1's with the delta applied ([`TransferPackage::apply_delta`]).
-/// The baseline is written support-only; a full one (as older registries
-/// wrote it) restores the same way.
+/// construction, so it takes its signature and summary from version − 1
+/// and its stats from this record's report, and the package is version −
+/// 1's with the delta applied ([`TransferPackage::apply_delta`]).  The
+/// baseline is written without regions; one with full or support-only
+/// partitions (as older registries wrote it) restores the same way, its
+/// regions dropped.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolvedState {
     /// The (merged) transfer package; `None` on a delta record.
@@ -134,8 +135,8 @@ pub struct RecoveryReport {
 /// One published, solved summary.
 ///
 /// Entries are solved *statefully*: alongside the summary they retain the
-/// per-relation solve artifacts (constraint signatures, LP supports) that
-/// make [`SummaryRegistry::delta_publish`] incremental.
+/// per-relation solve artifacts (constraint signatures, summaries, stats)
+/// that make [`SummaryRegistry::delta_publish`] incremental.
 #[derive(Debug)]
 pub struct RegistryEntry {
     /// Registry name.
@@ -205,7 +206,7 @@ impl RegistryEntry {
         &self.state.regeneration
     }
 
-    /// The per-relation solve artifacts (support-only) this entry retains.
+    /// The per-relation solve artifacts (no regions) this entry retains.
     pub fn baseline(&self) -> &SolveBaseline {
         self.state.baseline()
     }
@@ -545,13 +546,8 @@ impl SummaryRegistry {
     }
 
     /// Appends `entry` to its name's version chain (the one place a commit
-    /// or a recovery adds a version) and counts the partition regions it
-    /// retains into `hydra_registry_retained_regions`.
+    /// or a recovery adds a version).
     fn insert_version(&self, entry: Arc<RegistryEntry>) {
-        self.session
-            .metrics()
-            .gauge("hydra_registry_retained_regions")
-            .add(entry.state.baseline().retained_regions() as i64);
         self.entries
             .write()
             .expect("registry lock poisoned")
@@ -702,10 +698,10 @@ impl SummaryRegistry {
 
     /// Applies a workload delta to the registered summary `name`
     /// *incrementally*: relations the delta does not touch are reused from
-    /// the entry's solve baseline, changed relations re-solve warm-started,
+    /// the entry's solve baseline, changed relations re-solve from scratch,
     /// the version is bumped atomically, and the structural
     /// [`hydra_summary::delta::SummaryDiff`] plus the per-relation
-    /// reuse/warm/cold report are returned (and shipped over the wire by
+    /// reuse/re-solve report are returned (and shipped over the wire by
     /// `DeltaPublish`).
     ///
     /// Solving happens outside the registry lock.  If a racing publish or

@@ -485,21 +485,18 @@ fn full_build(
 
 /// Upgrade path: a WAL record carrying the *full* baseline recovers with
 /// zero LP solves, describes bit-identically to a live publish, is retained
-/// support-only, and evolves exactly like the live entry.
+/// without regions, and evolves exactly like the live entry.
 #[test]
-fn full_baseline_wal_records_recover_support_only() {
+fn full_baseline_wal_records_recover_without_regions() {
     let dir = temp_dir("upgrade");
     let (db, queries) = retail_client_fixture(400, 150, 4);
     let package = session().profile(db.clone(), &queries).expect("profile");
     let (report, full) = full_build(&session(), &package);
-    let support: usize = full
-        .relations
-        .values()
-        .map(|r| r.solved.support().len())
-        .sum();
     assert!(
-        support < full.retained_regions(),
-        "the fixture has empty regions"
+        full.relations
+            .values()
+            .all(|r| r.solved.partition.num_variables() > 0),
+        "the record carries every region"
     );
     let record = WalRecord {
         name: "retail".to_string(),
@@ -527,14 +524,12 @@ fn full_baseline_wal_records_recover_support_only() {
             .expect("encode")
     };
     assert_eq!(describe(&registry), describe(&live));
-    // Support-only: the entry retains exactly the nonzero-count regions.
-    assert_eq!(
-        booted
-            .metrics()
-            .gauge("hydra_registry_retained_regions")
-            .value(),
-        support as i64
-    );
+    // The entry retains no regions and no counts ...
+    let recovered = registry.get_version("retail", 1).expect("v1");
+    for relation in recovered.baseline().relations.values() {
+        assert_eq!(relation.solved.partition.num_variables(), 0);
+        assert!(relation.solved.region_counts.is_empty());
+    }
     // ... and a delta on it decides as on the live entry.
     let delta = narrow_delta(&db, "drift", 40);
     let upgraded = registry.delta_publish("retail", &delta).expect("delta");
@@ -549,6 +544,82 @@ fn full_baseline_wal_records_recover_support_only() {
             .collect::<Vec<_>>()
     };
     assert_eq!(actions(&upgraded), actions(&fresh));
+}
+
+/// A directory written before retained solves dropped their regions: a
+/// publish and two one-query `web_sales` deltas (`retail_client_fixture(400,
+/// 150, 4)`, thresholds 40 and 20) on a registry sealing every 2 records, so
+/// the publish and the first delta sit in a sealed segment and the second
+/// delta in `wal.log`.  Its records carry support-only partitions and
+/// warm-start outcomes.  Next to it are the `Describe` JSON of each version
+/// and one `count(*)` per version as that registry reported them.
+const PARENT_REGISTRY: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/parent_registry"
+);
+
+/// The older directory boots with zero LP solves, describes and answers
+/// exactly as the registry that wrote it did, and takes one more delta.
+#[test]
+fn a_directory_whose_records_keep_regions_boots_and_evolves() {
+    let dir = temp_dir("parent-registry");
+    for file in ["wal-0000000000.log", "wal.log"] {
+        std::fs::copy(
+            Path::new(PARENT_REGISTRY).join("wal").join(file),
+            dir.join(file),
+        )
+        .expect("copy the fixture");
+    }
+    let booted = session();
+    let registry = SummaryRegistry::durable(booted.clone(), &dir, 2).expect("boot");
+    assert_eq!(registry.versions_of("parent"), vec![1, 2, 3]);
+    assert_eq!(lp_solves(&booted), 0, "recovery must not run the LP solver");
+    let counts = [
+        ("select count(*) from store_sales", 400),
+        (
+            "select count(*) from web_sales where web_sales.ws_quantity < 40",
+            86,
+        ),
+        (
+            "select count(*) from web_sales where web_sales.ws_quantity < 20",
+            56,
+        ),
+    ];
+    for (version, (sql, count)) in (1u32..).zip(counts) {
+        let entry = registry.get_version("parent", version).expect("version");
+        let expected = std::fs::read_to_string(
+            Path::new(PARENT_REGISTRY).join(format!("describe-v{version}.json")),
+        )
+        .expect("describe fixture");
+        assert_eq!(
+            serde_json::to_string(&entry.detail()).expect("encode"),
+            expected,
+            "Describe of v{version}"
+        );
+        let answer = booted.query(entry.regeneration(), sql).expect("query");
+        assert_eq!(
+            answer.single().expect("one row").aggregates[0].as_i64(),
+            Some(count),
+            "{sql} at v{version}"
+        );
+    }
+
+    let (db, _) = retail_client_fixture(400, 150, 4);
+    let delta = narrow_delta(&db, "d3", 30);
+    let published = registry.delta_publish("parent", &delta).expect("delta");
+    assert_eq!(published.info.version, 4);
+    assert_eq!(
+        published.report.reused(),
+        published.report.relations.len() - 1
+    );
+    let evolved = registry.get_version("parent", 4).expect("v4");
+    let scratch = SummaryRegistry::in_memory(session());
+    scratch
+        .publish("parent", evolved.package().clone())
+        .expect("from-scratch publish");
+    let mut expected = scratch.get("parent").expect("published").detail();
+    expected.info.version = 4;
+    assert_eq!(evolved.detail(), expected);
 }
 
 /// A `*.tmp` staging file an older server stranded (a crash between a

@@ -487,52 +487,6 @@ fn racing_delta_publishes_never_tear_and_versions_stay_monotonic() {
     }
 }
 
-/// `hydra_registry_retained_regions` reads the LP supports every retained
-/// version holds: after a publish, the full build's count of nonzero-count
-/// regions — far below its LP variable count — and it grows per version.
-#[test]
-fn retained_regions_gauge_counts_lp_supports() {
-    use hydra_query::delta::ConstraintSet;
-    use hydra_summary::builder::SummaryBuilder;
-
-    let package = variant_packages().remove(0);
-    let session = Hydra::builder().build();
-    let registry = SummaryRegistry::in_memory(session.clone());
-    let gauge = session.metrics().gauge("hydra_registry_retained_regions");
-    assert_eq!(gauge.value(), 0);
-    registry
-        .publish("retail", package.clone())
-        .expect("publish");
-
-    // Independent count: the full from-scratch build's nonzero regions.
-    let metadata = &package.metadata;
-    let row_targets: BTreeMap<String, u64> = metadata
-        .schema
-        .table_names()
-        .iter()
-        .map(|t| (t.clone(), metadata.row_count(t)))
-        .collect();
-    let constraints = ConstraintSet::from_workload(&package.workload).expect("constraints");
-    let (_, report, full) = SummaryBuilder::new(session.config().builder.clone())
-        .build_retaining(
-            &metadata.schema,
-            &row_targets,
-            constraints.by_table(),
-            Some(metadata),
-        )
-        .expect("full build");
-    let support: usize = full
-        .relations
-        .values()
-        .map(|r| r.solved.support().len())
-        .sum();
-    assert_eq!(gauge.value(), support as i64);
-    assert!(support < report.total_lp_variables(), "{support}");
-
-    registry.publish("retail", package).expect("publish v2");
-    assert_eq!(gauge.value(), 2 * support as i64);
-}
-
 #[test]
 fn racing_publishes_of_the_same_name_keep_versions_distinct() {
     let packages = variant_packages();

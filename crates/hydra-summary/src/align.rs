@@ -197,8 +197,7 @@ mod tests {
             constraint(25, 75, 300, "q2#1"),
         ];
         let axes = RelationAxes::build(table, &cs, &BTreeMap::new()).unwrap();
-        let solved =
-            solve_relation(table, &axes, &cs, 1000, &BTreeMap::new(), false, None).unwrap();
+        let solved = solve_relation(table, &axes, &cs, 1000, &BTreeMap::new(), false).unwrap();
         let mut stats = TableStatistics::with_row_count(1000);
         stats.add_column(
             "i_category",

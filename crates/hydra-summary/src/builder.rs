@@ -17,8 +17,8 @@
 //! Every build runs through one driver.  A build against a previous
 //! [`SolveBaseline`] reuses each relation whose *signature* — a fingerprint
 //! of everything that determines its solve (constraints, row target, FK
-//! domain widths, alignment, statistics) — is unchanged, and
-//! warm-starts the rest; a from-scratch build is the same driver with no
+//! domain widths, alignment, statistics) — is unchanged, and solves the
+//! rest from scratch; a from-scratch build is the same driver with no
 //! baseline.  Workload deltas and what-if scenarios are both such builds
 //! against a registered version, so only relations they touch re-solve.
 
@@ -33,7 +33,7 @@ use crate::solve::{solve_relation, LpStats};
 use crate::summary::{DatabaseSummary, RelationSummary};
 use hydra_catalog::metadata::DatabaseMetadata;
 use hydra_catalog::schema::{Schema, Table};
-use hydra_lp::simplex::{WarmOutcome, MAX_PIVOTS};
+use hydra_lp::simplex::MAX_PIVOTS;
 use hydra_lp::solver::FEASIBILITY_TOLERANCE;
 use hydra_partition::region::DEFAULT_MAX_REGIONS;
 use hydra_query::aqp::VolumetricConstraint;
@@ -279,13 +279,12 @@ impl SummaryBuilder {
     /// Rebuilds the summary *incrementally* against a previous baseline:
     /// relations whose constraint signature is unchanged are reused outright
     /// (bit-identical, no partitioning, no LP), and changed relations
-    /// re-solve with the previous solution's support carried into the new
-    /// partition and warm-starting the simplex.  `prev` may be full or
-    /// [`SolveBaseline::support_only`]; the decisions are the same.
+    /// re-solve from scratch.  `prev` needs only each relation's signature,
+    /// summary and stats; its partitions may hold no regions.
     ///
-    /// The result satisfies the new constraint set exactly as a from-scratch
-    /// [`SummaryBuilder::build`] over it does (the `delta_differential`
-    /// harness pins this down property by property).
+    /// The result equals a from-scratch [`SummaryBuilder::build`] over the
+    /// new constraint set, bit for bit (the `delta_differential` harness
+    /// pins this down).
     pub fn build_delta(
         &self,
         schema: &Schema,
@@ -338,13 +337,13 @@ impl SummaryBuilder {
                     prev.and_then(|p| p.relations.get(&table.name)),
                 )
             })?;
-            for (summary, stats, rel_baseline, action) in built {
-                if stats.from_cache {
+            for (summary, stats, rel_baseline) in built {
+                let (action, lp_variables, solve_micros) = if stats.from_cache {
                     report.cached_relations += 1;
-                }
-                let (lp_variables, solve_micros) = match action {
-                    DeltaAction::Reused => (0, 0),
-                    _ => (stats.lp.variables, stats.lp.solve_time.as_micros() as u64),
+                    (DeltaAction::Reused, 0, 0)
+                } else {
+                    let micros = stats.lp.solve_time.as_micros() as u64;
+                    (DeltaAction::ColdSolved, stats.lp.variables, micros)
                 };
                 delta_report.relations.push(RelationDeltaStats {
                     table: stats.table.clone(),
@@ -398,12 +397,7 @@ impl SummaryBuilder {
         metadata: Option<&DatabaseMetadata>,
         is_referenced: bool,
         prev: Option<&RelationBaseline>,
-    ) -> SummaryResult<(
-        RelationSummary,
-        RelationBuildStats,
-        RelationBaseline,
-        DeltaAction,
-    )> {
+    ) -> SummaryResult<(RelationSummary, RelationBuildStats, RelationBaseline)> {
         let row_target = row_targets.get(&table.name).copied().unwrap_or(0);
         let constraints = constraints_by_table
             .get(&table.name)
@@ -445,7 +439,7 @@ impl SummaryBuilder {
                     summary: prev.summary.clone(),
                     stats: stats.clone(),
                 };
-                return Ok((prev.summary.clone(), stats, baseline, DeltaAction::Reused));
+                return Ok((prev.summary.clone(), stats, baseline));
             }
         }
 
@@ -457,7 +451,6 @@ impl SummaryBuilder {
             row_target,
             summaries,
             is_referenced,
-            prev.map(|p| &p.solved),
         )?;
         let summary =
             build_relation_summary(table, &axes, &solved, stats_source, self.config.alignment);
@@ -470,17 +463,13 @@ impl SummaryBuilder {
             total_rows: summary.total_rows,
             from_cache: false,
         };
-        let action = match (prev, solved.stats.warm) {
-            (Some(_), WarmOutcome::Hit) => DeltaAction::WarmSolved,
-            _ => DeltaAction::ColdSolved,
-        };
         let baseline = RelationBaseline {
             signature,
             solved,
             summary: summary.clone(),
             stats: stats.clone(),
         };
-        Ok((summary, stats, baseline, action))
+        Ok((summary, stats, baseline))
     }
 }
 
@@ -802,7 +791,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_build_reuses_unchanged_and_warm_solves_changed() {
+    fn delta_build_reuses_unchanged_and_solves_changed_from_scratch() {
         let schema = toy_schema();
         let constraints = figure1_constraints();
         let builder = SummaryBuilder::default();
@@ -824,9 +813,8 @@ mod tests {
         assert_eq!(built.report.cached_relations, 3);
 
         // A cardinality re-annotation on S only (same boxes, new demand):
-        // S re-solves (warm — the re-swept partition equals the previous one
-        // and the old support closes without pricing), T is untouched, and R re-solves
-        // because its FK projection reads the changed S summary.
+        // S re-solves, T is untouched, and R re-solves because its FK
+        // projection reads the changed S summary.
         let mut revised = constraints.clone();
         revised.get_mut("S").unwrap()[0].cardinality = 50;
         let built = builder
@@ -839,25 +827,13 @@ mod tests {
             .map(|r| (r.table.as_str(), r))
             .collect();
         assert_eq!(by_table["T"].action, crate::delta::DeltaAction::Reused);
-        assert_ne!(by_table["S"].action, crate::delta::DeltaAction::Reused);
-        assert_ne!(by_table["R"].action, crate::delta::DeltaAction::Reused);
-        assert_eq!(
-            by_table["S"].action,
-            crate::delta::DeltaAction::WarmSolved,
-            "re-annotation keeps the partition and the old support feasible-adjacent"
-        );
-        // The incremental result satisfies the revised constraints exactly
-        // as a from-scratch build does.
+        assert_eq!(by_table["S"].action, crate::delta::DeltaAction::ColdSolved);
+        assert_eq!(by_table["R"].action, crate::delta::DeltaAction::ColdSolved);
+        // The incremental result is the from-scratch build's, bit for bit.
         let (scratch, _) = builder
             .build(&schema, &row_targets(), &revised, None)
             .unwrap();
-        for table in ["R", "S", "T"] {
-            assert_eq!(
-                built.summary.relation(table).unwrap().total_rows,
-                scratch.relation(table).unwrap().total_rows,
-                "{table} row count"
-            );
-        }
+        assert_eq!(built.summary, scratch);
         let s = built.summary.relation("S").unwrap();
         let pred = TablePredicate::always_true()
             .with(ColumnPredicate::new("A", CompareOp::Ge, 20))

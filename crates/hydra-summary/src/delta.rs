@@ -8,15 +8,15 @@
 //!
 //! * **unchanged signature** → the previous summary is reused outright (no
 //!   partitioning, no LP, bit-identical output);
-//! * **changed signature** → the relation re-solves, but the previous
-//!   solution's support is carried into the re-swept partition and
-//!   warm-starts the LP ([`DeltaAction::WarmSolved`] when the working set
-//!   seeded with it closed without pricing, [`DeltaAction::ColdSolved`]
-//!   when the hint was stale and the solver fell back).
+//! * **changed signature** → the relation re-solves from scratch
+//!   ([`DeltaAction::ColdSolved`]), exactly as a from-scratch build of the
+//!   same constraint set does.
 //!
-//! The support is all a later build reads of a solve, so a retained
-//! baseline keeps only that ([`SolveBaseline::support_only`]): the regions
-//! holding tuples, a few per constraint, instead of the whole partition.
+//! Publish, delta and what-if scenario share that one rule, so a delta's
+//! summary equals the from-scratch summary of its package bit for bit.  A
+//! later build reads a relation's signature, summary and stats, never its
+//! regions, so a registry version retains none of them (see
+//! [`crate::solve::SolvedRelation::without_regions`]).
 //!
 //! The structural outcome is summarized as a [`SummaryDiff`]: per relation,
 //! which primary-key blocks were added, removed or resized relative to the
@@ -35,9 +35,9 @@ pub struct RelationBaseline {
     /// Fingerprint of every input that determined the solve (constraints,
     /// row target, FK domains, dimension summaries, alignment).
     pub signature: u64,
-    /// The solved placement (partition + region counts) — the warm-start
-    /// seed for a changed re-solve.  Full as a build returns it;
-    /// support-only once retained ([`SolveBaseline::support_only`]).
+    /// The solved placement (partition + region counts).  Full as a build
+    /// returns it; without regions or counts once a registry version
+    /// retains it ([`SolvedRelation::without_regions`]).
     pub solved: SolvedRelation,
     /// The summary generated from the solve.
     pub summary: RelationSummary,
@@ -63,60 +63,6 @@ impl SolveBaseline {
         self.relations.is_empty()
     }
 
-    /// The retained form of the baseline: every relation's solve restricted
-    /// to its LP support ([`SolvedRelation::support_only`]).  A later
-    /// [`crate::builder::SummaryBuilder::build_delta`] against it decides
-    /// exactly as against the full baseline.
-    pub fn support_only(self) -> SolveBaseline {
-        SolveBaseline {
-            relations: self
-                .relations
-                .into_iter()
-                .map(|(name, mut relation)| {
-                    relation.solved = relation.solved.support_only();
-                    (name, relation)
-                })
-                .collect(),
-        }
-    }
-
-    /// The baseline without its warm-start seeds: every relation keeps its
-    /// signature, summary and stats but none of its LP support, so a
-    /// [`crate::builder::SummaryBuilder::build_delta`] against it reuses
-    /// every unchanged relation and solves every changed one cold — exactly
-    /// as a from-scratch build would.
-    pub fn reuse_only(&self) -> SolveBaseline {
-        SolveBaseline {
-            relations: self
-                .relations
-                .iter()
-                .map(|(name, relation)| {
-                    let solved = SolvedRelation {
-                        partition: relation.solved.partition.restrict_to(&[]),
-                        region_counts: Vec::new(),
-                        stats: relation.solved.stats.clone(),
-                    };
-                    let relation = RelationBaseline {
-                        signature: relation.signature,
-                        solved,
-                        summary: relation.summary.clone(),
-                        stats: relation.stats.clone(),
-                    };
-                    (name.clone(), relation)
-                })
-                .collect(),
-        }
-    }
-
-    /// Partition regions retained across every relation (the support size
-    /// of a [`SolveBaseline::support_only`] baseline).
-    pub fn retained_regions(&self) -> usize {
-        self.relations
-            .values()
-            .map(|r| r.solved.partition.num_variables())
-            .sum()
-    }
-
     /// Reassembles the database summary this baseline was retained from.
     pub fn to_summary(&self) -> DatabaseSummary {
         let mut db = DatabaseSummary::new();
@@ -133,12 +79,7 @@ pub enum DeltaAction {
     /// Constraint signature unchanged: the previous summary was reused
     /// without partitioning or solving.
     Reused,
-    /// Re-solved, and the working set seeded with the previous solution's
-    /// support closed without pricing — the solver never had to look beyond
-    /// it.
-    WarmSolved,
-    /// Re-solved from scratch (no previous solve, or a stale warm basis the
-    /// solver fell back from).
+    /// Re-solved from scratch, as a from-scratch build solves it.
     ColdSolved,
 }
 
@@ -155,8 +96,7 @@ pub struct RelationDeltaStats {
     pub solve_micros: u64,
 }
 
-/// The incremental build report: what re-solved, what was reused, and what
-/// the warm starts contributed.
+/// The incremental build report: what re-solved and what was reused.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DeltaBuildReport {
     /// Per-relation outcomes, in processing order.
@@ -171,9 +111,11 @@ impl DeltaBuildReport {
         self.count(DeltaAction::Reused)
     }
 
-    /// Relations re-solved with a successful warm start.
+    /// Always 0: a changed relation re-solves from scratch, so no re-solve
+    /// is warm-started.  Kept because the benchmark harness still reads it
+    /// for its `lp.warm_hit_ratio` metric.
     pub fn warm_solved(&self) -> usize {
-        self.count(DeltaAction::WarmSolved)
+        0
     }
 
     /// Relations re-solved cold.
@@ -198,9 +140,8 @@ impl DeltaBuildReport {
             ));
         }
         out.push_str(&format!(
-            "total: {} reused, {} warm, {} cold in {:.2} ms\n",
+            "total: {} reused, {} cold in {:.2} ms\n",
             self.reused(),
-            self.warm_solved(),
             self.cold_solved(),
             self.total_micros as f64 / 1e3
         ));
@@ -481,25 +422,19 @@ mod tests {
                     solve_micros: 0,
                 },
                 RelationDeltaStats {
-                    table: "b".into(),
-                    action: DeltaAction::WarmSolved,
-                    lp_variables: 12,
-                    solve_micros: 480,
-                },
-                RelationDeltaStats {
                     table: "c".into(),
                     action: DeltaAction::ColdSolved,
                     lp_variables: 9,
                     solve_micros: 900,
                 },
             ],
-            total_micros: 1500,
+            total_micros: 1000,
         };
         assert_eq!(report.reused(), 1);
-        assert_eq!(report.warm_solved(), 1);
+        assert_eq!(report.warm_solved(), 0);
         assert_eq!(report.cold_solved(), 1);
         let table = report.to_display_table();
-        assert!(table.contains("1 reused, 1 warm, 1 cold"));
+        assert!(table.contains("1 reused, 1 cold"));
         let json = serde_json::to_string(&report).unwrap();
         let back: DeltaBuildReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);

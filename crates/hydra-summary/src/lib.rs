@@ -34,7 +34,7 @@
 //! [`align::build_relation_summary`]. The builder solves independent
 //! relations of the referential DAG in parallel and, against a previous
 //! [`delta::SolveBaseline`], reuses every relation whose constraint
-//! signature is unchanged.
+//! signature is unchanged and solves every other one from scratch.
 
 //!
 //! Because alignment is deterministic, each summary row's tuples occupy one

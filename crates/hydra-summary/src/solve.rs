@@ -14,9 +14,7 @@ use crate::summary::RelationSummary;
 use hydra_catalog::schema::Table;
 use hydra_lp::problem::{ConstraintOp, LpProblem, RowHead};
 use hydra_lp::rounding::largest_remainder_round;
-use hydra_lp::simplex::{WarmOutcome, WarmStart};
 use hydra_lp::solver::{LpSolver, SolveStatus};
-use hydra_partition::refine::check_refinable;
 use hydra_partition::region::{RegionPartition, RegionPartitioner};
 use hydra_query::aqp::VolumetricConstraint;
 use serde::{Deserialize, Serialize};
@@ -50,9 +48,6 @@ pub struct LpStats {
     /// the group median (their residual error is part of
     /// [`LpStats::total_violation`]).
     pub conflicting_constraints: usize,
-    /// What a warm-start hint contributed to this solve
-    /// ([`WarmOutcome::NotAttempted`] on cold, from-scratch builds).
-    pub warm: WarmOutcome,
 }
 
 /// The solved placement of a relation's rows across its regions.
@@ -78,16 +73,14 @@ impl SolvedRelation {
             .collect()
     }
 
-    /// The retained form of the solve: the partition restricted to its
-    /// support, with the matching counts.  The space and constraint unions
-    /// stay, so a later delta re-solve refines and warm-starts exactly as it
-    /// would from the full partition; the empty regions — nearly all of a
-    /// large partition — are dropped.  `stats` still describes the full LP.
-    pub fn support_only(self) -> SolvedRelation {
-        let support = self.support();
+    /// The retained form of the solve: the partition's space and constraint
+    /// unions, with no regions and no counts.  Nothing later reads a
+    /// retained solve's regions — a changed relation re-solves from scratch
+    /// — so a registry version keeps none.  `stats` still describes the LP.
+    pub fn without_regions(self) -> SolvedRelation {
         SolvedRelation {
-            partition: self.partition.restrict_to(&support),
-            region_counts: self.region_counts.into_iter().filter(|&c| c > 0).collect(),
+            partition: self.partition.without_regions(),
+            region_counts: Vec::new(),
             stats: self.stats,
         }
     }
@@ -209,10 +202,12 @@ fn formulate_lp(
 /// Iteration budget for post-rounding integral repair.
 const REPAIR_MAX_MOVES: usize = 2_000;
 
-/// Solves one relation: partitions its attribute space into regions,
-/// formulates and solves the LP, optionally refines the solution into the
-/// interior of the feasible set, rounds to integral counts, and repairs
-/// rounding drift.
+/// Solves one relation from scratch: partitions its attribute space into
+/// regions, formulates and solves the LP, optionally refines the solution
+/// into the interior of the feasible set, rounds to integral counts, and
+/// repairs rounding drift.  The result depends on these inputs alone, so a
+/// delta build that re-solves a relation gets exactly what a from-scratch
+/// build of the same package does.
 ///
 /// `summaries` must already contain the summaries of every dimension this
 /// relation references (dimensions-first processing order).
@@ -224,13 +219,6 @@ const REPAIR_MAX_MOVES: usize = 2_000;
 /// contradictions.  Moving to the volume-proportional interior point keeps
 /// distinguishing regions populated.  Fact relations keep vertex solutions —
 /// they give the smallest summaries and nothing projects *onto* them.
-///
-/// `previous` is the relation's last solve, when this is a delta re-profile:
-/// its support (full or [`SolvedRelation::support_only`]) is carried into
-/// the re-swept partition by representative point and warm-starts the
-/// simplex.  A stale, dimensionally incompatible or support-less previous
-/// solve is silently ignored — the solve degrades to a cold partition +
-/// solve.
 pub fn solve_relation(
     table: &Table,
     axes: &RelationAxes,
@@ -238,37 +226,19 @@ pub fn solve_relation(
     row_target: u64,
     summaries: &BTreeMap<String, RelationSummary>,
     interior: bool,
-    previous: Option<&SolvedRelation>,
 ) -> SummaryResult<SolvedRelation> {
     let partition_start = Instant::now();
     let pre = boxed_constraints(table, axes, constraints, summaries)?;
 
-    // Partition the space against the constraint boxes — incrementally when
-    // a compatible previous partition is available.
     let mut partitioner = RegionPartitioner::new(axes.space.clone());
     for (_, boxes) in &pre.boxed {
         partitioner = partitioner.add_constraint_union(boxes.clone());
     }
-    // A previous solve with no support carries nothing to warm-start from,
-    // so it solves cold.
-    let usable_previous = previous.filter(|prev| {
-        !prev.support().is_empty() && check_refinable(&prev.partition, axes.space.dims()).is_ok()
-    });
-    let (partition, warm_hint) = match usable_previous {
-        Some(prev) => {
-            // The previous solution's support (nonzero regions) is all the
-            // warm start needs; a basic solution keeps it small no matter
-            // how many regions the partition has.
-            let refinement = partitioner.refine(&prev.partition, &prev.support())?;
-            let hint = WarmStart::new(refinement.warm_columns());
-            (refinement.partition, Some(hint))
-        }
-        None => (partitioner.partition()?, None),
-    };
+    let partition = partitioner.partition()?;
     let partition_time = partition_start.elapsed();
 
     let lp = formulate_lp(table, &partition, &pre.boxed, row_target);
-    let (solution, warm) = LpSolver.solve_warm(&lp, warm_hint.as_ref())?;
+    let solution = LpSolver.solve(&lp)?;
     let mut values = solution.values.clone();
     if interior && solution.status == SolveStatus::Feasible {
         let volumes: Vec<f64> = partition.regions().map(|r| r.volume as f64).collect();
@@ -310,7 +280,6 @@ pub fn solve_relation(
             coalesced_constraints: pre.coalesced_constraints,
             empty_constraints: pre.empty_constraints,
             conflicting_constraints: pre.conflicting_constraints,
-            warm,
         },
         partition,
     })
@@ -354,16 +323,7 @@ mod tests {
         let schema = schema();
         let table = schema.table("S").unwrap();
         let axes = RelationAxes::build(table, constraints, &BTreeMap::new()).unwrap();
-        solve_relation(
-            table,
-            &axes,
-            constraints,
-            total,
-            &BTreeMap::new(),
-            false,
-            None,
-        )
-        .unwrap()
+        solve_relation(table, &axes, constraints, total, &BTreeMap::new(), false).unwrap()
     }
 
     #[test]
@@ -432,29 +392,17 @@ mod tests {
     }
 
     #[test]
-    fn support_only_keeps_exactly_the_nonzero_regions() {
+    fn a_retained_solve_keeps_no_regions() {
         let cs = vec![
             constraint("q1#1", "A", 20, 60, 400),
             constraint("q2#1", "B", 40, 80, 300),
-            constraint("q3#1", "A", 50, 90, 0),
         ];
         let solved = solve(&cs, 1000);
-        let support = solved.support();
-        assert!(support.len() < solved.partition.num_variables());
-        let kept: Vec<_> = support
-            .iter()
-            .map(|&r| (solved.partition.region(r), solved.region_counts[r]))
-            .collect();
-        let retained = solved.clone().support_only();
-        assert_eq!(retained.partition.num_variables(), support.len());
-        assert!(retained.region_counts.iter().all(|&c| c > 0));
-        let retained_pairs: Vec<_> = retained
-            .partition
-            .regions()
-            .zip(retained.region_counts.iter().copied())
-            .collect();
-        assert_eq!(retained_pairs, kept);
+        let retained = solved.clone().without_regions();
+        assert_eq!(retained.partition.num_variables(), 0);
+        assert!(retained.region_counts.is_empty());
         assert_eq!(retained.stats, solved.stats);
+        assert_eq!(retained.partition.space(), solved.partition.space());
         assert_eq!(
             retained.partition.constraint_unions(),
             solved.partition.constraint_unions()

@@ -125,12 +125,8 @@ fn parse_args() -> Result<Options, String> {
                 let rate: f64 = value("--velocity")?
                     .parse()
                     .map_err(|e| format!("--velocity: {e}"))?;
-                if !(rate.is_finite() && rate >= VelocityGovernor::MIN_RATE) {
-                    return Err(format!(
-                        "--velocity: rows_per_sec must be a finite rate >= {}, got {rate}",
-                        VelocityGovernor::MIN_RATE
-                    ));
-                }
+                let rate =
+                    VelocityGovernor::check_rate(rate).map_err(|e| format!("--velocity: {e}"))?;
                 options.velocity = Some(rate);
             }
             "--parallelism" => {
